@@ -5,8 +5,10 @@
 //! * per-stage wall-clock timings — graph build (`plan`) and division +
 //!   color assignment (`color`) — for the Linear and exact (ILP) engines,
 //! * hardware-independent **work counters**: branch-and-bound nodes
-//!   expanded, max-flow augmenting paths pushed during graph division, and
-//!   scratch-buffer allocation events per component,
+//!   expanded, max-flow augmenting paths pushed and arcs scanned during
+//!   graph division (on a row chip and untiled contact lattices of sides
+//!   32, 48, 64 and 96), and scratch-buffer allocation events per
+//!   component,
 //! * branch-and-bound node counts on standalone dense-clique instances
 //!   (the cases the pruned search must win on),
 //! * a memoization case: a deep repeated array (many exact translates of
@@ -29,10 +31,13 @@
 //!   a spacing re-verification, and an all-isolated control array that
 //!   must match the flat memoized coloring bit for bit.
 //!
-//! The report is emitted as `BENCH_perf.json` (schema `mpl-bench/perf-v5`).
-//! Wall-clock numbers are informative only — the dev container is
-//! single-CPU and noisy — while the work counters are deterministic and are
-//! what CI pins (`--check`): per-layout engine counters, the memo case's
+//! The report is emitted as `BENCH_perf.json` (schema `mpl-bench/perf-v6`).
+//! Wall-clock numbers are informative only — they depend on the host, and
+//! any pool-speedup figure must be reported with the host's
+//! `available_parallelism` — while the work counters are deterministic and
+//! are what CI pins (`--check`): per-layout engine counters, an arc-scan
+//! ceiling per lattice size with at most 1.5× growth in scans per vertex
+//! from the 32-side to the 96-side lattice, the memo case's
 //! warm hit rate (≥ 90 %) and zero warm-vs-cold coloring diffs, and the
 //! tile and hier cases' zero post-reconciliation conflicts, clean spacing
 //! checks, and bit-identical controls.  Under `--check` the untiled and

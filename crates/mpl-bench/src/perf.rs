@@ -4,10 +4,11 @@
 //! The suite behind the `perfbench` binary.  Two kinds of cases:
 //!
 //! * **Layout cases** — full `plan` + `execute` runs on generated layouts
-//!   (a large standard-cell-row benchmark and a dense contact grid),
-//!   reporting graph-build and color wall seconds alongside the work
-//!   counters accumulated by the engines (branch-and-bound nodes, division
-//!   augmenting paths, scratch allocation events).
+//!   (a large standard-cell-row benchmark and untiled dense contact
+//!   lattices of sides 32 to 96), reporting graph-build and color wall
+//!   seconds alongside the work counters accumulated by the engines
+//!   (branch-and-bound nodes, division augmenting paths and max-flow arc
+//!   scans, scratch allocation events).
 //! * **Branch-and-bound cases** — standalone [`mpl_ilp`] instances (dense
 //!   cliques, overlapping cliques, dense random graphs) whose explored
 //!   node counts measure the pruning strength of the exact search
@@ -39,10 +40,12 @@
 //!   the merged coloring, and an all-isolated control array that must
 //!   match the flat memoized coloring bit for bit.
 //!
-//! Wall-clock numbers vary with the machine (the dev container is
-//! single-CPU); the counters are deterministic, which is why
-//! [`PerfReport::check_ceilings`] pins ceilings on counters only — for the
-//! memo cases, a warm hit rate of at least 90 % and zero coloring diffs.
+//! Wall-clock numbers depend on the host, and any pool-speedup figure must
+//! be reported together with the host's `available_parallelism`; the
+//! counters are deterministic, which is why [`PerfReport::check_ceilings`]
+//! pins ceilings on counters only — for the lattices, arc scans per size
+//! and their near-linear growth; for the memo cases, a warm hit rate of at
+//! least 90 % and zero coloring diffs.
 
 use mpl_core::{
     json_escape, verify_spacing, ColorAlgorithm, Decomposer, DecomposerConfig, DecompositionResult,
@@ -112,6 +115,8 @@ pub struct LayoutPerfCase {
     /// The `n · K` ceiling the augmenting-path count must stay under
     /// (summed per component), when reported.
     pub augmenting_path_bound: Option<u64>,
+    /// Max-flow arcs examined during (K−1)-cut division, when reported.
+    pub arc_scans: Option<u64>,
     /// Scratch-buffer allocation (growth) events across all components,
     /// when reported.
     pub scratch_allocs: Option<u64>,
@@ -364,7 +369,7 @@ impl HierPerfCase {
     }
 }
 
-/// The full perf report (schema `mpl-bench/perf-v5`).
+/// The full perf report (schema `mpl-bench/perf-v6`).
 #[derive(Debug, Clone)]
 pub struct PerfReport {
     /// The label the run was taken under.
@@ -454,28 +459,47 @@ fn layout_cases() -> Vec<(Layout, Vec<ColorAlgorithm>, Duration)> {
         },
         &tech,
     );
-    // Contact grids at 70 nm pitch: orthogonal *and* diagonal neighbours
-    // conflict (degree-8 lattice), so a large kernel survives peeling and
-    // the (K−1)-cut division does real max-flow work on one big component.
-    let grid_small = gen::contact_array(&tech, 32, 32, Nm(70));
-    let grid_large = gen::contact_array(&tech, 48, 48, Nm(70));
-    vec![
-        (
-            large,
-            vec![ColorAlgorithm::Linear, ColorAlgorithm::Ilp],
-            Duration::from_secs(2),
-        ),
-        (
-            grid_small,
+    let mut cases = vec![(
+        large,
+        vec![ColorAlgorithm::Linear, ColorAlgorithm::Ilp],
+        Duration::from_secs(2),
+    )];
+    // Untiled contact grids at 70 nm pitch: orthogonal *and* diagonal
+    // neighbours conflict (degree-8 lattice), so a large kernel survives
+    // peeling and the (K−1)-cut division does real max-flow work on one big
+    // component.  The four sides chart how that work scales.
+    for (side, _) in LATTICES {
+        cases.push((
+            gen::contact_array(&tech, side, side, Nm(70)),
             vec![ColorAlgorithm::Linear],
             Duration::from_secs(2),
-        ),
-        (
-            grid_large,
-            vec![ColorAlgorithm::Linear],
-            Duration::from_secs(2),
-        ),
-    ]
+        ));
+    }
+    cases
+}
+
+/// The untiled contact-lattice layout cases, smallest first: contacts per
+/// side, and the pinned division arc-scan ceiling — about 2× the measured
+/// 595k, 1.39M, 2.51M and 5.74M scans.
+const LATTICES: [(usize, u64); 4] = [
+    (32, 1_200_000),
+    (48, 2_800_000),
+    (64, 5_000_000),
+    (96, 11_500_000),
+];
+
+/// The layout name of the untiled contact lattice with `side` contacts a
+/// side.
+fn lattice_name(side: usize) -> String {
+    format!("contact-array-{side}x{side}")
+}
+
+/// The pinned arc-scan ceiling of a lattice layout case.
+fn lattice_arc_scan_ceiling(name: &str) -> Option<u64> {
+    LATTICES
+        .iter()
+        .find(|&&(side, _)| name == lattice_name(side))
+        .map(|&(_, ceiling)| ceiling)
 }
 
 /// Plans and colors `layout` in one session, optionally memoized, and
@@ -905,6 +929,7 @@ pub fn run_perf_suite(options: &PerfOptions) -> Result<PerfReport, String> {
             let bnb_nodes: u64 = stats.iter().map(|s| s.bnb_nodes).sum();
             let augmenting_paths: u64 = stats.iter().map(|s| s.augmenting_paths).sum();
             let augmenting_path_bound: u64 = stats.iter().map(|s| s.augmenting_path_bound).sum();
+            let arc_scans: u64 = stats.iter().map(|s| s.arc_scans).sum();
             let scratch_allocs: u64 = stats.iter().map(|s| s.scratch_allocs).sum();
             let hit_time_limit = stats.iter().any(|s| s.hit_time_limit);
             eprintln!(
@@ -934,6 +959,7 @@ pub fn run_perf_suite(options: &PerfOptions) -> Result<PerfReport, String> {
                 bnb_nodes: Some(bnb_nodes),
                 augmenting_paths: Some(augmenting_paths),
                 augmenting_path_bound: Some(augmenting_path_bound),
+                arc_scans: Some(arc_scans),
                 scratch_allocs: Some(scratch_allocs),
                 hit_time_limit: Some(hit_time_limit),
             });
@@ -995,12 +1021,13 @@ fn json_opt_bool(value: Option<bool>) -> String {
 }
 
 impl PerfReport {
-    /// Renders the machine-readable report (schema `mpl-bench/perf-v5`;
+    /// Renders the machine-readable report (schema `mpl-bench/perf-v6`;
     /// v2 added the `memo_cases` array to v1, v3 the `tile_cases` array,
-    /// v4 the `hier_cases` array, v5 the `kernel_cases` array).
+    /// v4 the `hier_cases` array, v5 the `kernel_cases` array, v6 the
+    /// per-layout `arc_scans` counter).
     pub fn to_json(&self) -> String {
         let mut out = String::from("{\n");
-        out.push_str("  \"schema\": \"mpl-bench/perf-v5\",\n");
+        out.push_str("  \"schema\": \"mpl-bench/perf-v6\",\n");
         out.push_str(&format!("  \"label\": \"{}\",\n", json_escape(&self.label)));
         out.push_str("  \"layouts\": [\n");
         for (index, case) in self.layouts.iter().enumerate() {
@@ -1034,6 +1061,10 @@ impl PerfReport {
             out.push_str(&format!(
                 "\"augmenting_path_bound\": {}, ",
                 json_opt_u64(case.augmenting_path_bound)
+            ));
+            out.push_str(&format!(
+                "\"arc_scans\": {}, ",
+                json_opt_u64(case.arc_scans)
             ));
             out.push_str(&format!(
                 "\"scratch_allocs\": {}, ",
@@ -1313,6 +1344,17 @@ impl PerfReport {
                     case.name, case.algorithm
                 )),
             }
+            match (case.arc_scans, lattice_arc_scan_ceiling(&case.name)) {
+                (None, _) => violations.push(format!(
+                    "layout {} ({}): arc-scan counter missing from the report",
+                    case.name, case.algorithm
+                )),
+                (Some(scans), Some(ceiling)) if scans > ceiling => violations.push(format!(
+                    "layout {} ({}): {scans} max-flow arc scans exceeds the ceiling {ceiling}",
+                    case.name, case.algorithm
+                )),
+                _ => {}
+            }
             match case.scratch_allocs {
                 // Warm-path allocation discipline: a serial run of the whole
                 // suite grows its scratch buffers a handful of times, not
@@ -1345,6 +1387,24 @@ impl PerfReport {
                             .to_string(),
                     ),
                 }
+            }
+        }
+        // Near-linear division: arc scans per vertex may grow at most 1.5×
+        // from the smallest to the largest lattice (measured 1.07×).
+        let scans_per_vertex = |side: usize| {
+            let case = self
+                .layouts
+                .iter()
+                .find(|case| case.name == lattice_name(side))?;
+            Some(case.arc_scans? as f64 / case.vertices.max(1) as f64)
+        };
+        let (small, large) = (LATTICES[0].0, LATTICES[LATTICES.len() - 1].0);
+        if let (Some(base), Some(top)) = (scans_per_vertex(small), scans_per_vertex(large)) {
+            if top > 1.5 * base {
+                violations.push(format!(
+                    "lattice division grows superlinearly: {top:.1} arc scans per vertex at \
+                     {large}×{large} exceeds 1.5× the {base:.1} at {small}×{small}"
+                ));
             }
         }
         for case in &self.memo {
@@ -1542,12 +1602,79 @@ mod tests {
             bnb: Vec::new(),
         };
         let json = report.to_json();
-        assert!(json.contains("\"schema\": \"mpl-bench/perf-v5\""));
+        assert!(json.contains("\"schema\": \"mpl-bench/perf-v6\""));
         assert!(json.contains("\"label\": \"test\""));
         assert!(json.contains("\"memo_cases\""));
         assert!(json.contains("\"kernel_cases\""));
         assert!(json.contains("\"tile_cases\""));
         assert!(json.contains("\"hier_cases\""));
+    }
+
+    #[test]
+    fn lattice_ceilings_catch_missing_and_superlinear_arc_scans() {
+        let lattice = |side: usize, arc_scans: u64| LayoutPerfCase {
+            name: lattice_name(side),
+            algorithm: "Linear".to_string(),
+            k: 4,
+            shapes: side * side,
+            vertices: side * side,
+            conflict_edges: 4 * side * side,
+            components: 1,
+            conflicts: side / 2,
+            stitches: 0,
+            plan_seconds: 0.01,
+            color_seconds: 0.01,
+            division_seconds: Some(0.01),
+            bnb_nodes: Some(0),
+            augmenting_paths: Some(4 * (side * side) as u64 - 4),
+            augmenting_path_bound: Some(4 * (side * side) as u64),
+            arc_scans: Some(arc_scans),
+            scratch_allocs: Some(5),
+            hit_time_limit: Some(false),
+        };
+        let measured = vec![
+            lattice(32, 594_645),
+            lattice(48, 1_386_984),
+            lattice(64, 2_509_016),
+            lattice(96, 5_741_597),
+        ];
+        let mut report = PerfReport {
+            label: "test".to_string(),
+            layouts: measured.clone(),
+            memo: Vec::new(),
+            kernel: Vec::new(),
+            tile: Vec::new(),
+            hier: Vec::new(),
+            bnb: Vec::new(),
+        };
+        assert!(report.check_ceilings().is_ok());
+
+        // Under the 96-side ceiling, but 1.6× the 32-side scans per vertex.
+        report.layouts[3].arc_scans = Some(8_600_000);
+        let violations = report
+            .check_ceilings()
+            .expect_err("superlinear growth fails");
+        assert_eq!(violations.len(), 1, "{violations:?}");
+        assert!(violations[0].contains("superlinearly"), "{violations:?}");
+
+        report.layouts = measured;
+        report.layouts[1].arc_scans = Some(3_000_000);
+        let violations = report.check_ceilings().expect_err("48-side ceiling fails");
+        assert!(
+            violations
+                .iter()
+                .any(|v| v.contains("exceeds the ceiling 2800000")),
+            "{violations:?}"
+        );
+
+        report.layouts[1].arc_scans = None;
+        let violations = report.check_ceilings().expect_err("missing counter fails");
+        assert!(
+            violations
+                .iter()
+                .any(|v| v.contains("arc-scan counter missing")),
+            "{violations:?}"
+        );
     }
 
     #[test]

@@ -443,6 +443,7 @@ impl Decomposer {
         let mut metrics = ColorMetrics::default();
         let paths_before = scratch.augmenting_paths();
         let bound_before = scratch.augmenting_path_bound();
+        let scans_before = scratch.arc_scans();
         let allocs_before = scratch.alloc_events();
 
         // ---- Iterated simplification (hide + cut to a fixed point). ----
@@ -471,6 +472,7 @@ impl Decomposer {
                 );
                 metrics.augmenting_paths = scratch.augmenting_paths() - paths_before;
                 metrics.augmenting_path_bound = scratch.augmenting_path_bound() - bound_before;
+                metrics.arc_scans = scratch.arc_scans() - scans_before;
                 metrics.scratch_allocs = scratch.alloc_events() - allocs_before;
                 return (colors, metrics);
             }
@@ -572,6 +574,7 @@ impl Decomposer {
         }
         metrics.augmenting_paths = scratch.augmenting_paths() - paths_before;
         metrics.augmenting_path_bound = scratch.augmenting_path_bound() - bound_before;
+        metrics.arc_scans = scratch.arc_scans() - scans_before;
         metrics.scratch_allocs = scratch.alloc_events() - allocs_before;
         (colors, metrics)
     }
@@ -754,6 +757,8 @@ pub(crate) struct ColorMetrics {
     pub augmenting_paths: u64,
     /// The certified `n · K` ceiling for `augmenting_paths`.
     pub augmenting_path_bound: u64,
+    /// Max-flow arcs examined by the (K−1)-cut division.
+    pub arc_scans: u64,
     /// Scratch-buffer growth events (≈ heap allocations on the hot path).
     pub scratch_allocs: u64,
     /// Vertices hidden by iterated simplification (zero when the component

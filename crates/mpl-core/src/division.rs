@@ -72,6 +72,12 @@ impl DivisionScratch {
         self.augmenting_path_bound
     }
 
+    /// Cumulative max-flow arcs examined through this scratch (see
+    /// [`MaxFlow::arc_scans`]).
+    pub fn arc_scans(&self) -> u64 {
+        self.flow.arc_scans()
+    }
+
     /// Cumulative buffer-growth events.
     pub fn alloc_events(&self) -> u64 {
         self.alloc_events
@@ -235,12 +241,14 @@ pub(crate) fn biconnected_blocks_with(
 /// (K−1)-cut removal: pieces are the groups of vertices whose pairwise
 /// min-cut (in the induced union graph) is at least K.
 ///
-/// Since the capped-flow overhaul this no longer builds the Gomory–Hu tree:
-/// the identical partition is obtained by
-/// [`mpl_graph::threshold_components_with`],
-/// whose max-flow queries stop after K augmenting paths (at most
-/// `|vertices| · K` augmentations in total instead of the O(n·F) of full
-/// Gusfield max-flows).
+/// This does not build the Gomory–Hu tree: the identical partition is
+/// obtained by [`mpl_graph::threshold_components_with`], which certifies
+/// each vertex against an already-certified neighbour with a max-flow
+/// query that stops after K augmenting paths.  Each query's BFS passes stop
+/// at the sink and its resets touch only what the previous query touched,
+/// so a well-connected piece costs near-linear work.  At most
+/// `|vertices| · K` augmentations are pushed in total, and at most
+/// `pieces − 1` queries fail, each walking its residual reachable set.
 pub fn ghtree_pieces(problem: &ComponentProblem, vertices: &[usize]) -> Vec<Vec<usize>> {
     ghtree_pieces_with(problem, vertices, &mut DivisionScratch::default())
 }
@@ -720,6 +728,7 @@ mod tests {
         let pieces = ghtree_pieces_with(&p, &vertices, &mut scratch);
         assert_eq!(pieces.len(), 1);
         assert!(scratch.augmenting_paths() > 0);
+        assert!(scratch.arc_scans() > scratch.augmenting_paths());
         assert_eq!(scratch.augmenting_path_bound(), 8 * 4);
         assert!(scratch.augmenting_paths() <= scratch.augmenting_path_bound());
     }

@@ -311,6 +311,7 @@ mod tests {
                 hit_time_limit: false,
                 augmenting_paths: 0,
                 augmenting_path_bound: 0,
+                arc_scans: 0,
                 scratch_allocs: 0,
                 hidden_vertices: 0,
                 kernel_vertices: 0,

@@ -493,6 +493,7 @@ fn stamped_stats(task: &ComponentTask, colors: &[u8]) -> ComponentStats {
         hit_time_limit: false,
         augmenting_paths: 0,
         augmenting_path_bound: 0,
+        arc_scans: 0,
         scratch_allocs: 0,
         hidden_vertices: 0,
         kernel_vertices: 0,
@@ -529,6 +530,7 @@ fn skipped_stats(
         hit_time_limit: false,
         augmenting_paths: 0,
         augmenting_path_bound: 0,
+        arc_scans: 0,
         scratch_allocs: 0,
         hidden_vertices: 0,
         kernel_vertices: 0,
@@ -727,6 +729,7 @@ pub(crate) fn execute_batch(
             hit_time_limit: metrics.hit_time_limit,
             augmenting_paths: metrics.augmenting_paths,
             augmenting_path_bound: metrics.augmenting_path_bound,
+            arc_scans: metrics.arc_scans,
             scratch_allocs: metrics.scratch_allocs,
             hidden_vertices: metrics.hidden_vertices,
             kernel_vertices: metrics.kernel_vertices,
@@ -1371,6 +1374,7 @@ mod tests {
                 assert_eq!(a.hit_time_limit, b.hit_time_limit, "{algorithm}");
                 assert_eq!(a.bound_improvements, b.bound_improvements, "{algorithm}");
                 assert_eq!(a.augmenting_paths, b.augmenting_paths, "{algorithm}");
+                assert_eq!(a.arc_scans, b.arc_scans, "{algorithm}");
                 assert!(
                     !b.cancelled && !b.deadline_exceeded && !b.skipped,
                     "{algorithm}"

@@ -15,7 +15,8 @@
 //!   the data structure behind the paper's GH-tree based 3-cut removal.
 //! * [`threshold_components`] — the capped-flow shortcut for the (K−1)-cut
 //!   division: the same partition the GH tree yields at threshold K, using
-//!   at most K augmenting paths per max-flow query.
+//!   at most K augmenting paths per max-flow query, each query certifying
+//!   a vertex against an already-certified neighbour.
 //!
 //! All algorithms are deterministic and allocation-conscious; vertex ids are
 //! dense `usize` indices `0..n`.

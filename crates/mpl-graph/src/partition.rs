@@ -10,14 +10,29 @@
 //!
 //! [`threshold_components`] computes that partition directly with **capped**
 //! max-flows ([`MaxFlow::max_flow_capped`]): a flow query stops after K
-//! augmenting paths, because reaching K already proves "≥ K".  Every query
-//! either certifies one vertex into its representative's group (`f ≥ K`) or
-//! yields a genuine cut splitting the working set (`f < K`, so the flow is
-//! maximal and the residual side is a real min cut — and every pair across
-//! it has min-cut < K).  Each query therefore consumes one of at most
-//! `n − 1` certificates, and with unit capacities each pushes at most K
-//! augmenting paths: O(n·K) augmentations total instead of the O(n·F) of
-//! full Gusfield max-flows.
+//! augmenting paths, because reaching K already proves "≥ K".
+//!
+//! **Neighbour certification.**  Each working set is visited in BFS order
+//! from its representative `s`, and each vertex `t` is certified against an
+//! already-certified graph neighbour `p` (falling back to `s` only when `t`
+//! has none).  This is exact because "min-cut ≥ K" is transitive:
+//! `mincut(s, t) ≥ min(mincut(s, p), mincut(p, t))`.  A query either
+//! certifies `t` into the group (`f ≥ K`) or fails (`f < K`), and then
+//! `mincut(s, t) < K` too, the flow is maximal, and the residual side of
+//! `p` is a genuine cut of value < K.  Every certified vertex sits on `p`'s
+//! side (a cut below K cannot separate it from `p`), and every pair across
+//! the cut has min-cut < K, so the working set splits exactly as it would
+//! through `s`.  Because `p` and `t` are adjacent, the query's early-exit
+//! BFS passes ([`MaxFlow::max_flow_capped`]) stay in their neighbourhood
+//! and its sparse resets touch only that neighbourhood, so a
+//! well-connected piece costs near-linear work rather than one whole-graph
+//! sweep per vertex.
+//!
+//! **Bounds.**  Each query consumes one of at most `n − 1` certificates and
+//! with unit capacities pushes at most K augmenting paths: at most `n · K`
+//! augmentations in total.  At most `groups − 1` queries fail; each of those
+//! walks the residual reachable set of its `p`, which its final BFS pass
+//! already labelled.
 //!
 //! [`GomoryHuTree::components_after_removing`]:
 //! crate::GomoryHuTree::components_after_removing
@@ -28,10 +43,13 @@ use crate::{Graph, MaxFlow};
 /// components performs O(1) allocations per partition call.
 #[derive(Debug, Clone, Default)]
 pub struct ThresholdScratch {
-    side: Vec<bool>,
+    /// Every vertex, grouped into the working sets of `ranges`.
     order: Vec<usize>,
     tmp: Vec<usize>,
     ranges: Vec<(usize, usize)>,
+    /// Per-vertex stamp of the current working set's phases: member,
+    /// reached by its BFS, certified.
+    stamp: Vec<usize>,
 }
 
 /// Partitions `0..n` into the groups of pairwise min-cut ≥ `threshold`
@@ -62,53 +80,97 @@ pub fn threshold_components_with(
         return vec![(0..n).collect()];
     }
     flow.assign_unit_graph(n, edges);
-    scratch.order.clear();
-    scratch.order.extend(0..n);
-    scratch.ranges.clear();
-    scratch.ranges.push((0, n));
+    let ThresholdScratch {
+        order,
+        tmp,
+        ranges,
+        stamp,
+    } = scratch;
+    order.clear();
+    order.extend(0..n);
+    ranges.clear();
+    ranges.push((0, n));
+    stamp.clear();
+    stamp.resize(n, 0);
+    let mut epoch = 0;
     let mut groups: Vec<Vec<usize>> = Vec::new();
 
-    while let Some((start, mut end)) = scratch.ranges.pop() {
-        let s = scratch.order[start];
+    while let Some((start, mut end)) = ranges.pop() {
+        let (member, reached, certified) = (epoch + 1, epoch + 2, epoch + 3);
+        epoch += 3;
+        // Reorder the working set breadth-first from `s` over the subgraph
+        // it induces, so each vertex follows a neighbour wherever it can;
+        // vertices `s` cannot reach inside the set keep their order at the
+        // end.
+        let s = order[start];
+        for &v in &order[start..end] {
+            stamp[v] = member;
+        }
+        tmp.clear();
+        tmp.push(s);
+        stamp[s] = reached;
+        let mut head = 0;
+        while head < tmp.len() {
+            let u = tmp[head];
+            head += 1;
+            for w in flow.neighbors(u) {
+                if stamp[w] == member {
+                    stamp[w] = reached;
+                    tmp.push(w);
+                }
+            }
+        }
+        tmp.extend(
+            order[start..end]
+                .iter()
+                .copied()
+                .filter(|&v| stamp[v] == member),
+        );
+        order[start..end].copy_from_slice(tmp);
+
+        stamp[s] = certified;
         let mut i = start + 1;
         while i < end {
-            let t = scratch.order[i];
-            let f = flow.max_flow_capped(s, t, threshold);
-            if f >= threshold {
-                // Certified: mincut(s, t) ≥ threshold, so t joins s's group.
+            let t = order[i];
+            let p = flow
+                .neighbors(t)
+                .find(|&w| stamp[w] == certified)
+                .unwrap_or(s);
+            if flow.max_flow_capped(p, t, threshold) >= threshold {
+                stamp[t] = certified;
                 i += 1;
                 continue;
             }
-            // The flow is maximal (f < cap), so the residual side is a
-            // genuine minimum s–t cut of value < threshold: every pair
-            // across it is separated for good.  Split the working set,
-            // keeping ascending order on both sides.  Everything already
-            // certified sits on s's side (a cut < threshold cannot separate
-            // a pair with min-cut ≥ threshold from s).
-            flow.min_cut_side_into(s, &mut scratch.side);
-            scratch.tmp.clear();
-            scratch.tmp.extend(
-                scratch.order[start..end]
+            // The flow is maximal (f < cap), so `p`'s residual side is a
+            // genuine cut of value < threshold: every pair across it is
+            // separated for good.  The certified vertices at positions
+            // start..i are all on `p`'s side; split the rest stably, the far
+            // side (led by `t`) becoming a working set of its own.
+            debug_assert!(
+                order[start..i].iter().all(|&v| flow.on_source_side(v)),
+                "a certified vertex crossed the cut"
+            );
+            tmp.clear();
+            tmp.extend(
+                order[i..end]
                     .iter()
                     .copied()
-                    .filter(|&v| scratch.side[v]),
+                    .filter(|&v| flow.on_source_side(v)),
             );
-            let near = scratch.tmp.len();
-            scratch.tmp.extend(
-                scratch.order[start..end]
+            let near = i + tmp.len();
+            tmp.extend(
+                order[i..end]
                     .iter()
                     .copied()
-                    .filter(|&v| !scratch.side[v]),
+                    .filter(|&v| !flow.on_source_side(v)),
             );
-            scratch.order[start..end].copy_from_slice(&scratch.tmp);
-            debug_assert!(near >= i - start, "a certified vertex crossed the cut");
-            scratch.ranges.push((start + near, end));
-            end = start + near;
-            // `i` is unchanged: the certified vertices are exactly the set
-            // members smaller than `t`, which the stable split keeps at
-            // positions start+1 .. i.
+            order[i..end].copy_from_slice(tmp);
+            ranges.push((near, end));
+            end = near;
         }
-        groups.push(scratch.order[start..end].to_vec());
+        let mut group = order[start..end].to_vec();
+        group.sort_unstable();
+        groups.push(group);
     }
     groups.sort_by_key(|group| group[0]);
     groups
@@ -223,6 +285,44 @@ mod tests {
                 "k={k}: {pushed} paths exceeds n*k"
             );
         }
+    }
+
+    #[test]
+    fn lattice_arc_scans_per_vertex_stay_flat_as_the_lattice_grows() {
+        // Certifying against neighbours keeps every query local, so the
+        // max-flow work per vertex must not grow with the lattice (a
+        // representative-only certification grows it about linearly).
+        let mut flow = MaxFlow::new(0);
+        let mut scratch = ThresholdScratch::default();
+        let mut scans_per_vertex = Vec::new();
+        for side in [12usize, 36] {
+            let id = |x: usize, y: usize| y * side + x;
+            let mut edges = Vec::new();
+            for y in 0..side {
+                for x in 0..side {
+                    if x + 1 < side {
+                        edges.push((id(x, y), id(x + 1, y)));
+                    }
+                    if y + 1 < side {
+                        edges.push((id(x, y), id(x, y + 1)));
+                        if x + 1 < side {
+                            edges.push((id(x, y), id(x + 1, y + 1)));
+                        }
+                        if x > 0 {
+                            edges.push((id(x, y), id(x - 1, y + 1)));
+                        }
+                    }
+                }
+            }
+            let before = flow.arc_scans();
+            let groups = threshold_components_with(&mut flow, &mut scratch, side * side, &edges, 3);
+            assert_eq!(groups.len(), 1, "a degree-8 lattice is 3-edge-connected");
+            scans_per_vertex.push((flow.arc_scans() - before) as f64 / (side * side) as f64);
+        }
+        assert!(
+            scans_per_vertex[1] <= 1.5 * scans_per_vertex[0],
+            "{scans_per_vertex:?}"
+        );
     }
 
     #[test]

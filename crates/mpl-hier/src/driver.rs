@@ -428,6 +428,7 @@ fn merged_component_stats(
         hit_time_limit: pieces.iter().any(|stats| stats.hit_time_limit),
         augmenting_paths: pieces.iter().map(|stats| stats.augmenting_paths).sum(),
         augmenting_path_bound: pieces.iter().map(|stats| stats.augmenting_path_bound).sum(),
+        arc_scans: pieces.iter().map(|stats| stats.arc_scans).sum(),
         scratch_allocs: pieces.iter().map(|stats| stats.scratch_allocs).sum(),
         hidden_vertices: pieces.iter().map(|stats| stats.hidden_vertices).sum(),
         kernel_vertices: pieces.iter().map(|stats| stats.kernel_vertices).sum(),
