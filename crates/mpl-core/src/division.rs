@@ -412,9 +412,9 @@ pub fn permute_to_match_anchors(
     }
     let k = k as usize;
     // matches[c][t]: how many anchors currently colored c want target t.
-    let mut matches = vec![0usize; k * k];
+    let mut matches = vec![0.0f64; k * k];
     for (&anchor, &target) in anchors.iter().zip(targets) {
-        matches[colors[anchor] as usize * k + target as usize] += 1;
+        matches[colors[anchor] as usize * k + target as usize] += 1.0;
     }
     let permutation = best_color_permutation(&matches, k);
     if permutation
@@ -429,16 +429,16 @@ pub fn permute_to_match_anchors(
     }
 }
 
-/// Finds the permutation π of `0..k` maximising `Σ_c matches[c][π(c)]` —
+/// Finds the permutation π of `0..k` maximising `Σ_c weight[c][π(c)]` —
 /// exhaustively for small K (at most 720 candidates for K ≤ 6), greedily
 /// above that.  Ties prefer the identity-most (lexicographically smallest)
 /// permutation so reconciliation is deterministic and a no-op when nothing
 /// is gained.
-fn best_color_permutation(matches: &[usize], k: usize) -> Vec<u8> {
-    let score = |perm: &[u8]| -> usize {
+pub(crate) fn best_color_permutation(weight: &[f64], k: usize) -> Vec<u8> {
+    let score = |perm: &[u8]| -> f64 {
         perm.iter()
             .enumerate()
-            .map(|(c, &t)| matches[c * k + t as usize])
+            .map(|(c, &t)| weight[c * k + t as usize])
             .sum()
     };
     if k <= 6 {
@@ -456,16 +456,20 @@ fn best_color_permutation(matches: &[usize], k: usize) -> Vec<u8> {
         }
         best
     } else {
-        // Greedy assignment by descending pair weight; leftovers keep their
-        // own color when possible.
-        let mut pairs: Vec<(usize, usize, usize)> = (0..k)
-            .flat_map(|c| (0..k).map(move |t| (matches[c * k + t], c, t)))
-            .filter(|&(w, _, _)| w > 0)
+        // Greedy assignment by descending positive pair weight; leftovers
+        // keep their own color when possible.
+        let mut pairs: Vec<(usize, usize)> = (0..k)
+            .flat_map(|c| (0..k).map(move |t| (c, t)))
+            .filter(|&(c, t)| weight[c * k + t] > 0.0)
             .collect();
-        pairs.sort_by_key(|&(w, c, t)| (std::cmp::Reverse(w), c, t));
+        pairs.sort_by(|&(c1, t1), &(c2, t2)| {
+            weight[c2 * k + t2]
+                .total_cmp(&weight[c1 * k + t1])
+                .then((c1, t1).cmp(&(c2, t2)))
+        });
         let mut permutation = vec![u8::MAX; k];
         let mut target_taken = vec![false; k];
-        for (_, c, t) in pairs {
+        for (c, t) in pairs {
             if permutation[c] == u8::MAX && !target_taken[t] {
                 permutation[c] = t as u8;
                 target_taken[t] = true;

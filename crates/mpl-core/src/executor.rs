@@ -17,14 +17,11 @@
 //!   dominate wall-clock time start first no matter which layout they
 //!   came from.
 //!
-//! Executors written against the pre-batch single-layout trait shape keep
-//! working through the deprecated [`LayoutExecutor`] trait and the
-//! [`BatchAdapter`] shim.
-//!
 //! [`DecompositionSession`]: crate::DecompositionSession
+//! [`LayoutId`]: crate::LayoutId
 
-use crate::pipeline::{ComponentOutcome, ComponentTask};
-use crate::session::{BatchTask, LayoutId};
+use crate::pipeline::ComponentOutcome;
+use crate::session::BatchTask;
 use crate::ConfigError;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -34,10 +31,6 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 /// (identical outcomes for identical tasks) and `Sync`, so executors may
 /// call it from any number of threads concurrently.
 pub type BatchWork<'a> = dyn Fn(&BatchTask<'_>) -> ComponentOutcome + Sync + 'a;
-
-/// The single-layout work function of the pre-batch API, kept for
-/// [`LayoutExecutor`] implementations.
-pub type TaskWork<'a> = dyn Fn(&ComponentTask) -> ComponentOutcome + Sync + 'a;
 
 /// A strategy for running the tagged component tasks of a batch.
 ///
@@ -49,6 +42,7 @@ pub type TaskWork<'a> = dyn Fn(&ComponentTask) -> ComponentOutcome + Sync + 'a;
 ///
 /// [`DecompositionSession`]: crate::DecompositionSession
 /// [`DecompositionPlan::execute`]: crate::DecompositionPlan::execute
+/// [`LayoutId`]: crate::LayoutId
 pub trait Executor {
     /// Short human-readable name recorded on results (e.g. `"serial"`).
     fn name(&self) -> &str;
@@ -56,88 +50,6 @@ pub trait Executor {
     /// Runs `work` on every tagged task, returning the outcomes **in batch
     /// order**.
     fn run(&self, tasks: &[BatchTask<'_>], work: &BatchWork<'_>) -> Vec<ComponentOutcome>;
-}
-
-/// The pre-batch executor shape: schedules the tasks of **one** layout.
-///
-/// New executors should implement [`Executor`] directly — it sees the
-/// whole cross-layout batch and can schedule globally.  Existing
-/// single-layout implementations keep working by wrapping them in
-/// [`BatchAdapter`], which slices a batch into per-layout runs.
-#[deprecated(
-    since = "0.1.0",
-    note = "implement the batch-first `Executor` over `BatchTask`s, or wrap this in `BatchAdapter`"
-)]
-pub trait LayoutExecutor {
-    /// Short human-readable name recorded on results.
-    fn name(&self) -> &str;
-
-    /// Runs `work` on every task of one layout, returning the outcomes in
-    /// task order.
-    fn run(&self, tasks: &[ComponentTask], work: &TaskWork<'_>) -> Vec<ComponentOutcome>;
-}
-
-/// Adapts a single-layout [`LayoutExecutor`] to the batch-first
-/// [`Executor`] trait.
-///
-/// The batch is sliced into per-layout groups (first-appearance order) and
-/// each group is handed to the wrapped executor as a plain task list, so a
-/// legacy executor never sees tasks from two layouts at once.  This
-/// serialises *between* layouts — cross-layout batching needs a native
-/// [`Executor`] — but produces the same outcomes in batch order.
-#[derive(Debug, Clone)]
-pub struct BatchAdapter<E>(pub E);
-
-#[allow(deprecated)]
-impl<E: LayoutExecutor> Executor for BatchAdapter<E> {
-    fn name(&self) -> &str {
-        self.0.name()
-    }
-
-    fn run(&self, tasks: &[BatchTask<'_>], work: &BatchWork<'_>) -> Vec<ComponentOutcome> {
-        // Group batch positions by layout, keeping first-appearance order.
-        let mut groups: Vec<(LayoutId, Vec<usize>)> = Vec::new();
-        for (position, tagged) in tasks.iter().enumerate() {
-            match groups.iter_mut().find(|(id, _)| *id == tagged.layout()) {
-                Some((_, members)) => members.push(position),
-                None => groups.push((tagged.layout(), vec![position])),
-            }
-        }
-        let mut slots: Vec<Option<ComponentOutcome>> = Vec::new();
-        slots.resize_with(tasks.len(), || None);
-        for (_, members) in &groups {
-            let owned: Vec<ComponentTask> = members
-                .iter()
-                .map(|&pos| tasks[pos].task().clone())
-                .collect();
-            // Task indices are unique within one layout, so they map the
-            // legacy executor's untagged tasks back to batch positions.
-            let shim = |task: &ComponentTask| {
-                let position = members
-                    .iter()
-                    .copied()
-                    .find(|&pos| tasks[pos].task().index() == task.index())
-                    .expect("legacy executor ran a task outside its layout group");
-                work(&tasks[position])
-            };
-            let outcomes = self.0.run(&owned, &shim);
-            assert_eq!(
-                outcomes.len(),
-                members.len(),
-                "legacy executor {:?} returned {} outcomes for {} tasks",
-                self.0.name(),
-                outcomes.len(),
-                members.len()
-            );
-            for (&position, outcome) in members.iter().zip(outcomes) {
-                slots[position] = Some(outcome);
-            }
-        }
-        slots
-            .into_iter()
-            .map(|slot| slot.expect("every batch task belongs to exactly one layout group"))
-            .collect()
-    }
 }
 
 /// Runs every task sequentially on the calling thread, in batch order.
@@ -202,12 +114,6 @@ impl ThreadPoolExecutor {
         ThreadPoolExecutor::new(threads).expect("available parallelism is at least one")
     }
 
-    /// Creates a pool sized to the machine's available parallelism.
-    #[deprecated(since = "0.1.0", note = "renamed to `ThreadPoolExecutor::available`")]
-    pub fn with_available_parallelism() -> Self {
-        ThreadPoolExecutor::available()
-    }
-
     /// Number of worker threads.
     pub fn threads(&self) -> usize {
         self.threads
@@ -266,7 +172,7 @@ impl Executor for ThreadPoolExecutor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ComponentProblem;
+    use crate::{ComponentProblem, ComponentTask, LayoutId};
     use std::collections::HashSet;
     use std::sync::Mutex;
 
@@ -380,38 +286,5 @@ mod tests {
         let pool = ThreadPoolExecutor::new(4).unwrap();
         assert!(pool.run(&[], &echo_work).is_empty());
         assert!(SerialExecutor.run(&[], &echo_work).is_empty());
-    }
-
-    /// A legacy single-layout executor that reverses the task order it was
-    /// given (stressing the adapter's batch-order reassembly).
-    struct ReversingLegacy;
-
-    #[allow(deprecated)]
-    impl LayoutExecutor for ReversingLegacy {
-        fn name(&self) -> &str {
-            "legacy-reversed"
-        }
-
-        fn run(&self, tasks: &[ComponentTask], work: &TaskWork<'_>) -> Vec<ComponentOutcome> {
-            let mut outcomes: Vec<ComponentOutcome> = tasks.iter().rev().map(work).collect();
-            outcomes.reverse();
-            outcomes
-        }
-    }
-
-    #[test]
-    fn batch_adapter_runs_legacy_executors_per_layout_in_batch_order() {
-        let tasks = tasks(&[3, 1, 4, 1, 5, 9]);
-        // Interleaved layouts: the adapter must regroup them.
-        let batch = tagged(&tasks);
-        let adapted = BatchAdapter(ReversingLegacy);
-        assert_eq!(adapted.name(), "legacy-reversed");
-        let outcomes = adapted.run(&batch, &echo_work);
-        let serial = SerialExecutor.run(&batch, &echo_work);
-        assert_eq!(outcomes.len(), serial.len());
-        for (a, b) in outcomes.iter().zip(&serial) {
-            assert_eq!(a.colors, b.colors);
-            assert_eq!(a.stats.index, b.stats.index);
-        }
     }
 }

@@ -61,9 +61,12 @@
 //! serial convenience wrapper.  Progress can be traced with a
 //! [`DecompositionObserver`]: batch started/finished bracketing plus
 //! per-layout and per-component callbacks, each tagged with the
-//! [`LayoutId`] it belongs to.  Custom executors written against the old
-//! single-layout trait shape still run through the deprecated
-//! `LayoutExecutor` + [`BatchAdapter`] shim.
+//! [`LayoutId`] it belongs to.
+//!
+//! Tiled (`mpl-tile`) and hierarchical (`mpl-hier`) runs cut components
+//! into pieces and hand them to the one driver in [`partition`], which
+//! colors every piece through an inner session and re-joins them with
+//! color permutations.
 //!
 //! # Quick start
 //!
@@ -118,6 +121,7 @@ pub mod division;
 mod error;
 mod executor;
 mod memo;
+pub mod partition;
 mod pipeline;
 mod report;
 mod session;
@@ -132,11 +136,7 @@ pub use cost::{coloring_cost, ColoringCost};
 pub use decomp_graph::{DecompositionGraph, VertexId};
 pub use decomposer::{Decomposer, DecompositionResult};
 pub use error::{ConfigError, DecomposeError};
-#[allow(deprecated)]
-pub use executor::LayoutExecutor;
-pub use executor::{
-    BatchAdapter, BatchWork, Executor, SerialExecutor, TaskWork, ThreadPoolExecutor,
-};
+pub use executor::{BatchWork, Executor, SerialExecutor, ThreadPoolExecutor};
 pub use memo::component_signatures;
 pub use mpl_memo::{MemoCache, MemoStats, Signature};
 pub use pipeline::{

@@ -9,8 +9,8 @@
 //! component mixing provenances is split into per-instance pieces (one
 //! induced sub-problem per instance, in ascending instance order) plus one
 //! *residual* piece holding the unattributed boundary geometry; the pieces
-//! are disjoint by construction, so the reconciler stitches them back along
-//! cross-provenance edges only.
+//! are disjoint by construction, so the reconciler aligns each one by the
+//! cost of its cross-provenance edges only.
 //!
 //! Splitting by provenance is what the purely geometric graph division of
 //! the engine cannot do: a dense instance array couples into one giant
@@ -18,70 +18,59 @@
 //! translation-identical, so the memo cache colors one master body and
 //! stamps every other instance.
 
-use mpl_core::{ComponentProblem, DecompositionPlan, VertexId};
+use crate::driver::HierStats;
+use mpl_core::partition::{Partition, Piece, SplitComponent};
+use mpl_core::{ComponentTask, DecompositionPlan, VertexId};
 use mpl_layout::LayoutHierarchy;
 use std::collections::BTreeMap;
 
-/// One provenance class of a split component.
-#[derive(Debug)]
-pub(crate) struct SplitPiece {
-    /// The instance that placed this piece's geometry, or `None` for the
-    /// residual (top-level shapes and cross-instance merges).
-    pub origin: Option<usize>,
-    /// Component-local vertex ids of the piece, ascending.
-    pub locals: Vec<usize>,
-    /// The sub-problem induced by `locals`, ready for the batch engine.
-    pub problem: ComponentProblem,
-}
-
-/// A mixed-provenance component split into per-instance pieces.
-#[derive(Debug)]
-pub(crate) struct SplitComponent {
-    /// Index of the original task in its plan.
-    pub task_index: usize,
-    /// Provenance of every component-local vertex.
-    pub origin: Vec<Option<usize>>,
-    /// Instance pieces in ascending instance order, then the residual piece
-    /// (when any vertex is unattributed) — the deterministic order the
-    /// reconciler fixes them in.
-    pub pieces: Vec<SplitPiece>,
-}
-
-/// Classifies a plan's tasks into residents and split components.
+/// Classifies a plan's tasks into residents and split components, together
+/// with the hierarchy statistics the partition alone determines.
 ///
 /// Without a hierarchy every task is resident and the driver degenerates to
 /// the flat memoized path.
 pub(crate) fn classify(
     plan: &DecompositionPlan,
     hierarchy: Option<&LayoutHierarchy>,
-) -> (Vec<usize>, Vec<SplitComponent>) {
-    let mut resident = Vec::new();
-    let mut split = Vec::new();
-    let Some(hierarchy) = hierarchy.filter(|hierarchy| !hierarchy.is_trivial()) else {
-        return ((0..plan.tasks().len()).collect(), split);
+) -> (Partition, HierStats) {
+    let mut stats = HierStats {
+        instances: hierarchy.map_or(0, LayoutHierarchy::instance_count),
+        cells: hierarchy.map_or(0, LayoutHierarchy::cell_count),
+        nested_inherited: hierarchy.map_or(0, LayoutHierarchy::nested_inherited),
+        ..HierStats::default()
     };
-    let graph = plan.graph();
-    for task in plan.tasks() {
-        let origin: Vec<Option<usize>> = task
-            .to_global()
-            .iter()
-            .map(|&global| hierarchy.origin_of(graph.shape_of(VertexId(global))))
-            .collect();
-        if origin.windows(2).all(|pair| pair[0] == pair[1]) {
-            resident.push(task.index());
-        } else {
-            split.push(split_component(task.index(), task.problem(), origin));
+    let mut partition = Partition::default();
+    match hierarchy.filter(|hierarchy| !hierarchy.is_trivial()) {
+        None => partition.resident = (0..plan.tasks().len()).collect(),
+        Some(hierarchy) => {
+            let graph = plan.graph();
+            for task in plan.tasks() {
+                let origin: Vec<Option<usize>> = task
+                    .to_global()
+                    .iter()
+                    .map(|&global| hierarchy.origin_of(graph.shape_of(VertexId(global))))
+                    .collect();
+                if origin.windows(2).all(|pair| pair[0] == pair[1]) {
+                    partition.resident.push(task.index());
+                } else {
+                    partition
+                        .split
+                        .push(split_component(task, &origin, &mut stats));
+                }
+            }
         }
     }
-    (resident, split)
+    stats.resident_components = partition.resident.len();
+    stats.split_components = partition.split.len();
+    (partition, stats)
 }
 
-/// Groups a mixed-provenance component's vertices by origin and induces one
-/// sub-problem per group.
+/// Groups a mixed-provenance component's vertices by origin — instances
+/// ascending, then the residual — and induces one disjoint piece per group.
 fn split_component(
-    task_index: usize,
-    problem: &ComponentProblem,
-    origin: Vec<Option<usize>>,
+    task: &ComponentTask,
+    origin: &[Option<usize>],
+    stats: &mut HierStats,
 ) -> SplitComponent {
     let mut instances: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
     let mut residual = Vec::new();
@@ -91,23 +80,23 @@ fn split_component(
             None => residual.push(local),
         }
     }
+    stats.instance_pieces += instances.len();
+    stats.boundary_vertices += residual.len();
     let pieces = instances
-        .into_iter()
-        .map(|(instance, locals)| (Some(instance), locals))
-        .chain((!residual.is_empty()).then_some((None, residual)))
-        .map(|(origin, locals)| {
-            let (sub, original) = problem.induced(&locals);
-            debug_assert_eq!(original, locals);
-            SplitPiece {
-                origin,
-                locals,
-                problem: sub,
+        .into_values()
+        .chain((!residual.is_empty()).then_some(residual))
+        .map(|vertices| {
+            let (problem, original) = task.problem().induced(&vertices);
+            debug_assert_eq!(original, vertices);
+            Piece {
+                owned: vertices.clone(),
+                vertices,
+                problem,
             }
         })
         .collect();
     SplitComponent {
-        task_index,
-        origin,
+        task_index: task.index(),
         pieces,
     }
 }

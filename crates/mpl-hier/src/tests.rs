@@ -2,7 +2,8 @@
 //! engine.
 
 use crate::fixtures::{bit_cell_array, BitArrayStyle};
-use crate::{run_hier, run_hier_observed, HierProgress};
+use crate::{run_hier, run_hier_observed};
+use mpl_core::partition::PieceProgress;
 use mpl_core::verify::verify_spacing;
 use mpl_core::{
     ColorAlgorithm, ConfigError, Decomposer, DecomposerConfig, DecompositionSession, LayoutId,
@@ -216,7 +217,7 @@ fn progress_reports_one_tick_per_inner_decomposition() {
         last: AtomicUsize,
         total: AtomicUsize,
     }
-    impl HierProgress for Counting {
+    impl PieceProgress for Counting {
         fn piece_done(&self, layout: LayoutId, done: usize, total: usize) {
             assert_eq!(layout.index(), 0);
             assert!(done <= total);

@@ -135,6 +135,7 @@ impl Json {
     /// problem.
     pub fn parse(text: &str) -> Result<Json, JsonParseError> {
         let mut parser = Parser {
+            text,
             bytes: text.as_bytes(),
             offset: 0,
         };
@@ -208,6 +209,7 @@ impl fmt::Display for Json {
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     offset: usize,
 }
@@ -381,13 +383,19 @@ impl<'a> Parser<'a> {
                     return Err(self.error("raw control character in string"));
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar.  The input is a &str, so
-                    // the bytes are valid UTF-8 by construction.
-                    let rest =
-                        std::str::from_utf8(&self.bytes[self.offset..]).expect("input was a &str");
-                    let c = rest.chars().next().expect("peek saw a byte");
-                    out.push(c);
-                    self.offset += c.len_utf8();
+                    // Copy the run up to the next quote, backslash or
+                    // control byte in one go.  The run ends on an ASCII
+                    // byte or at the end of the input, so both ends are
+                    // char boundaries of the &str input, and parsing stays
+                    // linear in the string's length.
+                    let start = self.offset;
+                    while let Some(byte) = self.peek() {
+                        if byte < 0x20 || byte == b'"' || byte == b'\\' {
+                            break;
+                        }
+                        self.offset += 1;
+                    }
+                    out.push_str(&self.text[start..self.offset]);
                 }
             }
         }
@@ -486,6 +494,20 @@ mod tests {
         // Writer output re-parses to the same value.
         let rewritten = Json::parse(&parsed.to_string()).unwrap();
         assert_eq!(rewritten, parsed);
+    }
+
+    #[test]
+    fn long_strings_parse_in_linear_time() {
+        // About 3 MB of mixed ASCII and multi-byte text on each side of an
+        // escape: re-validating the rest of the input per character would
+        // take minutes here, one pass takes milliseconds.
+        let text = "ab 😀 é ".repeat(1 << 18);
+        let parsed = Json::parse(&format!("[\"{text}\\\"{text}\"]")).unwrap();
+        let items = parsed.as_array().unwrap();
+        assert_eq!(items[0].as_str().unwrap(), format!("{text}\"{text}"));
+        // Errors still point at the offending byte after a long run.
+        let error = Json::parse(&format!("\"{text}\u{1}\"")).unwrap_err();
+        assert_eq!(error.offset, 1 + text.len());
     }
 
     #[test]

@@ -61,6 +61,7 @@ use crate::protocol::{
     decode_request, encode_response, CachePayload, ErrorCode, ExecutorChoice, HierPayload,
     LayoutSource, Request, Response, ResultPayload, ServeError, SubmitRequest, TilePayload,
 };
+use mpl_core::partition::PieceProgress;
 use mpl_core::{
     verify_spacing, CancelToken, ConfigError, Decomposer, DecomposerConfig, DecompositionPlan,
     DecompositionSession, Executor, LayoutId, MemoCache, ProgressObserver, ProgressSink,
@@ -73,7 +74,7 @@ use mpl_gds::{
 use mpl_geometry::Nm;
 use mpl_hier::HierStats;
 use mpl_layout::{io, Layout, LayoutHierarchy, Technology};
-use mpl_tile::{TileProgress, TileStats};
+use mpl_tile::TileStats;
 use std::collections::{HashMap, VecDeque};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -466,38 +467,22 @@ impl ProgressSink for BatchSink<'_> {
     }
 }
 
-/// Streams `tile_progress` frames for one running tiled batch.
-struct TileSink<'a> {
+/// Streams `hier_progress` (hierarchical) or `tile_progress` (tiled)
+/// frames for one running partitioned batch.
+struct PieceSink<'a> {
     submissions: &'a HashMap<LayoutId, Active>,
+    hier: bool,
 }
 
-impl TileProgress for TileSink<'_> {
-    fn tile_done(&self, layout: LayoutId, done: usize, total: usize) {
-        if let Some(active) = self.submissions.get(&layout) {
-            if active.submit.progress {
-                active.writer.send(&Response::TileProgress {
-                    id: active.submit.id.clone(),
-                    done,
-                    total,
-                });
-            }
-        }
-    }
-}
-
-/// Streams `hier_progress` frames for one running hierarchical batch.
-struct HierSink<'a> {
-    submissions: &'a HashMap<LayoutId, Active>,
-}
-
-impl mpl_hier::HierProgress for HierSink<'_> {
+impl PieceProgress for PieceSink<'_> {
     fn piece_done(&self, layout: LayoutId, done: usize, total: usize) {
         if let Some(active) = self.submissions.get(&layout) {
             if active.submit.progress {
-                active.writer.send(&Response::HierProgress {
-                    id: active.submit.id.clone(),
-                    done,
-                    total,
+                let id = active.submit.id.clone();
+                active.writer.send(&if self.hier {
+                    Response::HierProgress { id, done, total }
+                } else {
+                    Response::TileProgress { id, done, total }
                 });
             }
         }
@@ -1032,71 +1017,55 @@ fn run_batch(
             },
         );
     }
-    let results: Vec<Outcome> = if hier {
-        let sink = HierSink {
-            submissions: &submissions,
-        };
-        match mpl_hier::run_hier_observed(session, executor, &sink) {
-            Ok(results) => {
-                shared
-                    .hier_runs
-                    .fetch_add(results.len() as u64, Ordering::Relaxed);
-                results
-                    .into_iter()
-                    .map(|(id, hier)| (id, hier.result, None, Some(hier_payload(&hier.stats))))
-                    .collect()
-            }
-            Err(error) => {
-                // Submission-time validation makes this unreachable in
-                // practice; answer every member typed rather than panic.
-                let error = ServeError::Config(error);
-                for active in submissions.values() {
-                    lock_recovering(&active.registry).remove(&active.submit.id);
-                    active
-                        .writer
-                        .send(&error.to_response(Some(active.submit.id.clone())));
-                }
-                session.clear();
-                return;
-            }
-        }
+    let sink = PieceSink {
+        submissions: &submissions,
+        hier,
+    };
+    let results: Result<Vec<Outcome>, ConfigError> = if hier {
+        mpl_hier::run_hier_observed(session, executor, &sink).map(|results| {
+            shared
+                .hier_runs
+                .fetch_add(results.len() as u64, Ordering::Relaxed);
+            results
+                .into_iter()
+                .map(|(id, hier)| (id, hier.result, None, Some(hier_payload(&hier.stats))))
+                .collect()
+        })
     } else if session.tiling().is_some() {
-        let sink = TileSink {
-            submissions: &submissions,
-        };
-        match mpl_tile::run_tiled_observed(session, executor, &sink) {
-            Ok(results) => {
-                shared
-                    .tile_runs
-                    .fetch_add(results.len() as u64, Ordering::Relaxed);
-                results
-                    .into_iter()
-                    .map(|(id, tiled)| (id, tiled.result, Some(tile_payload(&tiled.stats)), None))
-                    .collect()
-            }
-            Err(error) => {
-                // Submission-time validation makes this unreachable in
-                // practice; answer every member typed rather than panic.
-                let error = ServeError::Config(error);
-                for active in submissions.values() {
-                    lock_recovering(&active.registry).remove(&active.submit.id);
-                    active
-                        .writer
-                        .send(&error.to_response(Some(active.submit.id.clone())));
-                }
-                session.clear();
-                return;
-            }
-        }
+        mpl_tile::run_tiled_observed(session, executor, &sink).map(|results| {
+            shared
+                .tile_runs
+                .fetch_add(results.len() as u64, Ordering::Relaxed);
+            results
+                .into_iter()
+                .map(|(id, tiled)| (id, tiled.result, Some(tile_payload(&tiled.stats)), None))
+                .collect()
+        })
     } else {
-        let sink = BatchSink {
+        let components = BatchSink {
             submissions: &submissions,
         };
-        session
-            .run_observed(executor, &ProgressObserver::new(&sink))
+        Ok(session
+            .run_observed(executor, &ProgressObserver::new(&components))
             .into_iter()
             .map(|(id, result)| (id, result, None, None))
-            .collect()
+            .collect())
+    };
+    let results = match results {
+        Ok(results) => results,
+        Err(error) => {
+            // Submission-time validation makes this unreachable in
+            // practice; answer every member typed rather than panic.
+            let error = ServeError::Config(error);
+            for active in submissions.values() {
+                lock_recovering(&active.registry).remove(&active.submit.id);
+                active
+                    .writer
+                    .send(&error.to_response(Some(active.submit.id.clone())));
+            }
+            session.clear();
+            return;
+        }
     };
     for (id, result, tiles, hierarchy) in results {
         let active = &submissions[&id];

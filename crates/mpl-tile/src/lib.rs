@@ -15,12 +15,12 @@
 //!    expanded by a conflict-radius halo plus the one-hop edge closure of
 //!    its owned vertices, so no conflict or stitch edge is invisible to
 //!    the piece owning either endpoint.
-//! 3. **Decompose** — every piece becomes an independent sub-plan
-//!    ([`DecompositionPlan::for_subproblems`]) drained through one shared
-//!    [`DecompositionSession`] queue, so the thread pool and the
-//!    translation-canonical memo cache apply per tile for free.
-//! 4. **Reconcile** — tiles merge deterministically in row-major order:
-//!    the mismatch-minimising color permutation aligns each tile with the
+//! 3. **Decompose and reconcile** — the partition goes to the shared
+//!    [`mpl_core::partition`] driver, which drains every piece through one
+//!    [`DecompositionSession`] queue (so the thread pool and the
+//!    translation-canonical memo cache apply per tile for free), then
+//!    merges tiles deterministically in row-major order: the
+//!    mismatch-minimising color permutation aligns each tile with the halo
 //!    vertices already fixed (free — permutations preserve all intra-tile
 //!    cost), then a bounded greedy repair pass re-colors boundary-strip
 //!    vertices that strictly lower the global cost.
@@ -31,17 +31,13 @@
 //! [`verify_spacing`](mpl_core::verify_spacing) checker — tiling can never
 //! silently hide a violation.
 //!
-//! [`DecompositionPlan::for_subproblems`]: mpl_core::DecompositionPlan::for_subproblems
 //! [`DecompositionSession`]: mpl_core::DecompositionSession
 
 mod driver;
 mod grid;
-mod reconcile;
 mod shard;
 
-pub use driver::{
-    run_tiled, run_tiled_observed, NoTileProgress, TileProgress, TileStats, TiledLayoutResult,
-};
+pub use driver::{run_tiled, run_tiled_observed, TileStats, TiledLayoutResult};
 pub use grid::TileGrid;
 
 #[cfg(test)]

@@ -1,11 +1,11 @@
-//! Sharding one oversized component into halo-expanded tile pieces.
+//! Sharding oversized components into halo-expanded tile pieces.
 //!
 //! A component task whose vertices all share one owner window is *resident*
 //! and never sharded — it flows through the ordinary batch engine, which is
 //! what makes tiled runs bit-identical to untiled ones on layouts where
 //! every component fits a tile.  A component spanning several windows is a
-//! *giant*: each occupied window becomes one [`TilePiece`] holding the
-//! window's owned vertices plus two kinds of context,
+//! *giant*: each occupied window becomes one [`Piece`] owning the window's
+//! vertices plus two kinds of context,
 //!
 //! - the **geometric halo**: every vertex whose polygon bounding box lies
 //!   within the halo distance of the window's core rectangle, and
@@ -14,53 +14,70 @@
 //!   visible to the piece owning either endpoint even when a long shape's
 //!   geometry overhangs its owner window.
 
+use crate::driver::TileStats;
 use crate::grid::TileGrid;
-use mpl_core::{ComponentProblem, ComponentTask, DecompositionGraph, VertexId};
-use mpl_geometry::Nm;
+use mpl_core::partition::{Partition, Piece, SplitComponent};
+use mpl_core::{ComponentTask, DecompositionGraph, DecompositionPlan, VertexId};
+use mpl_geometry::{Nm, Rect};
+use std::collections::BTreeMap;
 
-/// One window of a sharded giant component.
-#[derive(Debug)]
-pub(crate) struct TilePiece {
-    /// Window coordinates in the layout grid.
-    pub ix: usize,
-    pub iy: usize,
-    /// Vertices (component-local ids, ascending) owned by this window; the
-    /// reconciler keeps exactly these from the piece's coloring.
-    pub owned: Vec<usize>,
-    /// Owned vertices plus halo context (component-local ids, ascending).
-    pub piece: Vec<usize>,
-    /// The sub-problem induced by `piece`, ready for the batch engine.
-    pub problem: ComponentProblem,
-}
-
-/// A giant component task sharded into tile pieces.
-#[derive(Debug)]
-pub(crate) struct GiantShard {
-    /// Index of the original task in its plan.
-    pub task_index: usize,
-    /// The owner window of every component-local vertex.
-    pub owner: Vec<(usize, usize)>,
-    /// Occupied windows in row-major `(iy, ix)` order — the deterministic
-    /// order the reconciler visits them in.
-    pub tiles: Vec<TilePiece>,
-}
-
-/// Conflict+stitch adjacency lists of a component problem (local ids).
-pub(crate) fn adjacency(problem: &ComponentProblem) -> Vec<Vec<usize>> {
-    let mut adjacency = vec![Vec::new(); problem.vertex_count()];
-    for &(u, v) in problem
-        .conflict_edges()
-        .iter()
-        .chain(problem.stitch_edges())
-    {
-        adjacency[u].push(v);
-        adjacency[v].push(u);
+/// Classifies a plan's tasks into residents and sharded giants, together
+/// with the tiling statistics the partition alone determines.
+pub(crate) fn shard_layout(
+    plan: &DecompositionPlan,
+    tile_size: Nm,
+    halo: Nm,
+) -> (Partition, TileStats) {
+    let graph = plan.graph();
+    let mut partition = Partition::default();
+    let Some(bbox) = layout_bbox(graph) else {
+        let stats = TileStats {
+            grid_x: 1,
+            grid_y: 1,
+            ..TileStats::default()
+        };
+        return (partition, stats);
+    };
+    let grid = TileGrid::new(bbox, tile_size);
+    for task in plan.tasks() {
+        let owner = owners(&grid, graph, task);
+        if owner.windows(2).all(|pair| pair[0] == pair[1]) {
+            partition.resident.push(task.index());
+        } else {
+            partition
+                .split
+                .push(shard_giant(&grid, graph, task, &owner, halo));
+        }
     }
-    adjacency
+    let stats = TileStats {
+        grid_x: grid.grid_x(),
+        grid_y: grid.grid_y(),
+        tiles: partition.split.iter().map(|giant| giant.pieces.len()).sum(),
+        tiled_components: partition.split.len(),
+        resident_components: partition.resident.len(),
+        shared_vertices: partition
+            .split
+            .iter()
+            .map(|giant| {
+                let piece_sizes: usize =
+                    giant.pieces.iter().map(|piece| piece.vertices.len()).sum();
+                piece_sizes - plan.tasks()[giant.task_index].vertex_count()
+            })
+            .sum(),
+        ..TileStats::default()
+    };
+    (partition, stats)
+}
+
+/// Bounding box of every polygon in the graph (`None` for empty layouts).
+fn layout_bbox(graph: &DecompositionGraph) -> Option<Rect> {
+    (0..graph.vertex_count())
+        .map(|index| graph.polygon(VertexId(index)).bounding_box())
+        .reduce(|a, b| a.union_bbox(&b))
 }
 
 /// The owner window of every vertex of `task`, via its polygon-bbox center.
-pub(crate) fn owners(
+fn owners(
     grid: &TileGrid,
     graph: &DecompositionGraph,
     task: &ComponentTask,
@@ -71,46 +88,47 @@ pub(crate) fn owners(
         .collect()
 }
 
-/// Shards `task` into per-window pieces with the given halo.
+/// Shards `task` into per-window pieces, in row-major `(iy, ix)` window
+/// order, with the given halo.
 ///
 /// The caller has already established that the task spans several windows
 /// (`owner` is not constant).
-pub(crate) fn shard_giant(
+fn shard_giant(
     grid: &TileGrid,
     graph: &DecompositionGraph,
     task: &ComponentTask,
-    owner: Vec<(usize, usize)>,
+    owner: &[(usize, usize)],
     halo: Nm,
-) -> GiantShard {
+) -> SplitComponent {
     let problem = task.problem();
     let n = problem.vertex_count();
-    let adjacency = adjacency(problem);
 
     // Occupied windows in row-major order, each with its owned vertices
     // (ascending, because locals are visited in order).
-    let mut owned: std::collections::BTreeMap<(usize, usize), Vec<usize>> =
-        std::collections::BTreeMap::new();
+    let mut owned: BTreeMap<(usize, usize), Vec<usize>> = BTreeMap::new();
     for (local, &(ix, iy)) in owner.iter().enumerate() {
         owned.entry((iy, ix)).or_default().push(local);
     }
 
-    let bboxes: Vec<mpl_geometry::Rect> = task
+    let bboxes: Vec<Rect> = task
         .to_global()
         .iter()
         .map(|&global| graph.polygon(VertexId(global)).bounding_box())
         .collect();
 
     let mut in_piece = vec![false; n];
-    let tiles = owned
+    let pieces = owned
         .into_iter()
         .map(|((iy, ix), owned)| {
             let core = grid.core(ix, iy);
-            in_piece.iter_mut().for_each(|flag| *flag = false);
+            in_piece.fill(false);
             for &local in &owned {
                 in_piece[local] = true;
                 // Edge closure: neighbours of owned vertices, even when the
                 // geometric halo misses their (far-away) bbox center side.
-                for &neighbour in &adjacency[local] {
+                let conflicts = problem.conflict_adjacency().neighbors(local);
+                let stitches = problem.stitch_adjacency().neighbors(local);
+                for &neighbour in conflicts.iter().chain(stitches) {
                     in_piece[neighbour] = true;
                 }
             }
@@ -123,22 +141,19 @@ pub(crate) fn shard_giant(
                     in_piece[local] = true;
                 }
             }
-            let piece: Vec<usize> = (0..n).filter(|&local| in_piece[local]).collect();
-            let (sub, original) = problem.induced(&piece);
-            debug_assert_eq!(original, piece);
-            TilePiece {
-                ix,
-                iy,
+            let vertices: Vec<usize> = (0..n).filter(|&local| in_piece[local]).collect();
+            let (sub, original) = problem.induced(&vertices);
+            debug_assert_eq!(original, vertices);
+            Piece {
                 owned,
-                piece,
+                vertices,
                 problem: sub,
             }
         })
         .collect();
 
-    GiantShard {
+    SplitComponent {
         task_index: task.index(),
-        owner,
-        tiles,
+        pieces,
     }
 }

@@ -1,6 +1,7 @@
 //! End-to-end tests of the tiled driver against the untiled batch engine.
 
-use crate::{run_tiled, run_tiled_observed, TileProgress};
+use crate::{run_tiled, run_tiled_observed};
+use mpl_core::partition::PieceProgress;
 use mpl_core::verify::verify_spacing;
 use mpl_core::{
     ColorAlgorithm, ConfigError, Decomposer, DecomposerConfig, DecompositionSession, LayoutId,
@@ -172,8 +173,8 @@ fn progress_reports_one_tick_per_inner_decomposition() {
         last: AtomicUsize,
         total: AtomicUsize,
     }
-    impl TileProgress for Counting {
-        fn tile_done(&self, layout: LayoutId, done: usize, total: usize) {
+    impl PieceProgress for Counting {
+        fn piece_done(&self, layout: LayoutId, done: usize, total: usize) {
             assert_eq!(layout.index(), 0);
             assert!(done <= total);
             self.ticks.fetch_add(1, Ordering::Relaxed);

@@ -97,6 +97,7 @@
 //! `out.0.gds`, `out.1.gds`, …).
 //! ```
 
+use mpl_core::partition::PieceProgress;
 use mpl_core::{
     extract_masks, json_escape, rebalance_masks, verify_spacing, ColorAlgorithm, ComponentStats,
     ComponentTask, ConfigError, Decomposer, DecomposerConfig, DecompositionObserver,
@@ -105,12 +106,12 @@ use mpl_core::{
 };
 use mpl_gds::{LayerMap, ReadOptions};
 use mpl_geometry::Nm;
-use mpl_hier::{HierProgress, HierStats};
+use mpl_hier::HierStats;
 use mpl_layout::{gen::IscasCircuit, io::LayoutFormat, Layout, LayoutHierarchy, Technology};
 use mpl_serve::{
     Client, ExecutorChoice, Json, LayoutSource, Request, Response, ResultPayload, SubmitRequest,
 };
-use mpl_tile::{TileProgress, TileStats};
+use mpl_tile::TileStats;
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -541,27 +542,22 @@ impl DecompositionObserver for StderrProgress {
     }
 }
 
-/// Streams one stderr line per finished tile sub-problem (`--progress`
-/// with `--tile-size`), tagged with the layout it belongs to.
-struct StderrTileProgress {
+/// Streams one stderr line per finished tile (`--progress` with
+/// `--tile-size`) or hierarchical piece (`--progress` with `--hier`),
+/// tagged with the layout it belongs to.
+struct StderrPieceProgress {
+    /// `"tile"` or `"hier"`.
+    label: &'static str,
     names: Vec<String>,
 }
 
-impl TileProgress for StderrTileProgress {
-    fn tile_done(&self, layout: LayoutId, done: usize, total: usize) {
-        eprintln!("[tile {done}/{total}] {}", self.names[layout.index()]);
-    }
-}
-
-/// Streams one stderr line per finished hierarchical piece (`--progress`
-/// with `--hier`), tagged with the layout it belongs to.
-struct StderrHierProgress {
-    names: Vec<String>,
-}
-
-impl HierProgress for StderrHierProgress {
+impl PieceProgress for StderrPieceProgress {
     fn piece_done(&self, layout: LayoutId, done: usize, total: usize) {
-        eprintln!("[hier {done}/{total}] {}", self.names[layout.index()]);
+        eprintln!(
+            "[{} {done}/{total}] {}",
+            self.label,
+            self.names[layout.index()]
+        );
     }
 }
 
@@ -1374,71 +1370,47 @@ fn main() -> ExitCode {
         Option<Vec<TileStats>>,
         Option<Vec<HierStats>>,
     );
-    let (results, tile_stats, hier_stats): BatchOutcome = if options.hier {
-        let outcome = if options.progress {
-            let progress = StderrHierProgress {
-                names: layout_names(),
-            };
-            mpl_hier::run_hier_observed(&session, executor.as_ref(), &progress)
-        } else {
-            mpl_hier::run_hier(&session, executor.as_ref())
-        };
-        match outcome {
-            Ok(hier) => {
-                let mut stats = Vec::with_capacity(hier.len());
-                let results = hier
-                    .into_iter()
-                    .map(|(id, hier)| {
-                        stats.push(hier.stats);
-                        (id, hier.result)
-                    })
-                    .collect();
-                (results, None, Some(stats))
-            }
-            Err(error) => {
-                eprintln!("{error}");
-                return ExitCode::FAILURE;
-            }
-        }
+    let pieces = StderrPieceProgress {
+        label: if options.hier { "hier" } else { "tile" },
+        names: layout_names(),
+    };
+    let progress: &dyn PieceProgress = if options.progress { &pieces } else { &() };
+    let outcome: Result<BatchOutcome, ConfigError> = if options.hier {
+        mpl_hier::run_hier_observed(&session, executor.as_ref(), progress).map(|hier| {
+            let (results, stats) = hier
+                .into_iter()
+                .map(|(id, hier)| ((id, hier.result), hier.stats))
+                .unzip();
+            (results, None, Some(stats))
+        })
     } else if tiling.is_some() {
-        let outcome = if options.progress {
-            let progress = StderrTileProgress {
-                names: layout_names(),
-            };
-            mpl_tile::run_tiled_observed(&session, executor.as_ref(), &progress)
-        } else {
-            mpl_tile::run_tiled(&session, executor.as_ref())
-        };
-        match outcome {
-            Ok(tiled) => {
-                let mut stats = Vec::with_capacity(tiled.len());
-                let results = tiled
-                    .into_iter()
-                    .map(|(id, tiled)| {
-                        stats.push(tiled.stats);
-                        (id, tiled.result)
-                    })
-                    .collect();
-                (results, Some(stats), None)
-            }
-            Err(error) => {
-                eprintln!("{error}");
-                return ExitCode::FAILURE;
-            }
-        }
+        mpl_tile::run_tiled_observed(&session, executor.as_ref(), progress).map(|tiled| {
+            let (results, stats) = tiled
+                .into_iter()
+                .map(|(id, tiled)| ((id, tiled.result), tiled.stats))
+                .unzip();
+            (results, Some(stats), None)
+        })
     } else if options.progress {
         let observer = StderrProgress {
             names: layout_names(),
             total: session.task_count(),
             finished: AtomicUsize::new(0),
         };
-        (
+        Ok((
             session.run_observed(executor.as_ref(), &observer),
             None,
             None,
-        )
+        ))
     } else {
-        (session.run(executor.as_ref()), None, None)
+        Ok((session.run(executor.as_ref()), None, None))
+    };
+    let (results, tile_stats, hier_stats) = match outcome {
+        Ok(outcome) => outcome,
+        Err(error) => {
+            eprintln!("{error}");
+            return ExitCode::FAILURE;
+        }
     };
     let batch_wall = batch_start.elapsed();
     let memo_stats = memo.as_ref().map(|cache| cache.stats());

@@ -19,6 +19,7 @@ use mpl_layout::{gen, io, Technology};
 use mpl_serve::{FrameDecoder, Json, Server, ServerConfig, ServerHandle};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
+use std::sync::{Arc, Barrier};
 use std::time::Duration;
 
 /// A low-level protocol driver: hand-built lines out, raw frames in.
@@ -556,20 +557,29 @@ fn simultaneous_shutdown_frames_from_two_connections_resolve_once() {
     let handle = spawn_server();
     let addr = handle.addr();
 
-    let shooters: Vec<_> = (0..2)
-        .map(|_| {
+    // Both connections exist before either shutdown goes out: the first
+    // shutdown closes the listener, so a later connect could be refused.
+    let streams: Vec<TcpStream> = (0..2)
+        .map(|_| TcpStream::connect(addr).expect("connect"))
+        .collect();
+    let start = Arc::new(Barrier::new(streams.len()));
+    let shooters: Vec<_> = streams
+        .into_iter()
+        .map(|mut stream| {
+            let start = Arc::clone(&start);
             std::thread::spawn(move || {
-                let mut stream = TcpStream::connect(addr).expect("connect");
-                stream
-                    .write_all(b"{\"type\":\"shutdown\"}\n")
-                    .expect("send shutdown");
+                start.wait();
                 // Half-close so the server's reader sees EOF and hangs up
                 // once the ack has drained, then read to EOF; the ack may
                 // or may not arrive before the socket closes, and both
-                // are acceptable.
-                stream
-                    .shutdown(std::net::Shutdown::Write)
-                    .expect("half-close");
+                // are acceptable.  The losing connection may already be
+                // closed by the winner's shutdown, so a failed write or
+                // half-close is an unacknowledged frame, not a failure.
+                let sent = stream.write_all(b"{\"type\":\"shutdown\"}\n").is_ok()
+                    && stream.shutdown(std::net::Shutdown::Write).is_ok();
+                if !sent {
+                    return false;
+                }
                 let mut decoder = FrameDecoder::new();
                 let mut chunk = [0u8; 1024];
                 let mut acked = false;
