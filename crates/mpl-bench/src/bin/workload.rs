@@ -28,13 +28,15 @@
 //! once, adding per-layout instance/reconciliation columns; text inputs
 //! degenerate to the flat path.  Serve mode (`--serve ADDR`) instead streams every file
 //! as a `submit` request to the decomposition service at ADDR and measures
-//! client-observed requests/sec — the socket round trips and scheduler
-//! coalescing included.  In both modes `--bench-json PATH` writes the
-//! machine-readable `BENCH_*.json` report (schemas `mpl-bench/batch-v1` /
-//! `mpl-bench/serve-v1`) for tracking the performance trajectory across
-//! changes.  GDSII inputs can be restricted to specific layers with
-//! `--layer`.  Invalid mask counts, thread counts and degenerate layouts
-//! are reported as the pipeline's typed errors.
+//! client-observed requests/sec and p50/p90/p99 latency (each request's
+//! submit sent → its terminal frame received; the whole wave is
+//! pipelined, so latency includes queueing behind earlier submits) — the
+//! socket round trips and scheduler coalescing included.  In both modes
+//! `--bench-json PATH` writes the machine-readable `BENCH_*.json` report
+//! (schemas `mpl-bench/batch-v1` / `mpl-bench/serve-v1`) for tracking the
+//! performance trajectory across changes.  GDSII inputs can be restricted
+//! to specific layers with `--layer`.  Invalid mask counts, thread counts
+//! and degenerate layouts are reported as the pipeline's typed errors.
 
 use mpl_bench::batch::run_batch_bench;
 use mpl_bench::serve::run_serve_bench;
@@ -319,13 +321,17 @@ fn main() -> ExitCode {
             );
         }
         println!(
-            "serve: {} requests, {} components in {:.3}s against {} ({:.1} requests/s, {:.1} components/s)",
+            "serve: {} requests, {} components in {:.3}s against {} ({:.1} requests/s, {:.1} components/s; \
+             latency p50/p90/p99 {:.1}/{:.1}/{:.1} ms)",
             report.requests.len(),
             report.component_count(),
             report.wall_seconds,
             report.addr,
             report.requests_per_sec(),
-            report.components_per_sec()
+            report.components_per_sec(),
+            report.latency_percentile_seconds(50) * 1e3,
+            report.latency_percentile_seconds(90) * 1e3,
+            report.latency_percentile_seconds(99) * 1e3
         );
         if report.deadline_ms.is_some() {
             println!(

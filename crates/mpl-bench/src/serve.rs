@@ -6,8 +6,9 @@
 //! request, and wait for all results — so the wire protocol, the scheduler
 //! coalescing and the socket round trips are all inside the measured
 //! window.  [`ServeBenchReport::to_json`] renders the machine-readable
-//! `mpl-bench/serve-v1` schema (requests/sec alongside the per-request
-//! rows) for `BENCH_*.json` archiving, like the batch schema.
+//! `mpl-bench/serve-v1` schema (requests/sec and client-observed latency
+//! percentiles alongside the per-request rows) for `BENCH_*.json`
+//! archiving, like the batch schema.
 //!
 //! [`run_serve_bench`] needs a server that is already listening (start one
 //! with `qpl-serve`, or in-process via `mpl_serve::Server::spawn`).
@@ -45,6 +46,9 @@ pub struct ServeRequestStats {
     /// Client-observed seconds from the first submit until this row's
     /// terminal frame arrived.
     pub terminal_seconds: f64,
+    /// Client-observed seconds from this row's own submit being sent until
+    /// its terminal frame arrived.
+    pub latency_seconds: f64,
 }
 
 /// The result of one serve benchmark: per-request rows plus aggregate
@@ -109,6 +113,19 @@ impl ServeBenchReport {
             .fold(0.0, f64::max)
     }
 
+    /// The client-observed latency (`latency_seconds`) that `percent` % of
+    /// the requests do not exceed, by the nearest-rank rule; 0 without
+    /// requests.
+    pub fn latency_percentile_seconds(&self, percent: usize) -> f64 {
+        let mut latencies: Vec<f64> = self
+            .requests
+            .iter()
+            .map(|row| row.latency_seconds)
+            .collect();
+        latencies.sort_by(f64::total_cmp);
+        nearest_rank(&latencies, percent)
+    }
+
     /// Renders the machine-readable report (schema `mpl-bench/serve-v1`).
     pub fn to_json(&self) -> String {
         let mut out = String::from("{\n");
@@ -146,8 +163,20 @@ impl ServeBenchReport {
             self.deadline_miss_count()
         ));
         out.push_str(&format!(
-            "    \"max_deadline_overrun_seconds\": {}\n",
+            "    \"max_deadline_overrun_seconds\": {},\n",
             self.max_deadline_overrun_seconds()
+        ));
+        out.push_str(&format!(
+            "    \"latency_p50_seconds\": {},\n",
+            self.latency_percentile_seconds(50)
+        ));
+        out.push_str(&format!(
+            "    \"latency_p90_seconds\": {},\n",
+            self.latency_percentile_seconds(90)
+        ));
+        out.push_str(&format!(
+            "    \"latency_p99_seconds\": {}\n",
+            self.latency_percentile_seconds(99)
         ));
         out.push_str("  },\n");
         out.push_str("  \"requests\": [\n");
@@ -168,7 +197,8 @@ impl ServeBenchReport {
                 "\"components_skipped\": {}, ",
                 row.components_skipped
             ));
-            out.push_str(&format!("\"terminal_seconds\": {}}}", row.terminal_seconds));
+            out.push_str(&format!("\"terminal_seconds\": {}, ", row.terminal_seconds));
+            out.push_str(&format!("\"latency_seconds\": {}}}", row.latency_seconds));
             out.push_str(if index + 1 < self.requests.len() {
                 ",\n"
             } else {
@@ -180,8 +210,22 @@ impl ServeBenchReport {
     }
 }
 
+/// The nearest-rank percentile of ascending `sorted`: the value at rank
+/// ⌈`percent` · n / 100⌉ (1-based, at least 1); 0 for an empty slice.
+fn nearest_rank(sorted: &[f64], percent: usize) -> f64 {
+    match sorted.len() {
+        0 => 0.0,
+        n => sorted[(percent * n).div_ceil(100).clamp(1, n) - 1],
+    }
+}
+
 /// Streams `layouts` to the server at `addr` as one wave of `submit`
 /// requests and waits for every result.
+///
+/// The bench pipelines the whole wave: every submit is sent before any
+/// result is read, so each row's `latency_seconds` (its submit sent → its
+/// terminal frame received) includes queueing behind the earlier submits,
+/// not only its own service time.
 ///
 /// With `deadline_ms` every submission carries that soft deadline;
 /// deadline-missing requests come back as flagged partial-result rows and
@@ -203,6 +247,7 @@ pub fn run_serve_bench(
     let mut client =
         Client::connect(addr).map_err(|error| format!("cannot connect to {addr}: {error}"))?;
     let bench_start = Instant::now();
+    let mut sent = Vec::with_capacity(layouts.len());
     for (index, timed) in layouts.iter().enumerate() {
         let mut submit = SubmitRequest::new(
             index.to_string(),
@@ -212,6 +257,7 @@ pub fn run_serve_bench(
         submit.algorithm = algorithm;
         submit.executor = executor;
         submit.deadline_ms = deadline_ms;
+        sent.push(Instant::now());
         client
             .send(&Request::Submit(submit))
             .map_err(|error| format!("cannot send to {addr}: {error}"))?;
@@ -242,6 +288,7 @@ pub fn run_serve_bench(
                     deadline_exceeded: payload.deadline_exceeded,
                     components_skipped: payload.components_skipped,
                     terminal_seconds: bench_start.elapsed().as_secs_f64(),
+                    latency_seconds: sent[index].elapsed().as_secs_f64(),
                 });
                 remaining -= 1;
             }
@@ -315,6 +362,15 @@ mod tests {
         assert!(report.components_per_sec() >= report.requests_per_sec());
         assert_eq!(report.deadline_miss_count(), 0);
         assert_eq!(report.max_deadline_overrun_seconds(), 0.0);
+        let (p50, p90, p99) = (
+            report.latency_percentile_seconds(50),
+            report.latency_percentile_seconds(90),
+            report.latency_percentile_seconds(99),
+        );
+        assert!(p50 > 0.0 && p50 <= p90 && p90 <= p99 && p99 <= report.wall_seconds);
+        for row in &report.requests {
+            assert!(row.latency_seconds > 0.0 && row.latency_seconds <= row.terminal_seconds);
+        }
 
         // The served numbers agree with the in-process batch flow.  The
         // server colors with a shared memo cache, and memoized colorings
@@ -337,10 +393,40 @@ mod tests {
         let json = report.to_json();
         assert!(json.contains("\"schema\": \"mpl-bench/serve-v1\""));
         assert!(json.contains("\"requests_per_sec\""));
+        for key in [
+            "latency_p50_seconds",
+            "latency_p90_seconds",
+            "latency_p99_seconds",
+        ] {
+            assert_eq!(json.matches(&format!("\"{key}\"")).count(), 1, "{key}");
+        }
+        assert_eq!(
+            json.matches("\"latency_seconds\"").count(),
+            report.requests.len()
+        );
         for (open, close) in [('{', '}'), ('[', ']')] {
             assert_eq!(json.matches(open).count(), json.matches(close).count());
         }
         handle.shutdown().expect("clean shutdown");
+    }
+
+    #[test]
+    fn latency_percentiles_use_the_nearest_rank() {
+        let sorted: Vec<f64> = (1..=10).map(f64::from).collect();
+        for (percent, expected) in [
+            (0, 1.0),
+            (10, 1.0),
+            (11, 2.0),
+            (50, 5.0),
+            (90, 9.0),
+            (91, 10.0),
+            (99, 10.0),
+            (100, 10.0),
+        ] {
+            assert_eq!(nearest_rank(&sorted, percent), expected, "p{percent}");
+        }
+        assert_eq!(nearest_rank(&[0.25], 99), 0.25);
+        assert_eq!(nearest_rank(&[], 50), 0.0);
     }
 
     #[test]

@@ -119,6 +119,21 @@
 //! its last batch and exits; concurrent `shutdown` frames from different
 //! connections shut the server down exactly once.
 //!
+//! # Transport
+//!
+//! Every accepted socket gets `TCP_NODELAY` and the write timeout before
+//! its writer thread starts (the writer's cloned handle shares both).  The
+//! writer sends each frame whole with one `write_all`, so Nagle's
+//! algorithm could only hold a complete frame back: a `result` written
+//! right after its `queued` frame would wait for the client's delayed ACK
+//! of `queued` (about 40 ms).  The option is unconditional; no client
+//! benefits from the delay.
+//!
+//! To measure the service as a client sees it, `workload --serve ADDR` in
+//! the `mpl-bench` crate reports requests/sec and nearest-rank
+//! p50/p90/p99 latency, each request's latency running from its submit
+//! being sent to its terminal frame arriving.
+//!
 //! # Determinism
 //!
 //! Components are independent by construction, so a layout's coloring is a

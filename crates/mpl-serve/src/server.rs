@@ -627,15 +627,27 @@ impl ServerHandle {
     }
 }
 
+/// Sets the socket options of an accepted connection.  Options belong to
+/// the socket, so the writer thread's `try_clone` handle shares them.
+///
+/// * The write timeout is the stalled-client guard: the writer thread's
+///   `write_all` fails with `TimedOut`/`WouldBlock` instead of blocking
+///   forever behind a full socket buffer.
+/// * `TCP_NODELAY` turns Nagle's algorithm off.  The writer sends each
+///   frame whole with one `write_all`, so Nagle could only hold a complete
+///   frame back: a `result` written right after its `queued` frame would
+///   wait for the client's delayed ACK of `queued` (about 40 ms).
+fn configure_accepted(stream: &TcpStream, write_timeout: Option<Duration>) -> std::io::Result<()> {
+    stream.set_write_timeout(write_timeout)?;
+    stream.set_nodelay(true)
+}
+
 /// Reads frames from one connection until EOF, a fatal framing error, or a
 /// read failure — then auto-cancels whatever the connection still has
 /// pending: with the reader gone, nothing can cancel or collect those
 /// submissions any more, so their remaining work is wasted.
 fn connection_loop(shared: &Shared, stream: TcpStream) {
-    // The write timeout is the stalled-client guard: the writer thread's
-    // `write_all` fails with `TimedOut`/`WouldBlock` instead of blocking
-    // forever behind a full socket buffer.
-    if stream.set_write_timeout(shared.write_timeout).is_err() {
+    if configure_accepted(&stream, shared.write_timeout).is_err() {
         return;
     }
     let Ok(clone) = stream.try_clone() else {
@@ -1237,6 +1249,22 @@ mod tests {
         assert_eq!(state.queue.len(), 2);
         assert!(state.queue.iter().all(|frame| !frame.droppable));
         assert_eq!(metrics.queued_frames.load(Ordering::Relaxed), 2);
+    }
+
+    #[test]
+    fn accepted_sockets_and_their_writer_clones_get_nodelay_and_the_write_timeout() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
+        let _client = TcpStream::connect(listener.local_addr().unwrap()).expect("connect");
+        let (accepted, _) = listener.accept().expect("accept");
+        // The kernel stores the timeout in scheduler ticks; whole seconds
+        // read back exactly at every tick rate.
+        let timeout = ServerConfig::default().write_timeout;
+        configure_accepted(&accepted, timeout).expect("socket options apply");
+        let writer_handle = accepted.try_clone().expect("clone the accepted stream");
+        for stream in [&accepted, &writer_handle] {
+            assert!(stream.nodelay().unwrap(), "Nagle must be off");
+            assert_eq!(stream.write_timeout().unwrap(), timeout);
+        }
     }
 
     #[test]

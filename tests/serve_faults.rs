@@ -470,53 +470,38 @@ fn an_oversized_frame_is_discarded_and_an_unterminated_one_is_fatal() {
 fn a_reader_disconnect_auto_cancels_that_connections_pending_requests() {
     let handle = spawn_server();
 
-    // Pre-generate everything so the doomed phase below is nothing but
-    // socket round-trips.
-    let doomed_texts: Vec<String> = (0..6)
-        .map(|index| row_layout_text(&format!("doomed-{index}"), 70 + index as u64))
-        .collect();
-    let plug_text = io::to_text(&gen::generate_row_layout(
-        &gen::RowLayoutConfig {
-            rows: 32,
-            cells_per_row: 80,
-            k5_clusters: 6,
-            dense_strips: 3,
-            ..gen::RowLayoutConfig::small("plug", 700)
-        },
-        &Technology::nm20(),
-    ));
-
-    // The scheduler retires submissions wave by wave: everything that
-    // arrives while a wave is computing resolves only after that wave's
-    // whole batch finishes.  One large exact-solver job therefore opens a
-    // deterministic window in which later submissions cannot retire.
-    let mut plug = RawClient::connect(handle.addr());
-    plug.send_line(
-        &Json::object(vec![
-            ("type", Json::string("submit")),
-            ("id", Json::string("plug")),
-            ("layout_text", Json::string(plug_text)),
-            ("algorithm", Json::string("ilp")),
-            ("executor", Json::string("serial")),
-        ])
-        .to_string(),
-    );
-    let ack = plug.recv();
-    assert_eq!(
-        ack.get("type").and_then(Json::as_str),
-        Some("queued"),
-        "{ack}"
-    );
-
-    // Submit a wave inside the plug's window and vanish.  Draining the
-    // acks first guarantees all six are registered and every byte this
-    // connection will ever send has been consumed, so the disconnect
-    // cannot race the submits themselves.
-    let mut doomed = RawClient::connect(handle.addr());
-    for (index, text) in doomed_texts.iter().enumerate() {
-        doomed.send_line(&submit_frame(&format!("doomed-{index}"), text, &[]));
+    // An 8×8 block of contacts at a 45 nm pitch: each contact conflicts
+    // with 7 to 20 others, so nothing simplifies or divides away, and the
+    // exact solver's search on the 64-vertex kernel runs until its 600 s
+    // time limit (on a 2-CPU Xeon host a release build had not finished
+    // after 120 s).  A submission of it therefore cannot resolve during
+    // this test unless its cancel token fires: there is no race with
+    // completion.
+    let mut block = String::from("# layout doomed\n");
+    for index in 0..64 {
+        let (x, y) = (45 * (index % 8), 45 * (index / 8));
+        block.push_str(&format!("{index} {x} {y} {} {}\n", x + 20, y + 20));
     }
-    for _ in 0..6 {
+    const DOOMED: usize = 6;
+
+    // Submit the wave and vanish.  Draining the acks first guarantees all
+    // six are registered and every byte this connection will ever send
+    // has been consumed, so the disconnect cannot race the submits
+    // themselves; no result can slip in between the acks.
+    let mut doomed = RawClient::connect(handle.addr());
+    for index in 0..DOOMED {
+        doomed.send_line(
+            &Json::object(vec![
+                ("type", Json::string("submit")),
+                ("id", Json::string(format!("doomed-{index}"))),
+                ("layout_text", Json::string(block.clone())),
+                ("algorithm", Json::string("ilp")),
+                ("executor", Json::string("serial")),
+            ])
+            .to_string(),
+        );
+    }
+    for _ in 0..DOOMED {
         let ack = doomed.recv();
         assert_eq!(
             ack.get("type").and_then(Json::as_str),
@@ -526,23 +511,23 @@ fn a_reader_disconnect_auto_cancels_that_connections_pending_requests() {
     }
     drop(doomed);
 
-    // The disconnect cancels whatever had not resolved yet; the scheduler
-    // counts those as it retires them.  Poll the counter — bounded
-    // iterations, no wall-clock assertion on *how fast*.
+    // The disconnect cancels all six; the scheduler counts each as it
+    // retires it.  Poll the counter — bounded iterations, no wall-clock
+    // assertion on *how fast*.
     let mut observer = RawClient::connect(handle.addr());
     let mut cancelled = 0usize;
     for _ in 0..24_000 {
         observer.send_line("{\"type\":\"ping\"}");
         let pong = observer.recv();
         cancelled = pong_counter(&pong, "cancelled_requests");
-        if cancelled > 0 {
+        if cancelled >= DOOMED {
             break;
         }
         std::thread::sleep(Duration::from_millis(5));
     }
-    assert!(
-        cancelled > 0,
-        "at least one of the six pending submissions was auto-cancelled"
+    assert_eq!(
+        cancelled, DOOMED,
+        "every pending submission of the vanished reader was auto-cancelled"
     );
 
     // And the server keeps serving.
