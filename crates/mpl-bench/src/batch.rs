@@ -15,8 +15,8 @@
 
 use crate::workload::TimedLayout;
 use mpl_core::{
-    json_escape, ColorAlgorithm, ConfigError, DecomposeError, Decomposer, DecompositionSession,
-    Executor, MemoCache, MemoStats, TileConfig,
+    ColorAlgorithm, ConfigError, DecomposeError, Decomposer, DecompositionSession, Executor, Json,
+    JsonRecord, LayoutCounters, MemoCache, MemoStats, TileConfig,
 };
 use mpl_hier::HierStats;
 use mpl_tile::TileStats;
@@ -47,18 +47,8 @@ pub struct LayoutBenchStats {
     /// Seconds from batch start until this layout's last component
     /// finished coloring.
     pub color_seconds: f64,
-    /// Vertices hidden by iterated graph simplification, summed over the
-    /// layout's components.
-    pub hidden_vertices: usize,
-    /// Kernel vertices handed to the engines after simplification, summed
-    /// over components that were simplified.
-    pub kernel_vertices: usize,
-    /// Hide/cut rounds run by iterated simplification, summed over
-    /// components.
-    pub simplify_rounds: usize,
-    /// Clique-expansion steps that strengthened the exact engine's lower
-    /// bound, summed over components.
-    pub bound_improvements: u64,
+    /// The layout's simplify/bound counters, summed over its components.
+    pub counters: LayoutCounters,
     /// Components stamped from the memo cache (`None` without a cache).
     pub memo_hits: Option<usize>,
     /// Components colored fresh into the memo cache (`None` without a
@@ -123,7 +113,8 @@ impl BatchBenchReport {
             .then(|| self.component_count() as f64 / self.batch_wall_seconds)
     }
 
-    /// Renders the machine-readable report (schema `mpl-bench/batch-v1`).
+    /// The machine-readable report (schema `mpl-bench/batch-v1`); `{:#}`
+    /// renders the `BENCH_*.json` document layout.
     ///
     /// Memo fields (`batch.memo`, per-row `memo_hits`/`memo_misses`),
     /// tiling fields (`batch.tiling`, per-row `tiles`), and hierarchy
@@ -132,138 +123,73 @@ impl BatchBenchReport {
     /// working.  The throughput rates are `null` when the batch clock
     /// registered no elapsed time — consumers must not divide by, or trust,
     /// a rate computed against a zero duration.
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n");
-        out.push_str("  \"schema\": \"mpl-bench/batch-v1\",\n");
-        out.push_str(&format!("  \"k\": {},\n", self.k));
-        out.push_str(&format!(
-            "  \"algorithm\": \"{}\",\n",
-            json_escape(&self.algorithm)
-        ));
-        out.push_str(&format!(
-            "  \"executor\": \"{}\",\n",
-            json_escape(&self.executor)
-        ));
-        out.push_str("  \"batch\": {\n");
-        out.push_str(&format!("    \"layouts\": {},\n", self.layouts.len()));
-        out.push_str(&format!(
-            "    \"components\": {},\n",
-            self.component_count()
-        ));
+    pub fn to_json(&self) -> Json {
+        let mut batch = vec![
+            ("layouts", self.layouts.len().into()),
+            ("components", self.component_count().into()),
+        ];
         if let Some(memo) = &self.memo {
-            out.push_str(&format!(
-                "    \"memo\": {{\"entries\": {}, \"capacity\": {}, \"hits\": {}, \
-                 \"misses\": {}, \"evictions\": {}, \"bytes\": {}}},\n",
-                memo.entries, memo.capacity, memo.hits, memo.misses, memo.evictions, memo.bytes
-            ));
+            batch.push(("memo", memo.to_json()));
         }
         if let Some(tiling) = &self.tiling {
-            out.push_str(&format!(
-                "    \"tiling\": {{\"tile_size\": {}, \"halo\": {}}},\n",
-                tiling.tile_size.value(),
-                tiling
-                    .halo
-                    .map_or_else(|| "null".to_string(), |halo| halo.value().to_string())
+            batch.push((
+                "tiling",
+                Json::object(vec![
+                    ("tile_size", tiling.tile_size.value().into()),
+                    ("halo", tiling.halo.map(|halo| halo.value()).into()),
+                ]),
             ));
         }
         if self.hier {
-            out.push_str("    \"hier\": true,\n");
+            batch.push(("hier", true.into()));
         }
-        out.push_str(&format!(
-            "    \"parse_seconds\": {},\n",
-            self.total_parse_seconds()
-        ));
-        out.push_str(&format!(
-            "    \"plan_seconds\": {},\n",
-            self.total_plan_seconds()
-        ));
-        out.push_str(&format!(
-            "    \"wall_seconds\": {},\n",
-            self.batch_wall_seconds
-        ));
-        let rate = |value: Option<f64>| value.map_or_else(|| "null".to_string(), |r| r.to_string());
-        out.push_str(&format!(
-            "    \"layouts_per_sec\": {},\n",
-            rate(self.layouts_per_sec())
-        ));
-        out.push_str(&format!(
-            "    \"components_per_sec\": {}\n",
-            rate(self.components_per_sec())
-        ));
-        out.push_str("  },\n");
-        out.push_str("  \"layouts\": [\n");
-        for (index, row) in self.layouts.iter().enumerate() {
-            out.push_str("    {");
-            out.push_str(&format!("\"name\": \"{}\", ", json_escape(&row.name)));
-            out.push_str(&format!("\"path\": \"{}\", ", json_escape(&row.path)));
-            out.push_str(&format!("\"shapes\": {}, ", row.shapes));
-            out.push_str(&format!("\"vertices\": {}, ", row.vertices));
-            out.push_str(&format!("\"components\": {}, ", row.components));
-            out.push_str(&format!("\"conflicts\": {}, ", row.conflicts));
-            out.push_str(&format!("\"stitches\": {}, ", row.stitches));
-            out.push_str(&format!("\"hidden_vertices\": {}, ", row.hidden_vertices));
-            out.push_str(&format!("\"kernel_vertices\": {}, ", row.kernel_vertices));
-            out.push_str(&format!("\"simplify_rounds\": {}, ", row.simplify_rounds));
-            out.push_str(&format!(
-                "\"bound_improvements\": {}, ",
-                row.bound_improvements
-            ));
-            if let (Some(hits), Some(misses)) = (row.memo_hits, row.memo_misses) {
-                out.push_str(&format!("\"memo_hits\": {hits}, "));
-                out.push_str(&format!("\"memo_misses\": {misses}, "));
-            }
-            if let Some(tiles) = &row.tiles {
-                out.push_str(&format!(
-                    "\"tiles\": {{\"grid_x\": {}, \"grid_y\": {}, \"tiles\": {}, \
-                     \"tiled_components\": {}, \"resident_components\": {}, \
-                     \"shared_vertices\": {}, \"permuted_tiles\": {}, \
-                     \"recolored_vertices\": {}, \"cross_conflicts_before\": {}, \
-                     \"cross_conflicts_after\": {}}}, ",
-                    tiles.grid_x,
-                    tiles.grid_y,
-                    tiles.tiles,
-                    tiles.tiled_components,
-                    tiles.resident_components,
-                    tiles.shared_vertices,
-                    tiles.permuted_tiles,
-                    tiles.recolored_vertices,
-                    tiles.cross_conflicts_before,
-                    tiles.cross_conflicts_after,
-                ));
-            }
-            if let Some(hier) = &row.hier {
-                out.push_str(&format!(
-                    "\"hier\": {{\"instances\": {}, \"cells\": {}, \
-                     \"nested_inherited\": {}, \
-                     \"resident_components\": {}, \"split_components\": {}, \
-                     \"instance_pieces\": {}, \"boundary_vertices\": {}, \
-                     \"permuted_pieces\": {}, \"recolored_vertices\": {}, \
-                     \"cross_conflicts_before\": {}, \
-                     \"cross_conflicts_after\": {}}}, ",
-                    hier.instances,
-                    hier.cells,
-                    hier.nested_inherited,
-                    hier.resident_components,
-                    hier.split_components,
-                    hier.instance_pieces,
-                    hier.boundary_vertices,
-                    hier.permuted_pieces,
-                    hier.recolored_vertices,
-                    hier.cross_conflicts_before,
-                    hier.cross_conflicts_after,
-                ));
-            }
-            out.push_str(&format!("\"parse_seconds\": {}, ", row.parse_seconds));
-            out.push_str(&format!("\"plan_seconds\": {}, ", row.plan_seconds));
-            out.push_str(&format!("\"color_seconds\": {}}}", row.color_seconds));
-            out.push_str(if index + 1 < self.layouts.len() {
-                ",\n"
-            } else {
-                "\n"
-            });
-        }
-        out.push_str("  ]\n}");
-        out
+        batch.extend([
+            ("parse_seconds", self.total_parse_seconds().into()),
+            ("plan_seconds", self.total_plan_seconds().into()),
+            ("wall_seconds", self.batch_wall_seconds.into()),
+            ("layouts_per_sec", self.layouts_per_sec().into()),
+            ("components_per_sec", self.components_per_sec().into()),
+        ]);
+        let rows = self
+            .layouts
+            .iter()
+            .map(|row| {
+                let mut pairs = vec![
+                    ("name", row.name.as_str().into()),
+                    ("path", row.path.as_str().into()),
+                    ("shapes", row.shapes.into()),
+                    ("vertices", row.vertices.into()),
+                    ("components", row.components.into()),
+                    ("conflicts", row.conflicts.into()),
+                    ("stitches", row.stitches.into()),
+                ];
+                pairs.extend(row.counters.fields());
+                if let (Some(hits), Some(misses)) = (row.memo_hits, row.memo_misses) {
+                    pairs.push(("memo_hits", hits.into()));
+                    pairs.push(("memo_misses", misses.into()));
+                }
+                if let Some(tiles) = &row.tiles {
+                    pairs.push(("tiles", tiles.to_json()));
+                }
+                if let Some(hier) = &row.hier {
+                    pairs.push(("hier", hier.to_json()));
+                }
+                pairs.extend([
+                    ("parse_seconds", row.parse_seconds.into()),
+                    ("plan_seconds", row.plan_seconds.into()),
+                    ("color_seconds", row.color_seconds.into()),
+                ]);
+                Json::object(pairs)
+            })
+            .collect();
+        Json::object(vec![
+            ("schema", "mpl-bench/batch-v1".into()),
+            ("k", self.k.into()),
+            ("algorithm", self.algorithm.as_str().into()),
+            ("executor", self.executor.as_str().into()),
+            ("batch", Json::object(batch)),
+            ("layouts", Json::Array(rows)),
+        ])
     }
 }
 
@@ -360,10 +286,7 @@ pub fn run_batch_bench(
                 parse_seconds: timed.parse_seconds,
                 plan_seconds: plan.graph_time().as_secs_f64(),
                 color_seconds: result.color_time().as_secs_f64(),
-                hidden_vertices: result.hidden_vertices(),
-                kernel_vertices: result.kernel_vertices(),
-                simplify_rounds: result.simplify_rounds(),
-                bound_improvements: result.bound_improvements(),
+                counters: result.counters(),
                 memo_hits: result.memo_hits(),
                 memo_misses: result.memo_misses(),
                 tiles: *tiles,
@@ -467,7 +390,7 @@ mod tests {
             false,
         )
         .expect("valid");
-        let json = report.to_json();
+        let json = format!("{:#}", report.to_json());
         assert!(json.contains("\"schema\": \"mpl-bench/batch-v1\""));
         assert!(json.contains("\"layouts_per_sec\""));
         assert!(json.contains("\\\"quoted\\\""));
@@ -498,7 +421,7 @@ mod tests {
         report.batch_wall_seconds = 0.0;
         assert_eq!(report.layouts_per_sec(), None);
         assert_eq!(report.components_per_sec(), None);
-        let json = report.to_json();
+        let json = format!("{:#}", report.to_json());
         assert!(json.contains("\"layouts_per_sec\": null"));
         assert!(json.contains("\"components_per_sec\": null"));
     }
@@ -529,7 +452,7 @@ mod tests {
             report.layouts[1].memo_hits,
             Some(report.layouts[1].components)
         );
-        let json = report.to_json();
+        let json = format!("{:#}", report.to_json());
         assert!(json.contains("\"memo\": {\"entries\""));
         assert!(json.contains("\"memo_hits\""));
 
@@ -545,7 +468,7 @@ mod tests {
         )
         .expect("valid");
         assert!(plain.memo.is_none());
-        assert!(!plain.to_json().contains("memo"));
+        assert!(!format!("{:#}", plain.to_json()).contains("memo"));
     }
 
     #[test]
@@ -573,7 +496,7 @@ mod tests {
             report.layouts[0].parse_seconds,
             report.total_parse_seconds()
         );
-        assert!(report.to_json().contains("parse_seconds"));
+        assert!(format!("{:#}", report.to_json()).contains("parse_seconds"));
         std::fs::remove_file(&path).ok();
     }
 
@@ -606,7 +529,7 @@ mod tests {
         assert!(tiles.tiles > 1);
         assert_eq!(tiles.tiled_components, 1);
         assert!(tiles.cross_conflicts_after <= tiles.cross_conflicts_before);
-        let json = tiled.to_json();
+        let json = format!("{:#}", tiled.to_json());
         assert!(json.contains("\"tiling\": {\"tile_size\": 300, \"halo\": null}"));
         assert!(json.contains("\"cross_conflicts_after\""));
 
@@ -623,7 +546,7 @@ mod tests {
         .expect("valid");
         assert!(plain.tiling.is_none());
         assert!(plain.layouts[0].tiles.is_none());
-        assert!(!plain.to_json().contains("tiling"));
+        assert!(!format!("{:#}", plain.to_json()).contains("tiling"));
     }
 
     #[test]
@@ -654,7 +577,7 @@ mod tests {
         assert_eq!(hier.cells, 1);
         assert_eq!(hier.cross_conflicts_after, 0);
         assert_eq!(row.conflicts, 0);
-        let json = report.to_json();
+        let json = format!("{:#}", report.to_json());
         assert!(json.contains("\"hier\": true"));
         assert!(json.contains("\"hier\": {\"instances\": 12"));
 
@@ -685,6 +608,6 @@ mod tests {
         .expect("valid");
         assert!(!plain.hier);
         assert!(plain.layouts[0].hier.is_none());
-        assert!(!plain.to_json().contains("\"hier\""));
+        assert!(!format!("{:#}", plain.to_json()).contains("\"hier\""));
     }
 }

@@ -89,7 +89,7 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let json = report.to_json();
+    let json = format!("{:#}\n", report.to_json());
     match &json_path {
         Some(path) => {
             if let Err(error) = std::fs::write(path, &json) {

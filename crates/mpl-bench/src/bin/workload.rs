@@ -344,7 +344,7 @@ fn main() -> ExitCode {
             );
         }
         if let Some(path) = bench_json {
-            if let Err(error) = std::fs::write(&path, report.to_json()) {
+            if let Err(error) = std::fs::write(&path, format!("{:#}", report.to_json())) {
                 eprintln!("cannot write {path}: {error}");
                 return ExitCode::FAILURE;
             }
@@ -509,7 +509,7 @@ fn main() -> ExitCode {
             );
         }
         if let Some(path) = bench_json {
-            if let Err(error) = std::fs::write(&path, report.to_json()) {
+            if let Err(error) = std::fs::write(&path, format!("{:#}", report.to_json())) {
                 eprintln!("cannot write {path}: {error}");
                 return ExitCode::FAILURE;
             }

@@ -48,8 +48,8 @@
 //! least 90 % and zero coloring diffs.
 
 use mpl_core::{
-    json_escape, verify_spacing, ColorAlgorithm, Decomposer, DecomposerConfig, DecompositionResult,
-    DecompositionSession, MemoCache, SerialExecutor, TileConfig,
+    verify_spacing, ColorAlgorithm, Decomposer, DecomposerConfig, DecompositionResult,
+    DecompositionSession, Json, MemoCache, SerialExecutor, TileConfig,
 };
 use mpl_geometry::Nm;
 use mpl_hier::fixtures::{bit_cell_array, BitArrayStyle};
@@ -648,15 +648,16 @@ fn run_kernel_cases() -> Result<Vec<KernelPerfCase>, String> {
     let stats = result.component_stats();
     let bnb_nodes: u64 = stats.iter().map(|s| s.bnb_nodes).sum();
     let proven_optimal = !stats.iter().any(|s| s.hit_time_limit);
+    let counters = result.counters();
     let case = KernelPerfCase {
         name: layout.name().to_string(),
         algorithm: result.algorithm().to_string(),
         k: result.k(),
         shapes: layout.shape_count(),
         vertices: result.vertex_count(),
-        hidden_vertices: result.hidden_vertices(),
-        kernel_vertices: result.kernel_vertices(),
-        simplify_rounds: result.simplify_rounds(),
+        hidden_vertices: counters.hidden_vertices,
+        kernel_vertices: counters.kernel_vertices,
+        simplify_rounds: counters.simplify_rounds,
         bnb_nodes,
         conflicts: result.conflicts(),
         stitches: result.stitches(),
@@ -1008,286 +1009,149 @@ pub fn run_perf_suite(options: &PerfOptions) -> Result<PerfReport, String> {
     })
 }
 
-fn json_opt_u64(value: Option<u64>) -> String {
-    value.map_or_else(|| "null".to_string(), |v| v.to_string())
-}
-
-fn json_opt_f64(value: Option<f64>) -> String {
-    value.map_or_else(|| "null".to_string(), |v| format!("{v}"))
-}
-
-fn json_opt_bool(value: Option<bool>) -> String {
-    value.map_or_else(|| "null".to_string(), |v| v.to_string())
-}
-
 impl PerfReport {
-    /// Renders the machine-readable report (schema `mpl-bench/perf-v6`;
-    /// v2 added the `memo_cases` array to v1, v3 the `tile_cases` array,
-    /// v4 the `hier_cases` array, v5 the `kernel_cases` array, v6 the
-    /// per-layout `arc_scans` counter).
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n");
-        out.push_str("  \"schema\": \"mpl-bench/perf-v6\",\n");
-        out.push_str(&format!("  \"label\": \"{}\",\n", json_escape(&self.label)));
-        out.push_str("  \"layouts\": [\n");
-        for (index, case) in self.layouts.iter().enumerate() {
-            out.push_str("    {");
-            out.push_str(&format!("\"name\": \"{}\", ", json_escape(&case.name)));
-            out.push_str(&format!(
-                "\"algorithm\": \"{}\", ",
-                json_escape(&case.algorithm)
-            ));
-            out.push_str(&format!("\"k\": {}, ", case.k));
-            out.push_str(&format!("\"shapes\": {}, ", case.shapes));
-            out.push_str(&format!("\"vertices\": {}, ", case.vertices));
-            out.push_str(&format!("\"conflict_edges\": {}, ", case.conflict_edges));
-            out.push_str(&format!("\"components\": {}, ", case.components));
-            out.push_str(&format!("\"conflicts\": {}, ", case.conflicts));
-            out.push_str(&format!("\"stitches\": {}, ", case.stitches));
-            out.push_str(&format!("\"plan_seconds\": {}, ", case.plan_seconds));
-            out.push_str(&format!("\"color_seconds\": {}, ", case.color_seconds));
-            out.push_str(&format!(
-                "\"division_seconds\": {}, ",
-                json_opt_f64(case.division_seconds)
-            ));
-            out.push_str(&format!(
-                "\"bnb_nodes\": {}, ",
-                json_opt_u64(case.bnb_nodes)
-            ));
-            out.push_str(&format!(
-                "\"augmenting_paths\": {}, ",
-                json_opt_u64(case.augmenting_paths)
-            ));
-            out.push_str(&format!(
-                "\"augmenting_path_bound\": {}, ",
-                json_opt_u64(case.augmenting_path_bound)
-            ));
-            out.push_str(&format!(
-                "\"arc_scans\": {}, ",
-                json_opt_u64(case.arc_scans)
-            ));
-            out.push_str(&format!(
-                "\"scratch_allocs\": {}, ",
-                json_opt_u64(case.scratch_allocs)
-            ));
-            out.push_str(&format!(
-                "\"hit_time_limit\": {}}}",
-                json_opt_bool(case.hit_time_limit)
-            ));
-            out.push_str(if index + 1 < self.layouts.len() {
-                ",\n"
-            } else {
-                "\n"
-            });
-        }
-        out.push_str("  ],\n");
-        out.push_str("  \"memo_cases\": [\n");
-        for (index, case) in self.memo.iter().enumerate() {
-            out.push_str("    {");
-            out.push_str(&format!("\"name\": \"{}\", ", json_escape(&case.name)));
-            out.push_str(&format!(
-                "\"algorithm\": \"{}\", ",
-                json_escape(&case.algorithm)
-            ));
-            out.push_str(&format!("\"k\": {}, ", case.k));
-            out.push_str(&format!("\"shapes\": {}, ", case.shapes));
-            out.push_str(&format!("\"vertices\": {}, ", case.vertices));
-            out.push_str(&format!("\"components\": {}, ", case.components));
-            out.push_str(&format!("\"no_memo_seconds\": {}, ", case.no_memo_seconds));
-            out.push_str(&format!("\"cold_seconds\": {}, ", case.cold_seconds));
-            out.push_str(&format!("\"warm_seconds\": {}, ", case.warm_seconds));
-            out.push_str(&format!("\"warm_speedup\": {}, ", case.warm_speedup()));
-            out.push_str(&format!("\"cold_hits\": {}, ", case.cold_hits));
-            out.push_str(&format!("\"cold_misses\": {}, ", case.cold_misses));
-            out.push_str(&format!("\"warm_hits\": {}, ", case.warm_hits));
-            out.push_str(&format!("\"warm_misses\": {}, ", case.warm_misses));
-            out.push_str(&format!("\"cache_entries\": {}, ", case.cache_entries));
-            out.push_str(&format!("\"cache_evictions\": {}, ", case.cache_evictions));
-            out.push_str(&format!("\"coloring_diffs\": {}}}", case.coloring_diffs));
-            out.push_str(if index + 1 < self.memo.len() {
-                ",\n"
-            } else {
-                "\n"
-            });
-        }
-        out.push_str("  ],\n");
-        out.push_str("  \"kernel_cases\": [\n");
-        for (index, case) in self.kernel.iter().enumerate() {
-            out.push_str("    {");
-            out.push_str(&format!("\"name\": \"{}\", ", json_escape(&case.name)));
-            out.push_str(&format!(
-                "\"algorithm\": \"{}\", ",
-                json_escape(&case.algorithm)
-            ));
-            out.push_str(&format!("\"k\": {}, ", case.k));
-            out.push_str(&format!("\"shapes\": {}, ", case.shapes));
-            out.push_str(&format!("\"vertices\": {}, ", case.vertices));
-            out.push_str(&format!("\"hidden_vertices\": {}, ", case.hidden_vertices));
-            out.push_str(&format!("\"kernel_vertices\": {}, ", case.kernel_vertices));
-            out.push_str(&format!("\"simplify_rounds\": {}, ", case.simplify_rounds));
-            out.push_str(&format!("\"bnb_nodes\": {}, ", case.bnb_nodes));
-            out.push_str(&format!("\"conflicts\": {}, ", case.conflicts));
-            out.push_str(&format!("\"stitches\": {}, ", case.stitches));
-            out.push_str(&format!(
-                "\"spacing_violations\": {}, ",
-                case.spacing_violations
-            ));
-            out.push_str(&format!(
-                "\"reinsertion_conflicts\": {}, ",
-                case.reinsertion_conflicts
-            ));
-            out.push_str(&format!("\"proven_optimal\": {}, ", case.proven_optimal));
-            out.push_str(&format!("\"seconds\": {}}}", case.seconds));
-            out.push_str(if index + 1 < self.kernel.len() {
-                ",\n"
-            } else {
-                "\n"
-            });
-        }
-        out.push_str("  ],\n");
-        out.push_str("  \"tile_cases\": [\n");
-        for (index, case) in self.tile.iter().enumerate() {
-            out.push_str("    {");
-            out.push_str(&format!("\"name\": \"{}\", ", json_escape(&case.name)));
-            out.push_str(&format!(
-                "\"algorithm\": \"{}\", ",
-                json_escape(&case.algorithm)
-            ));
-            out.push_str(&format!("\"k\": {}, ", case.k));
-            out.push_str(&format!("\"shapes\": {}, ", case.shapes));
-            out.push_str(&format!("\"vertices\": {}, ", case.vertices));
-            out.push_str(&format!("\"tile_size\": {}, ", case.tile_size));
-            out.push_str(&format!("\"grid_x\": {}, ", case.grid_x));
-            out.push_str(&format!("\"grid_y\": {}, ", case.grid_y));
-            out.push_str(&format!("\"tiles\": {}, ", case.tiles));
-            out.push_str(&format!(
-                "\"tiled_components\": {}, ",
-                case.tiled_components
-            ));
-            out.push_str(&format!("\"shared_vertices\": {}, ", case.shared_vertices));
-            out.push_str(&format!("\"permuted_tiles\": {}, ", case.permuted_tiles));
-            out.push_str(&format!(
-                "\"recolored_vertices\": {}, ",
-                case.recolored_vertices
-            ));
-            out.push_str(&format!(
-                "\"cross_conflicts_before\": {}, ",
-                case.cross_conflicts_before
-            ));
-            out.push_str(&format!(
-                "\"cross_conflicts_after\": {}, ",
-                case.cross_conflicts_after
-            ));
-            out.push_str(&format!("\"conflicts\": {}, ", case.conflicts));
-            out.push_str(&format!("\"stitches\": {}, ", case.stitches));
-            out.push_str(&format!("\"tiled_seconds\": {}, ", case.tiled_seconds));
-            out.push_str(&format!(
-                "\"untiled_seconds\": {}, ",
-                json_opt_f64(case.untiled_seconds)
-            ));
-            out.push_str(&format!(
-                "\"tiled_speedup\": {}, ",
-                json_opt_f64(case.tiled_speedup())
-            ));
-            out.push_str(&format!(
-                "\"spacing_violations\": {}, ",
-                case.spacing_violations
-            ));
-            out.push_str(&format!(
-                "\"control_bit_identical\": {}}}",
-                case.control_bit_identical
-            ));
-            out.push_str(if index + 1 < self.tile.len() {
-                ",\n"
-            } else {
-                "\n"
-            });
-        }
-        out.push_str("  ],\n");
-        out.push_str("  \"hier_cases\": [\n");
-        for (index, case) in self.hier.iter().enumerate() {
-            out.push_str("    {");
-            out.push_str(&format!("\"name\": \"{}\", ", json_escape(&case.name)));
-            out.push_str(&format!(
-                "\"algorithm\": \"{}\", ",
-                json_escape(&case.algorithm)
-            ));
-            out.push_str(&format!("\"k\": {}, ", case.k));
-            out.push_str(&format!("\"shapes\": {}, ", case.shapes));
-            out.push_str(&format!("\"vertices\": {}, ", case.vertices));
-            out.push_str(&format!("\"instances\": {}, ", case.instances));
-            out.push_str(&format!("\"cells\": {}, ", case.cells));
-            out.push_str(&format!(
-                "\"resident_components\": {}, ",
-                case.resident_components
-            ));
-            out.push_str(&format!(
-                "\"split_components\": {}, ",
-                case.split_components
-            ));
-            out.push_str(&format!("\"instance_pieces\": {}, ", case.instance_pieces));
-            out.push_str(&format!(
-                "\"boundary_vertices\": {}, ",
-                case.boundary_vertices
-            ));
-            out.push_str(&format!("\"permuted_pieces\": {}, ", case.permuted_pieces));
-            out.push_str(&format!(
-                "\"recolored_vertices\": {}, ",
-                case.recolored_vertices
-            ));
-            out.push_str(&format!(
-                "\"cross_conflicts_before\": {}, ",
-                case.cross_conflicts_before
-            ));
-            out.push_str(&format!(
-                "\"cross_conflicts_after\": {}, ",
-                case.cross_conflicts_after
-            ));
-            out.push_str(&format!("\"conflicts\": {}, ", case.conflicts));
-            out.push_str(&format!("\"stitches\": {}, ", case.stitches));
-            out.push_str(&format!("\"hier_seconds\": {}, ", case.hier_seconds));
-            out.push_str(&format!(
-                "\"flat_seconds\": {}, ",
-                json_opt_f64(case.flat_seconds)
-            ));
-            out.push_str(&format!(
-                "\"hier_speedup\": {}, ",
-                json_opt_f64(case.hier_speedup())
-            ));
-            out.push_str(&format!(
-                "\"spacing_violations\": {}, ",
-                case.spacing_violations
-            ));
-            out.push_str(&format!(
-                "\"control_bit_identical\": {}}}",
-                case.control_bit_identical
-            ));
-            out.push_str(if index + 1 < self.hier.len() {
-                ",\n"
-            } else {
-                "\n"
-            });
-        }
-        out.push_str("  ],\n");
-        out.push_str("  \"bnb_cases\": [\n");
-        for (index, case) in self.bnb.iter().enumerate() {
-            out.push_str("    {");
-            out.push_str(&format!("\"name\": \"{}\", ", json_escape(&case.name)));
-            out.push_str(&format!("\"vertices\": {}, ", case.vertices));
-            out.push_str(&format!("\"conflict_edges\": {}, ", case.conflict_edges));
-            out.push_str(&format!("\"k\": {}, ", case.k));
-            out.push_str(&format!("\"cost\": {}, ", case.cost));
-            out.push_str(&format!("\"proven_optimal\": {}, ", case.proven_optimal));
-            out.push_str(&format!("\"nodes\": {}, ", case.nodes));
-            out.push_str(&format!("\"seconds\": {}}}", case.seconds));
-            out.push_str(if index + 1 < self.bnb.len() {
-                ",\n"
-            } else {
-                "\n"
-            });
-        }
-        out.push_str("  ]\n}\n");
-        out
+    /// The machine-readable report (schema `mpl-bench/perf-v6`; v2 added
+    /// the `memo_cases` array to v1, v3 the `tile_cases` array, v4 the
+    /// `hier_cases` array, v5 the `kernel_cases` array, v6 the per-layout
+    /// `arc_scans` counter).  `BENCH_perf.json` is its `{:#}` document
+    /// layout plus a trailing newline; each case is one line.
+    pub fn to_json(&self) -> Json {
+        let layouts = self.layouts.iter().map(|case| {
+            Json::object(vec![
+                ("name", case.name.as_str().into()),
+                ("algorithm", case.algorithm.as_str().into()),
+                ("k", case.k.into()),
+                ("shapes", case.shapes.into()),
+                ("vertices", case.vertices.into()),
+                ("conflict_edges", case.conflict_edges.into()),
+                ("components", case.components.into()),
+                ("conflicts", case.conflicts.into()),
+                ("stitches", case.stitches.into()),
+                ("plan_seconds", case.plan_seconds.into()),
+                ("color_seconds", case.color_seconds.into()),
+                ("division_seconds", case.division_seconds.into()),
+                ("bnb_nodes", case.bnb_nodes.into()),
+                ("augmenting_paths", case.augmenting_paths.into()),
+                ("augmenting_path_bound", case.augmenting_path_bound.into()),
+                ("arc_scans", case.arc_scans.into()),
+                ("scratch_allocs", case.scratch_allocs.into()),
+                ("hit_time_limit", case.hit_time_limit.into()),
+            ])
+        });
+        let memo = self.memo.iter().map(|case| {
+            Json::object(vec![
+                ("name", case.name.as_str().into()),
+                ("algorithm", case.algorithm.as_str().into()),
+                ("k", case.k.into()),
+                ("shapes", case.shapes.into()),
+                ("vertices", case.vertices.into()),
+                ("components", case.components.into()),
+                ("no_memo_seconds", case.no_memo_seconds.into()),
+                ("cold_seconds", case.cold_seconds.into()),
+                ("warm_seconds", case.warm_seconds.into()),
+                ("warm_speedup", case.warm_speedup().into()),
+                ("cold_hits", case.cold_hits.into()),
+                ("cold_misses", case.cold_misses.into()),
+                ("warm_hits", case.warm_hits.into()),
+                ("warm_misses", case.warm_misses.into()),
+                ("cache_entries", case.cache_entries.into()),
+                ("cache_evictions", case.cache_evictions.into()),
+                ("coloring_diffs", case.coloring_diffs.into()),
+            ])
+        });
+        let kernel = self.kernel.iter().map(|case| {
+            Json::object(vec![
+                ("name", case.name.as_str().into()),
+                ("algorithm", case.algorithm.as_str().into()),
+                ("k", case.k.into()),
+                ("shapes", case.shapes.into()),
+                ("vertices", case.vertices.into()),
+                ("hidden_vertices", case.hidden_vertices.into()),
+                ("kernel_vertices", case.kernel_vertices.into()),
+                ("simplify_rounds", case.simplify_rounds.into()),
+                ("bnb_nodes", case.bnb_nodes.into()),
+                ("conflicts", case.conflicts.into()),
+                ("stitches", case.stitches.into()),
+                ("spacing_violations", case.spacing_violations.into()),
+                ("reinsertion_conflicts", case.reinsertion_conflicts.into()),
+                ("proven_optimal", case.proven_optimal.into()),
+                ("seconds", case.seconds.into()),
+            ])
+        });
+        let tile = self.tile.iter().map(|case| {
+            Json::object(vec![
+                ("name", case.name.as_str().into()),
+                ("algorithm", case.algorithm.as_str().into()),
+                ("k", case.k.into()),
+                ("shapes", case.shapes.into()),
+                ("vertices", case.vertices.into()),
+                ("tile_size", case.tile_size.into()),
+                ("grid_x", case.grid_x.into()),
+                ("grid_y", case.grid_y.into()),
+                ("tiles", case.tiles.into()),
+                ("tiled_components", case.tiled_components.into()),
+                ("shared_vertices", case.shared_vertices.into()),
+                ("permuted_tiles", case.permuted_tiles.into()),
+                ("recolored_vertices", case.recolored_vertices.into()),
+                ("cross_conflicts_before", case.cross_conflicts_before.into()),
+                ("cross_conflicts_after", case.cross_conflicts_after.into()),
+                ("conflicts", case.conflicts.into()),
+                ("stitches", case.stitches.into()),
+                ("tiled_seconds", case.tiled_seconds.into()),
+                ("untiled_seconds", case.untiled_seconds.into()),
+                ("tiled_speedup", case.tiled_speedup().into()),
+                ("spacing_violations", case.spacing_violations.into()),
+                ("control_bit_identical", case.control_bit_identical.into()),
+            ])
+        });
+        let hier = self.hier.iter().map(|case| {
+            Json::object(vec![
+                ("name", case.name.as_str().into()),
+                ("algorithm", case.algorithm.as_str().into()),
+                ("k", case.k.into()),
+                ("shapes", case.shapes.into()),
+                ("vertices", case.vertices.into()),
+                ("instances", case.instances.into()),
+                ("cells", case.cells.into()),
+                ("resident_components", case.resident_components.into()),
+                ("split_components", case.split_components.into()),
+                ("instance_pieces", case.instance_pieces.into()),
+                ("boundary_vertices", case.boundary_vertices.into()),
+                ("permuted_pieces", case.permuted_pieces.into()),
+                ("recolored_vertices", case.recolored_vertices.into()),
+                ("cross_conflicts_before", case.cross_conflicts_before.into()),
+                ("cross_conflicts_after", case.cross_conflicts_after.into()),
+                ("conflicts", case.conflicts.into()),
+                ("stitches", case.stitches.into()),
+                ("hier_seconds", case.hier_seconds.into()),
+                ("flat_seconds", case.flat_seconds.into()),
+                ("hier_speedup", case.hier_speedup().into()),
+                ("spacing_violations", case.spacing_violations.into()),
+                ("control_bit_identical", case.control_bit_identical.into()),
+            ])
+        });
+        let bnb = self.bnb.iter().map(|case| {
+            Json::object(vec![
+                ("name", case.name.as_str().into()),
+                ("vertices", case.vertices.into()),
+                ("conflict_edges", case.conflict_edges.into()),
+                ("k", case.k.into()),
+                ("cost", case.cost.into()),
+                ("proven_optimal", case.proven_optimal.into()),
+                ("nodes", case.nodes.into()),
+                ("seconds", case.seconds.into()),
+            ])
+        });
+        Json::object(vec![
+            ("schema", "mpl-bench/perf-v6".into()),
+            ("label", self.label.as_str().into()),
+            ("layouts", Json::Array(layouts.collect())),
+            ("memo_cases", Json::Array(memo.collect())),
+            ("kernel_cases", Json::Array(kernel.collect())),
+            ("tile_cases", Json::Array(tile.collect())),
+            ("hier_cases", Json::Array(hier.collect())),
+            ("bnb_cases", Json::Array(bnb.collect())),
+        ])
     }
 
     /// Verifies the deterministic work counters against pinned ceilings.
@@ -1601,13 +1465,23 @@ mod tests {
             hier: Vec::new(),
             bnb: Vec::new(),
         };
-        let json = report.to_json();
+        let json = format!("{:#}", report.to_json());
         assert!(json.contains("\"schema\": \"mpl-bench/perf-v6\""));
         assert!(json.contains("\"label\": \"test\""));
         assert!(json.contains("\"memo_cases\""));
         assert!(json.contains("\"kernel_cases\""));
         assert!(json.contains("\"tile_cases\""));
         assert!(json.contains("\"hier_cases\""));
+    }
+
+    #[test]
+    fn committed_bench_perf_json_is_its_own_document_layout() {
+        // Every perf PR diffs `BENCH_perf.json` one case per line, so the
+        // report's `{:#}` layout must reproduce the committed file exactly.
+        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_perf.json");
+        let text = std::fs::read_to_string(path).expect("BENCH_perf.json is committed");
+        let parsed = Json::parse(&text).expect("BENCH_perf.json parses");
+        assert_eq!(format!("{parsed:#}\n"), text);
     }
 
     #[test]

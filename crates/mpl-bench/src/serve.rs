@@ -14,7 +14,7 @@
 //! with `qpl-serve`, or in-process via `mpl_serve::Server::spawn`).
 
 use crate::workload::TimedLayout;
-use mpl_core::{json_escape, ColorAlgorithm};
+use mpl_core::{ColorAlgorithm, Json};
 use mpl_layout::io;
 use mpl_serve::{Client, ExecutorChoice, LayoutSource, Request, Response, SubmitRequest};
 use std::time::Instant;
@@ -126,87 +126,57 @@ impl ServeBenchReport {
         nearest_rank(&latencies, percent)
     }
 
-    /// Renders the machine-readable report (schema `mpl-bench/serve-v1`).
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n");
-        out.push_str("  \"schema\": \"mpl-bench/serve-v1\",\n");
-        out.push_str(&format!("  \"addr\": \"{}\",\n", json_escape(&self.addr)));
-        out.push_str(&format!("  \"k\": {},\n", self.k));
-        out.push_str(&format!(
-            "  \"algorithm\": \"{}\",\n",
-            json_escape(&self.algorithm)
-        ));
-        out.push_str(&format!(
-            "  \"executor\": \"{}\",\n",
-            json_escape(&self.executor)
-        ));
+    /// The machine-readable report (schema `mpl-bench/serve-v1`); `{:#}`
+    /// renders the `BENCH_*.json` document layout.
+    pub fn to_json(&self) -> Json {
+        let mut pairs = vec![
+            ("schema", "mpl-bench/serve-v1".into()),
+            ("addr", self.addr.as_str().into()),
+            ("k", self.k.into()),
+            ("algorithm", self.algorithm.as_str().into()),
+            ("executor", self.executor.as_str().into()),
+        ];
         if let Some(deadline_ms) = self.deadline_ms {
-            out.push_str(&format!("  \"deadline_ms\": {deadline_ms},\n"));
+            pairs.push(("deadline_ms", deadline_ms.into()));
         }
-        out.push_str("  \"batch\": {\n");
-        out.push_str(&format!("    \"requests\": {},\n", self.requests.len()));
-        out.push_str(&format!(
-            "    \"components\": {},\n",
-            self.component_count()
-        ));
-        out.push_str(&format!("    \"wall_seconds\": {},\n", self.wall_seconds));
-        out.push_str(&format!(
-            "    \"requests_per_sec\": {},\n",
-            self.requests_per_sec()
-        ));
-        out.push_str(&format!(
-            "    \"components_per_sec\": {},\n",
-            self.components_per_sec()
-        ));
-        out.push_str(&format!(
-            "    \"deadline_misses\": {},\n",
-            self.deadline_miss_count()
-        ));
-        out.push_str(&format!(
-            "    \"max_deadline_overrun_seconds\": {},\n",
-            self.max_deadline_overrun_seconds()
-        ));
-        out.push_str(&format!(
-            "    \"latency_p50_seconds\": {},\n",
-            self.latency_percentile_seconds(50)
-        ));
-        out.push_str(&format!(
-            "    \"latency_p90_seconds\": {},\n",
-            self.latency_percentile_seconds(90)
-        ));
-        out.push_str(&format!(
-            "    \"latency_p99_seconds\": {}\n",
-            self.latency_percentile_seconds(99)
-        ));
-        out.push_str("  },\n");
-        out.push_str("  \"requests\": [\n");
-        for (index, row) in self.requests.iter().enumerate() {
-            out.push_str("    {");
-            out.push_str(&format!("\"name\": \"{}\", ", json_escape(&row.name)));
-            out.push_str(&format!("\"path\": \"{}\", ", json_escape(&row.path)));
-            out.push_str(&format!("\"vertices\": {}, ", row.vertices));
-            out.push_str(&format!("\"components\": {}, ", row.components));
-            out.push_str(&format!("\"conflicts\": {}, ", row.conflicts));
-            out.push_str(&format!("\"stitches\": {}, ", row.stitches));
-            out.push_str(&format!("\"color_seconds\": {}, ", row.color_seconds));
-            out.push_str(&format!(
-                "\"deadline_exceeded\": {}, ",
-                row.deadline_exceeded
-            ));
-            out.push_str(&format!(
-                "\"components_skipped\": {}, ",
-                row.components_skipped
-            ));
-            out.push_str(&format!("\"terminal_seconds\": {}, ", row.terminal_seconds));
-            out.push_str(&format!("\"latency_seconds\": {}}}", row.latency_seconds));
-            out.push_str(if index + 1 < self.requests.len() {
-                ",\n"
-            } else {
-                "\n"
-            });
-        }
-        out.push_str("  ]\n}");
-        out
+        let latency = |percent| Json::from(self.latency_percentile_seconds(percent));
+        let batch = Json::object(vec![
+            ("requests", self.requests.len().into()),
+            ("components", self.component_count().into()),
+            ("wall_seconds", self.wall_seconds.into()),
+            ("requests_per_sec", self.requests_per_sec().into()),
+            ("components_per_sec", self.components_per_sec().into()),
+            ("deadline_misses", self.deadline_miss_count().into()),
+            (
+                "max_deadline_overrun_seconds",
+                self.max_deadline_overrun_seconds().into(),
+            ),
+            ("latency_p50_seconds", latency(50)),
+            ("latency_p90_seconds", latency(90)),
+            ("latency_p99_seconds", latency(99)),
+        ]);
+        let rows = self
+            .requests
+            .iter()
+            .map(|row| {
+                Json::object(vec![
+                    ("name", row.name.as_str().into()),
+                    ("path", row.path.as_str().into()),
+                    ("vertices", row.vertices.into()),
+                    ("components", row.components.into()),
+                    ("conflicts", row.conflicts.into()),
+                    ("stitches", row.stitches.into()),
+                    ("color_seconds", row.color_seconds.into()),
+                    ("deadline_exceeded", row.deadline_exceeded.into()),
+                    ("components_skipped", row.components_skipped.into()),
+                    ("terminal_seconds", row.terminal_seconds.into()),
+                    ("latency_seconds", row.latency_seconds.into()),
+                ])
+            })
+            .collect();
+        pairs.push(("batch", batch));
+        pairs.push(("requests", Json::Array(rows)));
+        Json::object(pairs)
     }
 }
 
@@ -390,7 +360,7 @@ mod tests {
             assert_eq!(row.vertices, direct.vertex_count());
         }
 
-        let json = report.to_json();
+        let json = format!("{:#}", report.to_json());
         assert!(json.contains("\"schema\": \"mpl-bench/serve-v1\""));
         assert!(json.contains("\"requests_per_sec\""));
         for key in [
@@ -467,7 +437,7 @@ mod tests {
         assert_eq!(row.components_skipped, row.components);
         assert!(row.components >= 1);
 
-        let json = report.to_json();
+        let json = format!("{:#}", report.to_json());
         assert!(json.contains("\"deadline_ms\": 0"));
         assert!(json.contains("\"deadline_misses\": 1"));
         assert!(json.contains("\"deadline_exceeded\": true"));

@@ -45,6 +45,30 @@ pub struct DecompositionResult {
     color_time: Duration,
 }
 
+/// The simplify/bound work counters of one layout, summed over its
+/// components ([`DecompositionResult::counters`]).  `qpl-serve` result
+/// frames and `mpl-bench/batch-v1` rows splice these keys flat, in this
+/// order, and a frame that lacks one decodes it as zero.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub struct LayoutCounters {
+    /// Vertices hidden by iterated graph simplification.
+    pub hidden_vertices: usize,
+    /// Kernel vertices handed to the engines after simplification.
+    pub kernel_vertices: usize,
+    /// Hide/cut rounds run by iterated simplification.
+    pub simplify_rounds: usize,
+    /// Clique-expansion steps that strengthened the exact engine's lower
+    /// bound.
+    pub bound_improvements: u64,
+}
+
+crate::json_record!(LayoutCounters {
+    hidden_vertices = 0,
+    kernel_vertices = 0,
+    simplify_rounds = 0,
+    bound_improvements = 0,
+});
+
 impl DecompositionResult {
     /// Assembles a result from an executed plan (crate-internal; see
     /// [`DecompositionPlan::execute`]).
@@ -209,28 +233,17 @@ impl DecompositionResult {
         }
     }
 
-    /// Vertices hidden by iterated graph simplification, summed over
-    /// components.
-    pub fn hidden_vertices(&self) -> usize {
-        self.components.iter().map(|s| s.hidden_vertices).sum()
-    }
-
-    /// Kernel vertices handed to the engines after simplification, summed
-    /// over components that were simplified.
-    pub fn kernel_vertices(&self) -> usize {
-        self.components.iter().map(|s| s.kernel_vertices).sum()
-    }
-
-    /// Hide/cut rounds run by iterated simplification, summed over
-    /// components.
-    pub fn simplify_rounds(&self) -> usize {
-        self.components.iter().map(|s| s.simplify_rounds).sum()
-    }
-
-    /// Clique-expansion steps that strengthened the exact engine's lower
-    /// bound, summed over components.
-    pub fn bound_improvements(&self) -> u64 {
-        self.components.iter().map(|s| s.bound_improvements).sum()
+    /// The layout-level simplify/bound counters: each per-component
+    /// counter summed over the layout's components.
+    pub fn counters(&self) -> LayoutCounters {
+        let mut counters = LayoutCounters::default();
+        for stats in &self.components {
+            counters.hidden_vertices += stats.hidden_vertices;
+            counters.kernel_vertices += stats.kernel_vertices;
+            counters.simplify_rounds += stats.simplify_rounds;
+            counters.bound_improvements += stats.bound_improvements;
+        }
+        counters
     }
 
     /// Whether an explicit [`CancelToken`](crate::CancelToken) cancellation

@@ -206,27 +206,10 @@ mod tests {
             stats: crate::ComponentStats {
                 index: task.index(),
                 vertex_count: task.vertex_count(),
-                conflict_edge_count: 0,
-                stitch_edge_count: 0,
                 conflicts,
                 stitches,
                 cost,
-                time: std::time::Duration::ZERO,
-                division_time: std::time::Duration::ZERO,
-                bnb_nodes: 0,
-                hit_time_limit: false,
-                augmenting_paths: 0,
-                augmenting_path_bound: 0,
-                arc_scans: 0,
-                scratch_allocs: 0,
-                hidden_vertices: 0,
-                kernel_vertices: 0,
-                simplify_rounds: 0,
-                bound_improvements: 0,
-                cancelled: false,
-                deadline_exceeded: false,
-                skipped: false,
-                memo_hit: None,
+                ..Default::default()
             },
         }
     }

@@ -1,28 +1,38 @@
-//! A minimal JSON value model with a strict parser and a compact writer.
+//! The workspace's one JSON value type: a strict parser, a compact frame
+//! writer, a document layout for reports, and one key list per statistics
+//! record.
 //!
-//! The workspace has no serde dependency, and until this crate nothing ever
-//! needed to *read* JSON — the CLI and benchmark reports only emit it.  A
-//! wire protocol needs both directions, so this module implements the small
-//! subset of JSON handling the protocol (and the golden-file tests pinning
-//! the CLI schemas) relies on:
+//! The workspace has no serde dependency.  Every JSON surface goes through
+//! this module: the `qpl-decompose --json` output, the `mpl-bench`
+//! `BENCH_*.json` reports and the `mpl-serve` wire protocol, which both
+//! writes and reads it.
 //!
 //! * [`Json`] — null, bool, f64 numbers, strings, arrays and objects.
 //!   Objects preserve insertion order (they are association lists, not
 //!   maps), so re-serialising a parsed document is stable and golden tests
-//!   can pin key order.
+//!   can pin key order.  `From` impls turn counts, floats, flags, strings
+//!   and `Option`s (`None` is `null`) into values.
 //! * [`Json::parse`] — a strict recursive-descent parser: rejects trailing
 //!   garbage, unescaped control characters, bad `\u` escapes (including
 //!   broken surrogate pairs) and guards against deep nesting.
-//! * the `Display` impl — a compact writer using the shared
-//!   [`mpl_core::json_escape`] helper, so the service emits exactly the
-//!   same string escaping as the CLI and benchmark reports.
+//! * `Display` — `{}` writes the compact form of the wire frames
+//!   (`{"a":1,"b":[2,3]}`).  `{:#}` writes the document layout of every
+//!   report: containers at depth 0 and 1 put one child per line with a
+//!   two-space indent, deeper values stay inline (`{"a": 1, "b": [2, 3]}`),
+//!   and empty containers print `[]` and `{}`.  Both escape strings the
+//!   same way.
+//! * [`JsonRecord`] and [`json_record!`](crate::json_record) — a flat
+//!   record of counters declares its keys once, and the generated
+//!   encode/decode pair serves every surface that writes or reads it.
 
-use mpl_core::json_escape;
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// Maximum nesting depth [`Json::parse`] accepts; deeper documents are
 /// rejected instead of risking a stack overflow on hostile input.
 const MAX_DEPTH: usize = 128;
+
+/// Containers at depths below this put one child per line under `{:#}`.
+const DOCUMENT_LINE_DEPTH: usize = 2;
 
 /// A JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -58,6 +68,105 @@ impl fmt::Display for JsonParseError {
 }
 
 impl std::error::Error for JsonParseError {}
+
+/// A record field that is absent or not a count.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FieldError {
+    /// A field without a default is absent.
+    Missing(&'static str),
+    /// A field is present but not a non-negative integer of its type's
+    /// range.
+    NotACount(&'static str),
+}
+
+impl fmt::Display for FieldError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            FieldError::Missing(key) => write!(f, "missing field {key:?}"),
+            FieldError::NotACount(key) => {
+                write!(f, "field {key:?} must be a non-negative integer")
+            }
+        }
+    }
+}
+
+impl std::error::Error for FieldError {}
+
+/// A flat record of counters whose keys are listed once, in a
+/// [`json_record!`](crate::json_record) invocation next to its declaration.
+///
+/// The CLI's `--json`, the `mpl-bench/batch-v1` rows and the `mpl-serve`
+/// frames all write such a record through [`fields`](JsonRecord::fields) —
+/// as an object of its own ([`to_json`](JsonRecord::to_json)) or spliced
+/// flat into an enclosing object — and the wire decoder reads it back
+/// through [`from_fields`](JsonRecord::from_fields), so a new field is a
+/// one-file change.
+pub trait JsonRecord: Sized {
+    /// One `(key, value)` pair per field, in key-list order.
+    fn fields(&self) -> Vec<(&'static str, Json)>;
+
+    /// Reads every field back from the object `json`; keys it does not
+    /// list are ignored.
+    ///
+    /// # Errors
+    ///
+    /// The first field that is absent without a default, or not a count.
+    fn from_fields(json: &Json) -> Result<Self, FieldError>;
+
+    /// The record as a JSON object of its own.
+    fn to_json(&self) -> Json {
+        Json::object(self.fields())
+    }
+}
+
+/// Implements [`JsonRecord`] for a struct of counters from one key list.
+///
+/// `json_record!(Stats { a, b = 0, c })` writes `a`, `b` and `c` in that
+/// order and reads them back.  `= 0` marks a field that decodes as zero
+/// when absent or `null`; every other field is required.  The list must
+/// name every field of the struct, so a field left out of it does not
+/// compile.  Field types are counts (`usize`, `u64`).
+///
+/// ```
+/// use mpl_core::{json_record, Json, JsonRecord};
+///
+/// #[derive(Debug, PartialEq)]
+/// struct Counts {
+///     hits: u64,
+///     misses: usize,
+/// }
+/// json_record!(Counts { hits, misses = 0 });
+///
+/// let counts = Counts { hits: 3, misses: 1 };
+/// assert_eq!(counts.to_json().to_string(), r#"{"hits":3,"misses":1}"#);
+/// let decoded = Counts::from_fields(&Json::parse(r#"{"hits":3}"#)?)?;
+/// assert_eq!(decoded, Counts { hits: 3, misses: 0 });
+/// let error = Counts::from_fields(&Json::parse("{}")?).unwrap_err();
+/// assert_eq!(error.to_string(), r#"missing field "hits""#);
+/// # Ok::<(), Box<dyn std::error::Error>>(())
+/// ```
+#[macro_export]
+macro_rules! json_record {
+    ($record:ty { $($field:ident $(= $default:literal)?),+ $(,)? }) => {
+        impl $crate::JsonRecord for $record {
+            fn fields(&self) -> ::std::vec::Vec<(&'static str, $crate::Json)> {
+                ::std::vec![$((::std::stringify!($field), $crate::Json::from(self.$field))),+]
+            }
+
+            fn from_fields(
+                json: &$crate::Json,
+            ) -> ::std::result::Result<Self, $crate::FieldError> {
+                ::std::result::Result::Ok(Self {
+                    $($field: json.count_field(
+                        ::std::stringify!($field),
+                        ::std::option::Option::None
+                            $(.or(::std::option::Option::Some($default)))?,
+                    )?,)+
+                })
+            }
+        }
+    };
+}
 
 impl Json {
     /// Convenience constructor for an object from key/value pairs.
@@ -102,13 +211,15 @@ impl Json {
     /// The numeric value as a non-negative integer, when this is a number
     /// that is one (rejects fractions, negatives and values beyond the
     /// contiguous integer range of `f64`).
-    pub fn as_usize(&self) -> Option<usize> {
+    pub fn as_u64(&self) -> Option<u64> {
         let value = self.as_f64()?;
-        if value.fract() == 0.0 && (0.0..=9_007_199_254_740_992.0).contains(&value) {
-            Some(value as usize)
-        } else {
-            None
-        }
+        (value.fract() == 0.0 && (0.0..=9_007_199_254_740_992.0).contains(&value))
+            .then_some(value as u64)
+    }
+
+    /// [`as_u64`](Json::as_u64) as a `usize`.
+    pub fn as_usize(&self) -> Option<usize> {
+        self.as_u64().and_then(|value| usize::try_from(value).ok())
     }
 
     /// The boolean value, when this is a bool.
@@ -124,6 +235,30 @@ impl Json {
         match self {
             Json::Array(items) => Some(items),
             _ => None,
+        }
+    }
+
+    /// The count under `key`, converted to the field type `T` — the decode
+    /// side of [`json_record!`](crate::json_record).  An absent or `null`
+    /// key yields `default` when there is one.
+    ///
+    /// # Errors
+    ///
+    /// [`FieldError::Missing`] for an absent key without a default,
+    /// [`FieldError::NotACount`] for a value that is not a count of `T`'s
+    /// range (a `null` included, when there is no default).
+    pub fn count_field<T: TryFrom<u64>>(
+        &self,
+        key: &'static str,
+        default: Option<T>,
+    ) -> Result<T, FieldError> {
+        match (self.get(key), default) {
+            (None | Some(Json::Null), Some(default)) => Ok(default),
+            (None, None) => Err(FieldError::Missing(key)),
+            (Some(value), _) => value
+                .as_u64()
+                .and_then(|count| T::try_from(count).ok())
+                .ok_or(FieldError::NotACount(key)),
         }
     }
 
@@ -148,63 +283,179 @@ impl Json {
         Ok(value)
     }
 
-    fn write(&self, out: &mut String) {
+    /// Writes the value on one line with `style`'s separators.
+    fn write(&self, out: &mut fmt::Formatter<'_>, style: &Style) -> fmt::Result {
         match self {
-            Json::Null => out.push_str("null"),
-            Json::Bool(true) => out.push_str("true"),
-            Json::Bool(false) => out.push_str("false"),
+            Json::Null => out.write_str("null"),
+            Json::Bool(value) => write!(out, "{value}"),
             Json::Number(value) => write_number(*value, out),
-            Json::String(text) => {
-                out.push('"');
-                out.push_str(&json_escape(text));
-                out.push('"');
-            }
+            Json::String(text) => write_string(text, out),
             Json::Array(items) => {
-                out.push('[');
+                out.write_char('[')?;
                 for (index, item) in items.iter().enumerate() {
                     if index > 0 {
-                        out.push(',');
+                        out.write_str(style.item)?;
                     }
-                    item.write(out);
+                    item.write(out, style)?;
                 }
-                out.push(']');
+                out.write_char(']')
             }
             Json::Object(pairs) => {
-                out.push('{');
+                out.write_char('{')?;
                 for (index, (key, value)) in pairs.iter().enumerate() {
                     if index > 0 {
-                        out.push(',');
+                        out.write_str(style.item)?;
                     }
-                    out.push('"');
-                    out.push_str(&json_escape(key));
-                    out.push_str("\":");
-                    value.write(out);
+                    write_string(key, out)?;
+                    out.write_str(style.key)?;
+                    value.write(out, style)?;
                 }
-                out.push('}');
+                out.write_char('}')
             }
         }
     }
+
+    /// Writes the document layout of a value at nesting `depth`: a
+    /// non-empty container at a depth below [`DOCUMENT_LINE_DEPTH`] puts
+    /// each child on its own line, indented two spaces per level; anything
+    /// else is written inline.
+    fn write_document(&self, out: &mut fmt::Formatter<'_>, depth: usize) -> fmt::Result {
+        let children: Vec<(Option<&str>, &Json)> = match self {
+            Json::Array(items) if depth < DOCUMENT_LINE_DEPTH => {
+                items.iter().map(|item| (None, item)).collect()
+            }
+            Json::Object(pairs) if depth < DOCUMENT_LINE_DEPTH => pairs
+                .iter()
+                .map(|(key, value)| (Some(key.as_str()), value))
+                .collect(),
+            _ => Vec::new(),
+        };
+        if children.is_empty() {
+            return self.write(out, &INLINE);
+        }
+        let (open, close) = match self {
+            Json::Array(_) => ('[', ']'),
+            _ => ('{', '}'),
+        };
+        out.write_char(open)?;
+        for (index, (key, value)) in children.into_iter().enumerate() {
+            out.write_str(if index == 0 { "\n" } else { ",\n" })?;
+            out.write_str(&"  ".repeat(depth + 1))?;
+            if let Some(key) = key {
+                write_string(key, out)?;
+                out.write_str(INLINE.key)?;
+            }
+            value.write_document(out, depth + 1)?;
+        }
+        write!(out, "\n{}{close}", "  ".repeat(depth))
+    }
+}
+
+/// The separators between items and between a key and its value.
+struct Style {
+    item: &'static str,
+    key: &'static str,
+}
+
+/// The wire frames' separators.
+const COMPACT: Style = Style {
+    item: ",",
+    key: ":",
+};
+
+/// The separators of values written inline by the document layout.
+const INLINE: Style = Style {
+    item: ", ",
+    key: ": ",
+};
+
+/// Minimal JSON string escaping: quotes, backslashes and the control
+/// characters U+0000..=U+001F; everything else passes through as UTF-8.
+fn json_escape(text: &str) -> String {
+    let mut out = String::with_capacity(text.len());
+    for c in text.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
+            c => out.push(c),
+        }
+    }
+    out
+}
+
+fn write_string(text: &str, out: &mut fmt::Formatter<'_>) -> fmt::Result {
+    write!(out, "\"{}\"", json_escape(text))
 }
 
 /// Writes a number the way the protocol needs it: integral values in the
 /// exact range print without a fractional part, everything else uses Rust's
 /// shortest-round-trip `f64` formatting (non-finite values, which JSON
 /// cannot represent, degrade to `null`).
-fn write_number(value: f64, out: &mut String) {
+fn write_number(value: f64, out: &mut fmt::Formatter<'_>) -> fmt::Result {
     if !value.is_finite() {
-        out.push_str("null");
+        out.write_str("null")
     } else if value.fract() == 0.0 && value.abs() <= 9_007_199_254_740_992.0 {
-        out.push_str(&format!("{}", value as i64));
+        write!(out, "{}", value as i64)
     } else {
-        out.push_str(&format!("{value}"));
+        write!(out, "{value}")
     }
 }
 
 impl fmt::Display for Json {
+    /// `{}` is the compact frame form, `{:#}` the document layout (see the
+    /// module docs).
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let mut out = String::new();
-        self.write(&mut out);
-        f.write_str(&out)
+        if f.alternate() {
+            self.write_document(f, 0)
+        } else {
+            self.write(f, &COMPACT)
+        }
+    }
+}
+
+macro_rules! number_from {
+    ($($number:ty),*) => {
+        $(impl From<$number> for Json {
+            fn from(value: $number) -> Json {
+                Json::Number(value as f64)
+            }
+        })*
+    };
+}
+
+number_from!(usize, u64, i64);
+
+impl From<f64> for Json {
+    fn from(value: f64) -> Json {
+        Json::Number(value)
+    }
+}
+
+impl From<bool> for Json {
+    fn from(value: bool) -> Json {
+        Json::Bool(value)
+    }
+}
+
+impl From<&str> for Json {
+    fn from(text: &str) -> Json {
+        Json::String(text.to_string())
+    }
+}
+
+impl From<String> for Json {
+    fn from(text: String) -> Json {
+        Json::String(text)
+    }
+}
+
+impl<T: Into<Json>> From<Option<T>> for Json {
+    /// `None` is `null`.
+    fn from(value: Option<T>) -> Json {
+        value.map_or(Json::Null, Into::into)
     }
 }
 
@@ -574,11 +825,187 @@ mod tests {
     fn accessors_are_type_checked() {
         let value = Json::parse(r#"{"n": 3, "neg": -1, "frac": 1.5}"#).unwrap();
         assert_eq!(value.get("n").unwrap().as_usize(), Some(3));
+        assert_eq!(value.get("n").unwrap().as_u64(), Some(3));
         assert_eq!(value.get("neg").unwrap().as_usize(), None);
         assert_eq!(value.get("frac").unwrap().as_usize(), None);
         assert_eq!(value.get("missing"), None);
         assert_eq!(Json::Null.get("x"), None);
         assert_eq!(Json::Bool(true).as_bool(), Some(true));
         assert_eq!(Json::Null.as_str(), None);
+    }
+
+    #[test]
+    fn values_convert_from_rust_scalars() {
+        assert_eq!(Json::from(3usize), Json::Number(3.0));
+        assert_eq!(Json::from(4u64), Json::Number(4.0));
+        assert_eq!(Json::from(-5i64), Json::Number(-5.0));
+        assert_eq!(Json::from(0.5), Json::Number(0.5));
+        assert_eq!(Json::from(true), Json::Bool(true));
+        assert_eq!(Json::from("a"), Json::string("a"));
+        assert_eq!(Json::from("b".to_string()), Json::string("b"));
+        assert_eq!(Json::from(Some(7u64)), Json::Number(7.0));
+        assert_eq!(Json::from(None::<f64>), Json::Null);
+    }
+
+    #[test]
+    fn document_layout_breaks_lines_at_depth_zero_and_one_only() {
+        let value = Json::object(vec![
+            ("n", Json::from(1usize)),
+            (
+                "rows",
+                Json::Array(vec![
+                    Json::object(vec![
+                        ("a", Json::from(2usize)),
+                        ("deep", Json::Array(vec![Json::Null, Json::from(0.5)])),
+                    ]),
+                    Json::from("x"),
+                ]),
+            ),
+            (
+                "batch",
+                Json::object(vec![(
+                    "memo",
+                    Json::object(vec![("hits", Json::from(3usize))]),
+                )]),
+            ),
+        ]);
+        assert_eq!(
+            format!("{value:#}"),
+            "{\n  \"n\": 1,\n  \"rows\": [\n    {\"a\": 2, \"deep\": [null, 0.5]},\n    \"x\"\n  ],\n  \"batch\": {\n    \"memo\": {\"hits\": 3}\n  }\n}"
+        );
+        // `{}` stays the compact frame form.
+        assert_eq!(
+            value.to_string(),
+            r#"{"n":1,"rows":[{"a":2,"deep":[null,0.5]},"x"],"batch":{"memo":{"hits":3}}}"#
+        );
+        // A scalar document is just the scalar.
+        assert_eq!(format!("{:#}", Json::from(2usize)), "2");
+    }
+
+    #[test]
+    fn document_layout_prints_empty_containers_inline() {
+        assert_eq!(format!("{:#}", Json::Array(Vec::new())), "[]");
+        assert_eq!(format!("{:#}", Json::Object(Vec::new())), "{}");
+        let value = Json::object(vec![
+            ("list", Json::Array(Vec::new())),
+            ("map", Json::Object(Vec::new())),
+        ]);
+        assert_eq!(format!("{value:#}"), "{\n  \"list\": [],\n  \"map\": {}\n}");
+    }
+
+    #[test]
+    fn document_layout_escapes_keys_like_values() {
+        let value = Json::object(vec![(
+            "a\"b\n",
+            Json::object(vec![("c\\d", Json::from("e\u{1}"))]),
+        )]);
+        let text = format!("{value:#}");
+        assert_eq!(
+            text,
+            "{\n  \"a\\\"b\\u000a\": {\n    \"c\\\\d\": \"e\\u0001\"\n  }\n}"
+        );
+        assert_eq!(Json::parse(&text).unwrap(), value);
+    }
+
+    #[derive(Debug, PartialEq)]
+    struct Sample {
+        kept: usize,
+        big: u64,
+        optional: usize,
+    }
+    crate::json_record!(Sample {
+        kept,
+        big,
+        optional = 0
+    });
+
+    #[test]
+    fn records_write_and_read_one_key_list() {
+        let sample = Sample {
+            kept: 1,
+            big: 2,
+            optional: 3,
+        };
+        assert_eq!(
+            sample.to_json().to_string(),
+            r#"{"kept":1,"big":2,"optional":3}"#
+        );
+        assert_eq!(Sample::from_fields(&sample.to_json()), Ok(sample));
+        // Defaults apply to absent and null fields only.
+        for text in [
+            r#"{"kept":1,"big":2}"#,
+            r#"{"kept":1,"big":2,"optional":null}"#,
+        ] {
+            let decoded = Sample::from_fields(&Json::parse(text).unwrap()).unwrap();
+            assert_eq!(decoded.optional, 0, "{text}");
+        }
+        for (text, error) in [
+            (r#"{"big":2}"#, FieldError::Missing("kept")),
+            (r#"{"kept":null,"big":2}"#, FieldError::NotACount("kept")),
+            (r#"{"kept":-1,"big":2}"#, FieldError::NotACount("kept")),
+            (
+                r#"{"kept":1,"big":2,"optional":"x"}"#,
+                FieldError::NotACount("optional"),
+            ),
+        ] {
+            assert_eq!(
+                Sample::from_fields(&Json::parse(text).unwrap()),
+                Err(error),
+                "{text}"
+            );
+        }
+        assert_eq!(
+            FieldError::Missing("kept").to_string(),
+            "missing field \"kept\""
+        );
+        assert_eq!(
+            FieldError::NotACount("kept").to_string(),
+            "field \"kept\" must be a non-negative integer"
+        );
+    }
+
+    #[test]
+    fn json_escape_escapes_every_control_character() {
+        // RFC 8259 requires escaping exactly U+0000..=U+001F (plus quote
+        // and backslash); everything in that range must come out as a
+        // four-digit \u escape, never raw.
+        for code in 0u32..0x20 {
+            let c = char::from_u32(code).expect("control characters are chars");
+            let escaped = json_escape(&c.to_string());
+            assert_eq!(escaped, format!("\\u{code:04x}"), "U+{code:04X}");
+            assert!(!escaped.contains(c), "raw U+{code:04X} leaked through");
+        }
+        assert_eq!(json_escape("\t"), "\\u0009");
+        assert_eq!(json_escape("\n"), "\\u000a");
+        assert_eq!(json_escape("\r"), "\\u000d");
+        assert_eq!(json_escape("a\nb"), "a\\u000ab");
+    }
+
+    #[test]
+    fn json_escape_escapes_quotes_and_backslashes_only_once() {
+        assert_eq!(json_escape("\""), "\\\"");
+        assert_eq!(json_escape("\\"), "\\\\");
+        assert_eq!(json_escape("\\\""), "\\\\\\\"");
+        assert_eq!(json_escape(r"C:\path"), r"C:\\path");
+    }
+
+    #[test]
+    fn json_escape_passes_non_bmp_and_printable_unicode_through_raw() {
+        // JSON strings are Unicode: anything outside the mandatory escape
+        // set may appear literally.  Non-BMP code points must NOT be split
+        // into \u surrogate pairs by this escaper (it emits UTF-8), and
+        // must survive unmodified.
+        assert_eq!(json_escape("😀"), "😀");
+        assert_eq!(json_escape("\u{10FFFF}"), "\u{10FFFF}");
+        assert_eq!(json_escape("éß漢"), "éß漢");
+        // DEL (U+007F) and the line/paragraph separators are not in the
+        // mandatory escape set; they pass through raw.
+        assert_eq!(json_escape("\u{7f}"), "\u{7f}");
+        assert_eq!(json_escape("\u{2028}\u{2029}"), "\u{2028}\u{2029}");
+        // Mixed: escapes and raw text interleave without disturbing either.
+        assert_eq!(
+            json_escape("a\"b\\c\u{1}😀\n"),
+            "a\\\"b\\\\c\\u0001😀\\u000a"
+        );
     }
 }

@@ -68,6 +68,17 @@
 //! colors every piece through an inner session and re-joins them with
 //! color permutations.
 //!
+//! # Reports and JSON
+//!
+//! [`Json`] is the workspace's one JSON value type: the `qpl-decompose`
+//! CLI, the `mpl-bench` reports and the `mpl-serve` wire protocol build
+//! (and the protocol parses) their documents with it — `{}` writes the
+//! compact frame form, `{:#}` the report layout.  A statistics record
+//! that more than one of them writes — [`LayoutCounters`], [`MemoStats`],
+//! and `mpl-tile`'s and `mpl-hier`'s `TileStats` and `HierStats` —
+//! implements [`JsonRecord`] from one [`json_record!`] key list next to its
+//! declaration, so a new field is a one-file change.
+//!
 //! # Quick start
 //!
 //! ```
@@ -120,6 +131,7 @@ mod decomposer;
 pub mod division;
 mod error;
 mod executor;
+mod json;
 mod memo;
 pub mod partition;
 mod pipeline;
@@ -134,16 +146,17 @@ pub use component::ComponentProblem;
 pub use config::{ColorAlgorithm, DecomposerConfig, DivisionConfig, TileConfig};
 pub use cost::{coloring_cost, ColoringCost};
 pub use decomp_graph::{DecompositionGraph, VertexId};
-pub use decomposer::{Decomposer, DecompositionResult};
+pub use decomposer::{Decomposer, DecompositionResult, LayoutCounters};
 pub use error::{ConfigError, DecomposeError};
 pub use executor::{BatchWork, Executor, SerialExecutor, ThreadPoolExecutor};
+pub use json::{FieldError, Json, JsonParseError, JsonRecord};
 pub use memo::component_signatures;
 pub use mpl_memo::{MemoCache, MemoStats, Signature};
 pub use pipeline::{
     ComponentOutcome, ComponentStats, ComponentTask, DecompositionObserver, DecompositionPlan,
     NoopObserver, ProgressObserver, ProgressSink,
 };
-pub use report::{json_escape, ResultRow, TableReport};
+pub use report::{ResultRow, TableReport};
 pub use session::{BatchTask, DecompositionSession, LayoutId};
 pub use stitch::StitchConfig;
 pub use verify::{density_imbalance, extract_masks, verify_spacing, Mask, SpacingViolation};

@@ -12,7 +12,19 @@
 //! pure function of the signature.
 
 use crate::{ComponentProblem, ComponentTask, DecomposerConfig, DecompositionPlan, VertexId};
-use mpl_memo::{canonicalize, CanonicalComponent, ComponentView, Signature};
+use mpl_memo::{canonicalize, CanonicalComponent, ComponentView, MemoStats, Signature};
+
+// The cache snapshot's one key list, written by the CLI's `memo_cache`,
+// batch-v1's `batch.memo` and `pong` frames' `cache`.  It lives here
+// because `mpl-memo` does not depend on this crate.
+crate::json_record!(MemoStats {
+    entries,
+    capacity,
+    hits,
+    misses,
+    evictions,
+    bytes,
+});
 
 /// Renders everything of `config` that influences coloring beyond the
 /// component itself into the signature's fingerprint: the engine, the SDP

@@ -445,15 +445,7 @@ fn merged_component_stats(
     pieces: &[ComponentStats],
     memo_attached: bool,
 ) -> ComponentStats {
-    let (conflicts, stitches, cost) = problem.evaluate(merged);
     ComponentStats {
-        index,
-        vertex_count: problem.vertex_count(),
-        conflict_edge_count: problem.conflict_edges().len(),
-        stitch_edge_count: problem.stitch_edges().len(),
-        conflicts,
-        stitches,
-        cost,
         time: pieces.iter().map(|stats| stats.time).sum(),
         division_time: pieces.iter().map(|stats| stats.division_time).sum(),
         bnb_nodes: pieces.iter().map(|stats| stats.bnb_nodes).sum(),
@@ -470,5 +462,6 @@ fn merged_component_stats(
         deadline_exceeded: pieces.iter().any(|stats| stats.deadline_exceeded),
         skipped: pieces.iter().any(|stats| stats.skipped),
         memo_hit: memo_attached.then(|| pieces.iter().all(|stats| stats.memo_hit == Some(true))),
+        ..ComponentStats::evaluated(index, problem, merged)
     }
 }

@@ -63,7 +63,7 @@ impl ComponentTask {
 
 /// Per-component statistics reported after execution — the task-level
 /// breakdown of the totals on [`DecompositionResult`].
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Default, Clone, PartialEq)]
 pub struct ComponentStats {
     /// The task index this entry belongs to.
     pub index: usize,
@@ -136,6 +136,25 @@ pub struct ComponentStats {
     /// the engine (a cache miss).  Memoized components report zero engine
     /// work counters and `time == Duration::ZERO`.
     pub memo_hit: Option<bool>,
+}
+
+impl ComponentStats {
+    /// The size and quality fields of component `index` colored `colors`
+    /// (evaluated on its `problem`); every work counter, time and flag is
+    /// zero.
+    pub(crate) fn evaluated(index: usize, problem: &ComponentProblem, colors: &[u8]) -> Self {
+        let (conflicts, stitches, cost) = problem.evaluate(colors);
+        ComponentStats {
+            index,
+            vertex_count: problem.vertex_count(),
+            conflict_edge_count: problem.conflict_edges().len(),
+            stitch_edge_count: problem.stitch_edges().len(),
+            conflicts,
+            stitches,
+            cost,
+            ..ComponentStats::default()
+        }
+    }
 }
 
 /// The colored outcome of one [`ComponentTask`], produced by the per-task

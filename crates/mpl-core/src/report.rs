@@ -3,23 +3,6 @@
 use crate::DecompositionResult;
 use std::fmt;
 
-/// Minimal JSON string escaping (quotes, backslashes, control characters)
-/// — the shared helper behind the hand-rolled JSON emitters of the
-/// `qpl-decompose` CLI and the `mpl-bench` batch reports (the workspace
-/// has no serde dependency).
-pub fn json_escape(text: &str) -> String {
-    let mut out = String::with_capacity(text.len());
-    for c in text.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// One row of a comparison table: the conflict count, stitch count and
 /// color-assignment CPU time of a single (circuit, algorithm) pair — the
 /// `cn#`, `st#`, `CPU(s)` triple of the paper's tables.
@@ -194,51 +177,6 @@ impl fmt::Display for TableReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn json_escape_escapes_every_control_character() {
-        // RFC 8259 requires escaping exactly U+0000..=U+001F (plus quote
-        // and backslash); everything in that range must come out as a
-        // four-digit \u escape, never raw.
-        for code in 0u32..0x20 {
-            let c = char::from_u32(code).expect("control characters are chars");
-            let escaped = json_escape(&c.to_string());
-            assert_eq!(escaped, format!("\\u{code:04x}"), "U+{code:04X}");
-            assert!(!escaped.contains(c), "raw U+{code:04X} leaked through");
-        }
-        assert_eq!(json_escape("\t"), "\\u0009");
-        assert_eq!(json_escape("\n"), "\\u000a");
-        assert_eq!(json_escape("\r"), "\\u000d");
-        assert_eq!(json_escape("a\nb"), "a\\u000ab");
-    }
-
-    #[test]
-    fn json_escape_escapes_quotes_and_backslashes_only_once() {
-        assert_eq!(json_escape("\""), "\\\"");
-        assert_eq!(json_escape("\\"), "\\\\");
-        assert_eq!(json_escape("\\\""), "\\\\\\\"");
-        assert_eq!(json_escape(r"C:\path"), r"C:\\path");
-    }
-
-    #[test]
-    fn json_escape_passes_non_bmp_and_printable_unicode_through_raw() {
-        // JSON strings are Unicode: anything outside the mandatory escape
-        // set may appear literally.  Non-BMP code points must NOT be split
-        // into \u surrogate pairs by this escaper (it emits UTF-8), and
-        // must survive unmodified.
-        assert_eq!(json_escape("😀"), "😀");
-        assert_eq!(json_escape("\u{10FFFF}"), "\u{10FFFF}");
-        assert_eq!(json_escape("éß漢"), "éß漢");
-        // DEL (U+007F) and the line/paragraph separators are not in the
-        // mandatory escape set; they pass through raw.
-        assert_eq!(json_escape("\u{7f}"), "\u{7f}");
-        assert_eq!(json_escape("\u{2028}\u{2029}"), "\u{2028}\u{2029}");
-        // Mixed: escapes and raw text interleave without disturbing either.
-        assert_eq!(
-            json_escape("a\"b\\c\u{1}😀\n"),
-            "a\\\"b\\\\c\\u0001😀\\u000a"
-        );
-    }
 
     fn row(
         circuit: &str,

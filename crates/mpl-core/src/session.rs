@@ -478,31 +478,9 @@ enum Disposition {
 /// Statistics for a component whose colors were stamped rather than
 /// computed: real size and quality numbers, zero engine work.
 fn stamped_stats(task: &ComponentTask, colors: &[u8]) -> ComponentStats {
-    let (conflicts, stitches, cost) = task.problem().evaluate(colors);
     ComponentStats {
-        index: task.index(),
-        vertex_count: task.problem().vertex_count(),
-        conflict_edge_count: task.problem().conflict_edges().len(),
-        stitch_edge_count: task.problem().stitch_edges().len(),
-        conflicts,
-        stitches,
-        cost,
-        time: Duration::ZERO,
-        division_time: Duration::ZERO,
-        bnb_nodes: 0,
-        hit_time_limit: false,
-        augmenting_paths: 0,
-        augmenting_path_bound: 0,
-        arc_scans: 0,
-        scratch_allocs: 0,
-        hidden_vertices: 0,
-        kernel_vertices: 0,
-        simplify_rounds: 0,
-        bound_improvements: 0,
-        cancelled: false,
-        deadline_exceeded: false,
-        skipped: false,
         memo_hit: Some(true),
+        ..ComponentStats::evaluated(task.index(), task.problem(), colors)
     }
 }
 
@@ -515,31 +493,12 @@ fn skipped_stats(
     colors: &[u8],
     memoized_batch: bool,
 ) -> ComponentStats {
-    let (conflicts, stitches, cost) = task.problem().evaluate(colors);
     ComponentStats {
-        index: task.index(),
-        vertex_count: task.problem().vertex_count(),
-        conflict_edge_count: task.problem().conflict_edges().len(),
-        stitch_edge_count: task.problem().stitch_edges().len(),
-        conflicts,
-        stitches,
-        cost,
-        time: Duration::ZERO,
-        division_time: Duration::ZERO,
-        bnb_nodes: 0,
-        hit_time_limit: false,
-        augmenting_paths: 0,
-        augmenting_path_bound: 0,
-        arc_scans: 0,
-        scratch_allocs: 0,
-        hidden_vertices: 0,
-        kernel_vertices: 0,
-        simplify_rounds: 0,
-        bound_improvements: 0,
         cancelled: token.is_cancelled(),
         deadline_exceeded: token.deadline_exceeded(),
         skipped: true,
         memo_hit: memoized_batch.then_some(false),
+        ..ComponentStats::evaluated(task.index(), task.problem(), colors)
     }
 }
 
@@ -714,15 +673,9 @@ pub(crate) fn execute_batch(
             }
             _ => (false, false),
         };
-        let (conflicts, stitches, cost) = task.problem().evaluate(&colors);
+        // Evaluated before the clock is read: `time` covers the evaluation.
+        let evaluated = ComponentStats::evaluated(task.index(), task.problem(), &colors);
         let stats = ComponentStats {
-            index: task.index(),
-            vertex_count: task.problem().vertex_count(),
-            conflict_edge_count: task.problem().conflict_edges().len(),
-            stitch_edge_count: task.problem().stitch_edges().len(),
-            conflicts,
-            stitches,
-            cost,
             time: task_start.elapsed(),
             division_time: metrics.division_time,
             bnb_nodes: metrics.bnb_nodes,
@@ -737,8 +690,8 @@ pub(crate) fn execute_batch(
             bound_improvements: metrics.bound_improvements,
             cancelled,
             deadline_exceeded,
-            skipped: false,
             memo_hit,
+            ..evaluated
         };
         observer.component_finished(tagged.layout(), task, &stats);
         // Keep the latest completion per layout.  The instant is taken

@@ -49,6 +49,23 @@ pub struct HierStats {
     pub cross_conflicts_after: usize,
 }
 
+// The one key list of the hierarchy object (`hierarchy` in CLI `--json`
+// and `qpl-serve` result frames, `hier` in batch-v1 rows).
+// `nested_inherited` decodes as zero on frames from servers predating it.
+mpl_core::json_record!(HierStats {
+    instances,
+    cells,
+    nested_inherited = 0,
+    resident_components,
+    split_components,
+    instance_pieces,
+    boundary_vertices,
+    permuted_pieces,
+    recolored_vertices,
+    cross_conflicts_before,
+    cross_conflicts_after,
+});
+
 /// A layout's decomposition result together with its hierarchy statistics.
 #[derive(Debug)]
 pub struct HierLayoutResult {

@@ -6,8 +6,8 @@
 //! that deliberately send malformed traffic keep using raw sockets.
 
 use crate::codec::{encode_frame, FrameDecoder, DEFAULT_MAX_FRAME_LEN};
-use crate::json::Json;
 use crate::protocol::{decode_response, encode_request, Request, Response, ServeError};
+use mpl_core::Json;
 use std::io::{Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 
@@ -108,7 +108,7 @@ impl Client {
     ///
     /// Propagates send/receive failures; a non-`pong` reply is a
     /// [`ClientError::Protocol`].
-    pub fn ping(&mut self) -> Result<Option<crate::protocol::CachePayload>, ClientError> {
+    pub fn ping(&mut self) -> Result<Option<mpl_core::MemoStats>, ClientError> {
         self.send(&Request::Ping)?;
         match self.recv()? {
             // The usage counters ride the same frame; callers that want

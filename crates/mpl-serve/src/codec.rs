@@ -8,7 +8,7 @@
 //! `tests/proptest_codec.rs` splits encoded traffic at arbitrary positions
 //! and asserts every frame is recovered intact and in order.
 
-use crate::json::Json;
+use mpl_core::Json;
 use std::fmt;
 
 /// Default cap on a single frame (16 MiB) — a missing newline must not let

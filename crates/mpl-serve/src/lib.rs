@@ -13,7 +13,9 @@
 //! # Wire protocol
 //!
 //! One frame = one JSON object per line, terminated by `\n` (a trailing
-//! `\r` is tolerated, and frames have a configurable size cap).  TCP chunk
+//! `\r` is tolerated, and frames have a configurable size cap), written in
+//! the compact `{}` form of the workspace's one JSON type,
+//! [`mpl_core::Json`] (re-exported here as [`Json`]).  TCP chunk
 //! boundaries carry no meaning: the [`codec::FrameDecoder`] reassembles
 //! frames however the bytes arrive.  Every frame has a `"type"` field.
 //!
@@ -83,15 +85,23 @@
 //! {"type":"progress","id":"j1","done":1,"total":3}      (opt-in, per component)
 //! {"type":"result","id":"j1","layout":"a","k":4,"algorithm":"Linear",
 //!  "executor":"threads:2","vertices":9,"components":3,"conflicts":0,
-//!  "stitches":1,"cost":0.1,"color_seconds":0.002,
+//!  "stitches":1,"cost":0.1,"color_seconds":0.002,"hidden_vertices":9,
+//!  "kernel_vertices":0,"simplify_rounds":3,"bound_improvements":0,
 //!  "spacing_violations":0,"memo_hits":1,"memo_misses":2,
 //!  "colors":[0,1,2,0,3,1,2,0,1]}
 //! ```
 //!
-//! `memo_hits` / `memo_misses` count the layout's components stamped from
-//! (respectively colored into) the server's shared translation-canonical
-//! memo cache — see the `mpl-memo` crate and the memoization section of
-//! the workspace README.
+//! `hidden_vertices` … `bound_improvements` are the layout's
+//! [`LayoutCounters`](mpl_core::LayoutCounters), spliced flat; a frame
+//! lacking one decodes it as zero.  `memo_hits` / `memo_misses` count the
+//! layout's components stamped from (respectively colored into) the
+//! server's shared translation-canonical memo cache — see the `mpl-memo`
+//! crate and the memoization section of the workspace README.  Tiled and
+//! hierarchical submissions add a `tiles` or `hierarchy` object: the
+//! [`TileStats`](mpl_tile::TileStats) or [`HierStats`](mpl_hier::HierStats)
+//! record, under the same key list the CLI's `--json` and the batch
+//! report write (every key required, except the hierarchy's
+//! `nested_inherited`, which decodes as zero when absent).
 //!
 //! or, when anything goes wrong, a typed error frame that leaves the
 //! connection usable:
@@ -107,14 +117,17 @@
 //! (planning failures such as degenerate shapes), `io` (unreadable
 //! server-side `path`) and `cancel` (a `cancel` frame naming an unknown or
 //! already-resolved id — non-fatal).  `ping` answers with the shared memo
-//! cache's statistics plus the server's health counters —
+//! cache's statistics ([`MemoStats`](mpl_core::MemoStats)) plus the
+//! server's usage and health counters —
 //! `{"type":"pong","cache":{"entries":3,"capacity":65536,"hits":7,
-//! "misses":3,"evictions":0,"bytes":1544},"queued_frames":0,
-//! "dropped_progress":0,"cancelled_requests":0,
-//! "deadline_exceeded_requests":0}` — where `queued_frames` is the current
-//! depth summed over every connection's output queue, `dropped_progress`
-//! counts progress-class frames shed to backpressure, and the last two
-//! count submissions that resolved `cancelled` / deadline-expired.
+//! "misses":3,"evictions":0,"bytes":1544},"hier_runs":0,"tile_runs":0,
+//! "queued_frames":0,"dropped_progress":0,"cancelled_requests":0,
+//! "deadline_exceeded_requests":0}` — where `hier_runs` / `tile_runs`
+//! count layouts decomposed through the hierarchical / tiled drivers,
+//! `queued_frames` is the current depth summed over every connection's
+//! output queue, `dropped_progress` counts progress-class frames shed to
+//! backpressure, and the last two count submissions that resolved
+//! `cancelled` / deadline-expired.
 //! `shutdown` answers `{"type":"shutting_down"}` before the server drains
 //! its last batch and exits; concurrent `shutdown` frames from different
 //! connections shut the server down exactly once.
@@ -181,16 +194,18 @@
 pub mod base64;
 pub mod client;
 pub mod codec;
-pub mod json;
 pub mod protocol;
 pub mod server;
 
 pub use client::{Client, ClientError};
 pub use codec::{encode_frame, FrameDecoder, FrameError};
-pub use json::{Json, JsonParseError};
+/// The wire's JSON value type is the workspace's one `Json`
+/// ([`mpl_core::Json`]); it is re-exported here because the codec and the
+/// protocol functions take and return it.
+pub use mpl_core::{Json, JsonParseError};
 pub use protocol::{
     algorithm_wire_name, decode_request, decode_response, encode_request, encode_response,
-    CachePayload, ErrorCode, ExecutorChoice, HierPayload, LayoutSource, Request, Response,
-    ResultPayload, ServeError, SubmitRequest, TilePayload,
+    ErrorCode, ExecutorChoice, LayoutSource, Request, Response, ResultPayload, ServeError,
+    SubmitRequest,
 };
 pub use server::{Server, ServerConfig, ServerHandle};

@@ -13,8 +13,12 @@
 //! variants.  On the wire an error becomes an `"error"` frame with a
 //! machine-checkable [`ErrorCode`] plus the human-readable message.
 
-use crate::json::Json;
-use mpl_core::{ColorAlgorithm, ConfigError, DecomposeError};
+use mpl_core::{
+    ColorAlgorithm, ConfigError, DecomposeError, FieldError, Json, JsonRecord, LayoutCounters,
+    MemoStats,
+};
+use mpl_hier::HierStats;
+use mpl_tile::TileStats;
 use std::fmt;
 
 /// Where a submitted layout's geometry comes from.
@@ -147,86 +151,6 @@ pub enum Request {
     Shutdown,
 }
 
-/// Memo-cache statistics reported on `pong` frames (the serve loop holds
-/// one shared [`MemoCache`](mpl_core::MemoCache) across all connections
-/// and batches).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CachePayload {
-    /// Colorings currently stored.
-    pub entries: usize,
-    /// Maximum entries before least-recently-used eviction.
-    pub capacity: usize,
-    /// Lifetime lookup hits.
-    pub hits: u64,
-    /// Lifetime lookup misses.
-    pub misses: u64,
-    /// Lifetime evictions.
-    pub evictions: u64,
-    /// Approximate bytes held by stored signatures and colorings.
-    pub bytes: usize,
-}
-
-/// Tiling statistics reported on `result` frames when the submission asked
-/// for the halo-aware tiler (mirrors `mpl_tile::TileStats`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TilePayload {
-    /// Grid columns.
-    pub grid_x: usize,
-    /// Grid rows.
-    pub grid_y: usize,
-    /// Tile sub-problems actually decomposed (pieces of spanning
-    /// components; window-resident components are not tiles).
-    pub tiles: usize,
-    /// Components sharded across windows.
-    pub tiled_components: usize,
-    /// Components resident in one window (decomposed untiled).
-    pub resident_components: usize,
-    /// Halo-duplicated vertices (sum of piece sizes minus component sizes).
-    pub shared_vertices: usize,
-    /// Tiles rotated by a non-identity color permutation during
-    /// reconciliation.
-    pub permuted_tiles: usize,
-    /// Boundary-strip vertices re-colored by the greedy repair pass.
-    pub recolored_vertices: usize,
-    /// Cross-window conflicts after permutation, before repair.
-    pub cross_conflicts_before: usize,
-    /// Cross-window conflicts after repair.
-    pub cross_conflicts_after: usize,
-}
-
-/// Hierarchy statistics reported on `result` frames when the submission
-/// asked for cell-level hierarchical decomposition (mirrors
-/// `mpl_hier::HierStats`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct HierPayload {
-    /// Top-level cell instances recorded by the tagged flattening.
-    pub instances: usize,
-    /// Distinct cells those instances reference.
-    pub cells: usize,
-    /// Shapes whose tag was inherited from the enclosing top-level
-    /// instance through a nested reference chain (depth ≥ 2). Decodes as
-    /// zero when absent, so frames from older servers keep parsing.
-    pub nested_inherited: usize,
-    /// Single-provenance components decomposed through the plain engine.
-    pub resident_components: usize,
-    /// Mixed-provenance components split along instance seams.
-    pub split_components: usize,
-    /// Per-instance pieces carved out of split components.
-    pub instance_pieces: usize,
-    /// Vertices of residual boundary pieces (geometry that merged across
-    /// instance boundaries and lost its provenance).
-    pub boundary_vertices: usize,
-    /// Pieces rotated by a non-identity color permutation during
-    /// reconciliation.
-    pub permuted_pieces: usize,
-    /// Boundary-strip vertices re-colored by the greedy repair pass.
-    pub recolored_vertices: usize,
-    /// Cross-instance conflicts after permutation, before repair.
-    pub cross_conflicts_before: usize,
-    /// Cross-instance conflicts after repair.
-    pub cross_conflicts_after: usize,
-}
-
 /// The final per-layout payload of a successful decomposition.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ResultPayload {
@@ -259,19 +183,10 @@ pub struct ResultPayload {
     /// Same-mask spacing violations found by server-side re-verification
     /// (present only when the submission set `verify`).
     pub spacing_violations: Option<usize>,
-    /// Vertices hidden by iterated graph simplification, summed over the
-    /// layout's components (zero when simplification found nothing, or on
-    /// frames from servers predating the counter).
-    pub hidden_vertices: usize,
-    /// Kernel vertices handed to the engines after simplification, summed
-    /// over components that were simplified.
-    pub kernel_vertices: usize,
-    /// Hide/cut rounds run by iterated simplification, summed over
-    /// components.
-    pub simplify_rounds: usize,
-    /// Clique-expansion steps that strengthened the exact engine's lower
-    /// bound, summed over components.
-    pub bound_improvements: u64,
+    /// The layout's simplify/bound counters, spliced flat into the frame
+    /// after `color_seconds` (each decodes as zero when absent, so frames
+    /// from servers predating a counter keep parsing).
+    pub counters: LayoutCounters,
     /// Components stamped from the server's shared memo cache (a cache hit
     /// or an in-batch duplicate).  `None` when the run had no cache.
     pub memo_hits: Option<usize>,
@@ -297,9 +212,9 @@ pub struct ResultPayload {
     pub components_skipped: usize,
     /// Tiling statistics (present only when the submission set
     /// `tile_size`).
-    pub tiles: Option<TilePayload>,
+    pub tiles: Option<TileStats>,
     /// Hierarchy statistics (present only when the submission set `hier`).
-    pub hierarchy: Option<HierPayload>,
+    pub hierarchy: Option<HierStats>,
 }
 
 /// Machine-checkable category of an error frame.
@@ -432,7 +347,7 @@ pub enum Response {
     /// counters of the optional decomposition drivers.
     Pong {
         /// Statistics of the server's shared memo cache.
-        cache: Option<CachePayload>,
+        cache: Option<MemoStats>,
         /// Layouts decomposed through the hierarchical driver so far.
         hier_runs: u64,
         /// Layouts decomposed through the halo-aware tiler so far.
@@ -519,6 +434,12 @@ impl From<ConfigError> for ServeError {
     }
 }
 
+impl From<FieldError> for ServeError {
+    fn from(error: FieldError) -> Self {
+        ServeError::Protocol(error.to_string())
+    }
+}
+
 impl From<DecomposeError> for ServeError {
     fn from(error: DecomposeError) -> Self {
         match error {
@@ -551,16 +472,22 @@ fn string_field(json: &Json, key: &str) -> Result<String, ServeError> {
         .ok_or_else(|| ServeError::Protocol(format!("field {key:?} must be a string")))
 }
 
-fn usize_field(json: &Json, key: &str) -> Result<usize, ServeError> {
-    field(json, key)?.as_usize().ok_or_else(|| {
-        ServeError::Protocol(format!("field {key:?} must be a non-negative integer"))
-    })
+fn usize_field(json: &Json, key: &'static str) -> Result<usize, ServeError> {
+    Ok(json.count_field(key, None)?)
 }
 
 fn f64_field(json: &Json, key: &str) -> Result<f64, ServeError> {
     field(json, key)?
         .as_f64()
         .ok_or_else(|| ServeError::Protocol(format!("field {key:?} must be a number")))
+}
+
+/// The stats record under `key`; absent or `null` decodes as `None`.
+fn optional_record<T: JsonRecord>(json: &Json, key: &str) -> Result<Option<T>, ServeError> {
+    match json.get(key) {
+        None | Some(Json::Null) => Ok(None),
+        Some(value) => Ok(Some(T::from_fields(value)?)),
+    }
 }
 
 /// An optional distance-in-nm field: any integer decodes (including
@@ -730,36 +657,17 @@ pub fn decode_response(json: &Json) -> Result<Response, ServeError> {
     let frame_type = string_field(json, "type")?;
     match frame_type.as_str() {
         "pong" => {
-            let cache = match json.get("cache") {
-                None | Some(Json::Null) => None,
-                Some(value) => Some(CachePayload {
-                    entries: usize_field(value, "entries")?,
-                    capacity: usize_field(value, "capacity")?,
-                    hits: usize_field(value, "hits")? as u64,
-                    misses: usize_field(value, "misses")? as u64,
-                    evictions: usize_field(value, "evictions")? as u64,
-                    bytes: usize_field(value, "bytes")?,
-                }),
-            };
+            let cache = optional_record(json, "cache")?;
             // Absent counters (old servers) decode as zero.
-            let counter = |key: &str| -> Result<u64, ServeError> {
-                match json.get(key) {
-                    None | Some(Json::Null) => Ok(0),
-                    Some(value) => value.as_usize().map(|count| count as u64).ok_or_else(|| {
-                        ServeError::Protocol(format!(
-                            "field {key:?} must be a non-negative integer"
-                        ))
-                    }),
-                }
-            };
             Ok(Response::Pong {
                 cache,
-                hier_runs: counter("hier_runs")?,
-                tile_runs: counter("tile_runs")?,
-                queued_frames: counter("queued_frames")?,
-                dropped_progress: counter("dropped_progress")?,
-                cancelled_requests: counter("cancelled_requests")?,
-                deadline_exceeded_requests: counter("deadline_exceeded_requests")?,
+                hier_runs: json.count_field("hier_runs", Some(0))?,
+                tile_runs: json.count_field("tile_runs", Some(0))?,
+                queued_frames: json.count_field("queued_frames", Some(0))?,
+                dropped_progress: json.count_field("dropped_progress", Some(0))?,
+                cancelled_requests: json.count_field("cancelled_requests", Some(0))?,
+                deadline_exceeded_requests: json
+                    .count_field("deadline_exceeded_requests", Some(0))?,
             })
         }
         "shutting_down" => Ok(Response::ShuttingDown),
@@ -788,7 +696,7 @@ pub fn decode_response(json: &Json) -> Result<Response, ServeError> {
             id: string_field(json, "id")?,
             components_completed: usize_field(json, "components_completed")?,
             components_skipped: usize_field(json, "components_skipped")?,
-            bnb_nodes: usize_field(json, "bnb_nodes")? as u64,
+            bnb_nodes: json.count_field("bnb_nodes", None)?,
         }),
         "error" => {
             let id = match json.get("id") {
@@ -835,13 +743,6 @@ pub fn decode_response(json: &Json) -> Result<Response, ServeError> {
             let spacing_violations = optional_count("spacing_violations")?;
             let memo_hits = optional_count("memo_hits")?;
             let memo_misses = optional_count("memo_misses")?;
-            // Absent counters (frames from older servers) decode as zero.
-            let counter =
-                |key: &str| -> Result<usize, ServeError> { Ok(optional_count(key)?.unwrap_or(0)) };
-            let hidden_vertices = counter("hidden_vertices")?;
-            let kernel_vertices = counter("kernel_vertices")?;
-            let simplify_rounds = counter("simplify_rounds")?;
-            let bound_improvements = counter("bound_improvements")? as u64;
             // Absent flags (undisturbed runs, frames from older servers)
             // decode as an untouched submission.
             let flag = |key: &str| -> Result<bool, ServeError> {
@@ -855,44 +756,11 @@ pub fn decode_response(json: &Json) -> Result<Response, ServeError> {
             let cancelled = flag("cancelled")?;
             let deadline_exceeded = flag("deadline_exceeded")?;
             let components = usize_field(json, "components")?;
-            let components_skipped = counter("components_skipped")?;
+            let components_skipped = optional_count("components_skipped")?.unwrap_or(0);
             let components_completed = optional_count("components_completed")?
                 .unwrap_or_else(|| components.saturating_sub(components_skipped));
-            let tiles = match json.get("tiles") {
-                None | Some(Json::Null) => None,
-                Some(value) => Some(TilePayload {
-                    grid_x: usize_field(value, "grid_x")?,
-                    grid_y: usize_field(value, "grid_y")?,
-                    tiles: usize_field(value, "tiles")?,
-                    tiled_components: usize_field(value, "tiled_components")?,
-                    resident_components: usize_field(value, "resident_components")?,
-                    shared_vertices: usize_field(value, "shared_vertices")?,
-                    permuted_tiles: usize_field(value, "permuted_tiles")?,
-                    recolored_vertices: usize_field(value, "recolored_vertices")?,
-                    cross_conflicts_before: usize_field(value, "cross_conflicts_before")?,
-                    cross_conflicts_after: usize_field(value, "cross_conflicts_after")?,
-                }),
-            };
-            let hierarchy = match json.get("hierarchy") {
-                None | Some(Json::Null) => None,
-                Some(value) => Some(HierPayload {
-                    instances: usize_field(value, "instances")?,
-                    cells: usize_field(value, "cells")?,
-                    // Absent on frames from older servers: decode as zero.
-                    nested_inherited: match value.get("nested_inherited") {
-                        None | Some(Json::Null) => 0,
-                        Some(_) => usize_field(value, "nested_inherited")?,
-                    },
-                    resident_components: usize_field(value, "resident_components")?,
-                    split_components: usize_field(value, "split_components")?,
-                    instance_pieces: usize_field(value, "instance_pieces")?,
-                    boundary_vertices: usize_field(value, "boundary_vertices")?,
-                    permuted_pieces: usize_field(value, "permuted_pieces")?,
-                    recolored_vertices: usize_field(value, "recolored_vertices")?,
-                    cross_conflicts_before: usize_field(value, "cross_conflicts_before")?,
-                    cross_conflicts_after: usize_field(value, "cross_conflicts_after")?,
-                }),
-            };
+            let tiles = optional_record(json, "tiles")?;
+            let hierarchy = optional_record(json, "hierarchy")?;
             Ok(Response::Result(ResultPayload {
                 id: string_field(json, "id")?,
                 layout: string_field(json, "layout")?,
@@ -906,10 +774,7 @@ pub fn decode_response(json: &Json) -> Result<Response, ServeError> {
                 cost: f64_field(json, "cost")?,
                 color_seconds: f64_field(json, "color_seconds")?,
                 colors,
-                hidden_vertices,
-                kernel_vertices,
-                simplify_rounds,
-                bound_improvements,
+                counters: LayoutCounters::from_fields(json)?,
                 spacing_violations,
                 memo_hits,
                 memo_misses,
@@ -941,17 +806,7 @@ pub fn encode_response(response: &Response) -> Json {
         } => {
             let mut pairs = vec![("type", Json::string("pong"))];
             if let Some(cache) = cache {
-                pairs.push((
-                    "cache",
-                    Json::object(vec![
-                        ("entries", Json::Number(cache.entries as f64)),
-                        ("capacity", Json::Number(cache.capacity as f64)),
-                        ("hits", Json::Number(cache.hits as f64)),
-                        ("misses", Json::Number(cache.misses as f64)),
-                        ("evictions", Json::Number(cache.evictions as f64)),
-                        ("bytes", Json::Number(cache.bytes as f64)),
-                    ]),
-                ));
+                pairs.push(("cache", cache.to_json()));
             }
             pairs.push(("hier_runs", Json::Number(*hier_runs as f64)));
             pairs.push(("tile_runs", Json::Number(*tile_runs as f64)));
@@ -1039,23 +894,8 @@ pub fn encode_response(response: &Response) -> Json {
                 ("stitches", Json::Number(payload.stitches as f64)),
                 ("cost", Json::Number(payload.cost)),
                 ("color_seconds", Json::Number(payload.color_seconds)),
-                (
-                    "hidden_vertices",
-                    Json::Number(payload.hidden_vertices as f64),
-                ),
-                (
-                    "kernel_vertices",
-                    Json::Number(payload.kernel_vertices as f64),
-                ),
-                (
-                    "simplify_rounds",
-                    Json::Number(payload.simplify_rounds as f64),
-                ),
-                (
-                    "bound_improvements",
-                    Json::Number(payload.bound_improvements as f64),
-                ),
             ];
+            pairs.extend(payload.counters.fields());
             if let Some(violations) = payload.spacing_violations {
                 pairs.push(("spacing_violations", Json::Number(violations as f64)));
             }
@@ -1085,84 +925,10 @@ pub fn encode_response(response: &Response) -> Json {
                 ));
             }
             if let Some(tiles) = &payload.tiles {
-                pairs.push((
-                    "tiles",
-                    Json::object(vec![
-                        ("grid_x", Json::Number(tiles.grid_x as f64)),
-                        ("grid_y", Json::Number(tiles.grid_y as f64)),
-                        ("tiles", Json::Number(tiles.tiles as f64)),
-                        (
-                            "tiled_components",
-                            Json::Number(tiles.tiled_components as f64),
-                        ),
-                        (
-                            "resident_components",
-                            Json::Number(tiles.resident_components as f64),
-                        ),
-                        (
-                            "shared_vertices",
-                            Json::Number(tiles.shared_vertices as f64),
-                        ),
-                        ("permuted_tiles", Json::Number(tiles.permuted_tiles as f64)),
-                        (
-                            "recolored_vertices",
-                            Json::Number(tiles.recolored_vertices as f64),
-                        ),
-                        (
-                            "cross_conflicts_before",
-                            Json::Number(tiles.cross_conflicts_before as f64),
-                        ),
-                        (
-                            "cross_conflicts_after",
-                            Json::Number(tiles.cross_conflicts_after as f64),
-                        ),
-                    ]),
-                ));
+                pairs.push(("tiles", tiles.to_json()));
             }
             if let Some(hierarchy) = &payload.hierarchy {
-                pairs.push((
-                    "hierarchy",
-                    Json::object(vec![
-                        ("instances", Json::Number(hierarchy.instances as f64)),
-                        ("cells", Json::Number(hierarchy.cells as f64)),
-                        (
-                            "nested_inherited",
-                            Json::Number(hierarchy.nested_inherited as f64),
-                        ),
-                        (
-                            "resident_components",
-                            Json::Number(hierarchy.resident_components as f64),
-                        ),
-                        (
-                            "split_components",
-                            Json::Number(hierarchy.split_components as f64),
-                        ),
-                        (
-                            "instance_pieces",
-                            Json::Number(hierarchy.instance_pieces as f64),
-                        ),
-                        (
-                            "boundary_vertices",
-                            Json::Number(hierarchy.boundary_vertices as f64),
-                        ),
-                        (
-                            "permuted_pieces",
-                            Json::Number(hierarchy.permuted_pieces as f64),
-                        ),
-                        (
-                            "recolored_vertices",
-                            Json::Number(hierarchy.recolored_vertices as f64),
-                        ),
-                        (
-                            "cross_conflicts_before",
-                            Json::Number(hierarchy.cross_conflicts_before as f64),
-                        ),
-                        (
-                            "cross_conflicts_after",
-                            Json::Number(hierarchy.cross_conflicts_after as f64),
-                        ),
-                    ]),
-                ));
+                pairs.push(("hierarchy", hierarchy.to_json()));
             }
             pairs.push((
                 "colors",
@@ -1238,7 +1004,7 @@ mod tests {
             deadline_exceeded_requests: 0,
         });
         round_trip_response(Response::Pong {
-            cache: Some(CachePayload {
+            cache: Some(MemoStats {
                 entries: 12,
                 capacity: 65_536,
                 hits: 40,
@@ -1298,10 +1064,12 @@ mod tests {
             cost: 1.2,
             color_seconds: 0.25,
             colors: vec![0, 3, 2, 1],
-            hidden_vertices: 2,
-            kernel_vertices: 2,
-            simplify_rounds: 1,
-            bound_improvements: 3,
+            counters: LayoutCounters {
+                hidden_vertices: 2,
+                kernel_vertices: 2,
+                simplify_rounds: 1,
+                bound_improvements: 3,
+            },
             spacing_violations: Some(1),
             memo_hits: Some(1),
             memo_misses: Some(1),
@@ -1309,7 +1077,7 @@ mod tests {
             deadline_exceeded: false,
             components_completed: 2,
             components_skipped: 0,
-            tiles: Some(TilePayload {
+            tiles: Some(TileStats {
                 grid_x: 3,
                 grid_y: 2,
                 tiles: 6,
@@ -1336,10 +1104,12 @@ mod tests {
             cost: 0.4,
             color_seconds: 0.1,
             colors: vec![0, 1, 2, 3],
-            hidden_vertices: 64,
-            kernel_vertices: 32,
-            simplify_rounds: 2,
-            bound_improvements: 0,
+            counters: LayoutCounters {
+                hidden_vertices: 64,
+                kernel_vertices: 32,
+                simplify_rounds: 2,
+                bound_improvements: 0,
+            },
             spacing_violations: Some(0),
             memo_hits: Some(15),
             memo_misses: Some(1),
@@ -1348,7 +1118,7 @@ mod tests {
             components_completed: 1,
             components_skipped: 0,
             tiles: None,
-            hierarchy: Some(HierPayload {
+            hierarchy: Some(HierStats {
                 instances: 16,
                 cells: 1,
                 nested_inherited: 3,
@@ -1375,10 +1145,12 @@ mod tests {
             cost: 0.0,
             color_seconds: 0.0,
             colors: vec![0],
-            hidden_vertices: 1,
-            kernel_vertices: 0,
-            simplify_rounds: 1,
-            bound_improvements: 0,
+            counters: LayoutCounters {
+                hidden_vertices: 1,
+                kernel_vertices: 0,
+                simplify_rounds: 1,
+                bound_improvements: 0,
+            },
             spacing_violations: None,
             memo_hits: None,
             memo_misses: None,
@@ -1403,10 +1175,12 @@ mod tests {
             cost: 3.0,
             color_seconds: 0.001,
             colors: vec![0; 9],
-            hidden_vertices: 0,
-            kernel_vertices: 0,
-            simplify_rounds: 0,
-            bound_improvements: 0,
+            counters: LayoutCounters {
+                hidden_vertices: 0,
+                kernel_vertices: 0,
+                simplify_rounds: 0,
+                bound_improvements: 0,
+            },
             spacing_violations: None,
             memo_hits: None,
             memo_misses: None,
@@ -1436,10 +1210,10 @@ mod tests {
         let Response::Result(payload) = decode_response(&json).expect("decodes") else {
             panic!("expected a result frame");
         };
-        assert_eq!(payload.hidden_vertices, 0);
-        assert_eq!(payload.kernel_vertices, 0);
-        assert_eq!(payload.simplify_rounds, 0);
-        assert_eq!(payload.bound_improvements, 0);
+        assert_eq!(payload.counters.hidden_vertices, 0);
+        assert_eq!(payload.counters.kernel_vertices, 0);
+        assert_eq!(payload.counters.simplify_rounds, 0);
+        assert_eq!(payload.counters.bound_improvements, 0);
         // Cancellation fields follow the same rule: absent = undisturbed.
         assert!(!payload.cancelled);
         assert!(!payload.deadline_exceeded);
@@ -1465,10 +1239,12 @@ mod tests {
             cost: 0.0,
             color_seconds: 0.0,
             colors: vec![0, 1],
-            hidden_vertices: 0,
-            kernel_vertices: 0,
-            simplify_rounds: 0,
-            bound_improvements: 0,
+            counters: LayoutCounters {
+                hidden_vertices: 0,
+                kernel_vertices: 0,
+                simplify_rounds: 0,
+                bound_improvements: 0,
+            },
             spacing_violations: None,
             memo_hits: None,
             memo_misses: None,
@@ -1636,5 +1412,116 @@ mod tests {
             }
         ));
         assert!(std::error::Error::source(&planning).is_some());
+    }
+
+    /// A `result` frame with every optional part present — tiles,
+    /// hierarchy, the four simplify/bound counters, memo counts,
+    /// `spacing_violations` and the cancel/deadline fields — exactly as the
+    /// encoder writes it.
+    const PINNED_RESULT: &str = r#"{"type":"result","id":"pin-1","layout":"pinned \"chip\"","k":4,"algorithm":"Linear","executor":"threads:2","vertices":9,"components":4,"conflicts":1,"stitches":2,"cost":1.2,"color_seconds":0.25,"hidden_vertices":5,"kernel_vertices":3,"simplify_rounds":2,"bound_improvements":7,"spacing_violations":1,"memo_hits":1,"memo_misses":3,"cancelled":true,"deadline_exceeded":true,"components_completed":3,"components_skipped":1,"tiles":{"grid_x":3,"grid_y":2,"tiles":6,"tiled_components":1,"resident_components":2,"shared_vertices":11,"permuted_tiles":4,"recolored_vertices":1,"cross_conflicts_before":2,"cross_conflicts_after":1},"hierarchy":{"instances":16,"cells":2,"nested_inherited":3,"resident_components":1,"split_components":1,"instance_pieces":16,"boundary_vertices":12,"permuted_pieces":9,"recolored_vertices":2,"cross_conflicts_before":5,"cross_conflicts_after":1},"colors":[0,1,2,3,0,1,2,3,1]}"#;
+
+    /// A `pong` frame with the cache statistics and every health counter.
+    const PINNED_PONG: &str = r#"{"type":"pong","cache":{"entries":12,"capacity":65536,"hits":40,"misses":14,"evictions":2,"bytes":9000},"hier_runs":3,"tile_runs":7,"queued_frames":5,"dropped_progress":11,"cancelled_requests":2,"deadline_exceeded_requests":1}"#;
+
+    fn decode_text(frame: &str) -> Result<Response, ServeError> {
+        decode_response(&Json::parse(frame).expect("valid JSON"))
+    }
+
+    /// `frame` without `key`, removed from the nested `object` when one is
+    /// named and from the frame itself otherwise.
+    fn without(frame: &str, object: Option<&str>, key: &str) -> Json {
+        let mut json = Json::parse(frame).expect("valid JSON");
+        let Json::Object(pairs) = &mut json else {
+            panic!("frames are objects");
+        };
+        match object {
+            None => pairs.retain(|(name, _)| name != key),
+            Some(object) => {
+                for (name, value) in pairs.iter_mut() {
+                    if let (true, Json::Object(inner)) = (name == object, value) {
+                        inner.retain(|(name, _)| name != key);
+                    }
+                }
+            }
+        }
+        json
+    }
+
+    #[test]
+    fn result_and_pong_frame_bytes_are_pinned() {
+        // Decoding a frame and encoding it again must reproduce it byte for
+        // byte: key order, number formatting and escaping are the wire.
+        for frame in [PINNED_RESULT, PINNED_PONG] {
+            let response = decode_text(frame).expect("pinned frames decode");
+            assert_eq!(
+                crate::codec::encode_frame(&encode_response(&response)),
+                format!("{frame}\n")
+            );
+        }
+        let Ok(Response::Result(payload)) = decode_text(PINNED_RESULT) else {
+            panic!("expected a result frame");
+        };
+        assert_eq!(payload.layout, "pinned \"chip\"");
+        assert_eq!(payload.spacing_violations, Some(1));
+        assert_eq!(payload.tiles.expect("tiles").shared_vertices, 11);
+        assert_eq!(payload.hierarchy.expect("hierarchy").nested_inherited, 3);
+        let Ok(Response::Pong { cache, .. }) = decode_text(PINNED_PONG) else {
+            panic!("expected a pong frame");
+        };
+        assert_eq!(cache.expect("cache").bytes, 9_000);
+    }
+
+    #[test]
+    fn stats_objects_name_each_missing_key_in_a_protocol_error() {
+        for (frame, object) in [
+            (PINNED_RESULT, "tiles"),
+            (PINNED_RESULT, "hierarchy"),
+            (PINNED_PONG, "cache"),
+        ] {
+            let full = Json::parse(frame).expect("valid JSON");
+            let Some(Json::Object(pairs)) = full.get(object) else {
+                panic!("{object} is an object");
+            };
+            for (key, _) in pairs {
+                let decoded = decode_response(&without(frame, Some(object), key));
+                if key == "nested_inherited" {
+                    // Absent on frames from older servers: decodes as zero.
+                    let response = decoded.expect("absent nested_inherited decodes");
+                    let nested = encode_response(&response)
+                        .get(object)
+                        .and_then(|stats| stats.get(key))
+                        .cloned();
+                    assert_eq!(nested, Some(Json::Number(0.0)));
+                } else {
+                    let error = decoded.expect_err(key);
+                    assert_eq!(error.code(), ErrorCode::Protocol, "{object}.{key}");
+                    assert!(
+                        error.to_string().contains(&format!("{key:?}")),
+                        "{object}.{key}: {error}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn result_frames_without_a_flat_counter_decode_it_as_zero() {
+        for key in [
+            "hidden_vertices",
+            "kernel_vertices",
+            "simplify_rounds",
+            "bound_improvements",
+        ] {
+            let response = decode_response(&without(PINNED_RESULT, None, key)).expect(key);
+            let mut expected = Json::parse(PINNED_RESULT).expect("valid JSON");
+            if let Json::Object(pairs) = &mut expected {
+                for (name, value) in pairs.iter_mut() {
+                    if name == key {
+                        *value = Json::Number(0.0);
+                    }
+                }
+            }
+            assert_eq!(encode_response(&response), expected, "{key}");
+        }
     }
 }

@@ -56,12 +56,12 @@
 //! usage counters alongside the shared memo-cache statistics.
 
 use crate::codec::{encode_frame, FrameDecoder, FrameError, DEFAULT_MAX_FRAME_LEN};
-use crate::json::Json;
 use crate::protocol::{
-    decode_request, encode_response, CachePayload, ErrorCode, ExecutorChoice, HierPayload,
-    LayoutSource, Request, Response, ResultPayload, ServeError, SubmitRequest, TilePayload,
+    decode_request, encode_response, ErrorCode, ExecutorChoice, LayoutSource, Request, Response,
+    ResultPayload, ServeError, SubmitRequest,
 };
 use mpl_core::partition::PieceProgress;
+use mpl_core::Json;
 use mpl_core::{
     verify_spacing, CancelToken, ConfigError, Decomposer, DecomposerConfig, DecompositionPlan,
     DecompositionSession, Executor, LayoutId, MemoCache, ProgressObserver, ProgressSink,
@@ -732,16 +732,8 @@ fn handle_frame(
     match decode_request(&json) {
         Err(error) => writer.send(&error.to_response(id)),
         Ok(Request::Ping) => {
-            let stats = shared.memo.stats();
             writer.send(&Response::Pong {
-                cache: Some(CachePayload {
-                    entries: stats.entries,
-                    capacity: stats.capacity,
-                    hits: stats.hits,
-                    misses: stats.misses,
-                    evictions: stats.evictions,
-                    bytes: stats.bytes,
-                }),
+                cache: Some(shared.memo.stats()),
                 hier_runs: shared.hier_runs.load(Ordering::Relaxed),
                 tile_runs: shared.tile_runs.load(Ordering::Relaxed),
                 queued_frames: shared.writer_metrics.queued_frames.load(Ordering::Relaxed),
@@ -1011,8 +1003,8 @@ fn run_batch(
     type Outcome = (
         LayoutId,
         mpl_core::DecompositionResult,
-        Option<TilePayload>,
-        Option<HierPayload>,
+        Option<TileStats>,
+        Option<HierStats>,
     );
     let mut submissions: HashMap<LayoutId, Active> = HashMap::with_capacity(group.len());
     for pending in group {
@@ -1040,7 +1032,7 @@ fn run_batch(
                 .fetch_add(results.len() as u64, Ordering::Relaxed);
             results
                 .into_iter()
-                .map(|(id, hier)| (id, hier.result, None, Some(hier_payload(&hier.stats))))
+                .map(|(id, hier)| (id, hier.result, None, Some(hier.stats)))
                 .collect()
         })
     } else if session.tiling().is_some() {
@@ -1050,7 +1042,7 @@ fn run_batch(
                 .fetch_add(results.len() as u64, Ordering::Relaxed);
             results
                 .into_iter()
-                .map(|(id, tiled)| (id, tiled.result, Some(tile_payload(&tiled.stats)), None))
+                .map(|(id, tiled)| (id, tiled.result, Some(tiled.stats), None))
                 .collect()
         })
     } else {
@@ -1130,10 +1122,7 @@ fn run_batch(
             cost: result.cost(),
             color_seconds: result.color_time().as_secs_f64(),
             colors: result.colors().to_vec(),
-            hidden_vertices: result.hidden_vertices(),
-            kernel_vertices: result.kernel_vertices(),
-            simplify_rounds: result.simplify_rounds(),
-            bound_improvements: result.bound_improvements(),
+            counters: result.counters(),
             spacing_violations,
             memo_hits: result.memo_hits(),
             memo_misses: result.memo_misses(),
@@ -1146,39 +1135,6 @@ fn run_batch(
         }));
     }
     session.clear();
-}
-
-/// Converts the hierarchical driver's statistics into their wire payload.
-fn hier_payload(stats: &HierStats) -> HierPayload {
-    HierPayload {
-        instances: stats.instances,
-        cells: stats.cells,
-        nested_inherited: stats.nested_inherited,
-        resident_components: stats.resident_components,
-        split_components: stats.split_components,
-        instance_pieces: stats.instance_pieces,
-        boundary_vertices: stats.boundary_vertices,
-        permuted_pieces: stats.permuted_pieces,
-        recolored_vertices: stats.recolored_vertices,
-        cross_conflicts_before: stats.cross_conflicts_before,
-        cross_conflicts_after: stats.cross_conflicts_after,
-    }
-}
-
-/// Converts the tiler's statistics into their wire payload.
-fn tile_payload(stats: &TileStats) -> TilePayload {
-    TilePayload {
-        grid_x: stats.grid_x,
-        grid_y: stats.grid_y,
-        tiles: stats.tiles,
-        tiled_components: stats.tiled_components,
-        resident_components: stats.resident_components,
-        shared_vertices: stats.shared_vertices,
-        permuted_tiles: stats.permuted_tiles,
-        recolored_vertices: stats.recolored_vertices,
-        cross_conflicts_before: stats.cross_conflicts_before,
-        cross_conflicts_after: stats.cross_conflicts_after,
-    }
 }
 
 #[cfg(test)]

@@ -103,7 +103,7 @@ fn arb_response() -> impl Strategy<Value = Response> {
                         cache: if code % 2 == 0 {
                             None
                         } else {
-                            Some(mpl_serve::CachePayload {
+                            Some(mpl_core::MemoStats {
                                 entries: components,
                                 capacity: vertices.max(1),
                                 hits: conflicts as u64,
@@ -161,10 +161,12 @@ fn arb_response() -> impl Strategy<Value = Response> {
                         cost: cost_step as f64 * 0.125,
                         color_seconds: cost_step as f64 * 0.0625,
                         colors: colors.into_iter().map(|color| color as u8).collect(),
-                        hidden_vertices: vertices / 3,
-                        kernel_vertices: vertices - vertices / 3,
-                        simplify_rounds: code,
-                        bound_improvements: conflicts as u64,
+                        counters: mpl_core::LayoutCounters {
+                            hidden_vertices: vertices / 3,
+                            kernel_vertices: vertices - vertices / 3,
+                            simplify_rounds: code,
+                            bound_improvements: conflicts as u64,
+                        },
                         spacing_violations: if code % 3 == 0 { None } else { Some(code) },
                         memo_hits: if code % 2 == 0 { None } else { Some(conflicts) },
                         memo_misses: if code % 2 == 0 { None } else { Some(stitches) },
@@ -175,7 +177,7 @@ fn arb_response() -> impl Strategy<Value = Response> {
                         tiles: if code % 2 == 0 {
                             None
                         } else {
-                            Some(mpl_serve::TilePayload {
+                            Some(mpl_tile::TileStats {
                                 grid_x: components.max(1),
                                 grid_y: code.max(1),
                                 tiles: vertices,
@@ -191,7 +193,7 @@ fn arb_response() -> impl Strategy<Value = Response> {
                         hierarchy: if code % 3 == 0 {
                             None
                         } else {
-                            Some(mpl_serve::HierPayload {
+                            Some(mpl_hier::HierStats {
                                 instances: vertices,
                                 cells: components.max(1),
                                 nested_inherited: vertices / 4,

@@ -35,6 +35,21 @@ pub struct TileStats {
     pub cross_conflicts_after: usize,
 }
 
+// The one key list of the `tiles` object: CLI `--json`, batch-v1 rows
+// and `qpl-serve` result frames.
+mpl_core::json_record!(TileStats {
+    grid_x,
+    grid_y,
+    tiles,
+    tiled_components,
+    resident_components,
+    shared_vertices,
+    permuted_tiles,
+    recolored_vertices,
+    cross_conflicts_before,
+    cross_conflicts_after,
+});
+
 /// A layout's decomposition result together with its tiling statistics.
 #[derive(Debug)]
 pub struct TiledLayoutResult {

@@ -99,9 +99,9 @@
 
 use mpl_core::partition::PieceProgress;
 use mpl_core::{
-    extract_masks, json_escape, rebalance_masks, verify_spacing, ColorAlgorithm, ComponentStats,
-    ComponentTask, ConfigError, Decomposer, DecomposerConfig, DecompositionObserver,
-    DecompositionPlan, DecompositionResult, DecompositionSession, Executor, LayoutId, MemoCache,
+    extract_masks, rebalance_masks, verify_spacing, ColorAlgorithm, ComponentStats, ComponentTask,
+    ConfigError, Decomposer, DecomposerConfig, DecompositionObserver, DecompositionPlan,
+    DecompositionResult, DecompositionSession, Executor, Json, JsonRecord, LayoutId, MemoCache,
     MemoStats, SerialExecutor, StitchConfig, ThreadPoolExecutor, TileConfig, VertexId,
 };
 use mpl_gds::{LayerMap, ReadOptions};
@@ -109,7 +109,7 @@ use mpl_geometry::Nm;
 use mpl_hier::HierStats;
 use mpl_layout::{gen::IscasCircuit, io::LayoutFormat, Layout, LayoutHierarchy, Technology};
 use mpl_serve::{
-    Client, ExecutorChoice, Json, LayoutSource, Request, Response, ResultPayload, SubmitRequest,
+    Client, ExecutorChoice, LayoutSource, Request, Response, ResultPayload, SubmitRequest,
 };
 use mpl_tile::TileStats;
 use std::process::ExitCode;
@@ -561,7 +561,8 @@ impl PieceProgress for StderrPieceProgress {
     }
 }
 
-/// Renders the machine-readable summary of one layout's decomposition.
+/// The machine-readable summary of one layout's decomposition, which
+/// `--json` prints in the `{:#}` document layout.
 ///
 /// `conflicts`/`stitches`/`cost`/`component_breakdown` describe the raw
 /// decomposition; when `balance` is present, `masks` (and
@@ -586,142 +587,84 @@ fn render_json(
     memo_stats: Option<&MemoStats>,
     tile: Option<&TileStats>,
     hier: Option<&HierStats>,
-) -> String {
-    let mut out = String::from("{\n");
-    out.push_str(&format!(
-        "  \"layout\": \"{}\",\n",
-        json_escape(result.layout_name())
-    ));
-    out.push_str(&format!("  \"algorithm\": \"{}\",\n", result.algorithm()));
-    out.push_str(&format!(
-        "  \"executor\": \"{}\",\n",
-        json_escape(result.executor())
-    ));
-    out.push_str(&format!("  \"k\": {},\n", result.k()));
-    out.push_str(&format!("  \"vertices\": {},\n", result.vertex_count()));
-    out.push_str(&format!(
-        "  \"conflict_edges\": {},\n",
-        result.conflict_edge_count()
-    ));
-    out.push_str(&format!(
-        "  \"stitch_edges\": {},\n",
-        result.stitch_edge_count()
-    ));
-    out.push_str(&format!(
-        "  \"components\": {},\n",
-        result.component_count()
-    ));
-    out.push_str(&format!("  \"conflicts\": {},\n", result.conflicts()));
-    out.push_str(&format!("  \"stitches\": {},\n", result.stitches()));
-    out.push_str(&format!("  \"cost\": {},\n", result.cost()));
-    out.push_str(&format!(
-        "  \"graph_seconds\": {},\n",
-        result.graph_time().as_secs_f64()
-    ));
-    out.push_str(&format!(
-        "  \"color_seconds\": {},\n",
-        result.color_time().as_secs_f64()
-    ));
-    out.push_str(&format!(
-        "  \"simplify\": {{\"hidden_vertices\": {}, \"kernel_vertices\": {}, \
-         \"rounds\": {}}},\n",
-        result.hidden_vertices(),
-        result.kernel_vertices(),
-        result.simplify_rounds()
-    ));
-    out.push_str(&format!(
-        "  \"bound_improvements\": {},\n",
-        result.bound_improvements()
-    ));
+) -> Json {
+    let counters = result.counters();
+    let mut pairs = vec![
+        ("layout", result.layout_name().into()),
+        ("algorithm", result.algorithm().into()),
+        ("executor", result.executor().into()),
+        ("k", result.k().into()),
+        ("vertices", result.vertex_count().into()),
+        ("conflict_edges", result.conflict_edge_count().into()),
+        ("stitch_edges", result.stitch_edge_count().into()),
+        ("components", result.component_count().into()),
+        ("conflicts", result.conflicts().into()),
+        ("stitches", result.stitches().into()),
+        ("cost", result.cost().into()),
+        ("graph_seconds", result.graph_time().as_secs_f64().into()),
+        ("color_seconds", result.color_time().as_secs_f64().into()),
+        (
+            "simplify",
+            Json::object(vec![
+                ("hidden_vertices", counters.hidden_vertices.into()),
+                ("kernel_vertices", counters.kernel_vertices.into()),
+                ("rounds", counters.simplify_rounds.into()),
+            ]),
+        ),
+        ("bound_improvements", counters.bound_improvements.into()),
+    ];
     if let Some(stats) = tile {
-        out.push_str(&format!(
-            "  \"tiles\": {{\"grid_x\": {}, \"grid_y\": {}, \"tiles\": {}, \
-             \"tiled_components\": {}, \"resident_components\": {}, \
-             \"shared_vertices\": {}, \"permuted_tiles\": {}, \
-             \"recolored_vertices\": {}, \"cross_conflicts_before\": {}, \
-             \"cross_conflicts_after\": {}}},\n",
-            stats.grid_x,
-            stats.grid_y,
-            stats.tiles,
-            stats.tiled_components,
-            stats.resident_components,
-            stats.shared_vertices,
-            stats.permuted_tiles,
-            stats.recolored_vertices,
-            stats.cross_conflicts_before,
-            stats.cross_conflicts_after
-        ));
+        pairs.push(("tiles", stats.to_json()));
     }
     if let Some(stats) = hier {
-        out.push_str(&format!(
-            "  \"hierarchy\": {{\"instances\": {}, \"cells\": {}, \
-             \"nested_inherited\": {}, \
-             \"resident_components\": {}, \"split_components\": {}, \
-             \"instance_pieces\": {}, \"boundary_vertices\": {}, \
-             \"permuted_pieces\": {}, \"recolored_vertices\": {}, \
-             \"cross_conflicts_before\": {}, \"cross_conflicts_after\": {}}},\n",
-            stats.instances,
-            stats.cells,
-            stats.nested_inherited,
-            stats.resident_components,
-            stats.split_components,
-            stats.instance_pieces,
-            stats.boundary_vertices,
-            stats.permuted_pieces,
-            stats.recolored_vertices,
-            stats.cross_conflicts_before,
-            stats.cross_conflicts_after
-        ));
+        pairs.push(("hierarchy", stats.to_json()));
     }
     if let (Some(hits), Some(misses)) = (result.memo_hits(), result.memo_misses()) {
-        out.push_str(&format!("  \"memo_hits\": {hits},\n"));
-        out.push_str(&format!("  \"memo_misses\": {misses},\n"));
+        pairs.push(("memo_hits", hits.into()));
+        pairs.push(("memo_misses", misses.into()));
     }
     if let Some(stats) = memo_stats {
-        out.push_str(&format!(
-            "  \"memo_cache\": {{\"entries\": {}, \"capacity\": {}, \"hits\": {}, \
-             \"misses\": {}, \"evictions\": {}, \"bytes\": {}}},\n",
-            stats.entries, stats.capacity, stats.hits, stats.misses, stats.evictions, stats.bytes
-        ));
+        pairs.push(("memo_cache", stats.to_json()));
     }
     if let Some(violations) = violations {
-        out.push_str(&format!("  \"spacing_violations\": {violations},\n"));
+        pairs.push(("spacing_violations", violations.into()));
     }
     if let Some(balance) = balance {
-        out.push_str(&format!(
-            "  \"balance\": {{\"moves\": {}, \"imbalance_before\": {}, \"imbalance_after\": {}}},\n",
-            balance.moves, balance.imbalance_before, balance.imbalance_after
+        pairs.push((
+            "balance",
+            Json::object(vec![
+                ("moves", balance.moves.into()),
+                ("imbalance_before", balance.imbalance_before.into()),
+                ("imbalance_after", balance.imbalance_after.into()),
+            ]),
         ));
     }
-    out.push_str("  \"masks\": [");
-    for (index, mask) in masks.iter().enumerate() {
-        if index > 0 {
-            out.push_str(", ");
-        }
-        out.push_str(&format!(
-            "{{\"index\": {}, \"features\": {}, \"area\": {}}}",
-            mask.index,
-            mask.feature_count(),
-            mask.area
-        ));
-    }
-    out.push_str("],\n");
-    out.push_str("  \"component_breakdown\": [");
-    for (index, stats) in result.component_stats().iter().enumerate() {
-        if index > 0 {
-            out.push_str(", ");
-        }
-        out.push_str(&format!(
-            "{{\"index\": {}, \"vertices\": {}, \"conflicts\": {}, \"stitches\": {}, \"seconds\": {}}}",
-            stats.index,
-            stats.vertex_count,
-            stats.conflicts,
-            stats.stitches,
-            stats.time.as_secs_f64()
-        ));
-    }
-    out.push_str("]\n}");
-    out
+    let masks = masks
+        .iter()
+        .map(|mask| {
+            Json::object(vec![
+                ("index", mask.index.into()),
+                ("features", mask.feature_count().into()),
+                ("area", mask.area.into()),
+            ])
+        })
+        .collect();
+    pairs.push(("masks", Json::Array(masks)));
+    let breakdown = result
+        .component_stats()
+        .iter()
+        .map(|stats| {
+            Json::object(vec![
+                ("index", stats.index.into()),
+                ("vertices", stats.vertex_count.into()),
+                ("conflicts", stats.conflicts.into()),
+                ("stitches", stats.stitches.into()),
+                ("seconds", stats.time.as_secs_f64().into()),
+            ])
+        })
+        .collect();
+    pairs.push(("component_breakdown", Json::Array(breakdown)));
+    Json::object(pairs)
 }
 
 /// Inserts the batch index before the path's extension when the batch has
@@ -743,7 +686,7 @@ fn per_layout_path(path: &str, index: usize, batch_size: usize) -> String {
 
 /// Everything `main` needs from one layout's post-processing.
 struct LayoutArtifacts {
-    json: String,
+    json: Json,
     verify_mismatch: bool,
     /// The first failed `--output`/`--output-gds` write, if any (reported
     /// after the JSON summary is printed, so machine consumers still get
@@ -1026,7 +969,7 @@ fn render_connect_json(
     results: &[Option<ResultPayload>],
     cancelled: &[(String, usize, usize, u64)],
     errors: &[(Option<String>, String, String)],
-) -> String {
+) -> Json {
     let results_json: Vec<Json> = results
         .iter()
         .flatten()
@@ -1045,10 +988,10 @@ fn render_connect_json(
         .iter()
         .map(|(id, completed, skipped, bnb_nodes)| {
             Json::object(vec![
-                ("id", Json::string(id.clone())),
-                ("components_completed", Json::Number(*completed as f64)),
-                ("components_skipped", Json::Number(*skipped as f64)),
-                ("bnb_nodes", Json::Number(*bnb_nodes as f64)),
+                ("id", id.as_str().into()),
+                ("components_completed", (*completed).into()),
+                ("components_skipped", (*skipped).into()),
+                ("bnb_nodes", (*bnb_nodes).into()),
             ])
         })
         .collect();
@@ -1056,23 +999,18 @@ fn render_connect_json(
         .iter()
         .map(|(id, code, message)| {
             Json::object(vec![
-                (
-                    "id",
-                    id.as_ref()
-                        .map_or(Json::Null, |id| Json::string(id.clone())),
-                ),
-                ("code", Json::string(code.clone())),
-                ("message", Json::string(message.clone())),
+                ("id", id.as_deref().into()),
+                ("code", code.as_str().into()),
+                ("message", message.as_str().into()),
             ])
         })
         .collect();
     Json::object(vec![
-        ("connect", Json::string(addr)),
+        ("connect", addr.into()),
         ("results", Json::Array(results_json)),
         ("cancelled", Json::Array(cancelled_json)),
         ("errors", Json::Array(errors_json)),
     ])
-    .to_string()
 }
 
 /// Client mode: stream the inputs to a running `qpl-serve` and report the
@@ -1211,7 +1149,7 @@ fn run_connect(addr: &str, options: &Options, tech: &Technology) -> ExitCode {
 
     if options.json {
         println!(
-            "{}",
+            "{:#}",
             render_connect_json(addr, &results, &cancelled, &errors)
         );
     } else {
@@ -1444,30 +1382,29 @@ fn main() -> ExitCode {
     if options.json {
         if batch_size == 1 {
             // The single-layout summary keeps the pre-batch shape.
-            println!("{}", layout_json[0]);
+            println!("{:#}", layout_json[0]);
         } else {
             let components = session.task_count();
             let wall = batch_wall.as_secs_f64();
-            let mut out = String::from("{\n\"batch\": {\n");
-            out.push_str(&format!("  \"layouts\": {batch_size},\n"));
-            out.push_str(&format!("  \"components\": {components},\n"));
-            out.push_str(&format!(
-                "  \"executor\": \"{}\",\n",
-                json_escape(executor.name())
-            ));
-            out.push_str(&format!("  \"wall_seconds\": {wall},\n"));
-            out.push_str(&format!(
-                "  \"layouts_per_sec\": {},\n",
-                batch_size as f64 / wall.max(1e-12)
-            ));
-            out.push_str(&format!(
-                "  \"components_per_sec\": {}\n",
-                components as f64 / wall.max(1e-12)
-            ));
-            out.push_str("},\n\"layouts\": [\n");
-            out.push_str(&layout_json.join(",\n"));
-            out.push_str("\n]\n}");
-            println!("{out}");
+            let batch = Json::object(vec![
+                ("layouts", batch_size.into()),
+                ("components", components.into()),
+                ("executor", executor.name().into()),
+                ("wall_seconds", wall.into()),
+                (
+                    "layouts_per_sec",
+                    (batch_size as f64 / wall.max(1e-12)).into(),
+                ),
+                (
+                    "components_per_sec",
+                    (components as f64 / wall.max(1e-12)).into(),
+                ),
+            ]);
+            let summary = Json::object(vec![
+                ("batch", batch),
+                ("layouts", Json::Array(layout_json)),
+            ]);
+            println!("{summary:#}");
         }
     } else if batch_size > 1 {
         println!(

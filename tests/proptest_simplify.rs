@@ -128,7 +128,7 @@ proptest! {
                 // A trivial fixed point (nothing hidden, nothing cut —
                 // observable as zero simplify rounds) falls through to
                 // the identical one-shot path, bit for bit.
-                if simplified.simplify_rounds() == 0 {
+                if simplified.counters().simplify_rounds == 0 {
                     prop_assert_eq!(
                         simplified.colors(),
                         one_shot.colors(),
