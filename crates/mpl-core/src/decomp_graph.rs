@@ -73,26 +73,26 @@ impl DecompositionGraph {
 
         // Spatial index over whole shapes, used both for stitch-candidate
         // shadowing and for conflict-edge construction.
-        let mut shape_index = GridIndex::new(friendly.max(Nm(1)));
-        for shape in layout.iter() {
-            for rect in shape.polygon().rects() {
-                shape_index.insert(shape.id().index(), *rect);
-            }
-        }
+        let mut shape_index = GridIndex::new(
+            friendly.max(Nm(1)),
+            layout.iter().flat_map(|shape| {
+                let id = shape.id().index();
+                shape.polygon().rects().iter().map(move |rect| (id, *rect))
+            }),
+        );
 
         // Pass 1: split every shape at its legal stitch positions.  One
-        // query/peer buffer pair serves every shape (no per-shape Vecs).
+        // peer buffer serves every shape (no per-shape Vecs).
         let mut shape_of: Vec<ShapeId> = Vec::new();
         let mut polygons: Vec<Polygon> = Vec::new();
         let mut stitch_edges: Vec<(usize, usize)> = Vec::new();
-        let mut neighbor_ids: Vec<usize> = Vec::new();
         let mut neighbor_polys: Vec<&Polygon> = Vec::new();
         for shape in layout.iter() {
             let bbox = shape.polygon().bounding_box();
-            shape_index.query_within_into(&bbox, min_s, &mut neighbor_ids);
             neighbor_polys.clear();
             neighbor_polys.extend(
-                neighbor_ids
+                shape_index
+                    .query_within(&bbox, min_s)
                     .iter()
                     .filter(|&&id| id != shape.id().index())
                     .map(|&id| layout.shape(ShapeId(id)).polygon())
@@ -111,19 +111,17 @@ impl DecompositionGraph {
 
         // Pass 2: conflict edges and color-friendly pairs between segments of
         // different shapes.
-        let mut segment_index = GridIndex::new(friendly.max(Nm(1)));
-        for (vertex, polygon) in polygons.iter().enumerate() {
-            for rect in polygon.rects() {
-                segment_index.insert(vertex, *rect);
-            }
-        }
+        let mut segment_index = GridIndex::new(
+            friendly.max(Nm(1)),
+            polygons.iter().enumerate().flat_map(|(vertex, polygon)| {
+                polygon.rects().iter().map(move |rect| (vertex, *rect))
+            }),
+        );
         let mut conflict_edges: Vec<(usize, usize)> = Vec::new();
         let mut color_friendly_pairs: Vec<(usize, usize)> = Vec::new();
-        let mut candidates: Vec<usize> = Vec::new();
         for (vertex, polygon) in polygons.iter().enumerate() {
             let bbox = polygon.bounding_box();
-            segment_index.query_within_into(&bbox, friendly, &mut candidates);
-            for &other in &candidates {
+            for &other in segment_index.query_within(&bbox, friendly) {
                 if other <= vertex || shape_of[other] == shape_of[vertex] {
                     continue;
                 }

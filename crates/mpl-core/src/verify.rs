@@ -132,17 +132,21 @@ pub fn verify_spacing(
     );
     // Rebuild a spatial index from scratch rather than trusting the graph's
     // conflict edges: the whole point is an independent check.
-    let mut index = GridIndex::new(min_s.max(Nm(1)));
-    for vertex in 0..graph.vertex_count() {
-        for rect in graph.polygon(VertexId(vertex)).rects() {
-            index.insert(vertex, *rect);
-        }
-    }
+    let mut index = GridIndex::new(
+        min_s.max(Nm(1)),
+        (0..graph.vertex_count()).flat_map(|vertex| {
+            graph
+                .polygon(VertexId(vertex))
+                .rects()
+                .iter()
+                .map(move |rect| (vertex, *rect))
+        }),
+    );
     let mut violations = Vec::new();
     for vertex in 0..graph.vertex_count() {
         let polygon: &Polygon = graph.polygon(VertexId(vertex));
         let bbox = polygon.bounding_box();
-        for other in index.query_within(&bbox, min_s) {
+        for &other in index.query_within(&bbox, min_s) {
             if other <= vertex {
                 continue;
             }

@@ -14,10 +14,13 @@
 //!   workspace.
 //! * [`Interval`] — 1-D interval arithmetic used for projection/overlap tests
 //!   when generating stitch candidates.
-//! * [`GridIndex`] — a uniform-grid spatial index answering "which shapes are
-//!   within distance `d` of this shape" queries in roughly constant time per
-//!   neighbour, which keeps decomposition-graph construction linear in the
-//!   number of features.
+//! * [`GridIndex`] — a build-once uniform-grid spatial index answering
+//!   "which shapes are within distance `d` of this shape" queries in roughly
+//!   constant time per neighbour, which keeps decomposition-graph
+//!   construction linear in the number of features. Results come in a
+//!   fixed order (grid column, then row, then entry order), and the grid
+//!   holds at most `4·n + 1024` cells for `n` entries, coarsening its cells
+//!   when a layout's extent would need more.
 //!
 //! # Example
 //!

@@ -1,7 +1,12 @@
-//! Uniform-grid spatial index for neighbour queries.
+//! Build-once uniform-grid spatial index for neighbour queries.
 
 use crate::{Nm, Rect};
-use std::collections::HashMap;
+
+/// Cells an index may allocate per entry, on top of [`MIN_CELLS`].
+const CELLS_PER_ENTRY: u128 = 4;
+
+/// Cells any index may allocate regardless of its entry count.
+const MIN_CELLS: u128 = 1024;
 
 /// A uniform-grid spatial index mapping rectangles to user-supplied ids.
 ///
@@ -12,148 +17,210 @@ use std::collections::HashMap;
 /// those queries in time proportional to the number of true neighbours, which
 /// keeps graph construction linear in practice for realistic layouts.
 ///
+/// The index is built once from all its entries ([`GridIndex::new`]): they
+/// are counting-sorted into the cells of their joint bounding box, stored
+/// x-major, so the cells of one grid column that a query window covers are
+/// one contiguous slice.
+///
+/// # Result order
+///
+/// [`GridIndex::query_within`] visits the cells the query window covers
+/// with the x cell outer and the y cell inner, and the entries of a cell in
+/// the order they were given to [`GridIndex::new`]. An id is reported at
+/// its first matching entry in that order, and only once. The order is
+/// deterministic, and graph construction keeps it as edge order.
+///
+/// # Memory
+///
+/// The grid never holds more than `4·n + 1024` cells for `n` entries: when
+/// the bounding box at the requested cell size would need more (a very long
+/// wire, or a few shapes very far apart), the cell side is doubled until it
+/// fits. Queries then return the same ids in the order of the coarser
+/// grid. Each entry occupies one slot per cell it covers, and deduplication
+/// keeps one stamp per id up to the largest id, so ids should be dense
+/// indices.
+///
 /// # Example
 ///
 /// ```
 /// use mpl_geometry::{GridIndex, Nm, Rect};
 ///
-/// let mut index = GridIndex::new(Nm(100));
-/// index.insert(0, Rect::new(Nm(0), Nm(0), Nm(20), Nm(20)));
-/// index.insert(1, Rect::new(Nm(60), Nm(0), Nm(80), Nm(20)));
-/// index.insert(2, Rect::new(Nm(500), Nm(500), Nm(520), Nm(520)));
+/// let mut index = GridIndex::new(
+///     Nm(100),
+///     [
+///         (0, Rect::new(Nm(0), Nm(0), Nm(20), Nm(20))),
+///         (1, Rect::new(Nm(60), Nm(0), Nm(80), Nm(20))),
+///         (2, Rect::new(Nm(500), Nm(500), Nm(520), Nm(520))),
+///     ],
+/// );
 ///
 /// let query = Rect::new(Nm(0), Nm(0), Nm(20), Nm(20));
-/// let mut near = index.query_within(&query, Nm(80));
-/// near.sort();
-/// assert_eq!(near, vec![0, 1]);
+/// assert_eq!(index.query_within(&query, Nm(80)), [0, 1]);
 /// ```
 #[derive(Debug, Clone)]
 pub struct GridIndex {
+    /// Side of one (square) cell, possibly coarser than requested.
     cell: i64,
-    cells: HashMap<(i64, i64), Vec<usize>>,
+    /// Cell coordinates of the grid's lowest and highest column and row.
+    x0: i64,
+    y0: i64,
+    x1: i64,
+    y1: i64,
+    /// Rows per column.
+    ny: usize,
+    /// Cell `(cx, cy)`, local and x-major at `cx · ny + cy`, owns
+    /// `slots[offsets[c]..offsets[c + 1]]`.
+    offsets: Vec<usize>,
+    /// Entry indices, grouped by cell, in entry order within a cell.
+    slots: Vec<u32>,
     entries: Vec<(usize, Rect)>,
+    /// `stamps[id] == epoch` iff `id` is already in `result`.
+    stamps: Vec<u32>,
+    epoch: u32,
+    result: Vec<usize>,
 }
 
 impl GridIndex {
-    /// Creates an empty index with the given grid cell size.
+    /// Builds an index over `entries`, `(id, rect)` pairs, with the given
+    /// grid cell size.
+    ///
+    /// Ids are dense indices chosen by the caller, and the same id may be
+    /// given several times (e.g. one entry per component rectangle of a
+    /// polygon); it is then reported at most once per query.
     ///
     /// A good cell size is the largest distance that will be queried (e.g.
-    /// `min_s + half_pitch`); smaller cells work but waste memory, larger
-    /// cells work but scan more candidates.
+    /// `min_s + half_pitch`); smaller cells scan more empty cells, larger
+    /// cells scan more candidates. The cell side is doubled when the
+    /// entries' bounding box would need more than the cell cap (see the
+    /// type-level docs).
     ///
     /// # Panics
     ///
-    /// Panics if `cell_size` is not strictly positive.
-    pub fn new(cell_size: Nm) -> Self {
+    /// Panics if `cell_size` is not strictly positive, or if there are more
+    /// than `u32::MAX` entries.
+    pub fn new(cell_size: Nm, entries: impl IntoIterator<Item = (usize, Rect)>) -> Self {
         assert!(
             cell_size > Nm::ZERO,
             "grid cell size must be positive, got {cell_size}"
         );
-        GridIndex {
+        let entries: Vec<(usize, Rect)> = entries.into_iter().collect();
+        assert!(
+            u32::try_from(entries.len()).is_ok(),
+            "a grid index holds at most u32::MAX entries, got {}",
+            entries.len()
+        );
+        let ids = entries.iter().map(|&(id, _)| id + 1).max().unwrap_or(0);
+        let mut index = GridIndex {
             cell: cell_size.value(),
-            cells: HashMap::new(),
-            entries: Vec::new(),
+            x0: 0,
+            y0: 0,
+            x1: -1,
+            y1: -1,
+            ny: 0,
+            offsets: vec![0],
+            slots: Vec::new(),
+            entries,
+            stamps: vec![0; ids],
+            epoch: 0,
+            result: Vec::new(),
+        };
+        let Some(bbox) = index
+            .entries
+            .iter()
+            .map(|&(_, rect)| rect)
+            .reduce(|a, b| a.union_bbox(&b))
+        else {
+            return index;
+        };
+        let cap = CELLS_PER_ENTRY * index.entries.len() as u128 + MIN_CELLS;
+        while index.cell_count(&bbox) > cap {
+            index.cell = index.cell.saturating_mul(2);
         }
+        (index.x0, index.y0, index.x1, index.y1) = index.cell_span(&bbox);
+        index.ny = (index.y1 - index.y0 + 1) as usize;
+        let cells = (index.x1 - index.x0 + 1) as usize * index.ny;
+
+        // Counting sort: count each cell's slots, prefix-sum the counts into
+        // offsets, then place the entries in order, so every cell lists its
+        // entries in entry order.
+        let mut offsets = vec![0usize; cells + 1];
+        for (_, rect) in &index.entries {
+            index.for_each_cell(rect, |c| offsets[c + 1] += 1);
+        }
+        for c in 0..cells {
+            offsets[c + 1] += offsets[c];
+        }
+        let mut cursor = offsets[..cells].to_vec();
+        let mut slots = vec![0u32; offsets[cells]];
+        for (slot, (_, rect)) in index.entries.iter().enumerate() {
+            index.for_each_cell(rect, |c| {
+                slots[cursor[c]] = slot as u32;
+                cursor[c] += 1;
+            });
+        }
+        index.offsets = offsets;
+        index.slots = slots;
+        index
     }
 
-    /// Number of rectangles stored in the index.
-    pub fn len(&self) -> usize {
-        self.entries.len()
+    /// Number of cells `rect` spans at the current cell side.
+    fn cell_count(&self, rect: &Rect) -> u128 {
+        let (cx0, cy0, cx1, cy1) = self.cell_span(rect);
+        (cx0.abs_diff(cx1) as u128 + 1) * (cy0.abs_diff(cy1) as u128 + 1)
     }
 
-    /// Returns `true` if the index holds no rectangles.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    fn cell_range(&self, rect: &Rect, margin: Nm) -> (i64, i64, i64, i64) {
-        let r = rect.expanded(margin);
+    fn cell_span(&self, rect: &Rect) -> (i64, i64, i64, i64) {
         (
-            r.xlo().value().div_euclid(self.cell),
-            r.ylo().value().div_euclid(self.cell),
-            r.xhi().value().div_euclid(self.cell),
-            r.yhi().value().div_euclid(self.cell),
+            rect.xlo().value().div_euclid(self.cell),
+            rect.ylo().value().div_euclid(self.cell),
+            rect.xhi().value().div_euclid(self.cell),
+            rect.yhi().value().div_euclid(self.cell),
         )
     }
 
-    /// Inserts a rectangle with an associated id.
-    ///
-    /// Ids are arbitrary; the same id may be inserted several times (e.g. one
-    /// entry per component rectangle of a polygon) and will then be reported
-    /// at most once per query.
-    pub fn insert(&mut self, id: usize, rect: Rect) {
-        let slot = self.entries.len();
-        self.entries.push((id, rect));
-        let (cx0, cy0, cx1, cy1) = self.cell_range(&rect, Nm::ZERO);
-        for cx in cx0..=cx1 {
-            for cy in cy0..=cy1 {
-                self.cells.entry((cx, cy)).or_default().push(slot);
+    /// Calls `visit` with the local index of every cell `rect` covers; the
+    /// rectangle must lie inside the grid.
+    fn for_each_cell(&self, rect: &Rect, mut visit: impl FnMut(usize)) {
+        let (cx0, cy0, cx1, cy1) = self.cell_span(rect);
+        for cx in (cx0 - self.x0) as usize..=(cx1 - self.x0) as usize {
+            for cy in (cy0 - self.y0) as usize..=(cy1 - self.y0) as usize {
+                visit(cx * self.ny + cy);
             }
         }
     }
 
     /// Returns the ids of all rectangles whose Euclidean distance to `rect`
-    /// is strictly less than `limit`, deduplicated, in unspecified order.
-    pub fn query_within(&self, rect: &Rect, limit: Nm) -> Vec<usize> {
-        let mut result: Vec<usize> = Vec::new();
-        self.query_within_into(rect, limit, &mut result);
-        result
-    }
-
-    /// Buffer-reusing variant of [`GridIndex::query_within`]: clears
-    /// `result` and fills it with the matching ids.
+    /// is strictly less than `limit`, each once, in the documented result
+    /// order.
     ///
-    /// Graph construction issues one query per feature and per stitch
-    /// segment; reusing one buffer per pass removes an allocation from each
-    /// of those queries.
-    pub fn query_within_into(&self, rect: &Rect, limit: Nm, result: &mut Vec<usize>) {
-        result.clear();
-        let (cx0, cy0, cx1, cy1) = self.cell_range(rect, limit);
-        for cx in cx0..=cx1 {
-            for cy in cy0..=cy1 {
-                let Some(slots) = self.cells.get(&(cx, cy)) else {
-                    continue;
-                };
-                for &slot in slots {
-                    let (id, candidate) = self.entries[slot];
-                    // `result` doubles as the dedup set: ids enter it as
-                    // soon as they match, so membership means "seen".
-                    if result.contains(&id) {
-                        continue;
-                    }
-                    if rect.within_distance(&candidate, limit) {
-                        result.push(id);
-                    }
+    /// The result lives in a buffer the index reuses for every query, so
+    /// repeated queries allocate nothing once it has grown.
+    pub fn query_within(&mut self, rect: &Rect, limit: Nm) -> &[usize] {
+        self.result.clear();
+        self.epoch = self.epoch.wrapping_add(1);
+        if self.epoch == 0 {
+            self.stamps.fill(0);
+            self.epoch = 1;
+        }
+        let (wx0, wy0, wx1, wy1) = self.cell_span(&rect.expanded(limit));
+        let (cx0, cx1) = (wx0.max(self.x0), wx1.min(self.x1));
+        let (cy0, cy1) = (wy0.max(self.y0), wy1.min(self.y1));
+        if cx0 > cx1 || cy0 > cy1 {
+            return &self.result;
+        }
+        let (row0, row1) = ((cy0 - self.y0) as usize, (cy1 - self.y0) as usize);
+        for cx in (cx0 - self.x0) as usize..=(cx1 - self.x0) as usize {
+            let column = cx * self.ny;
+            let span = self.offsets[column + row0]..self.offsets[column + row1 + 1];
+            for &slot in &self.slots[span] {
+                let (id, candidate) = self.entries[slot as usize];
+                if self.stamps[id] != self.epoch && rect.within_distance(&candidate, limit) {
+                    self.stamps[id] = self.epoch;
+                    self.result.push(id);
                 }
             }
         }
-    }
-
-    /// Returns `(id, distance_squared)` pairs for all rectangles whose
-    /// distance to `rect` is strictly less than `limit`.
-    ///
-    /// When the same id was inserted with several rectangles, the minimum
-    /// distance over its rectangles is reported.
-    pub fn query_within_with_distance(&self, rect: &Rect, limit: Nm) -> Vec<(usize, i64)> {
-        let mut best: HashMap<usize, i64> = HashMap::new();
-        let (cx0, cy0, cx1, cy1) = self.cell_range(rect, limit);
-        for cx in cx0..=cx1 {
-            for cy in cy0..=cy1 {
-                let Some(slots) = self.cells.get(&(cx, cy)) else {
-                    continue;
-                };
-                for &slot in slots {
-                    let (id, candidate) = self.entries[slot];
-                    let d2 = rect.distance_squared(&candidate);
-                    if d2 < limit.squared() {
-                        best.entry(id)
-                            .and_modify(|cur| *cur = (*cur).min(d2))
-                            .or_insert(d2);
-                    }
-                }
-            }
-        }
-        best.into_iter().collect()
+        &self.result
     }
 }
 
@@ -165,68 +232,95 @@ mod tests {
         Rect::new(Nm(a), Nm(b), Nm(c), Nm(d))
     }
 
+    fn index(cell: i64, rects: &[Rect]) -> GridIndex {
+        GridIndex::new(Nm(cell), rects.iter().copied().enumerate())
+    }
+
+    fn sorted(ids: &[usize]) -> Vec<usize> {
+        let mut ids = ids.to_vec();
+        ids.sort_unstable();
+        ids
+    }
+
     #[test]
     #[should_panic(expected = "positive")]
     fn zero_cell_size_panics() {
-        let _ = GridIndex::new(Nm(0));
+        let _ = GridIndex::new(Nm(0), []);
     }
 
     #[test]
     fn empty_index_reports_nothing() {
-        let index = GridIndex::new(Nm(50));
-        assert!(index.is_empty());
-        assert_eq!(index.len(), 0);
+        let mut index = GridIndex::new(Nm(50), []);
         assert!(index.query_within(&r(0, 0, 10, 10), Nm(100)).is_empty());
     }
 
     #[test]
     fn finds_only_close_neighbours() {
-        let mut index = GridIndex::new(Nm(100));
-        index.insert(0, r(0, 0, 20, 20));
-        index.insert(1, r(60, 0, 80, 20)); // 40 away from id 0
-        index.insert(2, r(300, 300, 320, 320)); // far away
-        let mut near = index.query_within(&r(0, 0, 20, 20), Nm(80));
-        near.sort();
-        assert_eq!(near, vec![0, 1]);
+        let mut index = index(
+            100,
+            &[
+                r(0, 0, 20, 20),
+                r(60, 0, 80, 20),      // 40 away from id 0
+                r(300, 300, 320, 320), // far away
+            ],
+        );
+        assert_eq!(index.query_within(&r(0, 0, 20, 20), Nm(80)), [0, 1]);
     }
 
     #[test]
     fn query_across_cell_boundaries() {
-        let mut index = GridIndex::new(Nm(10));
         // Spread rects across many cells; the query margin must reach them.
-        index.insert(7, r(95, 0, 105, 10));
-        let near = index.query_within(&r(0, 0, 10, 10), Nm(90));
-        assert_eq!(near, vec![7]);
-        let none = index.query_within(&r(0, 0, 10, 10), Nm(85));
-        assert!(none.is_empty());
+        let mut index = GridIndex::new(Nm(10), [(7, r(95, 0, 105, 10))]);
+        assert_eq!(index.query_within(&r(0, 0, 10, 10), Nm(90)), [7]);
+        assert!(index.query_within(&r(0, 0, 10, 10), Nm(85)).is_empty());
     }
 
     #[test]
     fn duplicate_ids_are_reported_once() {
-        let mut index = GridIndex::new(Nm(50));
-        index.insert(3, r(0, 0, 10, 10));
-        index.insert(3, r(5, 5, 15, 15));
-        let near = index.query_within(&r(0, 0, 1, 1), Nm(100));
-        assert_eq!(near, vec![3]);
+        let mut index = GridIndex::new(Nm(50), [(3, r(0, 0, 10, 10)), (3, r(5, 5, 15, 15))]);
+        assert_eq!(index.query_within(&r(0, 0, 1, 1), Nm(100)), [3]);
     }
 
     #[test]
-    fn distances_report_minimum_over_duplicate_ids() {
-        let mut index = GridIndex::new(Nm(50));
-        index.insert(3, r(100, 0, 110, 10)); // 90 away from query
-        index.insert(3, r(40, 0, 50, 10)); // 30 away from query
-        let query = r(0, 0, 10, 10);
-        let result = index.query_within_with_distance(&query, Nm(200));
-        assert_eq!(result, vec![(3, 900)]);
+    fn stamp_epoch_wraparound_keeps_deduplicating() {
+        let mut index = GridIndex::new(Nm(50), [(0, r(0, 0, 10, 10)), (0, r(60, 0, 70, 10))]);
+        index.epoch = u32::MAX - 1;
+        for _ in 0..3 {
+            assert_eq!(index.query_within(&r(0, 0, 70, 10), Nm(1)), [0]);
+        }
+        assert_eq!(index.epoch, 2);
+    }
+
+    #[test]
+    fn cell_count_stays_within_the_cap_for_huge_extents() {
+        // A 10⁹ nm wire beside a contact, and two contacts 2⁴⁰ nm apart: at
+        // the requested 100 nm side both would need millions of cells.
+        let wire = [
+            r(0, 0, 1_000_000_000, 20),
+            r(500_000_000, 60, 500_000_020, 80),
+        ];
+        let far = [r(0, 0, 20, 20), r(1 << 40, 0, (1 << 40) + 20, 20)];
+        for rects in [&wire[..], &far[..]] {
+            let mut index = index(100, rects);
+            let cap = CELLS_PER_ENTRY as usize * rects.len() + MIN_CELLS as usize;
+            assert!(
+                index.offsets.len() - 1 <= cap,
+                "{} cells",
+                index.offsets.len() - 1
+            );
+            assert!(index.cell > 100);
+            for (id, rect) in rects.iter().enumerate() {
+                assert_eq!(index.query_within(rect, Nm(1)), [id]);
+            }
+        }
+        let mut wire_index = index(100, &wire);
+        assert_eq!(sorted(wire_index.query_within(&wire[1], Nm(41))), [0, 1]);
     }
 
     #[test]
     fn negative_coordinates_are_handled() {
-        let mut index = GridIndex::new(Nm(64));
-        index.insert(0, r(-200, -200, -180, -180));
-        index.insert(1, r(-100, -100, -80, -80));
-        let near = index.query_within(&r(-210, -210, -190, -190), Nm(40));
-        assert_eq!(near, vec![0]);
+        let mut index = index(64, &[r(-200, -200, -180, -180), r(-100, -100, -80, -80)]);
+        assert_eq!(index.query_within(&r(-210, -210, -190, -190), Nm(40)), [0]);
     }
 
     #[test]
@@ -235,38 +329,38 @@ mod tests {
         // boundary must still reach entries in the cells on either side —
         // the windowed tiling driver issues exactly these queries when tile
         // windows align with the index grid.
-        let mut index = GridIndex::new(Nm(100));
-        index.insert(0, r(0, 0, 100, 100)); // touches the window's left edge
-        index.insert(1, r(100, 0, 200, 100)); // coincides with the window
-        index.insert(2, r(200, 0, 300, 100)); // touches the right edge
-        index.insert(3, r(301, 0, 320, 100)); // 101 past the window
+        let mut index = index(
+            100,
+            &[
+                r(0, 0, 100, 100),   // touches the window's left edge
+                r(100, 0, 200, 100), // coincides with the window
+                r(200, 0, 300, 100), // touches the right edge
+                r(301, 0, 320, 100), // 101 past the window
+            ],
+        );
         let window = r(100, 0, 200, 100);
-        let mut near = index.query_within(&window, Nm(1));
-        near.sort();
-        assert_eq!(near, vec![0, 1, 2]);
-        let mut wide = index.query_within(&window, Nm(102));
-        wide.sort();
-        assert_eq!(wide, vec![0, 1, 2, 3]);
+        assert_eq!(sorted(index.query_within(&window, Nm(1))), [0, 1, 2]);
+        assert_eq!(sorted(index.query_within(&window, Nm(102))), [0, 1, 2, 3]);
     }
 
     #[test]
     fn zero_area_windows_behave_as_points() {
-        let mut index = GridIndex::new(Nm(100));
-        index.insert(0, r(50, 50, 50, 50)); // zero-area entry
-        index.insert(1, r(80, 50, 90, 60));
+        let mut index = index(
+            100,
+            &[
+                r(50, 50, 50, 50), // zero-area entry
+                r(80, 50, 90, 60),
+            ],
+        );
         // A zero-area query finds the coincident point entry and respects
         // the strict distance bound towards the real rectangle (gap 30).
         let point = r(50, 50, 50, 50);
-        assert_eq!(index.query_within(&point, Nm(1)), vec![0]);
-        let mut near = index.query_within(&point, Nm(31));
-        near.sort();
-        assert_eq!(near, vec![0, 1]);
-        assert_eq!(index.query_within(&r(20, 50, 20, 50), Nm(30)), vec![]);
+        assert_eq!(index.query_within(&point, Nm(1)), [0]);
+        assert_eq!(sorted(index.query_within(&point, Nm(31))), [0, 1]);
+        assert!(index.query_within(&r(20, 50, 20, 50), Nm(30)).is_empty());
         // A zero-area window sitting exactly on a cell corner still works.
         let corner = r(100, 100, 100, 100);
-        let mut from_corner = index.query_within(&corner, Nm(80));
-        from_corner.sort();
-        assert_eq!(from_corner, vec![0, 1]);
+        assert_eq!(sorted(index.query_within(&corner, Nm(80))), [0, 1]);
     }
 
     #[test]
@@ -274,48 +368,42 @@ mod tests {
         // `query_within` is strictly-less-than, matching the conflict
         // predicate `distance < min_s`: a shape at exactly the coloring
         // distance is legal and must not be reported.
-        let mut index = GridIndex::new(Nm(100));
-        index.insert(0, r(100, 0, 120, 20)); // axis gap exactly 80
-        index.insert(1, r(80, 80, 100, 100)); // corner gap √(60²+60²) ≈ 84.85
+        let mut index = index(
+            100,
+            &[
+                r(100, 0, 120, 20),  // axis gap exactly 80
+                r(80, 80, 100, 100), // corner gap √(60²+60²) ≈ 84.85
+            ],
+        );
         let query = r(0, 0, 20, 20);
-        assert_eq!(index.query_within(&query, Nm(80)), vec![]);
-        assert_eq!(index.query_within(&query, Nm(81)), vec![0]);
+        assert!(index.query_within(&query, Nm(80)).is_empty());
+        assert_eq!(index.query_within(&query, Nm(81)), [0]);
         // The diagonal neighbour needs the Euclidean corner distance, not
         // the per-axis gap (60): 84² < 7200 ≤ 85².
-        assert_eq!(index.query_within(&query, Nm(84)), vec![0]);
-        let mut near = index.query_within(&query, Nm(85));
-        near.sort();
-        assert_eq!(near, vec![0, 1]);
-        let mut with_distance = index.query_within_with_distance(&query, Nm(85));
-        with_distance.sort();
-        assert_eq!(with_distance, vec![(0, 6400), (1, 7200)]);
+        assert_eq!(index.query_within(&query, Nm(84)), [0]);
+        assert_eq!(sorted(index.query_within(&query, Nm(85))), [0, 1]);
     }
 
     #[test]
     fn brute_force_agreement_on_a_grid_of_rects() {
         // Cross-check the index against a brute-force scan.
-        let mut index = GridIndex::new(Nm(70));
         let mut rects = Vec::new();
-        let mut id = 0usize;
         for i in 0..12 {
             for j in 0..9 {
-                let rect = r(i * 55, j * 85, i * 55 + 20, j * 85 + 30);
-                rects.push((id, rect));
-                index.insert(id, rect);
-                id += 1;
+                rects.push(r(i * 55, j * 85, i * 55 + 20, j * 85 + 30));
             }
         }
+        let mut index = index(70, &rects);
         let query = r(160, 250, 180, 280);
         for limit in [Nm(1), Nm(40), Nm(90), Nm(200)] {
-            let mut expected: Vec<usize> = rects
-                .iter()
-                .filter(|(_, rc)| query.within_distance(rc, limit))
-                .map(|(i, _)| *i)
+            let expected: Vec<usize> = (0..rects.len())
+                .filter(|&i| query.within_distance(&rects[i], limit))
                 .collect();
-            expected.sort();
-            let mut got = index.query_within(&query, limit);
-            got.sort();
-            assert_eq!(got, expected, "limit {limit}");
+            assert_eq!(
+                sorted(index.query_within(&query, limit)),
+                expected,
+                "limit {limit}"
+            );
         }
     }
 }

@@ -8,6 +8,49 @@ fn arb_rect() -> impl Strategy<Value = Rect> {
         .prop_map(|(x, y, w, h)| Rect::new(Nm(x), Nm(y), Nm(x + w), Nm(y + h)))
 }
 
+/// Mostly `arb_rect`, one time in four a wire up to 5·10⁸ nm long or a
+/// shape up to 10⁹ nm away, whose bounding box then mostly needs more
+/// cells than the index's cap allows at the cell sizes the tests request.
+fn arb_rect_or_far() -> impl Strategy<Value = Rect> {
+    const FAR: i64 = 1_000_000_000;
+    let far = (-FAR..FAR, -FAR..FAR, 1i64..FAR / 2, 1i64..200)
+        .prop_map(|(x, y, w, h)| Rect::new(Nm(x), Nm(y), Nm(x + w), Nm(y + h)));
+    (prop::bool::weighted(0.25), arb_rect(), far)
+        .prop_map(|(pick_far, near, far)| if pick_far { far } else { near })
+}
+
+/// Entries with ids drawn from a small range, so most ids repeat.
+fn arb_entries(rect: impl Strategy<Value = Rect>) -> impl Strategy<Value = Vec<(usize, Rect)>> {
+    prop::collection::vec((0usize..12, rect), 1..40)
+}
+
+/// The `GridIndex::query_within` order, by brute force: the cells of side
+/// `cell` that the query window covers, x outer and y inner; within a cell
+/// the entries covering it in entry order; each id at its first match.
+fn reference_scan(cell: i64, entries: &[(usize, Rect)], query: &Rect, limit: Nm) -> Vec<usize> {
+    let span = |r: &Rect| {
+        let c = |v: Nm| v.value().div_euclid(cell);
+        (c(r.xlo())..=c(r.xhi()), c(r.ylo())..=c(r.yhi()))
+    };
+    let (xs, ys) = span(&query.expanded(limit));
+    let mut result = Vec::new();
+    for cx in xs {
+        for cy in ys.clone() {
+            for (id, rect) in entries {
+                let (ex, ey) = span(rect);
+                if ex.contains(&cx)
+                    && ey.contains(&cy)
+                    && !result.contains(id)
+                    && query.within_distance(rect, limit)
+                {
+                    result.push(*id);
+                }
+            }
+        }
+    }
+    result
+}
+
 fn arb_point() -> impl Strategy<Value = Point> {
     (-1000i64..1000, -1000i64..1000).prop_map(Point::from)
 }
@@ -115,28 +158,50 @@ proptest! {
             .expect("non-empty");
         prop_assert_eq!(pa.distance_squared(&pb), min_pair);
     }
+}
+
+proptest! {
+    // The grid tests are cheap per case and have many corner cases
+    // (duplicate ids, entries spanning cells, capped grids): run more.
+    #![proptest_config(ProptestConfig::with_cases(512))]
 
     #[test]
     fn grid_index_matches_brute_force(
-        rects in prop::collection::vec(arb_rect(), 1..40),
-        query in arb_rect(),
+        entries in arb_entries(arb_rect_or_far()),
+        query in arb_rect_or_far(),
         limit in 1i64..300,
-        cell in 10i64..200,
+        cell in 1i64..200,
     ) {
         let limit = Nm(limit);
-        let mut index = GridIndex::new(Nm(cell));
-        for (id, r) in rects.iter().enumerate() {
-            index.insert(id, *r);
-        }
-        let mut got = index.query_within(&query, limit);
+        let mut index = GridIndex::new(Nm(cell), entries.iter().copied());
+        let mut got = index.query_within(&query, limit).to_vec();
         got.sort_unstable();
-        let mut expected: Vec<usize> = rects
+        let mut expected: Vec<usize> = entries
             .iter()
-            .enumerate()
             .filter(|(_, r)| query.within_distance(r, limit))
-            .map(|(i, _)| i)
+            .map(|&(id, _)| id)
             .collect();
         expected.sort_unstable();
+        expected.dedup();
         prop_assert_eq!(got, expected);
+    }
+
+    #[test]
+    fn grid_index_results_come_in_cell_scan_order(
+        entries in arb_entries(
+            (-500i64..500, -500i64..500, 1i64..400, 1i64..400)
+                .prop_map(|(x, y, w, h)| Rect::new(Nm(x), Nm(y), Nm(x + w), Nm(y + h))),
+        ),
+        query in arb_rect(),
+        limit in 1i64..300,
+        cell in 48i64..200,
+    ) {
+        // Entries span at most 1400 nm a side, so at cells of 48 nm or more
+        // the grid needs at most 30² cells, under the 1024-cell floor of
+        // the cap: the index keeps the requested cell size.
+        let limit = Nm(limit);
+        let expected = reference_scan(cell, &entries, &query, limit);
+        let mut index = GridIndex::new(Nm(cell), entries.iter().copied());
+        prop_assert_eq!(index.query_within(&query, limit), expected.as_slice());
     }
 }

@@ -3,7 +3,8 @@
 //! Where `serve_integration.rs` pins the happy path, this harness attacks
 //! the server: readers that stall, connections that die mid-frame, cancel
 //! frames racing completion, storms of already-expired deadlines,
-//! malformed-frame floods and simultaneous shutdowns.  The properties
+//! malformed-frame floods, simultaneous shutdowns and a tiny layout with a
+//! huge extent.  The properties
 //! asserted are the robustness contract of the serve layer:
 //!
 //! * the server stays responsive to healthy connections whatever one
@@ -206,6 +207,34 @@ fn mid_frame_disconnects_leave_the_server_serving() {
     let mut healthy = RawClient::connect(handle.addr());
     healthy.send_line(&submit_frame("after", &row_layout_text("after", 6), &[]));
     let frame = healthy.await_terminal("after");
+    assert_eq!(frame.get("type").and_then(Json::as_str), Some("result"));
+    handle.shutdown().expect("clean shutdown");
+}
+
+#[test]
+fn a_tiny_layout_with_a_huge_extent_is_answered_and_the_server_keeps_serving() {
+    // 47 bytes: a 10⁹ nm wire and one contact 20 nm above its end. A grid
+    // index with one cell per 100 nm of extent would need ~10⁷ cells.
+    const LONG_WIRE: &str = "# layout wire\n0 0 0 1000000000 20\n1 0 40 20 60\n";
+    assert_eq!(LONG_WIRE.len(), 47);
+    let handle = spawn_server();
+    let mut client = RawClient::connect(handle.addr());
+    client.send_line(&submit_frame("wire", LONG_WIRE, &[]));
+    let frame = client.await_terminal("wire");
+    assert_eq!(
+        frame.get("type").and_then(Json::as_str),
+        Some("result"),
+        "{frame}"
+    );
+    assert_eq!(field(&frame, "conflicts"), 0);
+    let colors = frame
+        .get("colors")
+        .and_then(Json::as_array)
+        .expect("colors");
+    assert_eq!(colors.len(), field(&frame, "vertices"));
+
+    client.send_line(&submit_frame("after", &row_layout_text("after", 8), &[]));
+    let frame = client.await_terminal("after");
     assert_eq!(frame.get("type").and_then(Json::as_str), Some("result"));
     handle.shutdown().expect("clean shutdown");
 }
