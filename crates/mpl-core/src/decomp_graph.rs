@@ -290,6 +290,25 @@ mod tests {
     }
 
     #[test]
+    fn shapes_metres_apart_never_conflict() {
+        // Gaps of 3.1·10⁹ nm and more overflow i64 when squared. The second
+        // layout adds a 10¹³ nm wire, which coarsens the spatial index's
+        // cells until shapes 0 and 1 share one.
+        let shapes = "# layout far\n\
+                      0 0 0 20 20\n\
+                      1 3100000000 0 3100000020 20\n\
+                      2 10000000000000 0 10000000000020 20\n";
+        let wire = "3 0 1000000 10000000000000 1000020\n";
+        for text in [shapes.to_string(), format!("{shapes}{wire}")] {
+            let layout = mpl_layout::io::from_text(&text).expect("valid layout");
+            let graph = DecompositionGraph::build(&layout, &tech(), 4, &StitchConfig::default());
+            assert_eq!(graph.vertex_count(), layout.shape_count());
+            assert!(graph.conflict_edges().is_empty(), "{text}");
+            assert!(graph.color_friendly_pairs().is_empty(), "{text}");
+        }
+    }
+
+    #[test]
     fn distant_contacts_form_separate_components() {
         let mut builder = Layout::builder("two-islands");
         builder.add_contact(Nm(0), Nm(0), Nm(20));

@@ -17,10 +17,11 @@
 //! * [`GridIndex`] — a build-once uniform-grid spatial index answering
 //!   "which shapes are within distance `d` of this shape" queries in roughly
 //!   constant time per neighbour, which keeps decomposition-graph
-//!   construction linear in the number of features. Results come in a
-//!   fixed order (grid column, then row, then entry order), and the grid
-//!   holds at most `4·n + 1024` cells for `n` entries, coarsening its cells
-//!   when a layout's extent would need more.
+//!   construction linear in the number of features. It stores only the
+//!   cells that hold entries, so white space costs nothing. Results come in
+//!   a fixed order (grid column, then row, then entry order), and the index
+//!   holds at most `4·n + 1024` cell slots for `n` entries, coarsening its
+//!   cells only when very long wires would need more.
 //!
 //! # Example
 //!

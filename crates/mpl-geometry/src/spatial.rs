@@ -1,12 +1,16 @@
-//! Build-once uniform-grid spatial index for neighbour queries.
+//! Build-once sparse-grid spatial index for neighbour queries.
 
 use crate::{Nm, Rect};
 
-/// Cells an index may allocate per entry, on top of [`MIN_CELLS`].
-const CELLS_PER_ENTRY: u128 = 4;
+/// Cell slots an index may hold per entry, on top of [`MIN_SLOTS`].
+const SLOTS_PER_ENTRY: u128 = 4;
 
-/// Cells any index may allocate regardless of its entry count.
-const MIN_CELLS: u128 = 1024;
+/// Cell slots any index may hold regardless of its entry count.
+const MIN_SLOTS: u128 = 1024;
+
+/// One entry's slot in one cell while the index is built: `(x cell, y cell,
+/// entry index)`.
+type Slot = (i64, i64, u32);
 
 /// A uniform-grid spatial index mapping rectangles to user-supplied ids.
 ///
@@ -17,10 +21,11 @@ const MIN_CELLS: u128 = 1024;
 /// those queries in time proportional to the number of true neighbours, which
 /// keeps graph construction linear in practice for realistic layouts.
 ///
-/// The index is built once from all its entries ([`GridIndex::new`]): they
-/// are counting-sorted into the cells of their joint bounding box, stored
-/// x-major, so the cells of one grid column that a query window covers are
-/// one contiguous slice.
+/// The index is built once from all its entries ([`GridIndex::new`]). Each
+/// entry occupies one slot in every grid cell its rectangle overlaps, and
+/// only cells that hold a slot are stored: sorted x-major, so the cells of
+/// one grid column that a query window covers are one contiguous run, and
+/// white space between shapes, however wide, costs nothing.
 ///
 /// # Result order
 ///
@@ -32,13 +37,13 @@ const MIN_CELLS: u128 = 1024;
 ///
 /// # Memory
 ///
-/// The grid never holds more than `4·n + 1024` cells for `n` entries: when
-/// the bounding box at the requested cell size would need more (a very long
-/// wire, or a few shapes very far apart), the cell side is doubled until it
-/// fits. Queries then return the same ids in the order of the coarser
-/// grid. Each entry occupies one slot per cell it covers, and deduplication
-/// keeps one stamp per id up to the largest id, so ids should be dense
-/// indices.
+/// The index never holds more than `4·n + 1024` slots for `n` entries:
+/// when the entries would need more at the requested cell size (very long
+/// wires), the cell side is doubled until they fit. Queries then return
+/// the same ids in the order of the coarser grid. A column also stores its
+/// empty cells when they are no more than its occupied ones, so there are
+/// at most two cells per slot. Deduplication keeps one stamp per id up
+/// to the largest id, so ids should be dense indices.
 ///
 /// # Example
 ///
@@ -61,16 +66,14 @@ const MIN_CELLS: u128 = 1024;
 pub struct GridIndex {
     /// Side of one (square) cell, possibly coarser than requested.
     cell: i64,
-    /// Cell coordinates of the grid's lowest and highest column and row.
-    x0: i64,
-    y0: i64,
-    x1: i64,
-    y1: i64,
-    /// Rows per column.
-    ny: usize,
-    /// Cell `(cx, cy)`, local and x-major at `cx · ny + cy`, owns
-    /// `slots[offsets[c]..offsets[c + 1]]`.
-    offsets: Vec<usize>,
+    /// The grid columns that hold slots, ascending; column `columns[i]`
+    /// owns the cells `column_cells[i]..column_cells[i + 1]`.
+    columns: Vec<i64>,
+    column_cells: Vec<usize>,
+    /// The cells that hold slots, x-major: cell `c` is row `rows[c]` of its
+    /// column and owns `slots[cell_slots[c]..cell_slots[c + 1]]`.
+    rows: Vec<i64>,
+    cell_slots: Vec<usize>,
     /// Entry indices, grouped by cell, in entry order within a cell.
     slots: Vec<u32>,
     entries: Vec<(usize, Rect)>,
@@ -89,10 +92,9 @@ impl GridIndex {
     /// polygon); it is then reported at most once per query.
     ///
     /// A good cell size is the largest distance that will be queried (e.g.
-    /// `min_s + half_pitch`); smaller cells scan more empty cells, larger
-    /// cells scan more candidates. The cell side is doubled when the
-    /// entries' bounding box would need more than the cell cap (see the
-    /// type-level docs).
+    /// `min_s + half_pitch`); smaller cells scan more cells, larger cells
+    /// scan more candidates. The cell side is doubled when the entries
+    /// would need more than the slot cap (see the type-level docs).
     ///
     /// # Panics
     ///
@@ -109,84 +111,72 @@ impl GridIndex {
             "a grid index holds at most u32::MAX entries, got {}",
             entries.len()
         );
+        let cap = SLOTS_PER_ENTRY * entries.len() as u128 + MIN_SLOTS;
+        let slot_count = |cell: i64| {
+            entries.iter().fold(0u128, |sum, (_, rect)| {
+                let (cx0, cy0, cx1, cy1) = cell_span(cell, rect);
+                let cells = (u128::from(cx0.abs_diff(cx1)) + 1)
+                    .saturating_mul(u128::from(cy0.abs_diff(cy1)) + 1);
+                sum.saturating_add(cells)
+            })
+        };
+        let mut cell = cell_size.value();
+        let mut slots = slot_count(cell);
+        // Past i64::MAX / 2 a rectangle spans at most 4 cells per axis.
+        while cell <= i64::MAX / 2 && slots > cap {
+            cell *= 2;
+            slots = slot_count(cell);
+        }
+
+        // The slots in entry order; a stable sort by cell then lists each
+        // cell's entries in entry order.
+        let mut keyed: Vec<Slot> = Vec::with_capacity(slots as usize);
+        for (slot, (_, rect)) in entries.iter().enumerate() {
+            let (cx0, cy0, cx1, cy1) = cell_span(cell, rect);
+            for cx in cx0..=cx1 {
+                keyed.extend((cy0..=cy1).map(|cy| (cx, cy, slot as u32)));
+            }
+        }
+        radix_sort_by_cell(&mut keyed);
+
         let ids = entries.iter().map(|&(id, _)| id + 1).max().unwrap_or(0);
         let mut index = GridIndex {
-            cell: cell_size.value(),
-            x0: 0,
-            y0: 0,
-            x1: -1,
-            y1: -1,
-            ny: 0,
-            offsets: vec![0],
-            slots: Vec::new(),
+            cell,
+            columns: Vec::new(),
+            column_cells: Vec::new(),
+            rows: Vec::new(),
+            cell_slots: Vec::new(),
+            slots: Vec::with_capacity(keyed.len()),
             entries,
             stamps: vec![0; ids],
             epoch: 0,
             result: Vec::new(),
         };
-        let Some(bbox) = index
-            .entries
-            .iter()
-            .map(|&(_, rect)| rect)
-            .reduce(|a, b| a.union_bbox(&b))
-        else {
-            return index;
-        };
-        let cap = CELLS_PER_ENTRY * index.entries.len() as u128 + MIN_CELLS;
-        while index.cell_count(&bbox) > cap {
-            index.cell = index.cell.saturating_mul(2);
-        }
-        (index.x0, index.y0, index.x1, index.y1) = index.cell_span(&bbox);
-        index.ny = (index.y1 - index.y0 + 1) as usize;
-        let cells = (index.x1 - index.x0 + 1) as usize * index.ny;
-
-        // Counting sort: count each cell's slots, prefix-sum the counts into
-        // offsets, then place the entries in order, so every cell lists its
-        // entries in entry order.
-        let mut offsets = vec![0usize; cells + 1];
-        for (_, rect) in &index.entries {
-            index.for_each_cell(rect, |c| offsets[c + 1] += 1);
-        }
-        for c in 0..cells {
-            offsets[c + 1] += offsets[c];
-        }
-        let mut cursor = offsets[..cells].to_vec();
-        let mut slots = vec![0u32; offsets[cells]];
-        for (slot, (_, rect)) in index.entries.iter().enumerate() {
-            index.for_each_cell(rect, |c| {
-                slots[cursor[c]] = slot as u32;
-                cursor[c] += 1;
-            });
-        }
-        index.offsets = offsets;
-        index.slots = slots;
-        index
-    }
-
-    /// Number of cells `rect` spans at the current cell side.
-    fn cell_count(&self, rect: &Rect) -> u128 {
-        let (cx0, cy0, cx1, cy1) = self.cell_span(rect);
-        (cx0.abs_diff(cx1) as u128 + 1) * (cy0.abs_diff(cy1) as u128 + 1)
-    }
-
-    fn cell_span(&self, rect: &Rect) -> (i64, i64, i64, i64) {
-        (
-            rect.xlo().value().div_euclid(self.cell),
-            rect.ylo().value().div_euclid(self.cell),
-            rect.xhi().value().div_euclid(self.cell),
-            rect.yhi().value().div_euclid(self.cell),
-        )
-    }
-
-    /// Calls `visit` with the local index of every cell `rect` covers; the
-    /// rectangle must lie inside the grid.
-    fn for_each_cell(&self, rect: &Rect, mut visit: impl FnMut(usize)) {
-        let (cx0, cy0, cx1, cy1) = self.cell_span(rect);
-        for cx in (cx0 - self.x0) as usize..=(cx1 - self.x0) as usize {
-            for cy in (cy0 - self.y0) as usize..=(cy1 - self.y0) as usize {
-                visit(cx * self.ny + cy);
+        for column in keyed.chunk_by(|a, b| a.0 == b.0) {
+            // A column whose occupied rows are at least half of its row span
+            // also stores its empty rows: its rows are then gap-free, and a
+            // query finds its cells without a search.
+            let (first, last) = (column[0].1, column[column.len() - 1].1);
+            let occupied = 1 + column.windows(2).filter(|w| w[0].1 != w[1].1).count();
+            let gap_free = first.abs_diff(last) < 2 * occupied as u64;
+            index.columns.push(column[0].0);
+            index.column_cells.push(index.rows.len());
+            let mut row = None;
+            for &(_, cy, slot) in column {
+                if row != Some(cy) {
+                    let from = row.filter(|_| gap_free).map_or(cy, |r| r + 1);
+                    for y in from..=cy {
+                        index.rows.push(y);
+                        index.cell_slots.push(index.slots.len());
+                    }
+                    row = Some(cy);
+                }
+                index.slots.push(slot);
             }
         }
+        index.column_cells.push(index.rows.len());
+        index.cell_slots.push(index.slots.len());
+        index
     }
 
     /// Returns the ids of all rectangles whose Euclidean distance to `rect`
@@ -202,19 +192,28 @@ impl GridIndex {
             self.stamps.fill(0);
             self.epoch = 1;
         }
-        let (wx0, wy0, wx1, wy1) = self.cell_span(&rect.expanded(limit));
-        let (cx0, cx1) = (wx0.max(self.x0), wx1.min(self.x1));
-        let (cy0, cy1) = (wy0.max(self.y0), wy1.min(self.y1));
-        if cx0 > cx1 || cy0 > cy1 {
-            return &self.result;
-        }
-        let (row0, row1) = ((cy0 - self.y0) as usize, (cy1 - self.y0) as usize);
-        for cx in (cx0 - self.x0) as usize..=(cx1 - self.x0) as usize {
-            let column = cx * self.ny;
-            let span = self.offsets[column + row0]..self.offsets[column + row1 + 1];
-            for &slot in &self.slots[span] {
+        let window = rect.expanded(limit);
+        let (wx0, wy0, wx1, wy1) = cell_span(self.cell, &window);
+        let first = lower_bound(&self.columns, wx0);
+        for column in first..self.columns.len() {
+            if self.columns[column] > wx1 {
+                break;
+            }
+            let cells = self.column_cells[column]..self.column_cells[column + 1];
+            let rows = &self.rows[cells.clone()];
+            let lo = cells.start + lower_bound(rows, wy0);
+            let hi = cells.start
+                + wy1
+                    .checked_add(1)
+                    .map_or(rows.len(), |y| lower_bound(rows, y));
+            for &slot in &self.slots[self.cell_slots[lo]..self.cell_slots[hi]] {
                 let (id, candidate) = self.entries[slot as usize];
-                if self.stamps[id] != self.epoch && rect.within_distance(&candidate, limit) {
+                // The window test keeps far entries of a coarse cell away
+                // from the squared distance, which could overflow for them.
+                if self.stamps[id] != self.epoch
+                    && window.intersects(&candidate)
+                    && rect.within_distance(&candidate, limit)
+                {
                     self.stamps[id] = self.epoch;
                     self.result.push(id);
                 }
@@ -222,6 +221,73 @@ impl GridIndex {
         }
         &self.result
     }
+}
+
+/// The number of `keys` (ascending) below `key`. A gap-free run of keys,
+/// as in the columns of a dense layout, answers without a search.
+fn lower_bound(keys: &[i64], key: i64) -> usize {
+    // In a gap-free run, `keys[i] == keys[0] + i`.
+    let guess = keys
+        .first()
+        .and_then(|&first| key.checked_sub(first))
+        .map(|offset| offset.clamp(0, keys.len() as i64) as usize);
+    match guess {
+        Some(at) if (at == 0 || keys[at - 1] < key) && keys.get(at).is_none_or(|&k| k >= key) => at,
+        _ => keys.partition_point(|&k| k < key),
+    }
+}
+
+/// Bits per radix-sort digit, and the digit count.
+const DIGIT_BITS: usize = 11;
+const DIGITS: usize = 1 << DIGIT_BITS;
+
+/// Sorts slots by cell, x-major, keeping
+/// the given order within a cell: a least-significant-digit radix sort
+/// whose passes stop at the highest bit in which the coordinates differ,
+/// so a grid up to 2048 cells wide and high needs one pass per axis.
+fn radix_sort_by_cell(slots: &mut Vec<Slot>) {
+    let Some(&(x, y, _)) = slots.first() else {
+        return;
+    };
+    let (x_bits, y_bits) = slots.iter().fold((0, 0), |(xs, ys), &(cx, cy, _)| {
+        (xs | (cx ^ x) as u64, ys | (cy ^ y) as u64)
+    });
+    let mut sorted = vec![(0, 0, 0); slots.len()];
+    // y first: the stable x passes then keep each column's y order.
+    for (bits, x_axis) in [(y_bits, false), (x_bits, true)] {
+        for shift in (0..u64::BITS - bits.leading_zeros()).step_by(DIGIT_BITS) {
+            let digit = |&(cx, cy, _): &Slot| {
+                let coordinate = if x_axis { cx } else { cy };
+                // Flipping the sign bit orders i64 values as u64 keys.
+                ((coordinate as u64 ^ 1 << 63) >> shift) as usize & (DIGITS - 1)
+            };
+            let mut starts = [0usize; DIGITS];
+            for s in slots.iter() {
+                starts[digit(s)] += 1;
+            }
+            let mut total = 0;
+            for start in &mut starts {
+                (*start, total) = (total, total + *start);
+            }
+            for s in slots.iter() {
+                let at = &mut starts[digit(s)];
+                sorted[*at] = *s;
+                *at += 1;
+            }
+            std::mem::swap(slots, &mut sorted);
+        }
+    }
+}
+
+/// The lowest and highest cell coordinates `rect` covers at side `cell`:
+/// `(x0, y0, x1, y1)`.
+fn cell_span(cell: i64, rect: &Rect) -> (i64, i64, i64, i64) {
+    (
+        rect.xlo().value().div_euclid(cell),
+        rect.ylo().value().div_euclid(cell),
+        rect.xhi().value().div_euclid(cell),
+        rect.yhi().value().div_euclid(cell),
+    )
 }
 
 #[cfg(test)]
@@ -283,18 +349,29 @@ mod tests {
 
     #[test]
     fn stamp_epoch_wraparound_keeps_deduplicating() {
-        let mut index = GridIndex::new(Nm(50), [(0, r(0, 0, 10, 10)), (0, r(60, 0, 70, 10))]);
+        let mut index = GridIndex::new(
+            Nm(50),
+            [
+                (0, r(0, 0, 10, 10)),
+                (0, r(60, 0, 70, 10)),
+                (1, r(1000, 0, 1010, 10)),
+            ],
+        );
+        let (near_0, near_1) = (r(0, 0, 70, 10), r(1000, 0, 1010, 10));
+        // Epoch 1 stamps id 1, and epoch 1 comes round again after the wrap.
+        assert_eq!(index.query_within(&near_1, Nm(1)), [1]);
         index.epoch = u32::MAX - 1;
-        for _ in 0..3 {
-            assert_eq!(index.query_within(&r(0, 0, 70, 10), Nm(1)), [0]);
-        }
+        assert_eq!(index.query_within(&near_0, Nm(1)), [0]);
+        assert_eq!(index.query_within(&near_1, Nm(1)), [1]);
+        assert_eq!(index.query_within(&near_0, Nm(1)), [0]);
         assert_eq!(index.epoch, 2);
     }
 
     #[test]
     fn cell_count_stays_within_the_cap_for_huge_extents() {
-        // A 10⁹ nm wire beside a contact, and two contacts 2⁴⁰ nm apart: at
-        // the requested 100 nm side both would need millions of cells.
+        // A 10⁹ nm wire beside a contact needs 10⁷ cells of 100 nm: the
+        // cells coarsen. Two contacts 2⁴⁰ nm apart need two cells and keep
+        // the requested side, however much white space lies between them.
         let wire = [
             r(0, 0, 1_000_000_000, 20),
             r(500_000_000, 60, 500_000_020, 80),
@@ -302,19 +379,68 @@ mod tests {
         let far = [r(0, 0, 20, 20), r(1 << 40, 0, (1 << 40) + 20, 20)];
         for rects in [&wire[..], &far[..]] {
             let mut index = index(100, rects);
-            let cap = CELLS_PER_ENTRY as usize * rects.len() + MIN_CELLS as usize;
-            assert!(
-                index.offsets.len() - 1 <= cap,
-                "{} cells",
-                index.offsets.len() - 1
-            );
-            assert!(index.cell > 100);
+            let cap = SLOTS_PER_ENTRY as usize * rects.len() + MIN_SLOTS as usize;
+            assert!(index.slots.len() <= cap, "{} slots", index.slots.len());
+            assert!(index.rows.len() <= 2 * index.slots.len());
             for (id, rect) in rects.iter().enumerate() {
                 assert_eq!(index.query_within(rect, Nm(1)), [id]);
             }
         }
+        assert!(index(100, &wire).cell > 100);
+        assert_eq!(index(100, &far).cell, 100);
+        assert_eq!(index(100, &far).rows.len(), 2);
         let mut wire_index = index(100, &wire);
         assert_eq!(sorted(wire_index.query_within(&wire[1], Nm(41))), [0, 1]);
+    }
+
+    #[test]
+    fn far_shapes_leave_a_dense_block_at_the_requested_cell_size() {
+        // A 20×20 contact block plus contacts 10¹² nm away along its first
+        // row and its first column: only occupied cells are stored, and the
+        // block's own columns stay gap-free.
+        let mut rects: Vec<Rect> = (0..400)
+            .map(|i| {
+                let (x, y) = (70 * (i % 20), 70 * (i / 20));
+                r(x, y, x + 20, y + 20)
+            })
+            .collect();
+        let block_cells = 14 * 14;
+        rects.push(r(1_000_000_000_000, 0, 1_000_000_000_020, 20));
+        rects.push(r(0, 1_000_000_000_000, 20, 1_000_000_000_020));
+        let mut index = index(100, &rects);
+        assert_eq!(index.cell, 100);
+        assert_eq!(index.rows.len(), block_cells + 2);
+        for query in &rects {
+            // The window test first: squaring a 10¹² nm gap overflows.
+            let window = query.expanded(Nm(80));
+            let expected: Vec<usize> = (0..rects.len())
+                .filter(|&i| window.intersects(&rects[i]))
+                .filter(|&i| query.within_distance(&rects[i], Nm(80)))
+                .collect();
+            assert_eq!(sorted(index.query_within(query, Nm(80))), expected);
+        }
+    }
+
+    #[test]
+    fn coarse_cells_never_square_a_far_gap() {
+        // 3.1·10⁹ nm squared overflows i64. Without the wire, the three
+        // shapes sit in three cells; with it, the cells coarsen to about
+        // 1.3·10¹⁰ nm and shapes 0 and 1 share one, so the query must
+        // reject shape 1 before measuring its distance.
+        let shapes = [
+            r(0, 0, 20, 20),
+            r(3_100_000_000, 0, 3_100_000_020, 20),
+            r(10_000_000_000_000, 0, 10_000_000_000_020, 20),
+        ];
+        let wire = r(0, 1_000_000, 10_000_000_000_000, 1_000_020);
+        let with_wire = [shapes[0], shapes[1], shapes[2], wire];
+        for (rects, coarse) in [(&shapes[..], false), (&with_wire[..], true)] {
+            let mut index = index(100, rects);
+            assert_eq!(index.cell > 100, coarse);
+            for (id, rect) in shapes.iter().enumerate() {
+                assert_eq!(index.query_within(rect, Nm(100)), [id]);
+            }
+        }
     }
 
     #[test]

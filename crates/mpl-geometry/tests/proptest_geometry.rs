@@ -8,15 +8,33 @@ fn arb_rect() -> impl Strategy<Value = Rect> {
         .prop_map(|(x, y, w, h)| Rect::new(Nm(x), Nm(y), Nm(x + w), Nm(y + h)))
 }
 
-/// Mostly `arb_rect`, one time in four a wire up to 5·10⁸ nm long or a
-/// shape up to 10⁹ nm away, whose bounding box then mostly needs more
-/// cells than the index's cap allows at the cell sizes the tests request.
+/// A rectangle up to 200 nm a side, anywhere within 10¹² nm of the origin.
+fn arb_far_rect() -> impl Strategy<Value = Rect> {
+    const FAR: i64 = 1_000_000_000_000;
+    (-FAR..FAR, -FAR..FAR, 1i64..200, 1i64..200)
+        .prop_map(|(x, y, w, h)| Rect::new(Nm(x), Nm(y), Nm(x + w), Nm(y + h)))
+}
+
+/// Mostly `arb_rect`, one time in eight an [`arb_far_rect`] and one time in
+/// eight a wire up to 5·10⁸ nm long, which mostly needs more slots than the
+/// index's cap allows at the cell sizes the tests request.
 fn arb_rect_or_far() -> impl Strategy<Value = Rect> {
-    const FAR: i64 = 1_000_000_000;
-    let far = (-FAR..FAR, -FAR..FAR, 1i64..FAR / 2, 1i64..200)
+    const WIRE: i64 = 1_000_000_000;
+    let wire = (-WIRE..WIRE, -WIRE..WIRE, 1i64..WIRE / 2, 1i64..200)
         .prop_map(|(x, y, w, h)| Rect::new(Nm(x), Nm(y), Nm(x + w), Nm(y + h)));
-    (prop::bool::weighted(0.25), arb_rect(), far)
-        .prop_map(|(pick_far, near, far)| if pick_far { far } else { near })
+    (0u8..8, arb_rect(), arb_far_rect(), wire).prop_map(|(pick, near, far, wire)| match pick {
+        0 => far,
+        1 => wire,
+        _ => near,
+    })
+}
+
+/// Mostly `arb_rect`, one time in eight an [`arb_far_rect`]: at cells of
+/// 64 nm or more each covers at most 5×5 cells, so 40 of them stay under
+/// the index's cap and it keeps the requested cell size.
+fn arb_rect_or_far_small() -> impl Strategy<Value = Rect> {
+    (0u8..8, arb_rect(), arb_far_rect())
+        .prop_map(|(pick, near, far)| if pick == 0 { far } else { near })
 }
 
 /// Entries with ids drawn from a small range, so most ids repeat.
@@ -176,9 +194,11 @@ proptest! {
         let mut index = GridIndex::new(Nm(cell), entries.iter().copied());
         let mut got = index.query_within(&query, limit).to_vec();
         got.sort_unstable();
+        // The window test first: squaring a 10¹² nm gap overflows.
+        let window = query.expanded(limit);
         let mut expected: Vec<usize> = entries
             .iter()
-            .filter(|(_, r)| query.within_distance(r, limit))
+            .filter(|(_, r)| window.intersects(r) && query.within_distance(r, limit))
             .map(|&(id, _)| id)
             .collect();
         expected.sort_unstable();
@@ -188,17 +208,15 @@ proptest! {
 
     #[test]
     fn grid_index_results_come_in_cell_scan_order(
-        entries in arb_entries(
-            (-500i64..500, -500i64..500, 1i64..400, 1i64..400)
-                .prop_map(|(x, y, w, h)| Rect::new(Nm(x), Nm(y), Nm(x + w), Nm(y + h))),
-        ),
-        query in arb_rect(),
+        entries in arb_entries(arb_rect_or_far_small()),
+        pick in 0usize..40,
+        other in arb_rect(),
         limit in 1i64..300,
-        cell in 48i64..200,
+        cell in 64i64..200,
     ) {
-        // Entries span at most 1400 nm a side, so at cells of 48 nm or more
-        // the grid needs at most 30² cells, under the 1024-cell floor of
-        // the cap: the index keeps the requested cell size.
+        // Half the queries are an entry's own rectangle, so queries far
+        // from the origin find their neighbours too.
+        let query = entries.get(pick).map_or(other, |&(_, rect)| rect);
         let limit = Nm(limit);
         let expected = reference_scan(cell, &entries, &query, limit);
         let mut index = GridIndex::new(Nm(cell), entries.iter().copied());

@@ -3,7 +3,7 @@
 //! Where `serve_integration.rs` pins the happy path, this harness attacks
 //! the server: readers that stall, connections that die mid-frame, cancel
 //! frames racing completion, storms of already-expired deadlines,
-//! malformed-frame floods, simultaneous shutdowns and a tiny layout with a
+//! malformed-frame floods, simultaneous shutdowns and tiny layouts with a
 //! huge extent.  The properties
 //! asserted are the robustness contract of the serve layer:
 //!
@@ -236,6 +236,35 @@ fn a_tiny_layout_with_a_huge_extent_is_answered_and_the_server_keeps_serving() {
     client.send_line(&submit_frame("after", &row_layout_text("after", 8), &[]));
     let frame = client.await_terminal("after");
     assert_eq!(frame.get("type").and_then(Json::as_str), Some("result"));
+    handle.shutdown().expect("clean shutdown");
+}
+
+#[test]
+fn shapes_metres_apart_are_served_without_false_conflicts() {
+    // Gaps of 3.1·10⁹ nm and more overflow i64 when squared; the second
+    // layout's 10¹³ nm wire coarsens the spatial index until shapes 0 and 1
+    // share a cell. Every shape must stay its own component.
+    const SHAPES: &str = "# layout far\n0 0 0 20 20\n1 3100000000 0 3100000020 20\n\
+                          2 10000000000000 0 10000000000020 20\n";
+    const WIRE: &str = "3 0 1000000 10000000000000 1000020\n";
+    let handle = spawn_server();
+    let mut client = RawClient::connect(handle.addr());
+    for (id, text) in [
+        ("far", SHAPES.to_string()),
+        ("far-wire", format!("{SHAPES}{WIRE}")),
+    ] {
+        client.send_line(&submit_frame(id, &text, &[("verify", Json::Bool(true))]));
+        let frame = client.await_terminal(id);
+        assert_eq!(
+            frame.get("type").and_then(Json::as_str),
+            Some("result"),
+            "{frame}"
+        );
+        assert_eq!(field(&frame, "vertices"), text.lines().count() - 1);
+        assert_eq!(field(&frame, "components"), field(&frame, "vertices"));
+        assert_eq!(field(&frame, "conflicts"), 0);
+        assert_eq!(field(&frame, "spacing_violations"), 0);
+    }
     handle.shutdown().expect("clean shutdown");
 }
 
