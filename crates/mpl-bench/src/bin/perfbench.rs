@@ -11,8 +11,9 @@
 //!   component,
 //! * branch-and-bound node counts on standalone dense-clique instances
 //!   (the cases the pruned search must win on),
-//! * a memoization case: a deep repeated array (many exact translates of
-//!   one dense strip) decomposed without a cache, with a cold cache, and
+//! * two memoization cases, a deep repeated array (many exact translates
+//!   of one dense strip) and the large row chip (mostly distinct
+//!   components), each decomposed without a cache, with a cold cache, and
 //!   with a warm cache, recording hit/miss/eviction counters and the
 //!   warm-vs-cold coloring diff count,
 //! * a kernelization case: a two-K7-plus-fringe fixture decomposed through
@@ -37,10 +38,11 @@
 //! `available_parallelism` — while the work counters are deterministic and
 //! are what CI pins (`--check`): per-layout engine counters, an arc-scan
 //! ceiling per lattice size with at most 1.5× growth in scans per vertex
-//! from the 32-side to the 96-side lattice, the memo case's
-//! warm hit rate (≥ 90 %) and zero warm-vs-cold coloring diffs, and the
-//! tile and hier cases' zero post-reconciliation conflicts, clean spacing
-//! checks, and bit-identical controls.  Under `--check` the untiled and
+//! from the 32-side to the 96-side lattice, the memo cases' cold hit and
+//! miss counts, a fully warm hit rate (so ≥ 90 %) and zero warm-vs-cold
+//! coloring diffs, and the tile and hier cases' zero post-reconciliation
+//! conflicts, clean spacing checks, and bit-identical controls.  Under
+//! `--check` the untiled and
 //! flat comparison runs of the tile and hier cases are skipped (they are
 //! wall-clock-only information).
 //!
