@@ -309,6 +309,30 @@ mod tests {
     }
 
     #[test]
+    fn a_polygon_rectangle_metres_away_leaves_a_wire_s_stitches_alone() {
+        // Polygon 0 is a contact above wire 1 plus a rectangle far above
+        // both. At 3.1·10⁹ nm the far rectangle's squared gap to the wire
+        // used to wrap negative, so it shadowed the wire and moved its
+        // stitch cuts. At 3·10⁶ nm (the control) it never did.
+        let text = |far_y: i64| {
+            format!(
+                "# layout shadow\n0 0 240 20 260\n0 150 {far_y} 250 {}\n1 0 200 400 220\n",
+                far_y + 20
+            )
+        };
+        for far_y in [3_000_300, 3_100_000_300] {
+            let layout = mpl_layout::io::from_text(&text(far_y)).expect("valid layout");
+            let graph = DecompositionGraph::build(&layout, &tech(), 4, &StitchConfig::default());
+            let counts = (
+                graph.vertex_count(),
+                graph.conflict_edges().len(),
+                graph.stitch_edges().len(),
+            );
+            assert_eq!(counts, (4, 1, 2), "far rectangle at y = {far_y}");
+        }
+    }
+
+    #[test]
     fn distant_contacts_form_separate_components() {
         let mut builder = Layout::builder("two-islands");
         builder.add_contact(Nm(0), Nm(0), Nm(20));

@@ -58,10 +58,12 @@ impl Nm {
         self.0 as f64
     }
 
-    /// Squares the length, returning a plain `i64` (nm²).
+    /// Squares the length, returning a plain `i64` (nm²).  Saturates at
+    /// `i64::MAX` for lengths of about 3.04·10⁹ nm or more, so a distant
+    /// gap compares as far rather than wrapping negative.
     #[inline]
     pub fn squared(self) -> i64 {
-        self.0 * self.0
+        self.0.saturating_mul(self.0)
     }
 }
 

@@ -41,9 +41,12 @@ impl Point {
     }
 
     /// Squared Euclidean distance to `other`, in nm², using exact integer
-    /// arithmetic.  Prefer this over [`Point::distance`] for comparisons.
+    /// arithmetic (saturating at `i64::MAX`).  Prefer this over
+    /// [`Point::distance`] for comparisons.
     pub fn distance_squared(self, other: Point) -> i64 {
-        (self.x - other.x).squared() + (self.y - other.y).squared()
+        (self.x - other.x)
+            .squared()
+            .saturating_add((self.y - other.y).squared())
     }
 
     /// Manhattan (L1) distance to `other`.

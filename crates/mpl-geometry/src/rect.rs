@@ -201,11 +201,12 @@ impl Rect {
     }
 
     /// Squared Euclidean distance between the two closed rectangles (0 if they
-    /// touch or overlap), using exact integer arithmetic.
+    /// touch or overlap), using exact integer arithmetic.  Saturates at
+    /// `i64::MAX` instead of wrapping for gaps too large to square.
     pub fn distance_squared(&self, other: &Rect) -> i64 {
         let dx = self.x_gap(other);
         let dy = self.y_gap(other);
-        dx.squared() + dy.squared()
+        dx.squared().saturating_add(dy.squared())
     }
 
     /// Euclidean distance between the two closed rectangles, in nanometres.
