@@ -48,30 +48,33 @@ pub(crate) fn config_fingerprint(config: &DecomposerConfig) -> String {
 }
 
 /// Canonicalizes one component task of `plan`, pulling each vertex's
-/// geometry from the plan's decomposition graph.
+/// geometry from the plan's decomposition graph into one flat rectangle
+/// list.
 pub(crate) fn canonicalize_task(
     plan: &DecompositionPlan,
     task: &ComponentTask,
     fingerprint: &str,
 ) -> CanonicalComponent {
     let problem = task.problem();
-    let geometry: Vec<Vec<mpl_memo::RectNm>> = task
-        .to_global()
-        .iter()
-        .map(|&global| {
-            plan.graph()
-                .polygon(VertexId(global))
+    let globals = task.to_global();
+    let mut rects = Vec::with_capacity(globals.len());
+    let mut ends = Vec::with_capacity(globals.len());
+    for &global in globals {
+        let polygon = plan.graph().polygon(VertexId(global));
+        rects.extend(
+            polygon
                 .rects()
                 .iter()
-                .map(|rect| (rect.xlo().0, rect.ylo().0, rect.xhi().0, rect.yhi().0))
-                .collect()
-        })
-        .collect();
+                .map(|rect| (rect.xlo().0, rect.ylo().0, rect.xhi().0, rect.yhi().0)),
+        );
+        ends.push(rects.len());
+    }
     canonicalize(&ComponentView {
         fingerprint,
         k: problem.k(),
         alpha: problem.alpha(),
-        geometry: &geometry,
+        rects: &rects,
+        ends: &ends,
         conflict_edges: problem.conflict_edges(),
         stitch_edges: problem.stitch_edges(),
         friendly_pairs: problem.color_friendly_pairs(),

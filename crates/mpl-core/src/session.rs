@@ -26,7 +26,8 @@ use crate::{
     TileConfig,
 };
 use mpl_layout::{Layout, LayoutHierarchy};
-use mpl_memo::{MemoCache, Signature};
+use mpl_memo::{CanonicalComponent, MemoCache, Signature};
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::{Arc, Mutex};
@@ -461,11 +462,11 @@ enum Disposition {
     /// stored canonical coloring, ready at collection time.
     Hit { colors: Vec<u8> },
     /// First occurrence of this signature: the executor colors the
-    /// canonical problem; the collection step stores the result.
+    /// canonical problem; the collection step stores the result under the
+    /// signature the prepass keyed this lead by.
     Lead {
         problem: Box<ComponentProblem>,
         perm: Vec<usize>,
-        signature: Signature,
     },
     /// An earlier task of this batch leads the same signature; stamped from
     /// the lead's canonical coloring at collection time.
@@ -537,9 +538,10 @@ pub(crate) fn execute_batch(
     // Memo prepass: canonicalize every task and consult the cache *before*
     // anything is enqueued.  The (slot, task) iteration order is fixed, so
     // lead/follow choices — and therefore the whole run — do not depend on
-    // the executor's schedule.
+    // the executor's schedule.  `leads` owns each lead's signature until
+    // the collection step moves it into the cache: no signature is cloned.
+    let mut leads: HashMap<Signature, (usize, usize)> = HashMap::new();
     let mut dispositions: Option<Vec<Vec<Disposition>>> = memo.map(|cache| {
-        let mut leads: HashMap<Signature, (usize, usize)> = HashMap::new();
         entries
             .iter()
             .enumerate()
@@ -548,22 +550,22 @@ pub(crate) fn execute_batch(
                 plan.tasks()
                     .iter()
                     .map(|task| {
-                        let canonical = canonicalize_task(plan, task, &fingerprint);
-                        if let Some(stored) = cache.lookup(&canonical.signature) {
-                            Disposition::Hit {
-                                colors: mpl_memo::stamp(&stored, &canonical.perm),
-                            }
-                        } else if let Some(&leader) = leads.get(&canonical.signature) {
-                            Disposition::Follow {
-                                leader,
-                                perm: canonical.perm,
-                            }
-                        } else {
-                            leads.insert(canonical.signature.clone(), (slot, task.index()));
-                            Disposition::Lead {
-                                problem: Box::new(canonical_problem(&canonical.signature)),
-                                perm: canonical.perm,
-                                signature: canonical.signature,
+                        let CanonicalComponent { signature, perm } =
+                            canonicalize_task(plan, task, &fingerprint);
+                        if let Some(stored) = cache.lookup(&signature) {
+                            return Disposition::Hit {
+                                colors: mpl_memo::stamp(&stored, &perm),
+                            };
+                        }
+                        match leads.entry(signature) {
+                            Entry::Occupied(lead) => Disposition::Follow {
+                                leader: *lead.get(),
+                                perm,
+                            },
+                            Entry::Vacant(lead) => {
+                                let problem = Box::new(canonical_problem(lead.key()));
+                                lead.insert((slot, task.index()));
+                                Disposition::Lead { problem, perm }
                             }
                         }
                     })
@@ -746,25 +748,32 @@ pub(crate) fn execute_batch(
     // engine's full-effort coloring — but their in-batch followers still
     // stamp from them, inheriting the lead's cancellation flags.
     let mut lead_canonical: HashMap<(usize, usize), LeadColoring> = HashMap::new();
-    if let Some(dispositions) = &mut dispositions {
+    if let Some(dispositions) = &dispositions {
         let cache = memo.expect("dispositions imply an attached cache");
-        for (slot, outcomes) in per_layout.iter().enumerate() {
-            for (index, outcome) in outcomes {
-                match &mut dispositions[slot][*index] {
-                    Disposition::Lead {
-                        perm, signature, ..
-                    } => {
-                        let canonical = mpl_memo::unstamp(&outcome.colors, perm);
-                        let stats = &outcome.stats;
-                        let flags = (stats.cancelled, stats.deadline_exceeded, stats.skipped);
-                        if flags == (false, false, false) {
-                            cache.insert(signature.clone(), canonical.clone());
-                        }
-                        lead_canonical.insert((slot, *index), (Arc::new(canonical), flags));
-                    }
-                    _ => unreachable!("only lead tasks have executor outcomes"),
-                }
+        // The executor outcomes are exactly the leads, in (slot, task)
+        // order; sorting the signatures the same way pairs them up.
+        let mut signatures: Vec<((usize, usize), Signature)> = leads
+            .into_iter()
+            .map(|(signature, lead)| (lead, signature))
+            .collect();
+        signatures.sort_unstable_by_key(|&(lead, _)| lead);
+        let outcomes = per_layout.iter().enumerate().flat_map(|(slot, outcomes)| {
+            outcomes
+                .iter()
+                .map(move |(index, outcome)| ((slot, *index), outcome))
+        });
+        for ((lead, signature), (at, outcome)) in signatures.into_iter().zip(outcomes) {
+            assert_eq!(lead, at, "executor outcomes pair with their leads");
+            let Disposition::Lead { perm, .. } = &dispositions[lead.0][lead.1] else {
+                unreachable!("only lead tasks have executor outcomes");
+            };
+            let canonical = mpl_memo::unstamp(&outcome.colors, perm);
+            let stats = &outcome.stats;
+            let flags = (stats.cancelled, stats.deadline_exceeded, stats.skipped);
+            if flags == (false, false, false) {
+                cache.insert(signature, canonical.clone());
             }
+            lead_canonical.insert(lead, (Arc::new(canonical), flags));
         }
     }
 

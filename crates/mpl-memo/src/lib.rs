@@ -14,16 +14,29 @@
 //! 1. **Normalize** — every vertex's rectangles are shifted so the
 //!    component's bounding-box origin lands at `(0, 0)`.  Two components
 //!    that differ only by a translation now carry identical geometry.
-//! 2. **Order** — vertices are sorted by their normalized geometry (ties
-//!    keep the live order), yielding a deterministic canonical permutation
-//!    that does not depend on where the component sat in the layout.
+//! 2. **Order** — vertices are sorted by their rectangle lists,
+//!    lexicographically (ties keep the live order), yielding a
+//!    deterministic canonical permutation that does not depend on where
+//!    the component sat in the layout.
 //! 3. **Relabel** — conflict/stitch/color-friendly edges are rewritten
 //!    through the permutation, oriented `(min, max)` and sorted.
 //!
 //! The resulting [`Signature`] — canonical geometry, canonical edge lists,
 //! the mask count K, the stitch weight α and a free-form configuration
-//! fingerprint — is the cache key.  Keys are compared by **full equality**
-//! (not just a hash), so a hash collision can never serve a wrong coloring.
+//! fingerprint — is the cache key.
+//!
+//! # Layout, hashing and equality
+//!
+//! A signature stores its geometry flat: one vector of canonical-order,
+//! origin-normalized rectangles plus one end offset per vertex, so cloning
+//! it copies a handful of vectors however many vertices it has.
+//! [`canonicalize`] hashes the whole content **once**, with a 64-bit
+//! SipHash keyed by a per-process random key (the same keying as
+//! `std`'s `HashMap`, so inputs cannot be crafted to collide), and the
+//! signature's [`Hash`] writes only that value: a table probe, an insert or
+//! a rehash costs one word, not the component.  Keys are still compared by
+//! **full equality** — the stored hash first, then every field — so a hash
+//! collision can never serve a wrong coloring.
 //!
 //! # The determinism guarantee
 //!
@@ -37,17 +50,20 @@
 //!
 //! # Capacity and eviction
 //!
-//! [`MemoCache`] is thread-safe (one internal mutex; lookups are a hash
-//! probe plus a recency bump) and bounded: when an insert would exceed the
-//! configured entry capacity, the least-recently-used entry is evicted.
-//! [`MemoCache::stats`] reports entries, capacity, hits, misses, evictions
-//! and an approximate byte footprint, so services can observe warm-up.
+//! [`MemoCache`] is thread-safe (one internal mutex; lookups are a
+//! one-word hash probe, an equality check and a recency bump) and bounded:
+//! when an insert would exceed the configured entry capacity, the
+//! least-recently-used entry is evicted.  [`MemoCache::stats`] reports
+//! entries, capacity, hits, misses, evictions and an approximate byte
+//! footprint, so services can observe warm-up.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+use std::collections::hash_map::RandomState;
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+use std::hash::{BuildHasher, Hash, Hasher};
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// An axis-aligned rectangle in absolute layout coordinates, as
 /// `(xlo, ylo, xhi, yhi)` nanometres.
@@ -56,8 +72,9 @@ pub type RectNm = (i64, i64, i64, i64);
 /// A borrowed view of one live component, in the component's local vertex
 /// ids, as handed to [`canonicalize`].
 ///
-/// The geometry is passed as plain coordinate tuples so this crate stays
-/// dependency-free; callers translate their polygon types once per vertex.
+/// The geometry is passed flat, as plain coordinate tuples, so this crate
+/// stays dependency-free and callers fill two vectors per component rather
+/// than one per vertex.
 #[derive(Debug, Clone, Copy)]
 pub struct ComponentView<'a> {
     /// A free-form fingerprint of everything that influences coloring
@@ -69,10 +86,15 @@ pub struct ComponentView<'a> {
     pub k: usize,
     /// Stitch weight α.
     pub alpha: f64,
-    /// Per-vertex geometry in absolute coordinates, indexed by live local
-    /// vertex id.  Rectangle order within a vertex must be construction
-    /// order (translation-stable), which layout flattening guarantees.
-    pub geometry: &'a [Vec<RectNm>],
+    /// Every vertex's rectangles in absolute coordinates, concatenated in
+    /// live local vertex id order.  Rectangle order within a vertex must be
+    /// construction order (translation-stable), which layout flattening
+    /// guarantees.
+    pub rects: &'a [RectNm],
+    /// One entry per live vertex: `ends[v]` is one past vertex `v`'s last
+    /// rectangle in `rects`, so `v` owns `rects[ends[v - 1]..ends[v]]`
+    /// (from 0 for `v = 0`).  Non-decreasing, ending at `rects.len()`.
+    pub ends: &'a [usize],
     /// Conflict edges over live local ids.
     pub conflict_edges: &'a [(usize, usize)],
     /// Stitch edges over live local ids.
@@ -81,26 +103,47 @@ pub struct ComponentView<'a> {
     pub friendly_pairs: &'a [(usize, usize)],
 }
 
+impl ComponentView<'_> {
+    /// The rectangles of live vertex `v`.
+    fn vertex_rects(&self, v: usize) -> &[RectNm] {
+        let start = if v == 0 { 0 } else { self.ends[v - 1] };
+        &self.rects[start..self.ends[v]]
+    }
+}
+
 /// The translation-invariant cache key of a component.
 ///
-/// Built by [`canonicalize`]; compared and hashed over its full contents.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+/// Built by [`canonicalize`].  [`Hash`] writes the content hash computed
+/// there; equality compares that hash and then every field (see the crate
+/// docs).
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Signature {
+    /// Keyed content hash of every field below.  Declared first, so the
+    /// derived equality rejects a mismatch on it before the fields.
+    hash: u64,
     fingerprint: String,
     k: usize,
     /// α take part in the coloring objective; keyed by exact bit pattern.
     alpha_bits: u64,
-    /// Canonical-order, origin-normalized per-vertex geometry.
-    geometry: Vec<Vec<RectNm>>,
+    /// Canonical-order, origin-normalized rectangles of every vertex.
+    rects: Vec<RectNm>,
+    /// `ends[c]`: one past canonical vertex `c`'s last rectangle in `rects`.
+    ends: Vec<u32>,
     conflict_edges: Vec<(u32, u32)>,
     stitch_edges: Vec<(u32, u32)>,
     friendly_pairs: Vec<(u32, u32)>,
 }
 
+impl Hash for Signature {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(self.hash);
+    }
+}
+
 impl Signature {
     /// Number of vertices of the component.
     pub fn vertex_count(&self) -> usize {
-        self.geometry.len()
+        self.ends.len()
     }
 
     /// Number of colors K.
@@ -128,17 +171,70 @@ impl Signature {
         &self.friendly_pairs
     }
 
+    /// The keyed content hash of every other field.  The key is drawn once
+    /// per process, so the value is stable within a run but not across
+    /// runs.
+    fn content_hash(&self) -> u64 {
+        static KEY: OnceLock<RandomState> = OnceLock::new();
+        let mut hasher = KEY.get_or_init(RandomState::new).build_hasher();
+        self.fingerprint.hash(&mut hasher);
+        hasher.write_usize(self.k);
+        hasher.write_u64(self.alpha_bits);
+        self.ends.hash(&mut hasher);
+        let edge_lists = [
+            &self.conflict_edges,
+            &self.stitch_edges,
+            &self.friendly_pairs,
+        ];
+        for edges in edge_lists {
+            hasher.write_usize(edges.len());
+        }
+        let coordinates = self
+            .rects
+            .iter()
+            .flat_map(|&(xlo, ylo, xhi, yhi)| [xlo, ylo, xhi, yhi])
+            .map(|coordinate| coordinate as u64);
+        let edges = edge_lists
+            .into_iter()
+            .flatten()
+            .map(|&(u, v)| pack_edge(u, v));
+        write_words(&mut hasher, coordinates.chain(edges));
+        hasher.finish()
+    }
+
     /// Approximate heap footprint of the signature plus a stored coloring,
-    /// for the cache's byte accounting.
+    /// for the cache's byte accounting: the fingerprint, the rectangles,
+    /// one end offset per vertex, the edges and one color byte per vertex.
     fn approximate_bytes(&self) -> usize {
-        let rects: usize = self.geometry.iter().map(Vec::len).sum();
         self.fingerprint.len()
-            + rects * std::mem::size_of::<RectNm>()
-            + self.geometry.len() * std::mem::size_of::<Vec<RectNm>>()
+            + self.rects.len() * std::mem::size_of::<RectNm>()
+            + self.ends.len() * std::mem::size_of::<u32>()
             + (self.conflict_edges.len() + self.stitch_edges.len() + self.friendly_pairs.len())
                 * std::mem::size_of::<(u32, u32)>()
             + self.vertex_count() // the stored coloring, one byte per vertex
     }
+}
+
+/// Feeds `words` to `hasher` in 512-byte runs: SipHash digests one long
+/// write several times faster than one small write per value.
+fn write_words(hasher: &mut impl Hasher, words: impl Iterator<Item = u64>) {
+    let mut buffer = [0u8; 512];
+    let mut len = 0;
+    for word in words {
+        buffer[len..len + 8].copy_from_slice(&word.to_le_bytes());
+        len += 8;
+        if len == buffer.len() {
+            hasher.write(&buffer);
+            len = 0;
+        }
+    }
+    hasher.write(&buffer[..len]);
+}
+
+/// An edge `(u, v)` as one word whose order is the pair's lexicographic
+/// order.
+fn pack_edge(u: u32, v: u32) -> u64 {
+    (u64::from(u) << 32) | u64::from(v)
 }
 
 /// The result of canonicalizing one live component: the cache key plus the
@@ -157,76 +253,91 @@ pub struct CanonicalComponent {
 ///
 /// # Panics
 ///
-/// Panics if an edge endpoint is out of range of `view.geometry`.
+/// Panics if `view.ends` is not a valid split of `view.rects`, if an edge
+/// endpoint is out of range of `view.ends`, or if the component holds
+/// `u32::MAX` rectangles or more.
 pub fn canonicalize(view: &ComponentView<'_>) -> CanonicalComponent {
-    let n = view.geometry.len();
+    let n = view.ends.len();
+    assert_eq!(
+        view.ends.last().copied().unwrap_or(0),
+        view.rects.len(),
+        "the last vertex end must close the rectangle list"
+    );
+    assert!(
+        u32::try_from(view.rects.len()).is_ok(),
+        "a component's rectangle offsets must fit u32"
+    );
     // Step 1: normalize to the component's bounding-box origin.
-    let mut origin_x = i64::MAX;
-    let mut origin_y = i64::MAX;
-    for rects in view.geometry {
-        for &(xlo, ylo, _, _) in rects {
-            origin_x = origin_x.min(xlo);
-            origin_y = origin_y.min(ylo);
-        }
-    }
-    if n == 0 || origin_x == i64::MAX {
-        (origin_x, origin_y) = (0, 0);
-    }
-    let normalized: Vec<Vec<RectNm>> = view
-        .geometry
-        .iter()
-        .map(|rects| {
-            rects
-                .iter()
-                .map(|&(xlo, ylo, xhi, yhi)| {
-                    (
-                        xlo - origin_x,
-                        ylo - origin_y,
-                        xhi - origin_x,
-                        yhi - origin_y,
-                    )
-                })
-                .collect()
-        })
-        .collect();
+    let origin_x = view.rects.iter().map(|rect| rect.0).min().unwrap_or(0);
+    let origin_y = view.rects.iter().map(|rect| rect.1).min().unwrap_or(0);
 
-    // Step 2: sort vertices by normalized geometry.  Distinct vertices have
-    // distinct normalized positions (coincident shapes aside), so the order
-    // — and therefore the whole signature — is translation-invariant; the
-    // live-id tie-break only makes exact-overlap degeneracies deterministic.
-    let mut perm: Vec<usize> = (0..n).collect();
-    perm.sort_by(|&a, &b| normalized[a].cmp(&normalized[b]).then(a.cmp(&b)));
+    // Step 2: sort vertices by geometry.  A translation preserves the
+    // lexicographic order of rectangle lists, so sorting the absolute
+    // rectangles gives the normalized order.  Distinct vertices have
+    // distinct positions (coincident shapes aside), so the order — and
+    // therefore the whole signature — is translation-invariant; the live-id
+    // tie-break only makes exact-overlap degeneracies deterministic (and
+    // makes the order total, so an unstable sort is exact).  Each vertex
+    // carries its first rectangle as the leading key, so most comparisons
+    // never look up the vertices' rectangle lists.
+    let mut keyed: Vec<(Option<RectNm>, usize)> = (0..n)
+        .map(|v| (view.vertex_rects(v).first().copied(), v))
+        .collect();
+    keyed.sort_unstable_by(|&(first_a, a), &(first_b, b)| {
+        first_a
+            .cmp(&first_b)
+            .then_with(|| view.vertex_rects(a).cmp(view.vertex_rects(b)))
+            .then(a.cmp(&b))
+    });
+    let perm: Vec<usize> = keyed.into_iter().map(|(_, v)| v).collect();
     let mut canonical_of = vec![0u32; n];
     for (position, &live) in perm.iter().enumerate() {
         canonical_of[live] = position as u32;
     }
 
-    // Step 3: relabel the edge lists through the permutation.
+    // Step 3: relabel the edge lists through the permutation, sorting the
+    // edges packed into single words.
     let relabel = |edges: &[(usize, usize)]| -> Vec<(u32, u32)> {
-        let mut out: Vec<(u32, u32)> = edges
+        let mut packed: Vec<u64> = edges
             .iter()
             .map(|&(u, v)| {
                 let (cu, cv) = (canonical_of[u], canonical_of[v]);
-                (cu.min(cv), cu.max(cv))
+                pack_edge(cu.min(cv), cu.max(cv))
             })
             .collect();
-        out.sort_unstable();
-        out
+        packed.sort_unstable();
+        packed
+            .into_iter()
+            .map(|word| ((word >> 32) as u32, word as u32))
+            .collect()
     };
 
-    let geometry = perm.iter().map(|&live| normalized[live].clone()).collect();
-    CanonicalComponent {
-        signature: Signature {
-            fingerprint: view.fingerprint.to_string(),
-            k: view.k,
-            alpha_bits: view.alpha.to_bits(),
-            geometry,
-            conflict_edges: relabel(view.conflict_edges),
-            stitch_edges: relabel(view.stitch_edges),
-            friendly_pairs: relabel(view.friendly_pairs),
-        },
-        perm,
+    let mut rects = Vec::with_capacity(view.rects.len());
+    let mut ends = Vec::with_capacity(n);
+    for &live in &perm {
+        rects.extend(view.vertex_rects(live).iter().map(|&(xlo, ylo, xhi, yhi)| {
+            (
+                xlo - origin_x,
+                ylo - origin_y,
+                xhi - origin_x,
+                yhi - origin_y,
+            )
+        }));
+        ends.push(rects.len() as u32);
     }
+    let mut signature = Signature {
+        hash: 0,
+        fingerprint: view.fingerprint.to_string(),
+        k: view.k,
+        alpha_bits: view.alpha.to_bits(),
+        rects,
+        ends,
+        conflict_edges: relabel(view.conflict_edges),
+        stitch_edges: relabel(view.stitch_edges),
+        friendly_pairs: relabel(view.friendly_pairs),
+    };
+    signature.hash = signature.content_hash();
+    CanonicalComponent { signature, perm }
 }
 
 /// Maps a canonical coloring onto live local vertex ids:
@@ -299,6 +410,11 @@ struct Inner {
 /// attaches it to every session, so repeated submissions of the same cell
 /// library get faster over time.  See the crate docs for the determinism
 /// guarantee.
+///
+/// Keys are [`Signature`]s: flat geometry plus edge lists, hashed once when
+/// they are built.  So the work done under the internal mutex is a
+/// one-word hash probe plus, on a hit, the full-equality check that rules
+/// out a collision — never a pass of the hasher over a whole component.
 pub struct MemoCache {
     capacity: usize,
     inner: Mutex<Inner>,
@@ -424,18 +540,43 @@ impl MemoCache {
 mod tests {
     use super::*;
 
-    /// A three-vertex path with one stitch and one friendly pair; `offset`
-    /// translates the whole component.
-    fn sample_view(geometry: &[Vec<RectNm>]) -> ComponentView<'_> {
-        ComponentView {
-            fingerprint: "test-config",
-            k: 4,
-            alpha: 0.1,
-            geometry,
-            conflict_edges: &[(0, 1), (1, 2)],
-            stitch_edges: &[(2, 0)],
-            friendly_pairs: &[(1, 0)],
+    /// Per-vertex geometry in a view's flat `rects`/`ends` form.
+    struct Flat {
+        rects: Vec<RectNm>,
+        ends: Vec<usize>,
+    }
+
+    impl Flat {
+        fn new(geometry: &[Vec<RectNm>]) -> Self {
+            let mut rects = Vec::new();
+            let ends = geometry
+                .iter()
+                .map(|vertex| {
+                    rects.extend_from_slice(vertex);
+                    rects.len()
+                })
+                .collect();
+            Flat { rects, ends }
         }
+
+        /// A three-vertex path with one stitch and one friendly pair over
+        /// this geometry.
+        fn view(&self) -> ComponentView<'_> {
+            ComponentView {
+                fingerprint: "test-config",
+                k: 4,
+                alpha: 0.1,
+                rects: &self.rects,
+                ends: &self.ends,
+                conflict_edges: &[(0, 1), (1, 2)],
+                stitch_edges: &[(2, 0)],
+                friendly_pairs: &[(1, 0)],
+            }
+        }
+    }
+
+    fn sample_signature(geometry: &[Vec<RectNm>]) -> CanonicalComponent {
+        canonicalize(&Flat::new(geometry).view())
     }
 
     fn sample_geometry(dx: i64, dy: i64) -> Vec<Vec<RectNm>> {
@@ -451,32 +592,36 @@ mod tests {
 
     #[test]
     fn translated_copies_share_one_signature() {
-        let at_origin = sample_geometry(0, 0);
-        let far_away = sample_geometry(123_456, -789_012);
-        let a = canonicalize(&sample_view(&at_origin));
-        let b = canonicalize(&sample_view(&far_away));
+        let a = sample_signature(&sample_geometry(0, 0));
+        let b = sample_signature(&sample_geometry(123_456, -789_012));
         assert_eq!(a.signature, b.signature);
         assert_eq!(a.perm, b.perm);
     }
 
     #[test]
     fn different_geometry_config_or_edges_change_the_signature() {
-        let base = sample_geometry(0, 0);
-        let reference = canonicalize(&sample_view(&base)).signature;
+        let base = Flat::new(&sample_geometry(0, 0));
+        let reference = canonicalize(&base.view()).signature;
 
         let mut stretched = sample_geometry(0, 0);
         stretched[0][0].2 += 1;
-        assert_ne!(canonicalize(&sample_view(&stretched)).signature, reference);
+        assert_ne!(sample_signature(&stretched).signature, reference);
 
-        let mut other_config = sample_view(&base);
+        // The same rectangles split between vertices differently.
+        let mut regrouped = sample_geometry(0, 0);
+        let moved = regrouped[2].pop().expect("vertex 2 has two rectangles");
+        regrouped[1].push(moved);
+        assert_ne!(sample_signature(&regrouped).signature, reference);
+
+        let mut other_config = base.view();
         other_config.fingerprint = "another-config";
         assert_ne!(canonicalize(&other_config).signature, reference);
 
-        let mut other_alpha = sample_view(&base);
+        let mut other_alpha = base.view();
         other_alpha.alpha = 0.2;
         assert_ne!(canonicalize(&other_alpha).signature, reference);
 
-        let mut fewer_edges = sample_view(&base);
+        let mut fewer_edges = base.view();
         fewer_edges.conflict_edges = &[(0, 1)];
         assert_ne!(canonicalize(&fewer_edges).signature, reference);
     }
@@ -486,18 +631,18 @@ mod tests {
         // The same component with live ids permuted (0↔2): geometry and
         // edges are rewritten consistently, so the canonical form agrees.
         let geometry = sample_geometry(0, 0);
-        let swapped_geometry = vec![
+        let swapped_geometry = Flat::new(&[
             geometry[2].clone(),
             geometry[1].clone(),
             geometry[0].clone(),
-        ];
+        ]);
         let swapped = ComponentView {
             conflict_edges: &[(2, 1), (1, 0)],
             stitch_edges: &[(0, 2)],
             friendly_pairs: &[(1, 2)],
-            ..sample_view(&swapped_geometry)
+            ..swapped_geometry.view()
         };
-        let a = canonicalize(&sample_view(&geometry));
+        let a = sample_signature(&geometry);
         let b = canonicalize(&swapped);
         assert_eq!(a.signature, b.signature);
         // The permutations differ (they map to different live ids) but
@@ -512,8 +657,7 @@ mod tests {
 
     #[test]
     fn stamp_and_unstamp_are_inverses() {
-        let geometry = sample_geometry(7, -3);
-        let canonical = canonicalize(&sample_view(&geometry));
+        let canonical = sample_signature(&sample_geometry(7, -3));
         let canonical_colors = vec![3, 0, 2];
         let live = stamp(&canonical_colors, &canonical.perm);
         assert_eq!(unstamp(&live, &canonical.perm), canonical_colors);
@@ -522,7 +666,7 @@ mod tests {
     #[test]
     fn cache_counts_hits_misses_and_bytes() {
         let cache = MemoCache::new(8);
-        let canonical = canonicalize(&sample_view(&sample_geometry(0, 0)));
+        let canonical = sample_signature(&sample_geometry(0, 0));
         assert!(cache.lookup(&canonical.signature).is_none());
         cache.insert(canonical.signature.clone(), vec![0, 1, 2]);
         let stored = cache.lookup(&canonical.signature).expect("hit");
@@ -533,7 +677,9 @@ mod tests {
         assert_eq!(stats.hits, 1);
         assert_eq!(stats.misses, 1);
         assert_eq!(stats.evictions, 0);
-        assert!(stats.bytes > 0);
+        // The flat layout: an 11-byte fingerprint, four 32-byte rectangles,
+        // three 4-byte vertex ends, four 8-byte edges, three color bytes.
+        assert_eq!(stats.bytes, 11 + 4 * 32 + 3 * 4 + 4 * 8 + 3);
     }
 
     #[test]
@@ -543,7 +689,7 @@ mod tests {
             .map(|index| {
                 let mut geometry = sample_geometry(0, 0);
                 geometry[0][0].2 += index; // three distinct components
-                canonicalize(&sample_view(&geometry)).signature
+                sample_signature(&geometry).signature
             })
             .collect();
         cache.insert(signatures[0].clone(), vec![0, 0, 0]);
@@ -562,7 +708,7 @@ mod tests {
     #[test]
     fn reinserting_a_signature_replaces_without_growing() {
         let cache = MemoCache::new(4);
-        let signature = canonicalize(&sample_view(&sample_geometry(0, 0))).signature;
+        let signature = sample_signature(&sample_geometry(0, 0)).signature;
         cache.insert(signature.clone(), vec![0, 0, 0]);
         let before = cache.stats().bytes;
         cache.insert(signature.clone(), vec![1, 2, 3]);
@@ -575,7 +721,7 @@ mod tests {
     #[test]
     fn lookups_are_usable_across_threads() {
         let cache = std::sync::Arc::new(MemoCache::new(64));
-        let signature = canonicalize(&sample_view(&sample_geometry(0, 0))).signature;
+        let signature = sample_signature(&sample_geometry(0, 0)).signature;
         cache.insert(signature.clone(), vec![0, 1, 2]);
         std::thread::scope(|scope| {
             for _ in 0..4 {
