@@ -32,7 +32,8 @@
 //! it copies a handful of vectors however many vertices it has.
 //! [`canonicalize`] hashes the whole content **once**, with a 64-bit
 //! SipHash keyed by a per-process random key (the same keying as
-//! `std`'s `HashMap`, so inputs cannot be crafted to collide), and the
+//! `std`'s `HashMap`, so a client that does not know the key cannot craft
+//! colliding layouts), and the
 //! signature's [`Hash`] writes only that value: a table probe, an insert or
 //! a rehash costs one word, not the component.  Keys are still compared by
 //! **full equality** — the stored hash first, then every field — so a hash
