@@ -50,13 +50,13 @@
 //! of at least 90 %) and zero coloring diffs.
 
 use mpl_core::{
-    verify_spacing, ColorAlgorithm, Decomposer, DecomposerConfig, DecompositionResult,
-    DecompositionSession, Json, MemoCache, SerialExecutor, TileConfig,
+    verify_spacing, ColorAlgorithm, ComponentProblem, Decomposer, DecomposerConfig,
+    DecompositionResult, DecompositionSession, Json, MemoCache, SerialExecutor, TileConfig,
 };
 use mpl_geometry::Nm;
 use mpl_hier::fixtures::{bit_cell_array, BitArrayStyle};
 use mpl_hier::{run_hier, HierLayoutResult};
-use mpl_ilp::{solve_exact, ColoringInstance, ExactOptions};
+use mpl_ilp::{solve_exact, ExactOptions};
 use mpl_layout::{gen, Layout, LayoutHierarchy, Technology};
 use mpl_tile::{run_tiled, TiledLayoutResult};
 use std::sync::Arc;
@@ -399,7 +399,7 @@ fn xorshift(state: &mut u64) -> u64 {
 }
 
 /// Adds every edge of a clique over `vertices` to `instance`.
-fn add_clique(instance: &mut ColoringInstance, vertices: &[usize]) {
+fn add_clique(instance: &mut ComponentProblem, vertices: &[usize]) {
     for (position, &u) in vertices.iter().enumerate() {
         for &v in &vertices[position + 1..] {
             if u != v {
@@ -412,16 +412,16 @@ fn add_clique(instance: &mut ColoringInstance, vertices: &[usize]) {
 /// The standalone branch-and-bound instances: dense cliques (the native
 /// conflict structures of quadruple patterning), two overlapping cliques,
 /// and dense pseudo-random graphs.
-fn bnb_instances() -> Vec<(String, ColoringInstance)> {
+fn bnb_instances() -> Vec<(String, ComponentProblem)> {
     let mut cases = Vec::new();
     for n in [9usize, 10, 11] {
-        let mut instance = ColoringInstance::new(n, 4);
+        let mut instance = ComponentProblem::new(n, 4, 0.1);
         let vertices: Vec<usize> = (0..n).collect();
         add_clique(&mut instance, &vertices);
         cases.push((format!("clique-{n}"), instance));
     }
     // Two K7s sharing two vertices: clique bounds must compose.
-    let mut shared = ColoringInstance::new(12, 4);
+    let mut shared = ComponentProblem::new(12, 4, 0.1);
     add_clique(&mut shared, &(0..7).collect::<Vec<_>>());
     add_clique(&mut shared, &(5..12).collect::<Vec<_>>());
     cases.push(("two-k7-share2".to_string(), shared));
@@ -431,7 +431,7 @@ fn bnb_instances() -> Vec<(String, ColoringInstance)> {
         (18, 500, 0xD1B54A32D192ED03),
     ] {
         let mut state = seed;
-        let mut instance = ColoringInstance::new(n, 4);
+        let mut instance = ComponentProblem::new(n, 4, 0.1);
         for u in 0..n {
             for v in (u + 1)..n {
                 if xorshift(&mut state) % 1000 < per_mille {
@@ -1001,7 +1001,14 @@ pub fn run_perf_suite(options: &PerfOptions) -> Result<PerfReport, String> {
     let mut bnb = Vec::new();
     for (name, instance) in bnb_instances() {
         let start = Instant::now();
-        let solution = solve_exact(&instance, &ExactOptions::default());
+        let solution = solve_exact(
+            instance.vertex_count(),
+            instance.k(),
+            instance.alpha(),
+            instance.conflict_edges(),
+            instance.stitch_edges(),
+            &ExactOptions::default(),
+        );
         let seconds = start.elapsed().as_secs_f64();
         eprintln!(
             "  bnb {:<18} n={:<3} |CE|={:<4} nodes={:<10} cost={} ({:.3}s)",

@@ -2,7 +2,7 @@
 
 use super::ColorAssigner;
 use crate::ComponentProblem;
-use mpl_ilp::{solve_exact, BinaryProgram, ColoringInstance, Comparison, ExactOptions};
+use mpl_ilp::{solve_exact, BinaryProgram, Comparison, ExactOptions};
 use std::time::Duration;
 
 /// The optimal baseline of the paper's Table 1.
@@ -39,19 +39,14 @@ impl ColorAssigner for ExactAssigner {
         problem: &ComponentProblem,
         cancel: Option<&crate::CancelToken>,
     ) -> super::AssignOutcome {
-        let mut instance =
-            ColoringInstance::new(problem.vertex_count(), problem.k()).with_alpha(problem.alpha());
-        for &(u, v) in problem.conflict_edges() {
-            instance.add_conflict(u, v);
-        }
-        for &(u, v) in problem.stitch_edges() {
-            instance.add_stitch(u, v);
-        }
         let solution = solve_exact(
-            &instance,
+            problem.vertex_count(),
+            problem.k(),
+            problem.alpha(),
+            problem.conflict_edges(),
+            problem.stitch_edges(),
             &ExactOptions {
                 time_limit: Some(self.time_limit),
-                warm_start: None,
                 cancel: cancel.map(crate::cancel::CancelToken::probe),
             },
         );
@@ -150,6 +145,7 @@ pub fn build_ilp_model(problem: &ComponentProblem) -> (BinaryProgram, usize, usi
 mod tests {
     use super::super::test_support::*;
     use super::*;
+    use mpl_ilp::SolveStatus;
 
     #[test]
     fn exact_engine_matches_brute_force_on_small_instances() {
@@ -182,18 +178,49 @@ mod tests {
     #[test]
     fn ilp_model_matches_the_exact_engine_on_tiny_instances() {
         // Solve the explicit ILP formulation with the generic 0-1 solver and
-        // compare objective values with the specialised engine.
-        for problem in [cycle(4, 3), k5(4)] {
-            let (program, _, _) = build_ilp_model(&problem);
+        // compare objective values with the specialised engine and with
+        // brute force: a 4-cycle and a K5, then a seeded stream over n = 4..=6,
+        // K = 2..=4 and α ∈ {0.1, 0.3, 1.0} with stitch edges and parallel
+        // conflict edges.
+        let mut problems = vec![cycle(4, 3), k5(4)];
+        let mut seed: u64 = 0x2545F4914F6CDD1D;
+        let mut next = move || {
+            seed ^= seed << 13;
+            seed ^= seed >> 7;
+            seed ^= seed << 17;
+            seed
+        };
+        for case in 0..36 {
+            let n = 4 + case % 3;
+            let k = 2 + (case / 3) % 3;
+            let alpha = [0.1, 0.3, 1.0][(case / 9) % 3];
+            let mut problem = ComponentProblem::new(n, k, alpha);
+            for i in 0..n {
+                for j in (i + 1)..n {
+                    match next() % 10 {
+                        0..=3 => problem.add_conflict(i, j),
+                        4 => {
+                            problem.add_conflict(i, j);
+                            problem.add_conflict(j, i);
+                        }
+                        5 | 6 => problem.add_stitch(i, j),
+                        _ => {}
+                    }
+                }
+            }
+            problems.push(problem);
+        }
+        let assigner = ExactAssigner::new(Duration::from_secs(10));
+        for (case, problem) in problems.iter().enumerate() {
+            let (program, _, _) = build_ilp_model(problem);
             let ilp = program.solve(2_000_000);
-            let assigner = ExactAssigner::new(Duration::from_secs(10));
-            let colors = assigner.assign(&problem);
-            let (_, _, cost) = problem.evaluate(&colors);
+            assert_eq!(ilp.status, SolveStatus::Optimal, "case {case}");
+            let (_, _, cost) = problem.evaluate(&assigner.assign(problem));
+            let brute = brute_force_cost(problem);
             assert!(
-                (ilp.objective - cost).abs() < 1e-6,
-                "ILP {} vs branch-and-bound {}",
-                ilp.objective,
-                cost
+                (ilp.objective - cost).abs() < 1e-6 && (brute - cost).abs() < 1e-6,
+                "case {case}: ILP {} vs branch-and-bound {cost} vs brute force {brute}",
+                ilp.objective
             );
         }
     }

@@ -2,8 +2,8 @@
 
 use super::ColorAssigner;
 use crate::ComponentProblem;
-use mpl_ilp::{solve_exact, ColoringInstance, ExactOptions};
-use mpl_sdp::{GramMatrix, SdpRelaxation, SolverOptions};
+use mpl_ilp::{solve_exact, ExactOptions};
+use mpl_sdp::{solve_low_rank, GramMatrix, SolverOptions};
 use std::time::Duration;
 
 /// Solves the vector-program relaxation for a component problem, polling
@@ -14,21 +14,23 @@ fn solve_relaxation(
     problem: &ComponentProblem,
     cancel: Option<&mpl_ilp::CancelProbe>,
 ) -> GramMatrix {
-    let mut sdp =
-        SdpRelaxation::new(problem.vertex_count(), problem.k()).with_alpha(problem.alpha());
-    for &(u, v) in problem.conflict_edges() {
-        sdp.add_conflict(u, v);
-    }
-    for &(u, v) in problem.stitch_edges() {
-        sdp.add_stitch(u, v);
-    }
     if let Some(probe) = cancel {
         probe.should_stop(std::time::Instant::now());
     }
-    let flag = cancel.map(|probe| &*probe.flag);
-    sdp.solve_with_cancel(&SolverOptions::default(), flag)
-        .gram()
-        .clone()
+    let options = SolverOptions {
+        cancel: cancel.map(|probe| probe.flag.clone()),
+        ..SolverOptions::default()
+    };
+    solve_low_rank(
+        problem.vertex_count(),
+        problem.k(),
+        problem.alpha(),
+        problem.conflict_edges(),
+        problem.stitch_edges(),
+        &options,
+    )
+    .gram()
+    .clone()
 }
 
 /// Union–find used by both rounding schemes to group vertices.
@@ -164,19 +166,14 @@ impl ColorAssigner for SdpBacktrackAssigner {
 
         // Backtracking phase (Algorithm 1, lines 5-19): exact search on the
         // merged graph.
-        let mut instance =
-            ColoringInstance::new(merged.vertex_count(), merged.k()).with_alpha(merged.alpha());
-        for &(u, v) in merged.conflict_edges() {
-            instance.add_conflict(u, v);
-        }
-        for &(u, v) in merged.stitch_edges() {
-            instance.add_stitch(u, v);
-        }
         let solution = solve_exact(
-            &instance,
+            merged.vertex_count(),
+            merged.k(),
+            merged.alpha(),
+            merged.conflict_edges(),
+            merged.stitch_edges(),
             &ExactOptions {
                 time_limit: Some(Duration::from_secs(60)),
-                warm_start: None,
                 cancel: probe,
             },
         );

@@ -166,32 +166,19 @@ impl ComponentProblem {
     }
 
     /// Evaluates a coloring, returning `(conflicts, stitches, cost)` with
-    /// `cost = conflicts + α · stitches`.
+    /// `cost = conflicts + α · stitches` ([`mpl_ilp::evaluate_coloring`]).
     ///
     /// # Panics
     ///
     /// Panics if the coloring has the wrong length or uses a color `≥ k`.
     pub fn evaluate(&self, colors: &[u8]) -> (usize, usize, f64) {
-        assert_eq!(colors.len(), self.vertex_count, "coloring length mismatch");
-        assert!(
-            colors.iter().all(|&c| (c as usize) < self.k),
-            "coloring uses a color outside 0..{}",
-            self.k
-        );
-        let conflicts = self
-            .conflict_edges
-            .iter()
-            .filter(|&&(u, v)| colors[u] == colors[v])
-            .count();
-        let stitches = self
-            .stitch_edges
-            .iter()
-            .filter(|&&(u, v)| colors[u] != colors[v])
-            .count();
-        (
-            conflicts,
-            stitches,
-            conflicts as f64 + self.alpha * stitches as f64,
+        mpl_ilp::evaluate_coloring(
+            self.vertex_count,
+            self.k,
+            self.alpha,
+            &self.conflict_edges,
+            &self.stitch_edges,
+            colors,
         )
     }
 

@@ -14,48 +14,28 @@ pub struct ColoringCost {
     pub cost: f64,
 }
 
-impl ColoringCost {
-    /// Combines two partial costs.
-    pub fn combine(self, other: ColoringCost) -> ColoringCost {
-        ColoringCost {
-            conflicts: self.conflicts + other.conflicts,
-            stitches: self.stitches + other.stitches,
-            cost: self.cost + other.cost,
-        }
-    }
-}
-
-/// Evaluates a complete mask assignment against the decomposition graph.
+/// Evaluates a complete mask assignment against the decomposition graph,
+/// with the one count [`mpl_ilp::evaluate_coloring`] that
+/// [`ComponentProblem::evaluate`](crate::ComponentProblem::evaluate) also
+/// uses.
 ///
 /// # Panics
 ///
 /// Panics if `colors` does not hold exactly one color per vertex or uses a
 /// color outside `0..graph.k()`.
 pub fn coloring_cost(graph: &DecompositionGraph, colors: &[u8], alpha: f64) -> ColoringCost {
-    assert_eq!(
-        colors.len(),
+    let (conflicts, stitches, cost) = mpl_ilp::evaluate_coloring(
         graph.vertex_count(),
-        "coloring length mismatch"
+        graph.k(),
+        alpha,
+        graph.conflict_edges(),
+        graph.stitch_edges(),
+        colors,
     );
-    assert!(
-        colors.iter().all(|&c| (c as usize) < graph.k()),
-        "coloring uses a color outside 0..{}",
-        graph.k()
-    );
-    let conflicts = graph
-        .conflict_edges()
-        .iter()
-        .filter(|&&(u, v)| colors[u] == colors[v])
-        .count();
-    let stitches = graph
-        .stitch_edges()
-        .iter()
-        .filter(|&&(u, v)| colors[u] != colors[v])
-        .count();
     ColoringCost {
         conflicts,
         stitches,
-        cost: conflicts as f64 + alpha * stitches as f64,
+        cost,
     }
 }
 
@@ -77,24 +57,6 @@ mod tests {
         let bad = coloring_cost(&graph, &[0, 0, 1, 2], 0.1);
         assert_eq!(bad.conflicts, 1);
         assert_eq!(bad.cost, 1.0);
-    }
-
-    #[test]
-    fn combine_adds_componentwise() {
-        let a = ColoringCost {
-            conflicts: 1,
-            stitches: 2,
-            cost: 1.2,
-        };
-        let b = ColoringCost {
-            conflicts: 0,
-            stitches: 3,
-            cost: 0.3,
-        };
-        let c = a.combine(b);
-        assert_eq!(c.conflicts, 1);
-        assert_eq!(c.stitches, 5);
-        assert!((c.cost - 1.5).abs() < 1e-12);
     }
 
     #[test]

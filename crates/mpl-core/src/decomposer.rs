@@ -8,7 +8,7 @@
 //! [`Decomposer::decompose`] is the one-call convenience wrapper that plans
 //! and executes serially.
 
-use crate::assign::{assigner_for, ColorAssigner};
+use crate::assign::ColorAssigner;
 use crate::coloring_cost;
 use crate::division::{
     biconnected_blocks_with, ghtree_pieces_with, merge_with_rotation_with, peel_low_degree_with,
@@ -372,32 +372,9 @@ impl Decomposer {
         Ok(self.plan(layout)?.execute(&SerialExecutor))
     }
 
-    /// Colors an already-built decomposition graph (exposed for harnesses
-    /// that want to time color assignment separately from graph
-    /// construction).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DecomposeError::Config`] when the configuration is invalid
-    /// (same validation as [`Decomposer::plan`]).
-    pub fn color_graph(&self, graph: &DecompositionGraph) -> Result<Vec<u8>, DecomposeError> {
-        self.config.validate()?;
-        let assigner = assigner_for(self.config.algorithm, &self.config);
-        let mut colors = vec![0u8; graph.vertex_count()];
-        let components = self.graph_components(graph);
-        for (problem, original) in component_problems(graph, components, &self.config) {
-            let local_colors = self.color_problem(&problem, assigner.as_ref());
-            for (local, &global) in original.iter().enumerate() {
-                colors[global] = local_colors[local];
-            }
-        }
-        Ok(colors)
-    }
-
-    /// The component partition both [`Decomposer::plan`] and
-    /// [`Decomposer::color_graph`] color: independent components, or the
-    /// whole graph as one component when that division technique is
-    /// disabled (the ablation knob).
+    /// The component partition [`Decomposer::plan`] colors: independent
+    /// components, or the whole graph as one component when that division
+    /// technique is disabled (the ablation knob).
     fn graph_components(&self, graph: &DecompositionGraph) -> Vec<Vec<usize>> {
         if self.config.division.independent_components {
             graph.independent_components()
@@ -409,55 +386,47 @@ impl Decomposer {
     }
 
     /// Colors a [`ComponentProblem`] with division applied, returning local
-    /// colors.
+    /// colors plus the component's work counters in an otherwise zero
+    /// [`ComponentStats`].  Every engine run polls `cancel`; once the token
+    /// stops, the remaining engine work degrades to fast incumbents and
+    /// `cancelled` is set (the session classifies the stop through the
+    /// token).  Scratch buffers live in a per-thread [`DivisionScratch`], so
+    /// each executor worker re-uses the same allocations for every component
+    /// it colors.
     pub(crate) fn color_problem(
         &self,
         problem: &ComponentProblem,
         assigner: &dyn ColorAssigner,
-    ) -> Vec<u8> {
-        self.color_problem_metered(problem, assigner).0
-    }
-
-    /// Colors a [`ComponentProblem`] with division applied, returning local
-    /// colors plus the component's work counters.  Scratch buffers live in a
-    /// per-thread [`DivisionScratch`], so each executor worker re-uses the
-    /// same allocations for every component it colors.
-    pub(crate) fn color_problem_metered(
-        &self,
-        problem: &ComponentProblem,
-        assigner: &dyn ColorAssigner,
-    ) -> (Vec<u8>, ColorMetrics) {
-        self.color_problem_metered_cancellable(problem, assigner, None)
-    }
-
-    /// Like [`Decomposer::color_problem_metered`], but every engine run
-    /// additionally polls `cancel`; once the token stops, the remaining
-    /// engine work degrades to fast incumbents and the metrics carry
-    /// [`ColorMetrics::cancelled`].
-    pub(crate) fn color_problem_metered_cancellable(
-        &self,
-        problem: &ComponentProblem,
-        assigner: &dyn ColorAssigner,
         cancel: Option<&crate::CancelToken>,
-    ) -> (Vec<u8>, ColorMetrics) {
-        with_division_scratch(|scratch| self.color_problem_in(problem, assigner, scratch, cancel))
+    ) -> (Vec<u8>, ComponentStats) {
+        with_division_scratch(|scratch| {
+            let paths_before = scratch.augmenting_paths();
+            let bound_before = scratch.augmenting_path_bound();
+            let scans_before = scratch.arc_scans();
+            let allocs_before = scratch.alloc_events();
+            let mut stats = ComponentStats::default();
+            let colors = self.color_problem_in(problem, assigner, scratch, cancel, &mut stats);
+            stats.augmenting_paths = scratch.augmenting_paths() - paths_before;
+            stats.augmenting_path_bound = scratch.augmenting_path_bound() - bound_before;
+            stats.arc_scans = scratch.arc_scans() - scans_before;
+            stats.scratch_allocs = scratch.alloc_events() - allocs_before;
+            (colors, stats)
+        })
     }
 
+    /// [`Decomposer::color_problem`] on a borrowed scratch, adding the work
+    /// counters into `stats`.
     fn color_problem_in(
         &self,
         problem: &ComponentProblem,
         assigner: &dyn ColorAssigner,
         scratch: &mut DivisionScratch,
         cancel: Option<&crate::CancelToken>,
-    ) -> (Vec<u8>, ColorMetrics) {
+        stats: &mut ComponentStats,
+    ) -> Vec<u8> {
         let n = problem.vertex_count();
         let k = problem.k() as u8;
         let division = self.config.division;
-        let mut metrics = ColorMetrics::default();
-        let paths_before = scratch.augmenting_paths();
-        let bound_before = scratch.augmenting_path_bound();
-        let scans_before = scratch.arc_scans();
-        let allocs_before = scratch.alloc_events();
 
         // ---- Iterated simplification (hide + cut to a fixed point). ----
         // The hide and cut passes reuse the ablation gates of the one-shot
@@ -473,21 +442,16 @@ impl Decomposer {
                 division.low_degree_removal,
                 division.biconnected_split,
             );
-            metrics.division_time += division_start.elapsed();
+            stats.division_time += division_start.elapsed();
             if !simplification.is_trivial() {
-                let colors = self.color_simplified(
+                return self.color_simplified(
                     problem,
                     assigner,
                     scratch,
                     &simplification,
-                    &mut metrics,
+                    stats,
                     cancel,
                 );
-                metrics.augmenting_paths = scratch.augmenting_paths() - paths_before;
-                metrics.augmenting_path_bound = scratch.augmenting_path_bound() - bound_before;
-                metrics.arc_scans = scratch.arc_scans() - scans_before;
-                metrics.scratch_allocs = scratch.alloc_events() - allocs_before;
-                return (colors, metrics);
             }
         }
         let mut colors = vec![u8::MAX; n];
@@ -500,7 +464,7 @@ impl Decomposer {
         } else {
             ((0..n).collect(), Vec::new())
         };
-        metrics.division_time += division_start.elapsed();
+        stats.division_time += division_start.elapsed();
 
         // ---- Kernel coloring, block by block. ----
         if !kernel.is_empty() {
@@ -510,7 +474,7 @@ impl Decomposer {
             } else {
                 vec![kernel.clone()]
             };
-            metrics.division_time += division_start.elapsed();
+            stats.division_time += division_start.elapsed();
             for block in blocks {
                 // Remember which block vertices were colored before (shared
                 // articulation vertices) so the block can be permuted to
@@ -525,24 +489,17 @@ impl Decomposer {
                 if division.ghtree_cut_removal {
                     let division_start = Instant::now();
                     let pieces = ghtree_pieces_with(problem, &block, scratch);
-                    metrics.division_time += division_start.elapsed();
+                    stats.division_time += division_start.elapsed();
                     for piece in &pieces {
-                        self.color_piece(
-                            problem,
-                            piece,
-                            assigner,
-                            &mut colors,
-                            &mut metrics,
-                            cancel,
-                        );
+                        self.color_piece(problem, piece, assigner, &mut colors, stats, cancel);
                     }
                     if pieces.len() > 1 {
                         let division_start = Instant::now();
                         merge_with_rotation_with(problem, &pieces, &mut colors, scratch);
-                        metrics.division_time += division_start.elapsed();
+                        stats.division_time += division_start.elapsed();
                     }
                 } else {
-                    self.color_piece(problem, &block, assigner, &mut colors, &mut metrics, cancel);
+                    self.color_piece(problem, &block, assigner, &mut colors, stats, cancel);
                 }
 
                 // Reconcile with every previously colored articulation
@@ -585,11 +542,7 @@ impl Decomposer {
                 *color = 0;
             }
         }
-        metrics.augmenting_paths = scratch.augmenting_paths() - paths_before;
-        metrics.augmenting_path_bound = scratch.augmenting_path_bound() - bound_before;
-        metrics.arc_scans = scratch.arc_scans() - scans_before;
-        metrics.scratch_allocs = scratch.alloc_events() - allocs_before;
-        (colors, metrics)
+        colors
     }
 
     /// Colors a component through a non-trivial [`mpl_graph::simplify`]
@@ -612,15 +565,15 @@ impl Decomposer {
         assigner: &dyn ColorAssigner,
         scratch: &mut DivisionScratch,
         simplification: &mpl_graph::Simplification,
-        metrics: &mut ColorMetrics,
+        stats: &mut ComponentStats,
         cancel: Option<&crate::CancelToken>,
     ) -> Vec<u8> {
         use mpl_graph::SimplifyOp;
         let n = problem.vertex_count();
         let k = problem.k();
-        metrics.hidden_vertices = simplification.hidden_count();
-        metrics.kernel_vertices = simplification.kernel.len();
-        metrics.simplify_rounds = simplification.rounds;
+        stats.hidden_vertices = simplification.hidden_count();
+        stats.kernel_vertices = simplification.kernel.len();
+        stats.simplify_rounds = simplification.rounds;
         let mut colors = vec![u8::MAX; n];
 
         // The kernel is itself at a simplification fixed point, so this
@@ -634,12 +587,7 @@ impl Decomposer {
                 &simplification.cut_conflicts,
                 &simplification.cut_stitches,
             );
-            let (sub_colors, sub_metrics) = self.color_problem_in(&sub, assigner, scratch, cancel);
-            metrics.division_time += sub_metrics.division_time;
-            metrics.bnb_nodes += sub_metrics.bnb_nodes;
-            metrics.hit_time_limit |= sub_metrics.hit_time_limit;
-            metrics.bound_improvements += sub_metrics.bound_improvements;
-            metrics.cancelled |= sub_metrics.cancelled;
+            let sub_colors = self.color_problem_in(&sub, assigner, scratch, cancel, stats);
             for (local, &global) in original.iter().enumerate() {
                 colors[global] = sub_colors[local];
             }
@@ -737,7 +685,7 @@ impl Decomposer {
         piece: &[usize],
         assigner: &dyn ColorAssigner,
         colors: &mut [u8],
-        metrics: &mut ColorMetrics,
+        stats: &mut ComponentStats,
         cancel: Option<&crate::CancelToken>,
     ) {
         if piece.is_empty() {
@@ -745,48 +693,14 @@ impl Decomposer {
         }
         let (sub, original) = problem.induced(piece);
         let outcome = assigner.assign_with_stats_cancellable(&sub, cancel);
-        metrics.bnb_nodes += outcome.bnb_nodes;
-        metrics.hit_time_limit |= outcome.hit_time_limit;
-        metrics.bound_improvements += outcome.bound_improvements;
-        metrics.cancelled |= outcome.cancelled;
+        stats.bnb_nodes += outcome.bnb_nodes;
+        stats.hit_time_limit |= outcome.hit_time_limit;
+        stats.bound_improvements += outcome.bound_improvements;
+        stats.cancelled |= outcome.cancelled;
         for (local, &global) in original.iter().enumerate() {
             colors[global] = outcome.colors[local];
         }
     }
-}
-
-/// Work counters accumulated while coloring one component (the per-task
-/// portion of [`ComponentStats`]).
-#[derive(Debug, Clone, Default)]
-pub(crate) struct ColorMetrics {
-    /// Time spent inside graph division (peeling, biconnectivity, (K−1)-cut
-    /// partition and rotation merging).
-    pub division_time: Duration,
-    /// Branch-and-bound nodes expanded by the exact engine.
-    pub bnb_nodes: u64,
-    /// Whether any piece's exact solve was truncated by its time limit.
-    pub hit_time_limit: bool,
-    /// Max-flow augmenting paths pushed by the (K−1)-cut division.
-    pub augmenting_paths: u64,
-    /// The certified `n · K` ceiling for `augmenting_paths`.
-    pub augmenting_path_bound: u64,
-    /// Max-flow arcs examined by the (K−1)-cut division.
-    pub arc_scans: u64,
-    /// Scratch-buffer growth events (≈ heap allocations on the hot path).
-    pub scratch_allocs: u64,
-    /// Vertices hidden by iterated simplification (zero when the component
-    /// took the one-shot division path).
-    pub hidden_vertices: usize,
-    /// Vertices left in the simplification kernel handed to the engine.
-    pub kernel_vertices: usize,
-    /// Simplification rounds that made progress before the fixed point.
-    pub simplify_rounds: usize,
-    /// Clique-expansion steps that strengthened the exact engine's lower
-    /// bound past the vertex-disjoint clique cover.
-    pub bound_improvements: u64,
-    /// Whether a [`CancelToken`](crate::CancelToken) stopped an engine run
-    /// on some piece of this component.
-    pub cancelled: bool,
 }
 
 /// Extracts every component's [`ComponentProblem`] from the decomposition
@@ -839,6 +753,7 @@ fn component_problems(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::assign::assigner_for;
     use crate::{ColorAlgorithm, ConfigError, DivisionConfig, ThreadPoolExecutor};
     use mpl_layout::{gen, Technology};
 
@@ -1096,8 +1011,8 @@ mod tests {
         }
     }
 
-    /// Reports fixed fake work counters per piece, to audit the metric
-    /// aggregation of `color_problem_metered`.
+    /// Reports fixed fake work counters per piece, to audit the counter
+    /// aggregation of `color_problem`.
     struct CountingAssigner;
 
     impl ColorAssigner for CountingAssigner {
@@ -1121,7 +1036,7 @@ mod tests {
     }
 
     #[test]
-    fn engine_work_counters_flow_into_color_metrics() {
+    fn engine_work_counters_flow_into_component_stats() {
         // A K5: peeling keeps it whole, so the engine colors exactly one
         // piece and its counters surface unchanged.
         let mut problem = ComponentProblem::new(5, 4, 0.1);
@@ -1131,21 +1046,21 @@ mod tests {
             }
         }
         let decomposer = Decomposer::new(quad_config(ColorAlgorithm::Linear));
-        let (colors, metrics) = decomposer.color_problem_metered(&problem, &CountingAssigner);
+        let (colors, stats) = decomposer.color_problem(&problem, &CountingAssigner, None);
         assert_eq!(colors.len(), 5);
-        assert_eq!(metrics.bnb_nodes, 7);
-        assert_eq!(metrics.bound_improvements, 3);
-        assert!(metrics.hit_time_limit);
+        assert_eq!(stats.bnb_nodes, 7);
+        assert_eq!(stats.bound_improvements, 3);
+        assert!(stats.hit_time_limit);
         // A K5 is at the simplification fixed point already: nothing hides
         // (every degree is 4 ≥ K) and a clique has no bridges, so the
         // one-shot path ran and the simplify counters stay zero.
-        assert_eq!(metrics.hidden_vertices, 0);
-        assert_eq!(metrics.kernel_vertices, 0);
-        assert_eq!(metrics.simplify_rounds, 0);
+        assert_eq!(stats.hidden_vertices, 0);
+        assert_eq!(stats.kernel_vertices, 0);
+        assert_eq!(stats.simplify_rounds, 0);
         // The K5 is 4-edge-connected... in fact every pair has min-cut 4 ≥ K
         // = 4, so division ran real capped max-flows under the n·K bound.
-        assert!(metrics.augmenting_paths > 0);
-        assert!(metrics.augmenting_paths <= metrics.augmenting_path_bound);
+        assert!(stats.augmenting_paths > 0);
+        assert!(stats.augmenting_paths <= stats.augmenting_path_bound);
     }
 
     #[test]
@@ -1206,14 +1121,13 @@ mod tests {
         // The guard itself, independent of any engine's behaviour on a
         // 0-vertex problem: the assigner is never called.
         let decomposer = Decomposer::new(quad_config(ColorAlgorithm::Linear));
-        let (colors, metrics) =
-            decomposer.color_problem_metered(&path_problem(6), &PanickingAssigner);
+        let (colors, stats) = decomposer.color_problem(&path_problem(6), &PanickingAssigner, None);
         let (conflicts, _, _) = path_problem(6).evaluate(&colors);
         assert_eq!(conflicts, 0);
-        assert_eq!(metrics.hidden_vertices, 6);
-        assert_eq!(metrics.kernel_vertices, 0);
-        assert_eq!(metrics.bnb_nodes, 0);
-        assert!(metrics.simplify_rounds >= 1);
+        assert_eq!(stats.hidden_vertices, 6);
+        assert_eq!(stats.kernel_vertices, 0);
+        assert_eq!(stats.bnb_nodes, 0);
+        assert!(stats.simplify_rounds >= 1);
     }
 
     #[test]
@@ -1224,11 +1138,11 @@ mod tests {
         for algorithm in ColorAlgorithm::ALL {
             let decomposer = Decomposer::new(quad_config(algorithm));
             let assigner = assigner_for(algorithm, decomposer.config());
-            let (colors, metrics) = decomposer.color_problem_metered(&problem, assigner.as_ref());
+            let (colors, stats) = decomposer.color_problem(&problem, assigner.as_ref(), None);
             let (conflicts, _, _) = problem.evaluate(&colors);
             assert_eq!(conflicts, 0, "{algorithm}");
-            assert_eq!(metrics.kernel_vertices, 0, "{algorithm}");
-            assert_eq!(metrics.bnb_nodes, 0, "{algorithm}: engine was invoked");
+            assert_eq!(stats.kernel_vertices, 0, "{algorithm}");
+            assert_eq!(stats.bnb_nodes, 0, "{algorithm}: engine was invoked");
         }
     }
 
@@ -1249,11 +1163,11 @@ mod tests {
         problem.add_conflict(4, 5);
         let decomposer = Decomposer::new(quad_config(ColorAlgorithm::Ilp));
         let assigner = assigner_for(ColorAlgorithm::Ilp, decomposer.config());
-        let (colors, metrics) = decomposer.color_problem_metered(&problem, assigner.as_ref());
+        let (colors, stats) = decomposer.color_problem(&problem, assigner.as_ref(), None);
         let (conflicts, _, _) = problem.evaluate(&colors);
         assert_eq!(conflicts, 2);
-        assert_eq!(metrics.kernel_vertices, 10);
-        assert_eq!(metrics.hidden_vertices, 0);
+        assert_eq!(stats.kernel_vertices, 10);
+        assert_eq!(stats.hidden_vertices, 0);
         // Crucially the bridge itself is clean: the rotation satisfied it.
         assert_ne!(colors[4], colors[5]);
     }
@@ -1280,14 +1194,14 @@ mod tests {
             }),
         );
         let assigner = assigner_for(ColorAlgorithm::Ilp, on.config());
-        let (colors_on, metrics_on) = on.color_problem_metered(&problem, assigner.as_ref());
-        let (colors_off, _) = off.color_problem_metered(&problem, assigner.as_ref());
+        let (colors_on, stats_on) = on.color_problem(&problem, assigner.as_ref(), None);
+        let (colors_off, _) = off.color_problem(&problem, assigner.as_ref(), None);
         let (conflicts_on, _, _) = problem.evaluate(&colors_on);
         let (conflicts_off, _, _) = problem.evaluate(&colors_off);
         assert_eq!(conflicts_on, 1);
         assert_eq!(conflicts_off, 1);
-        assert_eq!(metrics_on.hidden_vertices, 4);
-        assert_eq!(metrics_on.kernel_vertices, 5);
+        assert_eq!(stats_on.hidden_vertices, 4);
+        assert_eq!(stats_on.kernel_vertices, 5);
     }
 
     #[test]
@@ -1326,7 +1240,7 @@ mod tests {
         };
         let config = quad_config(ColorAlgorithm::Linear).with_division(division);
         let decomposer = Decomposer::new(config);
-        let colors = decomposer.color_problem(&problem, &IdentityAssigner);
+        let (colors, _) = decomposer.color_problem(&problem, &IdentityAssigner, None);
         let (conflicts, _, _) = problem.evaluate(&colors);
         assert_eq!(conflicts, 0, "colors: {colors:?}");
         // Both anchors kept the colors their pendant blocks assumed.

@@ -462,6 +462,6 @@ fn merged_component_stats(
         deadline_exceeded: pieces.iter().any(|stats| stats.deadline_exceeded),
         skipped: pieces.iter().any(|stats| stats.skipped),
         memo_hit: memo_attached.then(|| pieces.iter().all(|stats| stats.memo_hit == Some(true))),
-        ..ComponentStats::evaluated(index, problem, merged)
+        ..ComponentStats::default().evaluated(index, problem, merged)
     }
 }

@@ -139,10 +139,10 @@ pub struct ComponentStats {
 }
 
 impl ComponentStats {
-    /// The size and quality fields of component `index` colored `colors`
-    /// (evaluated on its `problem`); every work counter, time and flag is
-    /// zero.
-    pub(crate) fn evaluated(index: usize, problem: &ComponentProblem, colors: &[u8]) -> Self {
+    /// These stats with the size and quality fields of component `index`
+    /// colored `colors` (evaluated on its `problem`); every work counter,
+    /// time and flag is kept.
+    pub(crate) fn evaluated(self, index: usize, problem: &ComponentProblem, colors: &[u8]) -> Self {
         let (conflicts, stitches, cost) = problem.evaluate(colors);
         ComponentStats {
             index,
@@ -152,7 +152,7 @@ impl ComponentStats {
             conflicts,
             stitches,
             cost,
-            ..ComponentStats::default()
+            ..self
         }
     }
 }

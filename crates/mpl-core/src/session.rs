@@ -481,7 +481,7 @@ enum Disposition {
 fn stamped_stats(task: &ComponentTask, colors: &[u8]) -> ComponentStats {
     ComponentStats {
         memo_hit: Some(true),
-        ..ComponentStats::evaluated(task.index(), task.problem(), colors)
+        ..ComponentStats::default().evaluated(task.index(), task.problem(), colors)
     }
 }
 
@@ -499,7 +499,7 @@ fn skipped_stats(
         deadline_exceeded: token.deadline_exceeded(),
         skipped: true,
         memo_hit: memoized_batch.then_some(false),
-        ..ComponentStats::evaluated(task.index(), task.problem(), colors)
+        ..ComponentStats::default().evaluated(task.index(), task.problem(), colors)
     }
 }
 
@@ -640,28 +640,23 @@ pub(crate) fn execute_batch(
         // the stored coloring is a pure function of the signature) and the
         // result is stamped back through the permutation; without one it
         // colors the live problem directly.
-        let (colors, metrics, memo_hit) = match &dispositions {
+        let (colors, work, memo_hit) = match &dispositions {
             None => {
-                let (colors, metrics) = plan.decomposer().color_problem_metered_cancellable(
+                let (colors, work) = plan.decomposer().color_problem(
                     task.problem(),
                     assigners[slot].as_ref(),
                     tagged.cancel(),
                 );
-                (colors, metrics, None)
+                (colors, work, None)
             }
             Some(dispositions) => match &dispositions[slot][task.index()] {
                 Disposition::Lead { problem, perm, .. } => {
-                    let (canonical_colors, metrics) =
-                        plan.decomposer().color_problem_metered_cancellable(
-                            problem,
-                            assigners[slot].as_ref(),
-                            tagged.cancel(),
-                        );
-                    (
-                        mpl_memo::stamp(&canonical_colors, perm),
-                        metrics,
-                        Some(false),
-                    )
+                    let (canonical_colors, work) = plan.decomposer().color_problem(
+                        problem,
+                        assigners[slot].as_ref(),
+                        tagged.cancel(),
+                    );
+                    (mpl_memo::stamp(&canonical_colors, perm), work, Some(false))
                 }
                 _ => unreachable!("only lead tasks enter the executor batch"),
             },
@@ -669,27 +664,16 @@ pub(crate) fn execute_batch(
         // Classify an engine-observed stop through the token so the stats
         // carry the reason (poll promotes an expired deadline first).
         let (cancelled, deadline_exceeded) = match tagged.cancel() {
-            Some(token) if metrics.cancelled => {
+            Some(token) if work.cancelled => {
                 token.poll();
                 (token.is_cancelled(), token.deadline_exceeded())
             }
             _ => (false, false),
         };
         // Evaluated before the clock is read: `time` covers the evaluation.
-        let evaluated = ComponentStats::evaluated(task.index(), task.problem(), &colors);
+        let evaluated = work.evaluated(task.index(), task.problem(), &colors);
         let stats = ComponentStats {
             time: task_start.elapsed(),
-            division_time: metrics.division_time,
-            bnb_nodes: metrics.bnb_nodes,
-            hit_time_limit: metrics.hit_time_limit,
-            augmenting_paths: metrics.augmenting_paths,
-            augmenting_path_bound: metrics.augmenting_path_bound,
-            arc_scans: metrics.arc_scans,
-            scratch_allocs: metrics.scratch_allocs,
-            hidden_vertices: metrics.hidden_vertices,
-            kernel_vertices: metrics.kernel_vertices,
-            simplify_rounds: metrics.simplify_rounds,
-            bound_improvements: metrics.bound_improvements,
             cancelled,
             deadline_exceeded,
             memo_hit,

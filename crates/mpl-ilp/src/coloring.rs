@@ -4,132 +4,64 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// A K-coloring instance over `n` vertices with conflict and stitch edges.
+/// Counts a complete coloring of the instance given by `vertex_count`, `k`,
+/// `alpha` and its edge lists, returning `(conflicts, stitches, cost)`.
 ///
-/// The discrete problem matches the paper's ILP formulation exactly: assign
-/// each vertex one of `k` colors so as to minimise
-/// `conflicts + α · stitches`, where a conflict edge costs 1 when its
-/// endpoints share a color and a stitch edge costs α when its endpoints
-/// differ.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ColoringInstance {
+/// The discrete problem is the paper's ILP formulation: a conflict edge
+/// costs 1 when its endpoints share a color, a stitch edge costs α when its
+/// endpoints differ, and `cost = conflicts + α · stitches`.  This is the one
+/// count behind [`solve_exact`], `mpl_core::ComponentProblem::evaluate` and
+/// `mpl_core::coloring_cost`.
+///
+/// # Panics
+///
+/// Panics if `colors` does not hold `vertex_count` colors or contains a
+/// color `≥ k`.
+pub fn evaluate_coloring(
     vertex_count: usize,
     k: usize,
     alpha: f64,
-    conflict_edges: Vec<(usize, usize)>,
-    stitch_edges: Vec<(usize, usize)>,
+    conflict_edges: &[(usize, usize)],
+    stitch_edges: &[(usize, usize)],
+    colors: &[u8],
+) -> (usize, usize, f64) {
+    assert_eq!(colors.len(), vertex_count, "coloring length mismatch");
+    assert!(
+        colors.iter().all(|&c| (c as usize) < k),
+        "coloring uses a color outside 0..{k}"
+    );
+    let conflicts = conflict_edges
+        .iter()
+        .filter(|&&(u, v)| colors[u] == colors[v])
+        .count();
+    let stitches = stitch_edges
+        .iter()
+        .filter(|&&(u, v)| colors[u] != colors[v])
+        .count();
+    (
+        conflicts,
+        stitches,
+        conflicts as f64 + alpha * stitches as f64,
+    )
 }
 
-impl ColoringInstance {
-    /// Creates an empty instance with `vertex_count` vertices and `k` colors
-    /// and the paper's default stitch weight α = 0.1.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `k == 0`.
-    pub fn new(vertex_count: usize, k: usize) -> Self {
-        assert!(k >= 1, "at least one color is required");
-        ColoringInstance {
-            vertex_count,
-            k,
-            alpha: 0.1,
-            conflict_edges: Vec::new(),
-            stitch_edges: Vec::new(),
-        }
-    }
-
-    /// Overrides the stitch weight α.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `alpha` is negative.
-    pub fn with_alpha(mut self, alpha: f64) -> Self {
-        assert!(alpha >= 0.0, "alpha must be non-negative");
-        self.alpha = alpha;
-        self
-    }
-
-    /// Number of vertices.
-    pub fn vertex_count(&self) -> usize {
-        self.vertex_count
-    }
-
-    /// Number of colors K.
-    pub fn k(&self) -> usize {
-        self.k
-    }
-
-    /// The stitch weight α.
-    pub fn alpha(&self) -> f64 {
-        self.alpha
-    }
-
-    /// Adds a conflict edge.
-    ///
-    /// # Panics
-    ///
-    /// Panics if an endpoint is out of range or `u == v`.
-    pub fn add_conflict(&mut self, u: usize, v: usize) {
-        self.check(u, v);
-        self.conflict_edges.push((u, v));
-    }
-
-    /// Adds a stitch edge.
-    ///
-    /// # Panics
-    ///
-    /// Panics if an endpoint is out of range or `u == v`.
-    pub fn add_stitch(&mut self, u: usize, v: usize) {
-        self.check(u, v);
-        self.stitch_edges.push((u, v));
-    }
-
-    fn check(&self, u: usize, v: usize) {
+/// Checks the solver's input contract: K ≥ 2, α ≥ 0, and every edge in
+/// range with two distinct endpoints.
+fn check_instance(
+    vertex_count: usize,
+    k: usize,
+    alpha: f64,
+    conflict_edges: &[(usize, usize)],
+    stitch_edges: &[(usize, usize)],
+) {
+    assert!(k >= 2, "need at least two masks, got {k}");
+    assert!(alpha >= 0.0, "alpha must be non-negative");
+    for &(u, v) in conflict_edges.iter().chain(stitch_edges) {
         assert!(u != v, "self-edge {u}-{v} is not allowed");
         assert!(
-            u < self.vertex_count && v < self.vertex_count,
-            "edge ({u}, {v}) out of range for {} vertices",
-            self.vertex_count
+            u < vertex_count && v < vertex_count,
+            "edge ({u}, {v}) out of range for {vertex_count} vertices"
         );
-    }
-
-    /// The conflict edges.
-    pub fn conflict_edges(&self) -> &[(usize, usize)] {
-        &self.conflict_edges
-    }
-
-    /// The stitch edges.
-    pub fn stitch_edges(&self) -> &[(usize, usize)] {
-        &self.stitch_edges
-    }
-
-    /// Evaluates a complete coloring, returning `(conflicts, stitches, cost)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `colors` has the wrong length or contains a color `≥ k`.
-    pub fn evaluate(&self, colors: &[u8]) -> (usize, usize, f64) {
-        assert_eq!(colors.len(), self.vertex_count, "coloring length mismatch");
-        assert!(
-            colors.iter().all(|&c| (c as usize) < self.k),
-            "coloring uses a color outside 0..{}",
-            self.k
-        );
-        let conflicts = self
-            .conflict_edges
-            .iter()
-            .filter(|&&(u, v)| colors[u] == colors[v])
-            .count();
-        let stitches = self
-            .stitch_edges
-            .iter()
-            .filter(|&&(u, v)| colors[u] != colors[v])
-            .count();
-        (
-            conflicts,
-            stitches,
-            conflicts as f64 + self.alpha * stitches as f64,
-        )
     }
 }
 
@@ -139,9 +71,6 @@ pub struct ExactOptions {
     /// Abandon the proof of optimality after this much wall-clock time; the
     /// incumbent found so far is returned with `proven_optimal == false`.
     pub time_limit: Option<Duration>,
-    /// An externally known feasible solution used to seed the incumbent
-    /// (for instance the greedy solution), as `(colors, cost)`.
-    pub warm_start: Option<Vec<u8>>,
     /// An external stop request, polled on the same amortised clock check
     /// as the time limit.  On observation the incumbent is returned with
     /// [`cancelled`](ExactSolution::cancelled) set, at most one
@@ -230,7 +159,8 @@ fn pack_incident(neighbor: usize, is_conflict: bool) -> usize {
 }
 
 struct Searcher<'a> {
-    instance: &'a ColoringInstance,
+    k: usize,
+    alpha: f64,
     /// CSR incidence: entries `incident[inc_offsets[v]..inc_offsets[v+1]]`
     /// are [`pack_incident`] values (conflict edges first, then stitches,
     /// each in instance edge order).
@@ -303,7 +233,7 @@ impl Searcher<'_> {
             return;
         }
         let vertex = self.order[depth];
-        let k = self.instance.k();
+        let k = self.k;
         // A vertex belongs to at most two tracked cliques (the expansion's
         // usage cap), so its memberships fit a fixed pair of slots.
         let member_start = self.member_offsets[vertex];
@@ -328,7 +258,7 @@ impl Searcher<'_> {
                             delta += 1.0;
                         }
                     } else if colors[neighbor] != color {
-                        delta += self.instance.alpha();
+                        delta += self.alpha;
                     }
                 }
             }
@@ -386,7 +316,7 @@ impl Searcher<'_> {
     /// uncolored members over the color classes, given how many members
     /// already wear each color ([`min_fill_conflicts`]).
     fn refined_clique_bound(&mut self, clique: usize) -> f64 {
-        let k = self.instance.k();
+        let k = self.k;
         self.fill_scratch.clear();
         self.fill_scratch
             .extend_from_slice(&self.clique_counts[clique * k..(clique + 1) * k]);
@@ -591,8 +521,10 @@ fn expand_clique_cover(
     improvements
 }
 
-/// Solves a [`ColoringInstance`] to proven optimality (or to the time
-/// limit) by depth-first branch and bound.
+/// Solves the K-coloring instance over `vertex_count` vertices with the
+/// given conflict and stitch edges to proven optimality (or to the time
+/// limit) by depth-first branch and bound, minimising
+/// `conflicts + α · stitches` ([`evaluate_coloring`]).
 ///
 /// The search is pruned four ways:
 ///
@@ -621,15 +553,28 @@ fn expand_clique_cover(
 ///   before comparing against the incumbent.  The number of accepted
 ///   expansions is reported as
 ///   [`bound_improvements`](ExactSolution::bound_improvements).
-/// * **Greedy warm start** — the incumbent starts at a greedy coloring (or
-///   the caller's [`ExactOptions::warm_start`]), so conflict-free
-///   components are proven optimal almost immediately.
+/// * **Greedy incumbent** — the incumbent starts at a greedy coloring in
+///   the branch order, so conflict-free components are proven optimal
+///   almost immediately.
 ///
 /// The wall clock is consulted every 1024 nodes (`TIME_CHECK_INTERVAL`);
 /// on expiry the incumbent is returned with
 /// [`hit_time_limit`](ExactSolution::hit_time_limit) set.
-pub fn solve_exact(instance: &ColoringInstance, options: &ExactOptions) -> ExactSolution {
-    let n = instance.vertex_count();
+///
+/// # Panics
+///
+/// Panics unless `k ≥ 2`, `alpha ≥ 0` and every edge joins two distinct
+/// vertices below `vertex_count`.
+pub fn solve_exact(
+    vertex_count: usize,
+    k: usize,
+    alpha: f64,
+    conflict_edges: &[(usize, usize)],
+    stitch_edges: &[(usize, usize)],
+    options: &ExactOptions,
+) -> ExactSolution {
+    check_instance(vertex_count, k, alpha, conflict_edges, stitch_edges);
+    let n = vertex_count;
     if n == 0 {
         return ExactSolution {
             colors: Vec::new(),
@@ -643,19 +588,18 @@ pub fn solve_exact(instance: &ColoringInstance, options: &ExactOptions) -> Exact
             bound_improvements: 0,
         };
     }
-    let k = instance.k();
 
     // Flat CSR incidence: conflict edges first, then stitch edges, so the
     // per-vertex entry order matches the old push-list construction.
     let mut inc_offsets = vec![0usize; n + 1];
     let mut conflict_offsets = vec![0usize; n + 1];
-    for &(u, v) in instance.conflict_edges() {
+    for &(u, v) in conflict_edges {
         inc_offsets[u + 1] += 1;
         inc_offsets[v + 1] += 1;
         conflict_offsets[u + 1] += 1;
         conflict_offsets[v + 1] += 1;
     }
-    for &(u, v) in instance.stitch_edges() {
+    for &(u, v) in stitch_edges {
         inc_offsets[u + 1] += 1;
         inc_offsets[v + 1] += 1;
     }
@@ -670,7 +614,7 @@ pub fn solve_exact(instance: &ColoringInstance, options: &ExactOptions) -> Exact
     {
         let mut inc_cursor = inc_offsets.clone();
         let mut con_cursor = conflict_offsets.clone();
-        for &(u, v) in instance.conflict_edges() {
+        for &(u, v) in conflict_edges {
             incident[inc_cursor[u]] = pack_incident(v, true);
             inc_cursor[u] += 1;
             incident[inc_cursor[v]] = pack_incident(u, true);
@@ -680,7 +624,7 @@ pub fn solve_exact(instance: &ColoringInstance, options: &ExactOptions) -> Exact
             conflict[con_cursor[v]] = u;
             con_cursor[v] += 1;
         }
-        for &(u, v) in instance.stitch_edges() {
+        for &(u, v) in stitch_edges {
             incident[inc_cursor[u]] = pack_incident(v, false);
             inc_cursor[u] += 1;
             incident[inc_cursor[v]] = pack_incident(u, false);
@@ -699,7 +643,7 @@ pub fn solve_exact(instance: &ColoringInstance, options: &ExactOptions) -> Exact
     // need to know which shared pairs are simple.
     let mut multiplicity: std::collections::HashMap<(usize, usize), usize> =
         std::collections::HashMap::new();
-    for &(u, v) in instance.conflict_edges() {
+    for &(u, v) in conflict_edges {
         *multiplicity.entry((u.min(v), u.max(v))).or_insert(0) += 1;
     }
     let bound_improvements = expand_clique_cover(
@@ -873,42 +817,39 @@ pub fn solve_exact(instance: &ColoringInstance, options: &ExactOptions) -> Exact
     let clique_counts = vec![0usize; remaining.len() * k];
     let initial_bound: f64 = clique_lb.iter().sum::<f64>() - pair_correction;
 
-    // Incumbent: warm start if provided, otherwise a greedy coloring in the
-    // branch order.
-    let warm = options.warm_start.clone().unwrap_or_else(|| {
-        let mut colors = vec![0u8; n];
-        let mut penalty = vec![0.0f64; k];
-        for &v in &order {
-            penalty.iter_mut().for_each(|slot| *slot = 0.0);
-            for &entry in &incident[inc_offsets[v]..inc_offsets[v + 1]] {
-                let neighbor = entry >> 1;
-                if position[neighbor] < position[v] {
-                    if entry & 1 == 1 {
-                        penalty[colors[neighbor] as usize] += 1.0;
-                    } else {
-                        let keep = colors[neighbor] as usize;
-                        for (color, slot) in penalty.iter_mut().enumerate() {
-                            if color != keep {
-                                *slot += instance.alpha();
-                            }
+    // Incumbent: a greedy coloring in the branch order.
+    let mut greedy = vec![0u8; n];
+    let mut penalty = vec![0.0f64; k];
+    for &v in &order {
+        penalty.iter_mut().for_each(|slot| *slot = 0.0);
+        for &entry in &incident[inc_offsets[v]..inc_offsets[v + 1]] {
+            let neighbor = entry >> 1;
+            if position[neighbor] < position[v] {
+                if entry & 1 == 1 {
+                    penalty[greedy[neighbor] as usize] += 1.0;
+                } else {
+                    let keep = greedy[neighbor] as usize;
+                    for (color, slot) in penalty.iter_mut().enumerate() {
+                        if color != keep {
+                            *slot += alpha;
                         }
                     }
                 }
             }
-            let best = penalty
-                .iter()
-                .enumerate()
-                .min_by(|a, b| a.1.partial_cmp(b.1).expect("finite"))
-                .map(|(c, _)| c)
-                .unwrap_or(0);
-            colors[v] = best as u8;
         }
-        colors
-    });
-    let (_, _, warm_cost) = instance.evaluate(&warm);
+        let best = penalty
+            .iter()
+            .enumerate()
+            .min_by(|a, b| a.1.partial_cmp(b.1).expect("finite"))
+            .map(|(c, _)| c)
+            .unwrap_or(0);
+        greedy[v] = best as u8;
+    }
+    let (_, _, greedy_cost) = evaluate_coloring(n, k, alpha, conflict_edges, stitch_edges, &greedy);
 
     let mut searcher = Searcher {
-        instance,
+        k,
+        alpha,
         inc_offsets,
         incident,
         order,
@@ -923,8 +864,8 @@ pub fn solve_exact(instance: &ColoringInstance, options: &ExactOptions) -> Exact
         pair_correctable,
         pair_assigned,
         fill_scratch: Vec::with_capacity(k),
-        best_cost: warm_cost + 1e-9,
-        best_colors: warm.clone(),
+        best_cost: greedy_cost + 1e-9,
+        best_colors: greedy,
         nodes: 0,
         deadline: options.time_limit.map(|limit| Instant::now() + limit),
         timed_out: false,
@@ -938,7 +879,8 @@ pub fn solve_exact(instance: &ColoringInstance, options: &ExactOptions) -> Exact
     searcher.search(0, &mut colors, 0.0, initial_bound, 0);
 
     let best = searcher.best_colors;
-    let (conflicts, stitches, cost) = instance.evaluate(&best);
+    let (conflicts, stitches, cost) =
+        evaluate_coloring(n, k, alpha, conflict_edges, stitch_edges, &best);
     ExactSolution {
         colors: best,
         conflicts,
@@ -956,26 +898,33 @@ pub fn solve_exact(instance: &ColoringInstance, options: &ExactOptions) -> Exact
 mod tests {
     use super::*;
 
-    fn clique(n: usize, k: usize) -> ColoringInstance {
-        let mut instance = ColoringInstance::new(n, k);
-        for i in 0..n {
-            for j in (i + 1)..n {
-                instance.add_conflict(i, j);
-            }
-        }
-        instance
+    /// Every edge of the clique over `0..n`.
+    fn clique(n: usize) -> Vec<(usize, usize)> {
+        (0..n)
+            .flat_map(|i| ((i + 1)..n).map(move |j| (i, j)))
+            .collect()
+    }
+
+    /// Solves with α = 0.1 and default options.
+    fn solve(
+        n: usize,
+        k: usize,
+        conflicts: &[(usize, usize)],
+        stitches: &[(usize, usize)],
+    ) -> ExactSolution {
+        solve_exact(n, k, 0.1, conflicts, stitches, &ExactOptions::default())
     }
 
     #[test]
     fn empty_instance_is_trivially_optimal() {
-        let solution = solve_exact(&ColoringInstance::new(0, 4), &ExactOptions::default());
+        let solution = solve(0, 4, &[], &[]);
         assert_eq!(solution.cost, 0.0);
         assert!(solution.proven_optimal);
     }
 
     #[test]
     fn k4_is_four_colorable_without_conflicts() {
-        let solution = solve_exact(&clique(4, 4), &ExactOptions::default());
+        let solution = solve(4, 4, &clique(4), &[]);
         assert_eq!(solution.conflicts, 0);
         assert!(solution.proven_optimal);
         // All four colors must be distinct.
@@ -987,37 +936,30 @@ mod tests {
 
     #[test]
     fn k5_under_four_colors_has_exactly_one_conflict() {
-        let solution = solve_exact(&clique(5, 4), &ExactOptions::default());
+        let solution = solve(5, 4, &clique(5), &[]);
         assert_eq!(solution.conflicts, 1);
         assert_eq!(solution.stitches, 0);
         assert!(solution.proven_optimal);
     }
 
     #[test]
-    fn k6_under_four_colors_has_three_conflicts() {
-        // K6 with 4 colors: the best partition is 2+2+1+1, giving C(2,2)*2 = 2
-        // monochromatic edges... actually 2 pairs of doubled colors -> 2
-        // conflicts; verify against brute force below.
-        let instance = clique(6, 4);
-        let solution = solve_exact(&instance, &ExactOptions::default());
-        let brute = brute_force(&instance);
-        assert_eq!(solution.cost, brute);
+    fn k6_under_four_colors_has_two_conflicts() {
+        let solution = solve(6, 4, &clique(6), &[]);
+        assert_eq!(solution.conflicts, 2);
+        assert_eq!(solution.cost, brute_force(6, 4, 0.1, &clique(6), &[]));
         assert!(solution.proven_optimal);
     }
 
     #[test]
     fn k5_under_five_colors_is_clean() {
-        let solution = solve_exact(&clique(5, 5), &ExactOptions::default());
+        let solution = solve(5, 5, &clique(5), &[]);
         assert_eq!(solution.conflicts, 0);
         assert!(solution.proven_optimal);
     }
 
     #[test]
     fn stitch_edges_prefer_same_color() {
-        let mut instance = ColoringInstance::new(3, 4);
-        instance.add_stitch(0, 1);
-        instance.add_stitch(1, 2);
-        let solution = solve_exact(&instance, &ExactOptions::default());
+        let solution = solve(3, 4, &[], &[(0, 1), (1, 2)]);
         assert_eq!(solution.stitches, 0);
         assert_eq!(solution.colors[0], solution.colors[1]);
         assert_eq!(solution.colors[1], solution.colors[2]);
@@ -1025,59 +967,36 @@ mod tests {
 
     #[test]
     fn stitch_is_used_when_it_avoids_a_conflict() {
-        // Vertices 0 and 1 are two halves of a wire (stitch edge); 0
-        // conflicts with 2, 3, 4 and 1 conflicts with 5, 6, 7; together with
-        // cross conflicts the wire cannot keep a single color for free.
-        let mut instance = ColoringInstance::new(5, 2).with_alpha(0.1);
-        // Two colors only: 0-1 stitch, 0 conflicts with 2, 1 conflicts with 3,
-        // and 2-3 must also differ from each other ... construct an odd cycle
-        // that forces the stitch: 0-2 conflict, 2-3 conflict, 3-1 conflict,
-        // and 0-3 conflict.
-        instance.add_stitch(0, 1);
-        instance.add_conflict(0, 2);
-        instance.add_conflict(2, 3);
-        instance.add_conflict(3, 1);
-        instance.add_conflict(0, 3);
-        instance.add_conflict(2, 4);
-        instance.add_conflict(3, 4);
-        let solution = solve_exact(&instance, &ExactOptions::default());
-        let brute = brute_force(&instance);
-        assert!((solution.cost - brute).abs() < 1e-9);
+        // Two colors: the conflict path 0–2–3–1 forces 0 and 1 apart, so
+        // keeping the stitched halves 0 and 1 together costs a conflict
+        // (1.0) while splitting them costs one stitch (0.1).
+        let conflicts = [(0, 2), (2, 3), (3, 1)];
+        let solution = solve(4, 2, &conflicts, &[(0, 1)]);
+        assert_eq!(solution.conflicts, 0);
+        assert_eq!(solution.stitches, 1);
+        assert!((solution.cost - 0.1).abs() < 1e-9);
+        assert!((solution.cost - brute_force(4, 2, 0.1, &conflicts, &[(0, 1)])).abs() < 1e-9);
         assert!(solution.proven_optimal);
     }
 
     #[test]
     fn evaluate_reports_components() {
-        let mut instance = ColoringInstance::new(4, 4);
-        instance.add_conflict(0, 1);
-        instance.add_stitch(2, 3);
-        let (conflicts, stitches, cost) = instance.evaluate(&[1, 1, 0, 2]);
+        let (conflicts, stitches, cost) =
+            evaluate_coloring(4, 4, 0.1, &[(0, 1)], &[(2, 3)], &[1, 1, 0, 2]);
         assert_eq!(conflicts, 1);
         assert_eq!(stitches, 1);
         assert!((cost - 1.1).abs() < 1e-9);
     }
 
     #[test]
-    fn warm_start_bounds_the_search() {
-        let mut instance = clique(5, 4);
-        instance.add_stitch(0, 1);
-        let warm = vec![0, 1, 2, 3, 0];
-        let with_warm = solve_exact(
-            &instance,
-            &ExactOptions {
-                warm_start: Some(warm),
-                ..ExactOptions::default()
-            },
-        );
-        let without = solve_exact(&instance, &ExactOptions::default());
-        assert!((with_warm.cost - without.cost).abs() < 1e-9);
-    }
-
-    #[test]
-    fn time_limit_zero_returns_the_warm_start_unproven() {
-        let instance = clique(9, 4);
+    fn time_limit_zero_returns_the_greedy_incumbent_unproven() {
+        let conflicts = clique(9);
         let solution = solve_exact(
-            &instance,
+            9,
+            4,
+            0.1,
+            &conflicts,
+            &[],
             &ExactOptions {
                 time_limit: Some(Duration::from_secs(0)),
                 ..ExactOptions::default()
@@ -1088,35 +1007,37 @@ mod tests {
         // With a zero budget the proof of optimality is abandoned quickly;
         // the solver may still finish tiny instances before the first clock
         // check, so only the solution validity is asserted here.
-        let (c, s, cost) = instance.evaluate(&solution.colors);
+        let (c, s, cost) = evaluate_coloring(9, 4, 0.1, &conflicts, &[], &solution.colors);
         assert_eq!((c, s), (solution.conflicts, solution.stitches));
         assert!((cost - solution.cost).abs() < 1e-9);
+    }
+
+    /// xorshift64 step for the seeded random-instance streams.
+    fn xorshift(seed: &mut u64) -> u64 {
+        *seed ^= *seed << 13;
+        *seed ^= *seed >> 7;
+        *seed ^= *seed << 17;
+        *seed
     }
 
     #[test]
     fn agrees_with_brute_force_on_random_instances() {
         let mut seed: u64 = 0x9E3779B97F4A7C15;
-        let mut next = move || {
-            seed ^= seed << 13;
-            seed ^= seed >> 7;
-            seed ^= seed << 17;
-            seed
-        };
         for case in 0..10 {
             let n = 5 + (case % 3);
             let k = 3 + (case % 3);
-            let mut instance = ColoringInstance::new(n, k);
+            let (mut conflicts, mut stitches) = (Vec::new(), Vec::new());
             for i in 0..n {
                 for j in (i + 1)..n {
-                    match next() % 10 {
-                        0..=4 => instance.add_conflict(i, j),
-                        5 => instance.add_stitch(i, j),
+                    match xorshift(&mut seed) % 10 {
+                        0..=4 => conflicts.push((i, j)),
+                        5 => stitches.push((i, j)),
                         _ => {}
                     }
                 }
             }
-            let exact = solve_exact(&instance, &ExactOptions::default());
-            let brute = brute_force(&instance);
+            let exact = solve(n, k, &conflicts, &stitches);
+            let brute = brute_force(n, k, 0.1, &conflicts, &stitches);
             assert!(
                 (exact.cost - brute).abs() < 1e-9,
                 "case {case}: exact {} vs brute {}",
@@ -1128,13 +1049,17 @@ mod tests {
     }
 
     /// Exhaustive reference: minimum cost over all k^n colorings.
-    fn brute_force(instance: &ColoringInstance) -> f64 {
-        let n = instance.vertex_count();
-        let k = instance.k();
+    fn brute_force(
+        n: usize,
+        k: usize,
+        alpha: f64,
+        conflicts: &[(usize, usize)],
+        stitches: &[(usize, usize)],
+    ) -> f64 {
         let mut best = f64::INFINITY;
         let mut colors = vec![0u8; n];
         loop {
-            let (_, _, cost) = instance.evaluate(&colors);
+            let (_, _, cost) = evaluate_coloring(n, k, alpha, conflicts, stitches, &colors);
             best = best.min(cost);
             // Increment the mixed-radix counter.
             let mut index = 0;
@@ -1159,28 +1084,22 @@ mod tests {
         // stitches, varying K and α), the pruned branch and bound must find
         // exactly the brute-force optimum and prove it.
         let mut seed: u64 = 0xC0FFEE5EED5EED01;
-        let mut next = move || {
-            seed ^= seed << 13;
-            seed ^= seed >> 7;
-            seed ^= seed << 17;
-            seed
-        };
         for case in 0..25 {
             let n = 4 + (case % 5);
             let k = 2 + (case % 4);
             let alpha = [0.1, 0.3, 1.0][case % 3];
-            let mut instance = ColoringInstance::new(n, k).with_alpha(alpha);
+            let (mut conflicts, mut stitches) = (Vec::new(), Vec::new());
             for i in 0..n {
                 for j in (i + 1)..n {
-                    match next() % 10 {
-                        0..=4 => instance.add_conflict(i, j),
-                        5 | 6 => instance.add_stitch(i, j),
+                    match xorshift(&mut seed) % 10 {
+                        0..=4 => conflicts.push((i, j)),
+                        5 | 6 => stitches.push((i, j)),
                         _ => {}
                     }
                 }
             }
-            let exact = solve_exact(&instance, &ExactOptions::default());
-            let brute = brute_force(&instance);
+            let exact = solve_exact(n, k, alpha, &conflicts, &stitches, &ExactOptions::default());
+            let brute = brute_force(n, k, alpha, &conflicts, &stitches);
             assert!(
                 (exact.cost - brute).abs() < 1e-9,
                 "case {case}: pruned search {} vs brute force {}",
@@ -1194,12 +1113,12 @@ mod tests {
 
     #[test]
     fn dense_cliques_close_at_the_root() {
-        // The greedy warm start is optimal on a clique and the clique-cover
+        // The greedy incumbent is optimal on a clique and the clique-cover
         // lower bound matches it, so the search proves optimality without
         // branching — the pruning win the perf suite pins (the seed solver
         // expanded 10^5-10^6 nodes on these).
         for n in [8usize, 10, 12] {
-            let solution = solve_exact(&clique(n, 4), &ExactOptions::default());
+            let solution = solve(n, 4, &clique(n), &[]);
             assert_eq!(solution.nodes, 1, "K{n}");
             assert!(solution.proven_optimal);
             let brute_optimum = clique_conflict_bound(n, 4);
@@ -1218,28 +1137,28 @@ mod tests {
         // overlap penalty is zero) and the root bound reaches the optimum:
         // the search closes immediately.  Before the expanded-cover bound
         // this instance expanded roughly 2·10^5 nodes.
-        let mut instance = ColoringInstance::new(12, 4);
+        let mut conflicts = Vec::new();
         for clique in [(0..7).collect::<Vec<_>>(), (5..12).collect::<Vec<_>>()] {
             for (position, &u) in clique.iter().enumerate() {
                 for &v in &clique[position + 1..] {
-                    instance.add_conflict(u.min(v), u.max(v));
+                    conflicts.push((u.min(v), u.max(v)));
                 }
             }
         }
-        let solution = solve_exact(&instance, &ExactOptions::default());
+        let solution = solve(12, 4, &conflicts, &[]);
         assert!(solution.proven_optimal);
         assert_eq!(solution.conflicts, 6);
         assert_eq!(solution.nodes, 1);
         assert!(solution.bound_improvements >= 2);
     }
 
-    #[test]
-    fn hit_time_limit_is_the_negation_of_proven_optimal() {
-        // A dense pseudo-random graph is hard enough to outlive a zero
-        // budget past the first 1024-node clock check (two overlapping K7s
-        // no longer qualify — the expanded clique cover closes them at the
-        // root).
-        let mut instance = ColoringInstance::new(18, 4);
+    /// A dense pseudo-random 18-vertex conflict graph (K = 4): hard enough
+    /// to outlive a zero time budget past the first 1024-node clock check,
+    /// and to explore well past one clock-check batch unrestricted (two
+    /// overlapping K7s no longer qualify — the expanded clique cover closes
+    /// them at the root).
+    fn dense_random_conflicts() -> Vec<(usize, usize)> {
+        let mut conflicts = Vec::new();
         let mut state = 0x243F6A8885A308D3u64;
         for u in 0..18 {
             for v in (u + 1)..18 {
@@ -1247,51 +1166,46 @@ mod tests {
                     .wrapping_mul(6364136223846793005)
                     .wrapping_add(1442695040888963407);
                 if (state >> 33) % 1000 < 550 {
-                    instance.add_conflict(u, v);
+                    conflicts.push((u, v));
                 }
             }
         }
-        let truncated = solve_exact(
-            &instance,
-            &ExactOptions {
-                time_limit: Some(Duration::from_secs(0)),
-                ..ExactOptions::default()
-            },
-        );
+        conflicts
+    }
+
+    /// Solves the dense random instance with `options`.
+    fn solve_dense(options: &ExactOptions) -> ExactSolution {
+        solve_exact(18, 4, 0.1, &dense_random_conflicts(), &[], options)
+    }
+
+    /// Asserts that `solution`'s counts are a recount of its coloring of
+    /// the dense random instance.
+    fn assert_recounted(solution: &ExactSolution) {
+        let (c, s, cost) =
+            evaluate_coloring(18, 4, 0.1, &dense_random_conflicts(), &[], &solution.colors);
+        assert_eq!((c, s), (solution.conflicts, solution.stitches));
+        assert!((cost - solution.cost).abs() < 1e-9);
+    }
+
+    #[test]
+    fn hit_time_limit_is_the_negation_of_proven_optimal() {
+        let truncated = solve_dense(&ExactOptions {
+            time_limit: Some(Duration::from_secs(0)),
+            ..ExactOptions::default()
+        });
         assert!(truncated.hit_time_limit);
         assert!(!truncated.proven_optimal);
         // The incumbent is still a valid full coloring.
-        let (c, s, cost) = instance.evaluate(&truncated.colors);
-        assert_eq!((c, s), (truncated.conflicts, truncated.stitches));
-        assert!((cost - truncated.cost).abs() < 1e-9);
+        assert_recounted(&truncated);
 
-        let full = solve_exact(&instance, &ExactOptions::default());
+        let full = solve_dense(&ExactOptions::default());
         assert!(full.proven_optimal);
         assert!(!full.hit_time_limit);
     }
 
-    /// The dense pseudo-random instance of the time-limit test: hard enough
-    /// that an unrestricted solve explores well past one clock-check batch.
-    fn dense_random_instance() -> ColoringInstance {
-        let mut instance = ColoringInstance::new(18, 4);
-        let mut state = 0x243F6A8885A308D3u64;
-        for u in 0..18 {
-            for v in (u + 1)..18 {
-                state = state
-                    .wrapping_mul(6364136223846793005)
-                    .wrapping_add(1442695040888963407);
-                if (state >> 33) % 1000 < 550 {
-                    instance.add_conflict(u, v);
-                }
-            }
-        }
-        instance
-    }
-
     #[test]
     fn pre_set_cancel_probe_stops_within_one_poll_batch() {
-        let instance = dense_random_instance();
-        let full = solve_exact(&instance, &ExactOptions::default());
+        let full = solve_dense(&ExactOptions::default());
         assert!(
             full.nodes > 2 * TIME_CHECK_INTERVAL,
             "instance must outlive several poll batches, took {} nodes",
@@ -1300,13 +1214,10 @@ mod tests {
 
         let probe = CancelProbe::default();
         probe.flag.store(true, Ordering::Relaxed);
-        let cancelled = solve_exact(
-            &instance,
-            &ExactOptions {
-                cancel: Some(probe),
-                ..ExactOptions::default()
-            },
-        );
+        let cancelled = solve_dense(&ExactOptions {
+            cancel: Some(probe),
+            ..ExactOptions::default()
+        });
         assert!(cancelled.cancelled);
         assert!(!cancelled.proven_optimal);
         assert!(!cancelled.hit_time_limit, "cancel is not a time limit");
@@ -1317,26 +1228,21 @@ mod tests {
             "cancelled after {} nodes",
             cancelled.nodes
         );
-        // The incumbent (greedy warm start) is still a valid full coloring.
-        let (c, s, cost) = instance.evaluate(&cancelled.colors);
-        assert_eq!((c, s), (cancelled.conflicts, cancelled.stitches));
-        assert!((cost - cancelled.cost).abs() < 1e-9);
+        // The incumbent (the greedy coloring) is still a valid full
+        // coloring.
+        assert_recounted(&cancelled);
     }
 
     #[test]
     fn probe_deadline_is_promoted_into_the_shared_flag() {
-        let instance = dense_random_instance();
         let probe = CancelProbe {
             deadline: Some(Instant::now()),
             ..CancelProbe::default()
         };
-        let solution = solve_exact(
-            &instance,
-            &ExactOptions {
-                cancel: Some(probe.clone()),
-                ..ExactOptions::default()
-            },
-        );
+        let solution = solve_dense(&ExactOptions {
+            cancel: Some(probe.clone()),
+            ..ExactOptions::default()
+        });
         assert!(solution.cancelled);
         // The solver promotes an observed deadline into the shared flag so
         // sibling solves (and the owning request) see the stop immediately.
@@ -1345,15 +1251,11 @@ mod tests {
 
     #[test]
     fn unfired_cancel_probe_changes_nothing() {
-        let instance = dense_random_instance();
-        let plain = solve_exact(&instance, &ExactOptions::default());
-        let probed = solve_exact(
-            &instance,
-            &ExactOptions {
-                cancel: Some(CancelProbe::default()),
-                ..ExactOptions::default()
-            },
-        );
+        let plain = solve_dense(&ExactOptions::default());
+        let probed = solve_dense(&ExactOptions {
+            cancel: Some(CancelProbe::default()),
+            ..ExactOptions::default()
+        });
         assert!(!probed.cancelled);
         assert!(probed.proven_optimal);
         assert_eq!(plain.colors, probed.colors);
@@ -1376,11 +1278,9 @@ mod tests {
 
     #[test]
     fn min_fill_prefers_empty_then_smallest_classes() {
-        // Three classes sized 2, 0, 1: four extra members go 0→1→1→2
-        // (costs 0, 1, 1, 2 would be wrong — greedy: 0, 1, 1, then the two
-        // filled classes tie at 2 ... enumerate: sizes [2,0,1], add 4:
-        // min=0 (cost 0 → [2,1,1]), min=1 (cost 1 → [2,2,1]), min=1
-        // (cost 1 → [2,2,2]), min=2 (cost 2) = 4 total.
+        // Classes sized [2, 0, 1] take four extra members, each into a
+        // smallest class, paying that class's current size: 0 (→ [2, 1, 1]),
+        // 1 (→ [2, 2, 1]), 1 (→ [2, 2, 2]) and 2 — four in total.
         assert_eq!(min_fill_conflicts(&mut [2, 0, 1], 4), 4.0);
         assert_eq!(min_fill_conflicts(&mut [0, 0, 0, 0], 4), 0.0);
         assert_eq!(min_fill_conflicts(&mut [1, 1, 1, 1], 4), 4.0);
@@ -1388,15 +1288,32 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "at least one color")]
-    fn zero_colors_panics() {
-        let _ = ColoringInstance::new(3, 0);
+    #[should_panic(expected = "at least two masks")]
+    fn k_one_panics() {
+        let _ = solve(3, 1, &[], &[]);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn out_of_range_edge_panics() {
+        let _ = solve(2, 4, &[(0, 5)], &[]);
+    }
+
+    #[test]
+    #[should_panic(expected = "self-edge")]
+    fn self_edge_panics() {
+        let _ = solve(2, 4, &[], &[(1, 1)]);
     }
 
     #[test]
     #[should_panic(expected = "coloring length mismatch")]
     fn evaluate_rejects_wrong_length() {
-        let instance = ColoringInstance::new(3, 4);
-        let _ = instance.evaluate(&[0, 1]);
+        let _ = evaluate_coloring(3, 4, 0.1, &[], &[], &[0, 1]);
+    }
+
+    #[test]
+    #[should_panic(expected = "coloring uses a color outside 0..4")]
+    fn evaluate_rejects_an_out_of_range_color() {
+        let _ = evaluate_coloring(2, 4, 0.1, &[], &[], &[0, 4]);
     }
 }

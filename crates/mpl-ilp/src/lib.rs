@@ -10,28 +10,35 @@
 //!   of the paper (extended from the triple-patterning ILP of Yu et al.,
 //!   ICCAD 2011) can be written down and solved exactly on small instances,
 //!   and it powers several cross-checking tests.
-//! * [`ColoringInstance`] / [`solve_exact`] — a branch-and-bound solver
-//!   specialised for conflict/stitch-minimising K-coloring.  It produces the
-//!   same optima as the ILP on every instance (they model the same discrete
-//!   problem) but scales to the component sizes that graph division leaves
-//!   behind, and honours a time limit the same way the paper's one-hour
-//!   GUROBI limit does.
+//! * [`solve_exact`] — a branch-and-bound solver specialised for
+//!   conflict/stitch-minimising K-coloring.  It produces the same optima as
+//!   the ILP on every instance (they model the same discrete problem) but
+//!   scales to the component sizes that graph division leaves behind, and
+//!   honours a time limit the same way the paper's one-hour GUROBI limit
+//!   does.
+//!
+//! The solver owns no instance type: it reads the vertex count, K, α and
+//! borrowed conflict and stitch edge lists — in the decomposition pipeline
+//! those of `mpl_core::ComponentProblem`.  [`evaluate_coloring`] is the one
+//! count of `conflicts + α · stitches` that the solver, the pipeline's
+//! per-component statistics and its layout-level cost all use.
 //!
 //! # Example
 //!
 //! ```
-//! use mpl_ilp::{solve_exact, ColoringInstance, ExactOptions};
+//! use mpl_ilp::{evaluate_coloring, solve_exact, ExactOptions};
 //!
 //! // A K5 cannot be 4-colored: the optimum has exactly one conflict.
-//! let mut instance = ColoringInstance::new(5, 4);
-//! for i in 0..5 {
-//!     for j in (i + 1)..5 {
-//!         instance.add_conflict(i, j);
-//!     }
-//! }
-//! let solution = solve_exact(&instance, &ExactOptions::default());
+//! let conflicts: Vec<(usize, usize)> = (0..5)
+//!     .flat_map(|i| ((i + 1)..5).map(move |j| (i, j)))
+//!     .collect();
+//! let solution = solve_exact(5, 4, 0.1, &conflicts, &[], &ExactOptions::default());
 //! assert_eq!(solution.conflicts, 1);
 //! assert!(solution.proven_optimal);
+//! assert_eq!(
+//!     evaluate_coloring(5, 4, 0.1, &conflicts, &[], &solution.colors),
+//!     (1, 0, 1.0)
+//! );
 //! ```
 
 #![forbid(unsafe_code)]
@@ -40,5 +47,5 @@
 mod coloring;
 mod program;
 
-pub use coloring::{solve_exact, CancelProbe, ColoringInstance, ExactOptions, ExactSolution};
+pub use coloring::{evaluate_coloring, solve_exact, CancelProbe, ExactOptions, ExactSolution};
 pub use program::{BinaryProgram, Comparison, ProgramSolution, SolveStatus};

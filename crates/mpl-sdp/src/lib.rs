@@ -20,19 +20,21 @@
 //! does reliably for the small, graph-structured instances produced by graph
 //! division.
 //!
+//! The crate owns no instance type: [`solve_low_rank`], its one entry point,
+//! reads the vertex count, K, α and borrowed conflict and stitch edge lists
+//! — in the decomposition pipeline those of `mpl_core::ComponentProblem` —
+//! and [`SolverOptions::cancel`] carries an optional stop flag.
+//!
 //! # Example
 //!
 //! ```
-//! use mpl_sdp::{SdpRelaxation, SolverOptions};
+//! use mpl_sdp::{solve_low_rank, SolverOptions};
 //!
 //! // A triangle of conflicts under quadruple patterning: the relaxation
 //! // spreads the three vectors so that every pairwise inner product
 //! // approaches -1/3.
-//! let mut sdp = SdpRelaxation::new(3, 4);
-//! sdp.add_conflict(0, 1);
-//! sdp.add_conflict(1, 2);
-//! sdp.add_conflict(0, 2);
-//! let solution = sdp.solve(&SolverOptions::default());
+//! let conflicts = [(0, 1), (1, 2), (0, 2)];
+//! let solution = solve_low_rank(3, 4, 0.1, &conflicts, &[], &SolverOptions::default());
 //! assert!(solution.gram().value(0, 1) < -0.2);
 //! ```
 
@@ -41,11 +43,9 @@
 
 mod gram;
 pub mod linalg;
-mod relaxation;
 mod solver;
 pub mod vectors;
 
 pub use gram::GramMatrix;
 pub use linalg::{is_positive_semidefinite, jacobi_eigenvalues, min_eigenvalue};
-pub use relaxation::SdpRelaxation;
-pub use solver::{solve_low_rank, solve_low_rank_with_cancel, SdpSolution, SolverOptions};
+pub use solver::{solve_low_rank, SdpSolution, SolverOptions};

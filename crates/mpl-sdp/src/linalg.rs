@@ -157,14 +157,11 @@ mod tests {
 
     #[test]
     fn solver_output_is_positive_semidefinite() {
-        use crate::{SdpRelaxation, SolverOptions};
-        let mut sdp = SdpRelaxation::new(5, 4);
-        for i in 0..5 {
-            for j in (i + 1)..5 {
-                sdp.add_conflict(i, j);
-            }
-        }
-        let solution = sdp.solve(&SolverOptions::default());
+        use crate::{solve_low_rank, SolverOptions};
+        let k5: Vec<(usize, usize)> = (0..5)
+            .flat_map(|i| ((i + 1)..5).map(move |j| (i, j)))
+            .collect();
+        let solution = solve_low_rank(5, 4, 0.1, &k5, &[], &SolverOptions::default());
         assert!(is_positive_semidefinite(solution.gram(), 1e-6));
     }
 

@@ -1,12 +1,13 @@
 //! Low-rank damped block-coordinate solver for the relaxation.
 
-use crate::{GramMatrix, SdpRelaxation};
+use crate::GramMatrix;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 
 /// Options controlling the low-rank solver.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct SolverOptions {
     /// Maximum number of full sweeps over the vertices.
     pub max_iterations: usize,
@@ -28,6 +29,12 @@ pub struct SolverOptions {
     /// RNG seed for the initial vector placement (the solve is deterministic
     /// for a fixed seed).
     pub seed: u64,
+    /// An external stop flag, polled once per sweep — the solver's existing
+    /// convergence-check cadence, so the per-vertex hot loop stays
+    /// flag-free.  Once it is set the current iterate is returned with
+    /// [`converged`](SdpSolution::converged) `false`; its Gram matrix is the
+    /// best-so-far relaxation, still usable for rounding.
+    pub cancel: Option<Arc<AtomicBool>>,
 }
 
 impl Default for SolverOptions {
@@ -39,6 +46,7 @@ impl Default for SolverOptions {
             penalty: 12.0,
             damping: 0.03,
             seed: 0xC0FFEE,
+            cancel: None,
         }
     }
 }
@@ -75,33 +83,53 @@ impl SdpSolution {
     }
 }
 
-/// Solves the relaxation with a Burer–Monteiro style low-rank factorisation.
+/// Solves the paper's relaxation (formulations (2) and (3)) of the
+/// K-patterning instance over `vertex_count` vertices with the given
+/// conflict and stitch edges:
 ///
-/// Each vertex carries a unit vector `v_i ∈ R^r`.  A sweep visits every
-/// vertex and takes a projected-gradient step of the penalised objective
+/// ```text
+/// min   Σ_{(i,j) ∈ CE} v_i · v_j  −  α · Σ_{(i,j) ∈ SE} v_i · v_j
+/// s.t.  ‖v_i‖ = 1,                     v_i · v_j ≥ −1/(K−1)  ∀ (i,j) ∈ CE
+/// ```
+///
+/// Conflict edges push incident vectors apart (towards the simplex angle);
+/// stitch edges pull them together (a stitch is only paid when the two
+/// sub-shapes end up on different masks).
+///
+/// The solve is a Burer–Monteiro style low-rank factorisation.  Each vertex
+/// carries a unit vector `v_i ∈ R^r`.  A sweep visits every vertex and
+/// takes a projected-gradient step of the penalised objective
 /// (re-normalising onto the unit sphere); the pairwise inequality
 /// constraints enter through a reweighted penalty whose weight grows with
 /// the current violation, so the step size — and with it any oscillation —
 /// shrinks as the iterate approaches the constrained optimum.  The procedure
 /// is deterministic for a fixed seed and converges to near-optimal inner
 /// products on the small, sparse instances that graph division produces.
-pub fn solve_low_rank(problem: &SdpRelaxation, options: &SolverOptions) -> SdpSolution {
-    solve_low_rank_with_cancel(problem, options, None)
-}
-
-/// [`solve_low_rank`] with an external stop flag.
 ///
-/// The flag is polled once per sweep — the solver's existing amortised
-/// convergence-check cadence, so the per-vertex hot loop stays flag-free.
-/// On observation the current iterate is returned immediately with
-/// [`converged`](SdpSolution::converged) `false`; the Gram matrix is the
-/// best-so-far relaxation, still usable for rounding.
-pub fn solve_low_rank_with_cancel(
-    problem: &SdpRelaxation,
+/// # Panics
+///
+/// Panics unless `k ≥ 2`, `alpha ≥ 0` and every edge joins two distinct
+/// vertices below `vertex_count`.
+///
+/// # Example
+///
+/// ```
+/// use mpl_sdp::{solve_low_rank, SolverOptions};
+///
+/// let solution = solve_low_rank(2, 4, 0.1, &[], &[(0, 1)], &SolverOptions::default());
+/// // Stitch-only pairs align: the relaxation keeps them on the same mask.
+/// assert!(solution.gram().value(0, 1) > 0.9);
+/// ```
+pub fn solve_low_rank(
+    vertex_count: usize,
+    k: usize,
+    alpha: f64,
+    conflict_edges: &[(usize, usize)],
+    stitch_edges: &[(usize, usize)],
     options: &SolverOptions,
-    cancel: Option<&AtomicBool>,
 ) -> SdpSolution {
-    let n = problem.vertex_count();
+    check_instance(vertex_count, k, alpha, conflict_edges, stitch_edges);
+    let n = vertex_count;
     if n == 0 {
         return SdpSolution {
             gram: GramMatrix::zeros(0),
@@ -111,12 +139,11 @@ pub fn solve_low_rank_with_cancel(
         };
     }
     let rank = if options.rank == 0 {
-        (problem.k() + 3).min(n.max(2))
+        (k + 3).min(n.max(2))
     } else {
         options.rank
     };
-    let ideal = crate::vectors::ideal_inner_product(problem.k());
-    let alpha = problem.alpha();
+    let ideal = crate::vectors::ideal_inner_product(k);
     let damping = options.damping.clamp(1e-3, 1.0);
     let mut rng = SmallRng::seed_from_u64(options.seed);
 
@@ -130,11 +157,11 @@ pub fn solve_low_rank_with_cancel(
         .collect();
 
     let mut incident: Vec<Vec<(usize, bool)>> = vec![Vec::new(); n];
-    for &(u, v) in problem.conflict_edges() {
+    for &(u, v) in conflict_edges {
         incident[u].push((v, true));
         incident[v].push((u, true));
     }
-    for &(u, v) in problem.stitch_edges() {
+    for &(u, v) in stitch_edges {
         incident[u].push((v, false));
         incident[v].push((u, false));
     }
@@ -144,7 +171,11 @@ pub fn solve_low_rank_with_cancel(
     let mut converged = false;
 
     for sweep in 0..options.max_iterations {
-        if cancel.is_some_and(|flag| flag.load(Ordering::Relaxed)) {
+        if options
+            .cancel
+            .as_ref()
+            .is_some_and(|flag| flag.load(Ordering::Relaxed))
+        {
             break;
         }
         iterations = sweep + 1;
@@ -197,7 +228,7 @@ pub fn solve_low_rank_with_cancel(
         // have stopped moving; checking the objective alone can terminate
         // early while a weakly-coupled vertex (e.g. one held only by a
         // stitch edge) is still drifting towards its partner.
-        let objective = raw_objective(problem, &vectors);
+        let objective = raw_objective(alpha, conflict_edges, stitch_edges, &vectors);
         if (previous_objective - objective).abs() < options.tolerance
             && max_movement < options.tolerance.max(1e-12) * 1e3
         {
@@ -213,7 +244,7 @@ pub fn solve_low_rank_with_cancel(
     let objective = if previous_objective.is_finite() {
         previous_objective
     } else {
-        raw_objective(problem, &vectors)
+        raw_objective(alpha, conflict_edges, stitch_edges, &vectors)
     };
     SdpSolution {
         gram: GramMatrix::from_rows(&vectors),
@@ -223,18 +254,42 @@ pub fn solve_low_rank_with_cancel(
     }
 }
 
-fn raw_objective(problem: &SdpRelaxation, vectors: &[Vec<f64>]) -> f64 {
-    let conflict: f64 = problem
-        .conflict_edges()
+/// Checks the solver's input contract: K ≥ 2, α ≥ 0, and every edge in
+/// range with two distinct endpoints.
+fn check_instance(
+    vertex_count: usize,
+    k: usize,
+    alpha: f64,
+    conflict_edges: &[(usize, usize)],
+    stitch_edges: &[(usize, usize)],
+) {
+    assert!(k >= 2, "need at least two masks, got {k}");
+    assert!(alpha >= 0.0, "alpha must be non-negative");
+    for &(u, v) in conflict_edges.iter().chain(stitch_edges) {
+        assert!(u != v, "self-edge {u}-{v} is not allowed");
+        assert!(
+            u < vertex_count && v < vertex_count,
+            "edge ({u}, {v}) out of range for {vertex_count} vertices"
+        );
+    }
+}
+
+/// The relaxation objective `Σ_CE v_u · v_v − α Σ_SE v_u · v_v`.
+fn raw_objective(
+    alpha: f64,
+    conflict_edges: &[(usize, usize)],
+    stitch_edges: &[(usize, usize)],
+    vectors: &[Vec<f64>],
+) -> f64 {
+    let conflict: f64 = conflict_edges
         .iter()
         .map(|&(u, v)| dot(&vectors[u], &vectors[v]))
         .sum();
-    let stitch: f64 = problem
-        .stitch_edges()
+    let stitch: f64 = stitch_edges
         .iter()
         .map(|&(u, v)| dot(&vectors[u], &vectors[v]))
         .sum();
-    conflict - problem.alpha() * stitch
+    conflict - alpha * stitch
 }
 
 fn dot(a: &[f64], b: &[f64]) -> f64 {
@@ -256,14 +311,26 @@ fn normalize(v: &mut [f64]) {
 mod tests {
     use super::*;
 
-    fn solve(problem: &SdpRelaxation) -> SdpSolution {
-        problem.solve(&SolverOptions::default())
+    /// Solves with α = 0.1 and default options.
+    fn solve(
+        n: usize,
+        k: usize,
+        conflicts: &[(usize, usize)],
+        stitches: &[(usize, usize)],
+    ) -> SdpSolution {
+        solve_low_rank(n, k, 0.1, conflicts, stitches, &SolverOptions::default())
+    }
+
+    /// Every edge of the clique over `0..n`.
+    fn clique(n: usize) -> Vec<(usize, usize)> {
+        (0..n)
+            .flat_map(|i| ((i + 1)..n).map(move |j| (i, j)))
+            .collect()
     }
 
     #[test]
     fn empty_problem_solves_trivially() {
-        let sdp = SdpRelaxation::new(0, 4);
-        let solution = solve(&sdp);
+        let solution = solve(0, 4, &[], &[]);
         assert_eq!(solution.gram().dimension(), 0);
         assert_eq!(solution.objective(), 0.0);
         assert!(solution.converged());
@@ -271,8 +338,7 @@ mod tests {
 
     #[test]
     fn isolated_vertices_keep_unit_norm() {
-        let sdp = SdpRelaxation::new(3, 4);
-        let solution = solve(&sdp);
+        let solution = solve(3, 4, &[], &[]);
         for i in 0..3 {
             assert!((solution.gram().value(i, i) - 1.0).abs() < 1e-9);
         }
@@ -280,9 +346,7 @@ mod tests {
 
     #[test]
     fn single_conflict_edge_approaches_the_simplex_angle() {
-        let mut sdp = SdpRelaxation::new(2, 4);
-        sdp.add_conflict(0, 1);
-        let solution = solve(&sdp);
+        let solution = solve(2, 4, &[(0, 1)], &[]);
         let x = solution.gram().value(0, 1);
         // The constrained optimum is -1/3; the penalty equilibrium sits a
         // little below it.
@@ -291,19 +355,13 @@ mod tests {
 
     #[test]
     fn single_stitch_edge_aligns_vectors() {
-        let mut sdp = SdpRelaxation::new(2, 4);
-        sdp.add_stitch(0, 1);
-        let solution = solve(&sdp);
+        let solution = solve(2, 4, &[], &[(0, 1)]);
         assert!(solution.gram().value(0, 1) > 0.99);
     }
 
     #[test]
     fn triangle_spreads_to_pairwise_ideal() {
-        let mut sdp = SdpRelaxation::new(3, 4);
-        sdp.add_conflict(0, 1);
-        sdp.add_conflict(1, 2);
-        sdp.add_conflict(0, 2);
-        let solution = solve(&sdp);
+        let solution = solve(3, 4, &[(0, 1), (1, 2), (0, 2)], &[]);
         for (i, j) in [(0, 1), (1, 2), (0, 2)] {
             let x = solution.gram().value(i, j);
             assert!((x + 1.0 / 3.0).abs() < 0.12, "x{i}{j} = {x}");
@@ -318,13 +376,7 @@ mod tests {
 
     #[test]
     fn k4_clique_respects_constraints_and_bound() {
-        let mut sdp = SdpRelaxation::new(4, 4);
-        for i in 0..4 {
-            for j in (i + 1)..4 {
-                sdp.add_conflict(i, j);
-            }
-        }
-        let solution = solve(&sdp);
+        let solution = solve(4, 4, &clique(4), &[]);
         let ideal = -1.0 / 3.0;
         for i in 0..4 {
             for j in (i + 1)..4 {
@@ -350,13 +402,7 @@ mod tests {
         // Gram matrix would not be PSD); the true SDP optimum is -2.5
         // (vertices of a 4-simplex at -1/4), well above the naive bound of
         // -10/3.
-        let mut sdp = SdpRelaxation::new(5, 4);
-        for i in 0..5 {
-            for j in (i + 1)..5 {
-                sdp.add_conflict(i, j);
-            }
-        }
-        let solution = solve(&sdp);
+        let solution = solve(5, 4, &clique(5), &[]);
         assert!(
             solution.objective() > -3.0,
             "objective {}",
@@ -373,47 +419,57 @@ mod tests {
     fn conflict_chain_with_stitch_balances_terms() {
         // 0 -CE- 1 -SE- 2: vertex 1 and 2 want to align, 0 and 1 want the
         // simplex angle; both are achievable simultaneously.
-        let mut sdp = SdpRelaxation::new(3, 4);
-        sdp.add_conflict(0, 1);
-        sdp.add_stitch(1, 2);
-        let solution = solve(&sdp);
-        assert!(solution.gram().value(0, 1) < -0.2);
-        assert!(solution.gram().value(1, 2) > 0.9);
+        let solution = solve(3, 4, &[(0, 1)], &[(1, 2)]);
+        let gram = solution.gram();
+        assert!(gram.value(0, 1) < -0.2);
+        assert!(gram.value(1, 2) > 0.9);
+        // The reported objective is `Σ_CE x_ij − α Σ_SE x_ij` of the
+        // returned Gram matrix.
+        let expected = gram.value(0, 1) - 0.1 * gram.value(1, 2);
+        assert!((solution.objective() - expected).abs() < 1e-9);
     }
 
     #[test]
     fn pentuple_patterning_approaches_minus_one_quarter() {
-        let mut sdp = SdpRelaxation::new(2, 5);
-        sdp.add_conflict(0, 1);
-        let solution = solve(&sdp);
+        let solution = solve(2, 5, &[(0, 1)], &[]);
         assert!((solution.gram().value(0, 1) + 0.25).abs() < 0.12);
     }
 
     #[test]
     fn deterministic_for_fixed_seed() {
-        let mut sdp = SdpRelaxation::new(4, 4);
-        sdp.add_conflict(0, 1);
-        sdp.add_conflict(2, 3);
-        sdp.add_stitch(1, 2);
-        let a = sdp.solve(&SolverOptions::default());
-        let b = sdp.solve(&SolverOptions::default());
+        let conflicts = [(0, 1), (2, 3)];
+        let stitches = [(1, 2)];
+        let a = solve(4, 4, &conflicts, &stitches);
+        let b = solve(4, 4, &conflicts, &stitches);
         assert_eq!(a.gram(), b.gram());
-        let c = sdp.solve(&SolverOptions {
-            seed: 7,
-            ..SolverOptions::default()
-        });
+        let c = solve_low_rank(
+            4,
+            4,
+            0.1,
+            &conflicts,
+            &stitches,
+            &SolverOptions {
+                seed: 7,
+                ..SolverOptions::default()
+            },
+        );
         // A different seed may land on a different (equally good) optimum,
         // but the objective should agree closely.
         assert!((a.objective() - c.objective()).abs() < 0.1);
     }
 
+    /// Solves the path 0–1–2 of conflicts with the stop flag `cancel`.
+    fn solve_path(cancel: Option<Arc<AtomicBool>>) -> SdpSolution {
+        let options = SolverOptions {
+            cancel,
+            ..SolverOptions::default()
+        };
+        solve_low_rank(3, 4, 0.1, &[(0, 1), (1, 2)], &[], &options)
+    }
+
     #[test]
     fn pre_set_cancel_flag_stops_before_the_first_sweep() {
-        let mut sdp = SdpRelaxation::new(3, 4);
-        sdp.add_conflict(0, 1);
-        sdp.add_conflict(1, 2);
-        let flag = AtomicBool::new(true);
-        let solution = sdp.solve_with_cancel(&SolverOptions::default(), Some(&flag));
+        let solution = solve_path(Some(Arc::new(AtomicBool::new(true))));
         assert_eq!(solution.iterations(), 0);
         assert!(!solution.converged());
         // The iterate is still a full unit-vector embedding with a finite
@@ -427,25 +483,25 @@ mod tests {
 
     #[test]
     fn unfired_cancel_flag_changes_nothing() {
-        let mut sdp = SdpRelaxation::new(3, 4);
-        sdp.add_conflict(0, 1);
-        sdp.add_conflict(1, 2);
-        let plain = sdp.solve(&SolverOptions::default());
-        let flag = AtomicBool::new(false);
-        let probed = sdp.solve_with_cancel(&SolverOptions::default(), Some(&flag));
+        let plain = solve_path(None);
+        let probed = solve_path(Some(Arc::new(AtomicBool::new(false))));
         assert_eq!(plain.gram(), probed.gram());
         assert_eq!(plain.iterations(), probed.iterations());
     }
 
     #[test]
     fn iteration_limit_is_respected() {
-        let mut sdp = SdpRelaxation::new(3, 4);
-        sdp.add_conflict(0, 1);
-        sdp.add_conflict(1, 2);
-        let solution = sdp.solve(&SolverOptions {
-            max_iterations: 2,
-            ..SolverOptions::default()
-        });
+        let solution = solve_low_rank(
+            3,
+            4,
+            0.1,
+            &[(0, 1), (1, 2)],
+            &[],
+            &SolverOptions {
+                max_iterations: 2,
+                ..SolverOptions::default()
+            },
+        );
         assert!(solution.iterations() <= 2);
     }
 
@@ -454,13 +510,27 @@ mod tests {
         // (0, 1) and (2, 3) conflict; 1 and 2 are joined by a stitch edge.
         // The relaxation should keep 1 and 2 closely aligned while pushing
         // their conflict partners away.
-        let mut sdp = SdpRelaxation::new(4, 4);
-        sdp.add_conflict(0, 1);
-        sdp.add_conflict(2, 3);
-        sdp.add_stitch(1, 2);
-        let solution = solve(&sdp);
+        let solution = solve(4, 4, &[(0, 1), (2, 3)], &[(1, 2)]);
         assert!(solution.gram().value(1, 2) > 0.8);
         assert!(solution.gram().value(0, 1) < -0.2);
         assert!(solution.gram().value(2, 3) < -0.2);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn out_of_range_edge_panics() {
+        let _ = solve(2, 4, &[(0, 5)], &[]);
+    }
+
+    #[test]
+    #[should_panic(expected = "self-edge")]
+    fn self_edge_panics() {
+        let _ = solve(2, 4, &[], &[(1, 1)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "at least two masks")]
+    fn k_one_panics() {
+        let _ = solve(2, 1, &[], &[]);
     }
 }

@@ -78,17 +78,11 @@ proptest! {
         // conflict-free color by construction) reaches exactly the global
         // optimal conflict count.
         let exact = mpl_ilp::solve_exact(
-            &{
-                let mut instance = mpl_ilp::ColoringInstance::new(problem.vertex_count(), problem.k())
-                    .with_alpha(problem.alpha());
-                for &(u, v) in problem.conflict_edges() {
-                    instance.add_conflict(u, v);
-                }
-                for &(u, v) in problem.stitch_edges() {
-                    instance.add_stitch(u, v);
-                }
-                instance
-            },
+            problem.vertex_count(),
+            problem.k(),
+            problem.alpha(),
+            problem.conflict_edges(),
+            problem.stitch_edges(),
             &mpl_ilp::ExactOptions {
                 time_limit: Some(Duration::from_secs(5)),
                 ..Default::default()
