@@ -50,9 +50,11 @@
 //! of at least 90 %) and zero coloring diffs.
 
 use mpl_core::{
-    verify_spacing, ColorAlgorithm, ComponentProblem, Decomposer, DecomposerConfig,
-    DecompositionResult, DecompositionSession, Json, MemoCache, SerialExecutor, TileConfig,
+    extract_masks, verify_spacing, ColorAlgorithm, ComponentProblem, Decomposer, DecomposerConfig,
+    DecompositionGraph, DecompositionResult, DecompositionSession, Json, MemoCache, SerialExecutor,
+    StitchConfig, TileConfig,
 };
+use mpl_gds::{LayerMap, ReadOptions};
 use mpl_geometry::Nm;
 use mpl_hier::fixtures::{bit_cell_array, BitArrayStyle};
 use mpl_hier::{run_hier, HierLayoutResult};
@@ -180,6 +182,36 @@ impl MemoPerfCase {
             self.warm_hits as f64 / total as f64
         }
     }
+}
+
+/// One GDSII round trip of a generated layout through the library's file
+/// functions: `write_layout_file`, `load_layout_file`, then the colored
+/// export of its decomposition graph under a fixed coloring.
+#[derive(Debug, Clone)]
+pub struct GdsPerfCase {
+    /// Case name (stable across runs).
+    pub name: String,
+    /// Input shapes.
+    pub shapes: usize,
+    /// Input rectangles, one `BOUNDARY` each in the written file.
+    pub rects: usize,
+    /// Bytes of the written layout file.
+    pub layout_bytes: usize,
+    /// Shapes read back from that file.
+    pub read_shapes: usize,
+    /// Rectangles read back from that file.
+    pub read_rects: usize,
+    /// Decomposition-graph vertices exported, one `BOUNDARY` each.
+    pub vertices: usize,
+    /// Bytes of the colored file.
+    pub colored_bytes: usize,
+    /// Best-of-3 wall seconds writing the layout file.
+    pub write_seconds: f64,
+    /// Best-of-3 wall seconds reading it back.
+    pub read_seconds: f64,
+    /// Best-of-3 wall seconds gathering the masks and writing the colored
+    /// file, as `qpl-decompose --output-gds` does.
+    pub export_seconds: f64,
 }
 
 /// One standalone branch-and-bound instance measurement.
@@ -371,13 +403,15 @@ impl HierPerfCase {
     }
 }
 
-/// The full perf report (schema `mpl-bench/perf-v6`).
+/// The full perf report (schema `mpl-bench/perf-v7`).
 #[derive(Debug, Clone)]
 pub struct PerfReport {
     /// The label the run was taken under.
     pub label: String,
     /// Layout cases, in suite order.
     pub layouts: Vec<LayoutPerfCase>,
+    /// GDSII round-trip cases, in suite order.
+    pub gds: Vec<GdsPerfCase>,
     /// Memoization cases, in suite order.
     pub memo: Vec<MemoPerfCase>,
     /// Kernelization cases, in suite order.
@@ -502,6 +536,12 @@ const LATTICES: [(usize, u64); 4] = [
 const MEMO_COLD_COUNTERS: [(&str, usize, usize); 2] =
     [("aref-strip-16x16", 255, 1), ("perf-large", 191, 720)];
 
+/// The GDS cases' pinned sizes, `(name, layout_bytes, read_shapes,
+/// read_rects, colored_bytes)`: a writer, reader or export change that
+/// alters a file shows here.
+const GDS_PINS: [(&str, usize, usize, usize, usize); 1] =
+    [("perf-large", 3_372_278, 52_690, 52_690, 3_478_710)];
+
 /// The layout name of the untiled contact lattice with `side` contacts a
 /// side.
 fn lattice_name(side: usize) -> String {
@@ -514,6 +554,93 @@ fn lattice_arc_scan_ceiling(name: &str) -> Option<u64> {
         .iter()
         .find(|&&(side, _)| name == lattice_name(side))
         .map(|&(_, ceiling)| ceiling)
+}
+
+/// The GDS cases: `perf-large` written, read back and exported colored.
+fn run_gds_cases() -> Result<Vec<GdsPerfCase>, String> {
+    [perf_large_layout()].iter().map(run_gds_case).collect()
+}
+
+fn run_gds_case(layout: &Layout) -> Result<GdsPerfCase, String> {
+    const REPEATS: usize = 3;
+    let file = |step: &str| {
+        let mut path = std::env::temp_dir();
+        path.push(format!(
+            "perfbench-{}-{}-{step}.gds",
+            std::process::id(),
+            layout.name()
+        ));
+        path.to_string_lossy().into_owned()
+    };
+    let (input, output) = (file("layout"), file("colored"));
+    let size = |path: &str| {
+        std::fs::metadata(path)
+            .map(|meta| meta.len() as usize)
+            .map_err(|error| format!("{path}: {error}"))
+    };
+    let best = |times: &[f64]| times.iter().copied().fold(f64::INFINITY, f64::min);
+
+    let mut write_times = Vec::new();
+    for _ in 0..REPEATS {
+        let start = Instant::now();
+        mpl_gds::write_layout_file(&input, layout, 1, 0).map_err(|error| error.to_string())?;
+        write_times.push(start.elapsed().as_secs_f64());
+    }
+    let mut read_times = Vec::new();
+    let mut read = None;
+    for _ in 0..REPEATS {
+        let start = Instant::now();
+        let layout = mpl_gds::load_layout_file(&input, &LayerMap::all(), &ReadOptions::default())
+            .map_err(|error| error.to_string())?;
+        read_times.push(start.elapsed().as_secs_f64());
+        read = Some(layout);
+    }
+    let read = read.expect("at least one read");
+
+    let k = 4;
+    let graph = DecompositionGraph::build(&read, &Technology::nm20(), k, &StitchConfig::default());
+    let colors: Vec<u8> = (0..graph.vertex_count()).map(|v| (v % k) as u8).collect();
+    let mut export_times = Vec::new();
+    for _ in 0..REPEATS {
+        let start = Instant::now();
+        let mut per_mask = vec![Vec::new(); k];
+        for mask in extract_masks(&graph, &colors) {
+            for &vertex in &mask.vertices {
+                per_mask[mask.index].push(graph.polygon(vertex).clone());
+            }
+        }
+        mpl_gds::write_colored_file(&output, read.name(), &per_mask, 100)
+            .map_err(|error| error.to_string())?;
+        export_times.push(start.elapsed().as_secs_f64());
+    }
+    let case = GdsPerfCase {
+        name: layout.name().to_string(),
+        shapes: layout.shape_count(),
+        rects: layout
+            .iter()
+            .map(|shape| shape.polygon().rect_count())
+            .sum(),
+        layout_bytes: size(&input)?,
+        read_shapes: read.shape_count(),
+        read_rects: read.iter().map(|shape| shape.polygon().rect_count()).sum(),
+        vertices: graph.vertex_count(),
+        colored_bytes: size(&output)?,
+        write_seconds: best(&write_times),
+        read_seconds: best(&read_times),
+        export_seconds: best(&export_times),
+    };
+    std::fs::remove_file(&input).ok();
+    std::fs::remove_file(&output).ok();
+    eprintln!(
+        "  gds {:<14} shapes={:<6} bytes={:<9} write={:.4}s read={:.4}s export={:.4}s",
+        case.name,
+        case.shapes,
+        case.layout_bytes,
+        case.write_seconds,
+        case.read_seconds,
+        case.export_seconds,
+    );
+    Ok(case)
 }
 
 /// Plans and colors `layout` in one session, optionally memoized, and
@@ -993,6 +1120,7 @@ pub fn run_perf_suite(options: &PerfOptions) -> Result<PerfReport, String> {
         }
     }
 
+    let gds = run_gds_cases()?;
     let memo = run_memo_cases()?;
     let kernel = run_kernel_cases()?;
     let tile = run_tile_cases(options)?;
@@ -1034,6 +1162,7 @@ pub fn run_perf_suite(options: &PerfOptions) -> Result<PerfReport, String> {
     Ok(PerfReport {
         label: options.label.clone(),
         layouts,
+        gds,
         memo,
         kernel,
         tile,
@@ -1043,10 +1172,10 @@ pub fn run_perf_suite(options: &PerfOptions) -> Result<PerfReport, String> {
 }
 
 impl PerfReport {
-    /// The machine-readable report (schema `mpl-bench/perf-v6`; v2 added
+    /// The machine-readable report (schema `mpl-bench/perf-v7`; v2 added
     /// the `memo_cases` array to v1, v3 the `tile_cases` array, v4 the
     /// `hier_cases` array, v5 the `kernel_cases` array, v6 the per-layout
-    /// `arc_scans` counter).  `BENCH_perf.json` is its `{:#}` document
+    /// `arc_scans` counter, v7 the `gds_cases` array).  `BENCH_perf.json` is its `{:#}` document
     /// layout plus a trailing newline; each case is one line.
     pub fn to_json(&self) -> Json {
         let layouts = self.layouts.iter().map(|case| {
@@ -1069,6 +1198,21 @@ impl PerfReport {
                 ("arc_scans", case.arc_scans.into()),
                 ("scratch_allocs", case.scratch_allocs.into()),
                 ("hit_time_limit", case.hit_time_limit.into()),
+            ])
+        });
+        let gds = self.gds.iter().map(|case| {
+            Json::object(vec![
+                ("name", case.name.as_str().into()),
+                ("shapes", case.shapes.into()),
+                ("rects", case.rects.into()),
+                ("layout_bytes", case.layout_bytes.into()),
+                ("read_shapes", case.read_shapes.into()),
+                ("read_rects", case.read_rects.into()),
+                ("vertices", case.vertices.into()),
+                ("colored_bytes", case.colored_bytes.into()),
+                ("write_seconds", case.write_seconds.into()),
+                ("read_seconds", case.read_seconds.into()),
+                ("export_seconds", case.export_seconds.into()),
             ])
         });
         let memo = self.memo.iter().map(|case| {
@@ -1176,9 +1320,10 @@ impl PerfReport {
             ])
         });
         Json::object(vec![
-            ("schema", "mpl-bench/perf-v6".into()),
+            ("schema", "mpl-bench/perf-v7".into()),
             ("label", self.label.as_str().into()),
             ("layouts", Json::Array(layouts.collect())),
+            ("gds_cases", Json::Array(gds.collect())),
             ("memo_cases", Json::Array(memo.collect())),
             ("kernel_cases", Json::Array(kernel.collect())),
             ("tile_cases", Json::Array(tile.collect())),
@@ -1302,6 +1447,24 @@ impl PerfReport {
                     "lattice division grows superlinearly: {top:.1} arc scans per vertex at \
                      {large}×{large} exceeds 1.5× the {base:.1} at {small}×{small}"
                 ));
+            }
+        }
+        for case in &self.gds {
+            let pinned = GDS_PINS.iter().find(|&&(name, ..)| name == case.name);
+            let found = (
+                case.layout_bytes,
+                case.read_shapes,
+                case.read_rects,
+                case.colored_bytes,
+            );
+            if let Some(&(_, bytes, shapes, rects, colored)) = pinned {
+                if found != (bytes, shapes, rects, colored) {
+                    violations.push(format!(
+                        "gds case {}: wrote {} bytes, read back {} shapes of {} rectangles and \
+                         exported {} bytes; pinned {bytes}, {shapes}, {rects} and {colored}",
+                        case.name, found.0, found.1, found.2, found.3
+                    ));
+                }
             }
         }
         for case in &self.memo {
@@ -1504,6 +1667,7 @@ mod tests {
         let report = PerfReport {
             label: "test".to_string(),
             layouts: Vec::new(),
+            gds: Vec::new(),
             memo: Vec::new(),
             kernel: Vec::new(),
             tile: Vec::new(),
@@ -1511,7 +1675,8 @@ mod tests {
             bnb: Vec::new(),
         };
         let json = format!("{:#}", report.to_json());
-        assert!(json.contains("\"schema\": \"mpl-bench/perf-v6\""));
+        assert!(json.contains("\"schema\": \"mpl-bench/perf-v7\""));
+        assert!(json.contains("\"gds_cases\""));
         assert!(json.contains("\"label\": \"test\""));
         assert!(json.contains("\"memo_cases\""));
         assert!(json.contains("\"kernel_cases\""));
@@ -1560,6 +1725,7 @@ mod tests {
         let mut report = PerfReport {
             label: "test".to_string(),
             layouts: measured.clone(),
+            gds: Vec::new(),
             memo: Vec::new(),
             kernel: Vec::new(),
             tile: Vec::new(),
@@ -1619,6 +1785,7 @@ mod tests {
         let mut report = PerfReport {
             label: "test".to_string(),
             layouts: Vec::new(),
+            gds: Vec::new(),
             memo: vec![case.clone()],
             kernel: Vec::new(),
             tile: Vec::new(),
@@ -1679,6 +1846,47 @@ mod tests {
     }
 
     #[test]
+    fn gds_pins_catch_changed_files() {
+        let pinned = GdsPerfCase {
+            name: "perf-large".to_string(),
+            shapes: 52_690,
+            rects: 52_690,
+            layout_bytes: 3_372_278,
+            read_shapes: 52_690,
+            read_rects: 52_690,
+            vertices: 54_353,
+            colored_bytes: 3_478_710,
+            write_seconds: 0.01,
+            read_seconds: 0.05,
+            export_seconds: 0.02,
+        };
+        let mut report = PerfReport {
+            label: "test".to_string(),
+            layouts: Vec::new(),
+            gds: vec![pinned.clone()],
+            memo: Vec::new(),
+            kernel: Vec::new(),
+            tile: Vec::new(),
+            hier: Vec::new(),
+            bnb: Vec::new(),
+        };
+        assert!(report.check_ceilings().is_ok());
+        report.gds[0].colored_bytes += 2;
+        let violations = report
+            .check_ceilings()
+            .expect_err("a changed export is caught");
+        assert!(
+            violations[0].contains("gds case perf-large"),
+            "{violations:?}"
+        );
+        report.gds[0] = GdsPerfCase {
+            read_rects: 52_691,
+            ..pinned
+        };
+        assert!(report.check_ceilings().is_err());
+    }
+
+    #[test]
     fn kernel_ceilings_catch_dead_simplification_and_reinsertion_conflicts() {
         let case = KernelPerfCase {
             name: "kernel-two-k7-fringe".to_string(),
@@ -1700,6 +1908,7 @@ mod tests {
         let mut report = PerfReport {
             label: "test".to_string(),
             layouts: Vec::new(),
+            gds: Vec::new(),
             memo: Vec::new(),
             kernel: vec![case.clone()],
             tile: Vec::new(),
@@ -1781,6 +1990,7 @@ mod tests {
         let mut report = PerfReport {
             label: "test".to_string(),
             layouts: Vec::new(),
+            gds: Vec::new(),
             memo: Vec::new(),
             kernel: Vec::new(),
             tile: vec![case.clone()],
@@ -1846,6 +2056,7 @@ mod tests {
         let mut report = PerfReport {
             label: "test".to_string(),
             layouts: Vec::new(),
+            gds: Vec::new(),
             memo: Vec::new(),
             kernel: Vec::new(),
             tile: Vec::new(),

@@ -7,7 +7,10 @@
 //! shape partition with possibly different (but canonically equal)
 //! rectangle lists.
 
-use mpl_gds::{layout_from_library, library_from_layout, GdsLibrary, LayerMap, ReadOptions};
+use mpl_gds::{
+    layout_from_library, library_from_layout, library_from_masks, GdsError, GdsLibrary, LayerMap,
+    ReadOptions,
+};
 use mpl_geometry::{Nm, Polygon, Rect};
 use mpl_layout::Layout;
 use proptest::prelude::*;
@@ -140,5 +143,87 @@ proptest! {
             // Any outcome is acceptable except a panic.
             let _ = GdsLibrary::from_bytes(&bytes);
         }
+    }
+}
+
+fn temp_path(name: &str) -> String {
+    let mut path = std::env::temp_dir();
+    path.push(format!("mpl-gds-proptest-{}-{name}", std::process::id()));
+    path.to_string_lossy().into_owned()
+}
+
+/// Splits the layout's polygons over `k` masks by `picks`, cycled.
+fn masks_of(layout: &Layout, picks: &[u8], k: usize) -> Vec<Vec<Polygon>> {
+    let mut masks = vec![Vec::new(); k];
+    for (index, shape) in layout.iter().enumerate() {
+        let pick = picks.get(index % picks.len().max(1)).copied().unwrap_or(0);
+        masks[usize::from(pick) % k].push(shape.polygon().clone());
+    }
+    masks
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn file_writers_match_the_library_serialisation(
+        layout in arb_layout(),
+        picks in prop::collection::vec(0u8..8, 1..16),
+        k in 1usize..6,
+        layer in 0i16..200,
+        datatype in 0i16..4,
+    ) {
+        let path = temp_path("writer.gds");
+        mpl_gds::write_layout_file(&path, &layout, layer, datatype).expect("in range");
+        let expected = library_from_layout(&layout, layer, datatype)
+            .and_then(|library| library.to_bytes())
+            .expect("in range");
+        prop_assert_eq!(std::fs::read(&path).expect("written"), expected);
+
+        let masks = masks_of(&layout, &picks, k);
+        mpl_gds::write_colored_file(&path, layout.name(), &masks, layer).expect("in range");
+        let expected = library_from_masks(layout.name(), &masks, layer)
+            .and_then(|library| library.to_bytes())
+            .expect("in range");
+        prop_assert_eq!(std::fs::read(&path).expect("written"), expected);
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn out_of_range_coordinates_leave_an_existing_file_untouched(
+        layout in arb_layout(),
+        far in 2_147_483_648i64..4_000_000_000,
+        negative in 0u8..2,
+        picks in prop::collection::vec(0u8..4, 1..8),
+    ) {
+        // One rectangle beyond the 32-bit GDSII coordinate space, placed
+        // after every in-range shape.
+        let far = if negative == 1 { -far } else { far };
+        let mut builder = Layout::builder(layout.name());
+        for shape in layout.iter() {
+            builder.add_polygon(shape.polygon().clone());
+        }
+        let (lo, hi) = if far < 0 { (far, far + 20) } else { (far - 20, far) };
+        builder.add_rect(r(0, lo, 20, hi));
+        let layout = builder.build();
+        // The first coordinate out of range, in xlo, ylo, xhi, yhi order.
+        let value = if i32::try_from(lo).is_err() { lo } else { hi };
+        let expected = Err(GdsError::CoordinateOverflow { value });
+
+        let path = temp_path("overflow.gds");
+        std::fs::write(&path, b"previous contents").expect("seed file");
+        prop_assert_eq!(mpl_gds::write_layout_file(&path, &layout, 1, 0), expected.clone());
+        prop_assert_eq!(std::fs::read(&path).expect("still there"), b"previous contents");
+        let masks = masks_of(&layout, &picks, 4);
+        prop_assert_eq!(
+            mpl_gds::write_colored_file(&path, layout.name(), &masks, 100),
+            expected
+        );
+        prop_assert_eq!(std::fs::read(&path).expect("still there"), b"previous contents");
+        std::fs::remove_file(&path).ok();
+
+        let missing = temp_path("overflow-missing.gds");
+        prop_assert!(mpl_gds::write_layout_file(&missing, &layout, 1, 0).is_err());
+        prop_assert!(!std::path::Path::new(&missing).exists(), "no file may be created");
     }
 }
