@@ -55,7 +55,7 @@ use mpl_core::{
     StitchConfig, TileConfig,
 };
 use mpl_gds::{LayerMap, ReadOptions};
-use mpl_geometry::Nm;
+use mpl_geometry::{Nm, Polygon};
 use mpl_hier::fixtures::{bit_cell_array, BitArrayStyle};
 use mpl_hier::{run_hier, HierLayoutResult};
 use mpl_ilp::{solve_exact, ExactOptions};
@@ -603,10 +603,10 @@ fn run_gds_case(layout: &Layout) -> Result<GdsPerfCase, String> {
     let mut export_times = Vec::new();
     for _ in 0..REPEATS {
         let start = Instant::now();
-        let mut per_mask = vec![Vec::new(); k];
+        let mut per_mask: Vec<Vec<&Polygon>> = vec![Vec::new(); k];
         for mask in extract_masks(&graph, &colors) {
             for &vertex in &mask.vertices {
-                per_mask[mask.index].push(graph.polygon(vertex).clone());
+                per_mask[mask.index].push(graph.polygon(vertex));
             }
         }
         mpl_gds::write_colored_file(&output, read.name(), &per_mask, 100)

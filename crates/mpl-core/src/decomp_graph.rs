@@ -1,7 +1,7 @@
 //! Decomposition-graph construction (Definition 1 of the paper).
 
-use crate::stitch::{split_at_stitches, StitchConfig};
-use mpl_geometry::{GridIndex, Nm, Polygon};
+use crate::stitch::{can_split, split_at_stitches, StitchConfig};
+use mpl_geometry::{GridIndex, Nm, Polygon, Rect};
 use mpl_graph::Csr;
 use mpl_layout::{Layout, ShapeId, Technology};
 use std::fmt;
@@ -71,38 +71,48 @@ impl DecompositionGraph {
         let min_s = technology.coloring_distance(k);
         let friendly = technology.color_friendly_distance(k);
 
-        // Spatial index over whole shapes, used both for stitch-candidate
-        // shadowing and for conflict-edge construction.
-        let mut shape_index = GridIndex::new(
-            friendly.max(Nm(1)),
-            layout.iter().flat_map(|shape| {
-                let id = shape.id().index();
-                shape.polygon().rects().iter().map(move |rect| (id, *rect))
-            }),
-        );
+        // Spatial index over whole shapes, for stitch-candidate shadowing.
+        // Without stitches no shape is ever split, so nothing queries it.
+        let mut shape_index = stitch.enabled.then(|| {
+            GridIndex::new(
+                friendly.max(Nm(1)),
+                layout.iter().flat_map(|shape| {
+                    let id = shape.id().index();
+                    shape.polygon().rects().iter().map(move |rect| (id, *rect))
+                }),
+            )
+        });
 
-        // Pass 1: split every shape at its legal stitch positions.  One
-        // peer buffer serves every shape (no per-shape Vecs).
+        // Pass 1: split every shape that can be split at its legal stitch
+        // positions; every other shape keeps its rectangles as they are.
+        // Each segment is one vertex and one rectangle.
         let mut shape_of: Vec<ShapeId> = Vec::new();
-        let mut polygons: Vec<Polygon> = Vec::new();
+        let mut rects: Vec<Rect> = Vec::new();
         let mut stitch_edges: Vec<(usize, usize)> = Vec::new();
         let mut neighbor_polys: Vec<&Polygon> = Vec::new();
         for shape in layout.iter() {
-            let bbox = shape.polygon().bounding_box();
-            neighbor_polys.clear();
-            neighbor_polys.extend(
-                shape_index
-                    .query_within(&bbox, min_s)
-                    .iter()
-                    .filter(|&&id| id != shape.id().index())
-                    .map(|&id| layout.shape(ShapeId(id)).polygon())
-                    .filter(|poly| poly.within_distance(shape.polygon(), min_s)),
-            );
-            let segments = split_at_stitches(shape.polygon(), &neighbor_polys, min_s, stitch);
-            let first_vertex = polygons.len();
+            let polygon = shape.polygon();
+            let split;
+            let segments = match shape_index.as_mut() {
+                Some(index) if can_split(polygon, stitch) => {
+                    neighbor_polys.clear();
+                    neighbor_polys.extend(
+                        index
+                            .query_within(&polygon.rects()[0], min_s)
+                            .iter()
+                            .filter(|&&id| id != shape.id().index())
+                            .map(|&id| layout.shape(ShapeId(id)).polygon())
+                            .filter(|poly| poly.within_distance(polygon, min_s)),
+                    );
+                    split = split_at_stitches(polygon, &neighbor_polys, min_s, stitch);
+                    split.as_slice()
+                }
+                _ => polygon.rects(),
+            };
+            let first_vertex = rects.len();
             for (offset, rect) in segments.iter().enumerate() {
                 shape_of.push(shape.id());
-                polygons.push(Polygon::rect(*rect));
+                rects.push(*rect);
                 if offset > 0 {
                     stitch_edges.push((first_vertex + offset - 1, first_vertex + offset));
                 }
@@ -110,29 +120,26 @@ impl DecompositionGraph {
         }
 
         // Pass 2: conflict edges and color-friendly pairs between segments of
-        // different shapes.
-        let mut segment_index = GridIndex::new(
-            friendly.max(Nm(1)),
-            polygons.iter().enumerate().flat_map(|(vertex, polygon)| {
-                polygon.rects().iter().map(move |rect| (vertex, *rect))
-            }),
-        );
+        // different shapes, each pair classified by one squared distance.
+        let mut segment_index =
+            GridIndex::new(friendly.max(Nm(1)), rects.iter().copied().enumerate());
+        let (conflict_limit, friendly_limit) = (min_s.squared(), friendly.squared());
         let mut conflict_edges: Vec<(usize, usize)> = Vec::new();
         let mut color_friendly_pairs: Vec<(usize, usize)> = Vec::new();
-        for (vertex, polygon) in polygons.iter().enumerate() {
-            let bbox = polygon.bounding_box();
-            for &other in segment_index.query_within(&bbox, friendly) {
+        for (vertex, rect) in rects.iter().enumerate() {
+            for &other in segment_index.query_within(rect, friendly) {
                 if other <= vertex || shape_of[other] == shape_of[vertex] {
                     continue;
                 }
-                let other_polygon = &polygons[other];
-                if polygon.within_distance(other_polygon, min_s) {
+                let gap = rect.distance_squared(&rects[other]);
+                if gap < conflict_limit {
                     conflict_edges.push((vertex, other));
-                } else if polygon.within_distance_band(other_polygon, min_s, friendly) {
+                } else if gap < friendly_limit {
                     color_friendly_pairs.push((vertex, other));
                 }
             }
         }
+        let polygons: Vec<Polygon> = rects.into_iter().map(Polygon::rect).collect();
 
         let n = polygons.len();
         let conflict_adjacency = Csr::from_edges(n, &conflict_edges);
@@ -261,7 +268,6 @@ impl fmt::Display for DecompositionGraph {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mpl_geometry::Rect;
     use mpl_layout::gen;
 
     fn tech() -> Technology {
@@ -413,6 +419,167 @@ mod tests {
             graph.to_string(),
             "DecompositionGraph(|V|=0, |CE|=0, |SE|=0)"
         );
+    }
+
+    /// Graph build's two passes as they were before pass 1 skipped shapes
+    /// that cannot be split and pass 2 classified each pair by one
+    /// rectangle distance: the oracle [`DecompositionGraph::build`] must
+    /// reproduce exactly. Returns `shape_of`, the vertex polygons and the
+    /// conflict, stitch and color-friendly lists.
+    #[allow(clippy::type_complexity)]
+    fn reference_build(
+        layout: &Layout,
+        technology: &Technology,
+        k: usize,
+        stitch: &StitchConfig,
+    ) -> (
+        Vec<ShapeId>,
+        Vec<Polygon>,
+        Vec<(usize, usize)>,
+        Vec<(usize, usize)>,
+        Vec<(usize, usize)>,
+    ) {
+        let min_s = technology.coloring_distance(k);
+        let friendly = technology.color_friendly_distance(k);
+        let mut shape_index = GridIndex::new(
+            friendly.max(Nm(1)),
+            layout.iter().flat_map(|shape| {
+                let id = shape.id().index();
+                shape.polygon().rects().iter().map(move |rect| (id, *rect))
+            }),
+        );
+        let (mut shape_of, mut polygons, mut stitch_edges) = (Vec::new(), Vec::new(), Vec::new());
+        for shape in layout.iter() {
+            let bbox = shape.polygon().bounding_box();
+            let neighbor_polys: Vec<&Polygon> = shape_index
+                .query_within(&bbox, min_s)
+                .iter()
+                .filter(|&&id| id != shape.id().index())
+                .map(|&id| layout.shape(ShapeId(id)).polygon())
+                .filter(|poly| poly.within_distance(shape.polygon(), min_s))
+                .collect();
+            let segments = split_at_stitches(shape.polygon(), &neighbor_polys, min_s, stitch);
+            let first_vertex = polygons.len();
+            for (offset, rect) in segments.iter().enumerate() {
+                shape_of.push(shape.id());
+                polygons.push(Polygon::rect(*rect));
+                if offset > 0 {
+                    stitch_edges.push((first_vertex + offset - 1, first_vertex + offset));
+                }
+            }
+        }
+        let mut segment_index = GridIndex::new(
+            friendly.max(Nm(1)),
+            polygons.iter().enumerate().flat_map(|(vertex, polygon)| {
+                polygon.rects().iter().map(move |rect| (vertex, *rect))
+            }),
+        );
+        let (mut conflict_edges, mut friendly_pairs) = (Vec::new(), Vec::new());
+        for (vertex, polygon) in polygons.iter().enumerate() {
+            let bbox = polygon.bounding_box();
+            for &other in segment_index.query_within(&bbox, friendly) {
+                if other <= vertex || shape_of[other] == shape_of[vertex] {
+                    continue;
+                }
+                let other_polygon = &polygons[other];
+                if polygon.within_distance(other_polygon, min_s) {
+                    conflict_edges.push((vertex, other));
+                } else {
+                    let gap = polygon.distance_squared(other_polygon);
+                    if gap >= min_s.squared() && gap < friendly.squared() {
+                        friendly_pairs.push((vertex, other));
+                    }
+                }
+            }
+        }
+        (
+            shape_of,
+            polygons,
+            conflict_edges,
+            stitch_edges,
+            friendly_pairs,
+        )
+    }
+
+    /// A seeded layout of contacts, long wires in both directions and
+    /// L- and U-shaped multi-rectangle polygons packed closely enough to
+    /// conflict, shadow and split each other.
+    fn random_layout(seed: u64, shapes: usize) -> Layout {
+        let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+        let mut next = |bound: i64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % bound as u64) as i64
+        };
+        let mut builder = Layout::builder(format!("random-{seed}"));
+        for _ in 0..shapes {
+            let (x, y) = (next(1500), next(1500));
+            let r = |a: i64, b: i64, c: i64, d: i64| Rect::new(Nm(a), Nm(b), Nm(c), Nm(d));
+            let rects = match next(5) {
+                0 => vec![r(x, y, x + 20, y + 20)],
+                1 => vec![r(x, y, x + 20 + next(600), y + 20)],
+                2 => vec![r(x, y, x + 20, y + 20 + next(600))],
+                3 => vec![
+                    r(x, y, x + 200, y + 20),
+                    r(x, y, x + 20, y + 20 + next(300)),
+                ],
+                _ => vec![
+                    r(x, y, x + 20, y + 160),
+                    r(x, y, x + 120, y + 20),
+                    r(x + 100, y, x + 120, y + 40 + next(200)),
+                ],
+            };
+            builder.add_polygon(Polygon::from_rects(rects).expect("non-empty"));
+        }
+        builder.build()
+    }
+
+    #[test]
+    fn build_matches_the_reference_passes_on_random_layouts() {
+        let many = StitchConfig {
+            max_stitches_per_feature: 4,
+            ..StitchConfig::default()
+        };
+        // Conflicts, stitch edges and friendly pairs seen: the layouts must
+        // exercise every list the oracle compares.
+        let mut seen = [0usize; 3];
+        for seed in 0..24 {
+            let layout = random_layout(seed, 40 + 5 * seed as usize);
+            for stitch in [StitchConfig::default(), StitchConfig::disabled(), many] {
+                for k in [3, 4, 5] {
+                    let graph = DecompositionGraph::build(&layout, &tech(), k, &stitch);
+                    let (shape_of, polygons, conflicts, stitches, friendly) =
+                        reference_build(&layout, &tech(), k, &stitch);
+                    let context = format!("seed {seed}, k {k}, {stitch:?}");
+                    let n = graph.vertex_count();
+                    assert_eq!(n, polygons.len(), "{context}");
+                    for vertex in 0..n {
+                        assert_eq!(
+                            graph.shape_of(VertexId(vertex)),
+                            shape_of[vertex],
+                            "{context}"
+                        );
+                        assert_eq!(
+                            graph.polygon(VertexId(vertex)),
+                            &polygons[vertex],
+                            "{context}"
+                        );
+                    }
+                    assert_eq!(graph.conflict_edges(), conflicts.as_slice(), "{context}");
+                    assert_eq!(graph.stitch_edges(), stitches.as_slice(), "{context}");
+                    assert_eq!(
+                        graph.color_friendly_pairs(),
+                        friendly.as_slice(),
+                        "{context}"
+                    );
+                    seen[0] += conflicts.len();
+                    seen[1] += stitches.len();
+                    seen[2] += friendly.len();
+                }
+            }
+        }
+        assert!(seen.iter().all(|&count| count > 0), "{seen:?}");
     }
 
     #[test]

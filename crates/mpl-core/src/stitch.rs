@@ -54,6 +54,16 @@ impl StitchConfig {
     }
 }
 
+/// Whether [`split_at_stitches`] may split `shape` at all: stitches are
+/// enabled, the shape is a single rectangle, and its long side can hold two
+/// printable segments. Only such shapes need their conflict neighbours.
+pub(crate) fn can_split(shape: &Polygon, config: &StitchConfig) -> bool {
+    let [rect] = shape.rects() else {
+        return false;
+    };
+    config.enabled && rect.width().max(rect.height()) >= config.min_segment_length * 2
+}
+
 /// Splits `shape` into stitch-connected segments given the polygons of its
 /// conflict neighbours.
 ///
@@ -69,20 +79,11 @@ pub fn split_at_stitches(
     config: &StitchConfig,
 ) -> Vec<Rect> {
     let whole = || shape.rects().to_vec();
-    if !config.enabled || shape.rect_count() != 1 {
+    if !can_split(shape, config) || neighbors.is_empty() {
         return whole();
     }
     let rect = shape.rects()[0];
     let horizontal = rect.width() >= rect.height();
-    let length = if horizontal {
-        rect.width()
-    } else {
-        rect.height()
-    };
-    // A feature must be long enough to hold two printable segments.
-    if length < config.min_segment_length * 2 || neighbors.is_empty() {
-        return whole();
-    }
 
     let span = if horizontal {
         rect.x_interval()

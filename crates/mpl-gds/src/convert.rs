@@ -12,7 +12,7 @@
 //!   (or a colored decomposition, one layer per mask) as boundary records,
 //!   one rectangle per boundary.
 
-use crate::flatten::flatten_tagged;
+use crate::flatten::flatten_within;
 use crate::model::{GdsElement, GdsLibrary, GdsStruct};
 use crate::GdsError;
 use mpl_geometry::{GridIndex, Nm, Polygon, Rect};
@@ -93,13 +93,35 @@ impl LayerMap {
 }
 
 /// Options for [`layout_from_library`].
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct ReadOptions {
     /// Flatten from this structure (default: the inferred top structure).
     pub top: Option<String>,
     /// Keep fractured boundaries apart instead of merging touching polygons
     /// into connected shapes.
     pub keep_fractured: bool,
+    /// The most reference placements plus shapes flattening may expand; an
+    /// AREF places its structure `cols · rows` times, and nested arrays
+    /// multiply. A library that would expand more is rejected with
+    /// [`GdsError::ExpansionTooLarge`] before anything is expanded.
+    ///
+    /// The default is 2²⁰ = 1,048,576. Memory sets it: a generated
+    /// 52,440-shape row chip peaks at 46.5 MiB through `qpl-decompose`
+    /// (flatten, graph, plan and coloring), about 0.9 KiB per shape, so an
+    /// input at the default budget needs about 0.9 GiB. That is 20 times
+    /// the largest benchmark chip, and a placement is counted like a shape
+    /// although it costs less.
+    pub max_expanded: u64,
+}
+
+impl Default for ReadOptions {
+    fn default() -> Self {
+        ReadOptions {
+            top: None,
+            keep_fractured: false,
+            max_expanded: 1 << 20,
+        }
+    }
 }
 
 /// Flattens a GDS library into a single-layer [`Layout`].
@@ -141,42 +163,46 @@ pub fn layout_with_hierarchy(
     options: &ReadOptions,
 ) -> Result<(Layout, LayoutHierarchy), GdsError> {
     let top_name = library.top_struct(options.top.as_deref())?.name.clone();
-    let flat = flatten_tagged(library, options.top.as_deref())?;
+    let flat = flatten_within(library, options.top.as_deref(), options.max_expanded)?;
     let scale = library.nm_per_db_unit();
-    let mut polygons: Vec<Polygon> = Vec::new();
+    let mut shapes = RectLists::default();
     let mut tags: Vec<Option<usize>> = Vec::new();
-    let mut seen_any = false;
     for (shape, origin) in flat.shapes.iter().zip(&flat.origins) {
-        seen_any = true;
-        if !map.accepts(shape.layer, shape.datatype) {
+        if !map.accepts(shape.layer, shape.datatype) || shape.rects.is_empty() {
             continue;
         }
-        let rects: Vec<Rect> = shape
+        shapes
             .rects
-            .iter()
-            .map(|&(xlo, ylo, xhi, yhi)| {
+            .extend(shape.rects.iter().map(|&(xlo, ylo, xhi, yhi)| {
                 Rect::new(
                     scale_to_nm(xlo, scale),
                     scale_to_nm(ylo, scale),
                     scale_to_nm(xhi, scale),
                     scale_to_nm(yhi, scale),
                 )
-            })
-            .collect();
-        if let Ok(polygon) = Polygon::from_rects(rects) {
-            polygons.push(polygon);
-            tags.push(*origin);
-        }
+            }));
+        shapes.ends.push(shapes.rects.len());
+        tags.push(*origin);
     }
-    if polygons.is_empty() && seen_any && !map.is_all() {
+    if shapes.ends.is_empty() && !flat.shapes.is_empty() && !map.is_all() {
         return Err(GdsError::EmptySelection);
     }
 
-    let groups = if options.keep_fractured {
-        (0..polygons.len()).map(|i| vec![i]).collect()
+    // Every group is a chain from its smallest member (its root) through
+    // the others in ascending order; groups come in root order.
+    let roots = if options.keep_fractured {
+        (0..shapes.len()).collect()
     } else {
-        touching_groups(&polygons)
+        touching_roots(&shapes)
     };
+    let mut next: Vec<Option<usize>> = vec![None; roots.len()];
+    let mut tail: Vec<usize> = (0..roots.len()).collect();
+    for (member, &root) in roots.iter().enumerate() {
+        if root != member {
+            next[tail[root]] = Some(member);
+            tail[root] = member;
+        }
+    }
 
     let name = if top_name.is_empty() {
         library.name.clone()
@@ -185,23 +211,25 @@ pub fn layout_with_hierarchy(
     };
     let mut builder = Layout::builder(name);
     let mut shape_origins: Vec<Option<usize>> = Vec::new();
-    for group in groups {
-        let mut rects = Vec::new();
-        for &index in &group {
-            rects.extend_from_slice(polygons[index].rects());
+    for (root, _) in roots
+        .iter()
+        .enumerate()
+        .filter(|&(index, &root)| index == root)
+    {
+        let mut rects = shapes.get(root).to_vec();
+        // A union spanning several instances (or top-level geometry) has
+        // no single origin.
+        let mut origin = tags[root];
+        let mut member = next[root];
+        while let Some(index) = member {
+            rects.extend_from_slice(shapes.get(index));
+            if origin != tags[index] {
+                origin = None;
+            }
+            member = next[index];
         }
-        if let Ok(polygon) = Polygon::from_rects(rects) {
-            builder.add_polygon(polygon);
-            // A union spanning several instances (or top-level geometry)
-            // has no single origin.
-            shape_origins.push(
-                group
-                    .iter()
-                    .map(|&index| tags[index])
-                    .reduce(|a, b| if a == b { a } else { None })
-                    .flatten(),
-            );
-        }
+        builder.add_polygon(Polygon::from_rects(rects).expect("every shape has a rectangle"));
+        shape_origins.push(origin);
     }
     let instances = flat
         .instances
@@ -218,10 +246,32 @@ pub fn layout_with_hierarchy(
     ))
 }
 
-/// Groups polygon indices into connected (touching/overlapping) components,
-/// preserving first-appearance order.
-fn touching_groups(polygons: &[Polygon]) -> Vec<Vec<usize>> {
-    let mut parent: Vec<usize> = (0..polygons.len()).collect();
+/// Rectangle lists stored end to end: list `i` is
+/// `rects[ends[i - 1]..ends[i]]`.
+#[derive(Default)]
+struct RectLists {
+    rects: Vec<Rect>,
+    ends: Vec<usize>,
+}
+
+impl RectLists {
+    fn len(&self) -> usize {
+        self.ends.len()
+    }
+
+    fn get(&self, list: usize) -> &[Rect] {
+        let start = list
+            .checked_sub(1)
+            .map_or(0, |previous| self.ends[previous]);
+        &self.rects[start..self.ends[list]]
+    }
+}
+
+/// For every list, the smallest list index among the lists it touches or
+/// overlaps, directly or through others (union-find; a merged set keeps
+/// its smaller root).
+fn touching_roots(lists: &RectLists) -> Vec<usize> {
+    let mut parent: Vec<usize> = (0..lists.len()).collect();
     fn find(parent: &mut [usize], mut i: usize) -> usize {
         while parent[i] != i {
             parent[i] = parent[parent[i]];
@@ -229,45 +279,33 @@ fn touching_groups(polygons: &[Polygon]) -> Vec<Vec<usize>> {
         }
         i
     }
+    let touches = |a: &[Rect], b: &[Rect]| {
+        a.iter()
+            .any(|ra| b.iter().any(|rb| ra.distance_squared(rb) == 0))
+    };
 
     // Spatial index over component rectangles keeps this near-linear.
     let mut index = GridIndex::new(
         Nm(256),
-        polygons
-            .iter()
-            .enumerate()
-            .flat_map(|(poly_index, polygon)| {
-                polygon.rects().iter().map(move |rect| (poly_index, *rect))
-            }),
+        (0..lists.len()).flat_map(|list| lists.get(list).iter().map(move |rect| (list, *rect))),
     );
-    for (poly_index, polygon) in polygons.iter().enumerate() {
-        for rect in polygon.rects() {
+    for list in 0..lists.len() {
+        for rect in lists.get(list) {
             for &other in index.query_within(rect, Nm(1)) {
-                if other == poly_index {
+                if other == list {
                     continue;
                 }
-                let (ra, rb) = (find(&mut parent, poly_index), find(&mut parent, other));
-                if ra != rb && polygons[poly_index].touches(&polygons[other]) {
+                let (ra, rb) = (find(&mut parent, list), find(&mut parent, other));
+                if ra != rb && touches(lists.get(list), lists.get(other)) {
                     let (lo, hi) = (ra.min(rb), ra.max(rb));
                     parent[hi] = lo;
                 }
             }
         }
     }
-
-    let mut group_of_root: Vec<Option<usize>> = vec![None; polygons.len()];
-    let mut groups: Vec<Vec<usize>> = Vec::new();
-    for i in 0..polygons.len() {
-        let root = find(&mut parent, i);
-        match group_of_root[root] {
-            Some(g) => groups[g].push(i),
-            None => {
-                group_of_root[root] = Some(groups.len());
-                groups.push(vec![i]);
-            }
-        }
-    }
-    groups
+    (0..lists.len())
+        .map(|list| find(&mut parent, list))
+        .collect()
 }
 
 fn scale_to_nm(value: i64, scale: f64) -> Nm {
@@ -284,16 +322,13 @@ fn db_coord(value: Nm) -> Result<i32, GdsError> {
     })
 }
 
-fn rect_loop(rect: &Rect) -> Result<Vec<(i32, i32)>, GdsError> {
+/// The closed five-vertex `BOUNDARY` loop of `rect` in database units; the
+/// first coordinate out of range, in `xlo, ylo, xhi, yhi` order, is the
+/// error.
+pub(crate) fn rect_loop(rect: &Rect) -> Result<[(i32, i32); 5], GdsError> {
     let (xlo, ylo) = (db_coord(rect.xlo())?, db_coord(rect.ylo())?);
     let (xhi, yhi) = (db_coord(rect.xhi())?, db_coord(rect.yhi())?);
-    Ok(vec![
-        (xlo, ylo),
-        (xhi, ylo),
-        (xhi, yhi),
-        (xlo, yhi),
-        (xlo, ylo),
-    ])
+    Ok([(xlo, ylo), (xhi, ylo), (xhi, yhi), (xlo, yhi), (xlo, ylo)])
 }
 
 /// Serialises a layout as a one-structure GDS library on `layer:datatype`,
@@ -314,7 +349,7 @@ pub fn library_from_layout(
             elements.push(GdsElement::Boundary {
                 layer,
                 datatype,
-                xy: rect_loop(rect)?,
+                xy: rect_loop(rect)?.to_vec(),
             });
         }
     }
@@ -347,7 +382,7 @@ pub fn library_from_masks(
                 elements.push(GdsElement::Boundary {
                     layer,
                     datatype: 0,
-                    xy: rect_loop(rect)?,
+                    xy: rect_loop(rect)?.to_vec(),
                 });
             }
         }
@@ -471,6 +506,118 @@ mod tests {
         // Merged pair, isolated instance, top-level square.
         assert_eq!(layout.shape_count(), 3);
         assert_eq!(hierarchy.shape_origins(), &[None, Some(2), None]);
+    }
+
+    /// `TOP` owns one square and places `CELL` (two squares, or none) by
+    /// one `cols × rows` AREF.
+    fn arrayed_library(cols: i16, rows: i16, cell_squares: usize) -> GdsLibrary {
+        use crate::model::GdsStrans;
+        let square = |x: i32| GdsElement::Boundary {
+            layer: 1,
+            datatype: 0,
+            xy: vec![(x, 0), (x + 10, 0), (x + 10, 10), (x, 10), (x, 0)],
+        };
+        let mut library = GdsLibrary::new("L");
+        library.structs.push(GdsStruct {
+            name: "CELL".into(),
+            elements: (0..cell_squares).map(|i| square(20 * i as i32)).collect(),
+        });
+        library.structs.push(GdsStruct {
+            name: "TOP".into(),
+            elements: vec![
+                square(-100),
+                GdsElement::Aref {
+                    name: "CELL".into(),
+                    strans: GdsStrans::default(),
+                    cols,
+                    rows,
+                    xy: [
+                        (0, 0),
+                        (100 * i32::from(cols), 0),
+                        (0, 100 * i32::from(rows)),
+                    ],
+                },
+            ],
+        });
+        library
+    }
+
+    #[test]
+    fn the_expansion_budget_admits_exactly_its_count() {
+        // 1 top square + 6 placements × (1 + 2 squares) = 19.
+        let library = arrayed_library(3, 2, 2);
+        let within = |max_expanded| ReadOptions {
+            max_expanded,
+            ..ReadOptions::default()
+        };
+        let layout =
+            layout_from_library(&library, &LayerMap::all(), &within(19)).expect("at the budget");
+        assert_eq!(layout.shape_count(), 13);
+        assert_eq!(
+            layout_from_library(&library, &LayerMap::all(), &within(18)),
+            Err(GdsError::ExpansionTooLarge {
+                count: 19,
+                limit: 18
+            })
+        );
+    }
+
+    #[test]
+    fn an_aref_of_an_empty_structure_counts_its_placements() {
+        // No shape at all below the array, yet 2000 × 1000 placements.
+        let library = arrayed_library(2000, 1000, 0);
+        assert_eq!(
+            layout_from_library(&library, &LayerMap::all(), &ReadOptions::default()),
+            Err(GdsError::ExpansionTooLarge {
+                count: 2_000_001,
+                limit: 1 << 20
+            })
+        );
+    }
+
+    #[test]
+    fn nested_aref_chains_are_rejected_before_any_expansion() {
+        use crate::model::GdsStrans;
+        // S0 places S1 32767 × 32767 times, S1 places S2 as often, and so
+        // on down to one square: ~1.1·10⁹ per level, so the count
+        // saturates. Expanding even the first level would not finish.
+        let levels = 8;
+        let mut library = GdsLibrary::new("L");
+        for level in 0..levels {
+            library.structs.push(GdsStruct {
+                name: format!("S{level}"),
+                elements: vec![GdsElement::Aref {
+                    name: format!("S{}", level + 1),
+                    strans: GdsStrans::default(),
+                    cols: i16::MAX,
+                    rows: i16::MAX,
+                    xy: [(0, 0), (i32::MAX, 0), (0, i32::MAX)],
+                }],
+            });
+        }
+        library.structs.push(GdsStruct {
+            name: format!("S{levels}"),
+            elements: vec![GdsElement::Boundary {
+                layer: 1,
+                datatype: 0,
+                xy: vec![(0, 0), (10, 0), (10, 10), (0, 10)],
+            }],
+        });
+        for options in [
+            ReadOptions::default(),
+            ReadOptions {
+                max_expanded: u64::MAX - 1,
+                ..ReadOptions::default()
+            },
+        ] {
+            assert_eq!(
+                layout_with_hierarchy(&library, &LayerMap::all(), &options),
+                Err(GdsError::ExpansionTooLarge {
+                    count: u64::MAX,
+                    limit: options.max_expanded
+                })
+            );
+        }
     }
 
     #[test]

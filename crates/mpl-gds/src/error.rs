@@ -73,6 +73,16 @@ pub enum GdsError {
         /// The maximum supported reference depth, in chain edges.
         limit: usize,
     },
+    /// Flattening would expand more reference placements and shapes than
+    /// [`ReadOptions::max_expanded`](crate::ReadOptions::max_expanded)
+    /// allows. Counted before anything is expanded.
+    ExpansionTooLarge {
+        /// Placements plus shapes the flattening would expand (saturated
+        /// at `u64::MAX`).
+        count: u64,
+        /// The budget it exceeds.
+        limit: u64,
+    },
     /// A reference uses a transform the rectilinear pipeline cannot honour
     /// (non-multiple-of-90° rotation or non-unit magnification).
     UnsupportedTransform {
@@ -178,6 +188,11 @@ impl fmt::Display for GdsError {
             GdsError::DeepHierarchy { name, limit } => write!(
                 f,
                 "structure {name:?} exceeds the reference depth limit of {limit}"
+            ),
+            GdsError::ExpansionTooLarge { count, limit } => write!(
+                f,
+                "flattening would expand {count} reference placements and shapes, \
+                 more than the limit of {limit}"
             ),
             GdsError::UnsupportedTransform { name, angle, mag } => write!(
                 f,

@@ -21,6 +21,7 @@
 use crate::model::{check_references, GdsElement, GdsLibrary, GdsStrans, GdsStruct, MAX_REF_DEPTH};
 use crate::poly::{loop_to_rects, path_to_rects, DbRect};
 use crate::GdsError;
+use std::collections::HashMap;
 
 /// One flattened feature: a rectangle union on a layer:datatype pair.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -162,8 +163,23 @@ pub fn flatten(library: &GdsLibrary, top: Option<&str>) -> Result<Vec<FlatShape>
 ///
 /// Same as [`flatten`].
 pub fn flatten_tagged(library: &GdsLibrary, top: Option<&str>) -> Result<TaggedFlat, GdsError> {
+    flatten_within(library, top, u64::MAX)
+}
+
+/// [`flatten_tagged`] that first counts what the walk would expand (see
+/// [`expanded_count`]) and returns [`GdsError::ExpansionTooLarge`] instead
+/// of expanding more than `limit` placements and shapes.
+pub(crate) fn flatten_within(
+    library: &GdsLibrary,
+    top: Option<&str>,
+    limit: u64,
+) -> Result<TaggedFlat, GdsError> {
     let top = library.top_struct(top)?;
     check_references(library)?;
+    let count = expanded_count(library, top);
+    if count > limit {
+        return Err(GdsError::ExpansionTooLarge { count, limit });
+    }
     let mut flat = TaggedFlat::default();
     for (index, element) in top.elements.iter().enumerate() {
         match element {
@@ -211,8 +227,64 @@ fn open_instance(
     Some(instances.len() - 1)
 }
 
-/// Expands an AREF element into the placements of its grid, row-major.
-fn aref_placements(element: &GdsElement) -> Result<Vec<Placement>, GdsError> {
+/// Counts what flattening from `top` expands, without expanding it: every
+/// reference placement (an AREF places its structure `cols · rows` times)
+/// plus every shape emitted. Each structure is counted once and reused
+/// wherever it is placed, and the sums and products saturate at
+/// `u64::MAX`, so nested arrays cost one pass over the structures.
+///
+/// The reference graph must be acyclic ([`check_references`]). A reference
+/// to an undefined structure counts its placement only; flattening
+/// reports it.
+pub(crate) fn expanded_count(library: &GdsLibrary, top: &GdsStruct) -> u64 {
+    let mut index: HashMap<&str, usize> = HashMap::new();
+    for (position, st) in library.structs.iter().enumerate() {
+        index.entry(st.name.as_str()).or_insert(position);
+    }
+    let mut memo = vec![None; library.structs.len()];
+    count_struct(library, &index, &mut memo, top)
+}
+
+fn count_struct(
+    library: &GdsLibrary,
+    index: &HashMap<&str, usize>,
+    memo: &mut [Option<u64>],
+    current: &GdsStruct,
+) -> u64 {
+    let mut total = 0u64;
+    for element in &current.elements {
+        let (placements, name) = match element {
+            GdsElement::Sref { name, .. } => (1, name),
+            GdsElement::Aref {
+                name, cols, rows, ..
+            } => {
+                let side = |count: i16| u64::from(count.max(1).unsigned_abs());
+                (side(*cols) * side(*rows), name)
+            }
+            _ => {
+                total = total.saturating_add(1);
+                continue;
+            }
+        };
+        let below = match index.get(name.as_str()) {
+            Some(&target) => match memo[target] {
+                Some(count) => count,
+                None => {
+                    let count = count_struct(library, index, memo, &library.structs[target]);
+                    memo[target] = Some(count);
+                    count
+                }
+            },
+            None => 0,
+        };
+        total = total.saturating_add(placements.saturating_mul(below.saturating_add(1)));
+    }
+    total
+}
+
+/// The placements of an AREF element's grid, row-major, made one at a time
+/// as the walk visits them: the grid is never held in memory.
+fn aref_placements(element: &GdsElement) -> Result<impl Iterator<Item = Placement>, GdsError> {
     let GdsElement::Aref {
         name,
         strans,
@@ -238,17 +310,15 @@ fn aref_placements(element: &GdsElement) -> Result<Vec<Placement>, GdsError> {
         div_round(i64::from(xy[2].0) - origin.0, rows),
         div_round(i64::from(xy[2].1) - origin.1, rows),
     );
-    let mut placements = Vec::with_capacity((rows * cols) as usize);
-    for row in 0..rows {
-        for col in 0..cols {
-            let instance_origin = (
-                origin.0 + col * col_step.0 + row * row_step.0,
-                origin.1 + col * col_step.1 + row * row_step.1,
-            );
-            placements.push(placement_of(name, strans, instance_origin)?);
-        }
-    }
-    Ok(placements)
+    // Every grid position shares the transform, so one check covers all.
+    let first = placement_of(name, strans, origin)?;
+    Ok((0..rows).flat_map(move |row| {
+        (0..cols).map(move |col| Placement {
+            dx: origin.0 + col * col_step.0 + row * row_step.0,
+            dy: origin.1 + col * col_step.1 + row * row_step.1,
+            ..first
+        })
+    }))
 }
 
 fn emit_geometry(
@@ -268,37 +338,30 @@ fn emit_geometry(
             layer,
             datatype,
             xy,
-        } => {
-            let points = transform_points(xy, placement);
-            FlatShape {
-                layer: *layer,
-                datatype: *datatype,
-                rects: loop_to_rects(&points).ok_or_else(non_rectilinear)?,
-            }
-        }
-        GdsElement::Box { layer, boxtype, xy } => {
-            let points = transform_points(xy, placement);
-            FlatShape {
-                layer: *layer,
-                datatype: *boxtype,
-                rects: loop_to_rects(&points).ok_or_else(non_rectilinear)?,
-            }
-        }
+        } => FlatShape {
+            layer: *layer,
+            datatype: *datatype,
+            rects: placed(xy, placement, loop_to_rects).ok_or_else(non_rectilinear)?,
+        },
+        GdsElement::Box { layer, boxtype, xy } => FlatShape {
+            layer: *layer,
+            datatype: *boxtype,
+            rects: placed(xy, placement, loop_to_rects).ok_or_else(non_rectilinear)?,
+        },
         GdsElement::Path {
             layer,
             datatype,
             pathtype,
             width,
             xy,
-        } => {
-            let points = transform_points(xy, placement);
-            FlatShape {
-                layer: *layer,
-                datatype: *datatype,
-                rects: path_to_rects(&points, i64::from(width.unsigned_abs()), *pathtype)
-                    .ok_or_else(non_rectilinear)?,
-            }
-        }
+        } => FlatShape {
+            layer: *layer,
+            datatype: *datatype,
+            rects: placed(xy, placement, |points| {
+                path_to_rects(points, i64::from(width.unsigned_abs()), *pathtype)
+            })
+            .ok_or_else(non_rectilinear)?,
+        },
         GdsElement::Sref { .. } | GdsElement::Aref { .. } => {
             unreachable!("emit_geometry is only called on geometry elements")
         }
@@ -378,17 +441,132 @@ fn div_round(numerator: i64, denominator: i64) -> i64 {
     }
 }
 
-fn transform_points(points: &[(i32, i32)], placement: &Placement) -> Vec<(i64, i64)> {
-    points
-        .iter()
-        .map(|&(x, y)| placement.apply((i64::from(x), i64::from(y))))
-        .collect()
+/// Hands `points`, moved by `placement`, to `convert`. Loops of up to five
+/// vertices, every rectangle among them, are moved on the stack.
+fn placed<R>(
+    points: &[(i32, i32)],
+    placement: &Placement,
+    convert: impl FnOnce(&[(i64, i64)]) -> R,
+) -> R {
+    let place = |&(x, y): &(i32, i32)| placement.apply((i64::from(x), i64::from(y)));
+    let mut small = [(0, 0); 5];
+    if points.len() <= small.len() {
+        for (slot, point) in small.iter_mut().zip(points) {
+            *slot = place(point);
+        }
+        convert(&small[..points.len()])
+    } else {
+        convert(&points.iter().map(place).collect::<Vec<_>>())
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::model::{GdsElement, GdsLibrary, GdsStrans, GdsStruct};
+    use crate::poly::sweep_loop;
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// The direct rectangle path of `loop_to_rects` returns what the
+        /// slab sweep returns, for a rectangle traced from any corner in
+        /// either direction, with or without the closing vertex, with one
+        /// vertex repeated or none, after any of the eight Manhattan
+        /// placements flattening applies. Zero-width or zero-height loops
+        /// still give `None`.
+        #[test]
+        fn rectangle_loops_take_the_direct_path_to_the_sweeps_result(
+            corner in (-1000i64..1000, -1000i64..1000),
+            size in (0i64..40, 0i64..40),
+            start in 0usize..4,
+            clockwise in 0u8..2,
+            closed in 0u8..2,
+            repeat in 0usize..8,
+            transform in (0u8..4, 0u8..2, -5000i64..5000, -5000i64..5000),
+        ) {
+            let ((x, y), (w, h)) = (corner, size);
+            let corners = [(x, y), (x + w, y), (x + w, y + h), (x, y + h)];
+            let mut points: Vec<(i64, i64)> = (0..4).map(|i| corners[(start + i) % 4]).collect();
+            if clockwise == 1 {
+                points[1..].reverse();
+            }
+            if closed == 1 {
+                points.push(points[0]);
+            }
+            if repeat < points.len() {
+                points.insert(repeat, points[repeat]);
+            }
+            let (rot, reflect, dx, dy) = transform;
+            let placement = Placement { dx, dy, rot, reflect: reflect == 1 };
+            let points: Vec<(i64, i64)> = points.iter().map(|&p| placement.apply(p)).collect();
+            let rects = loop_to_rects(&points);
+            prop_assert_eq!(&rects, &sweep_loop(&points));
+            prop_assert_eq!(rects.map(|rects| rects.len()), (w > 0 && h > 0).then_some(1));
+        }
+
+        /// Any short loop on a 3 × 3 grid (diagonal, collinear, repeated,
+        /// self-touching or a real rectangle) gets the sweep's answer.
+        #[test]
+        fn short_loops_on_a_small_grid_match_the_sweep(
+            points in prop::collection::vec((0i64..3, 0i64..3), 0..8),
+        ) {
+            prop_assert_eq!(loop_to_rects(&points), sweep_loop(&points));
+        }
+    }
+
+    #[test]
+    fn expansion_counts_placements_and_shapes_once_per_structure() {
+        // LEAF: 1 square. PAIR: 1 square + SREF LEAF = 3. TOP: 1 square +
+        // SREF LEAF (2) + a 2 × 2 AREF of PAIR (4 × 4) = 19. The same
+        // library flattens to 10 shapes through 5 + 4 placements.
+        let library = library_with(vec![
+            GdsStruct {
+                name: "LEAF".into(),
+                elements: vec![unit_square(1)],
+            },
+            GdsStruct {
+                name: "PAIR".into(),
+                elements: vec![
+                    unit_square(1),
+                    GdsElement::Sref {
+                        name: "LEAF".into(),
+                        strans: GdsStrans::default(),
+                        origin: (20, 0),
+                    },
+                ],
+            },
+            GdsStruct {
+                name: "TOP".into(),
+                elements: vec![
+                    unit_square(1),
+                    GdsElement::Sref {
+                        name: "LEAF".into(),
+                        strans: GdsStrans::default(),
+                        origin: (100, 0),
+                    },
+                    GdsElement::Aref {
+                        name: "PAIR".into(),
+                        strans: GdsStrans::default(),
+                        cols: 2,
+                        rows: 2,
+                        xy: [(0, 200), (120, 200), (0, 400)],
+                    },
+                ],
+            },
+        ]);
+        let top = library.top_struct(None).expect("top");
+        assert_eq!(expanded_count(&library, top), 19);
+        assert_eq!(flatten(&library, None).expect("flatten").len(), 10);
+        assert_eq!(
+            flatten_within(&library, None, 18),
+            Err(GdsError::ExpansionTooLarge {
+                count: 19,
+                limit: 18
+            })
+        );
+    }
 
     fn unit_square(layer: i16) -> GdsElement {
         GdsElement::Boundary {

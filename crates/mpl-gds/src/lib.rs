@@ -19,7 +19,9 @@
 //!   pairs become [`mpl_layout::Layout`] shapes; touching polygons merge
 //!   back into connected features by default.
 //! * [`library_from_layout`] / [`library_from_masks`] — write layouts, and
-//!   colored decompositions with one layer per mask (`base_layer + k`).
+//!   colored decompositions with one layer per mask (`base_layer + k`);
+//!   [`write_layout_file`] / [`write_colored_file`] stream the same bytes
+//!   to a file without building the library.
 //! * [`GdsError`] — every failure is typed and carries the byte offset of
 //!   the offending record where applicable.
 //!
@@ -66,7 +68,9 @@ pub use model::{GdsElement, GdsLibrary, GdsStrans, GdsStruct, MAX_REF_DEPTH};
 pub use poly::{loop_to_rects, path_to_rects, DbRect};
 pub use record::{decode_real8, encode_real8};
 
+use mpl_geometry::Polygon;
 use mpl_layout::Layout;
+use std::borrow::Borrow;
 
 /// Reads a GDSII file straight into a [`Layout`].
 ///
@@ -103,31 +107,64 @@ pub fn read_layout_file_with_hierarchy(
     layout_with_hierarchy(&library, map, options)
 }
 
-/// Writes a [`Layout`] to a GDSII file on `layer:datatype`.
+/// Writes a [`Layout`] to a GDSII file on `layer:datatype`, one `BOUNDARY`
+/// per component rectangle.
+///
+/// The file holds the bytes of [`library_from_layout`] followed by
+/// [`GdsLibrary::to_bytes`], streamed into one buffer without building the
+/// library.
 ///
 /// # Errors
 ///
-/// Any conversion or I/O error, as a [`GdsError`].
+/// [`GdsError::CoordinateOverflow`] before the file is created or
+/// truncated, or any I/O error, as a [`GdsError`].
 pub fn write_layout_file(
     path: &str,
     layout: &Layout,
     layer: i16,
     datatype: i16,
 ) -> Result<(), GdsError> {
-    library_from_layout(layout, layer, datatype)?.save(path)
+    let count = layout
+        .iter()
+        .map(|shape| shape.polygon().rect_count())
+        .sum();
+    let rects = layout
+        .iter()
+        .flat_map(|shape| shape.polygon().rects())
+        .map(|rect| (layer, datatype, rect));
+    write::write_file(
+        path,
+        &write::rect_library_bytes(layout.name(), count, rects)?,
+    )
 }
 
 /// Writes a colored decomposition to a GDSII file, one layer per mask
-/// (`base_layer + k`).
+/// (`base_layer + k`). The polygons may be owned or borrowed.
+///
+/// The file holds the bytes of [`library_from_masks`] followed by
+/// [`GdsLibrary::to_bytes`], streamed into one buffer without building the
+/// library.
 ///
 /// # Errors
 ///
-/// Any conversion or I/O error, as a [`GdsError`].
-pub fn write_colored_file(
+/// [`GdsError::CoordinateOverflow`] before the file is created or
+/// truncated, or any I/O error, as a [`GdsError`].
+pub fn write_colored_file<P: Borrow<Polygon>>(
     path: &str,
     name: &str,
-    masks: &[Vec<mpl_geometry::Polygon>],
+    masks: &[Vec<P>],
     base_layer: i16,
 ) -> Result<(), GdsError> {
-    library_from_masks(name, masks, base_layer)?.save(path)
+    let polygons = || {
+        masks.iter().enumerate().flat_map(|(mask, polygons)| {
+            let layer = base_layer + mask as i16;
+            polygons
+                .iter()
+                .map(move |polygon| (layer, polygon.borrow()))
+        })
+    };
+    let count = polygons().map(|(_, polygon)| polygon.rect_count()).sum();
+    let rects = polygons()
+        .flat_map(|(layer, polygon)| polygon.rects().iter().map(move |rect| (layer, 0, rect)));
+    write::write_file(path, &write::rect_library_bytes(name, count, rects)?)
 }

@@ -6,7 +6,9 @@
 //! slabs between consecutive distinct y coordinates and pairing the vertical
 //! edges that span each slab (even–odd rule), then merging vertically
 //! adjacent rectangles with identical x spans so that an axis-aligned
-//! rectangle round-trips to exactly one rectangle.
+//! rectangle round-trips to exactly one rectangle. Loops that trace one
+//! axis-aligned rectangle, nearly every boundary of real mask data, skip the
+//! sweep and its scratch vectors; the result is the sweep's.
 
 /// An axis-aligned rectangle in database units: `(xlo, ylo, xhi, yhi)`.
 pub type DbRect = (i64, i64, i64, i64);
@@ -17,6 +19,44 @@ pub type DbRect = (i64, i64, i64, i64);
 /// loop has fewer than four distinct vertices or any edge is neither
 /// horizontal nor vertical (non-rectilinear geometry).
 pub fn loop_to_rects(points: &[(i64, i64)]) -> Option<Vec<DbRect>> {
+    match traced_rect(points) {
+        Some(rect) => Some(vec![rect]),
+        None => sweep_loop(points),
+    }
+}
+
+/// The rectangle `points` traces when, without repeated consecutive
+/// vertices and the closing vertex, the loop has exactly four corners
+/// joined by alternating horizontal and vertical edges. Such a loop has
+/// non-zero width and height, and the sweep returns this one rectangle for
+/// it. `None` for every other loop, degenerate or not.
+fn traced_rect(points: &[(i64, i64)]) -> Option<DbRect> {
+    let mut corners = [(0, 0); 5];
+    let mut len = 0;
+    for &point in points {
+        if len > 0 && corners[len - 1] == point {
+            continue;
+        }
+        if len == corners.len() {
+            return None;
+        }
+        corners[len] = point;
+        len += 1;
+    }
+    if len > 1 && corners[0] == corners[len - 1] {
+        len -= 1;
+    }
+    let &[a, b, c, d] = &corners[..len] else {
+        return None;
+    };
+    let horizontal_first = a.1 == b.1 && b.0 == c.0 && c.1 == d.1 && d.0 == a.0;
+    let vertical_first = a.0 == b.0 && b.1 == c.1 && c.0 == d.0 && d.1 == a.1;
+    (horizontal_first || vertical_first)
+        .then(|| (a.0.min(c.0), a.1.min(c.1), a.0.max(c.0), a.1.max(c.1)))
+}
+
+/// The slab sweep behind [`loop_to_rects`], for any simple rectilinear loop.
+pub(crate) fn sweep_loop(points: &[(i64, i64)]) -> Option<Vec<DbRect>> {
     let mut loop_points: Vec<(i64, i64)> = Vec::with_capacity(points.len());
     for &p in points {
         if loop_points.last() != Some(&p) {

@@ -262,7 +262,12 @@ impl RawRecord<'_> {
         if !self.data.len().is_multiple_of(8) {
             return Err(self.bad_payload("length is not a multiple of 8 (x/y pairs)"));
         }
-        Ok(self.i32s()?.chunks_exact(2).map(|c| (c[0], c[1])).collect())
+        let word = |c: &[u8]| i32::from_be_bytes([c[0], c[1], c[2], c[3]]);
+        Ok(self
+            .data
+            .chunks_exact(8)
+            .map(|pair| (word(&pair[..4]), word(&pair[4..])))
+            .collect())
     }
 
     fn bad_payload(&self, reason: &'static str) -> GdsError {
@@ -399,17 +404,33 @@ pub fn emit_record(
     data_type: u8,
     payload: &[u8],
 ) -> Result<(), GdsError> {
-    let total = 4 + payload.len();
+    emit_header(out, record_type, data_type, payload.len())?;
+    out.extend_from_slice(payload);
+    Ok(())
+}
+
+/// Appends the 4-byte header of a record whose payload of `payload_len`
+/// bytes the caller appends next.
+///
+/// # Errors
+///
+/// Returns [`GdsError::RecordTooLong`] when the payload does not fit.
+pub(crate) fn emit_header(
+    out: &mut Vec<u8>,
+    record_type: RecordType,
+    data_type: u8,
+    payload_len: usize,
+) -> Result<(), GdsError> {
+    let total = 4 + payload_len;
     if total > u16::MAX as usize {
         return Err(GdsError::RecordTooLong {
             record: record_type.name(),
-            bytes: payload.len(),
+            bytes: payload_len,
         });
     }
     out.extend_from_slice(&(total as u16).to_be_bytes());
     out.push(record_type as u8);
     out.push(data_type);
-    out.extend_from_slice(payload);
     Ok(())
 }
 
@@ -419,11 +440,11 @@ pub fn emit_record(
 ///
 /// Returns [`GdsError::RecordTooLong`] when the string does not fit.
 pub fn emit_ascii(out: &mut Vec<u8>, record_type: RecordType, text: &str) -> Result<(), GdsError> {
-    let mut payload: Vec<u8> = text.bytes().collect();
-    if !payload.len().is_multiple_of(2) {
-        payload.push(0);
-    }
-    emit_record(out, record_type, DATA_ASCII, payload.as_slice())
+    let pad = text.len() % 2;
+    emit_header(out, record_type, DATA_ASCII, text.len() + pad)?;
+    out.extend_from_slice(text.as_bytes());
+    out.extend_from_slice(&[0][..pad]);
+    Ok(())
 }
 
 /// Appends a record of big-endian two-byte integers.
@@ -436,11 +457,11 @@ pub fn emit_i16s(
     record_type: RecordType,
     values: &[i16],
 ) -> Result<(), GdsError> {
-    let mut payload = Vec::with_capacity(values.len() * 2);
+    emit_header(out, record_type, DATA_I16, values.len() * 2)?;
     for value in values {
-        payload.extend_from_slice(&value.to_be_bytes());
+        out.extend_from_slice(&value.to_be_bytes());
     }
-    emit_record(out, record_type, DATA_I16, &payload)
+    Ok(())
 }
 
 /// Appends a record of big-endian four-byte integers.
@@ -453,11 +474,11 @@ pub fn emit_i32s(
     record_type: RecordType,
     values: &[i32],
 ) -> Result<(), GdsError> {
-    let mut payload = Vec::with_capacity(values.len() * 4);
+    emit_header(out, record_type, DATA_I32, values.len() * 4)?;
     for value in values {
-        payload.extend_from_slice(&value.to_be_bytes());
+        out.extend_from_slice(&value.to_be_bytes());
     }
-    emit_record(out, record_type, DATA_I32, &payload)
+    Ok(())
 }
 
 /// Appends a record of excess-64 reals.
@@ -470,11 +491,11 @@ pub fn emit_f64s(
     record_type: RecordType,
     values: &[f64],
 ) -> Result<(), GdsError> {
-    let mut payload = Vec::with_capacity(values.len() * 8);
+    emit_header(out, record_type, DATA_F64, values.len() * 8)?;
     for &value in values {
-        payload.extend_from_slice(&encode_real8(value));
+        out.extend_from_slice(&encode_real8(value));
     }
-    emit_record(out, record_type, DATA_F64, &payload)
+    Ok(())
 }
 
 /// GDSII data-type byte: no data.

@@ -1,18 +1,26 @@
-//! GDSII serialisation: turns a [`GdsLibrary`] back into a record stream.
+//! GDSII serialisation: turns a [`GdsLibrary`] back into a record stream,
+//! and streams rectangle boundaries straight to bytes for the file writers.
 //!
 //! The emitter produces deterministic output (fixed timestamps) so written
 //! files are byte-for-byte reproducible and diff-friendly in tests.
 
+use crate::convert::rect_loop;
 use crate::model::{GdsElement, GdsLibrary, GdsStrans};
 use crate::record::{
-    emit_ascii, emit_f64s, emit_i16s, emit_i32s, emit_record, RecordType, DATA_BITS, DATA_NONE,
+    emit_ascii, emit_f64s, emit_header, emit_i16s, emit_i32s, emit_record, RecordType, DATA_BITS,
+    DATA_I32, DATA_NONE,
 };
 use crate::GdsError;
+use mpl_geometry::Rect;
 
 /// Fixed timestamp written into `BGNLIB`/`BGNSTR` (year, month, day, hour,
 /// minute, second — twice, for modification and access). Deterministic
 /// output matters more to this workspace than real wall-clock stamps.
 const TIMESTAMP: [i16; 12] = [2026, 1, 1, 0, 0, 0, 2026, 1, 1, 0, 0, 0];
+
+/// Bytes of one rectangle `BOUNDARY` element: the `BOUNDARY`, `LAYER`,
+/// `DATATYPE`, five-point `XY` and `ENDEL` records.
+const RECT_BOUNDARY_BYTES: usize = 4 + 6 + 6 + (4 + 5 * 8) + 4;
 
 impl GdsLibrary {
     /// Serialises the library to GDSII bytes.
@@ -23,17 +31,9 @@ impl GdsLibrary {
     /// not fit the 16-bit GDSII record length.
     pub fn to_bytes(&self) -> Result<Vec<u8>, GdsError> {
         let mut out = Vec::new();
-        emit_i16s(&mut out, RecordType::Header, &[600])?;
-        emit_i16s(&mut out, RecordType::BgnLib, &TIMESTAMP)?;
-        emit_ascii(&mut out, RecordType::LibName, &self.name)?;
-        emit_f64s(
-            &mut out,
-            RecordType::Units,
-            &[self.user_unit, self.meter_unit],
-        )?;
+        emit_library_start(&mut out, &self.name, self.user_unit, self.meter_unit)?;
         for st in &self.structs {
-            emit_i16s(&mut out, RecordType::BgnStr, &TIMESTAMP)?;
-            emit_ascii(&mut out, RecordType::StrName, &st.name)?;
+            emit_struct_start(&mut out, &st.name)?;
             for element in &st.elements {
                 emit_element(&mut out, element)?;
             }
@@ -50,10 +50,7 @@ impl GdsLibrary {
     /// Returns [`GdsError::Io`] when the file cannot be written, or any
     /// serialisation error from [`GdsLibrary::to_bytes`].
     pub fn save(&self, path: &str) -> Result<(), GdsError> {
-        std::fs::write(path, self.to_bytes()?).map_err(|error| GdsError::Io {
-            path: path.to_string(),
-            message: error.to_string(),
-        })
+        write_file(path, &self.to_bytes()?)
     }
 
     /// Reads and parses a library from a file.
@@ -69,6 +66,88 @@ impl GdsLibrary {
         })?;
         GdsLibrary::from_bytes(&bytes)
     }
+}
+
+/// Writes `bytes` to the file at `path`, creating or truncating it.
+pub(crate) fn write_file(path: &str, bytes: &[u8]) -> Result<(), GdsError> {
+    std::fs::write(path, bytes).map_err(|error| GdsError::Io {
+        path: path.to_string(),
+        message: error.to_string(),
+    })
+}
+
+/// Serialises `count` rectangle boundaries, given as `(layer, datatype,
+/// rectangle)`, as a library with one structure, both named `name`, in
+/// 1 nm database units. The bytes are those [`GdsLibrary::to_bytes`] gives
+/// for the library [`library_from_layout`](crate::library_from_layout) or
+/// [`library_from_masks`](crate::library_from_masks) builds from the same
+/// rectangles, made in one pre-sized buffer without building it.
+///
+/// # Errors
+///
+/// [`GdsError::CoordinateOverflow`] for the first coordinate outside the
+/// 32-bit GDSII space; otherwise [`GdsError::RecordTooLong`] for a name
+/// too long for its record. The library path converts every coordinate
+/// before it serialises a name, so a bad name is reported last here too.
+pub(crate) fn rect_library_bytes<'a>(
+    name: &str,
+    count: usize,
+    boundaries: impl IntoIterator<Item = (i16, i16, &'a Rect)>,
+) -> Result<Vec<u8>, GdsError> {
+    let GdsLibrary {
+        user_unit,
+        meter_unit,
+        ..
+    } = GdsLibrary::new(name);
+    let mut out = Vec::with_capacity(128 + 2 * name.len() + count * RECT_BOUNDARY_BYTES);
+    let names = emit_library_start(&mut out, name, user_unit, meter_unit)
+        .and_then(|()| emit_struct_start(&mut out, name));
+    for (layer, datatype, rect) in boundaries {
+        let xy = rect_loop(rect)?;
+        emit_boundary(&mut out, RecordType::Boundary, layer, datatype, &xy)?;
+        emit_record(&mut out, RecordType::EndEl, DATA_NONE, &[])?;
+    }
+    names?;
+    emit_record(&mut out, RecordType::EndStr, DATA_NONE, &[])?;
+    emit_record(&mut out, RecordType::EndLib, DATA_NONE, &[])?;
+    Ok(out)
+}
+
+fn emit_library_start(
+    out: &mut Vec<u8>,
+    name: &str,
+    user_unit: f64,
+    meter_unit: f64,
+) -> Result<(), GdsError> {
+    emit_i16s(out, RecordType::Header, &[600])?;
+    emit_i16s(out, RecordType::BgnLib, &TIMESTAMP)?;
+    emit_ascii(out, RecordType::LibName, name)?;
+    emit_f64s(out, RecordType::Units, &[user_unit, meter_unit])
+}
+
+fn emit_struct_start(out: &mut Vec<u8>, name: &str) -> Result<(), GdsError> {
+    emit_i16s(out, RecordType::BgnStr, &TIMESTAMP)?;
+    emit_ascii(out, RecordType::StrName, name)
+}
+
+/// Emits a `BOUNDARY` or `BOX` element up to its `ENDEL`: the opening
+/// record, `LAYER`, the datatype (or boxtype) and `XY`.
+fn emit_boundary(
+    out: &mut Vec<u8>,
+    kind: RecordType,
+    layer: i16,
+    datatype: i16,
+    xy: &[(i32, i32)],
+) -> Result<(), GdsError> {
+    let datatype_record = if kind == RecordType::Box {
+        RecordType::BoxType
+    } else {
+        RecordType::Datatype
+    };
+    emit_record(out, kind, DATA_NONE, &[])?;
+    emit_i16s(out, RecordType::Layer, &[layer])?;
+    emit_i16s(out, datatype_record, &[datatype])?;
+    emit_xy(out, xy)
 }
 
 fn emit_strans(out: &mut Vec<u8>, strans: &GdsStrans) -> Result<(), GdsError> {
@@ -88,12 +167,12 @@ fn emit_strans(out: &mut Vec<u8>, strans: &GdsStrans) -> Result<(), GdsError> {
 }
 
 fn emit_xy(out: &mut Vec<u8>, points: &[(i32, i32)]) -> Result<(), GdsError> {
-    let mut flat = Vec::with_capacity(points.len() * 2);
+    emit_header(out, RecordType::Xy, DATA_I32, points.len() * 8)?;
     for &(x, y) in points {
-        flat.push(x);
-        flat.push(y);
+        out.extend_from_slice(&x.to_be_bytes());
+        out.extend_from_slice(&y.to_be_bytes());
     }
-    emit_i32s(out, RecordType::Xy, &flat)
+    Ok(())
 }
 
 fn emit_element(out: &mut Vec<u8>, element: &GdsElement) -> Result<(), GdsError> {
@@ -102,17 +181,9 @@ fn emit_element(out: &mut Vec<u8>, element: &GdsElement) -> Result<(), GdsError>
             layer,
             datatype,
             xy,
-        } => {
-            emit_record(out, RecordType::Boundary, DATA_NONE, &[])?;
-            emit_i16s(out, RecordType::Layer, &[*layer])?;
-            emit_i16s(out, RecordType::Datatype, &[*datatype])?;
-            emit_xy(out, xy)?;
-        }
+        } => emit_boundary(out, RecordType::Boundary, *layer, *datatype, xy)?,
         GdsElement::Box { layer, boxtype, xy } => {
-            emit_record(out, RecordType::Box, DATA_NONE, &[])?;
-            emit_i16s(out, RecordType::Layer, &[*layer])?;
-            emit_i16s(out, RecordType::BoxType, &[*boxtype])?;
-            emit_xy(out, xy)?;
+            emit_boundary(out, RecordType::Box, *layer, *boxtype, xy)?
         }
         GdsElement::Path {
             layer,

@@ -124,13 +124,6 @@ impl Polygon {
         self.distance_squared(other) < limit.squared()
     }
 
-    /// Returns `true` if the Euclidean distance lies in `[lo, hi)` — the
-    /// color-friendly predicate (Definition 2 of the paper).
-    pub fn within_distance_band(&self, other: &Polygon, lo: Nm, hi: Nm) -> bool {
-        let d2 = self.distance_squared(other);
-        d2 >= lo.squared() && d2 < hi.squared()
-    }
-
     /// Returns `true` if the polygons touch or overlap.
     pub fn touches(&self, other: &Polygon) -> bool {
         self.distance_squared(other) == 0
@@ -219,14 +212,6 @@ mod tests {
         let b = Polygon::rect(r(10, 10, 20, 20));
         assert!(a.touches(&b));
         assert_eq!(a.distance_squared(&b), 0);
-    }
-
-    #[test]
-    fn distance_band() {
-        let a = Polygon::rect(r(0, 0, 20, 20));
-        let b = Polygon::rect(r(110, 0, 130, 20));
-        assert!(a.within_distance_band(&b, Nm(80), Nm(100)));
-        assert!(!a.within_distance_band(&b, Nm(95), Nm(100)));
     }
 
     #[test]

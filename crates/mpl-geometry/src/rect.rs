@@ -223,16 +223,6 @@ impl Rect {
     pub fn within_distance(&self, other: &Rect, limit: Nm) -> bool {
         self.distance_squared(other) < limit.squared()
     }
-
-    /// Returns `true` if the Euclidean distance is within `[lo, hi)`.
-    ///
-    /// Used for *color-friendly* neighbour detection, where the paper
-    /// considers shapes whose distance is larger than `min_s` but smaller than
-    /// `min_s + half_pitch`.
-    pub fn within_distance_band(&self, other: &Rect, lo: Nm, hi: Nm) -> bool {
-        let d2 = self.distance_squared(other);
-        d2 >= lo.squared() && d2 < hi.squared()
-    }
 }
 
 impl fmt::Display for Rect {
@@ -330,15 +320,6 @@ mod tests {
         let b = r(100, 0, 120, 20); // 80 apart
         assert!(!a.within_distance(&b, Nm(80)));
         assert!(a.within_distance(&b, Nm(81)));
-    }
-
-    #[test]
-    fn distance_band_for_color_friendly() {
-        let a = r(0, 0, 20, 20);
-        let b = r(110, 0, 130, 20); // 90 apart
-        assert!(a.within_distance_band(&b, Nm(80), Nm(100)));
-        assert!(!a.within_distance_band(&b, Nm(80), Nm(90)));
-        assert!(!a.within_distance_band(&b, Nm(91), Nm(120)));
     }
 
     #[test]

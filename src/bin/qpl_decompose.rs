@@ -105,7 +105,7 @@ use mpl_core::{
     MemoStats, SerialExecutor, StitchConfig, ThreadPoolExecutor, TileConfig, VertexId,
 };
 use mpl_gds::{LayerMap, ReadOptions};
-use mpl_geometry::Nm;
+use mpl_geometry::{Nm, Polygon};
 use mpl_hier::HierStats;
 use mpl_layout::{gen::IscasCircuit, io::LayoutFormat, Layout, LayoutHierarchy, Technology};
 use mpl_serve::{
@@ -871,10 +871,10 @@ fn process_layout(
 
     if let (Some(path), false, None) = (&options.output_gds, verify_mismatch, &write_error) {
         let path = per_layout_path(path, index, batch_size);
-        let mut per_mask = vec![Vec::new(); options.k];
+        let mut per_mask: Vec<Vec<&Polygon>> = vec![Vec::new(); options.k];
         for mask in &masks {
             for &vertex in &mask.vertices {
-                per_mask[mask.index].push(graph.polygon(vertex).clone());
+                per_mask[mask.index].push(graph.polygon(vertex));
             }
         }
         match mpl_gds::write_colored_file(

@@ -134,3 +134,25 @@ fn gds_errors_surface_with_byte_offsets() {
     );
     std::fs::remove_file(&path).ok();
 }
+
+/// 262 bytes: one 10 nm square cell placed by one 32767 × 32767 AREF. Its
+/// ~2.1·10⁹ placements and shapes used to be reserved up front, which
+/// aborted the process under a 2 GB address-space cap.
+const AREF_BOMB: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures/aref_bomb.gds");
+
+#[test]
+fn an_exploding_aref_is_a_typed_error_in_the_cli() {
+    let output = std::process::Command::new(env!("CARGO_BIN_EXE_qpl-decompose"))
+        .args(["--gds", AREF_BOMB])
+        .output()
+        .expect("run qpl-decompose");
+    assert_eq!(output.status.code(), Some(1), "{output:?}");
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert!(
+        stderr.contains(
+            "flattening would expand 2147352578 reference placements and shapes, \
+             more than the limit of 1048576"
+        ),
+        "{stderr}"
+    );
+}

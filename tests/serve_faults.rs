@@ -240,6 +240,59 @@ fn a_tiny_layout_with_a_huge_extent_is_answered_and_the_server_keeps_serving() {
 }
 
 #[test]
+fn an_exploding_aref_gets_an_error_frame_and_the_server_keeps_serving() {
+    // One 10 nm square placed by one 32767 × 32767 AREF: ~2.1·10⁹
+    // placements and shapes. Reserving them up front used to abort the
+    // server; the expansion budget rejects the file before flattening.
+    let bytes = std::fs::read(concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/tests/fixtures/aref_bomb.gds"
+    ))
+    .expect("committed fixture");
+    let handle = spawn_server();
+    let mut client = RawClient::connect(handle.addr());
+    client.send_line(
+        &Json::object(vec![
+            ("type", Json::string("submit")),
+            ("id", Json::string("bomb")),
+            (
+                "gds_base64",
+                Json::string(mpl_serve::base64::encode(&bytes)),
+            ),
+        ])
+        .to_string(),
+    );
+    let frame = client.await_terminal("bomb");
+    assert_eq!(
+        frame.get("type").and_then(Json::as_str),
+        Some("error"),
+        "{frame}"
+    );
+    assert_eq!(
+        frame.get("code").and_then(Json::as_str),
+        Some("parse"),
+        "{frame}"
+    );
+    let message = frame
+        .get("message")
+        .and_then(Json::as_str)
+        .expect("message");
+    assert!(
+        message.contains("more than the limit of 1048576"),
+        "{message}"
+    );
+
+    client.send_line(&submit_frame("after", &row_layout_text("after", 9), &[]));
+    let frame = client.await_terminal("after");
+    assert_eq!(
+        frame.get("type").and_then(Json::as_str),
+        Some("result"),
+        "{frame}"
+    );
+    handle.shutdown().expect("clean shutdown");
+}
+
+#[test]
 fn shapes_metres_apart_are_served_without_false_conflicts() {
     // Gaps of 3.1·10⁹ nm and more overflow i64 when squared; the second
     // layout's 10¹³ nm wire coarsens the spatial index until shapes 0 and 1
