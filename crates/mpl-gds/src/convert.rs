@@ -211,11 +211,7 @@ pub fn layout_with_hierarchy(
     };
     let mut builder = Layout::builder(name);
     let mut shape_origins: Vec<Option<usize>> = Vec::new();
-    for (root, _) in roots
-        .iter()
-        .enumerate()
-        .filter(|&(index, &root)| index == root)
-    {
+    for root in (0..roots.len()).filter(|&index| roots[index] == index) {
         let mut rects = shapes.get(root).to_vec();
         // A union spanning several instances (or top-level geometry) has
         // no single origin.
