@@ -30,9 +30,13 @@
 //!   component the flat memo cache cannot help) split by instance
 //!   provenance through `mpl-hier`, recording the reconciliation counters,
 //!   a spacing re-verification, and an all-isolated control array that
-//!   must match the flat memoized coloring bit for bit.
+//!   must match the flat memoized coloring bit for bit,
+//! * a GDS case: the large row layout written with `write_layout_file`,
+//!   read back with `load_layout_file` and exported colored, recording
+//!   each step's best-of-3 seconds with the file sizes and the re-read
+//!   shape and rectangle counts, which `--check` pins.
 //!
-//! The report is emitted as `BENCH_perf.json` (schema `mpl-bench/perf-v6`).
+//! The report is emitted as `BENCH_perf.json` (schema `mpl-bench/perf-v7`).
 //! Wall-clock numbers are informative only — they depend on the host, and
 //! any pool-speedup figure must be reported with the host's
 //! `available_parallelism` — while the work counters are deterministic and

@@ -13,6 +13,11 @@
 //!   cliques, overlapping cliques, dense random graphs) whose explored
 //!   node counts measure the pruning strength of the exact search
 //!   independently of any layout.
+//! * **GDS cases** — the large row benchmark written with
+//!   `mpl_gds::write_layout_file`, read back with `load_layout_file` and
+//!   exported with `write_colored_file` under a fixed coloring, reporting
+//!   each step's best-of-3 wall seconds with the file sizes and the
+//!   re-read shape and rectangle counts, which the check pins.
 //! * **Memo cases** — an AREF-style repeated-cluster layout (one distinct
 //!   signature) and the large row benchmark (mostly distinct signatures),
 //!   each decomposed three times with the backtracking SDP engine: without

@@ -104,7 +104,10 @@ pub(crate) fn rect_library_bytes<'a>(
         .and_then(|()| emit_struct_start(&mut out, name));
     for (layer, datatype, rect) in boundaries {
         let xy = rect_loop(rect)?;
-        emit_boundary(&mut out, RecordType::Boundary, layer, datatype, &xy)?;
+        emit_record(&mut out, RecordType::Boundary, DATA_NONE, &[])?;
+        emit_i16s(&mut out, RecordType::Layer, &[layer])?;
+        emit_i16s(&mut out, RecordType::Datatype, &[datatype])?;
+        emit_xy(&mut out, &xy)?;
         emit_record(&mut out, RecordType::EndEl, DATA_NONE, &[])?;
     }
     names?;
@@ -128,26 +131,6 @@ fn emit_library_start(
 fn emit_struct_start(out: &mut Vec<u8>, name: &str) -> Result<(), GdsError> {
     emit_i16s(out, RecordType::BgnStr, &TIMESTAMP)?;
     emit_ascii(out, RecordType::StrName, name)
-}
-
-/// Emits a `BOUNDARY` or `BOX` element up to its `ENDEL`: the opening
-/// record, `LAYER`, the datatype (or boxtype) and `XY`.
-fn emit_boundary(
-    out: &mut Vec<u8>,
-    kind: RecordType,
-    layer: i16,
-    datatype: i16,
-    xy: &[(i32, i32)],
-) -> Result<(), GdsError> {
-    let datatype_record = if kind == RecordType::Box {
-        RecordType::BoxType
-    } else {
-        RecordType::Datatype
-    };
-    emit_record(out, kind, DATA_NONE, &[])?;
-    emit_i16s(out, RecordType::Layer, &[layer])?;
-    emit_i16s(out, datatype_record, &[datatype])?;
-    emit_xy(out, xy)
 }
 
 fn emit_strans(out: &mut Vec<u8>, strans: &GdsStrans) -> Result<(), GdsError> {
@@ -181,9 +164,17 @@ fn emit_element(out: &mut Vec<u8>, element: &GdsElement) -> Result<(), GdsError>
             layer,
             datatype,
             xy,
-        } => emit_boundary(out, RecordType::Boundary, *layer, *datatype, xy)?,
+        } => {
+            emit_record(out, RecordType::Boundary, DATA_NONE, &[])?;
+            emit_i16s(out, RecordType::Layer, &[*layer])?;
+            emit_i16s(out, RecordType::Datatype, &[*datatype])?;
+            emit_xy(out, xy)?;
+        }
         GdsElement::Box { layer, boxtype, xy } => {
-            emit_boundary(out, RecordType::Box, *layer, *boxtype, xy)?
+            emit_record(out, RecordType::Box, DATA_NONE, &[])?;
+            emit_i16s(out, RecordType::Layer, &[*layer])?;
+            emit_i16s(out, RecordType::BoxType, &[*boxtype])?;
+            emit_xy(out, xy)?;
         }
         GdsElement::Path {
             layer,
