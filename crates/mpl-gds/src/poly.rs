@@ -7,7 +7,7 @@
 //! edges that span each slab (even–odd rule), then merging vertically
 //! adjacent rectangles with identical x spans so that an axis-aligned
 //! rectangle round-trips to exactly one rectangle. Loops that trace one
-//! axis-aligned rectangle, nearly every boundary of real mask data, skip the
+//! axis-aligned rectangle, the common case in fractured mask data, skip the
 //! sweep and its scratch vectors; the result is the sweep's.
 
 /// An axis-aligned rectangle in database units: `(xlo, ylo, xhi, yhi)`.
