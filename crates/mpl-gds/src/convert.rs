@@ -12,7 +12,7 @@
 //!   (or a colored decomposition, one layer per mask) as boundary records,
 //!   one rectangle per boundary.
 
-use crate::flatten::flatten_within;
+use crate::flatten::flatten_tagged;
 use crate::model::{GdsElement, GdsLibrary, GdsStruct};
 use crate::GdsError;
 use mpl_geometry::{GridIndex, Nm, Polygon, Rect};
@@ -93,35 +93,13 @@ impl LayerMap {
 }
 
 /// Options for [`layout_from_library`].
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct ReadOptions {
     /// Flatten from this structure (default: the inferred top structure).
     pub top: Option<String>,
     /// Keep fractured boundaries apart instead of merging touching polygons
     /// into connected shapes.
     pub keep_fractured: bool,
-    /// The most reference placements plus shapes flattening may expand; an
-    /// AREF places its structure `cols · rows` times, and nested arrays
-    /// multiply. A library that would expand more is rejected with
-    /// [`GdsError::ExpansionTooLarge`] before anything is expanded.
-    ///
-    /// The default is 2²⁰ = 1,048,576. Memory sets it: a generated
-    /// 52,440-shape row chip peaks at 46.5 MiB through `qpl-decompose`
-    /// (flatten, graph, plan and coloring), about 0.9 KiB per shape, so an
-    /// input at the default budget needs about 0.9 GiB. That is 20 times
-    /// the largest benchmark chip, and a placement is counted like a shape
-    /// although it costs less.
-    pub max_expanded: u64,
-}
-
-impl Default for ReadOptions {
-    fn default() -> Self {
-        ReadOptions {
-            top: None,
-            keep_fractured: false,
-            max_expanded: 1 << 20,
-        }
-    }
 }
 
 /// Flattens a GDS library into a single-layer [`Layout`].
@@ -163,7 +141,7 @@ pub fn layout_with_hierarchy(
     options: &ReadOptions,
 ) -> Result<(Layout, LayoutHierarchy), GdsError> {
     let top_name = library.top_struct(options.top.as_deref())?.name.clone();
-    let flat = flatten_within(library, options.top.as_deref(), options.max_expanded)?;
+    let flat = flatten_tagged(library, options.top.as_deref())?;
     let scale = library.nm_per_db_unit();
     let mut shapes = RectLists::default();
     let mut tags: Vec<Option<usize>> = Vec::new();
@@ -394,6 +372,7 @@ pub fn library_from_masks(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::MAX_EXPANDED;
 
     fn r(a: i64, b: i64, c: i64, d: i64) -> Rect {
         Rect::new(Nm(a), Nm(b), Nm(c), Nm(d))
@@ -504,69 +483,38 @@ mod tests {
         assert_eq!(hierarchy.shape_origins(), &[None, Some(2), None]);
     }
 
-    /// `TOP` owns one square and places `CELL` (two squares, or none) by
-    /// one `cols × rows` AREF.
-    fn arrayed_library(cols: i16, rows: i16, cell_squares: usize) -> GdsLibrary {
+    #[test]
+    fn an_aref_of_an_empty_structure_counts_its_placements() {
         use crate::model::GdsStrans;
-        let square = |x: i32| GdsElement::Boundary {
-            layer: 1,
-            datatype: 0,
-            xy: vec![(x, 0), (x + 10, 0), (x + 10, 10), (x, 10), (x, 0)],
-        };
+        // No shape at all below the array, yet 2000 × 1000 placements,
+        // from a library of two elements.
         let mut library = GdsLibrary::new("L");
         library.structs.push(GdsStruct {
             name: "CELL".into(),
-            elements: (0..cell_squares).map(|i| square(20 * i as i32)).collect(),
+            elements: Vec::new(),
         });
         library.structs.push(GdsStruct {
             name: "TOP".into(),
             elements: vec![
-                square(-100),
+                GdsElement::Boundary {
+                    layer: 1,
+                    datatype: 0,
+                    xy: vec![(0, 0), (10, 0), (10, 10), (0, 10), (0, 0)],
+                },
                 GdsElement::Aref {
                     name: "CELL".into(),
                     strans: GdsStrans::default(),
-                    cols,
-                    rows,
-                    xy: [
-                        (0, 0),
-                        (100 * i32::from(cols), 0),
-                        (0, 100 * i32::from(rows)),
-                    ],
+                    cols: 2000,
+                    rows: 1000,
+                    xy: [(0, 0), (200_000, 0), (0, 100_000)],
                 },
             ],
         });
-        library
-    }
-
-    #[test]
-    fn the_expansion_budget_admits_exactly_its_count() {
-        // 1 top square + 6 placements × (1 + 2 squares) = 19.
-        let library = arrayed_library(3, 2, 2);
-        let within = |max_expanded| ReadOptions {
-            max_expanded,
-            ..ReadOptions::default()
-        };
-        let layout =
-            layout_from_library(&library, &LayerMap::all(), &within(19)).expect("at the budget");
-        assert_eq!(layout.shape_count(), 13);
-        assert_eq!(
-            layout_from_library(&library, &LayerMap::all(), &within(18)),
-            Err(GdsError::ExpansionTooLarge {
-                count: 19,
-                limit: 18
-            })
-        );
-    }
-
-    #[test]
-    fn an_aref_of_an_empty_structure_counts_its_placements() {
-        // No shape at all below the array, yet 2000 × 1000 placements.
-        let library = arrayed_library(2000, 1000, 0);
         assert_eq!(
             layout_from_library(&library, &LayerMap::all(), &ReadOptions::default()),
             Err(GdsError::ExpansionTooLarge {
                 count: 2_000_001,
-                limit: 1 << 20
+                limit: MAX_EXPANDED + 2
             })
         );
     }
@@ -577,7 +525,7 @@ mod tests {
         // S0 places S1 32767 × 32767 times, S1 places S2 as often, and so
         // on down to one square: ~1.1·10⁹ per level, so the count
         // saturates. Expanding even the first level would not finish.
-        let levels = 8;
+        let levels = 8u64;
         let mut library = GdsLibrary::new("L");
         for level in 0..levels {
             library.structs.push(GdsStruct {
@@ -599,21 +547,13 @@ mod tests {
                 xy: vec![(0, 0), (10, 0), (10, 10), (0, 10)],
             }],
         });
-        for options in [
-            ReadOptions::default(),
-            ReadOptions {
-                max_expanded: u64::MAX - 1,
-                ..ReadOptions::default()
-            },
-        ] {
-            assert_eq!(
-                layout_with_hierarchy(&library, &LayerMap::all(), &options),
-                Err(GdsError::ExpansionTooLarge {
-                    count: u64::MAX,
-                    limit: options.max_expanded
-                })
-            );
-        }
+        assert_eq!(
+            layout_with_hierarchy(&library, &LayerMap::all(), &ReadOptions::default()),
+            Err(GdsError::ExpansionTooLarge {
+                count: u64::MAX,
+                limit: MAX_EXPANDED + levels + 1
+            })
+        );
     }
 
     #[test]

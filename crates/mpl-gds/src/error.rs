@@ -74,13 +74,15 @@ pub enum GdsError {
         limit: usize,
     },
     /// Flattening would expand more reference placements and shapes than
-    /// [`ReadOptions::max_expanded`](crate::ReadOptions::max_expanded)
-    /// allows. Counted before anything is expanded.
+    /// the library holds elements, by more than
+    /// [`MAX_EXPANDED`](crate::MAX_EXPANDED). Counted before anything is
+    /// expanded.
     ExpansionTooLarge {
         /// Placements plus shapes the flattening would expand (saturated
         /// at `u64::MAX`).
         count: u64,
-        /// The budget it exceeds.
+        /// The limit it exceeds: the library's element count plus
+        /// [`MAX_EXPANDED`](crate::MAX_EXPANDED).
         limit: u64,
     },
     /// A reference uses a transform the rectilinear pipeline cannot honour
@@ -192,7 +194,8 @@ impl fmt::Display for GdsError {
             GdsError::ExpansionTooLarge { count, limit } => write!(
                 f,
                 "flattening would expand {count} reference placements and shapes, \
-                 more than the limit of {limit}"
+                 more than the limit of {limit} (the library's own elements plus {})",
+                crate::MAX_EXPANDED
             ),
             GdsError::UnsupportedTransform { name, angle, mag } => write!(
                 f,

@@ -16,12 +16,15 @@
 //! Both entry points validate the reference graph first
 //! ([`GdsLibrary::from_bytes`](crate::GdsLibrary::from_bytes) does too), so
 //! cyclic or over-deep hierarchies surface as typed errors instead of
-//! unbounded recursion.
+//! unbounded recursion, and count what the walk would expand, so an array
+//! of arrays surfaces as [`GdsError::ExpansionTooLarge`] instead of
+//! exhausting memory.
 
-use crate::model::{check_references, GdsElement, GdsLibrary, GdsStrans, GdsStruct, MAX_REF_DEPTH};
+use crate::model::{
+    check_references, GdsElement, GdsLibrary, GdsStrans, GdsStruct, MAX_EXPANDED, MAX_REF_DEPTH,
+};
 use crate::poly::{loop_to_rects, path_to_rects, DbRect};
 use crate::GdsError;
-use std::collections::HashMap;
 
 /// One flattened feature: a rectangle union on a layer:datatype pair.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -142,8 +145,8 @@ fn placement_of(name: &str, strans: &GdsStrans, origin: (i64, i64)) -> Result<Pl
 /// # Errors
 ///
 /// Propagates [`GdsError::UndefinedStruct`], [`GdsError::RecursiveStruct`],
-/// [`GdsError::DeepHierarchy`], [`GdsError::UnsupportedTransform`] and
-/// [`GdsError::NonRectilinear`].
+/// [`GdsError::DeepHierarchy`], [`GdsError::ExpansionTooLarge`],
+/// [`GdsError::UnsupportedTransform`] and [`GdsError::NonRectilinear`].
 pub fn flatten(library: &GdsLibrary, top: Option<&str>) -> Result<Vec<FlatShape>, GdsError> {
     Ok(flatten_tagged(library, top)?.shapes)
 }
@@ -159,24 +162,27 @@ pub fn flatten(library: &GdsLibrary, top: Option<&str>) -> Result<Vec<FlatShape>
 /// this way (emitted at reference depth ≥ 2) is counted in
 /// [`TaggedFlat::nested_inherited`].
 ///
+/// Before anything is expanded, the placements plus shapes the walk would
+/// produce are counted; more than the library's own elements plus
+/// [`MAX_EXPANDED`] is [`GdsError::ExpansionTooLarge`].
+///
 /// # Errors
 ///
 /// Same as [`flatten`].
 pub fn flatten_tagged(library: &GdsLibrary, top: Option<&str>) -> Result<TaggedFlat, GdsError> {
-    flatten_within(library, top, u64::MAX)
-}
-
-/// [`flatten_tagged`] that first counts what the walk would expand (see
-/// [`expanded_count`]) and returns [`GdsError::ExpansionTooLarge`] instead
-/// of expanding more than `limit` placements and shapes.
-pub(crate) fn flatten_within(
-    library: &GdsLibrary,
-    top: Option<&str>,
-    limit: u64,
-) -> Result<TaggedFlat, GdsError> {
     let top = library.top_struct(top)?;
-    check_references(library)?;
-    let count = expanded_count(library, top);
+    let expanded = check_references(library)?;
+    let position = library
+        .structs
+        .iter()
+        .position(|st| std::ptr::eq(st, top))
+        .expect("the top structure belongs to the library");
+    let held: u64 = library
+        .structs
+        .iter()
+        .map(|st| st.elements.len() as u64)
+        .sum();
+    let (count, limit) = (expanded[position], held.saturating_add(MAX_EXPANDED));
     if count > limit {
         return Err(GdsError::ExpansionTooLarge { count, limit });
     }
@@ -225,61 +231,6 @@ fn open_instance(
         dy: placement.dy,
     });
     Some(instances.len() - 1)
-}
-
-/// Counts what flattening from `top` expands, without expanding it: every
-/// reference placement (an AREF places its structure `cols · rows` times)
-/// plus every shape emitted. Each structure is counted once and reused
-/// wherever it is placed, and the sums and products saturate at
-/// `u64::MAX`, so nested arrays cost one pass over the structures.
-///
-/// The reference graph must be acyclic ([`check_references`]). A reference
-/// to an undefined structure counts its placement only; flattening
-/// reports it.
-pub(crate) fn expanded_count(library: &GdsLibrary, top: &GdsStruct) -> u64 {
-    let mut index: HashMap<&str, usize> = HashMap::new();
-    for (position, st) in library.structs.iter().enumerate() {
-        index.entry(st.name.as_str()).or_insert(position);
-    }
-    let mut memo = vec![None; library.structs.len()];
-    count_struct(library, &index, &mut memo, top)
-}
-
-fn count_struct(
-    library: &GdsLibrary,
-    index: &HashMap<&str, usize>,
-    memo: &mut [Option<u64>],
-    current: &GdsStruct,
-) -> u64 {
-    let mut total = 0u64;
-    for element in &current.elements {
-        let (placements, name) = match element {
-            GdsElement::Sref { name, .. } => (1, name),
-            GdsElement::Aref {
-                name, cols, rows, ..
-            } => {
-                let side = |count: i16| u64::from(count.max(1).unsigned_abs());
-                (side(*cols) * side(*rows), name)
-            }
-            _ => {
-                total = total.saturating_add(1);
-                continue;
-            }
-        };
-        let below = match index.get(name.as_str()) {
-            Some(&target) => match memo[target] {
-                Some(count) => count,
-                None => {
-                    let count = count_struct(library, index, memo, &library.structs[target]);
-                    memo[target] = Some(count);
-                    count
-                }
-            },
-            None => 0,
-        };
-        total = total.saturating_add(placements.saturating_mul(below.saturating_add(1)));
-    }
-    total
 }
 
 /// The placements of an AREF element's grid, row-major, made one at a time
@@ -556,16 +507,78 @@ mod tests {
                 ],
             },
         ]);
-        let top = library.top_struct(None).expect("top");
-        assert_eq!(expanded_count(&library, top), 19);
+        assert_eq!(check_references(&library), Ok(vec![1, 3, 19]));
         assert_eq!(flatten(&library, None).expect("flatten").len(), 10);
+    }
+
+    /// `TOP` places `MID` once; `MID` places the empty `E` by a 1024 × 1024
+    /// AREF and by a second `extra × 1` one. Nothing below `TOP` is
+    /// emitted, so the walk allocates nothing per placement.
+    fn arrays_of_an_empty_cell(extra: i16) -> GdsLibrary {
+        let aref = |cols: i16, rows: i16| GdsElement::Aref {
+            name: "E".into(),
+            strans: GdsStrans::default(),
+            cols,
+            rows,
+            xy: [(0, 0), (i32::from(cols), 0), (0, i32::from(rows))],
+        };
+        library_with(vec![
+            GdsStruct {
+                name: "E".into(),
+                elements: Vec::new(),
+            },
+            GdsStruct {
+                name: "MID".into(),
+                elements: vec![aref(1024, 1024), aref(extra, 1)],
+            },
+            GdsStruct {
+                name: "TOP".into(),
+                elements: vec![GdsElement::Sref {
+                    name: "MID".into(),
+                    strans: GdsStrans::default(),
+                    origin: (0, 0),
+                }],
+            },
+        ])
+    }
+
+    #[test]
+    fn the_budget_admits_its_limit_and_rejects_one_more() {
+        // Three elements held. 1 + 2²⁰ + 2 placements expand exactly
+        // MAX_EXPANDED more than that; one more placement is too many.
+        let limit = MAX_EXPANDED + 3;
+        let flat = flatten_tagged(&arrays_of_an_empty_cell(2), None).expect("at the limit");
+        assert_eq!((flat.shapes.len(), flat.instances.len()), (0, 1));
         assert_eq!(
-            flatten_within(&library, None, 18),
+            flatten_tagged(&arrays_of_an_empty_cell(3), None),
             Err(GdsError::ExpansionTooLarge {
-                count: 19,
-                limit: 18
+                count: limit + 1,
+                limit
             })
         );
+    }
+
+    #[test]
+    fn a_flat_library_larger_than_the_budget_flattens() {
+        // The parsed library already holds every shape a flat file
+        // expands to, so none of them counts against the budget.
+        let count = MAX_EXPANDED as usize + 1;
+        let square = |i: usize| {
+            let x = 20 * (i % 1024) as i32;
+            let y = 20 * (i / 1024) as i32;
+            GdsElement::Boundary {
+                layer: 1,
+                datatype: 0,
+                xy: vec![(x, y), (x + 10, y), (x + 10, y + 10), (x, y + 10)],
+            }
+        };
+        let library = library_with(vec![GdsStruct {
+            name: "TOP".into(),
+            elements: (0..count).map(square).collect(),
+        }]);
+        let shapes = flatten(&library, None).expect("flat libraries are never amplified");
+        assert_eq!(shapes.len(), count);
+        assert_eq!(shapes[count - 1].rects, vec![(0, 20480, 10, 20490)]);
     }
 
     fn unit_square(layer: i16) -> GdsElement {

@@ -64,7 +64,7 @@ pub use convert::{
 pub use error::GdsError;
 pub use flatten::{flatten, flatten_tagged, FlatInstance, FlatShape, TaggedFlat};
 pub use load::{load_layout_file, LoadLayoutError};
-pub use model::{GdsElement, GdsLibrary, GdsStrans, GdsStruct, MAX_REF_DEPTH};
+pub use model::{GdsElement, GdsLibrary, GdsStrans, GdsStruct, MAX_EXPANDED, MAX_REF_DEPTH};
 pub use poly::{loop_to_rects, path_to_rects, DbRect};
 pub use record::{decode_real8, encode_real8};
 

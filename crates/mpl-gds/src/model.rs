@@ -2,6 +2,7 @@
 
 use crate::record::{RawRecord, RecordReader, RecordType};
 use crate::GdsError;
+use std::collections::HashMap;
 
 /// Reflection/magnification/rotation applied by a structure reference.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -187,34 +188,78 @@ impl GdsLibrary {
 /// Maximum supported SREF/AREF reference depth (edges along a chain).
 pub const MAX_REF_DEPTH: usize = 64;
 
+/// The most reference placements plus shapes flattening may expand beyond
+/// the elements the library already holds: 2²⁰ = 1,048,576.
+///
+/// An AREF places its structure `cols · rows` times and nested references
+/// multiply, so a file of a few hundred bytes can ask for 10⁹ shapes. What
+/// the parsed library holds is not counted against the budget: a flat
+/// file of any size, or a hierarchy that places every structure once,
+/// expands to no more than its own elements. Flattening rejects a larger
+/// expansion with [`GdsError::ExpansionTooLarge`] before expanding
+/// anything.
+///
+/// Memory sets the value: a generated 52,440-shape row chip peaks at
+/// 46.5 MiB through `qpl-decompose` (flatten, graph, plan and coloring),
+/// about 0.9 KiB per shape, so the budget admits about 0.9 GiB beyond what
+/// the file itself costs. That is 20 times the largest benchmark chip, and
+/// a placement is counted like a shape although it costs less.
+pub const MAX_EXPANDED: u64 = 1 << 20;
+
 /// Validates the structure reference graph: no cycles, no chain deeper
 /// than [`MAX_REF_DEPTH`]. References to undefined structures are ignored
-/// here — flattening reports those with placement context.
-pub(crate) fn check_references(library: &GdsLibrary) -> Result<(), GdsError> {
-    let index_of = |name: &str| library.structs.iter().position(|s| s.name == name);
-    let children: Vec<Vec<usize>> = library
-        .structs
-        .iter()
-        .map(|st| {
-            st.elements
-                .iter()
-                .filter_map(|element| match element {
-                    GdsElement::Sref { name, .. } | GdsElement::Aref { name, .. } => index_of(name),
-                    _ => None,
-                })
-                .collect()
-        })
-        .collect();
+/// here and expand nothing: flattening reports them, with placement
+/// context, before it would walk into them.
+///
+/// Returns, per structure, how many reference placements plus shapes
+/// flattening it expands: its own shapes, and for every reference the
+/// placements (an AREF places its structure `cols · rows` times) times one
+/// more than what the placed structure expands. Each structure is counted
+/// once, in the same post-order as its depth, and the sums and products
+/// saturate at `u64::MAX`.
+pub(crate) fn check_references(library: &GdsLibrary) -> Result<Vec<u64>, GdsError> {
+    let mut index: HashMap<&str, usize> = HashMap::new();
+    for (position, st) in library.structs.iter().enumerate() {
+        index.entry(st.name.as_str()).or_insert(position);
+    }
+    // Per structure: its shape count, and every reference to a defined
+    // structure with the number of times it places it.
+    let mut shapes = vec![0u64; library.structs.len()];
+    let mut children: Vec<Vec<(usize, u64)>> = Vec::with_capacity(library.structs.len());
+    for (position, st) in library.structs.iter().enumerate() {
+        let mut edges = Vec::new();
+        for element in &st.elements {
+            let (name, placements) = match element {
+                GdsElement::Sref { name, .. } => (name, 1),
+                GdsElement::Aref {
+                    name, cols, rows, ..
+                } => {
+                    let side = |count: i16| u64::from(count.max(1).unsigned_abs());
+                    (name, side(*cols) * side(*rows))
+                }
+                _ => {
+                    shapes[position] += 1;
+                    continue;
+                }
+            };
+            if let Some(&child) = index.get(name.as_str()) {
+                edges.push((child, placements));
+            }
+        }
+        children.push(edges);
+    }
 
     // Iterative three-state DFS: an explicit stack keeps adversarially
     // deep inputs from overflowing the call stack before the typed error
     // can be produced. `depth[s]` is the longest reference chain (in
-    // edges) below `s`, well-defined once the graph is known acyclic.
+    // edges) below `s` and `expanded[s]` what flattening `s` expands, both
+    // well-defined once the graph is known acyclic.
     const NEW: u8 = 0;
     const OPEN: u8 = 1;
     const DONE: u8 = 2;
     let mut state = vec![NEW; children.len()];
     let mut depth = vec![0usize; children.len()];
+    let mut expanded = vec![0u64; children.len()];
     for start in 0..children.len() {
         if state[start] != NEW {
             continue;
@@ -223,7 +268,7 @@ pub(crate) fn check_references(library: &GdsLibrary) -> Result<(), GdsError> {
         let mut stack: Vec<(usize, usize)> = vec![(start, 0)];
         while let Some(frame) = stack.last_mut() {
             let (node, next_child) = *frame;
-            if let Some(&child) = children[node].get(next_child) {
+            if let Some(&(child, _)) = children[node].get(next_child) {
                 frame.1 += 1;
                 match state[child] {
                     NEW => {
@@ -238,11 +283,14 @@ pub(crate) fn check_references(library: &GdsLibrary) -> Result<(), GdsError> {
                     _ => {}
                 }
             } else {
-                let below = children[node]
-                    .iter()
-                    .map(|&child| depth[child] + 1)
-                    .max()
-                    .unwrap_or(0);
+                let mut below = 0;
+                let mut count = shapes[node];
+                for &(child, placements) in &children[node] {
+                    below = below.max(depth[child] + 1);
+                    count = count.saturating_add(
+                        placements.saturating_mul(expanded[child].saturating_add(1)),
+                    );
+                }
                 if below > MAX_REF_DEPTH {
                     return Err(GdsError::DeepHierarchy {
                         name: library.structs[node].name.clone(),
@@ -250,12 +298,13 @@ pub(crate) fn check_references(library: &GdsLibrary) -> Result<(), GdsError> {
                     });
                 }
                 depth[node] = below;
+                expanded[node] = count;
                 state[node] = DONE;
                 stack.pop();
             }
         }
     }
-    Ok(())
+    Ok(expanded)
 }
 
 /// Recursive-descent parser over the record stream.

@@ -151,7 +151,7 @@ fn an_exploding_aref_is_a_typed_error_in_the_cli() {
     assert!(
         stderr.contains(
             "flattening would expand 2147352578 reference placements and shapes, \
-             more than the limit of 1048576"
+             more than the limit of 1048578 (the library's own elements plus 1048576)"
         ),
         "{stderr}"
     );

@@ -278,7 +278,7 @@ fn an_exploding_aref_gets_an_error_frame_and_the_server_keeps_serving() {
         .and_then(Json::as_str)
         .expect("message");
     assert!(
-        message.contains("more than the limit of 1048576"),
+        message.contains("more than the limit of 1048578"),
         "{message}"
     );
 
