@@ -94,15 +94,16 @@ impl DecompositionGraph {
             let polygon = shape.polygon();
             let split;
             let segments = match shape_index.as_mut() {
+                // A shape that can be split is one rectangle, so a shape
+                // with a rectangle closer than `min_s` to it is itself closer.
                 Some(index) if can_split(polygon, stitch) => {
                     neighbor_polys.clear();
-                    neighbor_polys.extend(
-                        index
-                            .query_within(&polygon.rects()[0], min_s)
-                            .iter()
-                            .filter(|&&id| id != shape.id().index())
-                            .map(|&id| layout.shape(ShapeId(id)).polygon())
-                            .filter(|poly| poly.within_distance(polygon, min_s)),
+                    let id = shape.id().index();
+                    index.for_each_within(
+                        &polygon.rects()[0],
+                        min_s,
+                        |other| other != id,
+                        |other, _| neighbor_polys.push(layout.shape(ShapeId(other)).polygon()),
                     );
                     split = split_at_stitches(polygon, &neighbor_polys, min_s, stitch);
                     split.as_slice()
@@ -120,24 +121,27 @@ impl DecompositionGraph {
         }
 
         // Pass 2: conflict edges and color-friendly pairs between segments of
-        // different shapes, each pair classified by one squared distance.
+        // different shapes. Each pair is met from its lower vertex only and
+        // classified by the squared distance the walk measured.
         let mut segment_index =
             GridIndex::new(friendly.max(Nm(1)), rects.iter().copied().enumerate());
-        let (conflict_limit, friendly_limit) = (min_s.squared(), friendly.squared());
+        let conflict_limit = min_s.squared();
         let mut conflict_edges: Vec<(usize, usize)> = Vec::new();
         let mut color_friendly_pairs: Vec<(usize, usize)> = Vec::new();
         for (vertex, rect) in rects.iter().enumerate() {
-            for &other in segment_index.query_within(rect, friendly) {
-                if other <= vertex || shape_of[other] == shape_of[vertex] {
-                    continue;
-                }
-                let gap = rect.distance_squared(&rects[other]);
-                if gap < conflict_limit {
-                    conflict_edges.push((vertex, other));
-                } else if gap < friendly_limit {
-                    color_friendly_pairs.push((vertex, other));
-                }
-            }
+            let shape = shape_of[vertex];
+            segment_index.for_each_within(
+                rect,
+                friendly,
+                |other| other > vertex && shape_of[other] != shape,
+                |other, gap| {
+                    if gap < conflict_limit {
+                        conflict_edges.push((vertex, other));
+                    } else {
+                        color_friendly_pairs.push((vertex, other));
+                    }
+                },
+            );
         }
         let polygons: Vec<Polygon> = rects.into_iter().map(Polygon::rect).collect();
 

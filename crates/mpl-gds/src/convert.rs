@@ -253,28 +253,28 @@ fn touching_roots(lists: &RectLists) -> Vec<usize> {
         }
         i
     }
-    let touches = |a: &[Rect], b: &[Rect]| {
-        a.iter()
-            .any(|ra| b.iter().any(|rb| ra.distance_squared(rb) == 0))
-    };
 
-    // Spatial index over component rectangles keeps this near-linear.
+    // Spatial index over component rectangles keeps this near-linear. A
+    // rectangle closer than 1 nm touches, and each touching pair is met
+    // from its lower list.
     let mut index = GridIndex::new(
         Nm(256),
         (0..lists.len()).flat_map(|list| lists.get(list).iter().map(move |rect| (list, *rect))),
     );
     for list in 0..lists.len() {
         for rect in lists.get(list) {
-            for &other in index.query_within(rect, Nm(1)) {
-                if other == list {
-                    continue;
-                }
-                let (ra, rb) = (find(&mut parent, list), find(&mut parent, other));
-                if ra != rb && touches(lists.get(list), lists.get(other)) {
-                    let (lo, hi) = (ra.min(rb), ra.max(rb));
-                    parent[hi] = lo;
-                }
-            }
+            index.for_each_within(
+                rect,
+                Nm(1),
+                |other| other > list,
+                |other, _| {
+                    let (ra, rb) = (find(&mut parent, list), find(&mut parent, other));
+                    if ra != rb {
+                        let (lo, hi) = (ra.min(rb), ra.max(rb));
+                        parent[hi] = lo;
+                    }
+                },
+            );
         }
     }
     (0..lists.len())

@@ -29,10 +29,11 @@ type Slot = (i64, i64, u32);
 ///
 /// # Result order
 ///
-/// [`GridIndex::query_within`] visits the cells the query window covers
-/// with the x cell outer and the y cell inner, and the entries of a cell in
-/// the order they were given to [`GridIndex::new`]. An id is reported at
-/// its first matching entry in that order, and only once. The order is
+/// A query ([`GridIndex::for_each_within`], or [`GridIndex::query_within`]
+/// which collects it) visits the cells the query window covers with the x
+/// cell outer and the y cell inner, and the entries of a cell in the order
+/// they were given to [`GridIndex::new`]. An id is reported at its first
+/// matching entry in that order, and only once. The order is
 /// deterministic, and graph construction keeps it as edge order.
 ///
 /// # Memory
@@ -77,7 +78,7 @@ pub struct GridIndex {
     /// Entry indices, grouped by cell, in entry order within a cell.
     slots: Vec<u32>,
     entries: Vec<(usize, Rect)>,
-    /// `stamps[id] == epoch` iff `id` is already in `result`.
+    /// `stamps[id] == epoch` iff the current query has reported `id`.
     stamps: Vec<u32>,
     epoch: u32,
     result: Vec<usize>,
@@ -181,18 +182,43 @@ impl GridIndex {
 
     /// Returns the ids of all rectangles whose Euclidean distance to `rect`
     /// is strictly less than `limit`, each once, in the documented result
-    /// order.
+    /// order: [`GridIndex::for_each_within`] with every id kept.
     ///
     /// The result lives in a buffer the index reuses for every query, so
     /// repeated queries allocate nothing once it has grown.
     pub fn query_within(&mut self, rect: &Rect, limit: Nm) -> &[usize] {
-        self.result.clear();
+        let mut result = std::mem::take(&mut self.result);
+        result.clear();
+        self.for_each_within(rect, limit, |_| true, |id, _| result.push(id));
+        self.result = result;
+        &self.result
+    }
+
+    /// Calls `visit(id, squared distance)` for every id that `keep`
+    /// accepts and whose rectangle lies strictly closer than `limit` to
+    /// `rect`, each id once, in the documented result order.
+    ///
+    /// `keep` is asked before any geometry, for every entry the walk meets
+    /// until its id is reported, so it should be a cheap test of the id
+    /// alone. The ids it rejects are reported nowhere, and the others come
+    /// in the order [`GridIndex::query_within`] would list them. The
+    /// distance handed over is the squared distance from `rect` to the
+    /// id's first matching entry: for an id given with several rectangles
+    /// that need not be the smallest over them.
+    pub fn for_each_within(
+        &mut self,
+        rect: &Rect,
+        limit: Nm,
+        mut keep: impl FnMut(usize) -> bool,
+        mut visit: impl FnMut(usize, i64),
+    ) {
         self.epoch = self.epoch.wrapping_add(1);
         if self.epoch == 0 {
             self.stamps.fill(0);
             self.epoch = 1;
         }
         let window = rect.expanded(limit);
+        let bound = limit.squared();
         let (wx0, wy0, wx1, wy1) = cell_span(self.cell, &window);
         let first = lower_bound(&self.columns, wx0);
         for column in first..self.columns.len() {
@@ -210,16 +236,16 @@ impl GridIndex {
                 let (id, candidate) = self.entries[slot as usize];
                 // The window test keeps far entries of a coarse cell away
                 // from the squared distance, which could overflow for them.
-                if self.stamps[id] != self.epoch
-                    && window.intersects(&candidate)
-                    && rect.within_distance(&candidate, limit)
-                {
+                if self.stamps[id] == self.epoch || !keep(id) || !window.intersects(&candidate) {
+                    continue;
+                }
+                let distance = rect.distance_squared(&candidate);
+                if distance < bound {
                     self.stamps[id] = self.epoch;
-                    self.result.push(id);
+                    visit(id, distance);
                 }
             }
         }
-        &self.result
     }
 }
 

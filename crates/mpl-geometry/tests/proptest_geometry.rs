@@ -42,26 +42,34 @@ fn arb_entries(rect: impl Strategy<Value = Rect>) -> impl Strategy<Value = Vec<(
     prop::collection::vec((0usize..12, rect), 1..40)
 }
 
-/// The `GridIndex::query_within` order, by brute force: the cells of side
-/// `cell` that the query window covers, x outer and y inner; within a cell
-/// the entries covering it in entry order; each id at its first match.
-fn reference_scan(cell: i64, entries: &[(usize, Rect)], query: &Rect, limit: Nm) -> Vec<usize> {
+/// The `GridIndex::for_each_within` order, by brute force: the cells of
+/// side `cell` that the query window covers, x outer and y inner; within a
+/// cell the entries covering it in entry order; each id that `keep`
+/// accepts at its first match, with the squared distance to that entry.
+fn reference_scan(
+    cell: i64,
+    entries: &[(usize, Rect)],
+    query: &Rect,
+    limit: Nm,
+    keep: impl Fn(usize) -> bool,
+) -> Vec<(usize, i64)> {
     let span = |r: &Rect| {
         let c = |v: Nm| v.value().div_euclid(cell);
         (c(r.xlo())..=c(r.xhi()), c(r.ylo())..=c(r.yhi()))
     };
     let (xs, ys) = span(&query.expanded(limit));
-    let mut result = Vec::new();
+    let mut result: Vec<(usize, i64)> = Vec::new();
     for cx in xs {
         for cy in ys.clone() {
             for (id, rect) in entries {
                 let (ex, ey) = span(rect);
                 if ex.contains(&cx)
                     && ey.contains(&cy)
-                    && !result.contains(id)
+                    && keep(*id)
+                    && !result.iter().any(|(seen, _)| seen == id)
                     && query.within_distance(rect, limit)
                 {
-                    result.push(*id);
+                    result.push((*id, query.distance_squared(rect)));
                 }
             }
         }
@@ -213,13 +221,23 @@ proptest! {
         other in arb_rect(),
         limit in 1i64..300,
         cell in 64i64..200,
+        mask in 0u32..1 << 12,
     ) {
         // Half the queries are an entry's own rectangle, so queries far
         // from the origin find their neighbours too.
         let query = entries.get(pick).map_or(other, |&(_, rect)| rect);
         let limit = Nm(limit);
-        let expected = reference_scan(cell, &entries, &query, limit);
         let mut index = GridIndex::new(Nm(cell), entries.iter().copied());
-        prop_assert_eq!(index.query_within(&query, limit), expected.as_slice());
+        let all: Vec<usize> = reference_scan(cell, &entries, &query, limit, |_| true)
+            .into_iter()
+            .map(|(id, _)| id)
+            .collect();
+        prop_assert_eq!(index.query_within(&query, limit), all.as_slice());
+        // The walk with a random id pre-filter: the kept ids in the same
+        // order, each with its first matching entry's squared distance.
+        let keep = |id: usize| mask >> id & 1 == 1;
+        let mut walked = Vec::new();
+        index.for_each_within(&query, limit, keep, |id, distance| walked.push((id, distance)));
+        prop_assert_eq!(walked, reference_scan(cell, &entries, &query, limit, keep));
     }
 }
