@@ -87,9 +87,6 @@ impl Simplification {
     }
 }
 
-/// Incidence entry: `(neighbor, edge_id)`.
-type Incidence = (usize, usize);
-
 /// Iterates {hide low-degree vertices, cut bridges} on the union of
 /// `conflict_edges` and `stitch_edges` over `n` vertices until neither
 /// pass makes progress.
@@ -113,17 +110,7 @@ pub fn simplify(
 ) -> Simplification {
     let conflict_count = conflict_edges.len();
     let edge_count = conflict_count + stitch_edges.len();
-    // Flat incidence with edge ids so cuts can remove a single edge of a
-    // parallel pair.
-    let mut adjacency: Vec<Vec<Incidence>> = vec![Vec::new(); n];
-    for (id, &(u, v)) in conflict_edges.iter().chain(stitch_edges).enumerate() {
-        assert!(
-            u < n && v < n,
-            "edge ({u}, {v}) out of range for {n} vertices"
-        );
-        adjacency[u].push((v, id));
-        adjacency[v].push((u, id));
-    }
+    let incidence = Incidence::new(n, conflict_edges, stitch_edges);
     let endpoints = |id: usize| -> (usize, usize) {
         if id < conflict_count {
             conflict_edges[id]
@@ -137,7 +124,7 @@ pub fn simplify(
     let mut conflict_degree = vec![0usize; n];
     let mut stitch_degree = vec![0usize; n];
     for v in 0..n {
-        for &(_, id) in &adjacency[v] {
+        for &(_, id) in incidence.of(v) {
             if id < conflict_count {
                 conflict_degree[v] += 1;
             } else {
@@ -151,6 +138,12 @@ pub fn simplify(
     let mut cut_stitches = Vec::new();
     let mut rounds = 0usize;
     let mut worklist: Vec<usize> = Vec::new();
+    // The cut pass's dense remap of the active sub-graph and its sides'
+    // visit stamps, reused across rounds.
+    let mut local = vec![usize::MAX; n];
+    let (mut edges, mut edge_ids) = (Vec::new(), Vec::new());
+    let mut bridge_ids = Vec::new();
+    let mut sides = SideSearch::new(n);
     loop {
         let mut progressed = false;
 
@@ -169,7 +162,7 @@ pub fn simplify(
                 active[v] = false;
                 ops.push(SimplifyOp::Hide(v));
                 progressed = true;
-                for &(u, id) in &adjacency[v] {
+                for &(u, id) in incidence.of(v) {
                     if !active[u] || removed_edge[id] {
                         continue;
                     }
@@ -186,45 +179,37 @@ pub fn simplify(
         }
 
         // ---- Cut pass: one Tarjan sweep finds the round's bridges. ----
-        if cut {
+        if cut && active.contains(&true) {
             // Dense remap of the active sub-graph.
-            let mut local = vec![usize::MAX; n];
-            let mut vertices = Vec::new();
+            let mut vertex_count = 0;
             for v in 0..n {
                 if active[v] {
-                    local[v] = vertices.len();
-                    vertices.push(v);
+                    local[v] = vertex_count;
+                    vertex_count += 1;
                 }
             }
-            let mut edges = Vec::new();
-            let mut edge_ids = Vec::new();
-            for (id, &removed) in removed_edge.iter().enumerate().take(edge_count) {
-                if removed {
-                    continue;
-                }
+            edges.clear();
+            edge_ids.clear();
+            for (id, &removed) in removed_edge.iter().enumerate() {
                 let (u, v) = endpoints(id);
-                if active[u] && active[v] {
+                if !removed && active[u] && active[v] {
                     edges.push((local[u], local[v]));
                     edge_ids.push(id);
                 }
             }
             if !edges.is_empty() {
-                let biconnectivity = Biconnectivity::compute_from_edges(vertices.len(), &edges);
-                // Map each bridge pair back to its unique edge id; a pair
-                // connected twice is filtered by the side check below.
-                let mut bridge_ids = Vec::new();
-                for &(lu, lv) in biconnectivity.bridges() {
-                    let key = (lu.min(lv), lu.max(lv));
-                    for (position, &(eu, ev)) in edges.iter().enumerate() {
-                        if (eu.min(ev), eu.max(ev)) == key {
-                            bridge_ids.push(edge_ids[position]);
-                            break;
-                        }
+                // A bridge is a biconnected component of one edge: a pair
+                // joined twice shares its component with the other edge.
+                let biconnectivity = Biconnectivity::compute_from_edges(vertex_count, &edges);
+                bridge_ids.clear();
+                bridge_ids.extend(biconnectivity.components().iter().filter_map(|component| {
+                    match component[..] {
+                        [edge] => Some(edge_ids[edge]),
+                        _ => None,
                     }
-                }
+                }));
                 bridge_ids.sort_unstable();
-                bridge_ids.dedup();
-                for id in bridge_ids {
+                for &id in &bridge_ids {
                     if removed_edge[id] {
                         continue;
                     }
@@ -236,12 +221,14 @@ pub fn simplify(
                     // candidate edge (respecting cuts made earlier this
                     // round).  If `u` is reachable the edge is not a bridge
                     // any more (parallel edge or stale candidate) — skip.
-                    let Some(side) = side_of(v, u, id, &adjacency, &active, &removed_edge) else {
+                    let Some(side) = sides.side_of(v, u, id, &incidence, &active, &removed_edge)
+                    else {
                         continue;
                     };
                     // Prefer rotating the smaller side at recovery.
                     let (u, v, side) = {
-                        let other = side_of(u, v, id, &adjacency, &active, &removed_edge)
+                        let other = sides
+                            .side_of(u, v, id, &incidence, &active, &removed_edge)
                             .expect("a bridge separates both endpoints");
                         if other.len() < side.len() {
                             (v, u, other)
@@ -287,36 +274,99 @@ pub fn simplify(
     }
 }
 
-/// Active vertices reachable from `from` without crossing edge `skip_id`,
-/// or `None` if `other` (the far endpoint) turns out reachable — meaning
-/// the candidate edge does not actually separate the graph.
-fn side_of(
-    from: usize,
-    other: usize,
-    skip_id: usize,
-    adjacency: &[Vec<Incidence>],
-    active: &[bool],
-    removed_edge: &[bool],
-) -> Option<Vec<usize>> {
-    let mut visited = std::collections::HashSet::new();
-    let mut queue = vec![from];
-    visited.insert(from);
-    let mut side = Vec::new();
-    while let Some(v) = queue.pop() {
-        if v == other {
-            return None;
+/// Flat `(neighbor, edge id)` incidence: vertex `v` owns
+/// `entries[offsets[v]..offsets[v + 1]]`, in edge-id order (a counting
+/// sort), so cuts can remove a single edge of a parallel pair.
+struct Incidence {
+    offsets: Vec<usize>,
+    entries: Vec<(usize, usize)>,
+}
+
+impl Incidence {
+    /// Incidence of the conflict edges followed by the stitch edges, ids
+    /// in that order.
+    fn new(n: usize, conflict_edges: &[(usize, usize)], stitch_edges: &[(usize, usize)]) -> Self {
+        let edges = || conflict_edges.iter().chain(stitch_edges).copied();
+        let mut offsets = vec![0usize; n + 1];
+        for (u, v) in edges() {
+            assert!(
+                u < n && v < n,
+                "edge ({u}, {v}) out of range for {n} vertices"
+            );
+            offsets[u + 1] += 1;
+            offsets[v + 1] += 1;
         }
-        side.push(v);
-        for &(u, id) in &adjacency[v] {
-            if id == skip_id || removed_edge[id] || !active[u] || visited.contains(&u) {
-                continue;
-            }
-            visited.insert(u);
-            queue.push(u);
+        for v in 0..n {
+            offsets[v + 1] += offsets[v];
+        }
+        // `cursor[v]` is the next free entry of `v`.
+        let mut cursor = offsets[..n].to_vec();
+        let mut entries = vec![(0, 0); offsets[n]];
+        for (id, (u, v)) in edges().enumerate() {
+            entries[cursor[u]] = (v, id);
+            cursor[u] += 1;
+            entries[cursor[v]] = (u, id);
+            cursor[v] += 1;
+        }
+        Incidence { offsets, entries }
+    }
+
+    fn of(&self, v: usize) -> &[(usize, usize)] {
+        &self.entries[self.offsets[v]..self.offsets[v + 1]]
+    }
+}
+
+/// The cut pass's side search, with a visit stamp per vertex that each
+/// search renews instead of clearing.
+struct SideSearch {
+    stamps: Vec<usize>,
+    stamp: usize,
+    stack: Vec<usize>,
+}
+
+impl SideSearch {
+    fn new(n: usize) -> Self {
+        SideSearch {
+            stamps: vec![0; n],
+            stamp: 0,
+            stack: Vec::new(),
         }
     }
-    side.sort_unstable();
-    Some(side)
+
+    /// Active vertices reachable from `from` without crossing edge
+    /// `skip_id`, ascending, or `None` if `other` (the far endpoint) turns
+    /// out reachable — meaning the candidate edge does not actually
+    /// separate the graph.
+    fn side_of(
+        &mut self,
+        from: usize,
+        other: usize,
+        skip_id: usize,
+        incidence: &Incidence,
+        active: &[bool],
+        removed_edge: &[bool],
+    ) -> Option<Vec<usize>> {
+        self.stamp += 1;
+        self.stack.clear();
+        self.stack.push(from);
+        self.stamps[from] = self.stamp;
+        let mut side = Vec::new();
+        while let Some(v) = self.stack.pop() {
+            if v == other {
+                return None;
+            }
+            side.push(v);
+            for &(u, id) in incidence.of(v) {
+                if id == skip_id || removed_edge[id] || !active[u] || self.stamps[u] == self.stamp {
+                    continue;
+                }
+                self.stamps[u] = self.stamp;
+                self.stack.push(u);
+            }
+        }
+        side.sort_unstable();
+        Some(side)
+    }
 }
 
 #[cfg(test)]

@@ -123,8 +123,7 @@ mod reference {
                     }
                 }
                 if !edges.is_empty() {
-                    let biconnectivity =
-                        Biconnectivity::compute_from_edges(vertices.len(), &edges);
+                    let biconnectivity = Biconnectivity::compute_from_edges(vertices.len(), &edges);
                     let mut bridge_ids = Vec::new();
                     for &(lu, lv) in biconnectivity.bridges() {
                         let key = (lu.min(lv), lu.max(lv));
