@@ -12,7 +12,7 @@
 //!   (or a colored decomposition, one layer per mask) as boundary records,
 //!   one rectangle per boundary.
 
-use crate::flatten::flatten_tagged;
+use crate::flatten::flatten_from;
 use crate::model::{GdsElement, GdsLibrary, GdsStruct};
 use crate::GdsError;
 use mpl_geometry::{GridIndex, Nm, Polygon, Rect};
@@ -140,8 +140,9 @@ pub fn layout_with_hierarchy(
     map: &LayerMap,
     options: &ReadOptions,
 ) -> Result<(Layout, LayoutHierarchy), GdsError> {
-    let top_name = library.top_struct(options.top.as_deref())?.name.clone();
-    let flat = flatten_tagged(library, options.top.as_deref())?;
+    let top = library.top_struct(options.top.as_deref())?;
+    let top_name = top.name.clone();
+    let flat = flatten_from(library, top)?;
     let scale = library.nm_per_db_unit();
     let mut shapes = RectLists::default();
     let mut tags: Vec<Option<usize>> = Vec::new();
@@ -481,6 +482,47 @@ mod tests {
         // Merged pair, isolated instance, top-level square.
         assert_eq!(layout.shape_count(), 3);
         assert_eq!(hierarchy.shape_origins(), &[None, Some(2), None]);
+    }
+
+    #[test]
+    fn a_top_of_many_distinct_cells_converts_in_linear_time() {
+        use crate::model::GdsStrans;
+        // TOP places 2¹⁵ cells, each its own one-square structure, 30 nm
+        // apart. Looking every name up by a scan of the structures takes
+        // about 2³⁰ comparisons for the top and as many for the targets.
+        let cells = 1 << 15;
+        let mut library = GdsLibrary::new("L");
+        let mut placements = Vec::with_capacity(cells);
+        for cell in 0..cells {
+            let name = format!("C{cell}");
+            library.structs.push(GdsStruct {
+                name: name.clone(),
+                elements: vec![GdsElement::Boundary {
+                    layer: 1,
+                    datatype: 0,
+                    xy: vec![(0, 0), (10, 0), (10, 10), (0, 10), (0, 0)],
+                }],
+            });
+            let (x, y) = (40 * (cell % 256) as i32, 40 * (cell / 256) as i32);
+            placements.push(GdsElement::Sref {
+                name,
+                strans: GdsStrans::default(),
+                origin: (x, y),
+            });
+        }
+        library.structs.push(GdsStruct {
+            name: "TOP".into(),
+            elements: placements,
+        });
+        let (layout, hierarchy) =
+            layout_with_hierarchy(&library, &LayerMap::all(), &ReadOptions::default())
+                .expect("read");
+        assert_eq!(layout.name(), "TOP");
+        assert_eq!(layout.shape_count(), cells);
+        assert_eq!(hierarchy.instance_count(), cells);
+        assert_eq!(hierarchy.cell_count(), cells);
+        let tags: Vec<Option<usize>> = (0..cells).map(Some).collect();
+        assert_eq!(hierarchy.shape_origins(), tags.as_slice());
     }
 
     #[test]

@@ -21,10 +21,12 @@
 //! exhausting memory.
 
 use crate::model::{
-    check_references, GdsElement, GdsLibrary, GdsStrans, GdsStruct, MAX_EXPANDED, MAX_REF_DEPTH,
+    check_references, struct_index, GdsElement, GdsLibrary, GdsStrans, GdsStruct, MAX_EXPANDED,
+    MAX_REF_DEPTH,
 };
 use crate::poly::{loop_to_rects, path_to_rects, DbRect};
 use crate::GdsError;
+use std::collections::HashMap;
 
 /// One flattened feature: a rectangle union on a layer:datatype pair.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -170,8 +172,16 @@ pub fn flatten(library: &GdsLibrary, top: Option<&str>) -> Result<Vec<FlatShape>
 ///
 /// Same as [`flatten`].
 pub fn flatten_tagged(library: &GdsLibrary, top: Option<&str>) -> Result<TaggedFlat, GdsError> {
-    let top = library.top_struct(top)?;
-    let expanded = check_references(library)?;
+    flatten_from(library, library.top_struct(top)?)
+}
+
+/// [`flatten_tagged`] from a top structure already found in `library`.
+pub(crate) fn flatten_from(library: &GdsLibrary, top: &GdsStruct) -> Result<TaggedFlat, GdsError> {
+    let targets = Targets {
+        library,
+        index: struct_index(library),
+    };
+    let expanded = check_references(library, &targets.index)?;
     let position = library
         .structs
         .iter()
@@ -194,16 +204,16 @@ pub fn flatten_tagged(library: &GdsLibrary, top: Option<&str>) -> Result<TaggedF
                 strans,
                 origin,
             } => {
-                let target = find_target(library, name)?;
+                let target = targets.get(name)?;
                 let child = placement_of(name, strans, (i64::from(origin.0), i64::from(origin.1)))?;
                 let tag = open_instance(&mut flat.instances, name, &child);
-                walk(library, target, child, 1, tag, &mut flat)?;
+                walk(&targets, target, child, 1, tag, &mut flat)?;
             }
             GdsElement::Aref { name, .. } => {
-                let target = find_target(library, name)?;
+                let target = targets.get(name)?;
                 for child in aref_placements(element)? {
                     let tag = open_instance(&mut flat.instances, name, &child);
-                    walk(library, target, child, 1, tag, &mut flat)?;
+                    walk(&targets, target, child, 1, tag, &mut flat)?;
                 }
             }
             _ => emit_geometry(top, index, element, &Placement::IDENTITY, None, &mut flat)?,
@@ -212,12 +222,23 @@ pub fn flatten_tagged(library: &GdsLibrary, top: Option<&str>) -> Result<TaggedF
     Ok(flat)
 }
 
-fn find_target<'a>(library: &'a GdsLibrary, name: &str) -> Result<&'a GdsStruct, GdsError> {
-    library
-        .find_struct(name)
-        .ok_or_else(|| GdsError::UndefinedStruct {
-            name: name.to_string(),
-        })
+/// Reference targets by name, through one map built per flattening.
+struct Targets<'a> {
+    library: &'a GdsLibrary,
+    index: HashMap<&'a str, usize>,
+}
+
+impl<'a> Targets<'a> {
+    /// The structure `name` refers to, as [`GdsLibrary::find_struct`]
+    /// finds it.
+    fn get(&self, name: &str) -> Result<&'a GdsStruct, GdsError> {
+        self.index
+            .get(name)
+            .map(|&position| &self.library.structs[position])
+            .ok_or_else(|| GdsError::UndefinedStruct {
+                name: name.to_string(),
+            })
+    }
 }
 
 fn open_instance(
@@ -323,7 +344,7 @@ fn emit_geometry(
 }
 
 fn walk(
-    library: &GdsLibrary,
+    targets: &Targets,
     current: &GdsStruct,
     placement: Placement,
     depth: usize,
@@ -344,10 +365,10 @@ fn walk(
                 strans,
                 origin,
             } => {
-                let target = find_target(library, name)?;
+                let target = targets.get(name)?;
                 let child = placement_of(name, strans, (i64::from(origin.0), i64::from(origin.1)))?;
                 walk(
-                    library,
+                    targets,
                     target,
                     placement.then(&child),
                     depth + 1,
@@ -356,10 +377,10 @@ fn walk(
                 )?;
             }
             GdsElement::Aref { name, .. } => {
-                let target = find_target(library, name)?;
+                let target = targets.get(name)?;
                 for child in aref_placements(element)? {
                     walk(
-                        library,
+                        targets,
                         target,
                         placement.then(&child),
                         depth + 1,
@@ -507,7 +528,10 @@ mod tests {
                 ],
             },
         ]);
-        assert_eq!(check_references(&library), Ok(vec![1, 3, 19]));
+        assert_eq!(
+            check_references(&library, &struct_index(&library)),
+            Ok(vec![1, 3, 19])
+        );
         assert_eq!(flatten(&library, None).expect("flatten").len(), 10);
     }
 

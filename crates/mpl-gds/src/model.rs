@@ -2,7 +2,7 @@
 
 use crate::record::{RawRecord, RecordReader, RecordType};
 use crate::GdsError;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 /// Reflection/magnification/rotation applied by a structure reference.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -141,12 +141,12 @@ impl GdsLibrary {
                 requested: Some(name.to_string()),
             });
         }
-        let mut referenced: Vec<&str> = Vec::new();
+        let mut referenced: HashSet<&str> = HashSet::new();
         for st in &self.structs {
             for element in &st.elements {
                 match element {
                     GdsElement::Sref { name, .. } | GdsElement::Aref { name, .. } => {
-                        referenced.push(name)
+                        referenced.insert(name);
                     }
                     _ => {}
                 }
@@ -155,7 +155,7 @@ impl GdsLibrary {
         let unreferenced: Vec<&GdsStruct> = self
             .structs
             .iter()
-            .filter(|s| !referenced.iter().any(|r| *r == s.name))
+            .filter(|s| !referenced.contains(s.name.as_str()))
             .collect();
         match unreferenced.as_slice() {
             [single] => Ok(single),
@@ -180,7 +180,7 @@ impl GdsLibrary {
     /// recursion.
     pub fn from_bytes(bytes: &[u8]) -> Result<GdsLibrary, GdsError> {
         let library = Parser::new(bytes).parse()?;
-        check_references(&library)?;
+        check_references(&library, &struct_index(&library))?;
         Ok(library)
     }
 }
@@ -206,6 +206,16 @@ pub const MAX_REF_DEPTH: usize = 64;
 /// a placement is counted like a shape although it costs less.
 pub const MAX_EXPANDED: u64 = 1 << 20;
 
+/// Each structure name's position in the library; a repeated name maps to
+/// its first structure, the one [`GdsLibrary::find_struct`] finds.
+pub(crate) fn struct_index(library: &GdsLibrary) -> HashMap<&str, usize> {
+    let mut index = HashMap::with_capacity(library.structs.len());
+    for (position, st) in library.structs.iter().enumerate() {
+        index.entry(st.name.as_str()).or_insert(position);
+    }
+    index
+}
+
 /// Validates the structure reference graph: no cycles, no chain deeper
 /// than [`MAX_REF_DEPTH`]. References to undefined structures are ignored
 /// here and expand nothing: flattening reports them, with placement
@@ -216,12 +226,11 @@ pub const MAX_EXPANDED: u64 = 1 << 20;
 /// placements (an AREF places its structure `cols · rows` times) times one
 /// more than what the placed structure expands. Each structure is counted
 /// once, in the same post-order as its depth, and the sums and products
-/// saturate at `u64::MAX`.
-pub(crate) fn check_references(library: &GdsLibrary) -> Result<Vec<u64>, GdsError> {
-    let mut index: HashMap<&str, usize> = HashMap::new();
-    for (position, st) in library.structs.iter().enumerate() {
-        index.entry(st.name.as_str()).or_insert(position);
-    }
+/// saturate at `u64::MAX`. `index` is the library's [`struct_index`].
+pub(crate) fn check_references(
+    library: &GdsLibrary,
+    index: &HashMap<&str, usize>,
+) -> Result<Vec<u64>, GdsError> {
     // Per structure: its shape count, and every reference to a defined
     // structure with the number of times it places it.
     let mut shapes = vec![0u64; library.structs.len()];
