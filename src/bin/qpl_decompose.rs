@@ -112,6 +112,7 @@ use mpl_serve::{
     Client, ExecutorChoice, LayoutSource, Request, Response, ResultPayload, SubmitRequest,
 };
 use mpl_tile::TileStats;
+use std::io::Write;
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -961,6 +962,13 @@ fn build_wire_inputs(options: &Options, tech: &Technology) -> Result<Vec<WireInp
         .collect()
 }
 
+/// Prints `json` in the `{:#}` document layout plus a newline, as one
+/// write: `println!` on the line-buffered stdout writes each line apart.
+fn print_json(json: &Json) -> std::io::Result<()> {
+    let text = format!("{json:#}\n");
+    std::io::stdout().lock().write_all(text.as_bytes())
+}
+
 /// Renders the connect-mode JSON summary (one object per result, without
 /// the full color array — clients that need colors speak the protocol
 /// directly).
@@ -1148,10 +1156,11 @@ fn run_connect(addr: &str, options: &Options, tech: &Technology) -> ExitCode {
     }
 
     if options.json {
-        println!(
-            "{:#}",
-            render_connect_json(addr, &results, &cancelled, &errors)
-        );
+        let json = render_connect_json(addr, &results, &cancelled, &errors);
+        if let Err(error) = print_json(&json) {
+            eprintln!("cannot write the JSON summary: {error}");
+            return ExitCode::FAILURE;
+        }
     } else {
         for (input, result) in wire_inputs.iter().zip(&results) {
             let Some(payload) = result else { continue };
@@ -1380,9 +1389,9 @@ fn main() -> ExitCode {
     }
 
     if options.json {
-        if batch_size == 1 {
+        let printed = if batch_size == 1 {
             // The single-layout summary keeps the pre-batch shape.
-            println!("{:#}", layout_json[0]);
+            print_json(&layout_json[0])
         } else {
             let components = session.task_count();
             let wall = batch_wall.as_secs_f64();
@@ -1404,7 +1413,10 @@ fn main() -> ExitCode {
                 ("batch", batch),
                 ("layouts", Json::Array(layout_json)),
             ]);
-            println!("{summary:#}");
+            print_json(&summary)
+        };
+        if let Err(error) = printed {
+            write_errors.push(format!("cannot write the JSON summary: {error}"));
         }
     } else if batch_size > 1 {
         println!(
