@@ -1,5 +1,6 @@
 //! Articulation points, bridges, and 2-vertex-connected components.
 
+use crate::csr::Incidence;
 use crate::Graph;
 
 /// The biconnectivity structure of an undirected graph: articulation points
@@ -55,38 +56,9 @@ impl Biconnectivity {
     ///
     /// Panics if an edge endpoint is `>= n`.
     pub fn compute_from_edges(n: usize, edges: &[(usize, usize)]) -> Self {
-        // Flat (neighbor, edge-index) incidence in counting-sort CSR form —
-        // per-vertex entries keep edge order, exactly like push lists.
-        let mut offsets = vec![0usize; n + 1];
-        for &(u, v) in edges {
-            assert!(
-                u < n && v < n,
-                "edge ({u}, {v}) out of range for {n} vertices"
-            );
-            offsets[u + 1] += 1;
-            offsets[v + 1] += 1;
-        }
-        for v in 0..n {
-            let base = offsets[v];
-            offsets[v + 1] += base;
-        }
-        let mut incidence = vec![(0usize, 0usize); edges.len() * 2];
-        for (index, &(u, v)) in edges.iter().enumerate() {
-            incidence[offsets[u]] = (v, index);
-            offsets[u] += 1;
-            incidence[offsets[v]] = (u, index);
-            offsets[v] += 1;
-        }
-        for v in (1..=n).rev() {
-            offsets[v] = offsets[v - 1];
-        }
-        if n > 0 {
-            offsets[0] = 0;
-        }
         let mut state = State {
             edges,
-            inc_offsets: offsets,
-            incidence,
+            incidence: Incidence::new(n, edges.iter().copied()),
             disc: vec![usize::MAX; n],
             low: vec![0; n],
             articulation: vec![false; n],
@@ -162,8 +134,7 @@ impl Biconnectivity {
 
 struct State<'a> {
     edges: &'a [(usize, usize)],
-    inc_offsets: Vec<usize>,
-    incidence: Vec<(usize, usize)>,
+    incidence: Incidence,
     disc: Vec<usize>,
     low: Vec<usize>,
     articulation: Vec<bool>,
@@ -196,10 +167,8 @@ impl State<'_> {
 
         while let Some(frame) = stack.last_mut() {
             let u = frame.vertex;
-            if frame.next_neighbor < self.inc_offsets[u + 1] - self.inc_offsets[u] {
-                let slot = self.inc_offsets[u] + frame.next_neighbor;
+            if let Some(&(v, edge_index)) = self.incidence.of(u).get(frame.next_neighbor) {
                 frame.next_neighbor += 1;
-                let (v, edge_index) = self.incidence[slot];
                 if Some(edge_index) == frame.parent_edge {
                     continue;
                 }

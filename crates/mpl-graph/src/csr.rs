@@ -124,6 +124,58 @@ impl Csr {
     }
 }
 
+/// Flat `(neighbour, edge index)` incidence over dense vertex ids `0..n`:
+/// vertex `v` owns `entries[offsets[v]..offsets[v + 1]]`, in edge order,
+/// as pushing onto per-vertex `Vec`s would list them.
+pub(crate) struct Incidence {
+    offsets: Vec<usize>,
+    entries: Vec<(usize, usize)>,
+}
+
+impl Incidence {
+    /// The incidence of `edges`, indexed in iteration order (a counting
+    /// sort; `edges` is consumed twice, as in [`Csr::rebuild`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if an edge endpoint is `>= n`.
+    pub(crate) fn new<I>(n: usize, edges: I) -> Self
+    where
+        I: Iterator<Item = (usize, usize)> + Clone,
+    {
+        let mut offsets = vec![0usize; n + 1];
+        for (u, v) in edges.clone() {
+            assert!(
+                u < n && v < n,
+                "edge ({u}, {v}) out of range for {n} vertices"
+            );
+            offsets[u + 1] += 1;
+            offsets[v + 1] += 1;
+        }
+        for v in 0..n {
+            offsets[v + 1] += offsets[v];
+        }
+        // `offsets[v]` is row v's write cursor, as in `Csr::rebuild`: it
+        // ends at the start of row v + 1, and one right shift restores it.
+        let mut entries = vec![(0, 0); offsets[n]];
+        for (index, (u, v)) in edges.enumerate() {
+            entries[offsets[u]] = (v, index);
+            offsets[u] += 1;
+            entries[offsets[v]] = (u, index);
+            offsets[v] += 1;
+        }
+        offsets.copy_within(0..n, 1);
+        offsets[0] = 0;
+        Incidence { offsets, entries }
+    }
+
+    /// The `(neighbour, edge index)` entries of `v`, in edge order.
+    #[inline]
+    pub(crate) fn of(&self, v: usize) -> &[(usize, usize)] {
+        &self.entries[self.offsets[v]..self.offsets[v + 1]]
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -28,6 +28,7 @@
 //! the cut edge) no such edge crosses the side boundary except the cut
 //! edge itself, which the rotation choice satisfies.
 
+use crate::csr::Incidence;
 use crate::Biconnectivity;
 
 /// One recorded simplification step, to be undone in reverse order.
@@ -110,7 +111,9 @@ pub fn simplify(
 ) -> Simplification {
     let conflict_count = conflict_edges.len();
     let edge_count = conflict_count + stitch_edges.len();
-    let incidence = Incidence::new(n, conflict_edges, stitch_edges);
+    // Edge ids in incidence order: conflicts first, then stitches, so cuts
+    // can remove a single edge of a parallel pair.
+    let incidence = Incidence::new(n, conflict_edges.iter().chain(stitch_edges).copied());
     let endpoints = |id: usize| -> (usize, usize) {
         if id < conflict_count {
             conflict_edges[id]
@@ -271,48 +274,6 @@ pub fn simplify(
         rounds,
         cut_conflicts,
         cut_stitches,
-    }
-}
-
-/// Flat `(neighbor, edge id)` incidence: vertex `v` owns
-/// `entries[offsets[v]..offsets[v + 1]]`, in edge-id order (a counting
-/// sort), so cuts can remove a single edge of a parallel pair.
-struct Incidence {
-    offsets: Vec<usize>,
-    entries: Vec<(usize, usize)>,
-}
-
-impl Incidence {
-    /// Incidence of the conflict edges followed by the stitch edges, ids
-    /// in that order.
-    fn new(n: usize, conflict_edges: &[(usize, usize)], stitch_edges: &[(usize, usize)]) -> Self {
-        let edges = || conflict_edges.iter().chain(stitch_edges).copied();
-        let mut offsets = vec![0usize; n + 1];
-        for (u, v) in edges() {
-            assert!(
-                u < n && v < n,
-                "edge ({u}, {v}) out of range for {n} vertices"
-            );
-            offsets[u + 1] += 1;
-            offsets[v + 1] += 1;
-        }
-        for v in 0..n {
-            offsets[v + 1] += offsets[v];
-        }
-        // `cursor[v]` is the next free entry of `v`.
-        let mut cursor = offsets[..n].to_vec();
-        let mut entries = vec![(0, 0); offsets[n]];
-        for (id, (u, v)) in edges().enumerate() {
-            entries[cursor[u]] = (v, id);
-            cursor[u] += 1;
-            entries[cursor[v]] = (u, id);
-            cursor[v] += 1;
-        }
-        Incidence { offsets, entries }
-    }
-
-    fn of(&self, v: usize) -> &[(usize, usize)] {
-        &self.entries[self.offsets[v]..self.offsets[v + 1]]
     }
 }
 
