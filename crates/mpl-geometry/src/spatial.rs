@@ -195,13 +195,14 @@ impl GridIndex {
     }
 
     /// Calls `visit(id, squared distance)` for every id that `keep`
-    /// accepts and whose rectangle lies strictly closer than `limit` to
+    /// accepts and that has a rectangle strictly closer than `limit` to
     /// `rect`, each id once, in the documented result order.
     ///
     /// `keep` is asked before any geometry, for every entry the walk meets
     /// until its id is reported, so it should be a cheap test of the id
-    /// alone. The ids it rejects are reported nowhere, and the others come
-    /// in the order [`GridIndex::query_within`] would list them. The
+    /// alone, with one answer per id during a query. The ids it rejects
+    /// are reported nowhere, and the others come in the order
+    /// [`GridIndex::query_within`] would list them. The
     /// distance handed over is the squared distance from `rect` to the
     /// id's first matching entry: for an id given with several rectangles
     /// that need not be the smallest over them.
