@@ -485,7 +485,7 @@ mod tests {
     }
 
     #[test]
-    fn a_top_of_many_distinct_cells_converts_in_linear_time() {
+    fn a_top_of_many_distinct_cells_converts_with_its_instance_tags() {
         use crate::model::GdsStrans;
         // TOP places 2¹⁵ cells, each its own one-square structure, 30 nm
         // apart. Looking every name up by a scan of the structures takes
