@@ -1247,4 +1247,329 @@ mod tests {
         assert_eq!(colors[1], 0);
         assert_eq!(colors[9], 1);
     }
+
+    /// xorshift64: the seeded stream behind [`chained_cliques`].
+    struct Stream(u64);
+
+    impl Stream {
+        fn below(&mut self, bound: usize) -> usize {
+            self.0 ^= self.0 << 13;
+            self.0 ^= self.0 >> 7;
+            self.0 ^= self.0 << 17;
+            (self.0 % bound as u64) as usize
+        }
+    }
+
+    /// A seeded multigraph problem with K colors: K5 chains joined by
+    /// conflict, stitch or parallel conflict+stitch bridges, stitch pendants
+    /// and two-link stitch chains, and a few stray vertices with random
+    /// chords, some of them parallel pairs.
+    fn chained_cliques(seed: u64, k: usize) -> ComponentProblem {
+        let mut rng = Stream(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1);
+        let (mut conflicts, mut stitches) = (Vec::new(), Vec::new());
+        let mut n = 0;
+        let mut previous: Option<usize> = None;
+        for _ in 0..1 + rng.below(2) {
+            let first = n;
+            n += 5;
+            for u in first..n {
+                for v in u + 1..n {
+                    conflicts.push((u, v));
+                }
+            }
+            if let Some(last) = previous {
+                let joint = (last, first + rng.below(5));
+                match rng.below(3) {
+                    0 => conflicts.push(joint),
+                    1 => stitches.push(joint),
+                    _ => {
+                        conflicts.push(joint);
+                        stitches.push(joint);
+                    }
+                }
+            }
+            previous = Some(first + rng.below(5));
+        }
+        for _ in 0..rng.below(4) {
+            stitches.push((rng.below(n), n));
+            n += 1;
+            if rng.below(2) == 0 {
+                stitches.push((n - 1, n));
+                n += 1;
+            }
+        }
+        n += rng.below(3);
+        for _ in 0..rng.below(n) {
+            let (u, v) = (rng.below(n), rng.below(n));
+            if u == v {
+                continue;
+            }
+            match rng.below(4) {
+                0 => stitches.push((u, v)),
+                1 => {
+                    conflicts.push((u, v));
+                    stitches.push((v, u));
+                }
+                _ => conflicts.push((u, v)),
+            }
+        }
+        let mut problem = ComponentProblem::new(n, k, 0.1);
+        for (u, v) in conflicts {
+            problem.add_conflict(u, v);
+        }
+        for (u, v) in stitches {
+            problem.add_stitch(u, v);
+        }
+        problem
+    }
+
+    /// The problems of the division oracles: seeded multigraphs for K from
+    /// 2 to 5, every task of a small generated row chip and, with
+    /// `lattice`, the one component of a 20×20 contact lattice whose
+    /// orthogonal and diagonal neighbours conflict.
+    fn oracle_problems(lattice: bool) -> Vec<ComponentProblem> {
+        let mut problems: Vec<ComponentProblem> = (0..8)
+            .map(|seed| chained_cliques(seed, 2 + seed as usize % 4))
+            .collect();
+        let tech = Technology::nm20();
+        let mut layouts = vec![gen::generate_row_layout(
+            &gen::RowLayoutConfig {
+                rows: 2,
+                cells_per_row: 8,
+                ..gen::RowLayoutConfig::small("oracle", 3)
+            },
+            &tech,
+        )];
+        if lattice {
+            let mut builder = Layout::builder("lattice-20x20");
+            for j in 0..20 {
+                for i in 0..20 {
+                    builder.add_contact(Nm(70 * i), Nm(70 * j), tech.min_width());
+                }
+            }
+            layouts.push(builder.build());
+        }
+        for layout in layouts {
+            let plan = Decomposer::new(quad_config(ColorAlgorithm::Linear))
+                .plan(&layout)
+                .expect("valid config");
+            problems.extend(plan.tasks().iter().map(|task| task.problem().clone()));
+        }
+        problems
+    }
+
+    /// 64-bit FNV-1a over little-endian words.
+    fn fold(hash: u64, word: u64) -> u64 {
+        word.to_le_bytes().iter().fold(hash, |hash, &byte| {
+            (hash ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3)
+        })
+    }
+
+    /// Colors `problems` with `algorithm` under each of the 16 settings of
+    /// the four division flags (bit 3 low-degree removal, bit 2 biconnected
+    /// split, bit 1 GH-tree cut removal, bit 0 iterated simplification) and
+    /// returns one digest per setting: colors, cost and the division and
+    /// engine work counters of every problem, plus the simplify counters
+    /// where iterated simplification is on.
+    fn division_digests(algorithm: ColorAlgorithm, problems: &[ComponentProblem]) -> [u64; 16] {
+        let mut digests = [0u64; 16];
+        for (setting, digest) in digests.iter_mut().enumerate() {
+            let division = DivisionConfig {
+                independent_components: true,
+                low_degree_removal: setting & 8 != 0,
+                biconnected_split: setting & 4 != 0,
+                ghtree_cut_removal: setting & 2 != 0,
+                iterated_simplify: setting & 1 != 0,
+            };
+            let decomposer = Decomposer::new(quad_config(algorithm).with_division(division));
+            let assigner = assigner_for(algorithm, decomposer.config());
+            let mut hash = 0xcbf2_9ce4_8422_2325;
+            for (index, problem) in problems.iter().enumerate() {
+                let (colors, stats) = decomposer.color_problem(problem, assigner.as_ref(), None);
+                assert!(
+                    !stats.hit_time_limit,
+                    "{algorithm}, setting {setting:04b}, problem {index}"
+                );
+                let (conflicts, stitches, cost) = problem.evaluate(&colors);
+                hash = colors.iter().fold(hash, |hash, &color| {
+                    (hash ^ u64::from(color)).wrapping_mul(0x0100_0000_01b3)
+                });
+                for word in [
+                    conflicts as u64,
+                    stitches as u64,
+                    cost.to_bits(),
+                    stats.bnb_nodes,
+                    stats.augmenting_paths,
+                    stats.augmenting_path_bound,
+                    stats.arc_scans,
+                ] {
+                    hash = fold(hash, word);
+                }
+                if division.iterated_simplify {
+                    for count in [
+                        stats.hidden_vertices,
+                        stats.kernel_vertices,
+                        stats.simplify_rounds,
+                    ] {
+                        hash = fold(hash, count as u64);
+                    }
+                }
+            }
+            *digest = hash;
+        }
+        digests
+    }
+
+    // The division oracles, one test per engine. The SDP engines skip the
+    // lattice: one SDP+Backtrack run on it takes about 35 s in a release
+    // build.
+
+    #[test]
+    fn exact_engine_colors_every_division_setting_as_pinned() {
+        let digests = division_digests(ColorAlgorithm::Ilp, &oracle_problems(true));
+        assert_eq!(
+            digests,
+            [
+                0x23f3_cd6b_016b_4a81,
+                0x3131_e7c0_01b0_ea61,
+                0x3911_399f_1683_522b,
+                0x7662_7974_da05_5d8b,
+                0x2ada_3da3_7904_75c6,
+                0x4799_27c7_687e_0e0e,
+                0x6564_9b87_8afd_6ff4,
+                0x9c6b_3507_89bc_2fe9,
+                0x348e_9ed9_fa29_6b6a,
+                0xa5e9_5411_b5d6_a4a2,
+                0xf10b_2025_3e87_fec4,
+                0x8e22_f25d_48af_6494,
+                0xbbb1_a763_f73b_78ba,
+                0x8942_af2c_02b6_ecc3,
+                0xb3a8_475e_83cb_dfe2,
+                0x0e25_b6bc_8eba_c2f1,
+            ],
+            "{digests:#018x?}"
+        );
+    }
+
+    #[test]
+    fn linear_engine_colors_every_division_setting_as_pinned() {
+        let digests = division_digests(ColorAlgorithm::Linear, &oracle_problems(true));
+        assert_eq!(
+            digests,
+            [
+                0x3336_2e75_6767_1cc9,
+                0xc530_8cb3_caeb_5b29,
+                0xb8ef_eb31_7e2b_db5a,
+                0x0106_4fcd_a085_59ba,
+                0xb67f_9b3b_7d9f_e56a,
+                0x4b5b_2146_131d_a9b7,
+                0x24d9_b634_612a_c2fc,
+                0x4d6c_4ae1_ffc4_1d35,
+                0x7377_42a4_5ff1_8f63,
+                0xf5b7_a593_ec29_dd5f,
+                0x78a4_577c_669d_c725,
+                0x8275_7a0d_2314_fe79,
+                0x37cb_09b4_b192_c8a2,
+                0xb99c_9be7_acb2_911e,
+                0x189d_3765_44a8_3859,
+                0x881e_0fe8_db11_a368,
+            ],
+            "{digests:#018x?}"
+        );
+    }
+
+    #[test]
+    fn sdp_backtrack_colors_every_division_setting_as_pinned() {
+        let digests = division_digests(ColorAlgorithm::SdpBacktrack, &oracle_problems(false));
+        assert_eq!(
+            digests,
+            [
+                0xd089_2ef0_5648_d1f5,
+                0x408f_761e_2b31_a7f5,
+                0x5bcf_cc5a_f8d5_1716,
+                0xe103_7b4c_a523_6316,
+                0x7821_2c17_a661_367c,
+                0x23d4_764e_6221_b427,
+                0x4604_6c73_e029_b2a4,
+                0x9b07_19b9_419e_8627,
+                0xdd91_ba65_8d43_b4b7,
+                0x6265_d7f2_d712_cb75,
+                0x7a9d_3d54_059a_b3ac,
+                0x3cc0_8f5b_7c14_a9f6,
+                0x3d6c_5af6_a6e9_2009,
+                0xb188_c61a_80cf_c8a3,
+                0x2f9e_5042_73ff_aadd,
+                0x5a86_d8a0_998a_a946,
+            ],
+            "{digests:#018x?}"
+        );
+    }
+
+    #[test]
+    fn sdp_greedy_colors_every_division_setting_as_pinned() {
+        let digests = division_digests(ColorAlgorithm::SdpGreedy, &oracle_problems(false));
+        assert_eq!(
+            digests,
+            [
+                0xa762_1bc6_498b_6462,
+                0x1720_4d4b_46b8_54e2,
+                0x9fbc_7901_33a5_54b6,
+                0xa03a_a225_2b83_73b6,
+                0x8a10_275c_604e_12f3,
+                0xf8e4_8afe_ff1e_eac2,
+                0x5ce0_873c_acb3_a745,
+                0xf617_2710_e824_fc96,
+                0x923e_812f_5f5a_5ebe,
+                0x770e_38eb_c287_05cc,
+                0xc566_a6cd_1c2d_9371,
+                0xc33d_ccc0_eb35_afbf,
+                0xaec6_e2c9_6d19_ae94,
+                0x07c3_e8bb_a423_bfe0,
+                0x8b58_d4d2_f8c3_2649,
+                0x4cc1_07f4_0f32_f428,
+            ],
+            "{digests:#018x?}"
+        );
+    }
+
+    #[test]
+    fn peeling_is_the_hide_only_simplification() {
+        let simplify = |problem: &ComponentProblem, cut: bool| {
+            mpl_graph::simplify(
+                problem.vertex_count(),
+                problem.conflict_edges(),
+                problem.stitch_edges(),
+                problem.k(),
+                true,
+                cut,
+            )
+        };
+        // What the oracle problems exercise: peels that leave a kernel,
+        // peels that leave none, and bridge cuts.
+        let (mut kernels, mut emptied, mut cuts) = (0, 0, 0);
+        for (index, problem) in oracle_problems(true).iter().enumerate() {
+            let peeling = crate::division::peel_low_degree(problem);
+            let simplification = simplify(problem, false);
+            let hidden: Vec<usize> = simplification
+                .ops
+                .iter()
+                .map(|op| match op {
+                    mpl_graph::SimplifyOp::Hide(v) => *v,
+                    mpl_graph::SimplifyOp::Cut { .. } => panic!("problem {index}: a cut"),
+                })
+                .collect();
+            assert_eq!(peeling.stack, hidden, "problem {index}");
+            assert_eq!(peeling.kernel, simplification.kernel, "problem {index}");
+            match (peeling.stack.is_empty(), peeling.kernel.is_empty()) {
+                (false, false) => kernels += 1,
+                (false, true) => emptied += 1,
+                _ => {}
+            }
+            cuts += simplify(problem, true).cut_count();
+        }
+        assert!(
+            kernels > 0 && emptied > 0 && cuts > 0,
+            "kernels {kernels}, emptied {emptied}, cuts {cuts}"
+        );
+    }
 }
