@@ -12,8 +12,9 @@ use std::sync::OnceLock;
 /// only the linear engine uses as a tie-breaking hint.
 ///
 /// Adjacency views are flat [`Csr`] arrays, built lazily on first use and
-/// shared by every stage that walks neighbours (peeling, division, the
-/// engines), so no per-vertex `Vec`s are ever materialised for a component.
+/// shared by every stage that walks neighbours (reinsertion, rotation
+/// merging, the engines), so no per-vertex `Vec`s are ever materialised
+/// for a component.
 #[derive(Debug, Clone)]
 pub struct ComponentProblem {
     vertex_count: usize,

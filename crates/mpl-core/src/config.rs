@@ -80,14 +80,15 @@ pub struct DivisionConfig {
     /// Gomory–Hu-tree based (K−1)-cut removal with color-rotation merging.
     pub ghtree_cut_removal: bool,
     /// Iterated simplification to a fixed point (the OpenMPL-style kernel
-    /// stage): alternate {hide low-degree vertices, cut bridges} until
-    /// neither makes progress, color only the kernel, and reinsert in
-    /// reverse order.  The passes it iterates are gated by
-    /// [`low_degree_removal`](DivisionConfig::low_degree_removal) (hide) and
-    /// [`biconnected_split`](DivisionConfig::biconnected_split) (cut), so
-    /// the ablation knobs keep their meaning; when the fixed point hides and
-    /// cuts nothing, coloring falls through to the one-shot division path
-    /// bit-identically.
+    /// stage): [`mpl_graph::simplify`] alternates {hide low-degree
+    /// vertices, cut bridges} until neither makes progress; only the kernel
+    /// is colored, and the rest is reinserted in reverse order.  Every
+    /// component goes through that one call: hiding is gated by
+    /// [`low_degree_removal`](DivisionConfig::low_degree_removal), and
+    /// bridge cutting by this flag together with
+    /// [`biconnected_split`](DivisionConfig::biconnected_split), so the
+    /// ablation knobs keep their meaning.  Turned off, low-degree vertices
+    /// are hidden to a fixed point once and no bridge is cut.
     pub iterated_simplify: bool,
 }
 

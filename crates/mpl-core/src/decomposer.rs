@@ -11,7 +11,7 @@
 use crate::assign::ColorAssigner;
 use crate::coloring_cost;
 use crate::division::{
-    biconnected_blocks_with, ghtree_pieces_with, merge_with_rotation_with, peel_low_degree_with,
+    biconnected_blocks_with, ghtree_pieces_with, merge_with_rotation_with,
     permute_to_match_anchors, with_division_scratch, DivisionScratch,
 };
 use crate::pipeline::{ComponentStats, ComponentTask, DecompositionPlan};
@@ -51,11 +51,11 @@ pub struct DecompositionResult {
 /// order, and a frame that lacks one decodes it as zero.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct LayoutCounters {
-    /// Vertices hidden by iterated graph simplification.
+    /// Vertices hidden by graph simplification.
     pub hidden_vertices: usize,
     /// Kernel vertices handed to the engines after simplification.
     pub kernel_vertices: usize,
-    /// Hide/cut rounds run by iterated simplification.
+    /// Hide/cut rounds run by graph simplification.
     pub simplify_rounds: usize,
     /// Clique-expansion steps that strengthened the exact engine's lower
     /// bound.
@@ -416,139 +416,14 @@ impl Decomposer {
 
     /// [`Decomposer::color_problem`] on a borrowed scratch, adding the work
     /// counters into `stats`.
-    fn color_problem_in(
-        &self,
-        problem: &ComponentProblem,
-        assigner: &dyn ColorAssigner,
-        scratch: &mut DivisionScratch,
-        cancel: Option<&crate::CancelToken>,
-        stats: &mut ComponentStats,
-    ) -> Vec<u8> {
-        let n = problem.vertex_count();
-        let k = problem.k() as u8;
-        let division = self.config.division;
-
-        // ---- Iterated simplification (hide + cut to a fixed point). ----
-        // The hide and cut passes reuse the ablation gates of the one-shot
-        // techniques they generalise; a trivial fixed point (nothing hidden
-        // or cut) falls through to the one-shot path below bit-identically.
-        if division.iterated_simplify && n > 0 {
-            let division_start = Instant::now();
-            let simplification = mpl_graph::simplify(
-                n,
-                problem.conflict_edges(),
-                problem.stitch_edges(),
-                problem.k(),
-                division.low_degree_removal,
-                division.biconnected_split,
-            );
-            stats.division_time += division_start.elapsed();
-            if !simplification.is_trivial() {
-                return self.color_simplified(
-                    problem,
-                    assigner,
-                    scratch,
-                    &simplification,
-                    stats,
-                    cancel,
-                );
-            }
-        }
-        let mut colors = vec![u8::MAX; n];
-
-        // ---- Low-degree peeling. ----
-        let division_start = Instant::now();
-        let (kernel, stack) = if division.low_degree_removal {
-            let peeling = peel_low_degree_with(problem, scratch);
-            (peeling.kernel, peeling.stack)
-        } else {
-            ((0..n).collect(), Vec::new())
-        };
-        stats.division_time += division_start.elapsed();
-
-        // ---- Kernel coloring, block by block. ----
-        if !kernel.is_empty() {
-            let division_start = Instant::now();
-            let blocks = if division.biconnected_split {
-                biconnected_blocks_with(problem, &kernel, scratch)
-            } else {
-                vec![kernel.clone()]
-            };
-            stats.division_time += division_start.elapsed();
-            for block in blocks {
-                // Remember which block vertices were colored before (shared
-                // articulation vertices) so the block can be permuted to
-                // agree with them afterwards.
-                let anchors: Vec<usize> = block
-                    .iter()
-                    .copied()
-                    .filter(|&v| colors[v] != u8::MAX)
-                    .collect();
-                let anchor_colors: Vec<u8> = anchors.iter().map(|&v| colors[v]).collect();
-
-                if division.ghtree_cut_removal {
-                    let division_start = Instant::now();
-                    let pieces = ghtree_pieces_with(problem, &block, scratch);
-                    stats.division_time += division_start.elapsed();
-                    for piece in &pieces {
-                        self.color_piece(problem, piece, assigner, &mut colors, stats, cancel);
-                    }
-                    if pieces.len() > 1 {
-                        let division_start = Instant::now();
-                        merge_with_rotation_with(problem, &pieces, &mut colors, scratch);
-                        stats.division_time += division_start.elapsed();
-                    }
-                } else {
-                    self.color_piece(problem, &block, assigner, &mut colors, stats, cancel);
-                }
-
-                // Reconcile with every previously colored articulation
-                // vertex at once: the color permutation minimising the total
-                // anchor mismatch is free (permutations preserve the block's
-                // internal conflicts and stitches).
-                permute_to_match_anchors(&block, &mut colors, &anchors, &anchor_colors, k);
-            }
-        }
-
-        // ---- Pop the peeled vertices, cheapest legal color first. ----
-        let conflict_adj = problem.conflict_adjacency();
-        let stitch_adj = problem.stitch_adjacency();
-        let mut penalty = vec![0.0f64; k as usize];
-        for &v in stack.iter().rev() {
-            penalty.iter_mut().for_each(|slot| *slot = 0.0);
-            for &u in conflict_adj.neighbors(v) {
-                if colors[u] != u8::MAX {
-                    penalty[colors[u] as usize] += 1.0;
-                }
-            }
-            for &u in stitch_adj.neighbors(v) {
-                if colors[u] != u8::MAX {
-                    for (color, slot) in penalty.iter_mut().enumerate() {
-                        if color != colors[u] as usize {
-                            *slot += problem.alpha();
-                        }
-                    }
-                }
-            }
-            colors[v] = penalty
-                .iter()
-                .enumerate()
-                .min_by(|a, b| a.1.partial_cmp(b.1).expect("finite"))
-                .map(|(c, _)| c as u8)
-                .unwrap_or(0);
-        }
-        for color in colors.iter_mut() {
-            if *color == u8::MAX {
-                *color = 0;
-            }
-        }
-        colors
-    }
-
-    /// Colors a component through a non-trivial [`mpl_graph::simplify`]
-    /// fixed point: color only the kernel (with the cut edges removed),
-    /// then replay the op stack in reverse — rotating each cut side onto
-    /// its far endpoint and greedily coloring each hidden vertex.
+    ///
+    /// One [`mpl_graph::simplify`] call hides low-degree vertices (when
+    /// `low_degree_removal` is on) and cuts bridges (when
+    /// `biconnected_split` and `iterated_simplify` are), to a fixed point.
+    /// Only the kernel, with the cut edges removed, reaches
+    /// [`Decomposer::color_kernel`]; the op stack is then replayed in
+    /// reverse, rotating each cut side onto its far endpoint and greedily
+    /// coloring each hidden vertex.
     ///
     /// Safety of the replay: a hidden vertex had fewer than K active
     /// conflict neighbours when hidden, and every neighbour hidden *before*
@@ -559,35 +434,45 @@ impl Decomposer {
     /// colored when the cut is recovered — and no edge between two such
     /// vertices crosses the side boundary except the cut edge itself, so
     /// the rotation is free.
-    fn color_simplified(
+    fn color_problem_in(
         &self,
         problem: &ComponentProblem,
         assigner: &dyn ColorAssigner,
         scratch: &mut DivisionScratch,
-        simplification: &mpl_graph::Simplification,
-        stats: &mut ComponentStats,
         cancel: Option<&crate::CancelToken>,
+        stats: &mut ComponentStats,
     ) -> Vec<u8> {
         use mpl_graph::SimplifyOp;
         let n = problem.vertex_count();
         let k = problem.k();
+        let division = self.config.division;
+        let division_start = Instant::now();
+        let simplification = mpl_graph::simplify(
+            n,
+            problem.conflict_edges(),
+            problem.stitch_edges(),
+            k,
+            division.low_degree_removal,
+            division.biconnected_split && division.iterated_simplify,
+        );
+        stats.division_time += division_start.elapsed();
+        if simplification.is_trivial() {
+            return self.color_kernel(problem, assigner, scratch, cancel, stats);
+        }
         stats.hidden_vertices = simplification.hidden_count();
         stats.kernel_vertices = simplification.kernel.len();
         stats.simplify_rounds = simplification.rounds;
         let mut colors = vec![u8::MAX; n];
 
-        // The kernel is itself at a simplification fixed point, so this
-        // recursion takes the one-shot division path (blocks, GH-tree
-        // pieces, rotation merging) exactly once.  An empty kernel skips
-        // the engine entirely — simplification already solved the
-        // component.
+        // An empty kernel skips the engine entirely — simplification
+        // already solved the component.
         if !simplification.kernel.is_empty() {
             let (sub, original) = problem.induced_without(
                 &simplification.kernel,
                 &simplification.cut_conflicts,
                 &simplification.cut_stitches,
             );
-            let sub_colors = self.color_problem_in(&sub, assigner, scratch, cancel, stats);
+            let sub_colors = self.color_kernel(&sub, assigner, scratch, cancel, stats);
             for (local, &global) in original.iter().enumerate() {
                 colors[global] = sub_colors[local];
             }
@@ -674,6 +559,72 @@ impl Decomposer {
             colors.iter().all(|&c| c != u8::MAX),
             "every vertex is kernel or hidden"
         );
+        colors
+    }
+
+    /// Colors every vertex of a simplification kernel: biconnected blocks
+    /// (when `biconnected_split` is on), each split into GH-tree pieces
+    /// and merged by rotation (when `ghtree_cut_removal` is on), each
+    /// block then permuted to agree with its previously colored
+    /// articulation vertices.
+    fn color_kernel(
+        &self,
+        problem: &ComponentProblem,
+        assigner: &dyn ColorAssigner,
+        scratch: &mut DivisionScratch,
+        cancel: Option<&crate::CancelToken>,
+        stats: &mut ComponentStats,
+    ) -> Vec<u8> {
+        let n = problem.vertex_count();
+        let division = self.config.division;
+        let mut colors = vec![u8::MAX; n];
+        let vertices: Vec<usize> = (0..n).collect();
+        let division_start = Instant::now();
+        let blocks = if division.biconnected_split {
+            biconnected_blocks_with(problem, &vertices, scratch)
+        } else {
+            vec![vertices]
+        };
+        stats.division_time += division_start.elapsed();
+        for block in blocks {
+            // Remember which block vertices were colored before (shared
+            // articulation vertices) so the block can be permuted to agree
+            // with them afterwards.
+            let anchors: Vec<usize> = block
+                .iter()
+                .copied()
+                .filter(|&v| colors[v] != u8::MAX)
+                .collect();
+            let anchor_colors: Vec<u8> = anchors.iter().map(|&v| colors[v]).collect();
+
+            if division.ghtree_cut_removal {
+                let division_start = Instant::now();
+                let pieces = ghtree_pieces_with(problem, &block, scratch);
+                stats.division_time += division_start.elapsed();
+                for piece in &pieces {
+                    self.color_piece(problem, piece, assigner, &mut colors, stats, cancel);
+                }
+                if pieces.len() > 1 {
+                    let division_start = Instant::now();
+                    merge_with_rotation_with(problem, &pieces, &mut colors, scratch);
+                    stats.division_time += division_start.elapsed();
+                }
+            } else {
+                self.color_piece(problem, &block, assigner, &mut colors, stats, cancel);
+            }
+
+            // Reconcile with every previously colored articulation vertex
+            // at once: the color permutation minimising the total anchor
+            // mismatch is free (permutations preserve the block's internal
+            // conflicts and stitches).
+            permute_to_match_anchors(
+                &block,
+                &mut colors,
+                &anchors,
+                &anchor_colors,
+                problem.k() as u8,
+            );
+        }
         colors
     }
 
@@ -1037,7 +988,7 @@ mod tests {
 
     #[test]
     fn engine_work_counters_flow_into_component_stats() {
-        // A K5: peeling keeps it whole, so the engine colors exactly one
+        // A K5: nothing hides or splits, so the engine colors exactly one
         // piece and its counters surface unchanged.
         let mut problem = ComponentProblem::new(5, 4, 0.1);
         for i in 0..5 {
@@ -1053,7 +1004,7 @@ mod tests {
         assert!(stats.hit_time_limit);
         // A K5 is at the simplification fixed point already: nothing hides
         // (every degree is 4 ≥ K) and a clique has no bridges, so the
-        // one-shot path ran and the simplify counters stay zero.
+        // simplification is trivial and its counters stay zero.
         assert_eq!(stats.hidden_vertices, 0);
         assert_eq!(stats.kernel_vertices, 0);
         assert_eq!(stats.simplify_rounds, 0);
@@ -1175,7 +1126,7 @@ mod tests {
     #[test]
     fn simplified_path_matches_unsimplified_quality() {
         // K5 with pendant paths: simplification hides the fringe and colors
-        // only the K5; the result must match the legacy path's conflict
+        // only the K5; the result must match the hide-only run's conflict
         // count (the K5's forced single conflict) with zero fringe damage.
         let mut problem = ComponentProblem::new(9, 4, 0.1);
         for i in 0..5 {
@@ -1195,13 +1146,17 @@ mod tests {
         );
         let assigner = assigner_for(ColorAlgorithm::Ilp, on.config());
         let (colors_on, stats_on) = on.color_problem(&problem, assigner.as_ref(), None);
-        let (colors_off, _) = off.color_problem(&problem, assigner.as_ref(), None);
+        let (colors_off, stats_off) = off.color_problem(&problem, assigner.as_ref(), None);
         let (conflicts_on, _, _) = problem.evaluate(&colors_on);
         let (conflicts_off, _, _) = problem.evaluate(&colors_off);
         assert_eq!(conflicts_on, 1);
         assert_eq!(conflicts_off, 1);
         assert_eq!(stats_on.hidden_vertices, 4);
         assert_eq!(stats_on.kernel_vertices, 5);
+        // The hide-only pass reports the same hide in its one round.
+        assert_eq!(stats_off.hidden_vertices, 4);
+        assert_eq!(stats_off.kernel_vertices, 5);
+        assert_eq!(stats_off.simplify_rounds, 1);
     }
 
     #[test]
@@ -1229,8 +1184,8 @@ mod tests {
                 }
             }
         }
-        // Disable peeling (every K4 vertex has conflict degree 3 < K and
-        // would peel away) so the biconnected reconciliation path runs.
+        // Disable low-degree removal (every K4 vertex has conflict degree
+        // 3 < K and would hide) so the biconnected reconciliation path runs.
         let division = DivisionConfig {
             independent_components: true,
             low_degree_removal: false,

@@ -3,9 +3,11 @@
 //! Division shrinks the instances handed to the color-assignment engines
 //! without changing the achievable cost:
 //!
-//! * [`peel_low_degree`] — iteratively removes vertices with conflict degree
-//!   < K and stitch degree < 2; they are re-colored last, when a
-//!   conflict-free color always exists.
+//! * low-degree removal — vertices with conflict degree < K and stitch
+//!   degree < 2 are removed to a fixed point and re-colored last, when a
+//!   conflict-free color always exists.  The decomposer removes them
+//!   through [`mpl_graph::simplify`], iterated with bridge cuts by default;
+//!   [`peel_low_degree`] is its hide-only pass.
 //! * [`biconnected_blocks`] — splits a component at its articulation
 //!   points; blocks are colored independently and reconciled with a color
 //!   permutation (free: permutations preserve both conflict and stitch
@@ -18,7 +20,7 @@
 //!   that avoids every cross-piece conflict always exists).
 
 use crate::ComponentProblem;
-use mpl_graph::{threshold_components_with, Biconnectivity, MaxFlow, ThresholdScratch};
+use mpl_graph::{threshold_components_with, Biconnectivity, MaxFlow, SimplifyOp, ThresholdScratch};
 use std::cell::RefCell;
 
 /// The result of the iterative low-degree removal.
@@ -46,10 +48,6 @@ pub struct DivisionScratch {
     union_edges: Vec<(usize, usize)>,
     /// Problem-vertex → induced-vertex map (usize::MAX = absent).
     local: Vec<usize>,
-    conflict_degree: Vec<usize>,
-    stitch_degree: Vec<usize>,
-    removed: Vec<bool>,
-    worklist: Vec<usize>,
     merged: Vec<bool>,
     conflict_rotation: Vec<usize>,
     stitch_match: Vec<usize>,
@@ -106,62 +104,27 @@ fn grow<T: Clone>(vec: &mut Vec<T>, n: usize, fill: T, allocs: &mut u64) {
 
 /// Iteratively removes non-critical vertices (conflict degree < K and stitch
 /// degree < 2), mirroring lines 1–4 of Algorithm 2 and the division rule of
-/// Section 4.
+/// Section 4: the `Hide` ops and kernel of [`mpl_graph::simplify`] with its
+/// cut pass off.
 pub fn peel_low_degree(problem: &ComponentProblem) -> Peeling {
-    peel_low_degree_with(problem, &mut DivisionScratch::default())
-}
-
-/// [`peel_low_degree`] with caller-provided scratch buffers.
-pub(crate) fn peel_low_degree_with(
-    problem: &ComponentProblem,
-    scratch: &mut DivisionScratch,
-) -> Peeling {
-    let n = problem.vertex_count();
-    let k = problem.k();
-    let conflict_adj = problem.conflict_adjacency();
-    let stitch_adj = problem.stitch_adjacency();
-    grow(
-        &mut scratch.conflict_degree,
-        n,
-        0,
-        &mut scratch.alloc_events,
+    let simplification = mpl_graph::simplify(
+        problem.vertex_count(),
+        problem.conflict_edges(),
+        problem.stitch_edges(),
+        problem.k(),
+        true,
+        false,
     );
-    grow(&mut scratch.stitch_degree, n, 0, &mut scratch.alloc_events);
-    grow(&mut scratch.removed, n, false, &mut scratch.alloc_events);
-    scratch.worklist.clear();
-    for v in 0..n {
-        scratch.conflict_degree[v] = conflict_adj.degree(v);
-        scratch.stitch_degree[v] = stitch_adj.degree(v);
-        if scratch.conflict_degree[v] < k && scratch.stitch_degree[v] < 2 {
-            scratch.worklist.push(v);
-        }
-    }
-    let mut stack = Vec::new();
-    while let Some(v) = scratch.worklist.pop() {
-        if scratch.removed[v] || scratch.conflict_degree[v] >= k || scratch.stitch_degree[v] >= 2 {
-            continue;
-        }
-        scratch.removed[v] = true;
-        stack.push(v);
-        for &u in conflict_adj.neighbors(v) {
-            if !scratch.removed[u] {
-                scratch.conflict_degree[u] -= 1;
-                if scratch.conflict_degree[u] < k && scratch.stitch_degree[u] < 2 {
-                    scratch.worklist.push(u);
-                }
-            }
-        }
-        for &u in stitch_adj.neighbors(v) {
-            if !scratch.removed[u] {
-                scratch.stitch_degree[u] -= 1;
-                if scratch.conflict_degree[u] < k && scratch.stitch_degree[u] < 2 {
-                    scratch.worklist.push(u);
-                }
-            }
-        }
-    }
+    let stack = simplification
+        .ops
+        .into_iter()
+        .map(|op| match op {
+            SimplifyOp::Hide(v) => v,
+            SimplifyOp::Cut { .. } => unreachable!("the cut pass is off"),
+        })
+        .collect();
     Peeling {
-        kernel: (0..n).filter(|&v| !scratch.removed[v]).collect(),
+        kernel: simplification.kernel,
         stack,
     }
 }

@@ -81,8 +81,9 @@ pub struct ComponentStats {
     pub cost: f64,
     /// Wall-clock time spent coloring the component.
     pub time: Duration,
-    /// Wall-clock time of `time` spent inside graph division (peeling,
-    /// biconnectivity splitting, (K−1)-cut partition, rotation merging).
+    /// Wall-clock time of `time` spent inside graph division
+    /// (simplification, biconnectivity splitting, (K−1)-cut partition,
+    /// rotation merging).
     pub division_time: Duration,
     /// Branch-and-bound nodes expanded by the exact engine on this
     /// component (0 for the heuristic engines).
@@ -102,14 +103,16 @@ pub struct ComponentStats {
     /// Scratch-buffer growth events while coloring (≈ heap allocations on
     /// the hot path; 0 once a worker's buffers are warm).
     pub scratch_allocs: u64,
-    /// Vertices hidden by iterated simplification (0 when the component was
-    /// already at the fixed point and took the one-shot division path).
+    /// Vertices hidden by graph simplification.  Like the other two
+    /// simplify counters it is 0 when simplification hid and cut nothing;
+    /// with [`iterated_simplify`](crate::DivisionConfig::iterated_simplify)
+    /// off it counts the one hide-only pass.
     pub hidden_vertices: usize,
     /// Vertices left in the simplification kernel handed to the engine (0
-    /// when simplification did not run or hid everything).
+    /// when simplification hid and cut nothing, or hid everything).
     pub kernel_vertices: usize,
-    /// Iterated-simplification rounds that made progress before the fixed
-    /// point.
+    /// Simplification rounds that made progress before the fixed point (at
+    /// most 1 for the hide-only pass).
     pub simplify_rounds: usize,
     /// Clique-expansion steps that strengthened the exact engine's lower
     /// bound past the vertex-disjoint clique cover (0 for the heuristic

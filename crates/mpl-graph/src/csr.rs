@@ -1,8 +1,8 @@
 //! Flat compressed-sparse-row (CSR) adjacency.
 //!
 //! The decomposition hot path builds an adjacency view of a small graph for
-//! *every* component it colors — once per peel, once per biconnectivity
-//! split, once per (K−1)-cut division.  Materialising a `Vec<Vec<usize>>`
+//! *every* component it colors — once per simplification, once per
+//! biconnectivity split, once per (K−1)-cut division.  Materialising a `Vec<Vec<usize>>`
 //! for each of those views costs one heap allocation per vertex; a CSR view
 //! is two flat arrays (`offsets`, `targets`) that can be rebuilt in place,
 //! so a long batch re-uses the same two buffers for every component.

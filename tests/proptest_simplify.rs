@@ -1,17 +1,18 @@
 //! Property-based tests of the iterated simplification pipeline
-//! (simplify → kernel-color → reinsert), checked against the one-shot
-//! division path on random layouts:
+//! (simplify → kernel-color → reinsert), checked against the hide-only
+//! path (`iterated_simplify` off: hide to a fixed point once, cut no
+//! bridge) on random layouts:
 //!
 //! 1. **Spacing consistency** — the simplified coloring answers to the
 //!    same geometric checker as any other: every spacing violation is a
 //!    counted conflict, and greedy reinsertion never hides one.
 //! 2. **No palette waste** — the simplified path never uses more distinct
-//!    colors than the unsimplified path on the same layout, for every
+//!    colors than the hide-only path on the same layout, for every
 //!    engine and both executors.
 //! 3. **Trivial fixed point identity** — when simplification finds
 //!    nothing to hide and nothing to cut, the coloring is bit-identical
-//!    to the run with `iterated_simplify` disabled (the code falls
-//!    through to the very same one-shot path).
+//!    to the hide-only run (which hides nothing either, so both color the
+//!    whole component the same way).
 
 use mpl_core::{
     verify_spacing, ColorAlgorithm, Decomposer, DecomposerConfig, DecompositionResult,
@@ -101,7 +102,7 @@ proptest! {
             let executors: [&dyn Executor; 2] = [&SerialExecutor, &pool];
             for executor in executors {
                 let (simplified, violations) = outcome(&layout, algorithm, executor, true);
-                let (one_shot, _) = outcome(&layout, algorithm, executor, false);
+                let (hide_only, _) = outcome(&layout, algorithm, executor, false);
 
                 // Spacing-clean: reinsertion can never hide a violation
                 // from the geometric checker.
@@ -115,23 +116,23 @@ proptest! {
 
                 // The kernel pipeline never wastes palette: reinsertion
                 // always has a free color (< K constrained neighbours),
-                // so it cannot be forced past what the one-shot path used.
+                // so it cannot be forced past what the hide-only path used.
                 prop_assert!(
                     distinct_colors(simplified.colors())
-                        <= distinct_colors(one_shot.colors()),
-                    "algorithm {:?}: simplified run used {} distinct colors, one-shot used {}",
+                        <= distinct_colors(hide_only.colors()),
+                    "algorithm {:?}: simplified run used {} distinct colors, hide-only used {}",
                     algorithm,
                     distinct_colors(simplified.colors()),
-                    distinct_colors(one_shot.colors())
+                    distinct_colors(hide_only.colors())
                 );
 
                 // A trivial fixed point (nothing hidden, nothing cut —
-                // observable as zero simplify rounds) falls through to
-                // the identical one-shot path, bit for bit.
+                // observable as zero simplify rounds) colors exactly as
+                // the hide-only run, bit for bit.
                 if simplified.counters().simplify_rounds == 0 {
                     prop_assert_eq!(
                         simplified.colors(),
-                        one_shot.colors(),
+                        hide_only.colors(),
                         "algorithm {:?}: trivial simplification changed the coloring",
                         algorithm
                     );
