@@ -33,15 +33,25 @@ crate::json_record!(MemoStats {
 /// K and α are part of the signature proper; the technology only shapes
 /// graph construction (it is already encoded in the component's geometry
 /// and edges), and the stitch parameters only shape the graph too.
+///
+/// The division flags take one digit each, except that `biconnected_split`
+/// and `iterated_simplify` share one: the latter only gates bridge cuts,
+/// which run only under the former, so the digit is 0 (no split), 1 (split
+/// and bridge cuts) or 2 (split alone).  Four digits keep every
+/// fingerprint, and so the cache's byte charge per entry, one length.
 pub(crate) fn config_fingerprint(config: &DecomposerConfig) -> String {
     let division = &config.division;
+    let split = match (division.biconnected_split, division.iterated_simplify) {
+        (false, _) => 0,
+        (true, true) => 1,
+        (true, false) => 2,
+    };
     format!(
-        "engine={};tth={:016x};div={}{}{}{};ilp_ns={}",
+        "engine={};tth={:016x};div={}{}{split}{};ilp_ns={}",
         config.algorithm.name(),
         config.sdp_merge_threshold.to_bits(),
         u8::from(division.independent_components),
         u8::from(division.low_degree_removal),
-        u8::from(division.biconnected_split),
         u8::from(division.ghtree_cut_removal),
         config.ilp_time_limit.as_nanos(),
     )
@@ -130,9 +140,14 @@ mod tests {
         let base = DecomposerConfig::quadruple(tech);
         let linear = base.clone().with_algorithm(ColorAlgorithm::Linear);
         let no_division = base.clone().with_division(DivisionConfig::none());
+        let hide_only = base.clone().with_division(DivisionConfig {
+            iterated_simplify: false,
+            ..DivisionConfig::default()
+        });
         let fp = config_fingerprint(&base);
         assert_ne!(fp, config_fingerprint(&linear));
         assert_ne!(fp, config_fingerprint(&no_division));
+        assert_ne!(fp, config_fingerprint(&hide_only));
         assert_eq!(fp, config_fingerprint(&base.clone()));
     }
 

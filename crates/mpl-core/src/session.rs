@@ -1399,6 +1399,54 @@ mod tests {
     }
 
     #[test]
+    fn a_shared_cache_keeps_each_simplify_setting_to_its_own_coloring() {
+        // Two K5 contact columns joined by one bridge: iterated
+        // simplification cuts the bridge and rotates a side, the hide-only
+        // setting colors the bridge as a block of its own, and the two
+        // colorings differ.
+        let mut builder = Layout::builder("bridged-k5s");
+        for y in [0i64, 24, 48, 72, 96, 176, 200, 224, 248, 272] {
+            builder.add_contact(
+                mpl_geometry::Nm(0),
+                mpl_geometry::Nm(y),
+                mpl_geometry::Nm(20),
+            );
+        }
+        let layout = builder.build();
+        let decomposers = [true, false].map(|iterated_simplify| {
+            Decomposer::new(
+                DecomposerConfig::quadruple(Technology::nm20())
+                    .with_algorithm(ColorAlgorithm::Linear)
+                    .with_division(crate::DivisionConfig {
+                        iterated_simplify,
+                        ..crate::DivisionConfig::default()
+                    }),
+            )
+        });
+        let run = |decomposer: &Decomposer, cache: &Arc<MemoCache>| {
+            let mut session = DecompositionSession::new().with_memo(Arc::clone(cache));
+            session
+                .submit_layout(decomposer, &layout)
+                .expect("valid config");
+            session.run(&SerialExecutor).remove(0).1
+        };
+        let cold: Vec<Vec<u8>> = decomposers
+            .iter()
+            .map(|decomposer| {
+                let cache = Arc::new(MemoCache::new(16));
+                run(decomposer, &cache).colors().to_vec()
+            })
+            .collect();
+        assert_ne!(cold[0], cold[1]);
+        let shared = Arc::new(MemoCache::new(16));
+        for (decomposer, expected) in decomposers.iter().zip(&cold) {
+            let result = run(decomposer, &shared);
+            assert_eq!(result.memo_hits(), Some(0));
+            assert_eq!(result.colors(), expected.as_slice());
+        }
+    }
+
+    #[test]
     fn translated_duplicate_layouts_are_stamped_from_in_batch_leads() {
         let decomposer = decomposer(ColorAlgorithm::Linear);
         let layout = row_layout("orig", 5);
