@@ -167,19 +167,6 @@ pub fn run_table_on(
     Ok(report)
 }
 
-/// Runs a full table serially: every circuit against every algorithm.
-///
-/// # Errors
-///
-/// Propagates the first cell's typed planning error, if any.
-pub fn run_table(
-    circuits: &[IscasCircuit],
-    algorithms: &[ColorAlgorithm],
-    k: usize,
-) -> Result<TableReport, DecomposeError> {
-    run_table_on(circuits, algorithms, k, &SerialExecutor)
-}
-
 /// Parses circuit names from command-line arguments; an empty argument list
 /// selects `default` circuits.
 pub fn circuits_from_args(args: &[String], default: &[IscasCircuit]) -> Vec<IscasCircuit> {

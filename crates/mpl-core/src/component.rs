@@ -154,18 +154,6 @@ impl ComponentProblem {
             .get_or_init(|| Csr::from_edges(self.vertex_count, &self.color_friendly_pairs))
     }
 
-    /// The conflict degree of every vertex.
-    pub fn conflict_degrees(&self) -> Vec<usize> {
-        let csr = self.conflict_adjacency();
-        (0..self.vertex_count).map(|v| csr.degree(v)).collect()
-    }
-
-    /// The stitch degree of every vertex.
-    pub fn stitch_degrees(&self) -> Vec<usize> {
-        let csr = self.stitch_adjacency();
-        (0..self.vertex_count).map(|v| csr.degree(v)).collect()
-    }
-
     /// Evaluates a coloring, returning `(conflicts, stitches, cost)` with
     /// `cost = conflicts + α · stitches` ([`mpl_ilp::evaluate_coloring`]).
     ///
@@ -298,13 +286,11 @@ mod tests {
     }
 
     #[test]
-    fn accessors_and_degrees() {
+    fn accessors() {
         let p = sample();
         assert_eq!(p.vertex_count(), 4);
         assert_eq!(p.k(), 4);
         assert_eq!(p.alpha(), 0.1);
-        assert_eq!(p.conflict_degrees(), vec![1, 2, 1, 0]);
-        assert_eq!(p.stitch_degrees(), vec![0, 0, 1, 1]);
         assert_eq!(p.color_friendly_pairs(), &[(0, 3)]);
     }
 

@@ -16,8 +16,8 @@
 //! final [`DecompositionResult`](crate::DecompositionResult).
 
 use crate::session::{execute_batch, LayoutId};
+use crate::Executor;
 use crate::{ComponentProblem, Decomposer, DecompositionGraph, DecompositionResult};
-use crate::{Executor, SerialExecutor};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
@@ -446,11 +446,6 @@ impl DecompositionPlan {
     /// the degenerate one-plan batch.
     pub fn execute(&self, executor: &dyn Executor) -> DecompositionResult {
         self.execute_observed(executor, &NoopObserver)
-    }
-
-    /// Executes every task on the serial executor (convenience).
-    pub fn execute_serial(&self) -> DecompositionResult {
-        self.execute(&SerialExecutor)
     }
 
     /// Executes every task through `executor`, reporting progress to
