@@ -5,10 +5,10 @@
 //!
 //! * **Layout cases** — full `plan` + `execute` runs on generated layouts
 //!   (a large standard-cell-row benchmark and untiled dense contact
-//!   lattices of sides 32 to 96), reporting graph-build and color wall
-//!   seconds alongside the work counters accumulated by the engines
-//!   (branch-and-bound nodes, division augmenting paths and max-flow arc
-//!   scans, scratch allocation events).
+//!   lattices of sides 32 to 96), reporting best-of-3 graph-build, color
+//!   and division wall seconds alongside the work counters accumulated by
+//!   the engines in the first run (branch-and-bound nodes, division
+//!   augmenting paths and max-flow arc scans, scratch allocation events).
 //! * **Branch-and-bound cases** — standalone [`mpl_ilp`] instances (dense
 //!   cliques, overlapping cliques, dense random graphs) whose explored
 //!   node counts measure the pruning strength of the exact search
@@ -20,10 +20,11 @@
 //!   re-read shape and rectangle counts, which the check pins.
 //! * **Memo cases** — an AREF-style repeated-cluster layout (one distinct
 //!   signature) and the large row benchmark (mostly distinct signatures),
-//!   each decomposed three times with the backtracking SDP engine: without
-//!   a memo cache, with a cold cache, and again with the now-warm cache
-//!   shared across sessions.  Reports the plan+color wall seconds of each
-//!   run plus the deterministic hit/miss counters and the number of
+//!   decomposed with the backtracking SDP engine: once without a memo
+//!   cache, then three times with a fresh cold cache followed by a second
+//!   session against the now-warm cache.  Reports the no-memo wall seconds
+//!   and the best cold and warm plan+color wall seconds, plus the
+//!   deterministic hit/miss counters of the first repeat and the number of
 //!   vertices whose warm coloring differs from the cold one (always zero).
 //! * **Kernel cases** — a two-K7-plus-fringe fixture whose conflict graph
 //!   is a hard exact core with a peelable low-degree chain attached,
@@ -512,8 +513,8 @@ fn layout_cases() -> Vec<(Layout, Vec<ColorAlgorithm>, Duration)> {
     )];
     // Untiled contact grids at 70 nm pitch: orthogonal *and* diagonal
     // neighbours conflict (degree-8 lattice), so a large kernel survives
-    // peeling and the (K−1)-cut division does real max-flow work on one big
-    // component.  The four sides chart how that work scales.
+    // simplification and the (K−1)-cut division does real max-flow work on
+    // one big component.  The four sides chart how that work scales.
     for (side, _) in LATTICES {
         cases.push((
             gen::contact_array(&tech, side, side, Nm(70)),
@@ -547,6 +548,15 @@ const MEMO_COLD_COUNTERS: [(&str, usize, usize); 2] =
 const GDS_PINS: [(&str, usize, usize, usize, usize); 1] =
     [("perf-large", 3_372_278, 52_690, 52_690, 3_478_710)];
 
+/// How many times each timed layout, memo and GDS step runs; the report
+/// keeps the fastest, so a `BENCH_perf.json` diff is not one run's noise.
+const REPEATS: usize = 3;
+
+/// The fastest of `times`.
+fn best(times: &[f64]) -> f64 {
+    times.iter().copied().fold(f64::INFINITY, f64::min)
+}
+
 /// The layout name of the untiled contact lattice with `side` contacts a
 /// side.
 fn lattice_name(side: usize) -> String {
@@ -567,7 +577,6 @@ fn run_gds_cases() -> Result<Vec<GdsPerfCase>, String> {
 }
 
 fn run_gds_case(layout: &Layout) -> Result<GdsPerfCase, String> {
-    const REPEATS: usize = 3;
     let file = |step: &str| {
         let mut path = std::env::temp_dir();
         path.push(format!(
@@ -583,8 +592,6 @@ fn run_gds_case(layout: &Layout) -> Result<GdsPerfCase, String> {
             .map(|meta| meta.len() as usize)
             .map_err(|error| format!("{path}: {error}"))
     };
-    let best = |times: &[f64]| times.iter().copied().fold(f64::INFINITY, f64::min);
-
     let mut write_times = Vec::new();
     for _ in 0..REPEATS {
         let start = Instant::now();
@@ -691,22 +698,30 @@ fn run_memo_cases() -> Result<Vec<MemoPerfCase>, String> {
         .collect()
 }
 
-/// Decomposes `layout` without a cache, with a cold cache, and again in a
-/// new session against the now-warm cache.
+/// Decomposes `layout` once without a cache, then [`REPEATS`] times with a
+/// fresh cold cache followed by a new session against the now-warm cache.
+/// The counters come from the first repeat, the seconds are the fastest.
 fn run_memo_case(layout: &Layout, algorithm: ColorAlgorithm) -> Result<MemoPerfCase, String> {
     let (no_memo_seconds, _) = timed_session_run(layout, algorithm, None)?;
-    let cache = Arc::new(MemoCache::new(MemoCache::DEFAULT_CAPACITY));
-    let (cold_seconds, cold) = timed_session_run(layout, algorithm, Some(Arc::clone(&cache)))?;
-    // A new session against the same cache: everything the cold run
-    // learned is stamped back, nothing is re-colored.
-    let (warm_seconds, warm) = timed_session_run(layout, algorithm, Some(Arc::clone(&cache)))?;
+    let (mut cold_times, mut warm_times) = (Vec::new(), Vec::new());
+    let mut first = None;
+    for _ in 0..REPEATS {
+        let cache = Arc::new(MemoCache::new(MemoCache::DEFAULT_CAPACITY));
+        let (cold_seconds, cold) = timed_session_run(layout, algorithm, Some(Arc::clone(&cache)))?;
+        // A new session against the same cache: everything the cold run
+        // learned is stamped back, nothing is re-colored.
+        let (warm_seconds, warm) = timed_session_run(layout, algorithm, Some(Arc::clone(&cache)))?;
+        cold_times.push(cold_seconds);
+        warm_times.push(warm_seconds);
+        first.get_or_insert((cold, warm, cache.stats()));
+    }
+    let (cold, warm, stats) = first.expect("at least one repeat");
     let coloring_diffs = cold
         .colors()
         .iter()
         .zip(warm.colors())
         .filter(|(a, b)| a != b)
         .count();
-    let stats = cache.stats();
     let case = MemoPerfCase {
         name: layout.name().to_string(),
         algorithm: warm.algorithm().to_string(),
@@ -715,8 +730,8 @@ fn run_memo_case(layout: &Layout, algorithm: ColorAlgorithm) -> Result<MemoPerfC
         vertices: warm.vertex_count(),
         components: warm.component_count(),
         no_memo_seconds,
-        cold_seconds,
-        warm_seconds,
+        cold_seconds: best(&cold_times),
+        warm_seconds: best(&warm_times),
         cold_hits: cold.memo_hits().unwrap_or(0),
         cold_misses: cold.memo_misses().unwrap_or(0),
         warm_hits: warm.memo_hits().unwrap_or(0),
@@ -1075,16 +1090,28 @@ pub fn run_perf_suite(options: &PerfOptions) -> Result<PerfReport, String> {
                 .with_algorithm(algorithm)
                 .with_ilp_time_limit(ilp_limit);
             let decomposer = Decomposer::new(config);
-            let plan_start = Instant::now();
-            let plan = decomposer
-                .plan(&layout)
-                .map_err(|error| format!("{}: {error}", layout.name()))?;
-            let plan_seconds = plan_start.elapsed().as_secs_f64();
-            let color_start = Instant::now();
-            let result = plan.execute(&SerialExecutor);
-            let color_seconds = color_start.elapsed().as_secs_f64();
+            let (mut plan_times, mut color_times) = (Vec::new(), Vec::new());
+            let mut division_times = Vec::new();
+            let mut first = None;
+            for _ in 0..REPEATS {
+                let plan_start = Instant::now();
+                let plan = decomposer
+                    .plan(&layout)
+                    .map_err(|error| format!("{}: {error}", layout.name()))?;
+                plan_times.push(plan_start.elapsed().as_secs_f64());
+                let color_start = Instant::now();
+                let result = plan.execute(&SerialExecutor);
+                color_times.push(color_start.elapsed().as_secs_f64());
+                let stats = result.component_stats();
+                division_times.push(stats.iter().map(|s| s.division_time.as_secs_f64()).sum());
+                // Later repeats find this thread's division scratch warm,
+                // so the counters are the first run's.
+                first.get_or_insert(result);
+            }
+            let result = first.expect("at least one repeat");
+            let (plan_seconds, color_seconds) = (best(&plan_times), best(&color_times));
+            let division_seconds = best(&division_times);
             let stats = result.component_stats();
-            let division_seconds: f64 = stats.iter().map(|s| s.division_time.as_secs_f64()).sum();
             let bnb_nodes: u64 = stats.iter().map(|s| s.bnb_nodes).sum();
             let augmenting_paths: u64 = stats.iter().map(|s| s.augmenting_paths).sum();
             let augmenting_path_bound: u64 = stats.iter().map(|s| s.augmenting_path_bound).sum();
