@@ -70,8 +70,6 @@ impl std::fmt::Display for ColorAlgorithm {
 /// setup; individual techniques can be disabled for the ablation benches.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DivisionConfig {
-    /// Independent (connected) component computation.
-    pub independent_components: bool,
     /// Iterative removal of vertices with conflict degree < K and stitch
     /// degree < 2.
     pub low_degree_removal: bool,
@@ -95,7 +93,6 @@ pub struct DivisionConfig {
 impl Default for DivisionConfig {
     fn default() -> Self {
         DivisionConfig {
-            independent_components: true,
             low_degree_removal: true,
             biconnected_split: true,
             ghtree_cut_removal: true,
@@ -109,7 +106,6 @@ impl DivisionConfig {
     /// whole connected component).
     pub fn none() -> Self {
         DivisionConfig {
-            independent_components: true,
             low_degree_removal: false,
             biconnected_split: false,
             ghtree_cut_removal: false,

@@ -346,7 +346,7 @@ impl Decomposer {
             self.config.k,
             &self.config.stitch,
         );
-        let components = self.graph_components(&graph);
+        let components = graph.independent_components();
         let tasks = component_problems(&graph, components, &self.config)
             .into_iter()
             .enumerate()
@@ -370,19 +370,6 @@ impl Decomposer {
     /// Propagates the planning errors of [`Decomposer::plan`].
     pub fn decompose(&self, layout: &Layout) -> Result<DecompositionResult, DecomposeError> {
         Ok(self.plan(layout)?.execute(&SerialExecutor))
-    }
-
-    /// The component partition [`Decomposer::plan`] colors: independent
-    /// components, or the whole graph as one component when that division
-    /// technique is disabled (the ablation knob).
-    fn graph_components(&self, graph: &DecompositionGraph) -> Vec<Vec<usize>> {
-        if self.config.division.independent_components {
-            graph.independent_components()
-        } else if graph.vertex_count() == 0 {
-            Vec::new()
-        } else {
-            vec![(0..graph.vertex_count()).collect()]
-        }
     }
 
     /// Colors a [`ComponentProblem`] with division applied, returning local
@@ -1187,7 +1174,6 @@ mod tests {
         // Disable low-degree removal (every K4 vertex has conflict degree
         // 3 < K and would hide) so the biconnected reconciliation path runs.
         let division = DivisionConfig {
-            independent_components: true,
             low_degree_removal: false,
             biconnected_split: true,
             ghtree_cut_removal: false,
@@ -1330,7 +1316,6 @@ mod tests {
         let mut digests = [0u64; 16];
         for (setting, digest) in digests.iter_mut().enumerate() {
             let division = DivisionConfig {
-                independent_components: true,
                 low_degree_removal: setting & 8 != 0,
                 biconnected_split: setting & 4 != 0,
                 ghtree_cut_removal: setting & 2 != 0,

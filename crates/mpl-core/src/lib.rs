@@ -54,19 +54,18 @@
 //!    Components share no edges, so every executor and every batching
 //!    produces bit-identical colors per layout (provided no engine
 //!    wall-clock cut-off fires mid-component; see
-//!    [`DecompositionPlan::execute_observed`]).
+//!    [`DecompositionPlan::execute`]).
 //!
 //! [`DecompositionPlan::execute`] is the one-plan session (same engine,
 //! layout id `0`), and [`Decomposer::decompose`] remains as the one-call
-//! serial convenience wrapper.  Progress can be traced with a
-//! [`DecompositionObserver`]: batch started/finished bracketing plus
-//! per-layout and per-component callbacks, each tagged with the
-//! [`LayoutId`] it belongs to.
+//! serial convenience wrapper.  Progress is one [`Progress`] tick, "`done`
+//! of `total` units of this [`LayoutId`] are finished", delivered in order
+//! per layout as each component finishes.
 //!
 //! Tiled (`mpl-tile`) and hierarchical (`mpl-hier`) runs cut components
 //! into pieces and hand them to the one driver in [`partition`], which
-//! colors every piece through an inner session and re-joins them with
-//! color permutations.
+//! colors every piece through an inner session, ticks [`Progress`] as each
+//! piece finishes, and re-joins them with color permutations.
 //!
 //! # Reports and JSON
 //!
@@ -152,10 +151,7 @@ pub use executor::{BatchWork, Executor, SerialExecutor, ThreadPoolExecutor};
 pub use json::{FieldError, Json, JsonParseError, JsonRecord};
 pub use memo::component_signatures;
 pub use mpl_memo::{MemoCache, MemoStats, Signature};
-pub use pipeline::{
-    ComponentOutcome, ComponentStats, ComponentTask, DecompositionObserver, DecompositionPlan,
-    NoopObserver, ProgressObserver, ProgressSink,
-};
+pub use pipeline::{ComponentOutcome, ComponentStats, ComponentTask, DecompositionPlan, Progress};
 pub use report::{ResultRow, TableReport};
 pub use session::{BatchTask, DecompositionSession, LayoutId};
 pub use stitch::StitchConfig;

@@ -37,8 +37,9 @@ crate::json_record!(MemoStats {
 /// The division flags take one digit each, except that `biconnected_split`
 /// and `iterated_simplify` share one: the latter only gates bridge cuts,
 /// which run only under the former, so the digit is 0 (no split), 1 (split
-/// and bridge cuts) or 2 (split alone).  Four digits keep every
-/// fingerprint, and so the cache's byte charge per entry, one length.
+/// and bridge cuts) or 2 (split alone).  The first digit is a fixed `1`
+/// that keeps the fingerprint, and so the cache's byte charge per entry
+/// (`memo_cache.bytes`), at its four-digit length.
 pub(crate) fn config_fingerprint(config: &DecomposerConfig) -> String {
     let division = &config.division;
     let split = match (division.biconnected_split, division.iterated_simplify) {
@@ -47,10 +48,9 @@ pub(crate) fn config_fingerprint(config: &DecomposerConfig) -> String {
         (true, false) => 2,
     };
     format!(
-        "engine={};tth={:016x};div={}{}{split}{};ilp_ns={}",
+        "engine={};tth={:016x};div=1{}{split}{};ilp_ns={}",
         config.algorithm.name(),
         config.sdp_merge_threshold.to_bits(),
-        u8::from(division.independent_components),
         u8::from(division.low_degree_removal),
         u8::from(division.ghtree_cut_removal),
         config.ilp_time_limit.as_nanos(),

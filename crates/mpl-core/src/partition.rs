@@ -12,6 +12,8 @@
 //!    exactly as an unpartitioned run would) and every piece of its split
 //!    components become inner plans of one [`DecompositionSession`], under
 //!    the outer layout's cancel token, drained through one shared queue.
+//!    Each inner plan ticks the outer layout's [`Progress`] once, as its
+//!    last component finishes.
 //! 2. **Align.** Per split component, pieces are fixed in order: each
 //!    piece's coloring is rotated by the color permutation its alignment
 //!    picks, then its owned vertices are fixed.
@@ -28,11 +30,10 @@
 
 use crate::division::{best_color_permutation, permute_to_match_anchors};
 use crate::{
-    ComponentProblem, ComponentStats, Decomposer, DecompositionObserver, DecompositionPlan,
-    DecompositionResult, DecompositionSession, Executor, LayoutId, MemoCache,
+    ComponentProblem, ComponentStats, Decomposer, DecompositionPlan, DecompositionResult,
+    DecompositionSession, Executor, LayoutId, MemoCache, Progress,
 };
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 /// Upper bound on greedy repair sweeps over the seam vertices.  Each sweep
@@ -42,19 +43,6 @@ const MAX_REPAIR_SWEEPS: usize = 8;
 
 /// The owner of a vertex no piece has fixed yet.
 const UNOWNED: usize = usize::MAX;
-
-/// Streaming notifications of a partitioned run's progress.
-///
-/// `()` ignores every notification.
-pub trait PieceProgress: Sync {
-    /// A piece (or the layout's batch of resident components) finished:
-    /// `done` of `total` inner decompositions of `layout` are complete.
-    fn piece_done(&self, layout: LayoutId, done: usize, total: usize) {
-        let _ = (layout, done, total);
-    }
-}
-
-impl PieceProgress for () {}
 
 /// One piece of a split component.
 #[derive(Debug)]
@@ -116,9 +104,11 @@ pub struct ReconcileStats {
 /// (`partitions[i]` belongs to the `i`-th submitted plan), returning one
 /// merged result per layout in submission order.
 ///
-/// The inner session memoizes through `memo` when it is `Some`.  The
-/// merged conflict count is recomputed over each layout's full graph, so
-/// it always agrees with [`verify_spacing`](crate::verify_spacing).
+/// The inner session memoizes through `memo` when it is `Some`.  `progress`
+/// ticks once per inner decomposition (a piece, or the layout's batch of
+/// resident components) as it finishes, counted per layout.  The merged
+/// conflict count is recomputed over each layout's full graph, so it
+/// always agrees with [`verify_spacing`](crate::verify_spacing).
 ///
 /// # Panics
 ///
@@ -129,7 +119,7 @@ pub fn run_partitioned(
     partitions: &[Partition],
     alignment: Alignment,
     memo: Option<Arc<MemoCache>>,
-    progress: &dyn PieceProgress,
+    progress: &dyn Progress,
 ) -> Vec<(LayoutId, DecompositionResult, ReconcileStats)> {
     let plans: Vec<(LayoutId, &DecompositionPlan)> = session.plans().collect();
     assert_eq!(
@@ -178,16 +168,16 @@ pub fn run_partitioned(
         }
     }
 
-    let observer = PieceObserver {
+    let pieces = PieceTicks {
         progress,
         outer,
-        done: totals.iter().map(|_| AtomicUsize::new(0)).collect(),
+        finished: totals.iter().map(|_| Mutex::new(0)).collect(),
         totals,
     };
     // Inner results come back in submission order, which the loop below
     // consumes in the same layout → resident → split → piece order.
     let mut inner_results = inner
-        .run_observed(executor, &observer)
+        .run_observed(executor, &pieces)
         .into_iter()
         .map(|(_, result)| result);
     let mut next_inner = || inner_results.next().expect("one result per inner plan");
@@ -255,21 +245,30 @@ pub fn run_partitioned(
     results
 }
 
-/// Maps inner plan completions to per-layout progress ticks.
-struct PieceObserver<'a> {
-    progress: &'a dyn PieceProgress,
+/// Turns each inner plan's last component tick into one tick of its outer
+/// layout.
+struct PieceTicks<'a> {
+    progress: &'a dyn Progress,
     /// Inner layout index → (outer id, outer slot).
     outer: Vec<(LayoutId, usize)>,
+    /// Inner plans finished per outer slot, locked across the outer tick so
+    /// each layout's ticks arrive in order.
+    finished: Vec<Mutex<usize>>,
     /// Inner plans per outer slot.
     totals: Vec<usize>,
-    done: Vec<AtomicUsize>,
 }
 
-impl DecompositionObserver for PieceObserver<'_> {
-    fn execution_finished(&self, inner: LayoutId, _result: &DecompositionResult) {
+impl Progress for PieceTicks<'_> {
+    fn done(&self, inner: LayoutId, done: usize, total: usize) {
+        if done < total {
+            return;
+        }
         let (outer, slot) = self.outer[inner.index()];
-        let done = self.done[slot].fetch_add(1, Ordering::Relaxed) + 1;
-        self.progress.piece_done(outer, done, self.totals[slot]);
+        let mut finished = self.finished[slot]
+            .lock()
+            .expect("no panics while counting pieces");
+        *finished += 1;
+        self.progress.done(outer, *finished, self.totals[slot]);
     }
 }
 

@@ -11,15 +11,15 @@
 //! crosses them), tasks can run in any order — or in parallel, interleaved
 //! with another layout's tasks — without changing the result.
 //!
-//! Progress can be traced with a [`DecompositionObserver`]; per-component
-//! conflict/stitch/time breakdowns are reported as [`ComponentStats`] on the
-//! final [`DecompositionResult`](crate::DecompositionResult).
+//! Finished components are counted per layout through [`Progress`];
+//! per-component conflict/stitch/time breakdowns are reported as
+//! [`ComponentStats`] on the final
+//! [`DecompositionResult`](crate::DecompositionResult).
 
 use crate::session::{execute_batch, LayoutId};
 use crate::Executor;
 use crate::{ComponentProblem, Decomposer, DecompositionGraph, DecompositionResult};
-use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Duration;
 
 /// One independent component of the decomposition graph, packaged as a
@@ -170,166 +170,26 @@ pub struct ComponentOutcome {
     pub stats: ComponentStats,
 }
 
-/// Progress callbacks fired while a batch executes.
+/// Progress of a running decomposition: `done` of `total` units of `layout`
+/// are finished.
 ///
-/// Every callback carries the [`LayoutId`] of the layout the event belongs
-/// to, so one observer can demultiplex an interleaved cross-layout batch;
-/// the batch-level hooks bracket the whole run.  A single plan's
-/// [`execute`](DecompositionPlan::execute) is the degenerate one-layout
-/// batch (id `0`) and fires the same sequence.
+/// A session run ([`DecompositionSession::run_observed`](crate::DecompositionSession::run_observed))
+/// ticks once per component task; the [`partition`](crate::partition)
+/// driver ticks once per inner decomposition (a piece, or a layout's batch
+/// of resident components) as each one finishes.  Per layout, `done` runs
+/// 1, 2, …, `total` in order on every executor: the batch engine counts
+/// and calls under the layout's own lock.  A layout with no units never
+/// ticks.
 ///
-/// Parallel executors invoke the component callbacks from worker threads,
-/// so implementations must be `Sync`; use atomics or locks for mutable
-/// state.  All methods have empty default bodies — implement only what you
-/// need.
-pub trait DecompositionObserver: Sync {
-    /// A batch of `layouts` layouts totalling `tasks` component tasks is
-    /// about to execute.
-    fn batch_started(&self, layouts: usize, tasks: usize) {
-        let _ = (layouts, tasks);
-    }
-
-    /// Execution is about to start on `plan` (fired once per layout, in
-    /// submission order, before any component runs).
-    fn execution_started(&self, layout: LayoutId, plan: &DecompositionPlan) {
-        let _ = (layout, plan);
-    }
-
-    /// A component task of `layout` was picked up by a worker.
-    fn component_started(&self, layout: LayoutId, task: &ComponentTask) {
-        let _ = (layout, task);
-    }
-
-    /// A component task of `layout` finished with the given statistics.
-    fn component_finished(&self, layout: LayoutId, task: &ComponentTask, stats: &ComponentStats) {
-        let _ = (layout, task, stats);
-    }
-
-    /// Every task of `layout` finished; `result` is its assembled
-    /// decomposition.
-    fn execution_finished(&self, layout: LayoutId, result: &DecompositionResult) {
-        let _ = (layout, result);
-    }
-
-    /// Every layout of the batch finished; `results` is what the run
-    /// returns, in submission order.
-    fn batch_finished(&self, results: &[(LayoutId, DecompositionResult)]) {
-        let _ = results;
-    }
+/// Parallel executors call it from worker threads, so implementations must
+/// be `Sync`.  `()` ignores every tick.
+pub trait Progress: Sync {
+    /// `done` of `total` units of `layout` are finished.
+    fn done(&self, layout: LayoutId, done: usize, total: usize);
 }
 
-/// An observer that ignores every event (the default for
-/// [`DecompositionPlan::execute`] and
-/// [`DecompositionSession::run`](crate::DecompositionSession::run)).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NoopObserver;
-
-impl DecompositionObserver for NoopObserver {}
-
-/// A per-layout progress consumer for streaming front ends.
-///
-/// [`DecompositionObserver`] reports raw events; a service that streams
-/// progress *per layout* (a queue position, `done`/`total` counters, the
-/// final result) would have to re-derive the counters itself — and every
-/// front end would redo the same bookkeeping.  Implement this trait instead
-/// and wrap it in a [`ProgressObserver`]: the adapter tracks each layout's
-/// completed-component count and calls the sink with ready-to-forward
-/// numbers.
-///
-/// Like observers, sinks are called from executor worker threads and must
-/// be `Sync`.
-pub trait ProgressSink: Sync {
-    /// `layout` entered execution; its plan has `total` component tasks.
-    fn layout_started(&self, layout: LayoutId, total: usize) {
-        let _ = (layout, total);
-    }
-
-    /// A component of `layout` finished; `done` of `total` are complete.
-    ///
-    /// `done` is strictly increasing per layout (1, 2, …, `total`), even
-    /// when components finish concurrently on a pool executor.
-    fn component_done(&self, layout: LayoutId, done: usize, total: usize) {
-        let _ = (layout, done, total);
-    }
-
-    /// Every component of `layout` finished and its result is assembled.
-    fn layout_finished(&self, layout: LayoutId, result: &DecompositionResult) {
-        let _ = (layout, result);
-    }
-}
-
-impl<S: ProgressSink + ?Sized> ProgressSink for &S {
-    fn layout_started(&self, layout: LayoutId, total: usize) {
-        (**self).layout_started(layout, total);
-    }
-
-    fn component_done(&self, layout: LayoutId, done: usize, total: usize) {
-        (**self).component_done(layout, done, total);
-    }
-
-    fn layout_finished(&self, layout: LayoutId, result: &DecompositionResult) {
-        (**self).layout_finished(layout, result);
-    }
-}
-
-/// Adapts a [`ProgressSink`] to the [`DecompositionObserver`] interface,
-/// maintaining the per-layout `done`/`total` counters.
-///
-/// The counter update and the sink call happen under one lock per layout
-/// batch, so `done` values reach the sink in order even when a pool
-/// executor finishes components concurrently.
-pub struct ProgressObserver<S> {
-    sink: S,
-    counts: Mutex<HashMap<LayoutId, (usize, usize)>>,
-}
-
-impl<S: ProgressSink> ProgressObserver<S> {
-    /// Wraps `sink` (pass `&sink` to keep ownership).
-    pub fn new(sink: S) -> Self {
-        ProgressObserver {
-            sink,
-            counts: Mutex::new(HashMap::new()),
-        }
-    }
-
-    /// The wrapped sink.
-    pub fn sink(&self) -> &S {
-        &self.sink
-    }
-}
-
-impl<S: ProgressSink> DecompositionObserver for ProgressObserver<S> {
-    fn execution_started(&self, layout: LayoutId, plan: &DecompositionPlan) {
-        let total = plan.tasks().len();
-        self.counts
-            .lock()
-            .expect("no panics while counting progress")
-            .insert(layout, (0, total));
-        self.sink.layout_started(layout, total);
-    }
-
-    fn component_finished(&self, layout: LayoutId, _task: &ComponentTask, _stats: &ComponentStats) {
-        // Hold the lock across the sink call so two workers finishing
-        // components of the same layout cannot deliver `done` out of order.
-        let mut counts = self
-            .counts
-            .lock()
-            .expect("no panics while counting progress");
-        let entry = counts
-            .get_mut(&layout)
-            .expect("component_finished after execution_started");
-        entry.0 += 1;
-        let (done, total) = *entry;
-        self.sink.component_done(layout, done, total);
-    }
-
-    fn execution_finished(&self, layout: LayoutId, result: &DecompositionResult) {
-        self.counts
-            .lock()
-            .expect("no panics while counting progress")
-            .remove(&layout);
-        self.sink.layout_finished(layout, result);
-    }
+impl Progress for () {
+    fn done(&self, _layout: LayoutId, _done: usize, _total: usize) {}
 }
 
 /// A planned decomposition: the decomposition graph plus one
@@ -443,18 +303,8 @@ impl DecompositionPlan {
     }
 
     /// Executes every task through `executor` and assembles the result —
-    /// the degenerate one-plan batch.
-    pub fn execute(&self, executor: &dyn Executor) -> DecompositionResult {
-        self.execute_observed(executor, &NoopObserver)
-    }
-
-    /// Executes every task through `executor`, reporting progress to
-    /// `observer`.
-    ///
-    /// This is a one-plan batch through the same engine that drives
-    /// [`DecompositionSession::run_observed`](crate::DecompositionSession::run_observed);
-    /// the plan's tasks are tagged with [`LayoutId`] `0` and observers see
-    /// the full batch event sequence.
+    /// the degenerate one-plan batch (layout id `0`) through the same engine
+    /// that drives [`DecompositionSession::run`](crate::DecompositionSession::run).
     ///
     /// The coloring work itself is a function of each task alone, so the
     /// assembled colors are identical for every executor (and for every
@@ -466,13 +316,9 @@ impl DecompositionPlan {
     /// deadline fires, so on components large enough to hit a deadline the
     /// result can depend on machine load.  Raise the limits when exact
     /// reproducibility across executors matters.
-    pub fn execute_observed(
-        &self,
-        executor: &dyn Executor,
-        observer: &dyn DecompositionObserver,
-    ) -> DecompositionResult {
+    pub fn execute(&self, executor: &dyn Executor) -> DecompositionResult {
         let entries = [(LayoutId::new(0), self)];
-        let mut results = execute_batch(&entries, executor, observer, None, None);
+        let mut results = execute_batch(&entries, executor, &(), None, None);
         results
             .pop()
             .expect("a one-plan batch produces exactly one result")

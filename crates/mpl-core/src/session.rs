@@ -18,8 +18,7 @@
 use crate::assign::assigner_for;
 use crate::memo::{canonical_problem, canonicalize_task, config_fingerprint};
 use crate::pipeline::{
-    ComponentOutcome, ComponentStats, ComponentTask, DecompositionObserver, DecompositionPlan,
-    NoopObserver,
+    ComponentOutcome, ComponentStats, ComponentTask, DecompositionPlan, Progress,
 };
 use crate::{
     coloring_cost, ComponentProblem, DecomposeError, Decomposer, DecompositionResult, Executor,
@@ -36,7 +35,7 @@ use std::time::{Duration, Instant};
 /// Identifies one layout within a [`DecompositionSession`] batch.
 ///
 /// Ids are assigned by [`DecompositionSession::submit`] in submission order
-/// (`0, 1, 2, …`) and tag every [`BatchTask`], observer callback and result
+/// (`0, 1, 2, …`) and tag every [`BatchTask`], [`Progress`] tick and result
 /// of the batch, so cross-layout consumers can tell whose component just
 /// finished.  A plan executed on its own ([`DecompositionPlan::execute`])
 /// is the degenerate batch and uses id `0`.
@@ -432,24 +431,24 @@ impl DecompositionSession {
     ///
     /// Every layout's colors/conflicts/stitches are bit-identical to that
     /// layout's standalone [`SerialExecutor`](crate::SerialExecutor) run
-    /// (see [`DecompositionPlan::execute_observed`] for the wall-clock
-    /// cut-off caveat shared by all schedules).
+    /// (see [`DecompositionPlan::execute`] for the wall-clock cut-off
+    /// caveat shared by all schedules).
     pub fn run(&self, executor: &dyn Executor) -> Vec<(LayoutId, DecompositionResult)> {
-        self.run_observed(executor, &NoopObserver)
+        self.run_observed(executor, &())
     }
 
-    /// Executes the whole batch through `executor`, reporting batch,
-    /// per-layout and per-component progress to `observer`.
+    /// Executes the whole batch through `executor`, ticking `progress` once
+    /// per finished component of each layout.
     pub fn run_observed(
         &self,
         executor: &dyn Executor,
-        observer: &dyn DecompositionObserver,
+        progress: &dyn Progress,
     ) -> Vec<(LayoutId, DecompositionResult)> {
         let entries: Vec<(LayoutId, &DecompositionPlan)> = self.plans().collect();
         execute_batch(
             &entries,
             executor,
-            observer,
+            progress,
             self.memo.as_deref(),
             Some(&self.cancels),
         )
@@ -509,7 +508,7 @@ fn skipped_stats(
 type LeadColoring = (Arc<Vec<u8>>, (bool, bool, bool));
 
 /// The shared batch engine behind [`DecompositionSession::run_observed`]
-/// and [`DecompositionPlan::execute_observed`] (a one-entry batch).
+/// and [`DecompositionPlan::execute`] (a one-entry batch).
 ///
 /// Builds the largest-first global queue of tagged tasks, drains it through
 /// `executor`, and assembles one [`DecompositionResult`] per entry, in
@@ -517,7 +516,7 @@ type LeadColoring = (Arc<Vec<u8>>, (bool, bool, bool));
 pub(crate) fn execute_batch(
     entries: &[(LayoutId, &DecompositionPlan)],
     executor: &dyn Executor,
-    observer: &dyn DecompositionObserver,
+    progress: &dyn Progress,
     memo: Option<&MemoCache>,
     cancels: Option<&HashMap<usize, crate::CancelToken>>,
 ) -> Vec<(LayoutId, DecompositionResult)> {
@@ -526,13 +525,6 @@ pub(crate) fn execute_batch(
     for (slot, &(id, _)) in entries.iter().enumerate() {
         let previous = slots.insert(id, slot);
         assert!(previous.is_none(), "duplicate {id} in one batch");
-    }
-    observer.batch_started(
-        entries.len(),
-        entries.iter().map(|(_, p)| p.tasks().len()).sum(),
-    );
-    for &(id, plan) in entries {
-        observer.execution_started(id, plan);
     }
 
     // Memo prepass: canonicalize every task and consult the cache *before*
@@ -611,14 +603,23 @@ pub(crate) fn execute_batch(
         .map(|&(_, plan)| assigner_for(plan.config().algorithm, plan.config()))
         .collect();
 
-    // Per-layout completion instants: a layout's color time in a batch is
-    // the time from batch start until its last component finished.
-    let finished_at: Mutex<Vec<Option<Instant>>> = Mutex::new(vec![None; entries.len()]);
+    // One lock per layout over its finished-component count and the
+    // instant the last one finished (a layout's color time in a batch runs
+    // from batch start to that instant).  Each tick is counted and
+    // delivered under the lock, so a layout's ticks arrive in order even
+    // when workers finish its components concurrently; the instant is read
+    // under it too, so a later holder always records a later instant.
+    let tallies: Vec<Mutex<(usize, Option<Instant>)>> =
+        entries.iter().map(|_| Mutex::default()).collect();
+    let finish = |layout: LayoutId, slot: usize| {
+        let mut tally = tallies[slot].lock().expect("no panics while counting");
+        *tally = (tally.0 + 1, Some(Instant::now()));
+        progress.done(layout, tally.0, entries[slot].1.tasks().len());
+    };
     let work = |tagged: &BatchTask<'_>| -> ComponentOutcome {
         let slot = slots[&tagged.layout()];
         let plan = entries[slot].1;
         let task = tagged.task();
-        observer.component_started(tagged.layout(), task);
         let task_start = Instant::now();
         // A request already stopped (cancelled or past deadline) skips the
         // engine entirely: the task yields an all-zero placeholder coloring
@@ -628,12 +629,7 @@ pub(crate) fn execute_batch(
             let token = tagged.cancel().expect("poll_cancel implies a token");
             let colors = vec![0u8; task.problem().vertex_count()];
             let stats = skipped_stats(task, token, &colors, dispositions.is_some());
-            observer.component_finished(tagged.layout(), task, &stats);
-            let mut finished = finished_at.lock().expect("no panics while timing");
-            let now = Instant::now();
-            if finished[slot].is_none_or(|previous| previous < now) {
-                finished[slot] = Some(now);
-            }
+            finish(tagged.layout(), slot);
             return ComponentOutcome { colors, stats };
         }
         // With a memo attached the engine colors the canonical problem (so
@@ -679,18 +675,7 @@ pub(crate) fn execute_batch(
             memo_hit,
             ..evaluated
         };
-        observer.component_finished(tagged.layout(), task, &stats);
-        // Keep the latest completion per layout.  The instant is taken
-        // *while holding the lock* (an assignment's right operand would
-        // evaluate before the place expression locks), and the max guards
-        // against a late-locking worker overwriting a later completion.
-        {
-            let mut finished = finished_at.lock().expect("no panics while timing");
-            let now = Instant::now();
-            if finished[slot].is_none_or(|previous| previous < now) {
-                finished[slot] = Some(now);
-            }
-        }
+        finish(tagged.layout(), slot);
         ComponentOutcome { colors, stats }
     };
 
@@ -761,17 +746,18 @@ pub(crate) fn execute_batch(
         }
     }
 
-    let finished_at = finished_at.into_inner().expect("no panics while timing");
     let mut results = Vec::with_capacity(entries.len());
-    for (slot, &(id, plan)) in entries.iter().enumerate() {
+    for ((slot, &(id, plan)), tally) in entries.iter().enumerate().zip(tallies) {
+        let (mut done, finished_at) = tally.into_inner().expect("no panics while counting");
+        let total = plan.tasks().len();
         let executor_outcomes = std::mem::take(&mut per_layout[slot]);
         // Memo collection, step 2: interleave the executor's lead outcomes
-        // with stamped hit/follower outcomes, in task order, firing the
-        // per-component observer events the executor never saw.
+        // with stamped hit/follower outcomes, in task order, ticking the
+        // stamped components after every lead of the layout.
         let outcomes: Vec<(usize, ComponentOutcome)> = match &mut dispositions {
             None => executor_outcomes,
             Some(dispositions) => {
-                let mut merged = Vec::with_capacity(plan.tasks().len());
+                let mut merged = Vec::with_capacity(total);
                 let mut from_executor = executor_outcomes.into_iter();
                 for task in plan.tasks() {
                     match &mut dispositions[slot][task.index()] {
@@ -784,21 +770,21 @@ pub(crate) fn execute_batch(
                         }
                         Disposition::Hit { colors } => {
                             let colors = std::mem::take(colors);
-                            observer.component_started(id, task);
                             let stats = stamped_stats(task, &colors);
-                            observer.component_finished(id, task, &stats);
+                            done += 1;
+                            progress.done(id, done, total);
                             merged.push((task.index(), ComponentOutcome { colors, stats }));
                         }
                         Disposition::Follow { leader, perm } => {
                             let (canonical, flags) = lead_canonical[leader].clone();
                             let colors = mpl_memo::stamp(&canonical, perm);
-                            observer.component_started(id, task);
                             let mut stats = stamped_stats(task, &colors);
                             // A follower of a cancellation-touched lead
                             // carries the same incumbent/placeholder colors,
                             // so it inherits the lead's flags.
                             (stats.cancelled, stats.deadline_exceeded, stats.skipped) = flags;
-                            observer.component_finished(id, task, &stats);
+                            done += 1;
+                            progress.done(id, done, total);
                             merged.push((task.index(), ComponentOutcome { colors, stats }));
                         }
                     }
@@ -808,7 +794,7 @@ pub(crate) fn execute_batch(
         };
         assert_eq!(
             outcomes.len(),
-            plan.tasks().len(),
+            total,
             "executor {:?} dropped tasks of {id}",
             executor.name()
         );
@@ -818,7 +804,7 @@ pub(crate) fn execute_batch(
                 colors[global] = outcome.colors[local];
             }
         }
-        let color_time = finished_at[slot]
+        let color_time = finished_at
             .map(|instant| instant.duration_since(batch_start))
             .unwrap_or(Duration::ZERO);
         let cost = coloring_cost(plan.graph(), &colors, plan.config().alpha);
@@ -834,10 +820,8 @@ pub(crate) fn execute_batch(
             components,
             color_time,
         );
-        observer.execution_finished(id, &result);
         results.push((id, result));
     }
-    observer.batch_finished(&results);
     results
 }
 
@@ -846,7 +830,6 @@ mod tests {
     use super::*;
     use crate::{ColorAlgorithm, DecomposerConfig, SerialExecutor, ThreadPoolExecutor};
     use mpl_layout::{gen, Technology};
-    use std::sync::atomic::{AtomicUsize, Ordering};
 
     fn decomposer(algorithm: ColorAlgorithm) -> Decomposer {
         Decomposer::new(DecomposerConfig::quadruple(Technology::nm20()).with_algorithm(algorithm))
@@ -996,112 +979,42 @@ mod tests {
         assert!(session.is_empty());
     }
 
-    /// Counts every callback and checks layout tags stay in range.
+    /// Records every tick as `(layout index, done, total)`.
     #[derive(Default)]
-    struct CountingObserver {
-        batch_started: AtomicUsize,
-        batch_finished: AtomicUsize,
-        layouts_started: AtomicUsize,
-        layouts_finished: AtomicUsize,
-        components_started: AtomicUsize,
-        components_finished: AtomicUsize,
-        max_layout: AtomicUsize,
+    struct RecordingProgress {
+        ticks: Mutex<Vec<(usize, usize, usize)>>,
     }
 
-    impl DecompositionObserver for CountingObserver {
-        fn batch_started(&self, layouts: usize, tasks: usize) {
-            assert!(tasks >= layouts.min(1));
-            self.batch_started.fetch_add(1, Ordering::Relaxed);
+    impl Progress for RecordingProgress {
+        fn done(&self, layout: LayoutId, done: usize, total: usize) {
+            self.ticks
+                .lock()
+                .unwrap()
+                .push((layout.index(), done, total));
         }
+    }
 
-        fn execution_started(&self, layout: LayoutId, plan: &DecompositionPlan) {
-            assert!(!plan.layout_name().is_empty());
-            self.max_layout.fetch_max(layout.index(), Ordering::Relaxed);
-            self.layouts_started.fetch_add(1, Ordering::Relaxed);
-        }
-
-        fn component_started(&self, layout: LayoutId, _task: &ComponentTask) {
-            self.max_layout.fetch_max(layout.index(), Ordering::Relaxed);
-            self.components_started.fetch_add(1, Ordering::Relaxed);
-        }
-
-        fn component_finished(
-            &self,
-            layout: LayoutId,
-            task: &ComponentTask,
-            stats: &ComponentStats,
-        ) {
-            assert_eq!(stats.index, task.index());
-            self.max_layout.fetch_max(layout.index(), Ordering::Relaxed);
-            self.components_finished.fetch_add(1, Ordering::Relaxed);
-        }
-
-        fn execution_finished(&self, _layout: LayoutId, result: &DecompositionResult) {
-            assert_eq!(result.component_count(), result.component_stats().len());
-            self.layouts_finished.fetch_add(1, Ordering::Relaxed);
-        }
-
-        fn batch_finished(&self, results: &[(LayoutId, DecompositionResult)]) {
-            assert_eq!(results.len(), 2);
-            self.batch_finished.fetch_add(1, Ordering::Relaxed);
+    impl RecordingProgress {
+        /// Asserts one tick per component of `session`, and that every
+        /// layout's ticks ran `1..=total` in order.
+        fn assert_in_order(self, session: &DecompositionSession) {
+            let ticks = self.ticks.into_inner().unwrap();
+            assert_eq!(ticks.len(), session.task_count());
+            for (id, plan) in session.plans() {
+                let total = plan.tasks().len();
+                let mine: Vec<(usize, usize)> = ticks
+                    .iter()
+                    .filter(|&&(layout, _, _)| layout == id.index())
+                    .map(|&(_, done, total)| (done, total))
+                    .collect();
+                let expected: Vec<(usize, usize)> = (1..=total).map(|done| (done, total)).collect();
+                assert_eq!(mine, expected, "{id}");
+            }
         }
     }
 
     #[test]
-    fn observers_see_batch_layout_and_component_events() {
-        let decomposer = decomposer(ColorAlgorithm::Linear);
-        let mut session = DecompositionSession::new();
-        session
-            .submit_layout(&decomposer, &row_layout("obs-a", 3))
-            .expect("valid config");
-        session
-            .submit_layout(&decomposer, &row_layout("obs-b", 5))
-            .expect("valid config");
-        let observer = CountingObserver::default();
-        let results =
-            session.run_observed(&ThreadPoolExecutor::new(2).expect("threads"), &observer);
-        let tasks = session.task_count();
-        assert_eq!(observer.batch_started.load(Ordering::Relaxed), 1);
-        assert_eq!(observer.batch_finished.load(Ordering::Relaxed), 1);
-        assert_eq!(observer.layouts_started.load(Ordering::Relaxed), 2);
-        assert_eq!(observer.layouts_finished.load(Ordering::Relaxed), 2);
-        assert_eq!(observer.components_started.load(Ordering::Relaxed), tasks);
-        assert_eq!(observer.components_finished.load(Ordering::Relaxed), tasks);
-        assert_eq!(observer.max_layout.load(Ordering::Relaxed), 1);
-        assert_eq!(results.len(), 2);
-    }
-
-    /// Records every sink call so the adapter's counting can be audited.
-    #[derive(Default)]
-    struct RecordingSink {
-        events: Mutex<Vec<(usize, String)>>,
-    }
-
-    impl crate::ProgressSink for RecordingSink {
-        fn layout_started(&self, layout: LayoutId, total: usize) {
-            self.events
-                .lock()
-                .unwrap()
-                .push((layout.index(), format!("started/{total}")));
-        }
-
-        fn component_done(&self, layout: LayoutId, done: usize, total: usize) {
-            self.events
-                .lock()
-                .unwrap()
-                .push((layout.index(), format!("{done}/{total}")));
-        }
-
-        fn layout_finished(&self, layout: LayoutId, result: &DecompositionResult) {
-            self.events
-                .lock()
-                .unwrap()
-                .push((layout.index(), format!("finished {}", result.layout_name())));
-        }
-    }
-
-    #[test]
-    fn progress_observer_streams_in_order_per_layout_counts() {
+    fn progress_ticks_every_component_in_order_per_layout() {
         let decomposer = decomposer(ColorAlgorithm::Linear);
         let mut session = DecompositionSession::new();
         session
@@ -1110,28 +1023,11 @@ mod tests {
         session
             .submit_layout(&decomposer, &row_layout("prog-b", 5))
             .expect("valid config");
-        let sink = RecordingSink::default();
-        let observer = crate::ProgressObserver::new(&sink);
+        let progress = RecordingProgress::default();
         let results =
-            session.run_observed(&ThreadPoolExecutor::new(4).expect("threads"), &observer);
+            session.run_observed(&ThreadPoolExecutor::new(4).expect("threads"), &progress);
         assert_eq!(results.len(), 2);
-
-        let events = sink.events.into_inner().unwrap();
-        for (id, plan) in session.plans() {
-            let total = plan.tasks().len();
-            let mine: Vec<&str> = events
-                .iter()
-                .filter(|(layout, _)| *layout == id.index())
-                .map(|(_, event)| event.as_str())
-                .collect();
-            // started, one in-order tick per component, finished.
-            assert_eq!(mine.len(), total + 2, "{id}");
-            assert_eq!(mine[0], format!("started/{total}"));
-            for (tick, event) in mine[1..=total].iter().enumerate() {
-                assert_eq!(*event, format!("{}/{total}", tick + 1), "{id}");
-            }
-            assert_eq!(mine[total + 1], format!("finished {}", plan.layout_name()));
-        }
+        progress.assert_in_order(&session);
     }
 
     #[test]
@@ -1467,8 +1363,8 @@ mod tests {
         session
             .submit_layout(&decomposer, &translated)
             .expect("valid config");
-        let observer = CountingObserver::default();
-        let results = session.run_observed(&SerialExecutor, &observer);
+        let progress = RecordingProgress::default();
+        let results = session.run_observed(&SerialExecutor, &progress);
 
         // Every component of the translated copy shares a signature with a
         // layout-0 lead, so the whole second layout is stamped — and the
@@ -1481,10 +1377,8 @@ mod tests {
         assert_eq!(results[0].1.colors(), translated_result.colors());
         assert_eq!(results[0].1.conflicts(), translated_result.conflicts());
 
-        // Stamped components still fire per-component observer events.
-        let tasks = session.task_count();
-        assert_eq!(observer.components_started.load(Ordering::Relaxed), tasks);
-        assert_eq!(observer.components_finished.load(Ordering::Relaxed), tasks);
+        // Stamped components still tick.
+        progress.assert_in_order(&session);
     }
 
     #[test]
@@ -1497,19 +1391,8 @@ mod tests {
         session.set_memo(Some(Arc::new(MemoCache::new(1024))));
         session.run(&SerialExecutor); // warm the cache
 
-        let sink = RecordingSink::default();
-        let observer = crate::ProgressObserver::new(&sink);
-        session.run_observed(&ThreadPoolExecutor::new(4).expect("threads"), &observer);
-        let events = sink.events.into_inner().unwrap();
-        let total = session.task_count();
-        let ticks: Vec<&str> = events
-            .iter()
-            .map(|(_, event)| event.as_str())
-            .filter(|event| !event.starts_with("started") && !event.starts_with("finished"))
-            .collect();
-        assert_eq!(ticks.len(), total);
-        for (tick, event) in ticks.iter().enumerate() {
-            assert_eq!(*event, format!("{}/{total}", tick + 1));
-        }
+        let progress = RecordingProgress::default();
+        session.run_observed(&ThreadPoolExecutor::new(4).expect("threads"), &progress);
+        progress.assert_in_order(&session);
     }
 }

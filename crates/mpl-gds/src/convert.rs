@@ -97,18 +97,15 @@ impl LayerMap {
 pub struct ReadOptions {
     /// Flatten from this structure (default: the inferred top structure).
     pub top: Option<String>,
-    /// Keep fractured boundaries apart instead of merging touching polygons
-    /// into connected shapes.
-    pub keep_fractured: bool,
 }
 
 /// Flattens a GDS library into a single-layer [`Layout`].
 ///
 /// Geometry is filtered through `map`, scaled from database units to
-/// nanometres using the library's `UNITS` record, and — unless
-/// `options.keep_fractured` is set — touching polygons are merged into
-/// connected shapes so that a feature fractured into many boundaries (the
-/// normal state of real mask data) becomes one decomposition vertex.
+/// nanometres using the library's `UNITS` record, and touching polygons are
+/// merged into connected shapes so that a feature fractured into many
+/// boundaries (the normal state of real mask data) becomes one
+/// decomposition vertex.
 ///
 /// # Errors
 ///
@@ -169,11 +166,7 @@ pub fn layout_with_hierarchy(
 
     // Every group is a chain from its smallest member (its root) through
     // the others in ascending order; groups come in root order.
-    let roots = if options.keep_fractured {
-        (0..shapes.len()).collect()
-    } else {
-        touching_roots(&shapes)
-    };
+    let roots = touching_roots(&shapes);
     let mut next: Vec<Option<usize>> = vec![None; roots.len()];
     let mut tail: Vec<usize> = (0..roots.len()).collect();
     for (member, &root) in roots.iter().enumerate() {
@@ -420,19 +413,6 @@ mod tests {
             layout_from_library(&library, &wrong_layer, &ReadOptions::default()),
             Err(GdsError::EmptySelection)
         );
-    }
-
-    #[test]
-    fn keep_fractured_preserves_boundary_granularity() {
-        let layout = sample_layout();
-        let library = library_from_layout(&layout, 1, 0).expect("write");
-        let options = ReadOptions {
-            keep_fractured: true,
-            ..ReadOptions::default()
-        };
-        let parsed = layout_from_library(&library, &LayerMap::all(), &options).expect("read");
-        // Three rectangles were written, so three unmerged shapes come back.
-        assert_eq!(parsed.shape_count(), 3);
     }
 
     #[test]

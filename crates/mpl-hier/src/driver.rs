@@ -3,9 +3,9 @@
 //! each distinct cell body is colored once).
 
 use crate::split::classify;
-use mpl_core::partition::{run_partitioned, Alignment, PieceProgress};
+use mpl_core::partition::{run_partitioned, Alignment};
 use mpl_core::{
-    ConfigError, DecompositionResult, DecompositionSession, Executor, LayoutId, MemoCache,
+    ConfigError, DecompositionResult, DecompositionSession, Executor, LayoutId, MemoCache, Progress,
 };
 use std::sync::Arc;
 
@@ -90,8 +90,9 @@ pub fn run_hier(
     run_hier_observed(session, executor, &())
 }
 
-/// Executes the session's batch hierarchically, streaming per-piece
-/// progress through the [`mpl_core::partition`] driver.
+/// Executes the session's batch hierarchically, ticking `progress` as each
+/// piece (or a layout's batch of resident components) finishes, through
+/// the [`mpl_core::partition`] driver.
 ///
 /// Every layout's components are classified by the cell-instance
 /// provenance its [`DecompositionSession::hierarchy`] attachment records.
@@ -122,7 +123,7 @@ pub fn run_hier(
 pub fn run_hier_observed(
     session: &DecompositionSession,
     executor: &dyn Executor,
-    progress: &dyn PieceProgress,
+    progress: &dyn Progress,
 ) -> Result<Vec<(LayoutId, HierLayoutResult)>, ConfigError> {
     if session.tiling().is_some() {
         return Err(ConfigError::HierWithTiling);

@@ -7,9 +7,9 @@
 //! queues) and handed to the single **scheduler** thread, which coalesces
 //! everything pending into one [`DecompositionSession`] batch per executor
 //! choice and drains it on the server's persistent executors.  While a
-//! batch runs, per-component progress streams back to each submission's
-//! connection through the session's [`ProgressObserver`] plumbing; the
-//! final `result` frame carries the full coloring.
+//! batch runs, each finished component streams a `progress` frame back to
+//! its submission's connection through one [`Progress`] sink; the final
+//! `result` frame carries the full coloring.
 //!
 //! Submissions that arrive while a batch is draining simply pile up and
 //! form the next batch — incremental submission never blocks on execution.
@@ -42,15 +42,16 @@
 //!
 //! Submissions may opt into the halo-aware tiler (`tile_size` on the
 //! `submit` frame): such layouts decompose through
-//! [`mpl_tile::run_tiled_observed`], stream `tile_progress` frames instead
-//! of per-component `progress`, and report a `tiles` statistics object on
-//! their `result` frame.
+//! [`mpl_tile::run_tiled_observed`], stream a `tile_progress` frame as each
+//! tile piece finishes instead of per-component `progress`, and report a
+//! `tiles` statistics object on their `result` frame.
 //!
 //! Submissions may instead opt into cell-level hierarchical decomposition
 //! (`hier` on the `submit` frame, mutually exclusive with tiling): GDS
 //! sources keep their instance provenance, decompose through
-//! [`mpl_hier::run_hier_observed`], stream `hier_progress` frames, and
-//! report a `hierarchy` statistics object on their `result` frame.
+//! [`mpl_hier::run_hier_observed`], stream a `hier_progress` frame as each
+//! piece finishes, and report a `hierarchy` statistics object on their
+//! `result` frame.
 //! Sources without a hierarchy (text layouts) degenerate to the ordinary
 //! memoized run.  `pong` frames carry lifetime `hier_runs`/`tile_runs`
 //! usage counters alongside the shared memo-cache statistics.
@@ -60,12 +61,11 @@ use crate::protocol::{
     decode_request, encode_response, ErrorCode, ExecutorChoice, LayoutSource, Request, Response,
     ResultPayload, ServeError, SubmitRequest,
 };
-use mpl_core::partition::PieceProgress;
 use mpl_core::Json;
 use mpl_core::{
     verify_spacing, CancelToken, ConfigError, Decomposer, DecomposerConfig, DecompositionPlan,
-    DecompositionSession, Executor, LayoutId, MemoCache, ProgressObserver, ProgressSink,
-    SerialExecutor, ThreadPoolExecutor, TileConfig,
+    DecompositionSession, Executor, LayoutId, MemoCache, Progress, SerialExecutor,
+    ThreadPoolExecutor, TileConfig,
 };
 use mpl_gds::{
     layout_from_library, layout_with_hierarchy, load_layout_file, GdsLibrary, LayerMap,
@@ -448,42 +448,21 @@ struct Active {
     registry: CancelRegistry,
 }
 
-/// Streams progress frames for one running batch.
+/// Streams progress frames for one running batch: `progress` per
+/// component, `tile_progress` per tile piece or `hier_progress` per
+/// hierarchical piece.
 struct BatchSink<'a> {
     submissions: &'a HashMap<LayoutId, Active>,
+    frame: fn(String, usize, usize) -> Response,
 }
 
-impl ProgressSink for BatchSink<'_> {
-    fn component_done(&self, layout: LayoutId, done: usize, total: usize) {
+impl Progress for BatchSink<'_> {
+    fn done(&self, layout: LayoutId, done: usize, total: usize) {
         if let Some(active) = self.submissions.get(&layout) {
             if active.submit.progress {
-                active.writer.send(&Response::Progress {
-                    id: active.submit.id.clone(),
-                    done,
-                    total,
-                });
-            }
-        }
-    }
-}
-
-/// Streams `hier_progress` (hierarchical) or `tile_progress` (tiled)
-/// frames for one running partitioned batch.
-struct PieceSink<'a> {
-    submissions: &'a HashMap<LayoutId, Active>,
-    hier: bool,
-}
-
-impl PieceProgress for PieceSink<'_> {
-    fn piece_done(&self, layout: LayoutId, done: usize, total: usize) {
-        if let Some(active) = self.submissions.get(&layout) {
-            if active.submit.progress {
-                let id = active.submit.id.clone();
-                active.writer.send(&if self.hier {
-                    Response::HierProgress { id, done, total }
-                } else {
-                    Response::TileProgress { id, done, total }
-                });
+                active
+                    .writer
+                    .send(&(self.frame)(active.submit.id.clone(), done, total));
             }
         }
     }
@@ -1021,9 +1000,13 @@ fn run_batch(
             },
         );
     }
-    let sink = PieceSink {
+    let sink = BatchSink {
         submissions: &submissions,
-        hier,
+        frame: match (hier, session.tiling().is_some()) {
+            (true, _) => |id, done, total| Response::HierProgress { id, done, total },
+            (false, true) => |id, done, total| Response::TileProgress { id, done, total },
+            (false, false) => |id, done, total| Response::Progress { id, done, total },
+        },
     };
     let results: Result<Vec<Outcome>, ConfigError> = if hier {
         mpl_hier::run_hier_observed(session, executor, &sink).map(|results| {
@@ -1046,11 +1029,8 @@ fn run_batch(
                 .collect()
         })
     } else {
-        let components = BatchSink {
-            submissions: &submissions,
-        };
         Ok(session
-            .run_observed(executor, &ProgressObserver::new(&components))
+            .run_observed(executor, &sink)
             .into_iter()
             .map(|(id, result)| (id, result, None, None))
             .collect())

@@ -2,8 +2,10 @@
 //! the shared partition-and-reconcile driver.
 
 use crate::shard::shard_layout;
-use mpl_core::partition::{run_partitioned, Alignment, PieceProgress};
-use mpl_core::{ConfigError, DecompositionResult, DecompositionSession, Executor, LayoutId};
+use mpl_core::partition::{run_partitioned, Alignment};
+use mpl_core::{
+    ConfigError, DecompositionResult, DecompositionSession, Executor, LayoutId, Progress,
+};
 use mpl_geometry::Nm;
 
 /// What the tiler did to one layout.
@@ -75,7 +77,8 @@ pub fn run_tiled(
     run_tiled_observed(session, executor, &())
 }
 
-/// Executes the session's batch tiled, streaming per-tile progress through
+/// Executes the session's batch tiled, ticking `progress` as each tile
+/// piece (or a layout's batch of resident components) finishes, through
 /// the [`mpl_core::partition`] driver.
 ///
 /// Components resident in one tile window flow through the ordinary batch
@@ -90,8 +93,8 @@ pub fn run_tiled(
 /// submission order, like [`DecompositionSession::run`].
 ///
 /// When the session requests no tiling, this is
-/// `session.run_observed(executor, …)` with degenerate (all-resident)
-/// statistics.
+/// `session.run_observed(executor, progress)`, ticking once per component,
+/// with degenerate (all-resident) statistics.
 ///
 /// # Errors
 ///
@@ -102,11 +105,11 @@ pub fn run_tiled(
 pub fn run_tiled_observed(
     session: &DecompositionSession,
     executor: &dyn Executor,
-    progress: &dyn PieceProgress,
+    progress: &dyn Progress,
 ) -> Result<Vec<(LayoutId, TiledLayoutResult)>, ConfigError> {
     let Some(tiling) = session.tiling() else {
         return Ok(session
-            .run(executor)
+            .run_observed(executor, progress)
             .into_iter()
             .map(|(id, result)| {
                 let stats = TileStats {

@@ -1,11 +1,10 @@
 //! End-to-end tests of the tiled driver against the untiled batch engine.
 
 use crate::{run_tiled, run_tiled_observed};
-use mpl_core::partition::PieceProgress;
 use mpl_core::verify::verify_spacing;
 use mpl_core::{
     ColorAlgorithm, ConfigError, Decomposer, DecomposerConfig, DecompositionSession, LayoutId,
-    MemoCache, SerialExecutor, ThreadPoolExecutor, TileConfig,
+    MemoCache, Progress, SerialExecutor, ThreadPoolExecutor, TileConfig,
 };
 use mpl_geometry::Nm;
 use mpl_layout::{gen, Technology};
@@ -173,8 +172,8 @@ fn progress_reports_one_tick_per_inner_decomposition() {
         last: AtomicUsize,
         total: AtomicUsize,
     }
-    impl PieceProgress for Counting {
-        fn piece_done(&self, layout: LayoutId, done: usize, total: usize) {
+    impl Progress for Counting {
+        fn done(&self, layout: LayoutId, done: usize, total: usize) {
             assert_eq!(layout.index(), 0);
             assert!(done <= total);
             self.ticks.fetch_add(1, Ordering::Relaxed);
@@ -188,13 +187,24 @@ fn progress_reports_one_tick_per_inner_decomposition() {
     session
         .submit_layout(&decomposer, &layout)
         .expect("valid config");
-    let progress = Counting {
+    let counting = || Counting {
         ticks: AtomicUsize::new(0),
         last: AtomicUsize::new(0),
         total: AtomicUsize::new(0),
     };
+    let progress = counting();
     let tiled = run_tiled_observed(&session, &SerialExecutor, &progress).expect("valid tiling");
     let expected = tiled[0].1.stats.tiles + usize::from(tiled[0].1.stats.resident_components > 0);
+    assert_eq!(progress.ticks.load(Ordering::Relaxed), expected);
+    assert_eq!(progress.last.load(Ordering::Relaxed), expected);
+    assert_eq!(progress.total.load(Ordering::Relaxed), expected);
+
+    // Without a tiling the run is the plain session run: one tick per
+    // component.
+    session.set_tiling(None);
+    let progress = counting();
+    run_tiled_observed(&session, &SerialExecutor, &progress).expect("no tiling");
+    let expected = session.task_count();
     assert_eq!(progress.ticks.load(Ordering::Relaxed), expected);
     assert_eq!(progress.last.load(Ordering::Relaxed), expected);
     assert_eq!(progress.total.load(Ordering::Relaxed), expected);

@@ -10,7 +10,7 @@
 //! [`DecompositionSession`]: every layout's independent components enter a
 //! single largest-first queue, so `--threads N` keeps one shared pool busy
 //! across layouts instead of parallelising each layout alone.  `--progress`
-//! streams per-component progress (tagged with the layout) to stderr, and
+//! streams per-layout progress lines to stderr, and
 //! `--json` replaces the human-readable summary with a machine-readable
 //! one.  Invalid configurations are reported as typed errors, not panics.
 //!
@@ -34,7 +34,10 @@
 //!   --algorithm <NAME>   ilp | sdp-backtrack | sdp-greedy | linear (default sdp-backtrack)
 //!   --alpha <F>          stitch weight (default 0.1)
 //!   --threads <N>        color the batch on N shared worker threads
-//!   --progress           report per-component progress on stderr
+//!   --progress           print `[k/N] NAME` on stderr as component k of
+//!                        layout NAME's N finishes (`[tile k/N]` per
+//!                        tile piece with --tile-size, `[hier k/N]` per
+//!                        piece with --hier; the same lines as --connect)
 //!   --json               print a machine-readable JSON summary on stdout
 //!   --no-stitches        disable stitch-candidate generation
 //!   --balance            rebalance mask densities after coloring
@@ -97,12 +100,11 @@
 //! `out.0.gds`, `out.1.gds`, …).
 //! ```
 
-use mpl_core::partition::PieceProgress;
 use mpl_core::{
-    extract_masks, rebalance_masks, verify_spacing, ColorAlgorithm, ComponentStats, ComponentTask,
-    ConfigError, Decomposer, DecomposerConfig, DecompositionObserver, DecompositionPlan,
-    DecompositionResult, DecompositionSession, Executor, Json, JsonRecord, LayoutId, MemoCache,
-    MemoStats, SerialExecutor, StitchConfig, ThreadPoolExecutor, TileConfig, VertexId,
+    extract_masks, rebalance_masks, verify_spacing, ColorAlgorithm, ComponentTask, ConfigError,
+    Decomposer, DecomposerConfig, DecompositionPlan, DecompositionResult, DecompositionSession,
+    Executor, Json, JsonRecord, LayoutId, MemoCache, MemoStats, Progress, SerialExecutor,
+    StitchConfig, ThreadPoolExecutor, TileConfig, VertexId,
 };
 use mpl_gds::{LayerMap, ReadOptions};
 use mpl_geometry::{Nm, Polygon};
@@ -114,7 +116,6 @@ use mpl_serve::{
 use mpl_tile::TileStats;
 use std::io::Write;
 use std::process::ExitCode;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -193,7 +194,6 @@ fn read_layout(
     }
     let read_options = ReadOptions {
         top: options.top.clone(),
-        ..ReadOptions::default()
     };
     if is_gds && want_hierarchy {
         let (layout, hierarchy) =
@@ -493,69 +493,20 @@ fn load_local_layouts(options: &Options, tech: &Technology) -> Result<Vec<Loaded
     Ok(layouts)
 }
 
-/// Streams one stderr line per finished component (`--progress`), tagged
-/// with the layout it belongs to.
-///
-/// Parallel executors call the observer from worker threads, so the counter
-/// is atomic.
+/// Streams one stderr line per finished unit (`--progress`), the lines
+/// `--connect` prints for the server's progress frames: `[k/N] name` per
+/// component, `[tile k/N] name` per tile piece (`--tile-size`) and
+/// `[hier k/N] name` per hierarchical piece (`--hier`), counted per layout.
 struct StderrProgress {
-    names: Vec<String>,
-    total: usize,
-    finished: AtomicUsize,
-}
-
-impl DecompositionObserver for StderrProgress {
-    fn batch_started(&self, layouts: usize, tasks: usize) {
-        if layouts > 1 {
-            eprintln!("batch: {layouts} layouts, {tasks} component tasks in one shared queue");
-        }
-    }
-
-    fn component_started(&self, layout: LayoutId, task: &ComponentTask) {
-        if task.vertex_count() >= 1000 {
-            eprintln!(
-                "{}: component {} started ({} vertices)",
-                self.names[layout.index()],
-                task.index(),
-                task.vertex_count()
-            );
-        }
-    }
-
-    fn component_finished(&self, layout: LayoutId, task: &ComponentTask, stats: &ComponentStats) {
-        let finished = self.finished.fetch_add(1, Ordering::Relaxed) + 1;
-        eprintln!(
-            "[{finished}/{}] {}: component {}: {} vertices, cn#={} st#={} in {:.3}s",
-            self.total,
-            self.names[layout.index()],
-            task.index(),
-            stats.vertex_count,
-            stats.conflicts,
-            stats.stitches,
-            stats.time.as_secs_f64()
-        );
-    }
-
-    fn batch_finished(&self, results: &[(LayoutId, DecompositionResult)]) {
-        if results.len() > 1 {
-            eprintln!("batch: all {} layouts finished", results.len());
-        }
-    }
-}
-
-/// Streams one stderr line per finished tile (`--progress` with
-/// `--tile-size`) or hierarchical piece (`--progress` with `--hier`),
-/// tagged with the layout it belongs to.
-struct StderrPieceProgress {
-    /// `"tile"` or `"hier"`.
+    /// `""`, `"tile "` or `"hier "`.
     label: &'static str,
     names: Vec<String>,
 }
 
-impl PieceProgress for StderrPieceProgress {
-    fn piece_done(&self, layout: LayoutId, done: usize, total: usize) {
+impl Progress for StderrProgress {
+    fn done(&self, layout: LayoutId, done: usize, total: usize) {
         eprintln!(
-            "[{} {done}/{total}] {}",
+            "[{}{done}/{total}] {}",
             self.label,
             self.names[layout.index()]
         );
@@ -1305,23 +1256,28 @@ fn main() -> ExitCode {
         tiling
     });
     session.set_tiling(tiling);
-    let layout_names = || -> Vec<String> {
-        layouts
-            .iter()
-            .map(|(layout, _)| layout.name().to_string())
-            .collect()
-    };
     let batch_start = Instant::now();
     type BatchOutcome = (
         Vec<(LayoutId, DecompositionResult)>,
         Option<Vec<TileStats>>,
         Option<Vec<HierStats>>,
     );
-    let pieces = StderrPieceProgress {
-        label: if options.hier { "hier" } else { "tile" },
-        names: layout_names(),
+    let stderr_progress = StderrProgress {
+        label: match (options.hier, tiling.is_some()) {
+            (true, _) => "hier ",
+            (false, true) => "tile ",
+            (false, false) => "",
+        },
+        names: layouts
+            .iter()
+            .map(|(layout, _)| layout.name().to_string())
+            .collect(),
     };
-    let progress: &dyn PieceProgress = if options.progress { &pieces } else { &() };
+    let progress: &dyn Progress = if options.progress {
+        &stderr_progress
+    } else {
+        &()
+    };
     let outcome: Result<BatchOutcome, ConfigError> = if options.hier {
         mpl_hier::run_hier_observed(&session, executor.as_ref(), progress).map(|hier| {
             let (results, stats) = hier
@@ -1338,19 +1294,12 @@ fn main() -> ExitCode {
                 .unzip();
             (results, Some(stats), None)
         })
-    } else if options.progress {
-        let observer = StderrProgress {
-            names: layout_names(),
-            total: session.task_count(),
-            finished: AtomicUsize::new(0),
-        };
+    } else {
         Ok((
-            session.run_observed(executor.as_ref(), &observer),
+            session.run_observed(executor.as_ref(), progress),
             None,
             None,
         ))
-    } else {
-        Ok((session.run(executor.as_ref()), None, None))
     };
     let (results, tile_stats, hier_stats) = match outcome {
         Ok(outcome) => outcome,

@@ -44,9 +44,9 @@
 //!    construction, so every executor and every batching yields
 //!    **byte-identical** per-layout colors (assuming no engine wall-clock
 //!    cut-off — e.g. the exact engine's time limit — fires mid-component);
-//!    only wall-clock time changes.  A
-//!    [`mpl_core::DecompositionObserver`] can stream batch, per-layout and
-//!    per-component progress, and each final
+//!    only wall-clock time changes.  A [`mpl_core::Progress`] receives
+//!    one in-order `done`/`total` tick per finished component of each
+//!    layout, and each final
 //!    [`mpl_core::DecompositionResult`] carries a per-component breakdown
 //!    ([`mpl_core::ComponentStats`]) plus
 //!    [`mpl_core::DecompositionResult::mask_layouts`], which splits the

@@ -1,6 +1,6 @@
 //! Tiled and hierarchical runs through the partition-and-reconcile driver.
 //!
-//! Two checks:
+//! Three checks:
 //!
 //! - **Pinned colorings.** Three Linear-engine runs whose merged colors
 //!   (as an FNV-1a digest) and full [`TileStats`]/[`HierStats`] are fixed
@@ -11,16 +11,20 @@
 //!   `component_stats()` entry and the layout totals are recounted here
 //!   from the plan's graph edges and the returned colors, for all four
 //!   engines, serial and pooled, and under an already-expired deadline.
+//! - **Streamed piece progress.** A tile or hierarchical piece ticks its
+//!   layout's progress as soon as it finishes, while the other pieces still
+//!   wait: a tick that cancels the run leaves them skipped.
 
 use mpl_core::{
     CancelToken, ColorAlgorithm, Decomposer, DecomposerConfig, DecompositionResult,
-    DecompositionSession, Executor, SerialExecutor, ThreadPoolExecutor, TileConfig,
+    DecompositionSession, Executor, LayoutId, Progress, SerialExecutor, ThreadPoolExecutor,
+    TileConfig,
 };
 use mpl_geometry::Nm;
 use mpl_hier::fixtures::{bit_cell_array, BitArrayStyle};
-use mpl_hier::{run_hier, HierStats};
+use mpl_hier::{run_hier, run_hier_observed, HierStats};
 use mpl_layout::{gen, Layout, LayoutHierarchy, Technology};
-use mpl_tile::{run_tiled, TileStats};
+use mpl_tile::{run_tiled, run_tiled_observed, TileStats};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -251,4 +255,54 @@ fn derived_stats_equal_a_recount_of_the_returned_colors() {
             }
         }
     }
+}
+
+/// Cancels the layout's token on the first tick it receives.
+struct CancelOnFirstTick(CancelToken);
+
+impl Progress for CancelOnFirstTick {
+    fn done(&self, _layout: LayoutId, _done: usize, _total: usize) {
+        self.0.cancel();
+    }
+}
+
+#[test]
+fn piece_ticks_stream_while_later_pieces_wait() {
+    // On the serial executor the first piece tick cancels the layout's
+    // token before the next piece starts, so every later piece is skipped
+    // and the one split component reports itself cancelled and skipped.
+    // Ticks sent only after the last piece finished would cancel nothing.
+    let linear = decomposer(ColorAlgorithm::Linear);
+
+    let token = CancelToken::new();
+    let mut session = DecompositionSession::new().with_tiling(TileConfig::new(Nm(400)));
+    let id = session
+        .submit_layout(&linear, &lattice())
+        .expect("valid config");
+    session.set_cancel(id, Some(token.clone()));
+    let progress = CancelOnFirstTick(token);
+    let (_, tiled) = run_tiled_observed(&session, &SerialExecutor, &progress)
+        .expect("valid tiling")
+        .pop()
+        .expect("one layout");
+    assert!(tiled.stats.tiles > 1);
+    assert!(tiled.result.cancelled(), "tiled");
+    assert_eq!(tiled.result.components_skipped(), 1, "tiled");
+
+    let (layout, hierarchy) = bit_cell_array(6, 6, BitArrayStyle::Merged);
+    let token = CancelToken::new();
+    let mut session = DecompositionSession::new();
+    let id = session
+        .submit_layout(&linear, &layout)
+        .expect("valid config");
+    session.set_hierarchy(id, Some(Arc::new(hierarchy)));
+    session.set_cancel(id, Some(token.clone()));
+    let progress = CancelOnFirstTick(token);
+    let (_, hier) = run_hier_observed(&session, &SerialExecutor, &progress)
+        .expect("no tiling")
+        .pop()
+        .expect("one layout");
+    assert!(hier.stats.split_components > 0);
+    assert!(hier.result.cancelled(), "hier");
+    assert_eq!(hier.result.components_skipped(), 1, "hier");
 }
