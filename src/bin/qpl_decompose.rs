@@ -10,9 +10,9 @@
 //! [`DecompositionSession`]: every layout's independent components enter a
 //! single largest-first queue, so `--threads N` keeps one shared pool busy
 //! across layouts instead of parallelising each layout alone.  `--progress`
-//! streams per-layout progress lines to stderr, and
-//! `--json` replaces the human-readable summary with a machine-readable
-//! one.  Invalid configurations are reported as typed errors, not panics.
+//! streams per-layout progress lines to stderr, and `--json` replaces the
+//! human-readable summary with a machine-readable one.  Invalid
+//! configurations are reported as typed errors, not panics.
 //!
 //! ```text
 //! Usage:
