@@ -246,7 +246,7 @@ fn no_memo_runs_omit_every_memo_field() {
 }
 
 #[test]
-fn contradictory_memo_flags_are_rejected_with_typed_config_errors() {
+fn contradictory_request_flags_are_rejected_with_typed_errors() {
     let run_failing = |args: &[&str]| -> String {
         let output = Command::new(env!("CARGO_BIN_EXE_qpl-decompose"))
             .args(args)
@@ -256,14 +256,41 @@ fn contradictory_memo_flags_are_rejected_with_typed_config_errors() {
         String::from_utf8_lossy(&output.stderr).into_owned()
     };
     let layout = fixture("fixtures/golden_a.txt");
-    let stderr = run_failing(&["--layout", &layout, "--no-memo", "--memo-capacity", "64"]);
+    for (extra, needle) in [
+        (
+            &["--no-memo", "--memo-capacity", "64"][..],
+            "--memo-capacity requires memoization to be enabled",
+        ),
+        (
+            &["--memo-capacity", "0"][..],
+            "memo capacity must be at least 1 entry",
+        ),
+        (
+            &["--halo", "50"][..],
+            "--halo requires tiling to be enabled (--tile-size)",
+        ),
+        (
+            &["--tile-size", "0"][..],
+            "tile size must be a positive distance in nm, got 0",
+        ),
+        (
+            &["--tile-size", "300", "--halo", "300"][..],
+            "tile halo 300 nm must be smaller than the tile size 300 nm",
+        ),
+        (
+            &["--hier", "--tile-size", "1500"][..],
+            "hierarchical decomposition (--hier) cannot be combined with tiling",
+        ),
+    ] {
+        let mut args = vec!["--layout", layout.as_str()];
+        args.extend_from_slice(extra);
+        let stderr = run_failing(&args);
+        assert!(stderr.contains(needle), "{extra:?}: {stderr}");
+    }
+    // `--gds` checks the stream's header before converting anything.
+    let stderr = run_failing(&["--gds", &layout]);
     assert!(
-        stderr.contains("--memo-capacity requires memoization to be enabled"),
-        "{stderr}"
-    );
-    let stderr = run_failing(&["--layout", &layout, "--memo-capacity", "0"]);
-    assert!(
-        stderr.contains("memo capacity must be at least 1 entry"),
+        stderr.contains("is not a GDSII stream (missing HEADER record)"),
         "{stderr}"
     );
 }
