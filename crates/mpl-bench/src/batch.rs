@@ -19,6 +19,7 @@ use mpl_core::{
     JsonRecord, LayoutCounters, MemoCache, MemoStats, TileConfig,
 };
 use mpl_hier::HierStats;
+use mpl_serve::run_layouts;
 use mpl_tile::TileStats;
 use std::sync::Arc;
 use std::time::Instant;
@@ -204,11 +205,13 @@ impl BatchBenchReport {
 /// through `mpl-tile` and the per-row reports carry the reconciliation
 /// statistics; `None` runs the plain batch engine.
 ///
-/// With `hier`, layouts that loaded with a cell-instance hierarchy (see
-/// [`crate::workload::load_layout_timed_hier`]) decompose cell-by-cell
-/// through `mpl-hier` and the per-row reports carry the hierarchy
-/// reconciliation statistics; layouts without a hierarchy degenerate to the
-/// flat path inside the same run.
+/// With `hier`, layouts that loaded with a cell-instance hierarchy (GDSII
+/// files, see [`crate::workload::load_layout_timed`]) decompose
+/// cell-by-cell through `mpl-hier` and the per-row reports carry the
+/// hierarchy reconciliation statistics; layouts without a hierarchy
+/// degenerate to the flat path inside the same run.  Every run goes
+/// through [`mpl_serve::run_layouts`], the driver dispatch the CLI and the
+/// server use.
 ///
 /// # Errors
 ///
@@ -242,39 +245,15 @@ pub fn run_batch_bench(
         }
     }
     let batch_start = Instant::now();
-    type BatchRow = (
-        mpl_core::LayoutId,
-        mpl_core::DecompositionResult,
-        Option<TileStats>,
-        Option<HierStats>,
-    );
-    let results: Vec<BatchRow> = if hier {
-        mpl_hier::run_hier(&session, executor)
-            .map_err(DecomposeError::Config)?
-            .into_iter()
-            .map(|(id, hier)| (id, hier.result, None, Some(hier.stats)))
-            .collect()
-    } else {
-        match tiling {
-            Some(_) => mpl_tile::run_tiled(&session, executor)
-                .map_err(DecomposeError::Config)?
-                .into_iter()
-                .map(|(id, tiled)| (id, tiled.result, Some(tiled.stats), None))
-                .collect(),
-            None => session
-                .run(executor)
-                .into_iter()
-                .map(|(id, result)| (id, result, None, None))
-                .collect(),
-        }
-    };
+    let runs = run_layouts(&session, executor, hier, &()).map_err(DecomposeError::Config)?;
     let batch_wall_seconds = batch_start.elapsed().as_secs_f64();
 
-    let rows = results
-        .iter()
+    let rows = runs
+        .into_iter()
         .zip(layouts)
-        .map(|((id, result, tiles, hier), timed)| {
-            let plan = session.plan(*id).expect("session keeps every plan");
+        .map(|(run, timed)| {
+            let plan = session.plan(run.id).expect("session keeps every plan");
+            let result = &run.result;
             LayoutBenchStats {
                 name: result.layout_name().to_string(),
                 path: timed.path.clone(),
@@ -289,8 +268,8 @@ pub fn run_batch_bench(
                 counters: result.counters(),
                 memo_hits: result.memo_hits(),
                 memo_misses: result.memo_misses(),
-                tiles: *tiles,
-                hier: *hier,
+                tiles: run.tiles,
+                hier: run.hierarchy,
             }
         })
         .collect();
@@ -480,6 +459,7 @@ mod tests {
         let path = path.to_string_lossy().into_owned();
         std::fs::write(&path, io::to_text(&layout)).expect("write text");
         let timed = crate::workload::load_layout_timed(&path, &[]).expect("load");
+        assert!(timed.hierarchy.is_none(), "text layouts are flat");
         assert!(timed.parse_seconds > 0.0);
         assert_eq!(timed.path, path);
         let report = run_batch_bench(

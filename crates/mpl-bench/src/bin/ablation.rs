@@ -3,8 +3,8 @@
 //! * the contribution of each graph-division technique (independent
 //!   components alone, plus low-degree removal, plus biconnected splitting,
 //!   plus GH-tree cut removal) to the runtime of the SDP+Backtrack engine;
-//! * the contribution of peer selection and the color-friendly rule to the
-//!   linear engine's solution quality.
+//! * the linear engine's solution quality and runtime against the
+//!   SDP+Greedy engine on the same circuits.
 //!
 //! Usage: `cargo run -p mpl-bench --release --bin ablation [CIRCUIT ...]`
 //! (defaults to a medium-size circuit).
@@ -59,7 +59,7 @@ fn main() {
         }
     }
 
-    println!("\nAblation 2: linear engine design choices (K = 4)");
+    println!("\nAblation 2: the linear engine against SDP+Greedy (K = 4)");
     println!(
         "{:<10} {:<34} {:>6} {:>6} {:>10}",
         "Circuit", "Variant", "cn#", "st#", "CPU(s)"

@@ -40,12 +40,9 @@
 
 use mpl_bench::batch::run_batch_bench;
 use mpl_bench::serve::run_serve_bench;
-use mpl_bench::workload::{
-    load_layout_timed, load_layout_timed_hier, run_layout_table_on, TimedLayout,
-};
+use mpl_bench::workload::{load_layout_timed, run_layout_table_on, TimedLayout};
 use mpl_bench::{executor_for_threads, table_config, threads_from_args, TABLE1_ALGORITHMS};
 use mpl_core::{ColorAlgorithm, ConfigError, MemoCache, TileConfig};
-use mpl_geometry::Nm;
 use mpl_serve::ExecutorChoice;
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -220,40 +217,25 @@ fn main() -> ExitCode {
             memo_capacity.unwrap_or(MemoCache::DEFAULT_CAPACITY),
         ))
     });
-    // Tiling shards the batch through mpl-tile, so it only exists in batch
-    // mode; invalid tile geometry is the pipeline's typed error.
+    // Tiling shards the batch through mpl-tile and hierarchy splits it by
+    // instance provenance, so both only exist in batch mode.  Invalid tile
+    // geometry, and tiling combined with hierarchy (the two shardings don't
+    // compose), are the pipeline's typed errors.
     if !batch && (tile_size.is_some() || halo.is_some()) {
         eprintln!("--tile-size/--halo only apply to --batch mode");
         return ExitCode::FAILURE;
     }
-    if halo.is_some() && tile_size.is_none() {
-        eprintln!("{}", ConfigError::TileHaloWithoutTiling);
-        return ExitCode::FAILURE;
-    }
-    // Hierarchical decomposition splits by instance provenance, tiling by
-    // spatial windows — the two shardings don't compose, so the
-    // contradiction is rejected up front as the pipeline's typed error.
     if !batch && hier {
         eprintln!("--hier only applies to --batch mode");
         return ExitCode::FAILURE;
     }
-    if hier && (tile_size.is_some() || halo.is_some()) {
-        eprintln!("{}", ConfigError::HierWithTiling);
-        return ExitCode::FAILURE;
-    }
-    let tiling = tile_size.map(|size| {
-        let mut tiling = TileConfig::new(Nm(size));
-        if let Some(halo) = halo {
-            tiling = tiling.with_halo(Nm(halo));
-        }
-        tiling
-    });
-    if let Some(tiling) = &tiling {
-        if let Err(error) = tiling.validate() {
+    let tiling = match TileConfig::from_request(tile_size, halo, hier) {
+        Ok(tiling) => tiling,
+        Err(error) => {
             eprintln!("{error}");
             return ExitCode::FAILURE;
         }
-    }
+    };
     // Surface bad mask counts (e.g. --k 1 or --k 300) as the pipeline's
     // typed error before any file is loaded.
     if let Err(error) = table_config(k, ColorAlgorithm::Linear).validate() {
@@ -263,12 +245,7 @@ fn main() -> ExitCode {
 
     let mut layouts: Vec<TimedLayout> = Vec::with_capacity(paths.len());
     for path in &paths {
-        let loaded = if hier {
-            load_layout_timed_hier(path, &layer_specs)
-        } else {
-            load_layout_timed(path, &layer_specs)
-        };
-        match loaded {
+        match load_layout_timed(path, &layer_specs) {
             Ok(timed) => {
                 eprintln!(
                     "{path}: {} shapes (parsed in {:.3}s)",

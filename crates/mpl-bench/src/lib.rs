@@ -8,10 +8,10 @@
 //!   `ratio` summary lines.
 //! * `table2` — pentuple patterning on the six densest circuits with the
 //!   three scalable algorithms.
-//! * `ablation` — the effect of each graph-division technique and of the
-//!   linear engine's design choices (orderings, color-friendly rule).
+//! * `ablation` — the effect of each graph-division technique, and the
+//!   linear engine against SDP+Greedy.
 //! * `workload` — the same row structure over arbitrary layout files
-//!   (text format or GDSII), via [`workload::load_layout`].  Its `--batch`
+//!   (text format or GDSII), via [`workload::load_layout_timed`].  Its `--batch`
 //!   mode instead drives all files as **one** [`mpl_core::DecompositionSession`]
 //!   on a shared executor and reports aggregate throughput (layouts/sec,
 //!   components/sec) plus a machine-readable `BENCH_*.json` via
@@ -127,19 +127,6 @@ pub fn run_cell_on(
     Ok(ResultRow::from_result(&plan.execute(executor)))
 }
 
-/// Runs one (circuit, algorithm, K) cell serially and returns the table row.
-///
-/// # Errors
-///
-/// Propagates the typed planning errors of [`Decomposer::plan`].
-pub fn run_cell(
-    layout: &Layout,
-    k: usize,
-    algorithm: ColorAlgorithm,
-) -> Result<ResultRow, DecomposeError> {
-    run_cell_on(layout, k, algorithm, &SerialExecutor)
-}
-
 /// Runs a full table on the given executor: every circuit against every
 /// algorithm for the given K.
 ///
@@ -152,19 +139,8 @@ pub fn run_table_on(
     k: usize,
     executor: &dyn Executor,
 ) -> Result<TableReport, DecomposeError> {
-    let mut report = TableReport::new();
-    for &circuit in circuits {
-        let layout = circuit_layout(circuit);
-        for &algorithm in algorithms {
-            let row = run_cell_on(&layout, k, algorithm, executor)?;
-            eprintln!(
-                "  {:<8} {:<14} cn#={:<4} st#={:<5} cpu={:.3}s",
-                row.circuit, row.algorithm, row.conflicts, row.stitches, row.cpu_seconds
-            );
-            report.push(row);
-        }
-    }
-    Ok(report)
+    let layouts: Vec<Layout> = circuits.iter().map(|&c| circuit_layout(c)).collect();
+    workload::run_layout_table_on(&layouts, algorithms, k, executor)
 }
 
 /// Parses circuit names from command-line arguments; an empty argument list
@@ -189,7 +165,8 @@ mod tests {
     #[test]
     fn run_cell_produces_a_row_for_a_small_circuit() {
         let layout = circuit_layout(IscasCircuit::C432);
-        let row = run_cell(&layout, 4, ColorAlgorithm::Linear).expect("valid config");
+        let row =
+            run_cell_on(&layout, 4, ColorAlgorithm::Linear, &SerialExecutor).expect("valid config");
         assert_eq!(row.circuit, "C432");
         assert_eq!(row.algorithm, "Linear");
         assert!(row.cpu_seconds >= 0.0);
@@ -216,7 +193,8 @@ mod tests {
     #[test]
     fn threaded_cells_match_serial_cells() {
         let layout = circuit_layout(IscasCircuit::C432);
-        let serial = run_cell(&layout, 4, ColorAlgorithm::Linear).expect("valid config");
+        let serial =
+            run_cell_on(&layout, 4, ColorAlgorithm::Linear, &SerialExecutor).expect("valid config");
         let threaded = run_cell_on(
             &layout,
             4,

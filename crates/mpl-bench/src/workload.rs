@@ -4,32 +4,15 @@
 //! module opens arbitrary layout files — the text format or GDSII — as
 //! additional table rows, so real routed benchmarks can be measured with
 //! the same harness. Format dispatch and error reporting live in
-//! [`mpl_gds::load_layout_file`]; this module only adds the `--layer`
-//! specification plumbing and the table loop.
+//! [`mpl_gds::layout_from_bytes`]; this module only adds the `--layer`
+//! specification plumbing, the parse timer and the table loop.
 
-use mpl_core::{ColorAlgorithm, DecomposeError, Executor, SerialExecutor, TableReport};
-use mpl_gds::{GdsLibrary, LayerMap, ReadOptions};
-use mpl_layout::io::LayoutFormat;
+use mpl_core::{ColorAlgorithm, DecomposeError, Executor, TableReport};
+use mpl_gds::{LayerMap, ReadOptions};
 use mpl_layout::{Layout, LayoutHierarchy};
 use std::sync::Arc;
 
 pub use mpl_gds::LoadLayoutError as WorkloadError;
-
-/// Loads a layout file, dispatching on the detected format (text or GDSII).
-///
-/// `layer_specs` restricts GDSII imports to the given `L[:D]` pairs; it is
-/// ignored for text layouts, which are single-layer by construction.
-///
-/// # Errors
-///
-/// Returns a [`WorkloadError`] describing the failing path and cause.
-pub fn load_layout(path: &str, layer_specs: &[String]) -> Result<Layout, WorkloadError> {
-    let map = LayerMap::from_specs(layer_specs).map_err(|error| WorkloadError::Gds {
-        path: path.to_string(),
-        error,
-    })?;
-    mpl_gds::load_layout_file(path, &map, &ReadOptions::default())
-}
 
 /// A loaded layout together with where it came from and how long the load
 /// (parse) took — the input unit of the batch benchmark harness
@@ -41,42 +24,23 @@ pub struct TimedLayout {
     pub path: String,
     /// The layout itself.
     pub layout: Layout,
-    /// The cell-instance hierarchy, when the source was GDSII and the load
-    /// asked for it ([`load_layout_timed_hier`]); text layouts are flat by
-    /// construction.
+    /// The cell-instance hierarchy of a GDSII file (read only by a
+    /// hierarchical batch); text layouts are flat by construction.
     pub hierarchy: Option<Arc<LayoutHierarchy>>,
     /// Wall-clock seconds spent loading and parsing the file.
     pub parse_seconds: f64,
 }
 
-/// Loads a layout file like [`load_layout`], timing the load.
+/// Loads a layout file once, dispatching on the detected format (text or
+/// GDSII), and times the load.
+///
+/// `layer_specs` restricts GDSII imports to the given `L[:D]` pairs; it is
+/// ignored for text layouts, which are single-layer by construction.
 ///
 /// # Errors
 ///
 /// Returns a [`WorkloadError`] describing the failing path and cause.
 pub fn load_layout_timed(path: &str, layer_specs: &[String]) -> Result<TimedLayout, WorkloadError> {
-    let parse_start = std::time::Instant::now();
-    let layout = load_layout(path, layer_specs)?;
-    Ok(TimedLayout {
-        path: path.to_string(),
-        layout,
-        hierarchy: None,
-        parse_seconds: parse_start.elapsed().as_secs_f64(),
-    })
-}
-
-/// Loads a layout file like [`load_layout_timed`], additionally recording
-/// the cell-instance hierarchy when the file is GDSII (for the batch
-/// harness's `--hier` mode).  Text layouts load with `hierarchy: None` and
-/// degenerate to the ordinary flat path downstream.
-///
-/// # Errors
-///
-/// Returns a [`WorkloadError`] describing the failing path and cause.
-pub fn load_layout_timed_hier(
-    path: &str,
-    layer_specs: &[String],
-) -> Result<TimedLayout, WorkloadError> {
     let map = LayerMap::from_specs(layer_specs).map_err(|error| WorkloadError::Gds {
         path: path.to_string(),
         error,
@@ -86,29 +50,18 @@ pub fn load_layout_timed_hier(
         path: path.to_string(),
         message: error.to_string(),
     })?;
-    if LayoutFormat::detect(path, &bytes) != LayoutFormat::Gds {
-        return load_layout_timed(path, layer_specs);
-    }
-    let library = GdsLibrary::from_bytes(&bytes).map_err(|error| WorkloadError::Gds {
-        path: path.to_string(),
-        error,
-    })?;
     let (layout, hierarchy) =
-        mpl_gds::layout_with_hierarchy(&library, &map, &ReadOptions::default()).map_err(
-            |error| WorkloadError::Gds {
-                path: path.to_string(),
-                error,
-            },
-        )?;
+        mpl_gds::layout_from_bytes(path, &bytes, &map, &ReadOptions::default())?;
     Ok(TimedLayout {
         path: path.to_string(),
         layout,
-        hierarchy: Some(Arc::new(hierarchy)),
+        hierarchy: hierarchy.map(Arc::new),
         parse_seconds: parse_start.elapsed().as_secs_f64(),
     })
 }
 
-/// Runs the table cells for a list of pre-loaded layouts on an executor.
+/// Runs the table cells for a list of pre-loaded layouts on an executor,
+/// printing each row as it finishes.
 ///
 /// # Errors
 ///
@@ -134,22 +87,10 @@ pub fn run_layout_table_on(
     Ok(report)
 }
 
-/// Runs the table cells for a list of pre-loaded layouts serially.
-///
-/// # Errors
-///
-/// Propagates the first cell's typed planning error, if any.
-pub fn run_layout_table(
-    layouts: &[Layout],
-    algorithms: &[ColorAlgorithm],
-    k: usize,
-) -> Result<TableReport, DecomposeError> {
-    run_layout_table_on(layouts, algorithms, k, &SerialExecutor)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mpl_core::SerialExecutor;
     use mpl_layout::{gen, io, Technology};
 
     fn temp_path(name: &str) -> String {
@@ -165,14 +106,16 @@ mod tests {
 
         let text_path = temp_path("fig1.txt");
         std::fs::write(&text_path, io::to_text(&layout)).expect("write text");
-        let from_text = load_layout(&text_path, &[]).expect("load text");
+        let from_text = load_layout_timed(&text_path, &[]).expect("load text");
 
         let gds_path = temp_path("fig1.gds");
         mpl_gds::write_layout_file(&gds_path, &layout, 1, 0).expect("write gds");
-        let from_gds = load_layout(&gds_path, &[]).expect("load gds");
+        let from_gds = load_layout_timed(&gds_path, &[]).expect("load gds");
 
-        assert_eq!(from_text, layout);
-        assert_eq!(from_gds.shape_count(), layout.shape_count());
+        assert_eq!(from_text.layout, layout);
+        assert!(from_text.hierarchy.is_none());
+        assert_eq!(from_gds.layout.shape_count(), layout.shape_count());
+        assert!(from_gds.hierarchy.is_some(), "GDSII keeps its hierarchy");
 
         std::fs::remove_file(&text_path).ok();
         std::fs::remove_file(&gds_path).ok();
@@ -180,7 +123,7 @@ mod tests {
 
     #[test]
     fn missing_files_error_with_the_path() {
-        let error = load_layout("/nonexistent/x.gds", &[]).unwrap_err();
+        let error = load_layout_timed("/nonexistent/x.gds", &[]).unwrap_err();
         assert!(error.to_string().contains("/nonexistent/x.gds"));
     }
 
@@ -190,9 +133,9 @@ mod tests {
         let layout = gen::fig1_contact_clique(&tech);
         let gds_path = temp_path("table.gds");
         mpl_gds::write_layout_file(&gds_path, &layout, 1, 0).expect("write gds");
-        let loaded = load_layout(&gds_path, &[]).expect("load");
-        let report =
-            run_layout_table(&[loaded], &[ColorAlgorithm::Linear], 4).expect("clean layout");
+        let loaded = load_layout_timed(&gds_path, &[]).expect("load").layout;
+        let report = run_layout_table_on(&[loaded], &[ColorAlgorithm::Linear], 4, &SerialExecutor)
+            .expect("clean layout");
         assert_eq!(report.rows().len(), 1);
         assert_eq!(report.rows()[0].conflicts, 0);
         std::fs::remove_file(&gds_path).ok();

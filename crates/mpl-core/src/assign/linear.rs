@@ -9,8 +9,8 @@ use mpl_graph::Csr;
 /// The paper processes three orders simultaneously and keeps the best
 /// result; since each order is colored in linear time, the total remains
 /// linear.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum VertexOrdering {
+#[derive(Debug, Clone, Copy)]
+enum VertexOrdering {
     /// `SEQUENCE-COLORING`: vertices in their construction order.
     Sequence,
     /// `DEGREE-COLORING`: vertices by decreasing conflict degree.
@@ -20,14 +20,16 @@ pub enum VertexOrdering {
     ThreeRound,
 }
 
-impl VertexOrdering {
-    /// The three orders used by peer selection.
-    pub const ALL: [VertexOrdering; 3] = [
-        VertexOrdering::Sequence,
-        VertexOrdering::Degree,
-        VertexOrdering::ThreeRound,
-    ];
-}
+/// The three orders used by peer selection.
+const ORDERINGS: [VertexOrdering; 3] = [
+    VertexOrdering::Sequence,
+    VertexOrdering::Degree,
+    VertexOrdering::ThreeRound,
+];
+
+/// How much each already-colored color-friendly neighbour (Definition 2)
+/// lowers the penalty of its color.
+const COLOR_FRIENDLY_BONUS: f64 = 0.01;
 
 /// The linear color assignment engine (Algorithm 2).
 ///
@@ -37,132 +39,27 @@ impl VertexOrdering {
 ///    stitch degree < 2 are non-critical: they are removed onto a stack and
 ///    re-colored last, when a conflict-free color is guaranteed to exist.
 /// 2. **Kernel coloring with peer selection** — the remaining vertices are
-///    colored greedily under each [`VertexOrdering`]; the cheapest result
-///    wins.  When scoring a color the engine looks not only at conflict and
-///    stitch neighbours but also at *color-friendly* vertices (Definition
-///    2), which in dense layouts tend to share a mask.
+///    colored greedily under each of three vertex orders; the cheapest
+///    result wins.  When scoring a color the engine looks not only at
+///    conflict and stitch neighbours but also at *color-friendly* vertices
+///    (Definition 2), which in dense layouts tend to share a mask.
 /// 3. **Post-refinement** — one greedy improvement pass over the kernel,
 ///    followed by popping the stack and giving every popped vertex its best
 ///    legal color.
-#[derive(Debug, Clone)]
-pub struct LinearAssigner {
-    orderings: Vec<VertexOrdering>,
-    color_friendly_bonus: f64,
-    refine: bool,
-}
-
-impl Default for LinearAssigner {
-    fn default() -> Self {
-        LinearAssigner::new()
-    }
-}
+///
+/// The engine has no settings: it always runs the paper's configuration
+/// (all three orders, color-friendly guidance, post-refinement).
+#[derive(Debug, Clone, Copy, Default)]
+pub struct LinearAssigner;
 
 impl LinearAssigner {
-    /// Creates the engine with the paper's defaults: all three orderings,
-    /// color-friendly guidance enabled, and post-refinement on.
+    /// Creates the engine.
     pub fn new() -> Self {
-        LinearAssigner {
-            orderings: VertexOrdering::ALL.to_vec(),
-            color_friendly_bonus: 0.01,
-            refine: true,
-        }
+        LinearAssigner
     }
 
-    /// Restricts peer selection to a single ordering (used by the ablation
-    /// benches).
-    pub fn with_orderings(mut self, orderings: Vec<VertexOrdering>) -> Self {
-        assert!(!orderings.is_empty(), "at least one ordering is required");
-        self.orderings = orderings;
-        self
-    }
-
-    /// Disables the color-friendly tie-breaking rule.
-    pub fn without_color_friendly(mut self) -> Self {
-        self.color_friendly_bonus = 0.0;
-        self
-    }
-
-    /// Disables the post-refinement stage.
-    pub fn without_refinement(mut self) -> Self {
-        self.refine = false;
-        self
-    }
-
-    fn order_vertices(
-        &self,
-        ordering: VertexOrdering,
-        kernel: &[usize],
-        conflict_degree: &[usize],
-        k: usize,
-    ) -> Vec<usize> {
-        let mut order = kernel.to_vec();
-        match ordering {
-            VertexOrdering::Sequence => {}
-            VertexOrdering::Degree => {
-                order.sort_by_key(|&v| std::cmp::Reverse(conflict_degree[v]));
-            }
-            VertexOrdering::ThreeRound => {
-                let round = |v: usize| {
-                    if conflict_degree[v] >= k {
-                        0
-                    } else if conflict_degree[v] * 2 >= k {
-                        1
-                    } else {
-                        2
-                    }
-                };
-                order.sort_by_key(|&v| (round(v), v));
-            }
-        }
-        order
-    }
-
-    /// Greedy color choice for `vertex` given the partially assigned
-    /// `colors` (`u8::MAX` marks unassigned vertices).
-    #[allow(clippy::too_many_arguments)]
-    fn best_color(
-        &self,
-        vertex: usize,
-        colors: &[u8],
-        k: usize,
-        alpha: f64,
-        conflict_adj: &Csr,
-        stitch_adj: &Csr,
-        friendly_adj: &Csr,
-    ) -> u8 {
-        let mut penalty = vec![0.0f64; k];
-        for &n in conflict_adj.neighbors(vertex) {
-            if colors[n] != u8::MAX {
-                penalty[colors[n] as usize] += 1.0;
-            }
-        }
-        for &n in stitch_adj.neighbors(vertex) {
-            if colors[n] != u8::MAX {
-                for (color, slot) in penalty.iter_mut().enumerate() {
-                    if color != colors[n] as usize {
-                        *slot += alpha;
-                    }
-                }
-            }
-        }
-        if self.color_friendly_bonus > 0.0 {
-            for &n in friendly_adj.neighbors(vertex) {
-                if colors[n] != u8::MAX {
-                    penalty[colors[n] as usize] -= self.color_friendly_bonus;
-                }
-            }
-        }
-        penalty
-            .iter()
-            .enumerate()
-            .min_by(|a, b| a.1.partial_cmp(b.1).expect("finite penalties"))
-            .map(|(color, _)| color as u8)
-            .unwrap_or(0)
-    }
-}
-
-impl ColorAssigner for LinearAssigner {
-    fn assign(&self, problem: &ComponentProblem) -> Vec<u8> {
+    /// The engine's three stages, with peer selection over `orderings`.
+    fn assign_with(problem: &ComponentProblem, orderings: &[VertexOrdering]) -> Vec<u8> {
         let n = problem.vertex_count();
         if n == 0 {
             return Vec::new();
@@ -237,12 +134,12 @@ impl ColorAssigner for LinearAssigner {
 
         let mut best_colors: Option<Vec<u8>> = None;
         let mut best_score = f64::INFINITY;
-        for &ordering in &self.orderings {
-            let order = self.order_vertices(ordering, &kernel, &kernel_conflict_degree, k);
+        for &ordering in orderings {
+            let order = order_vertices(ordering, &kernel, &kernel_conflict_degree, k);
             let mut colors = vec![u8::MAX; n];
             for &v in &order {
                 colors[v] =
-                    self.best_color(v, &colors, k, alpha, conflict_adj, stitch_adj, friendly_adj);
+                    best_color(v, &colors, k, alpha, conflict_adj, stitch_adj, friendly_adj);
             }
             let value = score(&colors);
             if value < best_score {
@@ -253,20 +150,16 @@ impl ColorAssigner for LinearAssigner {
         let mut colors = best_colors.unwrap_or_else(|| vec![u8::MAX; n]);
 
         // ---- Stage 3: post-refinement on the kernel. ----
-        if self.refine {
-            for &v in &kernel {
-                // Re-choosing the locally cheapest color (with the vertex
-                // itself masked out) can only keep or reduce the total cost.
-                colors[v] = u8::MAX;
-                colors[v] =
-                    self.best_color(v, &colors, k, alpha, conflict_adj, stitch_adj, friendly_adj);
-            }
+        for &v in &kernel {
+            // Re-choosing the locally cheapest color (with the vertex
+            // itself masked out) can only keep or reduce the total cost.
+            colors[v] = u8::MAX;
+            colors[v] = best_color(v, &colors, k, alpha, conflict_adj, stitch_adj, friendly_adj);
         }
 
         // ---- Pop the stack: a legal color always exists. ----
         for &v in stack.iter().rev() {
-            colors[v] =
-                self.best_color(v, &colors, k, alpha, conflict_adj, stitch_adj, friendly_adj);
+            colors[v] = best_color(v, &colors, k, alpha, conflict_adj, stitch_adj, friendly_adj);
         }
         // Any vertex that never received a color (isolated) defaults to 0.
         for color in colors.iter_mut() {
@@ -275,6 +168,79 @@ impl ColorAssigner for LinearAssigner {
             }
         }
         colors
+    }
+}
+
+fn order_vertices(
+    ordering: VertexOrdering,
+    kernel: &[usize],
+    conflict_degree: &[usize],
+    k: usize,
+) -> Vec<usize> {
+    let mut order = kernel.to_vec();
+    match ordering {
+        VertexOrdering::Sequence => {}
+        VertexOrdering::Degree => {
+            order.sort_by_key(|&v| std::cmp::Reverse(conflict_degree[v]));
+        }
+        VertexOrdering::ThreeRound => {
+            let round = |v: usize| {
+                if conflict_degree[v] >= k {
+                    0
+                } else if conflict_degree[v] * 2 >= k {
+                    1
+                } else {
+                    2
+                }
+            };
+            order.sort_by_key(|&v| (round(v), v));
+        }
+    }
+    order
+}
+
+/// Greedy color choice for `vertex` given the partially assigned
+/// `colors` (`u8::MAX` marks unassigned vertices).
+fn best_color(
+    vertex: usize,
+    colors: &[u8],
+    k: usize,
+    alpha: f64,
+    conflict_adj: &Csr,
+    stitch_adj: &Csr,
+    friendly_adj: &Csr,
+) -> u8 {
+    let mut penalty = vec![0.0f64; k];
+    for &n in conflict_adj.neighbors(vertex) {
+        if colors[n] != u8::MAX {
+            penalty[colors[n] as usize] += 1.0;
+        }
+    }
+    for &n in stitch_adj.neighbors(vertex) {
+        if colors[n] != u8::MAX {
+            for (color, slot) in penalty.iter_mut().enumerate() {
+                if color != colors[n] as usize {
+                    *slot += alpha;
+                }
+            }
+        }
+    }
+    for &n in friendly_adj.neighbors(vertex) {
+        if colors[n] != u8::MAX {
+            penalty[colors[n] as usize] -= COLOR_FRIENDLY_BONUS;
+        }
+    }
+    penalty
+        .iter()
+        .enumerate()
+        .min_by(|a, b| a.1.partial_cmp(b.1).expect("finite penalties"))
+        .map(|(color, _)| color as u8)
+        .unwrap_or(0)
+}
+
+impl ColorAssigner for LinearAssigner {
+    fn assign(&self, problem: &ComponentProblem) -> Vec<u8> {
+        LinearAssigner::assign_with(problem, &ORDERINGS)
     }
 
     fn name(&self) -> &'static str {
@@ -386,17 +352,6 @@ mod tests {
     }
 
     #[test]
-    fn single_ordering_variants_still_produce_valid_colorings() {
-        let problem = k5(4);
-        for ordering in VertexOrdering::ALL {
-            let assigner = LinearAssigner::new().with_orderings(vec![ordering]);
-            let colors = assigner.assign(&problem);
-            assert_eq!(colors.len(), 5);
-            assert!(colors.iter().all(|&c| c < 4));
-        }
-    }
-
-    #[test]
     fn peer_selection_is_no_worse_than_any_single_ordering() {
         // Build a moderately tangled instance and check that the
         // three-ordering engine is at least as good as each single ordering.
@@ -428,25 +383,11 @@ mod tests {
         }
         let all = LinearAssigner::new().assign(&p);
         let (_, _, cost_all) = p.evaluate(&all);
-        for ordering in VertexOrdering::ALL {
-            let single = LinearAssigner::new()
-                .with_orderings(vec![ordering])
-                .assign(&p);
+        for ordering in ORDERINGS {
+            let single = LinearAssigner::assign_with(&p, &[ordering]);
             let (_, _, cost_single) = p.evaluate(&single);
             assert!(cost_all <= cost_single + 1e-9);
         }
-    }
-
-    #[test]
-    fn refinement_and_friendly_toggles_do_not_break_validity() {
-        let problem = k5(4);
-        let plain = LinearAssigner::new()
-            .without_refinement()
-            .without_color_friendly()
-            .assign(&problem);
-        assert_eq!(plain.len(), 5);
-        let (conflicts, _, _) = problem.evaluate(&plain);
-        assert!(conflicts >= 1);
     }
 
     #[test]

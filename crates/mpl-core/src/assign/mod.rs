@@ -18,7 +18,7 @@ mod linear;
 mod sdp;
 
 pub use exact::{build_ilp_model, ExactAssigner};
-pub use linear::{LinearAssigner, VertexOrdering};
+pub use linear::LinearAssigner;
 pub use sdp::{SdpBacktrackAssigner, SdpGreedyAssigner};
 
 use crate::ComponentProblem;

@@ -151,6 +151,37 @@ impl TileConfig {
         self
     }
 
+    /// The validated tiling of one request's `tile_size`/`halo` fields (the
+    /// CLI flags, a `submit` frame's fields): `None` without a tile size.
+    /// Every front end turns its request into a tiling here, before it
+    /// reads any input.
+    ///
+    /// # Errors
+    ///
+    /// [`ConfigError::TileHaloWithoutTiling`] for a halo without a tile
+    /// size, the errors of [`validate`](TileConfig::validate), then
+    /// [`ConfigError::HierWithTiling`] when the request also asks for
+    /// hierarchical decomposition (`hier`).
+    pub fn from_request(
+        tile_size: Option<i64>,
+        halo: Option<i64>,
+        hier: bool,
+    ) -> Result<Option<TileConfig>, ConfigError> {
+        let Some(size) = tile_size else {
+            return match halo {
+                Some(_) => Err(ConfigError::TileHaloWithoutTiling),
+                None => Ok(None),
+            };
+        };
+        let mut tiling = TileConfig::new(Nm(size));
+        tiling.halo = halo.map(Nm);
+        tiling.validate()?;
+        if hier {
+            return Err(ConfigError::HierWithTiling);
+        }
+        Ok(Some(tiling))
+    }
+
     /// Checks the configuration: the tile size and any explicit halo must
     /// be positive distances, and the halo must be smaller than the tile
     /// size — a halo spanning a whole tile makes every window swallow its
@@ -360,6 +391,30 @@ mod tests {
                 })
             );
         }
+    }
+
+    #[test]
+    fn tile_requests_check_the_halo_then_the_tiling_then_the_hierarchy() {
+        use crate::ConfigError;
+        assert_eq!(TileConfig::from_request(None, None, true), Ok(None));
+        assert_eq!(
+            TileConfig::from_request(Some(1000), Some(100), false),
+            Ok(Some(TileConfig::new(Nm(1000)).with_halo(Nm(100))))
+        );
+        for hier in [false, true] {
+            assert_eq!(
+                TileConfig::from_request(None, Some(100), hier),
+                Err(ConfigError::TileHaloWithoutTiling)
+            );
+            assert_eq!(
+                TileConfig::from_request(Some(0), None, hier),
+                Err(ConfigError::TileSize { size: 0 })
+            );
+        }
+        assert_eq!(
+            TileConfig::from_request(Some(1000), None, true),
+            Err(ConfigError::HierWithTiling)
+        );
     }
 
     #[test]

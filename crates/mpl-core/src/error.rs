@@ -47,9 +47,6 @@ pub enum ConfigError {
     },
     /// A tile halo was given while tiling is disabled.
     TileHaloWithoutTiling,
-    /// Tiling flags were combined with an explicit request to disable
-    /// tiling.
-    TileFlagsWithNoTile,
     /// A tile halo at least as large as the tile size: every window would
     /// swallow its neighbours whole, so tiling degenerates to overlapping
     /// copies of the full layout.
@@ -59,9 +56,6 @@ pub enum ConfigError {
         /// The tile size it was combined with, in nm.
         tile_size: i64,
     },
-    /// Hierarchical decomposition was combined with an explicit request to
-    /// disable it.
-    HierFlagsWithNoHier,
     /// Hierarchical decomposition was combined with tiling; the two
     /// drivers partition components along different seams and cannot be
     /// composed in one run.
@@ -103,17 +97,11 @@ impl fmt::Display for ConfigError {
             ConfigError::TileHaloWithoutTiling => {
                 write!(f, "--halo requires tiling to be enabled (--tile-size)")
             }
-            ConfigError::TileFlagsWithNoTile => {
-                write!(f, "--no-tile contradicts --tile-size/--halo")
-            }
             ConfigError::TileHaloDominates { halo, tile_size } => write!(
                 f,
                 "tile halo {halo} nm must be smaller than the tile size {tile_size} nm; \
                  such windows would swallow whole neighbouring tiles"
             ),
-            ConfigError::HierFlagsWithNoHier => {
-                write!(f, "--no-hier contradicts --hier")
-            }
             ConfigError::HierWithTiling => {
                 write!(
                     f,
@@ -194,18 +182,12 @@ mod tests {
         assert!(ConfigError::TileHaloWithoutTiling
             .to_string()
             .contains("--tile-size"));
-        assert!(ConfigError::TileFlagsWithNoTile
-            .to_string()
-            .contains("--no-tile"));
         assert!(ConfigError::TileHaloDominates {
             halo: 500,
             tile_size: 400
         }
         .to_string()
         .contains("500"));
-        assert!(ConfigError::HierFlagsWithNoHier
-            .to_string()
-            .contains("--hier"));
         assert!(ConfigError::HierWithTiling.to_string().contains("--hier"));
         assert!(DecomposeError::DegenerateShape { shape: 3 }
             .to_string()

@@ -1,19 +1,18 @@
 //! Structure flattening: expands SREF/AREF hierarchies into flat geometry.
 //!
 //! Real layouts are deeply hierarchical; the decomposition flow wants a flat
-//! bag of polygons. [`flatten`] walks the reference tree from a top
+//! bag of polygons. [`flatten_from`] walks the reference tree from a top
 //! structure, applying reference transforms (translation, reflection about
 //! x, and rotations in 90° multiples — the transforms that keep rectilinear
 //! geometry rectilinear) and converting every boundary, box and path into
 //! rectangle lists in database units.
 //!
-//! [`flatten_tagged`] produces the exact same shape sequence and
-//! additionally records, per shape, which *top-level instance* (direct
+//! It also records, per shape, which *top-level instance* (direct
 //! SREF/AREF child of the top structure, AREFs expanded row-major) emitted
 //! it — the provenance the hierarchical decomposition driver needs to split
 //! merged conflict components back into per-cell pieces.
 //!
-//! Both entry points validate the reference graph first
+//! The walk validates the reference graph first
 //! ([`GdsLibrary::from_bytes`](crate::GdsLibrary::from_bytes) does too), so
 //! cyclic or over-deep hierarchies surface as typed errors instead of
 //! unbounded recursion, and count what the walk would expand, so an array
@@ -30,7 +29,7 @@ use std::collections::HashMap;
 
 /// One flattened feature: a rectangle union on a layer:datatype pair.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FlatShape {
+pub(crate) struct FlatShape {
     /// GDS layer number.
     pub layer: i16,
     /// GDS datatype number (boxtype for `BOX` elements).
@@ -41,7 +40,7 @@ pub struct FlatShape {
 
 /// One expanded top-level placement, in database units.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FlatInstance {
+pub(crate) struct FlatInstance {
     /// Name of the referenced structure.
     pub cell: String,
     /// Placement translation in database units.
@@ -52,8 +51,8 @@ pub struct FlatInstance {
 
 /// Flattened geometry plus per-shape instance provenance.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct TaggedFlat {
-    /// Flattened shapes, identical to what [`flatten`] returns.
+pub(crate) struct TaggedFlat {
+    /// Flattened shapes.
     pub shapes: Vec<FlatShape>,
     /// Parallel to `shapes`: the index into `instances` of the top-level
     /// placement that emitted the shape, or `None` for geometry of the top
@@ -141,20 +140,9 @@ fn placement_of(name: &str, strans: &GdsStrans, origin: (i64, i64)) -> Result<Pl
     })
 }
 
-/// Flattens the library from `top` (or the inferred top structure) into
-/// rectangle-union shapes in database units.
-///
-/// # Errors
-///
-/// Propagates [`GdsError::UndefinedStruct`], [`GdsError::RecursiveStruct`],
-/// [`GdsError::DeepHierarchy`], [`GdsError::ExpansionTooLarge`],
-/// [`GdsError::UnsupportedTransform`] and [`GdsError::NonRectilinear`].
-pub fn flatten(library: &GdsLibrary, top: Option<&str>) -> Result<Vec<FlatShape>, GdsError> {
-    Ok(flatten_tagged(library, top)?.shapes)
-}
-
-/// Flattens like [`flatten`] and tags every emitted shape with the
-/// top-level instance that produced it.
+/// Flattens the library from `top` into rectangle-union shapes in database
+/// units and tags every emitted shape with the top-level instance that
+/// produced it.
 ///
 /// Geometry owned by the top structure directly is tagged `None`; geometry
 /// reached through a direct SREF child of the top gets that placement's
@@ -170,12 +158,9 @@ pub fn flatten(library: &GdsLibrary, top: Option<&str>) -> Result<Vec<FlatShape>
 ///
 /// # Errors
 ///
-/// Same as [`flatten`].
-pub fn flatten_tagged(library: &GdsLibrary, top: Option<&str>) -> Result<TaggedFlat, GdsError> {
-    flatten_from(library, library.top_struct(top)?)
-}
-
-/// [`flatten_tagged`] from a top structure already found in `library`.
+/// Propagates [`GdsError::UndefinedStruct`], [`GdsError::RecursiveStruct`],
+/// [`GdsError::DeepHierarchy`], [`GdsError::ExpansionTooLarge`],
+/// [`GdsError::UnsupportedTransform`] and [`GdsError::NonRectilinear`].
 pub(crate) fn flatten_from(library: &GdsLibrary, top: &GdsStruct) -> Result<TaggedFlat, GdsError> {
     let targets = Targets {
         library,
@@ -438,6 +423,16 @@ mod tests {
     use crate::model::{GdsElement, GdsLibrary, GdsStrans, GdsStruct};
     use crate::poly::sweep_loop;
     use proptest::prelude::*;
+
+    /// [`flatten_from`] the named (or the inferred) top structure.
+    fn flatten_tagged(library: &GdsLibrary, top: Option<&str>) -> Result<TaggedFlat, GdsError> {
+        flatten_from(library, library.top_struct(top)?)
+    }
+
+    /// The shapes of [`flatten_tagged`].
+    fn flatten(library: &GdsLibrary, top: Option<&str>) -> Result<Vec<FlatShape>, GdsError> {
+        Ok(flatten_tagged(library, top)?.shapes)
+    }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(512))]

@@ -9,15 +9,19 @@
 //!   ([`record::RecordReader`]), typed payload decoders (big-endian i16/i32,
 //!   8-byte excess-64 reals, ASCII) and a length/padding-correct emitter.
 //! * [`GdsLibrary`] / [`GdsStruct`] / [`GdsElement`] — the object model,
-//!   with [`GdsLibrary::from_bytes`] / [`GdsLibrary::to_bytes`] and file
-//!   helpers [`GdsLibrary::load`] / [`GdsLibrary::save`].
-//! * [`flatten`] — reference expansion: SREF/AREF hierarchies are walked
-//!   with Manhattan transforms (translation, x-reflection, 90° rotations)
-//!   and every boundary, box and path becomes a rectangle union, the
-//!   polygon model the decomposition flow works on.
-//! * [`LayerMap`] + [`layout_from_library`] — select which `layer:datatype`
-//!   pairs become [`mpl_layout::Layout`] shapes; touching polygons merge
-//!   back into connected features by default.
+//!   with [`GdsLibrary::from_bytes`] / [`GdsLibrary::to_bytes`] and the
+//!   file helper [`GdsLibrary::save`].
+//! * [`LayerMap`] + [`layout_from_library`] — flatten a library and select
+//!   which `layer:datatype` pairs become [`mpl_layout::Layout`] shapes.
+//!   Flattening walks SREF/AREF hierarchies with Manhattan transforms
+//!   (translation, x-reflection, 90° rotations), every boundary, box and
+//!   path becomes a rectangle union (the polygon model the decomposition
+//!   flow works on), and touching polygons merge back into connected
+//!   features. [`layout_with_hierarchy`] returns the same layout plus the
+//!   top-level cell instance each shape came from.
+//! * [`layout_from_bytes`] / [`load_layout_file`] — the one loader of both
+//!   layout formats: the format is detected from the path and the leading
+//!   bytes, and a GDSII input also returns its cell-instance hierarchy.
 //! * [`library_from_layout`] / [`library_from_masks`] — write layouts, and
 //!   colored decompositions with one layer per mask (`base_layer + k`);
 //!   [`write_layout_file`] / [`write_colored_file`] stream the same bytes
@@ -62,8 +66,7 @@ pub use convert::{
     ReadOptions,
 };
 pub use error::GdsError;
-pub use flatten::{flatten, flatten_tagged, FlatInstance, FlatShape, TaggedFlat};
-pub use load::{load_layout_file, LoadLayoutError};
+pub use load::{layout_from_bytes, load_layout_file, LoadLayoutError};
 pub use model::{GdsElement, GdsLibrary, GdsStrans, GdsStruct, MAX_EXPANDED, MAX_REF_DEPTH};
 pub use poly::{loop_to_rects, path_to_rects, DbRect};
 pub use record::{decode_real8, encode_real8};
@@ -71,41 +74,6 @@ pub use record::{decode_real8, encode_real8};
 use mpl_geometry::Polygon;
 use mpl_layout::Layout;
 use std::borrow::Borrow;
-
-/// Reads a GDSII file straight into a [`Layout`].
-///
-/// Convenience wrapper: [`GdsLibrary::load`] followed by
-/// [`layout_from_library`].
-///
-/// # Errors
-///
-/// Any I/O, parse, flattening or conversion error, as a [`GdsError`].
-pub fn read_layout_file(
-    path: &str,
-    map: &LayerMap,
-    options: &ReadOptions,
-) -> Result<Layout, GdsError> {
-    let library = GdsLibrary::load(path)?;
-    layout_from_library(&library, map, options)
-}
-
-/// Reads a GDSII file into a [`Layout`] plus its cell-instance provenance.
-///
-/// Convenience wrapper: [`GdsLibrary::load`] followed by
-/// [`layout_with_hierarchy`]. The layout is identical to what
-/// [`read_layout_file`] returns.
-///
-/// # Errors
-///
-/// Any I/O, parse, flattening or conversion error, as a [`GdsError`].
-pub fn read_layout_file_with_hierarchy(
-    path: &str,
-    map: &LayerMap,
-    options: &ReadOptions,
-) -> Result<(Layout, mpl_layout::LayoutHierarchy), GdsError> {
-    let library = GdsLibrary::load(path)?;
-    layout_with_hierarchy(&library, map, options)
-}
 
 /// Writes a [`Layout`] to a GDSII file on `layer:datatype`, one `BOUNDARY`
 /// per component rectangle.

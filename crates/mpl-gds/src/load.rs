@@ -1,15 +1,15 @@
 //! Format-dispatching layout loader.
 //!
 //! The workspace understands two on-disk layout formats — the line-oriented
-//! text format of `mpl_layout::io` and GDSII. [`load_layout_file`] is the
+//! text format of `mpl_layout::io` and GDSII. [`layout_from_bytes`] is the
 //! single place that sniffs the format (via
 //! [`mpl_layout::io::LayoutFormat::detect`]) and routes to the right
-//! parser, so every front end (CLI, benchmarks) agrees on dispatch and
-//! error wording.
+//! parser, so every front end (CLI, server, benchmarks) agrees on dispatch
+//! and error wording.
 
-use crate::{layout_from_library, GdsError, GdsLibrary, LayerMap, ReadOptions};
+use crate::{layout_with_hierarchy, GdsError, GdsLibrary, LayerMap, ReadOptions};
 use mpl_layout::io::{self, LayoutFormat, ParseLayoutError};
-use mpl_layout::Layout;
+use mpl_layout::{Layout, LayoutHierarchy};
 use std::fmt;
 
 /// Error loading a layout file of either supported format.
@@ -66,11 +66,9 @@ impl std::error::Error for LoadLayoutError {
     }
 }
 
-/// Loads a layout file, dispatching on the detected format.
-///
-/// The file is read once; GDSII inputs are filtered through `map` and
-/// flattened per `options`, text inputs are parsed strictly (invalid UTF-8
-/// is an error, not silently replaced).
+/// Loads a layout file, dispatching on the detected format: the file is
+/// read once and converted by [`layout_from_bytes`], and a GDSII input's
+/// hierarchy is dropped.
 ///
 /// # Errors
 ///
@@ -84,25 +82,46 @@ pub fn load_layout_file(
         path: path.to_string(),
         message: error.to_string(),
     })?;
-    match LayoutFormat::detect(path, &bytes) {
+    Ok(layout_from_bytes(path, &bytes, map, options)?.0)
+}
+
+/// Converts the bytes of the layout file at `path`, dispatching on the
+/// format detected from the path and the leading bytes.
+///
+/// GDSII inputs are filtered through `map`, flattened per `options`, and
+/// also return the cell-instance hierarchy that conversion builds
+/// ([`layout_with_hierarchy`]); the hierarchy is `Some` exactly for GDSII.
+/// Text inputs are parsed strictly (invalid UTF-8 is an error, not
+/// silently replaced).
+///
+/// # Errors
+///
+/// Returns a [`LoadLayoutError`] naming `path` and the cause.
+pub fn layout_from_bytes(
+    path: &str,
+    bytes: &[u8],
+    map: &LayerMap,
+    options: &ReadOptions,
+) -> Result<(Layout, Option<LayoutHierarchy>), LoadLayoutError> {
+    match LayoutFormat::detect(path, bytes) {
         LayoutFormat::Gds => {
-            let library = GdsLibrary::from_bytes(&bytes).map_err(|error| LoadLayoutError::Gds {
+            let gds = |error| LoadLayoutError::Gds {
                 path: path.to_string(),
                 error,
-            })?;
-            layout_from_library(&library, map, options).map_err(|error| LoadLayoutError::Gds {
-                path: path.to_string(),
-                error,
-            })
+            };
+            let library = GdsLibrary::from_bytes(bytes).map_err(gds)?;
+            let (layout, hierarchy) = layout_with_hierarchy(&library, map, options).map_err(gds)?;
+            Ok((layout, Some(hierarchy)))
         }
         LayoutFormat::Text => {
-            let text = String::from_utf8(bytes).map_err(|_| LoadLayoutError::NotText {
+            let text = std::str::from_utf8(bytes).map_err(|_| LoadLayoutError::NotText {
                 path: path.to_string(),
             })?;
-            io::from_text(&text).map_err(|error| LoadLayoutError::Text {
+            let layout = io::from_text(text).map_err(|error| LoadLayoutError::Text {
                 path: path.to_string(),
                 error,
-            })
+            })?;
+            Ok((layout, None))
         }
     }
 }
@@ -145,6 +164,27 @@ mod tests {
         );
         std::fs::remove_file(&text_path).ok();
         std::fs::remove_file(&gds_path).ok();
+    }
+
+    #[test]
+    fn only_gds_bytes_carry_a_hierarchy() {
+        let layout = sample_layout();
+        let text = io::to_text(&layout);
+        let gds = crate::library_from_layout(&layout, 1, 0)
+            .and_then(|library| library.to_bytes())
+            .expect("encode");
+        let load = |path: &str, bytes: &[u8]| {
+            layout_from_bytes(path, bytes, &LayerMap::all(), &ReadOptions::default())
+                .expect("loads")
+        };
+        let (from_text, none) = load("a.txt", text.as_bytes());
+        assert_eq!((from_text, none), (layout.clone(), None));
+        // The HEADER record selects GDSII whatever the extension says.
+        for path in ["a.gds", "a.txt"] {
+            let (from_gds, hierarchy) = load(path, &gds);
+            assert_eq!(from_gds.shape_count(), 1);
+            assert!(hierarchy.is_some(), "{path}");
+        }
     }
 
     #[test]

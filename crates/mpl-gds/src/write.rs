@@ -52,20 +52,6 @@ impl GdsLibrary {
     pub fn save(&self, path: &str) -> Result<(), GdsError> {
         write_file(path, &self.to_bytes()?)
     }
-
-    /// Reads and parses a library from a file.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`GdsError::Io`] when the file cannot be read, or any parse
-    /// error from [`GdsLibrary::from_bytes`].
-    pub fn load(path: &str) -> Result<GdsLibrary, GdsError> {
-        let bytes = std::fs::read(path).map_err(|error| GdsError::Io {
-            path: path.to_string(),
-            message: error.to_string(),
-        })?;
-        GdsLibrary::from_bytes(&bytes)
-    }
 }
 
 /// Writes `bytes` to the file at `path`, creating or truncating it.

@@ -10,8 +10,8 @@
 //! hierarchy instead:
 //!
 //! 1. **Tag** — `mpl-gds` flattens with provenance
-//!    ([`flatten_tagged`](../mpl_gds/fn.flatten_tagged.html)): every flat
-//!    shape remembers which top-level cell instance placed it, and a
+//!    ([`layout_with_hierarchy`](mpl_gds::layout_with_hierarchy)): every
+//!    flat shape remembers which top-level cell instance placed it, and a
 //!    [`LayoutHierarchy`](mpl_layout::LayoutHierarchy) carries the tags
 //!    into the layout.  Shapes that merge **across** an instance boundary
 //!    lose their tag — they are boundary geometry by definition.  Only

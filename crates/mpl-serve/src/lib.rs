@@ -10,6 +10,12 @@
 //! submitted it.  Everything is plain `std` — no crates.io dependencies —
 //! like the rest of the workspace.
 //!
+//! The crate also holds the one driver dispatch of every front end:
+//! [`run_layouts`] runs a session's batch hierarchically, tiled or plain
+//! and returns one [`LayoutRun`] (result plus the `tiles` or `hierarchy`
+//! statistics) per layout.  The server's batches, `qpl-decompose` and
+//! `workload --batch` all run through it.
+//!
 //! # Wire protocol
 //!
 //! One frame = one JSON object per line, terminated by `\n` (a trailing
@@ -195,6 +201,7 @@ pub mod base64;
 pub mod client;
 pub mod codec;
 pub mod protocol;
+mod run;
 pub mod server;
 
 pub use client::{Client, ClientError};
@@ -208,4 +215,5 @@ pub use protocol::{
     ErrorCode, ExecutorChoice, LayoutSource, Request, Response, ResultPayload, ServeError,
     SubmitRequest,
 };
+pub use run::{run_layouts, LayoutRun};
 pub use server::{Server, ServerConfig, ServerHandle};

@@ -40,41 +40,44 @@
 //! for an expired deadline.  A reader that disconnects auto-cancels that
 //! connection's pending submissions.
 //!
+//! A submission's tiling fields are checked
+//! ([`TileConfig::from_request`]) before its source is read, and every
+//! source loads as the CLI loads it: a `path` through
+//! [`mpl_gds::layout_from_bytes`], a `gds_base64` stream through
+//! [`mpl_gds::layout_with_hierarchy`].  Each batch runs through
+//! [`run_layouts`], the dispatch the CLI and `workload --batch` share.
+//!
 //! Submissions may opt into the halo-aware tiler (`tile_size` on the
-//! `submit` frame): such layouts decompose through
-//! [`mpl_tile::run_tiled_observed`], stream a `tile_progress` frame as each
-//! tile piece finishes instead of per-component `progress`, and report a
-//! `tiles` statistics object on their `result` frame.
+//! `submit` frame): such layouts decompose through the tiled driver,
+//! stream a `tile_progress` frame as each tile piece finishes instead of
+//! per-component `progress`, and report a `tiles` statistics object on
+//! their `result` frame.
 //!
 //! Submissions may instead opt into cell-level hierarchical decomposition
 //! (`hier` on the `submit` frame, mutually exclusive with tiling): GDS
-//! sources keep their instance provenance, decompose through
-//! [`mpl_hier::run_hier_observed`], stream a `hier_progress` frame as each
-//! piece finishes, and report a `hierarchy` statistics object on their
-//! `result` frame.
-//! Sources without a hierarchy (text layouts) degenerate to the ordinary
-//! memoized run.  `pong` frames carry lifetime `hier_runs`/`tile_runs`
-//! usage counters alongside the shared memo-cache statistics.
+//! sources keep their instance provenance, decompose through the
+//! hierarchical driver, stream a `hier_progress` frame as each piece
+//! finishes, and report a `hierarchy` statistics object on their `result`
+//! frame.  Flat submissions drop the hierarchy as soon as the source
+//! loads.  Sources without a hierarchy (text layouts) degenerate to the
+//! ordinary memoized run.  `pong` frames carry lifetime
+//! `hier_runs`/`tile_runs` usage counters alongside the shared memo-cache
+//! statistics.
 
 use crate::codec::{encode_frame, FrameDecoder, FrameError, DEFAULT_MAX_FRAME_LEN};
 use crate::protocol::{
     decode_request, encode_response, ErrorCode, ExecutorChoice, LayoutSource, Request, Response,
     ResultPayload, ServeError, SubmitRequest,
 };
+use crate::run::{run_layouts, LayoutRun};
 use mpl_core::Json;
 use mpl_core::{
     verify_spacing, CancelToken, ConfigError, Decomposer, DecomposerConfig, DecompositionPlan,
     DecompositionSession, Executor, LayoutId, MemoCache, Progress, SerialExecutor,
     ThreadPoolExecutor, TileConfig,
 };
-use mpl_gds::{
-    layout_from_library, layout_with_hierarchy, load_layout_file, GdsLibrary, LayerMap,
-    LoadLayoutError, ReadOptions,
-};
-use mpl_geometry::Nm;
-use mpl_hier::HierStats;
+use mpl_gds::{layout_from_bytes, layout_with_hierarchy, GdsLibrary, LayerMap, ReadOptions};
 use mpl_layout::{io, Layout, LayoutHierarchy, Technology};
-use mpl_tile::TileStats;
 use std::collections::{HashMap, VecDeque};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -108,9 +111,6 @@ pub struct ServerConfig {
     pub pool_threads: usize,
     /// Maximum accepted frame length in bytes.
     pub max_frame_len: usize,
-    /// Capacity (in stored colorings) of the shared memo cache consulted
-    /// by every batch the server runs (≥ 1).
-    pub memo_capacity: usize,
     /// Maximum time one blocking socket write may stall before the
     /// connection is declared dead (`None` = block forever).  Writes run
     /// on per-connection writer threads, so a stalled client only wedges
@@ -130,7 +130,6 @@ impl Default for ServerConfig {
             addr: "127.0.0.1:0".to_string(),
             pool_threads: 2,
             max_frame_len: DEFAULT_MAX_FRAME_LEN,
-            memo_capacity: MemoCache::DEFAULT_CAPACITY,
             write_timeout: Some(Duration::from_secs(30)),
             output_queue_frames: 256,
         }
@@ -166,7 +165,8 @@ struct Shared {
     write_timeout: Option<Duration>,
     addr: SocketAddr,
     technology: Technology,
-    /// One memo cache for the whole server: every batch of every
+    /// One memo cache for the whole server, of
+    /// [`MemoCache::DEFAULT_CAPACITY`] colorings: every batch of every
     /// connection probes and fills it, so repeated submissions (and
     /// translated copies of earlier layouts) are stamped instead of
     /// re-colored.
@@ -448,12 +448,15 @@ struct Active {
     registry: CancelRegistry,
 }
 
+/// Builds one progress frame from a submission id, `done` and `total`.
+type ProgressFrame = fn(String, usize, usize) -> Response;
+
 /// Streams progress frames for one running batch: `progress` per
 /// component, `tile_progress` per tile piece or `hier_progress` per
 /// hierarchical piece.
 struct BatchSink<'a> {
     submissions: &'a HashMap<LayoutId, Active>,
-    frame: fn(String, usize, usize) -> Response,
+    frame: ProgressFrame,
 }
 
 impl Progress for BatchSink<'_> {
@@ -482,17 +485,11 @@ impl Server {
     ///
     /// # Errors
     ///
-    /// Any bind failure, a zero `pool_threads`, or a zero `memo_capacity`.
+    /// Any bind failure, or a zero `pool_threads`.
     pub fn bind(config: &ServerConfig) -> std::io::Result<Server> {
         let pool = ThreadPoolExecutor::new(config.pool_threads).map_err(|error| {
             std::io::Error::new(std::io::ErrorKind::InvalidInput, error.to_string())
         })?;
-        if config.memo_capacity == 0 {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::InvalidInput,
-                ConfigError::MemoCapacity { capacity: 0 }.to_string(),
-            ));
-        }
         let listener = TcpListener::bind(&config.addr)?;
         let addr = listener.local_addr()?;
         Ok(Server {
@@ -506,7 +503,7 @@ impl Server {
                 write_timeout: config.write_timeout,
                 addr,
                 technology: Technology::nm20(),
-                memo: Arc::new(MemoCache::new(config.memo_capacity)),
+                memo: Arc::new(MemoCache::new(MemoCache::DEFAULT_CAPACITY)),
                 hier_runs: AtomicU64::new(0),
                 tile_runs: AtomicU64::new(0),
                 writer_metrics: Arc::new(WriterMetrics::default()),
@@ -799,77 +796,40 @@ type PlannedSubmission = (
     Option<Arc<LayoutHierarchy>>,
 );
 
-/// Resolves a submission's layout source, plans it, and validates its
-/// tiling/hierarchy request — every failure is a typed [`ServeError`]
-/// answered on the submitting connection before anything queues.
+/// Validates a submission's tiling request, resolves its layout source and
+/// plans it — every failure is a typed [`ServeError`] answered on the
+/// submitting connection before anything queues.  The tiling fields are
+/// checked first, so a submission they reject costs no read, parse or
+/// graph build.
 fn plan_submission(
     shared: &Shared,
     submit: &SubmitRequest,
 ) -> Result<PlannedSubmission, ServeError> {
-    if submit.hier && (submit.tile_size.is_some() || submit.halo.is_some()) {
-        return Err(ConfigError::HierWithTiling.into());
-    }
-    let (layout, hierarchy) = load_source(&submit.source, submit.hier)?;
+    let tiling = TileConfig::from_request(submit.tile_size, submit.halo, submit.hier)?;
+    let (layout, hierarchy) = load_source(&submit.source)?;
+    // Only a hierarchical run reads the hierarchy.
+    let hierarchy = hierarchy.filter(|_| submit.hier).map(Arc::new);
     let config = DecomposerConfig::k_patterning(submit.k, shared.technology)
         .with_algorithm(submit.algorithm)
         .with_alpha(submit.alpha);
     let plan = Decomposer::new(config)
         .plan(&layout)
         .map_err(ServeError::from)?;
-    let tiling = submit_tiling(submit, &shared.technology)?;
-    Ok((plan, tiling, hierarchy.map(Arc::new)))
-}
-
-/// Validates the `tile_size`/`halo` fields of a submission into a
-/// [`TileConfig`], with the same typed rejections the CLI uses.
-fn submit_tiling(
-    submit: &SubmitRequest,
-    technology: &Technology,
-) -> Result<Option<TileConfig>, ServeError> {
-    let Some(tile_size) = submit.tile_size else {
-        return match submit.halo {
-            Some(_) => Err(ConfigError::TileHaloWithoutTiling.into()),
-            None => Ok(None),
-        };
-    };
-    let mut tiling = TileConfig::new(Nm(tile_size));
-    if let Some(halo) = submit.halo {
-        tiling = tiling.with_halo(Nm(halo));
-    }
-    tiling.validate().map_err(ServeError::from)?;
     // `run_tiled` re-checks this per plan; rejecting here routes the typed
     // error to the submitting client instead of failing the whole batch.
-    if let Some(halo) = tiling.halo {
-        if halo < technology.coloring_distance(submit.k) {
+    // (Planning has validated K.)
+    if let Some(halo) = tiling.and_then(|tiling| tiling.halo) {
+        if halo < shared.technology.coloring_distance(submit.k) {
             return Err(ConfigError::TileHalo { halo: halo.value() }.into());
         }
     }
-    Ok(Some(tiling))
+    Ok((plan, tiling, hierarchy))
 }
 
-/// Loads a submission's layout; with `hier` set, GDS sources additionally
-/// return their instance provenance (text sources have none and the
-/// hierarchical driver degenerates to the plain memoized run for them).
-fn load_source(
-    source: &LayoutSource,
-    hier: bool,
-) -> Result<(Layout, Option<LayoutHierarchy>), ServeError> {
-    let from_library =
-        |library: &GdsLibrary| -> Result<(Layout, Option<LayoutHierarchy>), ServeError> {
-            if hier {
-                layout_with_hierarchy(library, &LayerMap::all(), &ReadOptions::default())
-                    .map(|(layout, hierarchy)| (layout, Some(hierarchy)))
-                    .map_err(|error| {
-                        ServeError::Parse(format!("cannot convert GDS stream: {error}"))
-                    })
-            } else {
-                layout_from_library(library, &LayerMap::all(), &ReadOptions::default())
-                    .map(|layout| (layout, None))
-                    .map_err(|error| {
-                        ServeError::Parse(format!("cannot convert GDS stream: {error}"))
-                    })
-            }
-        };
+/// Loads a submission's layout plus, for GDS sources, its instance
+/// provenance (text sources have none, and the hierarchical driver
+/// degenerates to the plain memoized run for them).
+fn load_source(source: &LayoutSource) -> Result<(Layout, Option<LayoutHierarchy>), ServeError> {
     match source {
         LayoutSource::Text(text) => io::from_text(text)
             .map(|layout| (layout, None))
@@ -879,27 +839,15 @@ fn load_source(
                 .map_err(|error| ServeError::Parse(format!("cannot decode gds_base64: {error}")))?;
             let library = GdsLibrary::from_bytes(&bytes)
                 .map_err(|error| ServeError::Parse(format!("cannot parse GDS stream: {error}")))?;
-            from_library(&library)
+            layout_with_hierarchy(&library, &LayerMap::all(), &ReadOptions::default())
+                .map(|(layout, hierarchy)| (layout, Some(hierarchy)))
+                .map_err(|error| ServeError::Parse(format!("cannot convert GDS stream: {error}")))
         }
         LayoutSource::Path(path) => {
-            if hier {
-                let bytes = std::fs::read(path)
-                    .map_err(|error| ServeError::Io(format!("cannot read {path}: {error}")))?;
-                if io::LayoutFormat::detect(path, &bytes) == io::LayoutFormat::Gds {
-                    let library = GdsLibrary::from_bytes(&bytes).map_err(|error| {
-                        ServeError::Parse(format!("cannot parse {path}: {error}"))
-                    })?;
-                    return from_library(&library);
-                }
-                // Text files carry no hierarchy; fall through to the
-                // ordinary loader for its path-tagged parse errors.
-            }
-            load_layout_file(path, &LayerMap::all(), &ReadOptions::default())
-                .map(|layout| (layout, None))
-                .map_err(|error| match &error {
-                    LoadLayoutError::Io { .. } => ServeError::Io(error.to_string()),
-                    _ => ServeError::Parse(error.to_string()),
-                })
+            let bytes = std::fs::read(path)
+                .map_err(|error| ServeError::Io(format!("cannot read {path}: {error}")))?;
+            layout_from_bytes(path, &bytes, &LayerMap::all(), &ReadOptions::default())
+                .map_err(|error| ServeError::Parse(error.to_string()))
         }
     }
 }
@@ -979,12 +927,6 @@ fn run_batch(
     group: Vec<Pending>,
     hier: bool,
 ) {
-    type Outcome = (
-        LayoutId,
-        mpl_core::DecompositionResult,
-        Option<TileStats>,
-        Option<HierStats>,
-    );
     let mut submissions: HashMap<LayoutId, Active> = HashMap::with_capacity(group.len());
     for pending in group {
         let id = session.submit(pending.plan);
@@ -1000,43 +942,28 @@ fn run_batch(
             },
         );
     }
+    // Each driver streams its own progress frame and counts its own runs.
+    let (frame, usage): (ProgressFrame, Option<&AtomicU64>) =
+        match (hier, session.tiling().is_some()) {
+            (true, _) => (
+                |id, done, total| Response::HierProgress { id, done, total },
+                Some(&shared.hier_runs),
+            ),
+            (false, true) => (
+                |id, done, total| Response::TileProgress { id, done, total },
+                Some(&shared.tile_runs),
+            ),
+            (false, false) => (
+                |id, done, total| Response::Progress { id, done, total },
+                None,
+            ),
+        };
     let sink = BatchSink {
         submissions: &submissions,
-        frame: match (hier, session.tiling().is_some()) {
-            (true, _) => |id, done, total| Response::HierProgress { id, done, total },
-            (false, true) => |id, done, total| Response::TileProgress { id, done, total },
-            (false, false) => |id, done, total| Response::Progress { id, done, total },
-        },
+        frame,
     };
-    let results: Result<Vec<Outcome>, ConfigError> = if hier {
-        mpl_hier::run_hier_observed(session, executor, &sink).map(|results| {
-            shared
-                .hier_runs
-                .fetch_add(results.len() as u64, Ordering::Relaxed);
-            results
-                .into_iter()
-                .map(|(id, hier)| (id, hier.result, None, Some(hier.stats)))
-                .collect()
-        })
-    } else if session.tiling().is_some() {
-        mpl_tile::run_tiled_observed(session, executor, &sink).map(|results| {
-            shared
-                .tile_runs
-                .fetch_add(results.len() as u64, Ordering::Relaxed);
-            results
-                .into_iter()
-                .map(|(id, tiled)| (id, tiled.result, Some(tiled.stats), None))
-                .collect()
-        })
-    } else {
-        Ok(session
-            .run_observed(executor, &sink)
-            .into_iter()
-            .map(|(id, result)| (id, result, None, None))
-            .collect())
-    };
-    let results = match results {
-        Ok(results) => results,
+    let runs = match run_layouts(session, executor, hier, &sink) {
+        Ok(runs) => runs,
         Err(error) => {
             // Submission-time validation makes this unreachable in
             // practice; answer every member typed rather than panic.
@@ -1051,7 +978,16 @@ fn run_batch(
             return;
         }
     };
-    for (id, result, tiles, hierarchy) in results {
+    if let Some(usage) = usage {
+        usage.fetch_add(runs.len() as u64, Ordering::Relaxed);
+    }
+    for LayoutRun {
+        id,
+        result,
+        tiles,
+        hierarchy,
+    } in runs
+    {
         let active = &submissions[&id];
         // Retire the registry entry first: from here on, a `cancel` for
         // this id is the non-fatal "already resolved" error, and the

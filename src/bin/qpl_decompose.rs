@@ -14,6 +14,12 @@
 //! human-readable summary with a machine-readable one.  Invalid
 //! configurations are reported as typed errors, not panics.
 //!
+//! The CLI shares its request-to-run path with `qpl-serve` and
+//! `workload --batch`: each input file is read once and converted by
+//! [`mpl_gds::layout_from_bytes`], `--tile-size`/`--halo`/`--hier` become a
+//! tiling through [`TileConfig::from_request`], and the batch runs through
+//! [`mpl_serve::run_layouts`].
+//!
 //! ```text
 //! Usage:
 //!   qpl-decompose FILE [FILE ...] [options]        # format auto-detected
@@ -50,8 +56,6 @@
 //!   --halo <NM>          explicit halo width in nm (default: the
 //!                        technology's color-friendly distance; must be at
 //!                        least the coloring distance)
-//!   --no-tile            explicitly disable tiling (contradicts
-//!                        --tile-size/--halo)
 //!   --hier               decompose GDS inputs hierarchically: color each
 //!                        distinct cell body once, stamp every instance
 //!                        and reconcile the inter-instance boundaries.
@@ -60,8 +64,6 @@
 //!                        (text layouts, circuits) degenerate to the
 //!                        ordinary memoized run.  Contradicts
 //!                        --tile-size/--halo.
-//!   --no-hier            explicitly disable hierarchical decomposition
-//!                        (contradicts --hier)
 //!   --output <PATH>      write the mask assignment (one `shape segment mask` line per vertex)
 //!   --layer <L[:D]>      import only this GDS layer (repeatable; applies to every GDS input)
 //!   --top <NAME>         flatten from this GDS structure (default: the unique top)
@@ -102,18 +104,17 @@
 
 use mpl_core::{
     extract_masks, rebalance_masks, verify_spacing, ColorAlgorithm, ComponentTask, ConfigError,
-    Decomposer, DecomposerConfig, DecompositionPlan, DecompositionResult, DecompositionSession,
-    Executor, Json, JsonRecord, LayoutId, MemoCache, MemoStats, Progress, SerialExecutor,
-    StitchConfig, ThreadPoolExecutor, TileConfig, VertexId,
+    Decomposer, DecomposerConfig, DecompositionSession, Executor, Json, JsonRecord, LayoutId,
+    MemoCache, MemoStats, Progress, SerialExecutor, StitchConfig, ThreadPoolExecutor, TileConfig,
+    VertexId,
 };
 use mpl_gds::{LayerMap, ReadOptions};
 use mpl_geometry::{Nm, Polygon};
-use mpl_hier::HierStats;
 use mpl_layout::{gen::IscasCircuit, io::LayoutFormat, Layout, LayoutHierarchy, Technology};
 use mpl_serve::{
-    Client, ExecutorChoice, LayoutSource, Request, Response, ResultPayload, SubmitRequest,
+    Client, ExecutorChoice, LayoutRun, LayoutSource, Request, Response, ResultPayload,
+    SubmitRequest,
 };
-use mpl_tile::TileStats;
 use std::io::Write;
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -137,10 +138,8 @@ struct Options {
     verify: bool,
     memo: bool,
     memo_capacity: usize,
-    /// Validated `--tile-size` in nm (`None` = untiled).
-    tile_size: Option<i64>,
-    /// Validated `--halo` in nm (requires `tile_size`).
-    halo: Option<i64>,
+    /// The validated `--tile-size`/`--halo` tiling (`None` = untiled).
+    tiling: Option<TileConfig>,
     /// `--hier`: cell-level hierarchical decomposition (contradicts
     /// tiling).
     hier: bool,
@@ -154,55 +153,18 @@ struct Options {
     deadline_ms: Option<u64>,
 }
 
-/// Reads a layout file through the shared format-dispatching loader
-/// ([`mpl_gds::load_layout_file`]), reporting whether the input was GDSII.
-/// `force_gds` (the `--gds` flag) rejects inputs that are not GDSII; in a
-/// mixed batch, `--layer`/`--top` apply to the GDS inputs and leave text
-/// inputs untouched (the caller rejects batches where they would apply to
-/// nothing).  With `want_hierarchy` (`--hier`), GDSII inputs additionally
-/// return their cell-instance provenance; text inputs have none.
-fn read_layout(
-    path: &str,
-    options: &GdsInputOptions,
-    force_gds: bool,
-    want_hierarchy: bool,
-) -> Result<(Layout, Option<LayoutHierarchy>, bool), String> {
-    let layer_specs = options.layer_specs.as_slice();
-    let map = LayerMap::from_specs(layer_specs).map_err(|e| e.to_string())?;
-    let is_gds = {
-        // Sniff only the 4-byte HEADER, not the whole file.
-        use std::io::Read;
-        let mut head = [0u8; 4];
-        let mut file = std::fs::File::open(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-        let mut filled = 0usize;
-        // A single read() may legally return short; loop until the 4-byte
-        // header is filled or EOF.
-        while filled < head.len() {
-            match file.read(&mut head[filled..]) {
-                Ok(0) => break,
-                Ok(n) => filled += n,
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(e) => return Err(format!("cannot read {path}: {e}")),
-            }
-        }
-        LayoutFormat::detect(path, &head[..filled]) == LayoutFormat::Gds
-    };
+/// Reads one input file whole, once, and reports whether it is GDSII.
+/// `force_gds` (the `--gds` flag) rejects an input that is not, before
+/// anything converts it.
+fn read_input(path: &str, force_gds: bool) -> Result<(Vec<u8>, bool), String> {
+    let bytes = std::fs::read(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+    let is_gds = LayoutFormat::detect(path, &bytes) == LayoutFormat::Gds;
     if force_gds && !is_gds {
         return Err(format!(
             "{path} is not a GDSII stream (missing HEADER record)"
         ));
     }
-    let read_options = ReadOptions {
-        top: options.top.clone(),
-    };
-    if is_gds && want_hierarchy {
-        let (layout, hierarchy) =
-            mpl_gds::read_layout_file_with_hierarchy(path, &map, &read_options)
-                .map_err(|e| format!("{path}: {e}"))?;
-        return Ok((layout, Some(hierarchy), true));
-    }
-    let layout = mpl_gds::load_layout_file(path, &map, &read_options).map_err(|e| e.to_string())?;
-    Ok((layout, None, is_gds))
+    Ok((bytes, is_gds))
 }
 
 /// GDS-specific input selection collected from the command line.
@@ -235,9 +197,7 @@ fn parse_options() -> Result<Options, String> {
     let mut memo_capacity: Option<usize> = None;
     let mut tile_size: Option<i64> = None;
     let mut halo: Option<i64> = None;
-    let mut no_tile = false;
     let mut hier = false;
-    let mut no_hier = false;
     let mut output = None;
     let mut output_gds = None;
     let mut connect: Option<String> = None;
@@ -316,9 +276,7 @@ fn parse_options() -> Result<Options, String> {
                         .map_err(|e| format!("invalid --halo value: {e}"))?,
                 );
             }
-            "--no-tile" => no_tile = true,
             "--hier" => hier = true,
-            "--no-hier" => no_hier = true,
             "--output" => output = Some(value("--output")?),
             "--output-gds" => output_gds = Some(value("--output-gds")?),
             "--connect" => connect = Some(value("--connect")?),
@@ -346,8 +304,7 @@ fn parse_options() -> Result<Options, String> {
                             [--alpha F] [--threads N] [--progress] [--json] \
                             [--no-stitches] [--balance] [--verify] \
                             [--memo | --no-memo] [--memo-capacity N] \
-                            [--tile-size NM [--halo NM] | --no-tile] \
-                            [--hier | --no-hier] \
+                            [--tile-size NM [--halo NM] | --hier] \
                             [--output FILE] [--output-gds FILE] \
                             | --connect HOST:PORT [--executor serial|pool] \
                             [--deadline-ms MS] [--shutdown]"
@@ -409,27 +366,10 @@ fn parse_options() -> Result<Options, String> {
             return Err(ConfigError::MemoCapacity { capacity }.to_string());
         }
     }
-    // Tiling contradictions are the pipeline's typed configuration errors.
-    if no_tile && (tile_size.is_some() || halo.is_some()) {
-        return Err(ConfigError::TileFlagsWithNoTile.to_string());
-    }
-    if halo.is_some() && tile_size.is_none() {
-        return Err(ConfigError::TileHaloWithoutTiling.to_string());
-    }
-    if let Some(size) = tile_size {
-        let mut tiling = TileConfig::new(Nm(size));
-        if let Some(halo) = halo {
-            tiling = tiling.with_halo(Nm(halo));
-        }
-        tiling.validate().map_err(|error| error.to_string())?;
-    }
-    // Hierarchy contradictions use the same typed vocabulary.
-    if hier && no_hier {
-        return Err(ConfigError::HierFlagsWithNoHier.to_string());
-    }
-    if hier && (tile_size.is_some() || halo.is_some()) {
-        return Err(ConfigError::HierWithTiling.to_string());
-    }
+    // Tiling and hierarchy contradictions are the pipeline's typed
+    // configuration errors.
+    let tiling =
+        TileConfig::from_request(tile_size, halo, hier).map_err(|error| error.to_string())?;
     Ok(Options {
         inputs,
         gds_input,
@@ -444,8 +384,7 @@ fn parse_options() -> Result<Options, String> {
         verify,
         memo,
         memo_capacity: memo_capacity.unwrap_or(MemoCache::DEFAULT_CAPACITY),
-        tile_size,
-        halo,
+        tiling,
         hier,
         output,
         output_gds,
@@ -462,20 +401,29 @@ type LoadedLayout = (Layout, Option<Arc<LayoutHierarchy>>);
 
 /// Loads every input as a [`Layout`] for local decomposition (the
 /// pre-`--connect` behaviour): circuits generate, files load through the
-/// shared format-dispatching reader.  With `--hier`, GDSII inputs carry
-/// their cell-instance provenance alongside (other inputs get `None` and
-/// degenerate to the memoized flat run).
+/// shared format-dispatching loader ([`mpl_gds::layout_from_bytes`]).  In
+/// a mixed batch, `--layer`/`--top` apply to the GDS inputs and leave text
+/// inputs untouched.  With `--hier`, GDSII inputs carry their cell-instance
+/// provenance alongside (other inputs get `None` and degenerate to the
+/// memoized flat run); without it, the hierarchy is dropped on load.
 fn load_local_layouts(options: &Options, tech: &Technology) -> Result<Vec<LoadedLayout>, String> {
+    let read_options = ReadOptions {
+        top: options.gds_input.top.clone(),
+    };
     let mut layouts = Vec::with_capacity(options.inputs.len());
     let mut any_gds = false;
     for input in &options.inputs {
         let (layout, hierarchy) = match input {
             InputSpec::Circuit(circuit) => (circuit.generate(tech), None),
             InputSpec::Path { path, force_gds } => {
-                let (layout, hierarchy, is_gds) =
-                    read_layout(path, &options.gds_input, *force_gds, options.hier)?;
+                let map = LayerMap::from_specs(&options.gds_input.layer_specs)
+                    .map_err(|e| e.to_string())?;
+                let (bytes, is_gds) = read_input(path, *force_gds)?;
                 any_gds |= is_gds;
-                (layout, hierarchy.map(Arc::new))
+                let (layout, hierarchy) =
+                    mpl_gds::layout_from_bytes(path, &bytes, &map, &read_options)
+                        .map_err(|e| e.to_string())?;
+                (layout, hierarchy.filter(|_| options.hier).map(Arc::new))
             }
         };
         if layout.is_empty() {
@@ -530,16 +478,14 @@ impl Progress for StderrProgress {
 /// and reconciliation statistics; with `--hier`, a nested `hierarchy`
 /// object reports the hierarchical driver's split and reconciliation
 /// statistics.
-#[allow(clippy::too_many_arguments)]
 fn render_json(
-    result: &DecompositionResult,
+    run: &LayoutRun,
     masks: &[mpl_core::Mask],
     violations: Option<usize>,
     balance: Option<&mpl_core::BalanceReport>,
     memo_stats: Option<&MemoStats>,
-    tile: Option<&TileStats>,
-    hier: Option<&HierStats>,
 ) -> Json {
+    let result = &run.result;
     let counters = result.counters();
     let mut pairs = vec![
         ("layout", result.layout_name().into()),
@@ -565,10 +511,10 @@ fn render_json(
         ),
         ("bound_improvements", counters.bound_improvements.into()),
     ];
-    if let Some(stats) = tile {
+    if let Some(stats) = &run.tiles {
         pairs.push(("tiles", stats.to_json()));
     }
-    if let Some(stats) = hier {
+    if let Some(stats) = &run.hierarchy {
         pairs.push(("hierarchy", stats.to_json()));
     }
     if let (Some(hits), Some(misses)) = (result.memo_hits(), result.memo_misses()) {
@@ -656,14 +602,14 @@ fn process_layout(
     options: &Options,
     tech: &Technology,
     layout: &Layout,
-    plan: &DecompositionPlan,
-    result: &DecompositionResult,
+    session: &DecompositionSession,
+    run: &LayoutRun,
     memo_stats: Option<&MemoStats>,
-    tile: Option<&TileStats>,
-    hier: Option<&HierStats>,
     index: usize,
     batch_size: usize,
 ) -> LayoutArtifacts {
+    let plan = session.plan(run.id).expect("session keeps every plan");
+    let result = &run.result;
     if !options.json {
         println!(
             "{}: {} shapes, K = {}, algorithm = {}, executor = {}",
@@ -698,7 +644,7 @@ fn process_layout(
         if let (Some(hits), Some(misses)) = (result.memo_hits(), result.memo_misses()) {
             println!("memo: {hits} components stamped from cache, {misses} colored fresh");
         }
-        if let Some(stats) = tile {
+        if let Some(stats) = &run.tiles {
             println!(
                 "tiling: {}x{} grid, {} tiles over {} spanning components \
                  ({} resident), {} halo-shared vertices",
@@ -718,7 +664,7 @@ fn process_layout(
                 stats.cross_conflicts_after
             );
         }
-        if let Some(stats) = hier {
+        if let Some(stats) = &run.hierarchy {
             println!(
                 "hierarchy: {} instances of {} cells, {} resident components, \
                  {} split into {} instance pieces + {} boundary vertices",
@@ -846,13 +792,11 @@ fn process_layout(
 
     LayoutArtifacts {
         json: render_json(
-            result,
+            run,
             &masks,
             verified_violations,
             balance_report.as_ref(),
             memo_stats,
-            tile,
-            hier,
         ),
         verify_mismatch,
         write_error,
@@ -884,14 +828,7 @@ fn build_wire_inputs(options: &Options, tech: &Technology) -> Result<Vec<WireInp
                     )
                 }
                 InputSpec::Path { path, force_gds } => {
-                    let bytes =
-                        std::fs::read(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-                    let is_gds = LayoutFormat::detect(path, &bytes) == LayoutFormat::Gds;
-                    if *force_gds && !is_gds {
-                        return Err(format!(
-                            "{path} is not a GDSII stream (missing HEADER record)"
-                        ));
-                    }
+                    let (bytes, is_gds) = read_input(path, *force_gds)?;
                     if is_gds {
                         (
                             path.clone(),
@@ -998,8 +935,8 @@ fn run_connect(addr: &str, options: &Options, tech: &Technology) -> ExitCode {
         submit.executor = options.executor_choice;
         submit.progress = options.progress;
         submit.verify = options.verify;
-        submit.tile_size = options.tile_size;
-        submit.halo = options.halo;
+        submit.tile_size = options.tiling.map(|tiling| tiling.tile_size.value());
+        submit.halo = options.tiling.and_then(|tiling| tiling.halo).map(Nm::value);
         submit.hier = options.hier;
         submit.deadline_ms = options.deadline_ms;
         if let Err(error) = client.send(&Request::Submit(submit)) {
@@ -1244,26 +1181,14 @@ fn main() -> ExitCode {
         }
     }
 
-    // Stage 2: drain the whole batch through the executor, optionally with
-    // progress reporting.  With --tile-size the batch routes through the
-    // halo-aware tiler, with --hier through the cell-level hierarchical
-    // driver, instead of the plain session run.
-    let tiling = options.tile_size.map(|size| {
-        let mut tiling = TileConfig::new(Nm(size));
-        if let Some(halo) = options.halo {
-            tiling = tiling.with_halo(Nm(halo));
-        }
-        tiling
-    });
-    session.set_tiling(tiling);
+    // Stage 2: drain the whole batch through the executor and the driver
+    // the flags chose: the halo-aware tiler with --tile-size, the
+    // cell-level hierarchical driver with --hier, the plain batch engine
+    // otherwise.
+    session.set_tiling(options.tiling);
     let batch_start = Instant::now();
-    type BatchOutcome = (
-        Vec<(LayoutId, DecompositionResult)>,
-        Option<Vec<TileStats>>,
-        Option<Vec<HierStats>>,
-    );
     let stderr_progress = StderrProgress {
-        label: match (options.hier, tiling.is_some()) {
+        label: match (options.hier, options.tiling.is_some()) {
             (true, _) => "hier ",
             (false, true) => "tile ",
             (false, false) => "",
@@ -1278,31 +1203,8 @@ fn main() -> ExitCode {
     } else {
         &()
     };
-    let outcome: Result<BatchOutcome, ConfigError> = if options.hier {
-        mpl_hier::run_hier_observed(&session, executor.as_ref(), progress).map(|hier| {
-            let (results, stats) = hier
-                .into_iter()
-                .map(|(id, hier)| ((id, hier.result), hier.stats))
-                .unzip();
-            (results, None, Some(stats))
-        })
-    } else if tiling.is_some() {
-        mpl_tile::run_tiled_observed(&session, executor.as_ref(), progress).map(|tiled| {
-            let (results, stats) = tiled
-                .into_iter()
-                .map(|(id, tiled)| ((id, tiled.result), tiled.stats))
-                .unzip();
-            (results, Some(stats), None)
-        })
-    } else {
-        Ok((
-            session.run_observed(executor.as_ref(), progress),
-            None,
-            None,
-        ))
-    };
-    let (results, tile_stats, hier_stats) = match outcome {
-        Ok(outcome) => outcome,
+    let runs = match mpl_serve::run_layouts(&session, executor.as_ref(), options.hier, progress) {
+        Ok(runs) => runs,
         Err(error) => {
             eprintln!("{error}");
             return ExitCode::FAILURE;
@@ -1311,24 +1213,21 @@ fn main() -> ExitCode {
     let batch_wall = batch_start.elapsed();
     let memo_stats = memo.as_ref().map(|cache| cache.stats());
 
-    let batch_size = results.len();
+    let batch_size = runs.len();
     let mut any_mismatch = false;
     let mut write_errors = Vec::new();
     let mut layout_json = Vec::with_capacity(batch_size);
-    for (index, (id, result)) in results.iter().enumerate() {
+    for (index, run) in runs.iter().enumerate() {
         if !options.json && index > 0 {
             println!();
         }
-        let plan = session.plan(*id).expect("session keeps every plan");
         let artifacts = process_layout(
             &options,
             &tech,
             &layouts[index].0,
-            plan,
-            result,
+            &session,
+            run,
             memo_stats.as_ref(),
-            tile_stats.as_ref().map(|stats| &stats[index]),
-            hier_stats.as_ref().map(|stats| &stats[index]),
             index,
             batch_size,
         );

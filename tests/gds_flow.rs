@@ -48,7 +48,7 @@ fn colored_gds_round_trip_verifies_clean_per_mask() {
     mpl_gds::write_layout_file(&input_path, &layout, 17, 0).expect("write input GDS");
     let map = LayerMap::all().with(17, Some(0));
     let read_back =
-        mpl_gds::read_layout_file(&input_path, &map, &ReadOptions::default()).expect("read input");
+        mpl_gds::load_layout_file(&input_path, &map, &ReadOptions::default()).expect("read input");
     assert_eq!(read_back.shape_count(), layout.shape_count());
     for (original, parsed) in layout.iter().zip(read_back.iter()) {
         assert_eq!(
@@ -93,7 +93,7 @@ fn colored_gds_round_trip_verifies_clean_per_mask() {
     for mask_index in 0..k {
         let mask_map = LayerMap::all().with(100 + mask_index as i16, None);
         let mask_layout =
-            mpl_gds::read_layout_file(&colored_path, &mask_map, &ReadOptions::default())
+            mpl_gds::load_layout_file(&colored_path, &mask_map, &ReadOptions::default())
                 .expect("read mask layer");
         total_features += mask_layout.shape_count();
         let mask_graph =
@@ -125,7 +125,7 @@ fn gds_errors_surface_with_byte_offsets() {
     let mut bytes = std::fs::read(&path).expect("read bytes");
     bytes.truncate(9);
     std::fs::write(&path, &bytes).expect("rewrite");
-    let error = mpl_gds::read_layout_file(&path, &LayerMap::all(), &ReadOptions::default())
+    let error = mpl_gds::load_layout_file(&path, &LayerMap::all(), &ReadOptions::default())
         .expect_err("truncated file must fail");
     let message = error.to_string();
     assert!(

@@ -64,12 +64,14 @@ struct Pins {
 }
 
 fn check(name: &str, path: &str, pins: &Pins) {
+    let bytes = std::fs::read(path).expect("input reads");
     let (layout, hierarchy) =
-        mpl_gds::read_layout_file_with_hierarchy(path, &LayerMap::all(), &ReadOptions::default())
+        mpl_gds::layout_from_bytes(path, &bytes, &LayerMap::all(), &ReadOptions::default())
             .expect("input loads");
-    let flat = mpl_gds::read_layout_file(path, &LayerMap::all(), &ReadOptions::default())
+    let hierarchy = hierarchy.expect("GDSII inputs carry a hierarchy");
+    let flat = mpl_gds::load_layout_file(path, &LayerMap::all(), &ReadOptions::default())
         .expect("input loads");
-    assert_eq!(flat, layout, "{name}: both readers return one layout");
+    assert_eq!(flat, layout, "{name}: both loaders return one layout");
 
     let written_path = temp_path(&format!("{name}-written.gds"));
     mpl_gds::write_layout_file(&written_path, &layout, 1, 0).expect("layout writes");

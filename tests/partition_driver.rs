@@ -39,12 +39,17 @@ fn lattice() -> Layout {
 }
 
 fn hier_array_fixture() -> (Layout, LayoutHierarchy) {
-    mpl_gds::read_layout_file_with_hierarchy(
-        concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures/hier_array.gds"),
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures/hier_array.gds");
+    let bytes = std::fs::read(path).expect("committed fixture reads");
+    match mpl_gds::layout_from_bytes(
+        path,
+        &bytes,
         &mpl_gds::LayerMap::all(),
         &mpl_gds::ReadOptions::default(),
-    )
-    .expect("committed fixture loads")
+    ) {
+        Ok((layout, Some(hierarchy))) => (layout, hierarchy),
+        other => panic!("committed fixture loads with its hierarchy: {other:?}"),
+    }
 }
 
 /// 64-bit FNV-1a: a digest that is stable across platforms and toolchains.

@@ -752,15 +752,17 @@ fn tiled_submissions_stream_tile_progress_and_match_local_tiled_runs() {
     );
 
     // Invalid tiling requests come back as the pipeline's typed errors.
+    let text = || ("layout_text", Json::string(io::to_text(&clique)));
     for (id, extra, needle) in [
         (
             "bad-size",
-            vec![("tile_size", Json::Number(0.0))],
+            vec![text(), ("tile_size", Json::Number(0.0))],
             "tile size must be a positive distance",
         ),
         (
             "bad-halo",
             vec![
+                text(),
                 ("tile_size", Json::Number(300.0)),
                 ("halo", Json::Number(40.0)),
             ],
@@ -768,15 +770,21 @@ fn tiled_submissions_stream_tile_progress_and_match_local_tiled_runs() {
         ),
         (
             "halo-alone",
-            vec![("halo", Json::Number(100.0))],
+            vec![text(), ("halo", Json::Number(100.0))],
             "--halo requires tiling to be enabled",
         ),
+        // The tiling fields are checked before the source is read, so a
+        // missing file is never opened.
+        (
+            "bad-size-missing-path",
+            vec![
+                ("path", Json::string("/nonexistent/qpl-serve-missing.txt")),
+                ("tile_size", Json::Number(0.0)),
+            ],
+            "tile size must be a positive distance",
+        ),
     ] {
-        let mut pairs = vec![
-            ("type", Json::string("submit")),
-            ("id", Json::string(id)),
-            ("layout_text", Json::string(io::to_text(&clique))),
-        ];
+        let mut pairs = vec![("type", Json::string("submit")), ("id", Json::string(id))];
         pairs.extend(extra);
         client.send_line(&Json::object(pairs).to_string());
         let frame = client.await_terminal(id);
