@@ -796,33 +796,33 @@ type PlannedSubmission = (
     Option<Arc<LayoutHierarchy>>,
 );
 
-/// Validates a submission's tiling request, resolves its layout source and
+/// Validates a submission's request fields, resolves its layout source and
 /// plans it — every failure is a typed [`ServeError`] answered on the
-/// submitting connection before anything queues.  The tiling fields are
-/// checked first, so a submission they reject costs no read, parse or
-/// graph build.
+/// submitting connection before anything queues.  The tiling fields and
+/// the configuration are checked first, so a submission they reject costs
+/// no read, parse or graph build.
 fn plan_submission(
     shared: &Shared,
     submit: &SubmitRequest,
 ) -> Result<PlannedSubmission, ServeError> {
     let tiling = TileConfig::from_request(submit.tile_size, submit.halo, submit.hier)?;
-    let (layout, hierarchy) = load_source(&submit.source)?;
-    // Only a hierarchical run reads the hierarchy.
-    let hierarchy = hierarchy.filter(|_| submit.hier).map(Arc::new);
     let config = DecomposerConfig::k_patterning(submit.k, shared.technology)
         .with_algorithm(submit.algorithm)
         .with_alpha(submit.alpha);
-    let plan = Decomposer::new(config)
-        .plan(&layout)
-        .map_err(ServeError::from)?;
+    config.validate()?;
     // `run_tiled` re-checks this per plan; rejecting here routes the typed
     // error to the submitting client instead of failing the whole batch.
-    // (Planning has validated K.)
     if let Some(halo) = tiling.and_then(|tiling| tiling.halo) {
         if halo < shared.technology.coloring_distance(submit.k) {
             return Err(ConfigError::TileHalo { halo: halo.value() }.into());
         }
     }
+    let (layout, hierarchy) = load_source(&submit.source)?;
+    // Only a hierarchical run reads the hierarchy.
+    let hierarchy = hierarchy.filter(|_| submit.hier).map(Arc::new);
+    let plan = Decomposer::new(config)
+        .plan(&layout)
+        .map_err(ServeError::from)?;
     Ok((plan, tiling, hierarchy))
 }
 

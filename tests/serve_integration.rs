@@ -783,6 +783,15 @@ fn tiled_submissions_stream_tile_progress_and_match_local_tiled_runs() {
             ],
             "tile size must be a positive distance",
         ),
+        (
+            "bad-halo-missing-path",
+            vec![
+                ("path", Json::string("/nonexistent/qpl-serve-missing.txt")),
+                ("tile_size", Json::Number(300.0)),
+                ("halo", Json::Number(40.0)),
+            ],
+            "tile halo must be a positive distance",
+        ),
     ] {
         let mut pairs = vec![("type", Json::string("submit")), ("id", Json::string(id))];
         pairs.extend(extra);
