@@ -40,8 +40,8 @@
 //! for an expired deadline.  A reader that disconnects auto-cancels that
 //! connection's pending submissions.
 //!
-//! A submission's tiling fields are checked
-//! ([`TileConfig::from_request`]) before its source is read, and every
+//! A submission's tiling fields ([`TileConfig::from_request`]) and its
+//! configuration are checked before its source is read, and every
 //! source loads as the CLI loads it: a `path` through
 //! [`mpl_gds::layout_from_bytes`], a `gds_base64` stream through
 //! [`mpl_gds::layout_with_hierarchy`].  Each batch runs through
