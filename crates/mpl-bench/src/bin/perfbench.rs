@@ -1,54 +1,13 @@
 //! perfbench — hot-path microbenchmark for the decomposition core.
 //!
-//! Measures, on deterministic generated layouts (no input files):
-//!
-//! * per-stage wall-clock timings — graph build (`plan`) and division +
-//!   color assignment (`color`) — for the Linear and exact (ILP) engines,
-//! * hardware-independent **work counters**: branch-and-bound nodes
-//!   expanded, max-flow augmenting paths pushed and arcs scanned during
-//!   graph division (on a row chip and untiled contact lattices of sides
-//!   32, 48, 64 and 96), and scratch-buffer allocation events per
-//!   component,
-//! * branch-and-bound node counts on standalone dense-clique instances
-//!   (the cases the pruned search must win on),
-//! * two memoization cases, a deep repeated array (many exact translates
-//!   of one dense strip) and the large row chip (mostly distinct
-//!   components), each decomposed without a cache, with a cold cache, and
-//!   with a warm cache, recording hit/miss/eviction counters and the
-//!   warm-vs-cold coloring diff count,
-//! * a kernelization case: a two-K7-plus-fringe fixture decomposed through
-//!   the iterated-simplification pipeline, recording the hidden/kernel
-//!   vertex counts, simplification rounds, branch-and-bound nodes on the
-//!   kernel, and a spacing check classifying violations that touch
-//!   reinserted vertices (must be zero),
-//! * a full-chip tiled case: a chip-spanning contact lattice sharded into
-//!   halo-expanded windows through `mpl-tile` and solved exactly per
-//!   window, recording the reconciliation counters, a spacing
-//!   re-verification of the merged coloring, and a one-window control that
-//!   must match the untiled coloring bit for bit,
-//! * a hierarchical case: an SRAM-like merged cell array (one giant
-//!   component the flat memo cache cannot help) split by instance
-//!   provenance through `mpl-hier`, recording the reconciliation counters,
-//!   a spacing re-verification, and an all-isolated control array that
-//!   must match the flat memoized coloring bit for bit,
-//! * a GDS case: the large row layout written with `write_layout_file`,
-//!   read back with `load_layout_file` and exported colored, recording
-//!   each step's best-of-3 seconds with the file sizes and the re-read
-//!   shape and rectangle counts, which `--check` pins.
-//!
-//! The report is emitted as `BENCH_perf.json` (schema `mpl-bench/perf-v7`).
-//! Wall-clock numbers are informative only — they depend on the host, and
-//! any pool-speedup figure must be reported with the host's
-//! `available_parallelism` — while the work counters are deterministic and
-//! are what CI pins (`--check`): per-layout engine counters, an arc-scan
-//! ceiling per lattice size with at most 1.5× growth in scans per vertex
-//! from the 32-side to the 96-side lattice, the memo cases' cold hit and
-//! miss counts, a fully warm hit rate (so ≥ 90 %) and zero warm-vs-cold
-//! coloring diffs, and the tile and hier cases' zero post-reconciliation
-//! conflicts, clean spacing checks, and bit-identical controls.  Under
-//! `--check` the untiled and
-//! flat comparison runs of the tile and hier cases are skipped (they are
-//! wall-clock-only information).
+//! Runs the suite of [`mpl_bench::perf`] on deterministic generated
+//! layouts (no input files); its module doc lists the cases.  The report
+//! is emitted as `BENCH_perf.json` (schema `mpl-bench/perf-v8`).
+//! Wall-clock numbers are informative only, while the work counters are
+//! deterministic and are what `--check` pins
+//! ([`mpl_bench::perf::PerfReport::check_ceilings`]); under `--check` the
+//! untiled and flat comparison runs of the tile and hier cases are skipped
+//! (they are wall-clock-only information).
 //!
 //! Usage: `perfbench [--json FILE] [--label NAME] [--check]`
 

@@ -5,7 +5,7 @@
 //!
 //! Usage: `cargo run -p mpl-bench --release --bin workload -- \
 //!     [--k N] [--threads N] [--layer L[:D] ...] \
-//!     [--batch [--memo | --no-memo] [--memo-capacity N] \
+//!     [--batch [--memo | --no-memo] \
 //!      [--tile-size NM [--halo NM]] [--hier] \
 //!      | --serve ADDR [--executor serial|pool]] \
 //!     [--algorithm NAME] [--bench-json PATH] FILE [FILE ...]`
@@ -18,8 +18,7 @@
 //! decompose time.  Batch mode can attach a translation-canonical memo
 //! cache (`--memo`, off by default so timings measure the engines) and then
 //! reports per-layout hit/miss counts plus the cache's aggregate
-//! hits/misses/evictions; `--memo-capacity` bounds the cache and requires
-//! `--memo`.  Batch mode can also shard every layout into halo-expanded
+//! hits/misses/evictions.  Batch mode can also shard every layout into halo-expanded
 //! tile windows through `mpl-tile` (`--tile-size NM`, optionally
 //! `--halo NM`), adding per-layout tile/reconciliation columns to the
 //! table and the report, or decompose cell-by-cell through `mpl-hier`
@@ -42,7 +41,7 @@ use mpl_bench::batch::run_batch_bench;
 use mpl_bench::serve::run_serve_bench;
 use mpl_bench::workload::{load_layout_timed, run_layout_table_on, TimedLayout};
 use mpl_bench::{executor_for_threads, table_config, threads_from_args, TABLE1_ALGORITHMS};
-use mpl_core::{ColorAlgorithm, ConfigError, MemoCache, TileConfig};
+use mpl_core::{ColorAlgorithm, MemoCache, TileConfig};
 use mpl_serve::ExecutorChoice;
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -58,7 +57,7 @@ fn main() -> ExitCode {
     };
 
     let usage = "usage: workload [--k N] [--threads N] [--layer L[:D] ...] \
-                 [--batch [--memo | --no-memo] [--memo-capacity N] \
+                 [--batch [--memo | --no-memo] \
                  [--tile-size NM [--halo NM]] [--hier] \
                  | --serve ADDR [--executor serial|pool] [--deadline-ms MS]] \
                  [--algorithm NAME] [--bench-json PATH] FILE [FILE ...]";
@@ -71,7 +70,6 @@ fn main() -> ExitCode {
     let mut algorithm: Option<ColorAlgorithm> = None;
     let mut bench_json: Option<String> = None;
     let mut memo: Option<bool> = None;
-    let mut memo_capacity: Option<usize> = None;
     let mut tile_size: Option<i64> = None;
     let mut halo: Option<i64> = None;
     let mut hier = false;
@@ -111,13 +109,6 @@ fn main() -> ExitCode {
             "--batch" => batch = true,
             "--memo" => memo = Some(true),
             "--no-memo" => memo = Some(false),
-            "--memo-capacity" => match args.next().map(|v| v.parse::<usize>()) {
-                Some(Ok(value)) => memo_capacity = Some(value),
-                _ => {
-                    eprintln!("--memo-capacity requires an integer value");
-                    return ExitCode::FAILURE;
-                }
-            },
             "--tile-size" => match args.next().map(|v| v.parse::<i64>()) {
                 Some(Ok(value)) => tile_size = Some(value),
                 _ => {
@@ -193,30 +184,15 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     }
     let algorithm = algorithm.unwrap_or(ColorAlgorithm::Linear);
-    if !batch && (memo.is_some() || memo_capacity.is_some()) {
-        eprintln!("--memo/--no-memo/--memo-capacity only apply to --batch mode");
+    if !batch && memo.is_some() {
+        eprintln!("--memo/--no-memo only apply to --batch mode");
         return ExitCode::FAILURE;
     }
-    // Memoization is off by default here — the benchmark measures the
-    // engines unless warm-path throughput is explicitly requested — so a
-    // capacity without `--memo` is a contradiction, reported as the
-    // pipeline's typed configuration error (as is a zero-entry cache).
-    let memo = memo.unwrap_or(false);
-    if let Some(capacity) = memo_capacity {
-        if !memo {
-            eprintln!("{}", ConfigError::MemoCapacityWithoutMemo);
-            return ExitCode::FAILURE;
-        }
-        if capacity == 0 {
-            eprintln!("{}", ConfigError::MemoCapacity { capacity });
-            return ExitCode::FAILURE;
-        }
-    }
-    let memo_cache = memo.then(|| {
-        Arc::new(MemoCache::new(
-            memo_capacity.unwrap_or(MemoCache::DEFAULT_CAPACITY),
-        ))
-    });
+    // Memoization is off by default here: the benchmark measures the
+    // engines unless warm-path throughput is explicitly requested.
+    let memo_cache = memo
+        .unwrap_or(false)
+        .then(|| Arc::new(MemoCache::new(MemoCache::DEFAULT_CAPACITY)));
     // Tiling shards the batch through mpl-tile and hierarchy splits it by
     // instance provenance, so both only exist in batch mode.  Invalid tile
     // geometry, and tiling combined with hierarchy (the two shardings don't

@@ -27,13 +27,6 @@ pub enum ConfigError {
     },
     /// A thread-pool executor was asked for zero worker threads.
     ThreadCount,
-    /// A memo cache was asked for a zero-entry capacity.
-    MemoCapacity {
-        /// The rejected capacity.
-        capacity: usize,
-    },
-    /// A memo capacity was given while memoization is disabled.
-    MemoCapacityWithoutMemo,
     /// A tile size that is not a positive distance.
     TileSize {
         /// The rejected tile size, in nm.
@@ -80,12 +73,6 @@ impl fmt::Display for ConfigError {
             ),
             ConfigError::ThreadCount => {
                 write!(f, "a thread-pool executor needs at least one worker thread")
-            }
-            ConfigError::MemoCapacity { capacity } => {
-                write!(f, "memo capacity must be at least 1 entry, got {capacity}")
-            }
-            ConfigError::MemoCapacityWithoutMemo => {
-                write!(f, "--memo-capacity requires memoization to be enabled")
             }
             ConfigError::TileSize { size } => {
                 write!(f, "tile size must be a positive distance in nm, got {size}")

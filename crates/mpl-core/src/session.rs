@@ -258,14 +258,6 @@ impl DecompositionSession {
         self.tiling.as_ref()
     }
 
-    /// Attaches cell-instance provenance to the layout submitted under `id`
-    /// (builder form of
-    /// [`set_hierarchy`](DecompositionSession::set_hierarchy)).
-    pub fn with_hierarchy(mut self, id: LayoutId, hierarchy: Arc<LayoutHierarchy>) -> Self {
-        self.set_hierarchy(id, Some(hierarchy));
-        self
-    }
-
     /// Attaches (or, with `None`, detaches) cell-instance provenance for
     /// the layout submitted under `id`.
     ///
@@ -940,14 +932,6 @@ mod tests {
             .expect("valid config");
         assert_ne!(first, second);
         assert!(session.hierarchy(second).is_none());
-
-        // Builder form works too.
-        let mut built = DecompositionSession::new();
-        let id = built
-            .submit_layout(&decomposer, &layout)
-            .expect("valid config");
-        let built = built.with_hierarchy(id, hierarchy.clone());
-        assert!(built.hierarchy(id).is_some());
     }
 
     #[test]

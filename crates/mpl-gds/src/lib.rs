@@ -9,8 +9,7 @@
 //!   ([`record::RecordReader`]), typed payload decoders (big-endian i16/i32,
 //!   8-byte excess-64 reals, ASCII) and a length/padding-correct emitter.
 //! * [`GdsLibrary`] / [`GdsStruct`] / [`GdsElement`] — the object model,
-//!   with [`GdsLibrary::from_bytes`] / [`GdsLibrary::to_bytes`] and the
-//!   file helper [`GdsLibrary::save`].
+//!   with [`GdsLibrary::from_bytes`] / [`GdsLibrary::to_bytes`].
 //! * [`LayerMap`] + [`layout_from_library`] — flatten a library and select
 //!   which `layer:datatype` pairs become [`mpl_layout::Layout`] shapes.
 //!   Flattening walks SREF/AREF hierarchies with Manhattan transforms

@@ -42,16 +42,6 @@ impl GdsLibrary {
         emit_record(&mut out, RecordType::EndLib, DATA_NONE, &[])?;
         Ok(out)
     }
-
-    /// Writes the library to a file.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`GdsError::Io`] when the file cannot be written, or any
-    /// serialisation error from [`GdsLibrary::to_bytes`].
-    pub fn save(&self, path: &str) -> Result<(), GdsError> {
-        write_file(path, &self.to_bytes()?)
-    }
 }
 
 /// Writes `bytes` to the file at `path`, creating or truncating it.

@@ -854,20 +854,10 @@ fn load_source(source: &LayoutSource) -> Result<(Layout, Option<LayoutHierarchy>
 
 /// Drains pending submissions into coalesced batches until shutdown.
 fn scheduler_loop(shared: Arc<Shared>) {
-    // One reusable session per executor choice: ids stay unique across all
-    // the batches this server ever runs.  Both sessions share the server's
-    // one memo cache, so a layout colored on the pool is a cache hit when
-    // it is resubmitted for the serial executor (and vice versa).
-    let mut sessions: [(ExecutorChoice, DecompositionSession); 2] = [
-        (
-            ExecutorChoice::Serial,
-            DecompositionSession::new().with_memo(Arc::clone(&shared.memo)),
-        ),
-        (
-            ExecutorChoice::Pool,
-            DecompositionSession::new().with_memo(Arc::clone(&shared.memo)),
-        ),
-    ];
+    // One reusable session for every batch: ids stay unique across all the
+    // batches this server ever runs, and every batch shares the server's
+    // one memo cache, whichever executor drains it.
+    let mut session = DecompositionSession::new().with_memo(Arc::clone(&shared.memo));
     loop {
         let drained = {
             let mut pending = lock_recovering(&shared.pending);
@@ -882,35 +872,26 @@ fn scheduler_loop(shared: Arc<Shared>) {
             }
             std::mem::take(&mut *pending)
         };
-        run_wave(&shared, &mut sessions, drained);
+        run_wave(&shared, &mut session, drained);
     }
 }
 
 /// Runs one drained wave of submissions: one session batch per (executor
 /// choice, tiling request, hierarchy flag) triple that has work, in
-/// first-seen order — a session can only apply one [`TileConfig`] per
-/// batch, and hierarchical batches drain through a different driver with
-/// different progress frames, so mixed groups never share one.
-fn run_wave(
-    shared: &Shared,
-    sessions: &mut [(ExecutorChoice, DecompositionSession); 2],
-    drained: Vec<Pending>,
-) {
-    let mut groups: Vec<(usize, Option<TileConfig>, bool, Vec<Pending>)> = Vec::new();
+/// first-seen order — a batch drains through one executor, a session can
+/// only apply one [`TileConfig`] per batch, and hierarchical batches drain
+/// through a different driver with different progress frames, so mixed
+/// groups never share one.
+fn run_wave(shared: &Shared, session: &mut DecompositionSession, drained: Vec<Pending>) {
+    let mut groups: Vec<(_, Vec<Pending>)> = Vec::new();
     for pending in drained {
-        let slot = sessions
-            .iter()
-            .position(|(choice, _)| *choice == pending.submit.executor)
-            .expect("every executor choice has a session");
-        match groups.iter_mut().find(|(s, tiling, hier, _)| {
-            *s == slot && *tiling == pending.tiling && *hier == pending.submit.hier
-        }) {
-            Some((_, _, _, group)) => group.push(pending),
-            None => groups.push((slot, pending.tiling, pending.submit.hier, vec![pending])),
+        let key = (pending.submit.executor, pending.tiling, pending.submit.hier);
+        match groups.iter_mut().find(|(group_key, _)| *group_key == key) {
+            Some((_, group)) => group.push(pending),
+            None => groups.push((key, vec![pending])),
         }
     }
-    for (slot, tiling, hier, group) in groups {
-        let (choice, session) = &mut sessions[slot];
+    for ((choice, tiling, hier), group) in groups {
         let executor: &dyn Executor = match choice {
             ExecutorChoice::Serial => &SerialExecutor,
             ExecutorChoice::Pool => &shared.pool,

@@ -48,9 +48,8 @@
 //!   --no-stitches        disable stitch-candidate generation
 //!   --balance            rebalance mask densities after coloring
 //!   --verify             re-check same-mask spacing from scratch
-//!   --memo               memoize translation-identical components (default on)
-//!   --no-memo            color every component from scratch
-//!   --memo-capacity <N>  cap the memo cache at N entries (default 65536)
+//!   --no-memo            color every component from scratch (by default,
+//!                        translation-identical components are memoized)
 //!   --tile-size <NM>     decompose through the halo-aware tiler with
 //!                        square windows of this edge length (in nm)
 //!   --halo <NM>          explicit halo width in nm (default: the
@@ -92,8 +91,8 @@
 //! streams `tile_progress` events) and so does `--hier` (the server
 //! decomposes hierarchically and streams `hier_progress` events);
 //! `--threads`, `--balance`,
-//! `--no-stitches`, `--memo`/`--no-memo`/`--memo-capacity` (the server
-//! always memoizes with its own shared cache), `--layer`, `--top`,
+//! `--no-stitches`, `--no-memo` (the server always memoizes with its own
+//! shared cache), `--layer`, `--top`,
 //! `--output` and `--output-gds` are local-mode-only and rejected with
 //! `--connect`.
 //!
@@ -103,10 +102,9 @@
 //! ```
 
 use mpl_core::{
-    extract_masks, rebalance_masks, verify_spacing, ColorAlgorithm, ComponentTask, ConfigError,
-    Decomposer, DecomposerConfig, DecompositionSession, Executor, Json, JsonRecord, LayoutId,
-    MemoCache, MemoStats, Progress, SerialExecutor, StitchConfig, ThreadPoolExecutor, TileConfig,
-    VertexId,
+    extract_masks, rebalance_masks, verify_spacing, ColorAlgorithm, ComponentTask, Decomposer,
+    DecomposerConfig, DecompositionSession, Executor, Json, JsonRecord, LayoutId, MemoCache,
+    MemoStats, Progress, SerialExecutor, StitchConfig, ThreadPoolExecutor, TileConfig, VertexId,
 };
 use mpl_gds::{LayerMap, ReadOptions};
 use mpl_geometry::{Nm, Polygon};
@@ -137,7 +135,6 @@ struct Options {
     balance: bool,
     verify: bool,
     memo: bool,
-    memo_capacity: usize,
     /// The validated `--tile-size`/`--halo` tiling (`None` = untiled).
     tiling: Option<TileConfig>,
     /// `--hier`: cell-level hierarchical decomposition (contradicts
@@ -193,8 +190,7 @@ fn parse_options() -> Result<Options, String> {
     let mut stitches = true;
     let mut balance = false;
     let mut verify = false;
-    let mut memo: Option<bool> = None;
-    let mut memo_capacity: Option<usize> = None;
+    let mut memo = true;
     let mut tile_size: Option<i64> = None;
     let mut halo: Option<i64> = None;
     let mut hier = false;
@@ -253,15 +249,7 @@ fn parse_options() -> Result<Options, String> {
             "--no-stitches" => stitches = false,
             "--balance" => balance = true,
             "--verify" => verify = true,
-            "--memo" => memo = Some(true),
-            "--no-memo" => memo = Some(false),
-            "--memo-capacity" => {
-                memo_capacity = Some(
-                    value("--memo-capacity")?
-                        .parse()
-                        .map_err(|e| format!("invalid --memo-capacity value: {e}"))?,
-                );
-            }
+            "--no-memo" => memo = false,
             "--tile-size" => {
                 tile_size = Some(
                     value("--tile-size")?
@@ -302,8 +290,7 @@ fn parse_options() -> Result<Options, String> {
                             [--layer L[:D] ...] [--top NAME] [--k N] \
                             [--algorithm ilp|sdp-backtrack|sdp-greedy|linear] \
                             [--alpha F] [--threads N] [--progress] [--json] \
-                            [--no-stitches] [--balance] [--verify] \
-                            [--memo | --no-memo] [--memo-capacity N] \
+                            [--no-stitches] [--balance] [--verify] [--no-memo] \
                             [--tile-size NM [--halo NM] | --hier] \
                             [--output FILE] [--output-gds FILE] \
                             | --connect HOST:PORT [--executor serial|pool] \
@@ -337,8 +324,7 @@ fn parse_options() -> Result<Options, String> {
             (threads.is_some(), "--threads"),
             (balance, "--balance"),
             (!stitches, "--no-stitches"),
-            (memo.is_some(), "--memo/--no-memo"),
-            (memo_capacity.is_some(), "--memo-capacity"),
+            (!memo, "--no-memo"),
             (output.is_some(), "--output"),
             (output_gds.is_some(), "--output-gds"),
             (!gds_input.layer_specs.is_empty(), "--layer"),
@@ -353,18 +339,6 @@ fn parse_options() -> Result<Options, String> {
         return Err(
             "at least one input is required: FILE, --circuit, --layout or --gds".to_string(),
         );
-    }
-    // Memoization defaults to on; capacity tweaks without memoization (and
-    // a zero-entry cache) are contradictions, reported as the pipeline's
-    // typed configuration errors.
-    let memo = memo.unwrap_or(true);
-    if let Some(capacity) = memo_capacity {
-        if !memo {
-            return Err(ConfigError::MemoCapacityWithoutMemo.to_string());
-        }
-        if capacity == 0 {
-            return Err(ConfigError::MemoCapacity { capacity }.to_string());
-        }
     }
     // Tiling and hierarchy contradictions are the pipeline's typed
     // configuration errors.
@@ -383,7 +357,6 @@ fn parse_options() -> Result<Options, String> {
         balance,
         verify,
         memo,
-        memo_capacity: memo_capacity.unwrap_or(MemoCache::DEFAULT_CAPACITY),
         tiling,
         hier,
         output,
@@ -1166,7 +1139,7 @@ fn main() -> ExitCode {
     let decomposer = Decomposer::new(config);
     let memo = options
         .memo
-        .then(|| Arc::new(MemoCache::new(options.memo_capacity)));
+        .then(|| Arc::new(MemoCache::new(MemoCache::DEFAULT_CAPACITY)));
     let mut session = DecompositionSession::new();
     if let Some(cache) = &memo {
         session = session.with_memo(Arc::clone(cache));

@@ -258,14 +258,6 @@ fn contradictory_request_flags_are_rejected_with_typed_errors() {
     let layout = fixture("fixtures/golden_a.txt");
     for (extra, needle) in [
         (
-            &["--no-memo", "--memo-capacity", "64"][..],
-            "--memo-capacity requires memoization to be enabled",
-        ),
-        (
-            &["--memo-capacity", "0"][..],
-            "memo capacity must be at least 1 entry",
-        ),
-        (
             &["--halo", "50"][..],
             "--halo requires tiling to be enabled (--tile-size)",
         ),
