@@ -18,10 +18,10 @@
 //! decompose time.  Batch mode can attach a translation-canonical memo
 //! cache (`--memo`, off by default so timings measure the engines) and then
 //! reports per-layout hit/miss counts plus the cache's aggregate
-//! hits/misses/evictions.  Batch mode can also shard every layout into halo-expanded
-//! tile windows through `mpl-tile` (`--tile-size NM`, optionally
-//! `--halo NM`), adding per-layout tile/reconciliation columns to the
-//! table and the report, or decompose cell-by-cell through `mpl-hier`
+//! hits/misses/evictions.  Batch mode can also shard every layout into
+//! halo-expanded tile windows through `mpl-tile` (`--tile-size NM`,
+//! optionally `--halo NM`), adding per-layout tile/reconciliation columns to
+//! the table and the report, or decompose cell-by-cell through `mpl-hier`
 //! (`--hier`, mutually exclusive with tiling): GDSII inputs load with
 //! their cell-instance hierarchy and each distinct cell body is colored
 //! once, adding per-layout instance/reconciliation columns; text inputs

@@ -21,7 +21,7 @@
 //!   client-observed requests/sec ([`serve::ServeBenchReport`], schema
 //!   `mpl-bench/serve-v1`).
 //! * `perfbench` — the hot-path microbenchmark ([`perf::run_perf_suite`],
-//!   schema `mpl-bench/perf-v1`): per-stage timings plus deterministic
+//!   schema `mpl-bench/perf-v8`): per-stage timings plus deterministic
 //!   work counters (branch-and-bound nodes, division augmenting paths vs
 //!   the `n · K` ceiling, scratch allocations) on generated layouts and
 //!   dense-clique instances; `--check` pins counter ceilings in CI.
