@@ -10,55 +10,33 @@
 //! inside decomposition numbers and vice versa.
 //!
 //! [`BatchBenchReport::to_json`] renders a stable schema
-//! (`mpl-bench/batch-v1`) intended to be committed or archived per PR, so
+//! (`mpl-bench/batch-v2`) intended to be committed or archived per PR, so
 //! the performance trajectory is tracked across changes.
 
 use crate::workload::TimedLayout;
 use mpl_core::{
     ColorAlgorithm, ConfigError, DecomposeError, Decomposer, DecompositionSession, Executor, Json,
-    JsonRecord, LayoutCounters, MemoCache, MemoStats, TileConfig,
+    JsonRecord, MemoCache, MemoStats, TileConfig,
 };
-use mpl_hier::HierStats;
-use mpl_serve::run_layouts;
-use mpl_tile::TileStats;
+use mpl_serve::{run_layouts, ResultPayload};
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Per-layout measurements of one batch run.
+/// One layout's row of a batch run: its input plus its record.
 #[derive(Debug, Clone)]
 pub struct LayoutBenchStats {
-    /// The layout's name (from the file or generator).
-    pub name: String,
     /// The path the layout was loaded from (empty for generated layouts).
     pub path: String,
     /// Number of shapes in the input layout.
     pub shapes: usize,
-    /// Decomposition-graph vertices.
-    pub vertices: usize,
-    /// Independent components (= scheduled tasks).
-    pub components: usize,
-    /// Unresolved conflicts.
-    pub conflicts: usize,
-    /// Inserted stitches.
-    pub stitches: usize,
     /// Seconds spent parsing the input file (0 for generated layouts).
     pub parse_seconds: f64,
-    /// Seconds spent building the decomposition graph and tasks.
-    pub plan_seconds: f64,
-    /// Seconds from batch start until this layout's last component
-    /// finished coloring.
-    pub color_seconds: f64,
-    /// The layout's simplify/bound counters, summed over its components.
-    pub counters: LayoutCounters,
-    /// Components stamped from the memo cache (`None` without a cache).
-    pub memo_hits: Option<usize>,
-    /// Components colored fresh into the memo cache (`None` without a
-    /// cache).
-    pub memo_misses: Option<usize>,
-    /// Halo-aware tiling statistics (`None` when the batch ran untiled).
-    pub tiles: Option<TileStats>,
-    /// Cell-level hierarchy statistics (`None` when the batch ran flat).
-    pub hier: Option<HierStats>,
+    /// The layout's record, as `qpl-decompose --json` and a served
+    /// `result` frame report it: `graph_seconds` is the planning time
+    /// (graph build and tasks), `color_seconds` runs from batch start
+    /// until the layout's last component finished, and `tiles` /
+    /// `hierarchy` are set when the batch ran tiled / hierarchically.
+    pub record: ResultPayload,
 }
 
 /// The result of one batch benchmark run: per-layout rows plus the batch
@@ -87,7 +65,7 @@ pub struct BatchBenchReport {
 impl BatchBenchReport {
     /// Total number of component tasks across the batch.
     pub fn component_count(&self) -> usize {
-        self.layouts.iter().map(|row| row.components).sum()
+        self.layouts.iter().map(|row| row.record.components).sum()
     }
 
     /// Total seconds spent parsing input files.
@@ -97,7 +75,10 @@ impl BatchBenchReport {
 
     /// Total seconds spent planning (graph construction).
     pub fn total_plan_seconds(&self) -> f64 {
-        self.layouts.iter().map(|row| row.plan_seconds).sum()
+        self.layouts
+            .iter()
+            .map(|row| row.record.graph_seconds)
+            .sum()
     }
 
     /// Layouts decomposed per second of batch wall time, or `None` when
@@ -114,16 +95,17 @@ impl BatchBenchReport {
             .then(|| self.component_count() as f64 / self.batch_wall_seconds)
     }
 
-    /// The machine-readable report (schema `mpl-bench/batch-v1`); `{:#}`
+    /// The machine-readable report (schema `mpl-bench/batch-v2`); `{:#}`
     /// renders the `BENCH_*.json` document layout.
     ///
-    /// Memo fields (`batch.memo`, per-row `memo_hits`/`memo_misses`),
-    /// tiling fields (`batch.tiling`, per-row `tiles`), and hierarchy
-    /// fields (`batch.hier`, per-row `hier`) are additive and appear only
-    /// when the run was memoized/tiled/hierarchical, so v1 consumers keep
-    /// working.  The throughput rates are `null` when the batch clock
-    /// registered no elapsed time — consumers must not divide by, or trust,
-    /// a rate computed against a zero duration.
+    /// Each row is `path`, `shapes` and `parse_seconds` followed by the
+    /// layout's record ([`ResultPayload::fields`]).  Memo fields
+    /// (`batch.memo`, per-row `memo_hits`/`memo_misses`), tiling fields
+    /// (`batch.tiling`, per-row `tiles`), and hierarchy fields
+    /// (`batch.hier`, per-row `hierarchy`) appear only when the run was
+    /// memoized/tiled/hierarchical.  The throughput rates are `null` when
+    /// the batch clock registered no elapsed time — consumers must not
+    /// divide by, or trust, a rate computed against a zero duration.
     pub fn to_json(&self) -> Json {
         let mut batch = vec![
             ("layouts", self.layouts.len().into()),
@@ -156,35 +138,16 @@ impl BatchBenchReport {
             .iter()
             .map(|row| {
                 let mut pairs = vec![
-                    ("name", row.name.as_str().into()),
                     ("path", row.path.as_str().into()),
                     ("shapes", row.shapes.into()),
-                    ("vertices", row.vertices.into()),
-                    ("components", row.components.into()),
-                    ("conflicts", row.conflicts.into()),
-                    ("stitches", row.stitches.into()),
-                ];
-                pairs.extend(row.counters.fields());
-                if let (Some(hits), Some(misses)) = (row.memo_hits, row.memo_misses) {
-                    pairs.push(("memo_hits", hits.into()));
-                    pairs.push(("memo_misses", misses.into()));
-                }
-                if let Some(tiles) = &row.tiles {
-                    pairs.push(("tiles", tiles.to_json()));
-                }
-                if let Some(hier) = &row.hier {
-                    pairs.push(("hier", hier.to_json()));
-                }
-                pairs.extend([
                     ("parse_seconds", row.parse_seconds.into()),
-                    ("plan_seconds", row.plan_seconds.into()),
-                    ("color_seconds", row.color_seconds.into()),
-                ]);
+                ];
+                pairs.extend(row.record.fields());
                 Json::object(pairs)
             })
             .collect();
         Json::object(vec![
-            ("schema", "mpl-bench/batch-v1".into()),
+            ("schema", "mpl-bench/batch-v2".into()),
             ("k", self.k.into()),
             ("algorithm", self.algorithm.as_str().into()),
             ("executor", self.executor.as_str().into()),
@@ -249,28 +212,14 @@ pub fn run_batch_bench(
     let batch_wall_seconds = batch_start.elapsed().as_secs_f64();
 
     let rows = runs
-        .into_iter()
+        .iter()
         .zip(layouts)
-        .map(|(run, timed)| {
-            let plan = session.plan(run.id).expect("session keeps every plan");
-            let result = &run.result;
-            LayoutBenchStats {
-                name: result.layout_name().to_string(),
-                path: timed.path.clone(),
-                shapes: timed.layout.shape_count(),
-                vertices: result.vertex_count(),
-                components: result.component_count(),
-                conflicts: result.conflicts(),
-                stitches: result.stitches(),
-                parse_seconds: timed.parse_seconds,
-                plan_seconds: plan.graph_time().as_secs_f64(),
-                color_seconds: result.color_time().as_secs_f64(),
-                counters: result.counters(),
-                memo_hits: result.memo_hits(),
-                memo_misses: result.memo_misses(),
-                tiles: run.tiles,
-                hier: run.hierarchy,
-            }
+        .enumerate()
+        .map(|(index, (run, timed))| LayoutBenchStats {
+            path: timed.path.clone(),
+            shapes: timed.layout.shape_count(),
+            parse_seconds: timed.parse_seconds,
+            record: ResultPayload::from_run(index.to_string(), run, None),
         })
         .collect();
     Ok(BatchBenchReport {
@@ -325,12 +274,12 @@ mod tests {
         let components_per_sec = report.components_per_sec().expect("non-zero wall time");
         assert!(layouts_per_sec > 0.0);
         assert!(components_per_sec >= layouts_per_sec);
-        let components: usize = report.layouts.iter().map(|row| row.components).sum();
+        let components: usize = report.layouts.iter().map(|row| row.record.components).sum();
         assert_eq!(report.component_count(), components);
         for row in &report.layouts {
-            assert!(row.vertices > 0);
-            assert!(row.components > 0);
-            assert!(row.plan_seconds >= 0.0);
+            assert!(row.record.vertices > 0);
+            assert!(row.record.components > 0);
+            assert!(row.record.graph_seconds >= 0.0);
         }
     }
 
@@ -351,8 +300,8 @@ mod tests {
             let standalone = Decomposer::new(crate::table_config(4, ColorAlgorithm::Linear))
                 .decompose(&timed.layout)
                 .expect("valid");
-            assert_eq!(row.conflicts, standalone.conflicts());
-            assert_eq!(row.stitches, standalone.stitches());
+            assert_eq!(row.record.conflicts, standalone.conflicts());
+            assert_eq!(row.record.stitches, standalone.stitches());
         }
     }
 
@@ -370,7 +319,7 @@ mod tests {
         )
         .expect("valid");
         let json = format!("{:#}", report.to_json());
-        assert!(json.contains("\"schema\": \"mpl-bench/batch-v1\""));
+        assert!(json.contains("\"schema\": \"mpl-bench/batch-v2\""));
         assert!(json.contains("\"layouts_per_sec\""));
         assert!(json.contains("\\\"quoted\\\""));
         // Balanced braces/brackets — a cheap structural sanity check that
@@ -422,20 +371,24 @@ mod tests {
         let memo = report.memo.expect("memoized run snapshots the cache");
         assert!(memo.entries > 0);
         for row in &report.layouts {
-            let hits = row.memo_hits.expect("memoized rows carry hit counts");
-            let misses = row.memo_misses.expect("memoized rows carry miss counts");
-            assert_eq!(hits + misses, row.components);
+            let hits = row
+                .record
+                .memo_hits
+                .expect("memoized rows carry hit counts");
+            let misses = row
+                .record
+                .memo_misses
+                .expect("memoized rows carry miss counts");
+            assert_eq!(hits + misses, row.record.components);
         }
         // The second, identical layout is stamped entirely from the first.
-        assert_eq!(
-            report.layouts[1].memo_hits,
-            Some(report.layouts[1].components)
-        );
+        let twin = &report.layouts[1].record;
+        assert_eq!(twin.memo_hits, Some(twin.components));
         let json = format!("{:#}", report.to_json());
         assert!(json.contains("\"memo\": {\"entries\""));
         assert!(json.contains("\"memo_hits\""));
 
-        // An unmemoized run keeps the v1 shape: no memo fields at all.
+        // An unmemoized run carries no memo fields at all.
         let plain = run_batch_bench(
             &layouts,
             4,
@@ -505,7 +458,7 @@ mod tests {
         .expect("valid tiling");
         assert_eq!(tiled.tiling, Some(tiling));
         let row = &tiled.layouts[0];
-        let tiles = row.tiles.expect("tiled rows carry tile stats");
+        let tiles = row.record.tiles.expect("tiled rows carry tile stats");
         assert!(tiles.tiles > 1);
         assert_eq!(tiles.tiled_components, 1);
         assert!(tiles.cross_conflicts_after <= tiles.cross_conflicts_before);
@@ -525,7 +478,7 @@ mod tests {
         )
         .expect("valid");
         assert!(plain.tiling.is_none());
-        assert!(plain.layouts[0].tiles.is_none());
+        assert!(plain.layouts[0].record.tiles.is_none());
         assert!(!format!("{:#}", plain.to_json()).contains("tiling"));
     }
 
@@ -552,14 +505,17 @@ mod tests {
         .expect("valid hier batch");
         assert!(report.hier);
         let row = &report.layouts[0];
-        let hier = row.hier.expect("hier rows carry hierarchy stats");
+        let hier = row
+            .record
+            .hierarchy
+            .expect("hier rows carry hierarchy stats");
         assert_eq!(hier.instances, 12);
         assert_eq!(hier.cells, 1);
         assert_eq!(hier.cross_conflicts_after, 0);
-        assert_eq!(row.conflicts, 0);
+        assert_eq!(row.record.conflicts, 0);
         let json = format!("{:#}", report.to_json());
         assert!(json.contains("\"hier\": true"));
-        assert!(json.contains("\"hier\": {\"instances\": 12"));
+        assert!(json.contains("\"hierarchy\": {\"instances\": 12"));
 
         // Hierarchy and tiling shard by different axes; the combination is
         // the pipeline's typed contradiction, rejected before any work.
@@ -587,7 +543,8 @@ mod tests {
         )
         .expect("valid");
         assert!(!plain.hier);
-        assert!(plain.layouts[0].hier.is_none());
-        assert!(!format!("{:#}", plain.to_json()).contains("\"hier\""));
+        assert!(plain.layouts[0].record.hierarchy.is_none());
+        let json = format!("{:#}", plain.to_json());
+        assert!(!json.contains("\"hier\"") && !json.contains("\"hierarchy\""));
     }
 }

@@ -32,8 +32,10 @@
 //! pipelined, so latency includes queueing behind earlier submits) — the
 //! socket round trips and scheduler coalescing included.  In both modes
 //! `--bench-json PATH` writes the machine-readable `BENCH_*.json` report
-//! (schemas `mpl-bench/batch-v1` / `mpl-bench/serve-v1`) for tracking the
-//! performance trajectory across changes.  GDSII inputs can be restricted
+//! (schemas `mpl-bench/batch-v2` / `mpl-bench/serve-v2`, whose rows carry
+//! each layout's record — the keys `qpl-decompose --json` and a served
+//! `result` frame report) for tracking the performance trajectory across
+//! changes.  GDSII inputs can be restricted
 //! to specific layers with `--layer`.  Invalid mask counts, thread counts
 //! and degenerate layouts are reported as the pipeline's typed errors.
 
@@ -258,16 +260,20 @@ fn main() -> ExitCode {
             "layout", "vertices", "comps", "cn#", "st#", "color(s)"
         );
         for row in &report.requests {
+            let record = &row.record;
             println!(
                 "{:<24} {:>8} {:>9} {:>6} {:>6} {:>9.3}{}",
-                row.name,
-                row.vertices,
-                row.components,
-                row.conflicts,
-                row.stitches,
-                row.color_seconds,
-                if row.deadline_exceeded {
-                    format!("  [deadline exceeded, {} skipped]", row.components_skipped)
+                record.layout,
+                record.vertices,
+                record.components,
+                record.conflicts,
+                record.stitches,
+                record.color_seconds,
+                if record.deadline_exceeded {
+                    format!(
+                        "  [deadline exceeded, {} skipped]",
+                        record.components_skipped
+                    )
                 } else {
                     String::new()
                 }
@@ -353,17 +359,18 @@ fn main() -> ExitCode {
             "layout", "vertices", "comps", "cn#", "st#", "parse(s)", "plan(s)", "color(s)"
         );
         for row in &report.layouts {
+            let record = &row.record;
             let memo_cells = if memo_columns {
                 format!(
                     " {:>6} {:>6}",
-                    row.memo_hits.unwrap_or(0),
-                    row.memo_misses.unwrap_or(0)
+                    record.memo_hits.unwrap_or(0),
+                    record.memo_misses.unwrap_or(0)
                 )
             } else {
                 String::new()
             };
             let tile_cells = if tile_columns {
-                let tiles = row.tiles.as_ref();
+                let tiles = record.tiles.as_ref();
                 format!(
                     " {:>6} {:>6}",
                     tiles.map_or(0, |t| t.tiles),
@@ -373,7 +380,7 @@ fn main() -> ExitCode {
                 String::new()
             };
             let hier_cells = if hier_columns {
-                let hier = row.hier.as_ref();
+                let hier = record.hierarchy.as_ref();
                 format!(
                     " {:>6} {:>6}",
                     hier.map_or(0, |h| h.instances),
@@ -384,14 +391,14 @@ fn main() -> ExitCode {
             };
             println!(
                 "{:<24} {:>8} {:>9} {:>6} {:>6}{memo_cells}{tile_cells}{hier_cells} {:>9.3} {:>9.3} {:>9.3}",
-                row.name,
-                row.vertices,
-                row.components,
-                row.conflicts,
-                row.stitches,
+                record.layout,
+                record.vertices,
+                record.components,
+                record.conflicts,
+                record.stitches,
                 row.parse_seconds,
-                row.plan_seconds,
-                row.color_seconds
+                record.graph_seconds,
+                record.color_seconds
             );
         }
         let rate = |value: Option<f64>| {
@@ -418,13 +425,13 @@ fn main() -> ExitCode {
             let tiles: usize = report
                 .layouts
                 .iter()
-                .filter_map(|row| row.tiles.as_ref())
+                .filter_map(|row| row.record.tiles.as_ref())
                 .map(|t| t.tiles)
                 .sum();
             let cross_after: usize = report
                 .layouts
                 .iter()
-                .filter_map(|row| row.tiles.as_ref())
+                .filter_map(|row| row.record.tiles.as_ref())
                 .map(|t| t.cross_conflicts_after)
                 .sum();
             println!(
@@ -441,19 +448,19 @@ fn main() -> ExitCode {
             let instances: usize = report
                 .layouts
                 .iter()
-                .filter_map(|row| row.hier.as_ref())
+                .filter_map(|row| row.record.hierarchy.as_ref())
                 .map(|h| h.instances)
                 .sum();
             let cells: usize = report
                 .layouts
                 .iter()
-                .filter_map(|row| row.hier.as_ref())
+                .filter_map(|row| row.record.hierarchy.as_ref())
                 .map(|h| h.cells)
                 .sum();
             let cross_after: usize = report
                 .layouts
                 .iter()
-                .filter_map(|row| row.hier.as_ref())
+                .filter_map(|row| row.record.hierarchy.as_ref())
                 .map(|h| h.cross_conflicts_after)
                 .sum();
             println!(

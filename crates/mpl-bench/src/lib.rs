@@ -15,11 +15,12 @@
 //!   mode instead drives all files as **one** [`mpl_core::DecompositionSession`]
 //!   on a shared executor and reports aggregate throughput (layouts/sec,
 //!   components/sec) plus a machine-readable `BENCH_*.json` via
-//!   [`batch::BatchBenchReport`], with parse time tracked separately from
-//!   decompose time.  Its `--serve ADDR` mode streams the files as
-//!   `submit` requests to a running `qpl-serve` and measures
-//!   client-observed requests/sec ([`serve::ServeBenchReport`], schema
-//!   `mpl-bench/serve-v1`).
+//!   [`batch::BatchBenchReport`] (schema `mpl-bench/batch-v2`), with parse
+//!   time tracked separately from decompose time.  Its `--serve ADDR` mode
+//!   streams the files as `submit` requests to a running `qpl-serve` and
+//!   measures client-observed requests/sec ([`serve::ServeBenchReport`],
+//!   schema `mpl-bench/serve-v2`).  Both reports' rows carry each layout's
+//!   record, [`mpl_serve::ResultPayload`].
 //! * `perfbench` — the hot-path microbenchmark ([`perf::run_perf_suite`],
 //!   schema `mpl-bench/perf-v8`): per-stage timings plus deterministic
 //!   work counters (branch-and-bound nodes, division augmenting paths vs

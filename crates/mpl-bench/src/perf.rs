@@ -1010,6 +1010,9 @@ fn run_tile_cases(options: &PerfOptions) -> Result<Vec<TilePerfCase>, String> {
     // 96×96 contacts at 70 nm pitch: orthogonal and diagonal neighbours
     // conflict, so the whole chip is one spanning component.
     let layout = gen::contact_array(&tech, 96, 96, Nm(70));
+    // Every run of the case, the untiled comparison and both controls
+    // included, colors under this one budget, so `tiled_speedup` compares
+    // like with like.
     let config = quadruple(algorithm).with_ilp_time_limit(Duration::from_secs(2));
     let tiling = Some(TileConfig::new(tile_size));
     let tiled = run_case(&layout, &config, fresh_memo(), tiling, None)?;
@@ -1025,7 +1028,7 @@ fn run_tile_cases(options: &PerfOptions) -> Result<Vec<TilePerfCase>, String> {
     let untiled_seconds = if options.check {
         None
     } else {
-        Some(run_case(&layout, &quadruple(algorithm), None, None, None)?.seconds())
+        Some(run_case(&layout, &config, None, None, None)?.seconds())
     };
 
     // Control: a layout whose single component fits one window must take
@@ -1033,9 +1036,9 @@ fn run_tile_cases(options: &PerfOptions) -> Result<Vec<TilePerfCase>, String> {
     // Both runs are unmemoized so the identity is an engine-path claim,
     // not a cache artifact.
     let control = gen::contact_array(&tech, 6, 6, Nm(70));
-    let control_untiled = run_case(&control, &quadruple(algorithm), None, None, None)?;
+    let control_untiled = run_case(&control, &config, None, None, None)?;
     let one_window = Some(TileConfig::new(Nm(1_000_000)));
-    let control_tiled = run_case(&control, &quadruple(algorithm), None, one_window, None)?;
+    let control_tiled = run_case(&control, &config, None, one_window, None)?;
     let control_bit_identical =
         control_tiled.run.result.colors() == control_untiled.run.result.colors();
 

@@ -6,9 +6,10 @@
 //! request, and wait for all results — so the wire protocol, the scheduler
 //! coalescing and the socket round trips are all inside the measured
 //! window.  [`ServeBenchReport::to_json`] renders the machine-readable
-//! `mpl-bench/serve-v1` schema (requests/sec and client-observed latency
-//! percentiles alongside the per-request rows) for `BENCH_*.json`
-//! archiving, like the batch schema.
+//! `mpl-bench/serve-v2` schema (requests/sec and client-observed latency
+//! percentiles alongside the per-request rows, each the record its
+//! `result` frame carried) for `BENCH_*.json` archiving, like the batch
+//! schema.
 //!
 //! [`run_serve_bench`] needs a server that is already listening (start one
 //! with `qpl-serve`, or in-process via `mpl_serve::Server::spawn`).
@@ -16,33 +17,20 @@
 use crate::workload::TimedLayout;
 use mpl_core::{ColorAlgorithm, Json};
 use mpl_layout::io;
-use mpl_serve::{Client, ExecutorChoice, LayoutSource, Request, Response, SubmitRequest};
+use mpl_serve::{
+    Client, ExecutorChoice, LayoutSource, Request, Response, ResultPayload, SubmitRequest,
+};
 use std::time::Instant;
 
-/// Per-request measurements of one serve benchmark run.
+/// One request's row of a serve benchmark run: the record the server
+/// returned plus the client-observed timings.
 #[derive(Debug, Clone)]
 pub struct ServeRequestStats {
-    /// The layout's name.
-    pub name: String,
     /// The path the layout was loaded from (empty for generated layouts).
     pub path: String,
-    /// Decomposition-graph vertices.
-    pub vertices: usize,
-    /// Independent components.
-    pub components: usize,
-    /// Unresolved conflicts.
-    pub conflicts: usize,
-    /// Inserted stitches.
-    pub stitches: usize,
-    /// Seconds from batch start until the layout finished coloring, as
-    /// reported by the server.
-    pub color_seconds: f64,
-    /// `true` when the submission's deadline expired and the row is a
-    /// partial result.
-    pub deadline_exceeded: bool,
-    /// Components whose coloring was skipped (deadline expired before they
-    /// started); zero on complete rows.
-    pub components_skipped: usize,
+    /// The record of the request's `result` frame, as received (its
+    /// `deadline_exceeded` marks a partial result).
+    pub record: ResultPayload,
     /// Client-observed seconds from the first submit until this row's
     /// terminal frame arrived.
     pub terminal_seconds: f64,
@@ -81,7 +69,7 @@ impl ServeBenchReport {
 
     /// Total components colored across all requests.
     pub fn component_count(&self) -> usize {
-        self.requests.iter().map(|row| row.components).sum()
+        self.requests.iter().map(|row| row.record.components).sum()
     }
 
     /// Components colored per second of client-observed wall time.
@@ -93,7 +81,7 @@ impl ServeBenchReport {
     pub fn deadline_miss_count(&self) -> usize {
         self.requests
             .iter()
-            .filter(|row| row.deadline_exceeded)
+            .filter(|row| row.record.deadline_exceeded)
             .count()
     }
 
@@ -108,7 +96,7 @@ impl ServeBenchReport {
         let deadline_seconds = deadline_ms as f64 / 1e3;
         self.requests
             .iter()
-            .filter(|row| row.deadline_exceeded)
+            .filter(|row| row.record.deadline_exceeded)
             .map(|row| (row.terminal_seconds - deadline_seconds).max(0.0))
             .fold(0.0, f64::max)
     }
@@ -126,11 +114,13 @@ impl ServeBenchReport {
         nearest_rank(&latencies, percent)
     }
 
-    /// The machine-readable report (schema `mpl-bench/serve-v1`); `{:#}`
-    /// renders the `BENCH_*.json` document layout.
+    /// The machine-readable report (schema `mpl-bench/serve-v2`); `{:#}`
+    /// renders the `BENCH_*.json` document layout.  Each request row is
+    /// `path`, the received record ([`ResultPayload::fields`]),
+    /// `terminal_seconds` and `latency_seconds`.
     pub fn to_json(&self) -> Json {
         let mut pairs = vec![
-            ("schema", "mpl-bench/serve-v1".into()),
+            ("schema", "mpl-bench/serve-v2".into()),
             ("addr", self.addr.as_str().into()),
             ("k", self.k.into()),
             ("algorithm", self.algorithm.as_str().into()),
@@ -159,19 +149,11 @@ impl ServeBenchReport {
             .requests
             .iter()
             .map(|row| {
-                Json::object(vec![
-                    ("name", row.name.as_str().into()),
-                    ("path", row.path.as_str().into()),
-                    ("vertices", row.vertices.into()),
-                    ("components", row.components.into()),
-                    ("conflicts", row.conflicts.into()),
-                    ("stitches", row.stitches.into()),
-                    ("color_seconds", row.color_seconds.into()),
-                    ("deadline_exceeded", row.deadline_exceeded.into()),
-                    ("components_skipped", row.components_skipped.into()),
-                    ("terminal_seconds", row.terminal_seconds.into()),
-                    ("latency_seconds", row.latency_seconds.into()),
-                ])
+                let mut pairs = vec![("path", row.path.as_str().into())];
+                pairs.extend(row.record.fields());
+                pairs.push(("terminal_seconds", row.terminal_seconds.into()));
+                pairs.push(("latency_seconds", row.latency_seconds.into()));
+                Json::object(pairs)
             })
             .collect();
         pairs.push(("batch", batch));
@@ -248,15 +230,8 @@ pub fn run_serve_bench(
                     return Err(format!("duplicate result for id {:?}", payload.id));
                 }
                 rows[index] = Some(ServeRequestStats {
-                    name: payload.layout,
                     path: layouts[index].path.clone(),
-                    vertices: payload.vertices,
-                    components: payload.components,
-                    conflicts: payload.conflicts,
-                    stitches: payload.stitches,
-                    color_seconds: payload.color_seconds,
-                    deadline_exceeded: payload.deadline_exceeded,
-                    components_skipped: payload.components_skipped,
+                    record: payload,
                     terminal_seconds: bench_start.elapsed().as_secs_f64(),
                     latency_seconds: sent[index].elapsed().as_secs_f64(),
                 });
@@ -355,13 +330,14 @@ mod tests {
                 .submit_layout(&decomposer, &timed.layout)
                 .expect("valid config");
             let direct = &session.run(&mpl_core::SerialExecutor)[0].1;
-            assert_eq!(row.conflicts, direct.conflicts());
-            assert_eq!(row.stitches, direct.stitches());
-            assert_eq!(row.vertices, direct.vertex_count());
+            assert_eq!(row.record.conflicts, direct.conflicts());
+            assert_eq!(row.record.stitches, direct.stitches());
+            assert_eq!(row.record.vertices, direct.vertex_count());
+            assert_eq!(row.record.conflict_edges, direct.conflict_edge_count());
         }
 
         let json = format!("{:#}", report.to_json());
-        assert!(json.contains("\"schema\": \"mpl-bench/serve-v1\""));
+        assert!(json.contains("\"schema\": \"mpl-bench/serve-v2\""));
         assert!(json.contains("\"requests_per_sec\""));
         for key in [
             "latency_p50_seconds",
@@ -432,7 +408,7 @@ mod tests {
         .expect("partial results are still results");
         assert_eq!(report.deadline_ms, Some(0));
         assert_eq!(report.deadline_miss_count(), 1);
-        let row = &report.requests[0];
+        let row = &report.requests[0].record;
         assert!(row.deadline_exceeded);
         assert_eq!(row.components_skipped, row.components);
         assert!(row.components >= 1);

@@ -122,7 +122,7 @@ impl DivisionConfig {
 /// conflict-radius [`halo`](TileConfig::halo), and the per-tile colorings
 /// are reconciled deterministically afterwards.  The configuration lives in
 /// `mpl-core` so a [`DecompositionSession`](crate::DecompositionSession)
-/// can carry it ([`with_tiling`](crate::DecompositionSession::with_tiling));
+/// can carry it ([`set_tiling`](crate::DecompositionSession::set_tiling));
 /// the tiled driver that consumes it is the `mpl-tile` crate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TileConfig {

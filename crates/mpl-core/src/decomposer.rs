@@ -46,9 +46,10 @@ pub struct DecompositionResult {
 }
 
 /// The simplify/bound work counters of one layout, summed over its
-/// components ([`DecompositionResult::counters`]).  `qpl-serve` result
-/// frames and `mpl-bench/batch-v1` rows splice these keys flat, in this
-/// order, and a frame that lacks one decodes it as zero.
+/// components ([`DecompositionResult::counters`]).  The per-layout record
+/// of `qpl-serve` result frames, the CLI's `--json` and the `workload`
+/// reports splices these keys flat, in this order, and a frame that lacks
+/// one decodes it as zero.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct LayoutCounters {
     /// Vertices hidden by graph simplification.

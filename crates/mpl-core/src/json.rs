@@ -95,7 +95,7 @@ impl std::error::Error for FieldError {}
 /// A flat record of counters whose keys are listed once, in a
 /// [`json_record!`](crate::json_record) invocation next to its declaration.
 ///
-/// The CLI's `--json`, the `mpl-bench/batch-v1` rows and the `mpl-serve`
+/// The CLI's `--json`, the `mpl-bench` reports and the `mpl-serve`
 /// frames all write such a record through [`fields`](JsonRecord::fields) —
 /// as an object of its own ([`to_json`](JsonRecord::to_json)) or spliced
 /// flat into an enclosing object — and the wire decoder reads it back

@@ -15,7 +15,7 @@ use crate::{ComponentProblem, ComponentTask, DecomposerConfig, DecompositionPlan
 use mpl_memo::{canonicalize, CanonicalComponent, ComponentView, MemoStats, Signature};
 
 // The cache snapshot's one key list, written by the CLI's `memo_cache`,
-// batch-v1's `batch.memo` and `pong` frames' `cache`.  It lives here
+// batch-v2's `batch.memo` and `pong` frames' `cache`.  It lives here
 // because `mpl-memo` does not depend on this crate.
 crate::json_record!(MemoStats {
     entries,

@@ -231,13 +231,6 @@ impl DecompositionSession {
         self.memo.as_ref()
     }
 
-    /// Requests spatial tiling (builder form of
-    /// [`set_tiling`](DecompositionSession::set_tiling)).
-    pub fn with_tiling(mut self, tiling: TileConfig) -> Self {
-        self.tiling = Some(tiling);
-        self
-    }
-
     /// Requests (or, with `None`, cancels) spatial tiling for the session's
     /// layouts.
     ///

@@ -49,8 +49,8 @@ pub struct HierStats {
     pub cross_conflicts_after: usize,
 }
 
-// The one key list of the hierarchy object (`hierarchy` in CLI `--json`
-// and `qpl-serve` result frames, `hier` in batch-v1 rows).
+// The one key list of the `hierarchy` object: CLI `--json`, `workload`
+// report rows and `qpl-serve` result frames.
 // `nested_inherited` decodes as zero on frames from servers predating it.
 mpl_core::json_record!(HierStats {
     instances,

@@ -201,7 +201,8 @@ fn sessions_without_hierarchies_degenerate_to_the_memoized_flat_run() {
 fn hier_and_tiling_cannot_be_combined() {
     let fixture = bit_cell_array(2, 2, BitArrayStyle::Isolated);
     let decomposer = decomposer(ColorAlgorithm::Linear);
-    let mut session = DecompositionSession::new().with_tiling(TileConfig::new(Nm(400)));
+    let mut session = DecompositionSession::new();
+    session.set_tiling(Some(TileConfig::new(Nm(400))));
     submit(&mut session, &decomposer, &fixture);
     assert_eq!(
         run_hier(&session, &SerialExecutor).unwrap_err(),

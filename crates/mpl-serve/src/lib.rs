@@ -14,7 +14,9 @@
 //! [`run_layouts`] runs a session's batch hierarchically, tiled or plain
 //! and returns one [`LayoutRun`] (result plus the `tiles` or `hierarchy`
 //! statistics) per layout.  The server's batches, `qpl-decompose` and
-//! `workload --batch` all run through it.
+//! `workload --batch` all run through it, and all report a layout as one
+//! record, [`ResultPayload`] ([`ResultPayload::from_run`] builds it,
+//! [`ResultPayload::fields`] lists its keys once).
 //!
 //! # Wire protocol
 //!
@@ -90,14 +92,20 @@
 //! {"type":"queued","id":"j1","layout":"a","vertices":9,"components":3}
 //! {"type":"progress","id":"j1","done":1,"total":3}      (opt-in, per component)
 //! {"type":"result","id":"j1","layout":"a","k":4,"algorithm":"Linear",
-//!  "executor":"threads:2","vertices":9,"components":3,"conflicts":0,
-//!  "stitches":1,"cost":0.1,"color_seconds":0.002,"hidden_vertices":9,
-//!  "kernel_vertices":0,"simplify_rounds":3,"bound_improvements":0,
-//!  "spacing_violations":0,"memo_hits":1,"memo_misses":2,
-//!  "colors":[0,1,2,0,3,1,2,0,1]}
+//!  "executor":"threads:2","vertices":9,"conflict_edges":11,
+//!  "stitch_edges":1,"components":3,"conflicts":0,"stitches":1,
+//!  "cost":0.1,"graph_seconds":0.001,"color_seconds":0.002,
+//!  "hidden_vertices":9,"kernel_vertices":0,"simplify_rounds":3,
+//!  "bound_improvements":0,"spacing_violations":0,"memo_hits":1,
+//!  "memo_misses":2,"colors":[0,1,2,0,3,1,2,0,1]}
 //! ```
 //!
-//! `hidden_vertices` … `bound_improvements` are the layout's
+//! Between `type`/`id` and `colors` a `result` frame carries the layout's
+//! record ([`ResultPayload::fields`]), the same keys in the same order as
+//! each layout object of `qpl-decompose --json` (which adds local extras)
+//! and `--connect --json` (which adds `id`).  `conflict_edges`,
+//! `stitch_edges` and `graph_seconds` (planning time) decode as zero when
+//! absent.  `hidden_vertices` … `bound_improvements` are the layout's
 //! [`LayoutCounters`](mpl_core::LayoutCounters), spliced flat; a frame
 //! lacking one decodes it as zero.  `memo_hits` / `memo_misses` count the
 //! layout's components stamped from (respectively colored into) the
@@ -105,8 +113,8 @@
 //! crate and the memoization section of the workspace README.  Tiled and
 //! hierarchical submissions add a `tiles` or `hierarchy` object: the
 //! [`TileStats`](mpl_tile::TileStats) or [`HierStats`](mpl_hier::HierStats)
-//! record, under the same key list the CLI's `--json` and the batch
-//! report write (every key required, except the hierarchy's
+//! record, under the same key list and key as the CLI's `--json` and the
+//! `workload` reports (every key required, except the hierarchy's
 //! `nested_inherited`, which decodes as zero when absent).
 //!
 //! or, when anything goes wrong, a typed error frame that leaves the

@@ -151,7 +151,14 @@ pub enum Request {
     Shutdown,
 }
 
-/// The final per-layout payload of a successful decomposition.
+/// One layout's decomposition record: the payload of a `result` frame,
+/// and the per-layout object every front end prints.
+///
+/// [`fields`](ResultPayload::fields) lists its keys once.  The frame wraps
+/// them in `type`, `id` and `colors`; `qpl-decompose --json` prints them
+/// plus its local extras, `--connect --json` prints `id` plus them, and the
+/// `workload` reports splice them into their rows.  A local run becomes a
+/// record through [`from_run`](ResultPayload::from_run).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ResultPayload {
     /// The submission's client-chosen id.
@@ -166,6 +173,12 @@ pub struct ResultPayload {
     pub executor: String,
     /// Decomposition-graph vertices.
     pub vertices: usize,
+    /// Conflict edges of the decomposition graph (decodes as zero when
+    /// absent).
+    pub conflict_edges: usize,
+    /// Stitch-candidate edges of the decomposition graph (decodes as zero
+    /// when absent).
+    pub stitch_edges: usize,
     /// Independent components.
     pub components: usize,
     /// Unresolved conflicts.
@@ -174,6 +187,9 @@ pub struct ResultPayload {
     pub stitches: usize,
     /// Weighted objective `conflicts + α · stitches`.
     pub cost: f64,
+    /// Seconds spent planning the layout: building its decomposition graph
+    /// and component tasks (decodes as zero when absent).
+    pub graph_seconds: f64,
     /// Seconds from batch start until this layout's last component
     /// finished.
     pub color_seconds: f64,
@@ -183,9 +199,9 @@ pub struct ResultPayload {
     /// Same-mask spacing violations found by server-side re-verification
     /// (present only when the submission set `verify`).
     pub spacing_violations: Option<usize>,
-    /// The layout's simplify/bound counters, spliced flat into the frame
-    /// after `color_seconds` (each decodes as zero when absent, so frames
-    /// from servers predating a counter keep parsing).
+    /// The layout's simplify/bound counters, spliced flat after
+    /// `color_seconds` (each decodes as zero when absent, so frames from
+    /// servers predating a counter keep parsing).
     pub counters: LayoutCounters,
     /// Components stamped from the server's shared memo cache (a cache hit
     /// or an in-batch duplicate).  `None` when the run had no cache.
@@ -215,6 +231,130 @@ pub struct ResultPayload {
     pub tiles: Option<TileStats>,
     /// Hierarchy statistics (present only when the submission set `hier`).
     pub hierarchy: Option<HierStats>,
+}
+
+impl ResultPayload {
+    /// The record's keys, in order: every key of a `result` frame but
+    /// `type`, `id` and `colors`.  Optional parts appear only when set —
+    /// `spacing_violations` after a verification, the memo counts under a
+    /// cache, the cancellation fields on a disturbed run (so undisturbed
+    /// frames stay byte-identical to older servers'), `tiles` or
+    /// `hierarchy` for a tiled or hierarchical run.
+    pub fn fields(&self) -> Vec<(&'static str, Json)> {
+        let mut pairs = vec![
+            ("layout", self.layout.as_str().into()),
+            ("k", self.k.into()),
+            ("algorithm", self.algorithm.as_str().into()),
+            ("executor", self.executor.as_str().into()),
+            ("vertices", self.vertices.into()),
+            ("conflict_edges", self.conflict_edges.into()),
+            ("stitch_edges", self.stitch_edges.into()),
+            ("components", self.components.into()),
+            ("conflicts", self.conflicts.into()),
+            ("stitches", self.stitches.into()),
+            ("cost", self.cost.into()),
+            ("graph_seconds", self.graph_seconds.into()),
+            ("color_seconds", self.color_seconds.into()),
+        ];
+        pairs.extend(self.counters.fields());
+        if let Some(violations) = self.spacing_violations {
+            pairs.push(("spacing_violations", violations.into()));
+        }
+        if let Some(hits) = self.memo_hits {
+            pairs.push(("memo_hits", hits.into()));
+        }
+        if let Some(misses) = self.memo_misses {
+            pairs.push(("memo_misses", misses.into()));
+        }
+        if self.cancelled {
+            pairs.push(("cancelled", true.into()));
+        }
+        if self.deadline_exceeded {
+            pairs.push(("deadline_exceeded", true.into()));
+        }
+        if self.components_skipped > 0 || self.components_completed != self.components {
+            pairs.push(("components_completed", self.components_completed.into()));
+            pairs.push(("components_skipped", self.components_skipped.into()));
+        }
+        if let Some(tiles) = &self.tiles {
+            pairs.push(("tiles", tiles.to_json()));
+        }
+        if let Some(hierarchy) = &self.hierarchy {
+            pairs.push(("hierarchy", hierarchy.to_json()));
+        }
+        pairs
+    }
+
+    /// Reads a `result` frame back: `id`, `colors` and the keys of
+    /// [`fields`](ResultPayload::fields).  Absent optional parts, flags and
+    /// zero-default counts decode as an undisturbed run without them.
+    fn from_frame(json: &Json) -> Result<Self, ServeError> {
+        let colors = field(json, "colors")?
+            .as_array()
+            .ok_or_else(|| ServeError::Protocol("field \"colors\" must be an array".to_string()))?
+            .iter()
+            .map(|value| {
+                value
+                    .as_usize()
+                    .filter(|&color| color <= u8::MAX as usize)
+                    .map(|color| color as u8)
+                    .ok_or_else(|| {
+                        ServeError::Protocol(
+                            "field \"colors\" must hold mask indices 0..=255".to_string(),
+                        )
+                    })
+            })
+            .collect::<Result<Vec<u8>, _>>()?;
+        let optional_count = |key: &str| -> Result<Option<usize>, ServeError> {
+            match json.get(key) {
+                None | Some(Json::Null) => Ok(None),
+                Some(value) => value.as_usize().map(Some).ok_or_else(|| {
+                    ServeError::Protocol(format!("field {key:?} must be a non-negative integer"))
+                }),
+            }
+        };
+        let flag = |key: &str| -> Result<bool, ServeError> {
+            match json.get(key) {
+                None | Some(Json::Null) => Ok(false),
+                Some(value) => value.as_bool().ok_or_else(|| {
+                    ServeError::Protocol(format!("field {key:?} must be a boolean"))
+                }),
+            }
+        };
+        let components = usize_field(json, "components")?;
+        let components_skipped = optional_count("components_skipped")?.unwrap_or(0);
+        Ok(ResultPayload {
+            id: string_field(json, "id")?,
+            layout: string_field(json, "layout")?,
+            k: usize_field(json, "k")?,
+            algorithm: string_field(json, "algorithm")?,
+            executor: string_field(json, "executor")?,
+            vertices: usize_field(json, "vertices")?,
+            conflict_edges: json.count_field("conflict_edges", Some(0))?,
+            stitch_edges: json.count_field("stitch_edges", Some(0))?,
+            components,
+            conflicts: usize_field(json, "conflicts")?,
+            stitches: usize_field(json, "stitches")?,
+            cost: f64_field(json, "cost")?,
+            graph_seconds: match json.get("graph_seconds") {
+                None | Some(Json::Null) => 0.0,
+                Some(_) => f64_field(json, "graph_seconds")?,
+            },
+            color_seconds: f64_field(json, "color_seconds")?,
+            colors,
+            counters: LayoutCounters::from_fields(json)?,
+            spacing_violations: optional_count("spacing_violations")?,
+            memo_hits: optional_count("memo_hits")?,
+            memo_misses: optional_count("memo_misses")?,
+            cancelled: flag("cancelled")?,
+            deadline_exceeded: flag("deadline_exceeded")?,
+            components_completed: optional_count("components_completed")?
+                .unwrap_or_else(|| components.saturating_sub(components_skipped)),
+            components_skipped,
+            tiles: optional_record(json, "tiles")?,
+            hierarchy: optional_record(json, "hierarchy")?,
+        })
+    }
 }
 
 /// Machine-checkable category of an error frame.
@@ -711,81 +851,7 @@ pub fn decode_response(json: &Json) -> Result<Response, ServeError> {
                 message: string_field(json, "message")?,
             })
         }
-        "result" => {
-            let colors = field(json, "colors")?
-                .as_array()
-                .ok_or_else(|| {
-                    ServeError::Protocol("field \"colors\" must be an array".to_string())
-                })?
-                .iter()
-                .map(|value| {
-                    value
-                        .as_usize()
-                        .filter(|&color| color <= u8::MAX as usize)
-                        .map(|color| color as u8)
-                        .ok_or_else(|| {
-                            ServeError::Protocol(
-                                "field \"colors\" must hold mask indices 0..=255".to_string(),
-                            )
-                        })
-                })
-                .collect::<Result<Vec<u8>, _>>()?;
-            let optional_count = |key: &str| -> Result<Option<usize>, ServeError> {
-                match json.get(key) {
-                    None | Some(Json::Null) => Ok(None),
-                    Some(value) => value.as_usize().map(Some).ok_or_else(|| {
-                        ServeError::Protocol(format!(
-                            "field {key:?} must be a non-negative integer"
-                        ))
-                    }),
-                }
-            };
-            let spacing_violations = optional_count("spacing_violations")?;
-            let memo_hits = optional_count("memo_hits")?;
-            let memo_misses = optional_count("memo_misses")?;
-            // Absent flags (undisturbed runs, frames from older servers)
-            // decode as an untouched submission.
-            let flag = |key: &str| -> Result<bool, ServeError> {
-                match json.get(key) {
-                    None | Some(Json::Null) => Ok(false),
-                    Some(value) => value.as_bool().ok_or_else(|| {
-                        ServeError::Protocol(format!("field {key:?} must be a boolean"))
-                    }),
-                }
-            };
-            let cancelled = flag("cancelled")?;
-            let deadline_exceeded = flag("deadline_exceeded")?;
-            let components = usize_field(json, "components")?;
-            let components_skipped = optional_count("components_skipped")?.unwrap_or(0);
-            let components_completed = optional_count("components_completed")?
-                .unwrap_or_else(|| components.saturating_sub(components_skipped));
-            let tiles = optional_record(json, "tiles")?;
-            let hierarchy = optional_record(json, "hierarchy")?;
-            Ok(Response::Result(ResultPayload {
-                id: string_field(json, "id")?,
-                layout: string_field(json, "layout")?,
-                k: usize_field(json, "k")?,
-                algorithm: string_field(json, "algorithm")?,
-                executor: string_field(json, "executor")?,
-                vertices: usize_field(json, "vertices")?,
-                components,
-                conflicts: usize_field(json, "conflicts")?,
-                stitches: usize_field(json, "stitches")?,
-                cost: f64_field(json, "cost")?,
-                color_seconds: f64_field(json, "color_seconds")?,
-                colors,
-                counters: LayoutCounters::from_fields(json)?,
-                spacing_violations,
-                memo_hits,
-                memo_misses,
-                cancelled,
-                deadline_exceeded,
-                components_completed,
-                components_skipped,
-                tiles,
-                hierarchy,
-            }))
-        }
+        "result" => ResultPayload::from_frame(json).map(Response::Result),
         other => Err(ServeError::Protocol(format!(
             "unknown response type {other:?}"
         ))),
@@ -884,52 +950,8 @@ pub fn encode_response(response: &Response) -> Json {
             let mut pairs = vec![
                 ("type", Json::string("result")),
                 ("id", Json::string(payload.id.clone())),
-                ("layout", Json::string(payload.layout.clone())),
-                ("k", Json::Number(payload.k as f64)),
-                ("algorithm", Json::string(payload.algorithm.clone())),
-                ("executor", Json::string(payload.executor.clone())),
-                ("vertices", Json::Number(payload.vertices as f64)),
-                ("components", Json::Number(payload.components as f64)),
-                ("conflicts", Json::Number(payload.conflicts as f64)),
-                ("stitches", Json::Number(payload.stitches as f64)),
-                ("cost", Json::Number(payload.cost)),
-                ("color_seconds", Json::Number(payload.color_seconds)),
             ];
-            pairs.extend(payload.counters.fields());
-            if let Some(violations) = payload.spacing_violations {
-                pairs.push(("spacing_violations", Json::Number(violations as f64)));
-            }
-            if let Some(hits) = payload.memo_hits {
-                pairs.push(("memo_hits", Json::Number(hits as f64)));
-            }
-            if let Some(misses) = payload.memo_misses {
-                pairs.push(("memo_misses", Json::Number(misses as f64)));
-            }
-            // Cancellation/deadline fields only appear on disturbed runs —
-            // undisturbed frames stay byte-identical to older servers'.
-            if payload.cancelled {
-                pairs.push(("cancelled", Json::Bool(true)));
-            }
-            if payload.deadline_exceeded {
-                pairs.push(("deadline_exceeded", Json::Bool(true)));
-            }
-            if payload.components_skipped > 0 || payload.components_completed != payload.components
-            {
-                pairs.push((
-                    "components_completed",
-                    Json::Number(payload.components_completed as f64),
-                ));
-                pairs.push((
-                    "components_skipped",
-                    Json::Number(payload.components_skipped as f64),
-                ));
-            }
-            if let Some(tiles) = &payload.tiles {
-                pairs.push(("tiles", tiles.to_json()));
-            }
-            if let Some(hierarchy) = &payload.hierarchy {
-                pairs.push(("hierarchy", hierarchy.to_json()));
-            }
+            pairs.extend(payload.fields());
             pairs.push((
                 "colors",
                 Json::Array(
@@ -1058,10 +1080,13 @@ mod tests {
             algorithm: "Linear".into(),
             executor: "threads:2".into(),
             vertices: 4,
+            conflict_edges: 7,
+            stitch_edges: 3,
             components: 2,
             conflicts: 1,
             stitches: 2,
             cost: 1.2,
+            graph_seconds: 0.125,
             color_seconds: 0.25,
             colors: vec![0, 3, 2, 1],
             counters: LayoutCounters {
@@ -1098,10 +1123,13 @@ mod tests {
             algorithm: "SDP+Backtrack".into(),
             executor: "threads:2".into(),
             vertices: 96,
+            conflict_edges: 180,
+            stitch_edges: 40,
             components: 1,
             conflicts: 0,
             stitches: 4,
             cost: 0.4,
+            graph_seconds: 0.5,
             color_seconds: 0.1,
             colors: vec![0, 1, 2, 3],
             counters: LayoutCounters {
@@ -1139,10 +1167,13 @@ mod tests {
             algorithm: "Linear".into(),
             executor: "serial".into(),
             vertices: 1,
+            conflict_edges: 0,
+            stitch_edges: 0,
             components: 1,
             conflicts: 0,
             stitches: 0,
             cost: 0.0,
+            graph_seconds: 0.0,
             color_seconds: 0.0,
             colors: vec![0],
             counters: LayoutCounters {
@@ -1169,10 +1200,13 @@ mod tests {
             algorithm: "ILP".into(),
             executor: "serial".into(),
             vertices: 9,
+            conflict_edges: 12,
+            stitch_edges: 0,
             components: 5,
             conflicts: 3,
             stitches: 0,
             cost: 3.0,
+            graph_seconds: 0.0625,
             color_seconds: 0.001,
             colors: vec![0; 9],
             counters: LayoutCounters {
@@ -1214,6 +1248,10 @@ mod tests {
         assert_eq!(payload.counters.kernel_vertices, 0);
         assert_eq!(payload.counters.simplify_rounds, 0);
         assert_eq!(payload.counters.bound_improvements, 0);
+        // So do the graph's edge counts and planning time.
+        assert_eq!(payload.conflict_edges, 0);
+        assert_eq!(payload.stitch_edges, 0);
+        assert_eq!(payload.graph_seconds, 0.0);
         // Cancellation fields follow the same rule: absent = undisturbed.
         assert!(!payload.cancelled);
         assert!(!payload.deadline_exceeded);
@@ -1233,10 +1271,13 @@ mod tests {
             algorithm: "Linear".into(),
             executor: "serial".into(),
             vertices: 2,
+            conflict_edges: 2,
+            stitch_edges: 0,
             components: 2,
             conflicts: 0,
             stitches: 0,
             cost: 0.0,
+            graph_seconds: 0.0,
             color_seconds: 0.0,
             colors: vec![0, 1],
             counters: LayoutCounters {
@@ -1415,10 +1456,11 @@ mod tests {
     }
 
     /// A `result` frame with every optional part present — tiles,
-    /// hierarchy, the four simplify/bound counters, memo counts,
+    /// hierarchy, the graph's edge counts and planning time, the four
+    /// simplify/bound counters, memo counts,
     /// `spacing_violations` and the cancel/deadline fields — exactly as the
     /// encoder writes it.
-    const PINNED_RESULT: &str = r#"{"type":"result","id":"pin-1","layout":"pinned \"chip\"","k":4,"algorithm":"Linear","executor":"threads:2","vertices":9,"components":4,"conflicts":1,"stitches":2,"cost":1.2,"color_seconds":0.25,"hidden_vertices":5,"kernel_vertices":3,"simplify_rounds":2,"bound_improvements":7,"spacing_violations":1,"memo_hits":1,"memo_misses":3,"cancelled":true,"deadline_exceeded":true,"components_completed":3,"components_skipped":1,"tiles":{"grid_x":3,"grid_y":2,"tiles":6,"tiled_components":1,"resident_components":2,"shared_vertices":11,"permuted_tiles":4,"recolored_vertices":1,"cross_conflicts_before":2,"cross_conflicts_after":1},"hierarchy":{"instances":16,"cells":2,"nested_inherited":3,"resident_components":1,"split_components":1,"instance_pieces":16,"boundary_vertices":12,"permuted_pieces":9,"recolored_vertices":2,"cross_conflicts_before":5,"cross_conflicts_after":1},"colors":[0,1,2,3,0,1,2,3,1]}"#;
+    const PINNED_RESULT: &str = r#"{"type":"result","id":"pin-1","layout":"pinned \"chip\"","k":4,"algorithm":"Linear","executor":"threads:2","vertices":9,"conflict_edges":14,"stitch_edges":3,"components":4,"conflicts":1,"stitches":2,"cost":1.2,"graph_seconds":0.125,"color_seconds":0.25,"hidden_vertices":5,"kernel_vertices":3,"simplify_rounds":2,"bound_improvements":7,"spacing_violations":1,"memo_hits":1,"memo_misses":3,"cancelled":true,"deadline_exceeded":true,"components_completed":3,"components_skipped":1,"tiles":{"grid_x":3,"grid_y":2,"tiles":6,"tiled_components":1,"resident_components":2,"shared_vertices":11,"permuted_tiles":4,"recolored_vertices":1,"cross_conflicts_before":2,"cross_conflicts_after":1},"hierarchy":{"instances":16,"cells":2,"nested_inherited":3,"resident_components":1,"split_components":1,"instance_pieces":16,"boundary_vertices":12,"permuted_pieces":9,"recolored_vertices":2,"cross_conflicts_before":5,"cross_conflicts_after":1},"colors":[0,1,2,3,0,1,2,3,1]}"#;
 
     /// A `pong` frame with the cache statistics and every health counter.
     const PINNED_PONG: &str = r#"{"type":"pong","cache":{"entries":12,"capacity":65536,"hits":40,"misses":14,"evictions":2,"bytes":9000},"hier_runs":3,"tile_runs":7,"queued_frames":5,"dropped_progress":11,"cancelled_requests":2,"deadline_exceeded_requests":1}"#;
@@ -1507,6 +1549,9 @@ mod tests {
     #[test]
     fn result_frames_without_a_flat_counter_decode_it_as_zero() {
         for key in [
+            "conflict_edges",
+            "stitch_edges",
+            "graph_seconds",
             "hidden_vertices",
             "kernel_vertices",
             "simplify_rounds",

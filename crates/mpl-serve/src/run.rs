@@ -3,10 +3,12 @@
 //! `qpl-decompose`, `qpl-serve` and `workload --batch` each fill a
 //! [`DecompositionSession`] and hand it to [`run_layouts`], which picks the
 //! driver — hierarchical, tiled or the plain batch engine — and returns one
-//! [`LayoutRun`] per layout.  This crate holds it because it is the one
-//! crate that every front end depends on and that itself depends on both
-//! partition drivers.
+//! [`LayoutRun`] per layout; each front end reports a run as one
+//! [`ResultPayload::from_run`] record.  This crate holds it because it is
+//! the one crate that every front end depends on and that itself depends
+//! on both partition drivers.
 
+use crate::protocol::ResultPayload;
 use mpl_core::{
     ConfigError, DecompositionResult, DecompositionSession, Executor, LayoutId, Progress,
 };
@@ -24,6 +26,46 @@ pub struct LayoutRun {
     pub tiles: Option<TileStats>,
     /// The hierarchical driver's statistics; set exactly for a `hier` run.
     pub hierarchy: Option<HierStats>,
+}
+
+impl ResultPayload {
+    /// The record of one layout's run under the submission id `id`, with
+    /// the `spacing_violations` a verification of its coloring found (or
+    /// `None` when none ran).
+    pub fn from_run(
+        id: impl Into<String>,
+        run: &LayoutRun,
+        spacing_violations: Option<usize>,
+    ) -> Self {
+        let result = &run.result;
+        ResultPayload {
+            id: id.into(),
+            layout: result.layout_name().to_string(),
+            k: result.k(),
+            algorithm: result.algorithm().to_string(),
+            executor: result.executor().to_string(),
+            vertices: result.vertex_count(),
+            conflict_edges: result.conflict_edge_count(),
+            stitch_edges: result.stitch_edge_count(),
+            components: result.component_count(),
+            conflicts: result.conflicts(),
+            stitches: result.stitches(),
+            cost: result.cost(),
+            graph_seconds: result.graph_time().as_secs_f64(),
+            color_seconds: result.color_time().as_secs_f64(),
+            colors: result.colors().to_vec(),
+            spacing_violations,
+            counters: result.counters(),
+            memo_hits: result.memo_hits(),
+            memo_misses: result.memo_misses(),
+            cancelled: result.cancelled(),
+            deadline_exceeded: result.deadline_exceeded(),
+            components_completed: result.components_completed(),
+            components_skipped: result.components_skipped(),
+            tiles: run.tiles,
+            hierarchy: run.hierarchy,
+        }
+    }
 }
 
 /// Runs the session's batch through the driver the request chose, ticking

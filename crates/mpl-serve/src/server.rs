@@ -69,7 +69,7 @@ use crate::protocol::{
     decode_request, encode_response, ErrorCode, ExecutorChoice, LayoutSource, Request, Response,
     ResultPayload, ServeError, SubmitRequest,
 };
-use crate::run::{run_layouts, LayoutRun};
+use crate::run::run_layouts;
 use mpl_core::Json;
 use mpl_core::{
     verify_spacing, CancelToken, ConfigError, Decomposer, DecomposerConfig, DecompositionPlan,
@@ -962,18 +962,13 @@ fn run_batch(
     if let Some(usage) = usage {
         usage.fetch_add(runs.len() as u64, Ordering::Relaxed);
     }
-    for LayoutRun {
-        id,
-        result,
-        tiles,
-        hierarchy,
-    } in runs
-    {
-        let active = &submissions[&id];
+    for run in runs {
+        let active = &submissions[&run.id];
         // Retire the registry entry first: from here on, a `cancel` for
         // this id is the non-fatal "already resolved" error, and the
         // terminal-frame decision below cannot change under it.
         lock_recovering(&active.registry).remove(&active.submit.id);
+        let result = &run.result;
         // Terminal classification happens at emission time, off the token:
         // an explicit cancel wins (terminal `cancelled` frame), a deadline
         // that expired without one resolves as a partial `result`.
@@ -991,14 +986,15 @@ fn run_batch(
             });
             continue;
         }
-        let deadline_exceeded = result.deadline_exceeded();
-        if deadline_exceeded {
+        if result.deadline_exceeded() {
             shared
                 .deadline_exceeded_requests
                 .fetch_add(1, Ordering::Relaxed);
         }
         let spacing_violations = active.submit.verify.then(|| {
-            let plan = session.plan(id).expect("session keeps the batch's plans");
+            let plan = session
+                .plan(run.id)
+                .expect("session keeps the batch's plans");
             verify_spacing(
                 plan.graph(),
                 result.colors(),
@@ -1006,30 +1002,13 @@ fn run_batch(
             )
             .len()
         });
-        active.writer.send(&Response::Result(ResultPayload {
-            id: active.submit.id.clone(),
-            layout: result.layout_name().to_string(),
-            k: result.k(),
-            algorithm: result.algorithm().to_string(),
-            executor: result.executor().to_string(),
-            vertices: result.vertex_count(),
-            components: result.component_count(),
-            conflicts: result.conflicts(),
-            stitches: result.stitches(),
-            cost: result.cost(),
-            color_seconds: result.color_time().as_secs_f64(),
-            colors: result.colors().to_vec(),
-            counters: result.counters(),
-            spacing_violations,
-            memo_hits: result.memo_hits(),
-            memo_misses: result.memo_misses(),
-            cancelled: result.cancelled(),
-            deadline_exceeded,
-            components_completed: result.components_completed(),
-            components_skipped: result.components_skipped(),
-            tiles,
-            hierarchy,
-        }));
+        active
+            .writer
+            .send(&Response::Result(ResultPayload::from_run(
+                active.submit.id.clone(),
+                &run,
+                spacing_violations,
+            )));
     }
     session.clear();
 }

@@ -86,7 +86,7 @@ fn arb_response() -> impl Strategy<Value = Response> {
         arb_string(),
         arb_string(),
         (0usize..1000, 0usize..50, 0usize..20, 0usize..20),
-        (0i64..8000, 0usize..6),
+        (0i64..8000, 0usize..6, 0usize..5000, 0usize..500, 0i64..8000),
         prop::collection::vec(0usize..256, 0usize..10),
     )
         .prop_map(
@@ -95,7 +95,7 @@ fn arb_response() -> impl Strategy<Value = Response> {
                 id,
                 text,
                 (vertices, components, conflicts, stitches),
-                (cost_step, code),
+                (cost_step, code, conflict_edges, stitch_edges, graph_step),
                 colors,
             )| {
                 match variant {
@@ -155,10 +155,13 @@ fn arb_response() -> impl Strategy<Value = Response> {
                         algorithm: text,
                         executor: "serial".to_string(),
                         vertices,
+                        conflict_edges,
+                        stitch_edges,
                         components,
                         conflicts,
                         stitches,
                         cost: cost_step as f64 * 0.125,
+                        graph_seconds: graph_step as f64 * 0.03125,
                         color_seconds: cost_step as f64 * 0.0625,
                         colors: colors.into_iter().map(|color| color as u8).collect(),
                         counters: mpl_core::LayoutCounters {

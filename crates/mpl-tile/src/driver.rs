@@ -37,8 +37,8 @@ pub struct TileStats {
     pub cross_conflicts_after: usize,
 }
 
-// The one key list of the `tiles` object: CLI `--json`, batch-v1 rows
-// and `qpl-serve` result frames.
+// The one key list of the `tiles` object: CLI `--json`, `workload`
+// report rows and `qpl-serve` result frames.
 mpl_core::json_record!(TileStats {
     grid_x,
     grid_y,

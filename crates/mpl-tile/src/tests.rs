@@ -55,7 +55,8 @@ fn sharded_components_verify_spacing_clean_and_report_consistent_conflicts() {
     let layout = connected_lattice();
     for algorithm in ColorAlgorithm::ALL {
         let decomposer = decomposer(algorithm);
-        let mut session = DecompositionSession::new().with_tiling(TileConfig::new(Nm(300)));
+        let mut session = DecompositionSession::new();
+        session.set_tiling(Some(TileConfig::new(Nm(300))));
         session
             .submit_layout(&decomposer, &layout)
             .expect("valid config");
@@ -81,7 +82,8 @@ fn sharded_components_verify_spacing_clean_and_report_consistent_conflicts() {
 fn tiled_runs_are_schedule_independent() {
     let layout = connected_lattice();
     let decomposer = decomposer(ColorAlgorithm::SdpBacktrack);
-    let mut session = DecompositionSession::new().with_tiling(TileConfig::new(Nm(250)));
+    let mut session = DecompositionSession::new();
+    session.set_tiling(Some(TileConfig::new(Nm(250))));
     session
         .submit_layout(&decomposer, &layout)
         .expect("valid config");
@@ -100,7 +102,8 @@ fn tiled_runs_are_schedule_independent() {
 fn warm_memo_tiled_runs_are_bit_identical_and_all_hits() {
     let layout = connected_lattice();
     let decomposer = decomposer(ColorAlgorithm::Linear);
-    let mut session = DecompositionSession::new().with_tiling(TileConfig::new(Nm(300)));
+    let mut session = DecompositionSession::new();
+    session.set_tiling(Some(TileConfig::new(Nm(300))));
     session
         .submit_layout(&decomposer, &layout)
         .expect("valid config");
@@ -144,7 +147,8 @@ fn sessions_without_tiling_fall_back_to_the_untiled_run() {
 fn invalid_tiling_is_rejected_with_typed_errors() {
     let layout = gen::fig1_contact_clique(&Technology::nm20());
     let decomposer = decomposer(ColorAlgorithm::Linear);
-    let mut session = DecompositionSession::new().with_tiling(TileConfig::new(Nm(0)));
+    let mut session = DecompositionSession::new();
+    session.set_tiling(Some(TileConfig::new(Nm(0))));
     session
         .submit_layout(&decomposer, &layout)
         .expect("valid config");
@@ -183,7 +187,8 @@ fn progress_reports_one_tick_per_inner_decomposition() {
     }
     let layout = connected_lattice();
     let decomposer = decomposer(ColorAlgorithm::Linear);
-    let mut session = DecompositionSession::new().with_tiling(TileConfig::new(Nm(300)));
+    let mut session = DecompositionSession::new();
+    session.set_tiling(Some(TileConfig::new(Nm(300))));
     session
         .submit_layout(&decomposer, &layout)
         .expect("valid config");
@@ -213,7 +218,8 @@ fn progress_reports_one_tick_per_inner_decomposition() {
 #[test]
 fn mixed_batches_keep_per_layout_results_in_submission_order() {
     let decomposer = decomposer(ColorAlgorithm::Linear);
-    let mut session = DecompositionSession::new().with_tiling(TileConfig::new(Nm(300)));
+    let mut session = DecompositionSession::new();
+    session.set_tiling(Some(TileConfig::new(Nm(300))));
     let a = session
         .submit_layout(&decomposer, &connected_lattice())
         .expect("valid config");

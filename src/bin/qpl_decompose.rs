@@ -102,9 +102,10 @@
 //! ```
 
 use mpl_core::{
-    extract_masks, rebalance_masks, verify_spacing, ColorAlgorithm, ComponentTask, Decomposer,
-    DecomposerConfig, DecompositionSession, Executor, Json, JsonRecord, LayoutId, MemoCache,
-    MemoStats, Progress, SerialExecutor, StitchConfig, ThreadPoolExecutor, TileConfig, VertexId,
+    extract_masks, rebalance_masks, verify_spacing, BalanceReport, ColorAlgorithm, ComponentStats,
+    ComponentTask, Decomposer, DecomposerConfig, DecompositionSession, Executor, Json, JsonRecord,
+    LayoutId, Mask, MemoCache, MemoStats, Progress, SerialExecutor, StitchConfig,
+    ThreadPoolExecutor, TileConfig, VertexId,
 };
 use mpl_gds::{LayerMap, ReadOptions};
 use mpl_geometry::{Nm, Polygon};
@@ -175,6 +176,17 @@ struct GdsInputOptions {
 enum InputSpec {
     Circuit(IscasCircuit),
     Path { path: String, force_gds: bool },
+}
+
+impl InputSpec {
+    /// The name the summary lines give this input: the circuit's or the
+    /// path.
+    fn label(&self) -> &str {
+        match self {
+            InputSpec::Circuit(circuit) => circuit.name(),
+            InputSpec::Path { path, .. } => path,
+        }
+    }
 }
 
 fn parse_options() -> Result<Options, String> {
@@ -435,70 +447,27 @@ impl Progress for StderrProgress {
 }
 
 /// The machine-readable summary of one layout's decomposition, which
-/// `--json` prints in the `{:#}` document layout.
+/// `--json` prints in the `{:#}` document layout: the layout's record
+/// ([`ResultPayload::fields`], the keys of a served `result` frame but
+/// `type`, `id` and `colors`) plus the local extras `memo_cache`,
+/// `balance`, `masks` and `component_breakdown`.
 ///
-/// `conflicts`/`stitches`/`cost`/`component_breakdown` describe the raw
-/// decomposition; when `balance` is present, `masks` (and
+/// The record's `conflicts`/`stitches`/`cost` and `component_breakdown`
+/// describe the raw decomposition; when `balance` is present, `masks` (and
 /// `spacing_violations`, if verification ran) describe the *rebalanced*
-/// coloring, and the `balance` object records the difference.
-///
-/// With memoization on, `memo_hits`/`memo_misses` count this layout's
-/// components stamped from (respectively colored into) the cache, and
-/// `memo_cache` snapshots the run-wide cache — the same snapshot on every
-/// layout of a batch, since the batch shares one cache.
-///
-/// With `--tile-size`, a nested `tiles` object reports the tiler's grid
-/// and reconciliation statistics; with `--hier`, a nested `hierarchy`
-/// object reports the hierarchical driver's split and reconciliation
-/// statistics.
+/// coloring, and the `balance` object records the difference.  With
+/// memoization on, `memo_cache` snapshots the run-wide cache — the same
+/// snapshot on every layout of a batch, since the batch shares one cache.
 fn render_json(
-    run: &LayoutRun,
-    masks: &[mpl_core::Mask],
-    violations: Option<usize>,
-    balance: Option<&mpl_core::BalanceReport>,
+    record: &ResultPayload,
+    masks: &[Mask],
+    balance: Option<&BalanceReport>,
     memo_stats: Option<&MemoStats>,
+    components: &[ComponentStats],
 ) -> Json {
-    let result = &run.result;
-    let counters = result.counters();
-    let mut pairs = vec![
-        ("layout", result.layout_name().into()),
-        ("algorithm", result.algorithm().into()),
-        ("executor", result.executor().into()),
-        ("k", result.k().into()),
-        ("vertices", result.vertex_count().into()),
-        ("conflict_edges", result.conflict_edge_count().into()),
-        ("stitch_edges", result.stitch_edge_count().into()),
-        ("components", result.component_count().into()),
-        ("conflicts", result.conflicts().into()),
-        ("stitches", result.stitches().into()),
-        ("cost", result.cost().into()),
-        ("graph_seconds", result.graph_time().as_secs_f64().into()),
-        ("color_seconds", result.color_time().as_secs_f64().into()),
-        (
-            "simplify",
-            Json::object(vec![
-                ("hidden_vertices", counters.hidden_vertices.into()),
-                ("kernel_vertices", counters.kernel_vertices.into()),
-                ("rounds", counters.simplify_rounds.into()),
-            ]),
-        ),
-        ("bound_improvements", counters.bound_improvements.into()),
-    ];
-    if let Some(stats) = &run.tiles {
-        pairs.push(("tiles", stats.to_json()));
-    }
-    if let Some(stats) = &run.hierarchy {
-        pairs.push(("hierarchy", stats.to_json()));
-    }
-    if let (Some(hits), Some(misses)) = (result.memo_hits(), result.memo_misses()) {
-        pairs.push(("memo_hits", hits.into()));
-        pairs.push(("memo_misses", misses.into()));
-    }
+    let mut pairs = record.fields();
     if let Some(stats) = memo_stats {
         pairs.push(("memo_cache", stats.to_json()));
-    }
-    if let Some(violations) = violations {
-        pairs.push(("spacing_violations", violations.into()));
     }
     if let Some(balance) = balance {
         pairs.push((
@@ -521,8 +490,7 @@ fn render_json(
         })
         .collect();
     pairs.push(("masks", Json::Array(masks)));
-    let breakdown = result
-        .component_stats()
+    let breakdown = components
         .iter()
         .map(|stats| {
             Json::object(vec![
@@ -536,6 +504,89 @@ fn render_json(
         .collect();
     pairs.push(("component_breakdown", Json::Array(breakdown)));
     Json::object(pairs)
+}
+
+/// Prints the human-readable lines of one layout's record, named `label`:
+/// the lines local and `--connect` mode share (local mode appends its own).
+fn print_summary(label: &str, record: &ResultPayload) {
+    println!(
+        "{label}: layout {}, K = {}, algorithm = {}, executor = {}",
+        record.layout, record.k, record.algorithm, record.executor
+    );
+    println!(
+        "  graph: {} vertices, {} conflict edges, {} stitch candidates, {} components",
+        record.vertices, record.conflict_edges, record.stitch_edges, record.components
+    );
+    println!(
+        "  result: {} conflicts, {} stitches (cost {:.2}) in {:.3}s + {:.3}s",
+        record.conflicts, record.stitches, record.cost, record.graph_seconds, record.color_seconds
+    );
+    if let (Some(hits), Some(misses)) = (record.memo_hits, record.memo_misses) {
+        println!("  memo: {hits} components stamped from cache, {misses} colored fresh");
+    }
+    if record.deadline_exceeded || record.cancelled {
+        println!(
+            "  partial: {} of {} components completed, {} skipped ({})",
+            record.components_completed,
+            record.components,
+            record.components_skipped,
+            if record.deadline_exceeded {
+                "deadline exceeded"
+            } else {
+                "cancelled"
+            }
+        );
+    }
+    if let Some(violations) = record.spacing_violations {
+        println!("  verification: {violations} same-mask spacing violations");
+    }
+    if let Some(stats) = &record.tiles {
+        println!(
+            "  tiling: {}x{} grid, {} tiles over {} spanning components \
+             ({} resident), {} halo-shared vertices",
+            stats.grid_x,
+            stats.grid_y,
+            stats.tiles,
+            stats.tiled_components,
+            stats.resident_components,
+            stats.shared_vertices
+        );
+        println!(
+            "  reconcile: {} tiles permuted, {} vertices recolored, \
+             cross-window conflicts {} -> {}",
+            stats.permuted_tiles,
+            stats.recolored_vertices,
+            stats.cross_conflicts_before,
+            stats.cross_conflicts_after
+        );
+    }
+    if let Some(stats) = &record.hierarchy {
+        println!(
+            "  hierarchy: {} instances of {} cells, {} resident components, \
+             {} split into {} instance pieces + {} boundary vertices",
+            stats.instances,
+            stats.cells,
+            stats.resident_components,
+            stats.split_components,
+            stats.instance_pieces,
+            stats.boundary_vertices
+        );
+        if stats.nested_inherited > 0 {
+            println!(
+                "  hierarchy: {} shapes inherited their tag through nested \
+                 references (attributed to the enclosing instance)",
+                stats.nested_inherited
+            );
+        }
+        println!(
+            "  reconcile: {} pieces permuted, {} vertices recolored, \
+             cross-instance conflicts {} -> {}",
+            stats.permuted_pieces,
+            stats.recolored_vertices,
+            stats.cross_conflicts_before,
+            stats.cross_conflicts_after
+        );
+    }
 }
 
 /// Inserts the batch index before the path's extension when the batch has
@@ -569,7 +620,10 @@ struct LayoutArtifacts {
 /// verification and file outputs.  Returns the JSON fragment (always
 /// rendered; cheap), whether verification disagreed with the reported
 /// conflicts (in which case the suspect coloring is *not* written to any
-/// output file), and any failed output write.
+/// output file), and any failed output write.  Without `--json` it prints
+/// the layout's summary lines followed by the local ones: shape count and
+/// largest component, balance, masks, the first violations and the files
+/// written.
 #[allow(clippy::too_many_arguments)]
 fn process_layout(
     options: &Options,
@@ -583,15 +637,16 @@ fn process_layout(
 ) -> LayoutArtifacts {
     let plan = session.plan(run.id).expect("session keeps every plan");
     let result = &run.result;
+    let graph = plan.graph();
+    let mut colors = result.colors().to_vec();
+    let balance = options.balance.then(|| rebalance_masks(graph, &mut colors));
+    let masks = extract_masks(graph, &colors);
+    let violations = options
+        .verify
+        .then(|| verify_spacing(graph, &colors, tech.coloring_distance(options.k)));
+    let record = ResultPayload::from_run(index.to_string(), run, violations.as_ref().map(Vec::len));
     if !options.json {
-        println!(
-            "{}: {} shapes, K = {}, algorithm = {}, executor = {}",
-            result.layout_name(),
-            layout.shape_count(),
-            result.k(),
-            result.algorithm(),
-            result.executor()
-        );
+        print_summary(options.inputs[index].label(), &record);
         let largest = plan
             .tasks()
             .iter()
@@ -599,90 +654,15 @@ fn process_layout(
             .max()
             .unwrap_or(0);
         println!(
-            "graph: {} vertices, {} conflict edges, {} stitch candidates, {} components (largest {})",
-            result.vertex_count(),
-            result.conflict_edge_count(),
-            result.stitch_edge_count(),
-            result.component_count(),
-            largest
+            "  {} shapes, largest component {largest} vertices",
+            layout.shape_count()
         );
-        println!(
-            "result: {} conflicts, {} stitches (cost {:.2}) in {:.3}s + {:.3}s",
-            result.conflicts(),
-            result.stitches(),
-            result.cost(),
-            result.graph_time().as_secs_f64(),
-            result.color_time().as_secs_f64()
-        );
-        if let (Some(hits), Some(misses)) = (result.memo_hits(), result.memo_misses()) {
-            println!("memo: {hits} components stamped from cache, {misses} colored fresh");
-        }
-        if let Some(stats) = &run.tiles {
+        if let Some(report) = &balance {
             println!(
-                "tiling: {}x{} grid, {} tiles over {} spanning components \
-                 ({} resident), {} halo-shared vertices",
-                stats.grid_x,
-                stats.grid_y,
-                stats.tiles,
-                stats.tiled_components,
-                stats.resident_components,
-                stats.shared_vertices
-            );
-            println!(
-                "reconcile: {} tiles permuted, {} vertices recolored, \
-                 cross-window conflicts {} -> {}",
-                stats.permuted_tiles,
-                stats.recolored_vertices,
-                stats.cross_conflicts_before,
-                stats.cross_conflicts_after
-            );
-        }
-        if let Some(stats) = &run.hierarchy {
-            println!(
-                "hierarchy: {} instances of {} cells, {} resident components, \
-                 {} split into {} instance pieces + {} boundary vertices",
-                stats.instances,
-                stats.cells,
-                stats.resident_components,
-                stats.split_components,
-                stats.instance_pieces,
-                stats.boundary_vertices
-            );
-            if stats.nested_inherited > 0 {
-                println!(
-                    "hierarchy: {} shapes inherited their tag through nested \
-                     references (attributed to the enclosing instance)",
-                    stats.nested_inherited
-                );
-            }
-            println!(
-                "reconcile: {} pieces permuted, {} vertices recolored, \
-                 cross-instance conflicts {} -> {}",
-                stats.permuted_pieces,
-                stats.recolored_vertices,
-                stats.cross_conflicts_before,
-                stats.cross_conflicts_after
-            );
-        }
-    }
-
-    let graph = plan.graph();
-    let mut colors = result.colors().to_vec();
-
-    let mut balance_report = None;
-    if options.balance {
-        let report = rebalance_masks(graph, &mut colors);
-        if !options.json {
-            println!(
-                "balance: {} moves, imbalance {:.3} -> {:.3}",
+                "  balance: {} moves, imbalance {:.3} -> {:.3}",
                 report.moves, report.imbalance_before, report.imbalance_after
             );
         }
-        balance_report = Some(report);
-    }
-
-    let masks = extract_masks(graph, &colors);
-    if !options.json {
         for mask in &masks {
             println!(
                 "  mask {}: {} features, {} nm² area",
@@ -691,22 +671,13 @@ fn process_layout(
                 mask.area
             );
         }
+        for violation in violations.iter().flatten().take(10) {
+            println!("  violation: {violation}");
+        }
     }
 
-    let mut verified_violations = None;
     let mut verify_mismatch = false;
-    if options.verify {
-        let violations = verify_spacing(graph, &colors, tech.coloring_distance(options.k));
-        verified_violations = Some(violations.len());
-        if !options.json {
-            println!(
-                "verification: {} same-mask spacing violations",
-                violations.len()
-            );
-            for violation in violations.iter().take(10) {
-                println!("  {violation}");
-            }
-        }
+    if let Some(violations) = &violations {
         if violations.len() != result.conflicts() && !options.balance {
             eprintln!(
                 "warning: {}: verification count {} differs from reported conflicts {}",
@@ -734,7 +705,7 @@ fn process_layout(
             ));
         }
         match std::fs::write(&path, text) {
-            Ok(()) if !options.json => println!("mask assignment written to {path}"),
+            Ok(()) if !options.json => println!("  mask assignment written to {path}"),
             Ok(()) => {}
             Err(error) => write_error = Some(format!("cannot write {path}: {error}")),
         }
@@ -755,7 +726,7 @@ fn process_layout(
             COLORED_BASE_LAYER,
         ) {
             Ok(()) if !options.json => println!(
-                "colored GDS written to {path} (mask k on layer {}+k)",
+                "  colored GDS written to {path} (mask k on layer {}+k)",
                 COLORED_BASE_LAYER
             ),
             Ok(()) => {}
@@ -765,11 +736,11 @@ fn process_layout(
 
     LayoutArtifacts {
         json: render_json(
-            run,
+            &record,
             &masks,
-            verified_violations,
-            balance_report.as_ref(),
+            balance.as_ref(),
             memo_stats,
+            result.component_stats(),
         ),
         verify_mismatch,
         write_error,
@@ -792,31 +763,24 @@ fn build_wire_inputs(options: &Options, tech: &Technology) -> Result<Vec<WireInp
         .iter()
         .enumerate()
         .map(|(index, input)| {
-            let (label, source) = match input {
+            let source = match input {
                 InputSpec::Circuit(circuit) => {
-                    let layout = circuit.generate(tech);
-                    (
-                        layout.name().to_string(),
-                        LayoutSource::Text(mpl_layout::io::to_text(&layout)),
-                    )
+                    LayoutSource::Text(mpl_layout::io::to_text(&circuit.generate(tech)))
                 }
                 InputSpec::Path { path, force_gds } => {
                     let (bytes, is_gds) = read_input(path, *force_gds)?;
                     if is_gds {
-                        (
-                            path.clone(),
-                            LayoutSource::GdsBase64(mpl_serve::base64::encode(&bytes)),
-                        )
+                        LayoutSource::GdsBase64(mpl_serve::base64::encode(&bytes))
                     } else {
                         let text = String::from_utf8(bytes)
                             .map_err(|_| format!("cannot parse {path}: not valid UTF-8 text"))?;
-                        (path.clone(), LayoutSource::Text(text))
+                        LayoutSource::Text(text)
                     }
                 }
             };
             Ok(WireInput {
                 id: index.to_string(),
-                label,
+                label: input.label().to_string(),
                 source,
             })
         })
@@ -830,9 +794,9 @@ fn print_json(json: &Json) -> std::io::Result<()> {
     std::io::stdout().lock().write_all(text.as_bytes())
 }
 
-/// Renders the connect-mode JSON summary (one object per result, without
-/// the full color array — clients that need colors speak the protocol
-/// directly).
+/// Renders the connect-mode JSON summary: per result its `id` plus the
+/// layout's record — the frame without `type` and the full color array
+/// (clients that need colors speak the protocol directly).
 fn render_connect_json(
     addr: &str,
     results: &[Option<ResultPayload>],
@@ -843,14 +807,9 @@ fn render_connect_json(
         .iter()
         .flatten()
         .map(|payload| {
-            // One source of truth for the field list: the wire encoder.
-            // The CLI summary only strips the frame discriminator and the
-            // bulky per-vertex color array.
-            let mut json = mpl_serve::encode_response(&Response::Result(payload.clone()));
-            if let Json::Object(pairs) = &mut json {
-                pairs.retain(|(key, _)| key != "type" && key != "colors");
-            }
-            json
+            let mut pairs = vec![("id", payload.id.as_str().into())];
+            pairs.extend(payload.fields());
+            Json::object(pairs)
         })
         .collect();
     let cancelled_json: Vec<Json> = cancelled
@@ -1024,60 +983,8 @@ fn run_connect(addr: &str, options: &Options, tech: &Technology) -> ExitCode {
         }
     } else {
         for (input, result) in wire_inputs.iter().zip(&results) {
-            let Some(payload) = result else { continue };
-            println!(
-                "{}: layout {}, K = {}, algorithm = {}, executor = {}",
-                input.label, payload.layout, payload.k, payload.algorithm, payload.executor
-            );
-            println!(
-                "  {} vertices, {} components, {} conflicts, {} stitches (cost {:.2}) in {:.3}s",
-                payload.vertices,
-                payload.components,
-                payload.conflicts,
-                payload.stitches,
-                payload.cost,
-                payload.color_seconds
-            );
-            if payload.deadline_exceeded || payload.cancelled {
-                println!(
-                    "  partial: {} of {} components completed, {} skipped{}",
-                    payload.components_completed,
-                    payload.components,
-                    payload.components_skipped,
-                    if payload.deadline_exceeded {
-                        " (deadline exceeded)"
-                    } else {
-                        " (cancelled)"
-                    }
-                );
-            }
-            if let Some(violations) = payload.spacing_violations {
-                println!("  verification: {violations} same-mask spacing violations");
-            }
-            if let Some(tiles) = &payload.tiles {
-                println!(
-                    "  tiling: {}x{} grid, {} tiles ({} spanning, {} resident), \
-                     cross-window conflicts {} -> {}",
-                    tiles.grid_x,
-                    tiles.grid_y,
-                    tiles.tiles,
-                    tiles.tiled_components,
-                    tiles.resident_components,
-                    tiles.cross_conflicts_before,
-                    tiles.cross_conflicts_after
-                );
-            }
-            if let Some(hierarchy) = &payload.hierarchy {
-                println!(
-                    "  hierarchy: {} instances of {} cells ({} split, {} resident), \
-                     cross-instance conflicts {} -> {}",
-                    hierarchy.instances,
-                    hierarchy.cells,
-                    hierarchy.split_components,
-                    hierarchy.resident_components,
-                    hierarchy.cross_conflicts_before,
-                    hierarchy.cross_conflicts_after
-                );
+            if let Some(payload) = result {
+                print_summary(&input.label, payload);
             }
         }
     }

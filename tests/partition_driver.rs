@@ -65,7 +65,8 @@ fn tiled(
     executor: &dyn Executor,
     deadline: Option<CancelToken>,
 ) -> (DecompositionSession, DecompositionResult, TileStats) {
-    let mut session = DecompositionSession::new().with_tiling(TileConfig::new(Nm(400)));
+    let mut session = DecompositionSession::new();
+    session.set_tiling(Some(TileConfig::new(Nm(400))));
     let id = session
         .submit_layout(&decomposer(algorithm), layout)
         .expect("valid config");
@@ -280,7 +281,8 @@ fn piece_ticks_stream_while_later_pieces_wait() {
     let linear = decomposer(ColorAlgorithm::Linear);
 
     let token = CancelToken::new();
-    let mut session = DecompositionSession::new().with_tiling(TileConfig::new(Nm(400)));
+    let mut session = DecompositionSession::new();
+    session.set_tiling(Some(TileConfig::new(Nm(400))));
     let id = session
         .submit_layout(&linear, &lattice())
         .expect("valid config");

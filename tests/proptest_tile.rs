@@ -77,7 +77,8 @@ fn tiled_outcome(
 ) -> (Vec<u8>, usize, TileStats, usize) {
     let config = DecomposerConfig::quadruple(Technology::nm20()).with_algorithm(algorithm);
     let decomposer = Decomposer::new(config);
-    let mut session = DecompositionSession::new().with_tiling(tiling);
+    let mut session = DecompositionSession::new();
+    session.set_tiling(Some(tiling));
     session
         .submit_layout(&decomposer, layout)
         .expect("valid config");
@@ -176,9 +177,8 @@ fn tiled_repeated_arrays_hit_the_shared_memo_across_tiles() {
     let cache = Arc::new(MemoCache::new(MemoCache::DEFAULT_CAPACITY));
 
     let tiled_run = |cache: &Arc<MemoCache>| {
-        let mut session = DecompositionSession::new()
-            .with_memo(Arc::clone(cache))
-            .with_tiling(TileConfig::new(Nm(600)));
+        let mut session = DecompositionSession::new().with_memo(Arc::clone(cache));
+        session.set_tiling(Some(TileConfig::new(Nm(600))));
         session
             .submit_layout(&decomposer, &layout)
             .expect("valid config");

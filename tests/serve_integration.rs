@@ -6,15 +6,19 @@
 //! error codes — and the core acceptance property that results streamed
 //! over TCP are **bit-identical** to a direct [`DecompositionSession`] run
 //! for all four engines, under interleaved concurrent submissions, and
-//! after in-band error responses.
+//! after in-band error responses: every served `result` frame equals the
+//! record ([`ResultPayload::from_run`]) of the local run, key for key.
 
 use mpl_core::{
-    ColorAlgorithm, Decomposer, DecomposerConfig, DecompositionResult, DecompositionSession,
-    MemoCache, SerialExecutor, TileConfig,
+    verify_spacing, ColorAlgorithm, Decomposer, DecomposerConfig, DecompositionSession, JsonRecord,
+    LayoutCounters, MemoCache, SerialExecutor, TileConfig,
 };
 use mpl_geometry::Nm;
-use mpl_layout::{gen, io, Layout, Technology};
-use mpl_serve::{algorithm_wire_name, base64, FrameDecoder, Json, Server, ServerConfig};
+use mpl_layout::{gen, io, Layout, LayoutHierarchy, Technology};
+use mpl_serve::{
+    algorithm_wire_name, base64, encode_response, run_layouts, FrameDecoder, Json, Response,
+    ResultPayload, Server, ServerConfig,
+};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
@@ -127,39 +131,55 @@ fn colors_of(frame: &Json) -> Vec<u8> {
         .collect()
 }
 
-fn assert_result_matches(frame: &Json, baseline: &DecompositionResult, context: &str) {
+/// How warm the server's shared memo cache is for a submission, compared
+/// with the fresh cache of its local baseline.
+#[derive(Clone, Copy, PartialEq)]
+enum Cache {
+    /// The server has seen nothing the baseline has not: the memo counts
+    /// must agree too.
+    Cold,
+    /// Earlier submissions warmed the server's cache: the memo counts may
+    /// differ, and so may the simplify/bound work counters, which stamped
+    /// components never run up (the colors may not differ).
+    Warm,
+}
+
+/// Asserts that `frame` is the `result` frame of `baseline`, key for key
+/// and in key order — except the submission id, the executor the request
+/// chose, the wall-clock seconds and, on a [`Cache::Warm`] server, the memo
+/// counts and the [`LayoutCounters`].
+fn assert_result_matches(frame: &Json, baseline: &ResultPayload, cache: Cache, context: &str) {
     assert_eq!(
         frame.get("type").and_then(Json::as_str),
         Some("result"),
         "{context}: expected a result frame, got {frame}"
     );
-    assert_eq!(colors_of(frame), baseline.colors(), "{context}: colors");
+    let mut skipped = vec!["id", "executor", "graph_seconds", "color_seconds"];
+    if cache == Cache::Warm {
+        skipped.extend(["memo_hits", "memo_misses"]);
+        skipped.extend(
+            LayoutCounters::default()
+                .fields()
+                .iter()
+                .map(|(key, _)| *key),
+        );
+    }
+    let compared = |json: &Json| -> Vec<(String, Json)> {
+        let Json::Object(pairs) = json else {
+            panic!("{context}: frames are objects");
+        };
+        pairs
+            .iter()
+            .filter(|(key, _)| !skipped.contains(&key.as_str()))
+            .cloned()
+            .collect()
+    };
+    // Costs are computed identically on both sides and f64 survives the
+    // JSON round trip exactly (shortest-round-trip formatting).
     assert_eq!(
-        frame.get("conflicts").and_then(Json::as_usize),
-        Some(baseline.conflicts()),
-        "{context}: conflicts"
-    );
-    assert_eq!(
-        frame.get("stitches").and_then(Json::as_usize),
-        Some(baseline.stitches()),
-        "{context}: stitches"
-    );
-    assert_eq!(
-        frame.get("vertices").and_then(Json::as_usize),
-        Some(baseline.vertex_count()),
-        "{context}: vertices"
-    );
-    assert_eq!(
-        frame.get("components").and_then(Json::as_usize),
-        Some(baseline.component_count()),
-        "{context}: components"
-    );
-    // The objective is computed identically on both sides and f64 survives
-    // the JSON round trip exactly (shortest-round-trip formatting).
-    assert_eq!(
-        frame.get("cost").and_then(Json::as_f64),
-        Some(baseline.cost()),
-        "{context}: cost"
+        compared(frame),
+        compared(&encode_response(&Response::Result(baseline.clone()))),
+        "{context}"
     );
 }
 
@@ -172,14 +192,33 @@ fn test_layouts() -> Vec<Layout> {
     ]
 }
 
-/// Direct (no server) baseline: the same layouts through one
-/// [`DecompositionSession`] on the serial executor.
+/// The records of a direct (no server) run of `session` through the
+/// front ends' dispatch, with the spacing violations a `verify` request
+/// reports.
+fn local_records(session: &DecompositionSession, hier: bool, verify: bool) -> Vec<ResultPayload> {
+    let technology = Technology::nm20();
+    run_layouts(session, &SerialExecutor, hier, &())
+        .expect("valid run")
+        .iter()
+        .map(|run| {
+            let violations = verify.then(|| {
+                let plan = session.plan(run.id).expect("the session keeps its plans");
+                let distance = technology.coloring_distance(run.result.k());
+                verify_spacing(plan.graph(), run.result.colors(), distance).len()
+            });
+            ResultPayload::from_run("", run, violations)
+        })
+        .collect()
+}
+
+/// A session that plans `layouts` as the server does for a default
+/// submission of `engine`, with a fresh memo cache.
 ///
-/// The baseline attaches a fresh memo cache because the server always runs
-/// memoized — and memoized colorings are a pure function of each
-/// component's canonical signature, so a *fresh* local cache reproduces
-/// the served bits no matter how warm the server's shared cache is.
-fn direct_session_results(engine: ColorAlgorithm, layouts: &[Layout]) -> Vec<DecompositionResult> {
+/// The cache is fresh because the server always runs memoized — and
+/// memoized colorings are a pure function of each component's canonical
+/// signature, so a *fresh* local cache reproduces the served bits no
+/// matter how warm the server's shared cache is.
+fn server_like_session(engine: ColorAlgorithm, layouts: &[Layout]) -> DecompositionSession {
     let decomposer = Decomposer::new(server_side_config(engine));
     let mut session = DecompositionSession::new().with_memo(Arc::new(MemoCache::new(4096)));
     for layout in layouts {
@@ -188,18 +227,45 @@ fn direct_session_results(engine: ColorAlgorithm, layouts: &[Layout]) -> Vec<Dec
             .expect("valid config");
     }
     session
-        .run(&SerialExecutor)
-        .into_iter()
-        .map(|(_, result)| result)
-        .collect()
+}
+
+/// Direct baseline: the same layouts through one session on the serial
+/// executor.
+fn direct_session_results(engine: ColorAlgorithm, layouts: &[Layout]) -> Vec<ResultPayload> {
+    local_records(&server_like_session(engine, layouts), false, false)
 }
 
 /// One-layout convenience wrapper over [`direct_session_results`].
-fn direct_memoized_result(engine: ColorAlgorithm, layout: &Layout) -> DecompositionResult {
+fn direct_memoized_result(engine: ColorAlgorithm, layout: &Layout) -> ResultPayload {
     direct_session_results(engine, std::slice::from_ref(layout))
         .into_iter()
         .next()
         .expect("one layout, one result")
+}
+
+/// The local record of `layout` under a served `tile_size` request.
+fn tiled_record(
+    engine: ColorAlgorithm,
+    layout: &Layout,
+    tile_size: i64,
+    verify: bool,
+) -> ResultPayload {
+    let mut session = server_like_session(engine, std::slice::from_ref(layout));
+    session.set_tiling(Some(TileConfig::new(Nm(tile_size))));
+    local_records(&session, false, verify).remove(0)
+}
+
+/// The local record of `layout` under a served `hier` request.
+fn hier_record(
+    engine: ColorAlgorithm,
+    layout: &Layout,
+    hierarchy: Option<LayoutHierarchy>,
+    verify: bool,
+) -> ResultPayload {
+    let mut session = server_like_session(engine, std::slice::from_ref(layout));
+    let id = session.plans().next().expect("one plan").0;
+    session.set_hierarchy(id, hierarchy.map(Arc::new));
+    local_records(&session, true, verify).remove(0)
 }
 
 #[test]
@@ -224,7 +290,7 @@ fn streamed_results_are_bit_identical_to_direct_session_runs_for_all_engines() {
         for (index, baseline) in baselines.iter().enumerate() {
             let id = format!("{}-{index}", algorithm_wire_name(engine));
             let frame = client.await_terminal(&id);
-            assert_result_matches(&frame, baseline, &id);
+            assert_result_matches(&frame, baseline, Cache::Warm, &id);
             // The executor that served the layout is reported and honours
             // the per-request choice.
             let executor = frame
@@ -272,11 +338,13 @@ fn interleaved_concurrent_submissions_do_not_change_any_layout_output() {
     }
     for (index, baseline) in baselines.iter().enumerate() {
         let frame = forward.await_terminal(&format!("fwd-{index}"));
-        assert_result_matches(&frame, baseline, &format!("forward order, layout {index}"));
+        let context = format!("forward order, layout {index}");
+        assert_result_matches(&frame, baseline, Cache::Warm, &context);
     }
     for (index, baseline) in baselines.iter().enumerate().rev() {
         let frame = backward.await_terminal(&format!("bwd-{index}"));
-        assert_result_matches(&frame, baseline, &format!("backward order, layout {index}"));
+        let context = format!("backward order, layout {index}");
+        assert_result_matches(&frame, baseline, Cache::Warm, &context);
     }
 
     // Phase 2 — genuinely concurrent clients racing their submissions.
@@ -306,6 +374,7 @@ fn interleaved_concurrent_submissions_do_not_change_any_layout_output() {
                     assert_result_matches(
                         &frame,
                         &baselines[index],
+                        Cache::Warm,
                         &format!("worker {worker}, layout {index}"),
                     );
                 }
@@ -348,7 +417,7 @@ fn gds_base64_submissions_match_local_decomposition_of_the_same_bytes() {
         "pool",
     ));
     let frame = client.await_terminal("gds");
-    assert_result_matches(&frame, &baseline, "gds round trip");
+    assert_result_matches(&frame, &baseline, Cache::Cold, "gds round trip");
     handle.shutdown().expect("clean shutdown");
 }
 
@@ -449,7 +518,7 @@ fn errors_are_typed_and_leave_the_connection_usable() {
         "serial",
     ));
     let frame = client.await_terminal("t8");
-    assert_result_matches(&frame, &baseline, "post-error submission");
+    assert_result_matches(&frame, &baseline, Cache::Cold, "post-error submission");
     handle.shutdown().expect("clean shutdown");
 }
 
@@ -538,7 +607,9 @@ fn empty_layouts_and_session_reuse_across_waves() {
             "pool",
         ));
         let frame = client.await_terminal(&id);
-        assert_result_matches(&frame, &baseline, &id);
+        // Wave 0 colors into the cache; later waves are stamped from it.
+        let cache = if wave == 0 { Cache::Cold } else { Cache::Warm };
+        assert_result_matches(&frame, &baseline, cache, &id);
     }
     handle.shutdown().expect("clean shutdown");
 }
@@ -589,7 +660,7 @@ fn ping_reports_cache_statistics_and_resubmissions_are_served_warm() {
     // says so through its memo counters.
     submit(&mut client, "m-cold", "pool");
     let frame = client.await_terminal("m-cold");
-    assert_result_matches(&frame, &baseline, "cold submission");
+    assert_result_matches(&frame, &baseline, Cache::Cold, "cold submission");
     let components = frame
         .get("components")
         .and_then(Json::as_usize)
@@ -623,7 +694,7 @@ fn ping_reports_cache_statistics_and_resubmissions_are_served_warm() {
     // cache, every component is stamped, and the bits do not move.
     submit(&mut client, "m-warm", "serial");
     let frame = client.await_terminal("m-warm");
-    assert_result_matches(&frame, &baseline, "warm resubmission");
+    assert_result_matches(&frame, &baseline, Cache::Warm, "warm resubmission");
     assert_eq!(
         frame.get("memo_hits").and_then(Json::as_usize),
         Some(components),
@@ -658,15 +729,8 @@ fn tiled_submissions_stream_tile_progress_and_match_local_tiled_runs() {
 
     // Local baseline through the same tiler (tiled runs are schedule
     // independent, so the server's pool executor reproduces these bits).
-    let decomposer = Decomposer::new(server_side_config(engine));
-    let mut session = DecompositionSession::new()
-        .with_memo(Arc::new(MemoCache::new(4096)))
-        .with_tiling(TileConfig::new(Nm(300)));
-    session
-        .submit_layout(&decomposer, &lattice)
-        .expect("valid config");
-    let baseline = mpl_tile::run_tiled(&session, &SerialExecutor).expect("valid tiling");
-    let (_, baseline) = &baseline[0];
+    let baseline = tiled_record(engine, &lattice, 300, true);
+    let stats = baseline.tiles.expect("a tiled run reports its tiles");
 
     let mut client = RawClient::connect(handle.addr());
     client.send_line(
@@ -702,29 +766,17 @@ fn tiled_submissions_stream_tile_progress_and_match_local_tiled_runs() {
             other => panic!("unexpected frame type {other:?}"),
         }
     };
-    assert_result_matches(&frame, &baseline.result, "tiled lattice");
-    let tiles = frame.get("tiles").expect("tiled results report tile stats");
-    assert_eq!(
-        tiles.get("tiles").and_then(Json::as_usize),
-        Some(baseline.stats.tiles)
-    );
-    assert_eq!(
-        tiles.get("tiled_components").and_then(Json::as_usize),
-        Some(baseline.stats.tiled_components)
-    );
-    assert_eq!(
-        tiles.get("cross_conflicts_after").and_then(Json::as_usize),
-        Some(baseline.stats.cross_conflicts_after)
-    );
+    // The frame carries the same `tiles` object and verification count.
+    assert_result_matches(&frame, &baseline, Cache::Cold, "tiled lattice");
     assert_eq!(
         expected_done,
-        baseline.stats.tiles + usize::from(baseline.stats.resident_components > 0) + 1,
+        stats.tiles + usize::from(stats.resident_components > 0) + 1,
         "one tile_progress frame per inner decomposition"
     );
     // Server-side verification agrees with the reconciled conflict count.
     assert_eq!(
-        frame.get("spacing_violations").and_then(Json::as_usize),
-        Some(baseline.result.conflicts()),
+        baseline.spacing_violations,
+        Some(baseline.conflicts),
         "tiling never hides a spacing violation"
     );
 
@@ -732,6 +784,8 @@ fn tiled_submissions_stream_tile_progress_and_match_local_tiled_runs() {
     // even when submitted with tiling enabled.
     let clique = gen::fig1_contact_clique(&tech);
     let untiled = direct_memoized_result(engine, &clique);
+    let one_window = tiled_record(engine, &clique, 1_000_000, false);
+    assert_eq!(one_window.colors, untiled.colors);
     client.send_line(
         &Json::object(vec![
             ("type", Json::string("submit")),
@@ -743,13 +797,15 @@ fn tiled_submissions_stream_tile_progress_and_match_local_tiled_runs() {
         .to_string(),
     );
     let frame = client.await_terminal("resident");
-    assert_result_matches(&frame, &untiled, "one-window tiled submission");
-    let tiles = frame.get("tiles").expect("tile stats");
-    assert_eq!(tiles.get("tiles").and_then(Json::as_usize), Some(0));
-    assert_eq!(
-        tiles.get("resident_components").and_then(Json::as_usize),
-        Some(untiled.component_count())
+    assert_result_matches(
+        &frame,
+        &one_window,
+        Cache::Warm,
+        "one-window tiled submission",
     );
+    let tiles = one_window.tiles.expect("tile stats");
+    assert_eq!(tiles.tiles, 0);
+    assert_eq!(tiles.resident_components, untiled.components);
 
     // Invalid tiling requests come back as the pipeline's typed errors.
     let text = || ("layout_text", Json::string(io::to_text(&clique)));
@@ -838,14 +894,7 @@ fn hier_submissions_stream_hier_progress_and_match_local_hier_runs() {
         &mpl_gds::ReadOptions::default(),
     )
     .expect("convert GDS");
-    let decomposer = Decomposer::new(server_side_config(engine));
-    let mut session = DecompositionSession::new().with_memo(Arc::new(MemoCache::new(4096)));
-    let id = session
-        .submit_layout(&decomposer, &layout)
-        .expect("valid config");
-    session.set_hierarchy(id, Some(Arc::new(hierarchy)));
-    let baseline = mpl_hier::run_hier(&session, &SerialExecutor).expect("hier run");
-    let (_, baseline) = &baseline[0];
+    let baseline = hier_record(engine, &layout, Some(hierarchy), true);
 
     let mut client = RawClient::connect(handle.addr());
     let ping_counters = |client: &mut RawClient| -> (usize, usize) {
@@ -900,32 +949,16 @@ fn hier_submissions_stream_hier_progress_and_match_local_hier_runs() {
         }
     };
     assert!(expected_done > 1, "hier runs stream at least one tick");
-    assert_result_matches(&frame, &baseline.result, "hier array");
-    let payload = frame
-        .get("hierarchy")
-        .expect("hier results report hierarchy stats");
-    assert_eq!(
-        payload.get("instances").and_then(Json::as_usize),
-        Some(baseline.stats.instances)
-    );
-    assert_eq!(
-        payload.get("cells").and_then(Json::as_usize),
-        Some(baseline.stats.cells)
-    );
-    assert_eq!(
-        payload.get("instance_pieces").and_then(Json::as_usize),
-        Some(baseline.stats.instance_pieces)
-    );
-    assert_eq!(
-        payload
-            .get("cross_conflicts_after")
-            .and_then(Json::as_usize),
-        Some(baseline.stats.cross_conflicts_after)
-    );
+    // The frame carries the same `hierarchy` object and verification count.
+    assert_result_matches(&frame, &baseline, Cache::Cold, "hier array");
+    let stats = baseline
+        .hierarchy
+        .expect("hier runs report hierarchy stats");
+    assert_eq!((stats.instances, stats.cells), (12, 1));
     // Server-side verification agrees with the reconciled conflict count.
     assert_eq!(
-        frame.get("spacing_violations").and_then(Json::as_usize),
-        Some(baseline.result.conflicts()),
+        baseline.spacing_violations,
+        Some(baseline.conflicts),
         "hierarchy never hides a spacing violation"
     );
     assert_eq!(ping_counters(&mut client).0, 1, "one hier run counted");
@@ -935,6 +968,8 @@ fn hier_submissions_stream_hier_progress_and_match_local_hier_runs() {
     let tech = Technology::nm20();
     let clique = gen::fig1_contact_clique(&tech);
     let flat = direct_memoized_result(engine, &clique);
+    let degenerate = hier_record(engine, &clique, None, false);
+    assert_eq!(degenerate.colors, flat.colors);
     client.send_line(
         &Json::object(vec![
             ("type", Json::string("submit")),
@@ -946,13 +981,10 @@ fn hier_submissions_stream_hier_progress_and_match_local_hier_runs() {
         .to_string(),
     );
     let frame = client.await_terminal("degenerate");
-    assert_result_matches(&frame, &flat, "text source under --hier");
-    let payload = frame.get("hierarchy").expect("hier stats still reported");
-    assert_eq!(payload.get("instances").and_then(Json::as_usize), Some(0));
-    assert_eq!(
-        payload.get("resident_components").and_then(Json::as_usize),
-        Some(flat.component_count())
-    );
+    assert_result_matches(&frame, &degenerate, Cache::Warm, "text source under --hier");
+    let stats = degenerate.hierarchy.expect("hier stats still reported");
+    assert_eq!(stats.instances, 0);
+    assert_eq!(stats.resident_components, flat.components);
     assert_eq!(ping_counters(&mut client).0, 2, "degenerate run counted");
 
     // Hierarchy and tiling are mutually exclusive, as a typed config error.
@@ -1056,7 +1088,12 @@ fn a_client_that_stops_reading_cannot_wedge_other_submissions() {
         "pool",
     ));
     let frame = healthy.await_terminal("healthy");
-    assert_result_matches(&frame, &baseline, "submission behind a stalled client");
+    assert_result_matches(
+        &frame,
+        &baseline,
+        Cache::Warm,
+        "submission behind a stalled client",
+    );
     drop(stalled);
     handle.shutdown().expect("clean shutdown");
 }
