@@ -2,6 +2,7 @@
 
 use crate::{Nm, Rect};
 use std::fmt;
+use std::hash::{Hash, Hasher};
 
 /// A rectilinear layout feature, stored as a union of axis-aligned
 /// rectangles.
@@ -27,9 +28,18 @@ use std::fmt;
 /// assert_eq!(ell.bounding_box(), Rect::new(Nm(0), Nm(0), Nm(100), Nm(100)));
 /// # Ok::<(), mpl_geometry::EmptyPolygonError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+#[derive(Clone, PartialEq, Eq)]
 pub struct Polygon {
-    rects: Vec<Rect>,
+    rects: Rects,
+}
+
+/// A polygon's rectangle list in its one canonical form: a single
+/// rectangle inline, two or more in a vector, so the common one-rectangle
+/// shape costs no heap allocation and the derived equality compares lists.
+#[derive(Clone, PartialEq, Eq)]
+enum Rects {
+    One(Rect),
+    Many(Vec<Rect>),
 }
 
 /// Error returned when constructing a [`Polygon`] from an empty rectangle
@@ -48,7 +58,9 @@ impl std::error::Error for EmptyPolygonError {}
 impl Polygon {
     /// Creates a polygon from a single rectangle.
     pub fn rect(r: Rect) -> Self {
-        Polygon { rects: vec![r] }
+        Polygon {
+            rects: Rects::One(r),
+        }
     }
 
     /// Creates a polygon from a non-empty union of rectangles.
@@ -57,46 +69,49 @@ impl Polygon {
     ///
     /// Returns [`EmptyPolygonError`] if `rects` is empty.
     pub fn from_rects(rects: Vec<Rect>) -> Result<Self, EmptyPolygonError> {
-        if rects.is_empty() {
-            Err(EmptyPolygonError)
-        } else {
-            Ok(Polygon { rects })
+        match rects[..] {
+            [] => Err(EmptyPolygonError),
+            [r] => Ok(Polygon::rect(r)),
+            _ => Ok(Polygon {
+                rects: Rects::Many(rects),
+            }),
         }
     }
 
     /// The component rectangles of this polygon.
     #[inline]
     pub fn rects(&self) -> &[Rect] {
-        &self.rects
+        match &self.rects {
+            Rects::One(r) => std::slice::from_ref(r),
+            Rects::Many(rects) => rects,
+        }
     }
 
     /// Number of component rectangles.
     #[inline]
     pub fn rect_count(&self) -> usize {
-        self.rects.len()
+        self.rects().len()
     }
 
     /// The bounding box of the polygon.
     pub fn bounding_box(&self) -> Rect {
-        self.rects
-            .iter()
-            .skip(1)
-            .fold(self.rects[0], |acc, r| acc.union_bbox(r))
+        let rects = self.rects();
+        rects[1..].iter().fold(rects[0], |acc, r| acc.union_bbox(r))
     }
 
     /// An upper bound on the polygon area (sum of rectangle areas; exact when
     /// the component rectangles are disjoint, as produced by the layout
     /// generators in this workspace).
     pub fn area_upper_bound(&self) -> i64 {
-        self.rects.iter().map(Rect::area).sum()
+        self.rects().iter().map(Rect::area).sum()
     }
 
     /// Squared Euclidean distance between the closest points of two polygons
     /// (zero when they touch or overlap).
     pub fn distance_squared(&self, other: &Polygon) -> i64 {
         let mut best = i64::MAX;
-        for a in &self.rects {
-            for b in &other.rects {
+        for a in self.rects() {
+            for b in other.rects() {
                 best = best.min(a.distance_squared(b));
                 if best == 0 {
                     return 0;
@@ -134,14 +149,33 @@ impl Polygon {
     /// covered point set, which makes polygons comparable across I/O round
     /// trips that re-slice geometry.
     pub fn canonical_rects(&self) -> Vec<Rect> {
-        crate::union_rects(&self.rects)
+        crate::union_rects(self.rects())
     }
 
     /// Translates the whole polygon by `(dx, dy)`.
     pub fn translated(&self, dx: Nm, dy: Nm) -> Polygon {
-        Polygon {
-            rects: self.rects.iter().map(|r| r.translated(dx, dy)).collect(),
-        }
+        let rects = match &self.rects {
+            Rects::One(r) => Rects::One(r.translated(dx, dy)),
+            Rects::Many(rects) => Rects::Many(rects.iter().map(|r| r.translated(dx, dy)).collect()),
+        };
+        Polygon { rects }
+    }
+}
+
+/// Hashes the rectangle list as the slice [`Polygon::rects`] returns, so
+/// either form hashes like the `Vec<Rect>` it stands for.
+impl Hash for Polygon {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.rects().hash(state);
+    }
+}
+
+/// Prints `Polygon { rects: [..] }`, whichever form holds the list.
+impl fmt::Debug for Polygon {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Polygon")
+            .field("rects", &self.rects())
+            .finish()
     }
 }
 
@@ -154,7 +188,7 @@ impl From<Rect> for Polygon {
 impl fmt::Display for Polygon {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "Polygon{{")?;
-        for (i, r) in self.rects.iter().enumerate() {
+        for (i, r) in self.rects().iter().enumerate() {
             if i > 0 {
                 write!(f, ", ")?;
             }

@@ -77,6 +77,23 @@ fn reference_scan(
     result
 }
 
+/// The representation `Polygon` had when every rectangle list was a plain
+/// vector: its derived `Hash` and `Debug` are what `Polygon`'s must still
+/// produce, whether the list is held inline or in a vector.
+mod reference {
+    #[derive(Debug, Hash)]
+    pub struct Polygon {
+        pub rects: Vec<mpl_geometry::Rect>,
+    }
+}
+
+fn hash_of(value: &impl std::hash::Hash) -> u64 {
+    use std::hash::Hasher;
+    let mut hasher = std::collections::hash_map::DefaultHasher::new();
+    value.hash(&mut hasher);
+    hasher.finish()
+}
+
 fn arb_point() -> impl Strategy<Value = Point> {
     (-1000i64..1000, -1000i64..1000).prop_map(Point::from)
 }
@@ -183,6 +200,38 @@ proptest! {
             .min()
             .expect("non-empty");
         prop_assert_eq!(pa.distance_squared(&pb), min_pair);
+    }
+
+    #[test]
+    fn polygons_keep_one_representation_per_rectangle_list(
+        rects in prop::collection::vec(arb_rect(), 1..5),
+        others in prop::collection::vec(arb_rect(), 1..5),
+        dx in -1000i64..1000,
+        dy in -1000i64..1000,
+    ) {
+        let polygon = Polygon::from_rects(rects.clone()).expect("non-empty");
+        prop_assert_eq!(polygon.rects(), rects.as_slice());
+        prop_assert_eq!(polygon.rect_count(), rects.len());
+        let reference = reference::Polygon { rects: rects.clone() };
+        prop_assert_eq!(format!("{polygon:?}"), format!("{reference:?}"));
+        prop_assert_eq!(hash_of(&polygon), hash_of(&reference));
+
+        // Every way of making the same list gives an equal polygon with an
+        // equal hash: a round trip through `translated`, and for one
+        // rectangle `Polygon::rect` and `From<Rect>`.
+        let back = polygon.translated(Nm(dx), Nm(dy)).translated(Nm(-dx), Nm(-dy));
+        prop_assert_eq!(back.rects(), rects.as_slice());
+        prop_assert_eq!(&back, &polygon);
+        prop_assert_eq!(hash_of(&back), hash_of(&polygon));
+        for single in [Polygon::rect(rects[0]), Polygon::from(rects[0])] {
+            prop_assert_eq!(single == polygon, rects.len() == 1);
+            if rects.len() == 1 {
+                prop_assert_eq!(hash_of(&single), hash_of(&polygon));
+            }
+        }
+        // Polygons are equal exactly when their lists are.
+        let other = Polygon::from_rects(others.clone()).expect("non-empty");
+        prop_assert_eq!(other == polygon, others == rects);
     }
 }
 
