@@ -23,8 +23,9 @@
 //!   bytes, and a GDSII input also returns its cell-instance hierarchy.
 //! * [`library_from_layout`] / [`library_from_masks`] — write layouts, and
 //!   colored decompositions with one layer per mask (`base_layer + k`);
-//!   [`write_layout_file`] / [`write_colored_file`] stream the same bytes
-//!   to a file without building the library.
+//!   [`write_layout_file`] / [`write_colored_file`] check every coordinate
+//!   and the name, then stream the same bytes to a file through a
+//!   fixed-size buffer without building the library.
 //! * [`GdsError`] — every failure is typed and carries the byte offset of
 //!   the offending record where applicable.
 //!
@@ -78,60 +79,54 @@ use std::borrow::Borrow;
 /// per component rectangle.
 ///
 /// The file holds the bytes of [`library_from_layout`] followed by
-/// [`GdsLibrary::to_bytes`], streamed into one buffer without building the
-/// library.
+/// [`GdsLibrary::to_bytes`]. Every coordinate and then the name are
+/// checked before the file is created or truncated; the records then
+/// stream to it through a fixed-size buffer, without building the library.
 ///
 /// # Errors
 ///
-/// [`GdsError::CoordinateOverflow`] before the file is created or
-/// truncated, or any I/O error, as a [`GdsError`].
+/// [`GdsError::CoordinateOverflow`], else [`GdsError::RecordTooLong`] for a
+/// name too long for its record, each before the file is touched;
+/// [`GdsError::Io`] when the file cannot be created or written.
 pub fn write_layout_file(
     path: &str,
     layout: &Layout,
     layer: i16,
     datatype: i16,
 ) -> Result<(), GdsError> {
-    let count = layout
-        .iter()
-        .map(|shape| shape.polygon().rect_count())
-        .sum();
-    let rects = layout
-        .iter()
-        .flat_map(|shape| shape.polygon().rects())
-        .map(|rect| (layer, datatype, rect));
-    write::write_file(
-        path,
-        &write::rect_library_bytes(layout.name(), count, rects)?,
-    )
+    write::write_rect_library(path, layout.name(), move || {
+        layout
+            .iter()
+            .flat_map(|shape| shape.polygon().rects())
+            .map(move |rect| (layer, datatype, rect))
+    })
 }
 
 /// Writes a colored decomposition to a GDSII file, one layer per mask
 /// (`base_layer + k`). The polygons may be owned or borrowed.
 ///
 /// The file holds the bytes of [`library_from_masks`] followed by
-/// [`GdsLibrary::to_bytes`], streamed into one buffer without building the
-/// library.
+/// [`GdsLibrary::to_bytes`], checked and streamed as
+/// [`write_layout_file`] does.
 ///
 /// # Errors
 ///
-/// [`GdsError::CoordinateOverflow`] before the file is created or
-/// truncated, or any I/O error, as a [`GdsError`].
+/// [`GdsError::CoordinateOverflow`], else [`GdsError::RecordTooLong`] for a
+/// name too long for its record, each before the file is touched;
+/// [`GdsError::Io`] when the file cannot be created or written.
 pub fn write_colored_file<P: Borrow<Polygon>>(
     path: &str,
     name: &str,
     masks: &[Vec<P>],
     base_layer: i16,
 ) -> Result<(), GdsError> {
-    let polygons = || {
-        masks.iter().enumerate().flat_map(|(mask, polygons)| {
+    write::write_rect_library(path, name, move || {
+        masks.iter().enumerate().flat_map(move |(mask, polygons)| {
             let layer = base_layer + mask as i16;
             polygons
                 .iter()
-                .map(move |polygon| (layer, polygon.borrow()))
+                .flat_map(|polygon| polygon.borrow().rects())
+                .map(move |rect| (layer, 0, rect))
         })
-    };
-    let count = polygons().map(|(_, polygon)| polygon.rect_count()).sum();
-    let rects = polygons()
-        .flat_map(|(layer, polygon)| polygon.rects().iter().map(move |rect| (layer, 0, rect)));
-    write::write_file(path, &write::rect_library_bytes(name, count, rects)?)
+    })
 }

@@ -1,5 +1,6 @@
 //! GDSII serialisation: turns a [`GdsLibrary`] back into a record stream,
-//! and streams rectangle boundaries straight to bytes for the file writers.
+//! and streams rectangle boundaries straight to a file for the file
+//! writers.
 //!
 //! The emitter produces deterministic output (fixed timestamps) so written
 //! files are byte-for-byte reproducible and diff-friendly in tests.
@@ -12,6 +13,8 @@ use crate::record::{
 };
 use crate::GdsError;
 use mpl_geometry::Rect;
+use std::fs::File;
+use std::io::Write;
 
 /// Fixed timestamp written into `BGNLIB`/`BGNSTR` (year, month, day, hour,
 /// minute, second — twice, for modification and access). Deterministic
@@ -44,52 +47,69 @@ impl GdsLibrary {
     }
 }
 
-/// Writes `bytes` to the file at `path`, creating or truncating it.
-pub(crate) fn write_file(path: &str, bytes: &[u8]) -> Result<(), GdsError> {
-    std::fs::write(path, bytes).map_err(|error| GdsError::Io {
-        path: path.to_string(),
-        message: error.to_string(),
-    })
-}
+/// Bytes the file writers gather before each write to the file.
+const STREAM_CHUNK: usize = 64 * 1024;
 
-/// Serialises `count` rectangle boundaries, given as `(layer, datatype,
-/// rectangle)`, as a library with one structure, both named `name`, in
-/// 1 nm database units. The bytes are those [`GdsLibrary::to_bytes`] gives
-/// for the library [`library_from_layout`](crate::library_from_layout) or
+/// Writes rectangle boundaries, given as `(layer, datatype, rectangle)`,
+/// to the file at `path` as a library with one structure, both named
+/// `name`, in 1 nm database units. The bytes are those
+/// [`GdsLibrary::to_bytes`] gives for the library
+/// [`library_from_layout`](crate::library_from_layout) or
 /// [`library_from_masks`](crate::library_from_masks) builds from the same
-/// rectangles, made in one pre-sized buffer without building it.
+/// rectangles, written without building it.
+///
+/// `boundaries` is walked twice: first every coordinate is checked, then
+/// the name, and only then is the file created or truncated; the records
+/// stream to it through one buffer of [`STREAM_CHUNK`] bytes.
 ///
 /// # Errors
 ///
 /// [`GdsError::CoordinateOverflow`] for the first coordinate outside the
 /// 32-bit GDSII space; otherwise [`GdsError::RecordTooLong`] for a name
-/// too long for its record. The library path converts every coordinate
-/// before it serialises a name, so a bad name is reported last here too.
-pub(crate) fn rect_library_bytes<'a>(
+/// too long for its record (the library path converts every coordinate
+/// before it serialises a name, so a bad name is reported last here too).
+/// Neither touches the file. [`GdsError::Io`] when the file cannot be
+/// created or written; a write that fails midway leaves it truncated.
+pub(crate) fn write_rect_library<'a, I>(
+    path: &str,
     name: &str,
-    count: usize,
-    boundaries: impl IntoIterator<Item = (i16, i16, &'a Rect)>,
-) -> Result<Vec<u8>, GdsError> {
+    boundaries: impl Fn() -> I,
+) -> Result<(), GdsError>
+where
+    I: Iterator<Item = (i16, i16, &'a Rect)>,
+{
+    for (_, _, rect) in boundaries() {
+        rect_loop(rect)?;
+    }
     let GdsLibrary {
         user_unit,
         meter_unit,
         ..
     } = GdsLibrary::new(name);
-    let mut out = Vec::with_capacity(128 + 2 * name.len() + count * RECT_BOUNDARY_BYTES);
-    let names = emit_library_start(&mut out, name, user_unit, meter_unit)
-        .and_then(|()| emit_struct_start(&mut out, name));
-    for (layer, datatype, rect) in boundaries {
-        let xy = rect_loop(rect)?;
-        emit_record(&mut out, RecordType::Boundary, DATA_NONE, &[])?;
-        emit_i16s(&mut out, RecordType::Layer, &[layer])?;
-        emit_i16s(&mut out, RecordType::Datatype, &[datatype])?;
-        emit_xy(&mut out, &xy)?;
-        emit_record(&mut out, RecordType::EndEl, DATA_NONE, &[])?;
+    let mut chunk = Vec::with_capacity(STREAM_CHUNK + RECT_BOUNDARY_BYTES);
+    emit_library_start(&mut chunk, name, user_unit, meter_unit)?;
+    emit_struct_start(&mut chunk, name)?;
+    let io_error = |error: std::io::Error| GdsError::Io {
+        path: path.to_string(),
+        message: error.to_string(),
+    };
+    let mut file = File::create(path).map_err(io_error)?;
+    for (layer, datatype, rect) in boundaries() {
+        emit_record(&mut chunk, RecordType::Boundary, DATA_NONE, &[])?;
+        emit_i16s(&mut chunk, RecordType::Layer, &[layer])?;
+        emit_i16s(&mut chunk, RecordType::Datatype, &[datatype])?;
+        emit_xy(&mut chunk, &rect_loop(rect)?)?;
+        emit_record(&mut chunk, RecordType::EndEl, DATA_NONE, &[])?;
+        if chunk.len() >= STREAM_CHUNK {
+            file.write_all(&chunk).map_err(io_error)?;
+            chunk.clear();
+        }
     }
-    names?;
-    emit_record(&mut out, RecordType::EndStr, DATA_NONE, &[])?;
-    emit_record(&mut out, RecordType::EndLib, DATA_NONE, &[])?;
-    Ok(out)
+    emit_record(&mut chunk, RecordType::EndStr, DATA_NONE, &[])?;
+    emit_record(&mut chunk, RecordType::EndLib, DATA_NONE, &[])?;
+    file.write_all(&chunk)
+        .and_then(|()| file.flush())
+        .map_err(io_error)
 }
 
 fn emit_library_start(

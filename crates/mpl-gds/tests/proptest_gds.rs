@@ -226,4 +226,45 @@ proptest! {
         prop_assert!(mpl_gds::write_layout_file(&missing, &layout, 1, 0).is_err());
         prop_assert!(!std::path::Path::new(&missing).exists(), "no file may be created");
     }
+
+    #[test]
+    fn names_too_long_for_their_record_leave_an_existing_file_untouched(
+        layout in arb_layout(),
+        length in 65_531usize..66_000,
+        far in 2_147_483_648i64..4_000_000_000,
+        bad_coordinate in 0u8..2,
+        picks in prop::collection::vec(0u8..4, 1..8),
+    ) {
+        // The name fills more than one LIBNAME record (65,531 payload
+        // bytes once NUL-padded to an even length); half the layouts also
+        // hold a rectangle beyond the 32-bit GDSII coordinate space, which
+        // is reported first.
+        let mut builder = Layout::builder("N".repeat(length));
+        for shape in layout.iter() {
+            builder.add_polygon(shape.polygon().clone());
+        }
+        let expected = if bad_coordinate == 1 {
+            builder.add_rect(r(0, 0, 20, far));
+            GdsError::CoordinateOverflow { value: far }
+        } else {
+            GdsError::RecordTooLong { record: "LIBNAME", bytes: length + length % 2 }
+        };
+        let layout = builder.build();
+        let masks = masks_of(&layout, &picks, 4);
+        let writers: [&dyn Fn(&str) -> Result<(), GdsError>; 2] = [
+            &|path| mpl_gds::write_layout_file(path, &layout, 1, 0),
+            &|path| mpl_gds::write_colored_file(path, layout.name(), &masks, 100),
+        ];
+        for write in writers {
+            let path = temp_path("long-name.gds");
+            std::fs::write(&path, b"previous contents").expect("seed file");
+            prop_assert_eq!(write(&path), Err(expected.clone()));
+            prop_assert_eq!(std::fs::read(&path).expect("still there"), b"previous contents");
+            std::fs::remove_file(&path).ok();
+
+            let missing = temp_path("long-name-missing.gds");
+            prop_assert_eq!(write(&missing), Err(expected.clone()));
+            prop_assert!(!std::path::Path::new(&missing).exists(), "no file may be created");
+        }
+    }
 }
