@@ -20,10 +20,7 @@ use crate::memo::{canonical_problem, canonicalize_task, config_fingerprint};
 use crate::pipeline::{
     ComponentOutcome, ComponentStats, ComponentTask, DecompositionPlan, Progress,
 };
-use crate::{
-    coloring_cost, ComponentProblem, DecomposeError, Decomposer, DecompositionResult, Executor,
-    TileConfig,
-};
+use crate::{coloring_cost, DecomposeError, Decomposer, DecompositionResult, Executor, TileConfig};
 use mpl_layout::{Layout, LayoutHierarchy};
 use mpl_memo::{CanonicalComponent, MemoCache, Signature};
 use std::collections::hash_map::Entry;
@@ -445,13 +442,10 @@ enum Disposition {
     /// The cache already held the signature: live colors stamped from the
     /// stored canonical coloring, ready at collection time.
     Hit { colors: Vec<u8> },
-    /// First occurrence of this signature: the executor colors the
-    /// canonical problem; the collection step stores the result under the
-    /// signature the prepass keyed this lead by.
-    Lead {
-        problem: Box<ComponentProblem>,
-        perm: Vec<usize>,
-    },
+    /// First occurrence of this signature: the worker that picks it up
+    /// builds and colors the canonical problem; the collection step stores
+    /// the result under the signature the prepass keyed this lead by.
+    Lead { perm: Vec<usize> },
     /// An earlier task of this batch leads the same signature; stamped from
     /// the lead's canonical coloring at collection time.
     Follow {
@@ -515,8 +509,9 @@ pub(crate) fn execute_batch(
     // Memo prepass: canonicalize every task and consult the cache *before*
     // anything is enqueued.  The (slot, task) iteration order is fixed, so
     // lead/follow choices — and therefore the whole run — do not depend on
-    // the executor's schedule.  `leads` owns each lead's signature until
-    // the collection step moves it into the cache: no signature is cloned.
+    // the executor's schedule.  The prepass only canonicalizes: each lead's
+    // canonical problem is built by the worker that colors it and freed
+    // after the engine returns, so a batch never holds them all at once.
     let mut leads: HashMap<Signature, (usize, usize)> = HashMap::new();
     let mut dispositions: Option<Vec<Vec<Disposition>>> = memo.map(|cache| {
         entries
@@ -540,9 +535,8 @@ pub(crate) fn execute_batch(
                                 perm,
                             },
                             Entry::Vacant(lead) => {
-                                let problem = Box::new(canonical_problem(lead.key()));
                                 lead.insert((slot, task.index()));
-                                Disposition::Lead { problem, perm }
+                                Disposition::Lead { perm }
                             }
                         }
                     })
@@ -550,6 +544,14 @@ pub(crate) fn execute_batch(
             })
             .collect()
     });
+    // Each lead's signature keyed by its (slot, task), in that order: a
+    // worker finds its lead's signature here by binary search, and the
+    // collection step moves each into the cache, so none is cloned.
+    let mut lead_signatures: Vec<((usize, usize), Signature)> = leads
+        .into_iter()
+        .map(|(signature, lead)| (lead, signature))
+        .collect();
+    lead_signatures.sort_unstable_by_key(|&(lead, _)| lead);
 
     // The shared global queue: every task of every plan, largest first.
     // Ties keep (submission, task) order so the schedule is deterministic;
@@ -631,9 +633,13 @@ pub(crate) fn execute_batch(
                 (colors, work, None)
             }
             Some(dispositions) => match &dispositions[slot][task.index()] {
-                Disposition::Lead { problem, perm, .. } => {
+                Disposition::Lead { perm } => {
+                    let at = lead_signatures
+                        .binary_search_by_key(&(slot, task.index()), |&(lead, _)| lead)
+                        .expect("every lead has its signature");
+                    let problem = canonical_problem(&lead_signatures[at].1);
                     let (canonical_colors, work) = plan.decomposer().color_problem(
-                        problem,
+                        &problem,
                         assigners[slot].as_ref(),
                         tagged.cancel(),
                     );
@@ -705,20 +711,15 @@ pub(crate) fn execute_batch(
     if let Some(dispositions) = &dispositions {
         let cache = memo.expect("dispositions imply an attached cache");
         // The executor outcomes are exactly the leads, in (slot, task)
-        // order; sorting the signatures the same way pairs them up.
-        let mut signatures: Vec<((usize, usize), Signature)> = leads
-            .into_iter()
-            .map(|(signature, lead)| (lead, signature))
-            .collect();
-        signatures.sort_unstable_by_key(|&(lead, _)| lead);
+        // order, the order of `lead_signatures`.
         let outcomes = per_layout.iter().enumerate().flat_map(|(slot, outcomes)| {
             outcomes
                 .iter()
                 .map(move |(index, outcome)| ((slot, *index), outcome))
         });
-        for ((lead, signature), (at, outcome)) in signatures.into_iter().zip(outcomes) {
+        for ((lead, signature), (at, outcome)) in lead_signatures.into_iter().zip(outcomes) {
             assert_eq!(lead, at, "executor outcomes pair with their leads");
-            let Disposition::Lead { perm, .. } = &dispositions[lead.0][lead.1] else {
+            let Disposition::Lead { perm } = &dispositions[lead.0][lead.1] else {
                 unreachable!("only lead tasks have executor outcomes");
             };
             let canonical = mpl_memo::unstamp(&outcome.colors, perm);
