@@ -303,7 +303,7 @@ fn main() -> ExitCode {
             );
         }
         if let Some(path) = bench_json {
-            if let Err(error) = std::fs::write(&path, format!("{:#}", report.to_json())) {
+            if let Err(error) = std::fs::write(&path, format!("{:#}\n", report.to_json())) {
                 eprintln!("cannot write {path}: {error}");
                 return ExitCode::FAILURE;
             }
@@ -469,7 +469,7 @@ fn main() -> ExitCode {
             );
         }
         if let Some(path) = bench_json {
-            if let Err(error) = std::fs::write(&path, format!("{:#}", report.to_json())) {
+            if let Err(error) = std::fs::write(&path, format!("{:#}\n", report.to_json())) {
                 eprintln!("cannot write {path}: {error}");
                 return ExitCode::FAILURE;
             }

@@ -380,7 +380,10 @@ pub struct MemoStats {
     pub capacity: usize,
     /// Lookups that found a stored coloring.
     pub hits: u64,
-    /// Lookups that found nothing.
+    /// Lookups that found nothing.  A batch looks up every component,
+    /// so an in-batch duplicate of a component not yet stored counts here
+    /// as well as in its layout's `memo_hits`: `misses` can exceed the
+    /// number of components the engine colored.
     pub misses: u64,
     /// Entries evicted to stay within capacity.
     pub evictions: u64,

@@ -522,7 +522,10 @@ fn print_summary(label: &str, record: &ResultPayload) {
         record.conflicts, record.stitches, record.cost, record.graph_seconds, record.color_seconds
     );
     if let (Some(hits), Some(misses)) = (record.memo_hits, record.memo_misses) {
-        println!("  memo: {hits} components stamped from cache, {misses} colored fresh");
+        println!(
+            "  memo: {hits} components stamped (cache hits and in-batch duplicates), \
+             {misses} colored fresh"
+        );
     }
     if record.deadline_exceeded || record.cancelled {
         println!(
