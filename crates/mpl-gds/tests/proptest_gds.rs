@@ -152,6 +152,9 @@ fn temp_path(name: &str) -> String {
     path.to_string_lossy().into_owned()
 }
 
+/// One of the two file writers, bound to its layout, taking the path.
+type FileWriter<'a> = &'a dyn Fn(&str) -> Result<(), GdsError>;
+
 /// Splits the layout's polygons over `k` masks by `picks`, cycled.
 fn masks_of(layout: &Layout, picks: &[u8], k: usize) -> Vec<Vec<Polygon>> {
     let mut masks = vec![Vec::new(); k];
@@ -251,7 +254,7 @@ proptest! {
         };
         let layout = builder.build();
         let masks = masks_of(&layout, &picks, 4);
-        let writers: [&dyn Fn(&str) -> Result<(), GdsError>; 2] = [
+        let writers: [FileWriter<'_>; 2] = [
             &|path| mpl_gds::write_layout_file(path, &layout, 1, 0),
             &|path| mpl_gds::write_colored_file(path, layout.name(), &masks, 100),
         ];
