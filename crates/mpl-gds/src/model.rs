@@ -200,10 +200,11 @@ pub const MAX_REF_DEPTH: usize = 64;
 /// anything.
 ///
 /// Memory sets the value: a generated 52,440-shape row chip peaks at
-/// 46.5 MiB through `qpl-decompose` (flatten, graph, plan and coloring),
-/// about 0.9 KiB per shape, so the budget admits about 0.9 GiB beyond what
-/// the file itself costs. That is 20 times the largest benchmark chip, and
-/// a placement is counted like a shape although it costs less.
+/// 25.7 MiB through `qpl-decompose --json --output-gds` (flatten, graph,
+/// plan, coloring and export), about 0.5 KiB per shape, so the budget
+/// admits about 0.5 GiB beyond what the file itself costs. That is 20 times
+/// the largest benchmark chip, and a placement is counted like a shape
+/// although it costs less.
 pub const MAX_EXPANDED: u64 = 1 << 20;
 
 /// Each structure name's position in the library; a repeated name maps to

@@ -11,7 +11,8 @@
 //!   overlap predicates needed for conflict-edge construction.
 //! * [`Polygon`] — a rectilinear shape represented as a union of rectangles,
 //!   which is how Metal1/contact features are modelled throughout the
-//!   workspace.
+//!   workspace. A one-rectangle polygon, the common case, holds its
+//!   rectangle inline and costs no heap allocation.
 //! * [`Interval`] — 1-D interval arithmetic used for projection/overlap tests
 //!   when generating stitch candidates.
 //! * [`GridIndex`] — a build-once uniform-grid spatial index answering
