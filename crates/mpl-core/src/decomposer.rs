@@ -1307,15 +1307,31 @@ mod tests {
         })
     }
 
+    /// The two digests per division setting of [`division_digests`].
+    struct DivisionDigests {
+        /// Colors, conflicts, stitches, cost and B&B nodes of every problem,
+        /// plus its simplify counters where iterated simplification is on.
+        outputs: [u64; 16],
+        /// The division's work counters of every problem: augmenting paths,
+        /// their `n · K` ceiling and arc scans.
+        work: [u64; 16],
+    }
+
     /// Colors `problems` with `algorithm` under each of the 16 settings of
     /// the four division flags (bit 3 low-degree removal, bit 2 biconnected
     /// split, bit 1 GH-tree cut removal, bit 0 iterated simplification) and
-    /// returns one digest per setting: colors, cost and the division and
-    /// engine work counters of every problem, plus the simplify counters
-    /// where iterated simplification is on.
-    fn division_digests(algorithm: ColorAlgorithm, problems: &[ComponentProblem]) -> [u64; 16] {
-        let mut digests = [0u64; 16];
-        for (setting, digest) in digests.iter_mut().enumerate() {
+    /// returns two digests per setting: what the run produced, and the work
+    /// its division did.  A faster division proof changes only the second.
+    fn division_digests(
+        algorithm: ColorAlgorithm,
+        problems: &[ComponentProblem],
+    ) -> DivisionDigests {
+        let offset = 0xcbf2_9ce4_8422_2325;
+        let mut digests = DivisionDigests {
+            outputs: [offset; 16],
+            work: [offset; 16],
+        };
+        for setting in 0..16 {
             let division = DivisionConfig {
                 low_degree_removal: setting & 8 != 0,
                 biconnected_split: setting & 4 != 0,
@@ -1324,7 +1340,8 @@ mod tests {
             };
             let decomposer = Decomposer::new(quad_config(algorithm).with_division(division));
             let assigner = assigner_for(algorithm, decomposer.config());
-            let mut hash = 0xcbf2_9ce4_8422_2325;
+            let outputs = &mut digests.outputs[setting];
+            let work = &mut digests.work[setting];
             for (index, problem) in problems.iter().enumerate() {
                 let (colors, stats) = decomposer.color_problem(problem, assigner.as_ref(), None);
                 assert!(
@@ -1332,7 +1349,7 @@ mod tests {
                     "{algorithm}, setting {setting:04b}, problem {index}"
                 );
                 let (conflicts, stitches, cost) = problem.evaluate(&colors);
-                hash = colors.iter().fold(hash, |hash, &color| {
+                *outputs = colors.iter().fold(*outputs, |hash, &color| {
                     (hash ^ u64::from(color)).wrapping_mul(0x0100_0000_01b3)
                 });
                 for word in [
@@ -1340,11 +1357,8 @@ mod tests {
                     stitches as u64,
                     cost.to_bits(),
                     stats.bnb_nodes,
-                    stats.augmenting_paths,
-                    stats.augmenting_path_bound,
-                    stats.arc_scans,
                 ] {
-                    hash = fold(hash, word);
+                    *outputs = fold(*outputs, word);
                 }
                 if division.iterated_simplify {
                     for count in [
@@ -1352,11 +1366,17 @@ mod tests {
                         stats.kernel_vertices,
                         stats.simplify_rounds,
                     ] {
-                        hash = fold(hash, count as u64);
+                        *outputs = fold(*outputs, count as u64);
                     }
                 }
+                for word in [
+                    stats.augmenting_paths,
+                    stats.augmenting_path_bound,
+                    stats.arc_scans,
+                ] {
+                    *work = fold(*work, word);
+                }
             }
-            *digest = hash;
         }
         digests
     }
@@ -1369,26 +1389,50 @@ mod tests {
     fn exact_engine_colors_every_division_setting_as_pinned() {
         let digests = division_digests(ColorAlgorithm::Ilp, &oracle_problems(true));
         assert_eq!(
-            digests,
+            digests.outputs,
             [
+                0xa9ae_64f5_c020_8021,
                 0x23f3_cd6b_016b_4a81,
-                0x3131_e7c0_01b0_ea61,
-                0x3911_399f_1683_522b,
-                0x7662_7974_da05_5d8b,
-                0x2ada_3da3_7904_75c6,
-                0x4799_27c7_687e_0e0e,
-                0x6564_9b87_8afd_6ff4,
-                0x9c6b_3507_89bc_2fe9,
-                0x348e_9ed9_fa29_6b6a,
-                0xa5e9_5411_b5d6_a4a2,
-                0xf10b_2025_3e87_fec4,
-                0x8e22_f25d_48af_6494,
-                0xbbb1_a763_f73b_78ba,
-                0x8942_af2c_02b6_ecc3,
-                0xb3a8_475e_83cb_dfe2,
-                0x0e25_b6bc_8eba_c2f1,
+                0x15db_87ff_e43b_b7ba,
+                0xa0f0_4c01_7e2a_c75a,
+                0xd7fc_379b_5ec4_c886,
+                0x787c_e334_aedf_146e,
+                0x2906_9bd8_4cbc_b48e,
+                0xcef6_e260_a3aa_442d,
+                0xece9_4a95_bc90_e40a,
+                0xffe7_faaa_e5c7_8702,
+                0x2f19_618c_8df5_f57f,
+                0x8647_608c_88a8_98ef,
+                0xc9ef_6759_7b6f_a85a,
+                0x2d4c_d9bb_d3e6_f963,
+                0x339f_72ce_2f4b_0d79,
+                0xbc8b_53ac_956d_66eb,
             ],
-            "{digests:#018x?}"
+            "{:#018x?}",
+            digests.outputs
+        );
+        assert_eq!(
+            digests.work,
+            [
+                0x5066_f76b_298f_f985,
+                0x5066_f76b_298f_f985,
+                0x7d50_319b_3285_0160,
+                0x7d50_319b_3285_0160,
+                0x5066_f76b_298f_f985,
+                0x5066_f76b_298f_f985,
+                0x5cc4_d901_0a55_aa6b,
+                0x571e_4317_3618_f6a3,
+                0x5066_f76b_298f_f985,
+                0x5066_f76b_298f_f985,
+                0x7751_e2fe_49e1_5ae8,
+                0x7751_e2fe_49e1_5ae8,
+                0x5066_f76b_298f_f985,
+                0x5066_f76b_298f_f985,
+                0x3429_1484_ca70_030c,
+                0x20e9_2461_ade2_8701,
+            ],
+            "{:#018x?}",
+            digests.work
         );
     }
 
@@ -1396,26 +1440,50 @@ mod tests {
     fn linear_engine_colors_every_division_setting_as_pinned() {
         let digests = division_digests(ColorAlgorithm::Linear, &oracle_problems(true));
         assert_eq!(
-            digests,
+            digests.outputs,
             [
+                0xd8e4_a912_03e1_49e9,
                 0x3336_2e75_6767_1cc9,
-                0xc530_8cb3_caeb_5b29,
-                0xb8ef_eb31_7e2b_db5a,
-                0x0106_4fcd_a085_59ba,
-                0xb67f_9b3b_7d9f_e56a,
-                0x4b5b_2146_131d_a9b7,
-                0x24d9_b634_612a_c2fc,
-                0x4d6c_4ae1_ffc4_1d35,
-                0x7377_42a4_5ff1_8f63,
-                0xf5b7_a593_ec29_dd5f,
-                0x78a4_577c_669d_c725,
-                0x8275_7a0d_2314_fe79,
-                0x37cb_09b4_b192_c8a2,
-                0xb99c_9be7_acb2_911e,
-                0x189d_3765_44a8_3859,
-                0x881e_0fe8_db11_a368,
+                0xaa42_b7fd_bde5_56db,
+                0xe743_9a57_51ee_92fb,
+                0x74ba_5f47_49aa_fcea,
+                0xd367_d73c_f220_14d7,
+                0x1e93_0365_3391_3c6a,
+                0xbe3b_33d4_13d3_f965,
+                0xef52_ecda_a339_d5a3,
+                0xab93_226c_699d_411f,
+                0x7ca3_d9af_f3aa_f10e,
+                0x9290_ac9f_f6c9_a5a2,
+                0x9e99_5b91_bbd3_d842,
+                0x11c7_021a_195e_04fe,
+                0x98a0_1344_d45b_b8d6,
+                0x8216_016f_b434_3a32,
             ],
-            "{digests:#018x?}"
+            "{:#018x?}",
+            digests.outputs
+        );
+        assert_eq!(
+            digests.work,
+            [
+                0x5066_f76b_298f_f985,
+                0x5066_f76b_298f_f985,
+                0x7d50_319b_3285_0160,
+                0x7d50_319b_3285_0160,
+                0x5066_f76b_298f_f985,
+                0x5066_f76b_298f_f985,
+                0x5cc4_d901_0a55_aa6b,
+                0x571e_4317_3618_f6a3,
+                0x5066_f76b_298f_f985,
+                0x5066_f76b_298f_f985,
+                0x7751_e2fe_49e1_5ae8,
+                0x7751_e2fe_49e1_5ae8,
+                0x5066_f76b_298f_f985,
+                0x5066_f76b_298f_f985,
+                0x3429_1484_ca70_030c,
+                0x20e9_2461_ade2_8701,
+            ],
+            "{:#018x?}",
+            digests.work
         );
     }
 
@@ -1423,26 +1491,50 @@ mod tests {
     fn sdp_backtrack_colors_every_division_setting_as_pinned() {
         let digests = division_digests(ColorAlgorithm::SdpBacktrack, &oracle_problems(false));
         assert_eq!(
-            digests,
+            digests.outputs,
             [
+                0xf04b_d289_631f_4a75,
                 0xd089_2ef0_5648_d1f5,
-                0x408f_761e_2b31_a7f5,
-                0x5bcf_cc5a_f8d5_1716,
-                0xe103_7b4c_a523_6316,
-                0x7821_2c17_a661_367c,
-                0x23d4_764e_6221_b427,
-                0x4604_6c73_e029_b2a4,
-                0x9b07_19b9_419e_8627,
-                0xdd91_ba65_8d43_b4b7,
-                0x6265_d7f2_d712_cb75,
-                0x7a9d_3d54_059a_b3ac,
-                0x3cc0_8f5b_7c14_a9f6,
-                0x3d6c_5af6_a6e9_2009,
-                0xb188_c61a_80cf_c8a3,
-                0x2f9e_5042_73ff_aadd,
-                0x5a86_d8a0_998a_a946,
+                0x2820_fdb4_8be9_9c07,
+                0xe456_1201_3c56_47a7,
+                0x2f3e_73ce_cafe_9f1c,
+                0x2db0_ea56_6b53_3747,
+                0x0a18_3d7d_11e7_218a,
+                0xdad3_3c9b_26f0_39e7,
+                0xf5cc_8dda_5d96_f6b7,
+                0xa4cb_bc2d_9f68_88f5,
+                0xf2e1_7d1c_dbd3_e9e7,
+                0xe475_adf3_e0d1_0065,
+                0x2f9e_70c7_f3b7_4829,
+                0x5edc_fa37_7c0c_3603,
+                0x021c_4140_da82_7f2a,
+                0x4ac3_9a0a_2c59_3e58,
             ],
-            "{digests:#018x?}"
+            "{:#018x?}",
+            digests.outputs
+        );
+        assert_eq!(
+            digests.work,
+            [
+                0x66e3_6812_7e9e_89a5,
+                0x66e3_6812_7e9e_89a5,
+                0x1045_4514_efdd_0ddc,
+                0x1045_4514_efdd_0ddc,
+                0x66e3_6812_7e9e_89a5,
+                0x66e3_6812_7e9e_89a5,
+                0xe5d8_23a4_9786_330b,
+                0x6ebb_0b1b_71de_1373,
+                0x66e3_6812_7e9e_89a5,
+                0x66e3_6812_7e9e_89a5,
+                0x1fdb_6ed8_4c69_960c,
+                0x1fdb_6ed8_4c69_960c,
+                0x66e3_6812_7e9e_89a5,
+                0x66e3_6812_7e9e_89a5,
+                0xcac7_efd8_9e95_b248,
+                0x50c8_4d8b_ace5_65f1,
+            ],
+            "{:#018x?}",
+            digests.work
         );
     }
 
@@ -1450,26 +1542,50 @@ mod tests {
     fn sdp_greedy_colors_every_division_setting_as_pinned() {
         let digests = division_digests(ColorAlgorithm::SdpGreedy, &oracle_problems(false));
         assert_eq!(
-            digests,
+            digests.outputs,
             [
+                0x9834_7725_9aa7_60e2,
                 0xa762_1bc6_498b_6462,
-                0x1720_4d4b_46b8_54e2,
-                0x9fbc_7901_33a5_54b6,
-                0xa03a_a225_2b83_73b6,
-                0x8a10_275c_604e_12f3,
-                0xf8e4_8afe_ff1e_eac2,
-                0x5ce0_873c_acb3_a745,
-                0xf617_2710_e824_fc96,
-                0x923e_812f_5f5a_5ebe,
-                0x770e_38eb_c287_05cc,
-                0xc566_a6cd_1c2d_9371,
-                0xc33d_ccc0_eb35_afbf,
-                0xaec6_e2c9_6d19_ae94,
-                0x07c3_e8bb_a423_bfe0,
-                0x8b58_d4d2_f8c3_2649,
-                0x4cc1_07f4_0f32_f428,
+                0x2869_4047_adc8_99ab,
+                0x5051_3bb9_01de_8dcb,
+                0x2fbb_b452_355d_0f33,
+                0x634a_8dcf_b493_3fc2,
+                0x16c2_cf6b_0eea_bed7,
+                0x590a_6ed8_c16c_414e,
+                0x5fc6_236e_1159_ea9e,
+                0x1d60_d7bd_e50a_6eec,
+                0xd4ba_d066_7dcb_1436,
+                0x6e2a_dce7_91ca_3140,
+                0xaa17_5975_f4a9_d4f4,
+                0xbbb2_bdfc_0a25_0fc0,
+                0xd223_d0fd_0ea3_9956,
+                0x792c_5777_034b_d18a,
             ],
-            "{digests:#018x?}"
+            "{:#018x?}",
+            digests.outputs
+        );
+        assert_eq!(
+            digests.work,
+            [
+                0x66e3_6812_7e9e_89a5,
+                0x66e3_6812_7e9e_89a5,
+                0x1045_4514_efdd_0ddc,
+                0x1045_4514_efdd_0ddc,
+                0x66e3_6812_7e9e_89a5,
+                0x66e3_6812_7e9e_89a5,
+                0xe5d8_23a4_9786_330b,
+                0x6ebb_0b1b_71de_1373,
+                0x66e3_6812_7e9e_89a5,
+                0x66e3_6812_7e9e_89a5,
+                0x1fdb_6ed8_4c69_960c,
+                0x1fdb_6ed8_4c69_960c,
+                0x66e3_6812_7e9e_89a5,
+                0x66e3_6812_7e9e_89a5,
+                0xcac7_efd8_9e95_b248,
+                0x50c8_4d8b_ace5_65f1,
+            ],
+            "{:#018x?}",
+            digests.work
         );
     }
 
