@@ -134,7 +134,8 @@ pub struct LayoutPerfCase {
     /// The `n · K` ceiling the augmenting-path count must stay under
     /// (summed per component).
     pub augmenting_path_bound: u64,
-    /// Max-flow arcs examined during (K−1)-cut division.
+    /// Arcs examined during (K−1)-cut division, by its max-flows and its
+    /// local certificates.
     pub arc_scans: u64,
     /// Scratch-buffer allocation (growth) events across all components.
     pub scratch_allocs: u64,

@@ -976,30 +976,46 @@ mod tests {
 
     #[test]
     fn engine_work_counters_flow_into_component_stats() {
-        // A K5: nothing hides or splits, so the engine colors exactly one
-        // piece and its counters surface unchanged.
-        let mut problem = ComponentProblem::new(5, 4, 0.1);
+        // A K5 and the 4-cube Q4 (vertices joined when their ids differ in
+        // one bit): nothing hides or splits, so the engine colors exactly
+        // one piece and its counters surface unchanged.
+        let mut clique = ComponentProblem::new(5, 4, 0.1);
         for i in 0..5 {
             for j in (i + 1)..5 {
-                problem.add_conflict(i, j);
+                clique.add_conflict(i, j);
+            }
+        }
+        let mut cube = ComponentProblem::new(16, 4, 0.1);
+        for v in 0..16 {
+            for bit in [1, 2, 4, 8] {
+                if v & bit == 0 {
+                    cube.add_conflict(v, v | bit);
+                }
             }
         }
         let decomposer = Decomposer::new(quad_config(ColorAlgorithm::Linear));
-        let (colors, stats) = decomposer.color_problem(&problem, &CountingAssigner, None);
-        assert_eq!(colors.len(), 5);
-        assert_eq!(stats.bnb_nodes, 7);
-        assert_eq!(stats.bound_improvements, 3);
-        assert!(stats.hit_time_limit);
-        // A K5 is at the simplification fixed point already: nothing hides
-        // (every degree is 4 ≥ K) and a clique has no bridges, so the
-        // simplification is trivial and its counters stay zero.
-        assert_eq!(stats.hidden_vertices, 0);
-        assert_eq!(stats.kernel_vertices, 0);
-        assert_eq!(stats.simplify_rounds, 0);
-        // The K5 is 4-edge-connected... in fact every pair has min-cut 4 ≥ K
-        // = 4, so division ran real capped max-flows under the n·K bound.
-        assert!(stats.augmenting_paths > 0);
-        assert!(stats.augmenting_paths <= stats.augmenting_path_bound);
+        let mut paths = Vec::new();
+        for problem in [&clique, &cube] {
+            let (colors, stats) = decomposer.color_problem(problem, &CountingAssigner, None);
+            assert_eq!(colors.len(), problem.vertex_count());
+            assert_eq!(stats.bnb_nodes, 7);
+            assert_eq!(stats.bound_improvements, 3);
+            assert!(stats.hit_time_limit);
+            // Both are at the simplification fixed point already: nothing
+            // hides (every degree is 4 ≥ K) and neither has a bridge, so
+            // the simplification is trivial and its counters stay zero.
+            assert_eq!(stats.hidden_vertices, 0);
+            assert_eq!(stats.kernel_vertices, 0);
+            assert_eq!(stats.simplify_rounds, 0);
+            assert!(stats.augmenting_paths <= stats.augmenting_path_bound);
+            paths.push(stats.augmenting_paths);
+        }
+        // Every pair of either has min-cut 4 ≥ K = 4.  In the K5 each pair
+        // also has its edge and three common neighbours, K short paths, so
+        // the local certificate answers every query; Q4 is triangle-free,
+        // so division ran real capped max-flows there.
+        assert_eq!(paths[0], 0);
+        assert!(paths[1] > 0);
     }
 
     #[test]
@@ -1416,20 +1432,20 @@ mod tests {
             [
                 0x5066_f76b_298f_f985,
                 0x5066_f76b_298f_f985,
-                0x7d50_319b_3285_0160,
-                0x7d50_319b_3285_0160,
+                0x9609_b1e5_89dc_5671,
+                0x9609_b1e5_89dc_5671,
                 0x5066_f76b_298f_f985,
                 0x5066_f76b_298f_f985,
-                0x5cc4_d901_0a55_aa6b,
-                0x571e_4317_3618_f6a3,
+                0x2706_b18c_3125_606a,
+                0x1c4c_ea50_5fd6_4c00,
                 0x5066_f76b_298f_f985,
                 0x5066_f76b_298f_f985,
-                0x7751_e2fe_49e1_5ae8,
-                0x7751_e2fe_49e1_5ae8,
+                0x6405_7c56_3083_d4d0,
+                0x6405_7c56_3083_d4d0,
                 0x5066_f76b_298f_f985,
                 0x5066_f76b_298f_f985,
-                0x3429_1484_ca70_030c,
-                0x20e9_2461_ade2_8701,
+                0x78da_d2d6_eb13_ab45,
+                0x271d_24ac_8550_00c0,
             ],
             "{:#018x?}",
             digests.work
@@ -1467,20 +1483,20 @@ mod tests {
             [
                 0x5066_f76b_298f_f985,
                 0x5066_f76b_298f_f985,
-                0x7d50_319b_3285_0160,
-                0x7d50_319b_3285_0160,
+                0x9609_b1e5_89dc_5671,
+                0x9609_b1e5_89dc_5671,
                 0x5066_f76b_298f_f985,
                 0x5066_f76b_298f_f985,
-                0x5cc4_d901_0a55_aa6b,
-                0x571e_4317_3618_f6a3,
+                0x2706_b18c_3125_606a,
+                0x1c4c_ea50_5fd6_4c00,
                 0x5066_f76b_298f_f985,
                 0x5066_f76b_298f_f985,
-                0x7751_e2fe_49e1_5ae8,
-                0x7751_e2fe_49e1_5ae8,
+                0x6405_7c56_3083_d4d0,
+                0x6405_7c56_3083_d4d0,
                 0x5066_f76b_298f_f985,
                 0x5066_f76b_298f_f985,
-                0x3429_1484_ca70_030c,
-                0x20e9_2461_ade2_8701,
+                0x78da_d2d6_eb13_ab45,
+                0x271d_24ac_8550_00c0,
             ],
             "{:#018x?}",
             digests.work
@@ -1518,20 +1534,20 @@ mod tests {
             [
                 0x66e3_6812_7e9e_89a5,
                 0x66e3_6812_7e9e_89a5,
-                0x1045_4514_efdd_0ddc,
-                0x1045_4514_efdd_0ddc,
+                0x1bae_59c3_edfc_dda0,
+                0x1bae_59c3_edfc_dda0,
                 0x66e3_6812_7e9e_89a5,
                 0x66e3_6812_7e9e_89a5,
-                0xe5d8_23a4_9786_330b,
-                0x6ebb_0b1b_71de_1373,
+                0x20b7_b75f_df24_d58f,
+                0xeb3a_fc56_4498_dff5,
                 0x66e3_6812_7e9e_89a5,
                 0x66e3_6812_7e9e_89a5,
-                0x1fdb_6ed8_4c69_960c,
-                0x1fdb_6ed8_4c69_960c,
+                0x2a07_cc5e_20a7_f426,
+                0x2a07_cc5e_20a7_f426,
                 0x66e3_6812_7e9e_89a5,
                 0x66e3_6812_7e9e_89a5,
-                0xcac7_efd8_9e95_b248,
-                0x50c8_4d8b_ace5_65f1,
+                0x9160_1304_6cd8_c55b,
+                0xf606_e9fc_d060_41f6,
             ],
             "{:#018x?}",
             digests.work
@@ -1569,20 +1585,20 @@ mod tests {
             [
                 0x66e3_6812_7e9e_89a5,
                 0x66e3_6812_7e9e_89a5,
-                0x1045_4514_efdd_0ddc,
-                0x1045_4514_efdd_0ddc,
+                0x1bae_59c3_edfc_dda0,
+                0x1bae_59c3_edfc_dda0,
                 0x66e3_6812_7e9e_89a5,
                 0x66e3_6812_7e9e_89a5,
-                0xe5d8_23a4_9786_330b,
-                0x6ebb_0b1b_71de_1373,
+                0x20b7_b75f_df24_d58f,
+                0xeb3a_fc56_4498_dff5,
                 0x66e3_6812_7e9e_89a5,
                 0x66e3_6812_7e9e_89a5,
-                0x1fdb_6ed8_4c69_960c,
-                0x1fdb_6ed8_4c69_960c,
+                0x2a07_cc5e_20a7_f426,
+                0x2a07_cc5e_20a7_f426,
                 0x66e3_6812_7e9e_89a5,
                 0x66e3_6812_7e9e_89a5,
-                0xcac7_efd8_9e95_b248,
-                0x50c8_4d8b_ace5_65f1,
+                0x9160_1304_6cd8_c55b,
+                0xf606_e9fc_d060_41f6,
             ],
             "{:#018x?}",
             digests.work

@@ -70,7 +70,8 @@ impl DivisionScratch {
         self.augmenting_path_bound
     }
 
-    /// Cumulative max-flow arcs examined through this scratch (see
+    /// Cumulative arcs examined through this scratch by the (K−1)-cut
+    /// division's max-flows and local certificates (see
     /// [`MaxFlow::arc_scans`]).
     pub fn arc_scans(&self) -> u64 {
         self.flow.arc_scans()
@@ -206,11 +207,14 @@ pub(crate) fn biconnected_blocks_with(
 ///
 /// This does not build the Gomory–Hu tree: the identical partition is
 /// obtained by [`mpl_graph::threshold_components_with`], which certifies
-/// each vertex against an already-certified neighbour with a max-flow
-/// query that stops after K augmenting paths.  Each query's BFS passes stop
-/// at the sink and its resets touch only what the previous query touched,
-/// so a well-connected piece costs near-linear work.  At most
-/// `|vertices| · K` augmentations are pushed in total, and at most
+/// each vertex against already-certified neighbours.  It first counts K
+/// edge-disjoint paths of one or two edges to one of them (a local
+/// certificate read off the adjacency lists, which answers almost every
+/// vertex of a clique or a degree-8 lattice); only when that fails does it
+/// run a max-flow query that stops after K augmenting paths.  Each query's
+/// BFS passes stop at the sink and its resets touch only what the previous
+/// query touched, so a well-connected piece costs near-linear work.  At
+/// most `|vertices| · K` augmentations are pushed in total, and at most
 /// `pieces − 1` queries fail, each walking its residual reachable set.
 pub fn ghtree_pieces(problem: &ComponentProblem, vertices: &[usize]) -> Vec<Vec<usize>> {
     ghtree_pieces_with(problem, vertices, &mut DivisionScratch::default())
@@ -689,15 +693,40 @@ mod tests {
 
     #[test]
     fn division_counters_respect_the_nk_bound() {
-        let p = k_clique(8, 4);
-        let vertices: Vec<usize> = (0..8).collect();
+        // The 4-cube Q4 (vertices joined when their ids differ in one bit)
+        // is 4-edge-connected but triangle-free: adjacent vertices share no
+        // neighbour, the local certificate finds one path of the K = 4
+        // needed, and every vertex after the first runs a capped flow.
+        let mut p = ComponentProblem::new(16, 4, 0.1);
+        for v in 0..16 {
+            for bit in [1, 2, 4, 8] {
+                if v & bit == 0 {
+                    p.add_conflict(v, v | bit);
+                }
+            }
+        }
+        let vertices: Vec<usize> = (0..16).collect();
         let mut scratch = DivisionScratch::default();
         let pieces = ghtree_pieces_with(&p, &vertices, &mut scratch);
         assert_eq!(pieces.len(), 1);
         assert!(scratch.augmenting_paths() > 0);
         assert!(scratch.arc_scans() > scratch.augmenting_paths());
-        assert_eq!(scratch.augmenting_path_bound(), 8 * 4);
+        assert_eq!(scratch.augmenting_path_bound(), 16 * 4);
         assert!(scratch.augmenting_paths() <= scratch.augmenting_path_bound());
+    }
+
+    #[test]
+    fn cliques_divide_without_a_flow() {
+        // In K8 each pair has its edge and six common neighbours, at least
+        // K = 4 short paths: the local certificate answers every query.
+        let p = k_clique(8, 4);
+        let vertices: Vec<usize> = (0..8).collect();
+        let mut scratch = DivisionScratch::default();
+        let pieces = ghtree_pieces_with(&p, &vertices, &mut scratch);
+        assert_eq!(pieces.len(), 1);
+        assert_eq!(scratch.augmenting_paths(), 0);
+        assert!(scratch.arc_scans() > 0);
+        assert_eq!(scratch.augmenting_path_bound(), 8 * 4);
     }
 
     #[test]

@@ -97,8 +97,9 @@ pub struct ComponentStats {
     /// The certified ceiling for `augmenting_paths`: Σ `|piece| · K` over
     /// the division's partition calls.
     pub augmenting_path_bound: u64,
-    /// Max-flow arcs examined by the (K−1)-cut division (BFS and DFS
-    /// passes; a hardware-independent measure of its work).
+    /// Arcs examined by the (K−1)-cut division: its max-flows' BFS and
+    /// DFS passes and its local certificates' adjacency reads (a
+    /// hardware-independent measure of its work).
     pub arc_scans: u64,
     /// Scratch-buffer growth events while coloring (≈ heap allocations on
     /// the hot path; 0 once a worker's buffers are warm).

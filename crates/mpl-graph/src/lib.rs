@@ -14,9 +14,10 @@
 //! * [`GomoryHuTree`] — Gusfield's "very simple" all-pairs minimum-cut tree,
 //!   the data structure behind the paper's GH-tree based 3-cut removal.
 //! * [`threshold_components`] — the capped-flow shortcut for the (K−1)-cut
-//!   division: the same partition the GH tree yields at threshold K, using
-//!   at most K augmenting paths per max-flow query, each query certifying
-//!   a vertex against an already-certified neighbour.
+//!   division: the same partition the GH tree yields at threshold K,
+//!   certifying each vertex against an already-certified neighbour, by K
+//!   edge-disjoint paths of one or two edges where it can find them and
+//!   otherwise by a max-flow query of at most K augmenting paths.
 //!
 //! All algorithms are deterministic and allocation-conscious; vertex ids are
 //! dense `usize` indices `0..n`.

@@ -146,13 +146,21 @@ impl MaxFlow {
         self.augmenting_paths
     }
 
-    /// Cumulative number of arcs examined by every flow query since
-    /// construction: by the level BFS (whose final pass of a query that
-    /// stays under its cap is also the walk of the residual source side)
-    /// and by the blocking-flow DFS.  A hardware-independent work counter;
-    /// survives [`MaxFlow::clear`].
+    /// Cumulative number of arcs examined since construction: by the
+    /// level BFS of every flow query (whose final pass of a query that
+    /// stays under its cap is also the walk of the residual source side),
+    /// by the blocking-flow DFS, and by the local certificate of
+    /// [`threshold_components`](crate::threshold_components), which reads
+    /// the arc lists of the network to answer a query without a flow.  A
+    /// hardware-independent work counter; survives [`MaxFlow::clear`].
     pub fn arc_scans(&self) -> u64 {
         self.arc_scans
+    }
+
+    /// Adds `scans` arcs read outside a flow query to
+    /// [`MaxFlow::arc_scans`].
+    pub(crate) fn count_arc_scans(&mut self, scans: u64) {
+        self.arc_scans += scans;
     }
 
     /// The heads of the arcs leaving `v`, read from the arc CSR: for a

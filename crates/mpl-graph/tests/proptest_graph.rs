@@ -5,7 +5,9 @@
 //! min-cut values as direct max-flow computations, biconnected /
 //! connected component structure must be consistent with reachability, and
 //! the capped-flow (K−1)-cut partition must equal the Gomory–Hu tree's on
-//! seeded graphs large enough for its neighbour certification to matter.
+//! seeded graphs large enough for its neighbour certification to matter,
+//! and on the multigraphs, dense graphs, cliques and triangle-free graphs
+//! where its local certificate answers all, some or none of its queries.
 
 use mpl_graph::{
     connected_components, threshold_components_with, Biconnectivity, GomoryHuTree, Graph, MaxFlow,
@@ -146,17 +148,58 @@ fn partition_matches_gomory_hu_on_chains_and_rings_of_cliques() {
     }
 }
 
+#[test]
+fn partition_matches_gomory_hu_on_cliques_and_the_4_cube() {
+    // In K_n every pair has its edge and n − 2 common neighbours, so the
+    // local certificate answers every query while K ≤ n − 1 and none
+    // beyond.  The 4-cube Q4 (4-regular, 4-edge-connected, triangle-free)
+    // gives adjacent vertices no common neighbour, so every query there
+    // runs a flow.
+    let mut next = xorshift(0xD1B54A32D192ED03);
+    let (mut flow, mut scratch) = (MaxFlow::default(), ThresholdScratch::default());
+    for n in 4..=12 {
+        let edges: Vec<(usize, usize)> = (0..n)
+            .flat_map(|u| ((u + 1)..n).map(move |v| (u, v)))
+            .collect();
+        let graph = shuffled(n, &edges, &mut next);
+        let context = format!("K{n}");
+        assert_partition_matches_gomory_hu(&graph, &mut flow, &mut scratch, &context);
+    }
+    let cube: Vec<(usize, usize)> = (0..16usize)
+        .flat_map(|v| [1, 2, 4, 8].map(|bit| (v, v | bit)))
+        .filter(|&(u, v)| u != v)
+        .collect();
+    let graph = shuffled(16, &cube, &mut next);
+    assert!(graph.neighbors(0).iter().all(|&u| graph.degree(u) == 4));
+    assert_partition_matches_gomory_hu(&graph, &mut flow, &mut scratch, "Q4");
+}
+
 /// A random sparse-to-medium-density graph on up to 12 vertices described by
 /// an adjacency bit matrix.
 fn arb_graph(max_n: usize) -> impl Strategy<Value = Graph> {
+    arb_graph_with_density(max_n, 0.45)
+}
+
+/// A random graph on 2 to `max_n` vertices, each pair joined with
+/// probability `density`.
+fn arb_graph_with_density(max_n: usize, density: f64) -> impl Strategy<Value = Graph> {
+    arb_multigraph(max_n, prop::bool::weighted(density).prop_map(usize::from))
+}
+
+/// A random multigraph on 2 to `max_n` vertices, each pair joined by as
+/// many parallel edges as `multiplicity` draws.
+fn arb_multigraph(
+    max_n: usize,
+    multiplicity: impl Strategy<Value = usize> + Clone,
+) -> impl Strategy<Value = Graph> {
     (2..=max_n).prop_flat_map(move |n| {
         let pairs = n * (n - 1) / 2;
-        prop::collection::vec(prop::bool::weighted(0.45), pairs).prop_map(move |bits| {
+        prop::collection::vec(multiplicity.clone(), pairs).prop_map(move |counts| {
             let mut g = Graph::new(n);
             let mut k = 0;
             for i in 0..n {
                 for j in (i + 1)..n {
-                    if bits[k] {
+                    for _ in 0..counts[k] {
                         g.add_edge(i, j);
                     }
                     k += 1;
@@ -167,8 +210,53 @@ fn arb_graph(max_n: usize) -> impl Strategy<Value = Graph> {
     })
 }
 
+/// A random bipartite (so triangle-free) graph with 1 to `max_side`
+/// vertices a side, the sides interleaved by a random mask; each cross
+/// pair is joined with probability 0.6.
+fn arb_bipartite(max_side: usize) -> impl Strategy<Value = Graph> {
+    (2..=2 * max_side)
+        .prop_flat_map(|n| {
+            (
+                prop::collection::vec(prop::bool::weighted(0.5), n),
+                prop::collection::vec(prop::bool::weighted(0.6), n * n),
+            )
+        })
+        .prop_map(|(side, bits)| {
+            let n = side.len();
+            let mut g = Graph::new(n);
+            for i in 0..n {
+                for j in (i + 1)..n {
+                    if side[i] != side[j] && bits[i * n + j] {
+                        g.add_edge(i, j);
+                    }
+                }
+            }
+            g
+        })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn partition_matches_gomory_hu_on_multigraphs(
+        g in arb_multigraph(12, (0..7usize).prop_map(|draw| [0, 0, 0, 1, 1, 2, 3][draw]))
+    ) {
+        let (mut flow, mut scratch) = (MaxFlow::default(), ThresholdScratch::default());
+        assert_partition_matches_gomory_hu(&g, &mut flow, &mut scratch, "multigraph");
+    }
+
+    #[test]
+    fn partition_matches_gomory_hu_on_dense_graphs(g in arb_graph_with_density(12, 0.8)) {
+        let (mut flow, mut scratch) = (MaxFlow::default(), ThresholdScratch::default());
+        assert_partition_matches_gomory_hu(&g, &mut flow, &mut scratch, "dense graph");
+    }
+
+    #[test]
+    fn partition_matches_gomory_hu_on_bipartite_graphs(g in arb_bipartite(7)) {
+        let (mut flow, mut scratch) = (MaxFlow::default(), ThresholdScratch::default());
+        assert_partition_matches_gomory_hu(&g, &mut flow, &mut scratch, "bipartite graph");
+    }
 
     #[test]
     fn gomory_hu_matches_direct_min_cuts(g in arb_graph(9)) {
