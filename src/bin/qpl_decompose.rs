@@ -506,29 +506,52 @@ fn render_json(
     Json::object(pairs)
 }
 
+/// The human-readable summary on stdout.  The first failed write (stdout
+/// closed early, as by `| head`) is kept and every later line dropped, so
+/// the run reports it once and exits 1, as it does for the JSON summary.
+#[derive(Default)]
+struct Summary {
+    error: Option<std::io::Error>,
+}
+
+impl Summary {
+    /// Writes one line, unless an earlier write failed.
+    fn line(&mut self, line: std::fmt::Arguments) {
+        if self.error.is_none() {
+            self.error = writeln!(std::io::stdout(), "{line}").err();
+        }
+    }
+
+    /// The message for the failed write, if any.
+    fn finish(self) -> Option<String> {
+        self.error
+            .map(|error| format!("cannot write the summary: {error}"))
+    }
+}
+
 /// Prints the human-readable lines of one layout's record, named `label`:
 /// the lines local and `--connect` mode share (local mode appends its own).
-fn print_summary(label: &str, record: &ResultPayload) {
-    println!(
+fn print_summary(out: &mut Summary, label: &str, record: &ResultPayload) {
+    out.line(format_args!(
         "{label}: layout {}, K = {}, algorithm = {}, executor = {}",
         record.layout, record.k, record.algorithm, record.executor
-    );
-    println!(
+    ));
+    out.line(format_args!(
         "  graph: {} vertices, {} conflict edges, {} stitch candidates, {} components",
         record.vertices, record.conflict_edges, record.stitch_edges, record.components
-    );
-    println!(
+    ));
+    out.line(format_args!(
         "  result: {} conflicts, {} stitches (cost {:.2}) in {:.3}s + {:.3}s",
         record.conflicts, record.stitches, record.cost, record.graph_seconds, record.color_seconds
-    );
+    ));
     if let (Some(hits), Some(misses)) = (record.memo_hits, record.memo_misses) {
-        println!(
+        out.line(format_args!(
             "  memo: {hits} components stamped (cache hits and in-batch duplicates), \
              {misses} colored fresh"
-        );
+        ));
     }
     if record.deadline_exceeded || record.cancelled {
-        println!(
+        out.line(format_args!(
             "  partial: {} of {} components completed, {} skipped ({})",
             record.components_completed,
             record.components,
@@ -538,13 +561,15 @@ fn print_summary(label: &str, record: &ResultPayload) {
             } else {
                 "cancelled"
             }
-        );
+        ));
     }
     if let Some(violations) = record.spacing_violations {
-        println!("  verification: {violations} same-mask spacing violations");
+        out.line(format_args!(
+            "  verification: {violations} same-mask spacing violations"
+        ));
     }
     if let Some(stats) = &record.tiles {
-        println!(
+        out.line(format_args!(
             "  tiling: {}x{} grid, {} tiles over {} spanning components \
              ({} resident), {} halo-shared vertices",
             stats.grid_x,
@@ -553,18 +578,18 @@ fn print_summary(label: &str, record: &ResultPayload) {
             stats.tiled_components,
             stats.resident_components,
             stats.shared_vertices
-        );
-        println!(
+        ));
+        out.line(format_args!(
             "  reconcile: {} tiles permuted, {} vertices recolored, \
              cross-window conflicts {} -> {}",
             stats.permuted_tiles,
             stats.recolored_vertices,
             stats.cross_conflicts_before,
             stats.cross_conflicts_after
-        );
+        ));
     }
     if let Some(stats) = &record.hierarchy {
-        println!(
+        out.line(format_args!(
             "  hierarchy: {} instances of {} cells, {} resident components, \
              {} split into {} instance pieces + {} boundary vertices",
             stats.instances,
@@ -573,22 +598,22 @@ fn print_summary(label: &str, record: &ResultPayload) {
             stats.split_components,
             stats.instance_pieces,
             stats.boundary_vertices
-        );
+        ));
         if stats.nested_inherited > 0 {
-            println!(
+            out.line(format_args!(
                 "  hierarchy: {} shapes inherited their tag through nested \
                  references (attributed to the enclosing instance)",
                 stats.nested_inherited
-            );
+            ));
         }
-        println!(
+        out.line(format_args!(
             "  reconcile: {} pieces permuted, {} vertices recolored, \
              cross-instance conflicts {} -> {}",
             stats.permuted_pieces,
             stats.recolored_vertices,
             stats.cross_conflicts_before,
             stats.cross_conflicts_after
-        );
+        ));
     }
 }
 
@@ -629,6 +654,7 @@ struct LayoutArtifacts {
 /// written.
 #[allow(clippy::too_many_arguments)]
 fn process_layout(
+    out: &mut Summary,
     options: &Options,
     tech: &Technology,
     layout: &Layout,
@@ -649,33 +675,33 @@ fn process_layout(
         .then(|| verify_spacing(graph, &colors, tech.coloring_distance(options.k)));
     let record = ResultPayload::from_run(index.to_string(), run, violations.as_ref().map(Vec::len));
     if !options.json {
-        print_summary(options.inputs[index].label(), &record);
+        print_summary(out, options.inputs[index].label(), &record);
         let largest = plan
             .tasks()
             .iter()
             .map(ComponentTask::vertex_count)
             .max()
             .unwrap_or(0);
-        println!(
+        out.line(format_args!(
             "  {} shapes, largest component {largest} vertices",
             layout.shape_count()
-        );
+        ));
         if let Some(report) = &balance {
-            println!(
+            out.line(format_args!(
                 "  balance: {} moves, imbalance {:.3} -> {:.3}",
                 report.moves, report.imbalance_before, report.imbalance_after
-            );
+            ));
         }
         for mask in &masks {
-            println!(
+            out.line(format_args!(
                 "  mask {}: {} features, {} nm² area",
                 mask.index,
                 mask.feature_count(),
                 mask.area
-            );
+            ));
         }
         for violation in violations.iter().flatten().take(10) {
-            println!("  violation: {violation}");
+            out.line(format_args!("  violation: {violation}"));
         }
     }
 
@@ -708,7 +734,9 @@ fn process_layout(
             ));
         }
         match std::fs::write(&path, text) {
-            Ok(()) if !options.json => println!("  mask assignment written to {path}"),
+            Ok(()) if !options.json => {
+                out.line(format_args!("  mask assignment written to {path}"))
+            }
             Ok(()) => {}
             Err(error) => write_error = Some(format!("cannot write {path}: {error}")),
         }
@@ -728,10 +756,10 @@ fn process_layout(
             &per_mask,
             COLORED_BASE_LAYER,
         ) {
-            Ok(()) if !options.json => println!(
+            Ok(()) if !options.json => out.line(format_args!(
                 "  colored GDS written to {path} (mask k on layer {}+k)",
                 COLORED_BASE_LAYER
-            ),
+            )),
             Ok(()) => {}
             Err(error) => write_error = Some(format!("cannot write {path}: {error}")),
         }
@@ -985,10 +1013,15 @@ fn run_connect(addr: &str, options: &Options, tech: &Technology) -> ExitCode {
             return ExitCode::FAILURE;
         }
     } else {
+        let mut summary = Summary::default();
         for (input, result) in wire_inputs.iter().zip(&results) {
             if let Some(payload) = result {
-                print_summary(&input.label, payload);
+                print_summary(&mut summary, &input.label, payload);
             }
+        }
+        if let Some(message) = summary.finish() {
+            eprintln!("{message}");
+            return ExitCode::FAILURE;
         }
     }
     // A cancelled submission produced no colors; like an error, that is a
@@ -1097,14 +1130,16 @@ fn main() -> ExitCode {
     let memo_stats = memo.as_ref().map(|cache| cache.stats());
 
     let batch_size = runs.len();
+    let mut summary = Summary::default();
     let mut any_mismatch = false;
     let mut write_errors = Vec::new();
     let mut layout_json = Vec::with_capacity(batch_size);
     for (index, run) in runs.iter().enumerate() {
         if !options.json && index > 0 {
-            println!();
+            summary.line(format_args!(""));
         }
         let artifacts = process_layout(
+            &mut summary,
             &options,
             &tech,
             &layouts[index].0,
@@ -1150,7 +1185,7 @@ fn main() -> ExitCode {
             write_errors.push(format!("cannot write the JSON summary: {error}"));
         }
     } else if batch_size > 1 {
-        println!(
+        summary.line(format_args!(
             "\nbatch: {} layouts, {} component tasks in {:.3}s on {} ({:.1} layouts/s, {:.1} components/s)",
             batch_size,
             session.task_count(),
@@ -1158,17 +1193,18 @@ fn main() -> ExitCode {
             executor.name(),
             batch_size as f64 / batch_wall.as_secs_f64().max(1e-12),
             session.task_count() as f64 / batch_wall.as_secs_f64().max(1e-12)
-        );
+        ));
     }
     if !options.json {
         if let Some(stats) = &memo_stats {
-            println!(
+            summary.line(format_args!(
                 "memo cache: {} entries, {} hits, {} misses, {} evictions ({} bytes)",
                 stats.entries, stats.hits, stats.misses, stats.evictions, stats.bytes
-            );
+            ));
         }
     }
 
+    write_errors.extend(summary.finish());
     // Write failures are reported *after* the JSON summary so machine
     // consumers always get their output; they still fail the process.
     for message in &write_errors {

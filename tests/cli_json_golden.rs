@@ -33,7 +33,7 @@
 
 use mpl_serve::Json;
 use std::path::Path;
-use std::process::Command;
+use std::process::{Command, Stdio};
 
 fn fixture(name: &str) -> String {
     Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -323,4 +323,30 @@ fn single_and_batch_schemas_stay_consistent_per_layout() {
         keys(&batch),
         vec!["batch".to_string(), "layouts".to_string()]
     );
+}
+
+#[test]
+fn a_closed_stdout_is_a_write_error_not_a_panic() {
+    // The read end of stdout closes before the binary writes anything, so
+    // its first summary line meets a broken pipe: the human summary must
+    // stop with one message and exit 1, as the JSON summary does.
+    for (format, message) in [
+        (None, "cannot write the summary: "),
+        (Some("--json"), "cannot write the JSON summary: "),
+    ] {
+        let mut child = Command::new(env!("CARGO_BIN_EXE_qpl-decompose"))
+            .args(["--layout", &fixture("fixtures/golden_a.txt")])
+            .args(["--algorithm", "linear"])
+            .args(format)
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("run qpl-decompose");
+        drop(child.stdout.take());
+        let output = child.wait_with_output().expect("wait for qpl-decompose");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(output.status.code(), Some(1), "{format:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{format:?}: {stderr}");
+        assert_eq!(stderr.matches(message).count(), 1, "{format:?}: {stderr}");
+    }
 }
