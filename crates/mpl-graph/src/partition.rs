@@ -114,7 +114,6 @@ pub fn threshold_components_with(
     common.clear();
     common.resize(n, 0);
     let mut epoch = 0;
-    let mut tries = 0;
     let mut groups: Vec<Vec<usize>> = Vec::new();
 
     while let Some((start, mut end)) = ranges.pop() {
@@ -158,7 +157,7 @@ pub fn threshold_components_with(
                 .neighbors(t)
                 .find(|&w| stamp[w] == certified)
                 .unwrap_or(s);
-            if certified_by_short_paths(flow, stamp, certified, common, &mut tries, t, threshold)
+            if certified_by_short_paths(flow, stamp, certified, common, t, threshold)
                 || flow.max_flow_capped(p, t, threshold) >= threshold
             {
                 stamp[t] = certified;
@@ -204,7 +203,7 @@ pub fn threshold_components_with(
 /// neighbours `q` of `t`, in adjacency order, is joined to `t` by `k`
 /// edge-disjoint paths of at most two edges — each parallel `q`–`t` edge
 /// and one path through each distinct common neighbour.  `q`'s neighbours
-/// are stamped with the try's number in `common`, then `t`'s are scanned
+/// are stamped `q + 1` in `common` (0 is no stamp), then `t`'s are scanned
 /// until the count reaches `k`.  The arcs read count as
 /// [`MaxFlow::arc_scans`].
 fn certified_by_short_paths(
@@ -212,7 +211,6 @@ fn certified_by_short_paths(
     stamp: &[usize],
     certified: usize,
     common: &mut [usize],
-    tries: &mut usize,
     t: usize,
     k: i64,
 ) -> bool {
@@ -223,9 +221,8 @@ fn certified_by_short_paths(
         .filter(|&q| stamp[q] == certified)
         .take(k as usize)
     {
-        *tries += 1;
         for w in flow.neighbors(q) {
-            common[w] = *tries;
+            common[w] = q + 1;
             scans += 1;
         }
         // A self-loop at `t` is no path.
@@ -235,7 +232,7 @@ fn certified_by_short_paths(
             scans += 1;
             if w == q {
                 paths += 1;
-            } else if common[w] == *tries {
+            } else if common[w] == q + 1 {
                 common[w] = 0;
                 paths += 1;
             }
