@@ -10,11 +10,12 @@
 //! of cases:
 //!
 //! * **Layout cases** — full plan + run passes on generated layouts
-//!   (a large standard-cell-row benchmark and untiled dense contact
-//!   lattices of sides 32 to 96), reporting best-of-3 graph-build, color
+//!   (a large standard-cell-row benchmark, untiled dense contact lattices
+//!   of sides 32 to 96, and 250 or 1000 fully overlapping contacts whose
+//!   conflict graph is a clique), reporting best-of-3 graph-build, color
 //!   and division wall seconds alongside the work counters accumulated by
 //!   the engines in the first run (branch-and-bound nodes, division
-//!   augmenting paths and max-flow arc scans, scratch allocation events).
+//!   augmenting paths and arc scans, scratch allocation events).
 //! * **Branch-and-bound cases** — standalone [`mpl_ilp`] instances (dense
 //!   cliques, overlapping cliques, dense random graphs) whose explored
 //!   node counts measure the pruning strength of the exact search
@@ -56,10 +57,10 @@
 //! Wall-clock numbers depend on the host, and any pool-speedup figure must
 //! be reported together with the host's `available_parallelism`; the
 //! counters are deterministic, which is why [`PerfReport::check_ceilings`]
-//! pins ceilings on counters only — for the lattices, arc scans per size
-//! and their near-linear growth; for the memo cases, the cold hit/miss
-//! counts, a warm run served entirely from the cache (so a warm hit rate
-//! of at least 90 %) and zero coloring diffs.
+//! pins ceilings on counters only — for the lattices and cliques, arc
+//! scans per size and their near-linear growth; for the memo cases, the
+//! cold hit/miss counts, a warm run served entirely from the cache (so a
+//! warm hit rate of at least 90 %) and zero coloring diffs.
 //!
 //! The report is schema `mpl-bench/perf-v8` ([`PerfReport::to_json`]);
 //! each case also prints its report object compactly on stderr as it
@@ -652,18 +653,32 @@ fn layout_cases() -> Vec<(Layout, Vec<ColorAlgorithm>, Duration)> {
             Duration::from_secs(2),
         ));
     }
+    // n contacts stacked on one spot: every pair conflicts, so the one
+    // component is the clique K_n, the densest input division can meet.
+    for (n, _) in CLIQUES {
+        let mut builder = Layout::builder(clique_name(n));
+        for _ in 0..n {
+            builder.add_contact(Nm(0), Nm(0), tech.min_width());
+        }
+        cases.push((
+            builder.build(),
+            vec![ColorAlgorithm::Linear],
+            Duration::from_secs(2),
+        ));
+    }
     cases
 }
 
 /// The untiled contact-lattice layout cases, smallest first: contacts per
 /// side, and the pinned division arc-scan ceiling — about 2× the measured
-/// 595k, 1.39M, 2.51M and 5.74M scans.
-const LATTICES: [(usize, u64); 4] = [
-    (32, 1_200_000),
-    (48, 2_800_000),
-    (64, 5_000_000),
-    (96, 11_500_000),
-];
+/// 50.2k, 98.7k, 162k and 330k scans (5.7 % to 8.4 % of the 595k to
+/// 5.74M that max-flow alone scanned before the local certificate).
+const LATTICES: [(usize, u64); 4] = [(32, 100_000), (48, 200_000), (64, 320_000), (96, 660_000)];
+
+/// The clique layout cases, smallest first: stacked contacts, and the
+/// pinned division arc-scan ceiling — about 2× the measured 63.0k and 1.00M
+/// scans (7.97M and 502.5M with max-flow alone).
+const CLIQUES: [(usize, u64); 2] = [(250, 126_000), (1000, 2_000_000)];
 
 /// The memo cases' pinned cold-run counters, `(name, cold_hits,
 /// cold_misses)`: a cold run colors the first component of each distinct
@@ -693,12 +708,20 @@ fn lattice_name(side: usize) -> String {
     format!("contact-array-{side}x{side}")
 }
 
-/// The pinned arc-scan ceiling of a lattice layout case.
-fn lattice_arc_scan_ceiling(name: &str) -> Option<u64> {
-    LATTICES
-        .iter()
-        .find(|&&(side, _)| name == lattice_name(side))
-        .map(|&(_, ceiling)| ceiling)
+/// The layout name of the clique case with `n` stacked contacts.
+fn clique_name(n: usize) -> String {
+    format!("clique-{n}")
+}
+
+/// The pinned arc-scan ceiling of a lattice or clique layout case.
+fn arc_scan_ceiling(name: &str) -> Option<u64> {
+    let lattices = LATTICES.map(|(side, ceiling)| (lattice_name(side), ceiling));
+    let cliques = CLIQUES.map(|(n, ceiling)| (clique_name(n), ceiling));
+    lattices
+        .into_iter()
+        .chain(cliques)
+        .find(|(case, _)| case == name)
+        .map(|(_, ceiling)| ceiling)
 }
 
 /// The GDS cases: `perf-large` written, read back and exported colored.
@@ -1294,10 +1317,10 @@ impl PerfReport {
                     case.name, case.algorithm, case.augmenting_paths, case.augmenting_path_bound
                 ));
             }
-            if let Some(ceiling) = lattice_arc_scan_ceiling(&case.name) {
+            if let Some(ceiling) = arc_scan_ceiling(&case.name) {
                 if case.arc_scans > ceiling {
                     violations.push(format!(
-                        "layout {} ({}): {} max-flow arc scans exceeds the ceiling {ceiling}",
+                        "layout {} ({}): {} division arc scans exceeds the ceiling {ceiling}",
                         case.name, case.algorithm, case.arc_scans
                     ));
                 }
@@ -1320,22 +1343,37 @@ impl PerfReport {
                 ));
             }
         }
-        // Near-linear division: arc scans per vertex may grow at most 1.5×
-        // from the smallest to the largest lattice (measured 1.07×).
-        let scans_per_vertex = |side: usize| {
-            let case = self
-                .layouts
-                .iter()
-                .find(|case| case.name == lattice_name(side))?;
-            Some(case.arc_scans as f64 / case.vertices.max(1) as f64)
-        };
-        let (small, large) = (LATTICES[0].0, LATTICES[LATTICES.len() - 1].0);
-        if let (Some(base), Some(top)) = (scans_per_vertex(small), scans_per_vertex(large)) {
-            if top > 1.5 * base {
-                violations.push(format!(
-                    "lattice division grows superlinearly: {top:.1} arc scans per vertex at \
-                     {large}×{large} exceeds 1.5× the {base:.1} at {small}×{small}"
-                ));
+        // Near-linear division: arc scans per vertex of a lattice (measured
+        // 0.73× from 32×32 to 96×96) and per conflict edge of a clique
+        // (measured 0.99× from K_250 to K_1000; 3.9× with max-flow alone)
+        // may grow at most 1.5× from the smallest case to the largest.
+        let per_vertex: fn(&LayoutPerfCase) -> usize = |case| case.vertices;
+        let per_edge: fn(&LayoutPerfCase) -> usize = |case| case.conflict_edges;
+        for (small, large, unit, size) in [
+            (
+                lattice_name(LATTICES[0].0),
+                lattice_name(LATTICES[LATTICES.len() - 1].0),
+                "vertex",
+                per_vertex,
+            ),
+            (
+                clique_name(CLIQUES[0].0),
+                clique_name(CLIQUES[CLIQUES.len() - 1].0),
+                "conflict edge",
+                per_edge,
+            ),
+        ] {
+            let scans_per_unit = |name: &str| {
+                let case = self.layouts.iter().find(|case| case.name == name)?;
+                Some(case.arc_scans as f64 / size(case).max(1) as f64)
+            };
+            if let (Some(base), Some(top)) = (scans_per_unit(&small), scans_per_unit(&large)) {
+                if top > 1.5 * base {
+                    violations.push(format!(
+                        "division grows superlinearly: {top:.1} arc scans per {unit} in \
+                         {large} exceeds 1.5× the {base:.1} in {small}"
+                    ));
+                }
             }
         }
         for case in &self.gds {
@@ -1583,48 +1621,66 @@ mod tests {
         assert_eq!(format!("{parsed:#}\n"), text);
     }
 
-    #[test]
-    fn lattice_ceilings_catch_oversized_and_superlinear_arc_scans() {
-        let lattice = |side: usize, arc_scans: u64| LayoutPerfCase {
-            name: lattice_name(side),
+    /// A Linear-engine layout case named `name` with `vertices` vertices,
+    /// `conflict_edges` edges and `arc_scans` division arc scans.
+    fn division_case(
+        name: String,
+        vertices: usize,
+        conflict_edges: usize,
+        arc_scans: u64,
+    ) -> LayoutPerfCase {
+        LayoutPerfCase {
+            name,
             algorithm: "Linear".to_string(),
             k: 4,
-            shapes: side * side,
-            vertices: side * side,
-            conflict_edges: 4 * side * side,
+            shapes: vertices,
+            vertices,
+            conflict_edges,
             components: 1,
-            conflicts: side / 2,
+            conflicts: 0,
             stitches: 0,
             plan_seconds: 0.01,
             color_seconds: 0.01,
             division_seconds: 0.01,
             bnb_nodes: 0,
-            augmenting_paths: 4 * (side * side) as u64 - 4,
-            augmenting_path_bound: 4 * (side * side) as u64,
+            augmenting_paths: 0,
+            augmenting_path_bound: 4 * vertices as u64,
             arc_scans,
             scratch_allocs: 5,
             hit_time_limit: false,
-        };
-        let measured = vec![
-            lattice(32, 594_645),
-            lattice(48, 1_386_984),
-            lattice(64, 2_509_016),
-            lattice(96, 5_741_597),
-        ];
-        let mut report = PerfReport {
+        }
+    }
+
+    fn layout_report(layouts: Vec<LayoutPerfCase>) -> PerfReport {
+        PerfReport {
             label: "test".to_string(),
-            layouts: measured.clone(),
+            layouts,
             gds: Vec::new(),
             memo: Vec::new(),
             kernel: Vec::new(),
             tile: Vec::new(),
             hier: Vec::new(),
             bnb: Vec::new(),
+        }
+    }
+
+    #[test]
+    fn lattice_ceilings_catch_oversized_and_superlinear_arc_scans() {
+        let lattice = |side: usize, arc_scans: u64| {
+            division_case(lattice_name(side), side * side, 4 * side * side, arc_scans)
         };
+        let measured = vec![
+            lattice(32, 50_222),
+            lattice(48, 98_716),
+            lattice(64, 161_548),
+            lattice(96, 330_216),
+        ];
+        let mut report = layout_report(measured.clone());
         assert!(report.check_ceilings().is_ok());
 
-        // Under the 96-side ceiling, but 1.6× the 32-side scans per vertex.
-        report.layouts[3].arc_scans = 8_600_000;
+        // Under the 32-side ceiling, but then the 96-side scans per vertex
+        // are 1.8× the 32-side ones.
+        report.layouts[0].arc_scans = 20_000;
         let violations = report
             .check_ceilings()
             .expect_err("superlinear growth fails");
@@ -1632,14 +1688,40 @@ mod tests {
         assert!(violations[0].contains("superlinearly"), "{violations:?}");
 
         report.layouts = measured;
-        report.layouts[1].arc_scans = 3_000_000;
+        report.layouts[1].arc_scans = 300_000;
         let violations = report.check_ceilings().expect_err("48-side ceiling fails");
         assert!(
             violations
                 .iter()
-                .any(|v| v.contains("exceeds the ceiling 2800000")),
+                .any(|v| v.contains("exceeds the ceiling 200000")),
             "{violations:?}"
         );
+    }
+
+    #[test]
+    fn clique_ceilings_catch_cubic_division() {
+        let clique =
+            |n: usize, arc_scans: u64| division_case(clique_name(n), n, n * (n - 1) / 2, arc_scans);
+        let report = layout_report(vec![clique(250, 62_997), clique(1000, 1_001_997)]);
+        assert!(report.check_ceilings().is_ok());
+
+        // Max-flow alone scanned 7.97M and 502.5M arcs, 256 and 1006 per
+        // conflict edge: both ceilings and the growth check fail.
+        let report = layout_report(vec![clique(250, 7_970_000), clique(1000, 502_500_000)]);
+        let violations = report.check_ceilings().expect_err("cubic division fails");
+        assert_eq!(violations.len(), 3, "{violations:?}");
+        assert!(
+            violations[2].contains("per conflict edge in clique-1000"),
+            "{violations:?}"
+        );
+
+        // Growth alone, under both ceilings.
+        let report = layout_report(vec![clique(250, 30_000), clique(1000, 1_001_997)]);
+        let violations = report
+            .check_ceilings()
+            .expect_err("superlinear growth fails");
+        assert_eq!(violations.len(), 1, "{violations:?}");
+        assert!(violations[0].contains("superlinearly"), "{violations:?}");
     }
 
     #[test]
