@@ -1175,11 +1175,11 @@ fn main() -> ExitCode {
                     (components as f64 / wall.max(1e-12)).into(),
                 ),
             ]);
-            let summary = Json::object(vec![
+            let document = Json::object(vec![
                 ("batch", batch),
                 ("layouts", Json::Array(layout_json)),
             ]);
-            print_json(&summary)
+            print_json(&document)
         };
         if let Err(error) = printed {
             write_errors.push(format!("cannot write the JSON summary: {error}"));
