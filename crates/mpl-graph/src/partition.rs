@@ -215,36 +215,29 @@ fn certified_by_short_paths(
     k: i64,
 ) -> bool {
     let mut scans = 0;
-    let mut found = false;
-    for q in flow
+    let found = flow
         .neighbors(t)
         .filter(|&q| stamp[q] == certified)
         .take(k as usize)
-    {
-        for w in flow.neighbors(q) {
-            common[w] = q + 1;
-            scans += 1;
-        }
-        // A self-loop at `t` is no path.
-        common[t] = 0;
-        let mut paths = 0;
-        for w in flow.neighbors(t) {
-            scans += 1;
-            if w == q {
-                paths += 1;
-            } else if common[w] == q + 1 {
-                common[w] = 0;
-                paths += 1;
+        .any(|q| {
+            for w in flow.neighbors(q) {
+                common[w] = q + 1;
+                scans += 1;
             }
-            if paths >= k {
-                found = true;
-                break;
-            }
-        }
-        if found {
-            break;
-        }
-    }
+            // A self-loop at `t` is no path.
+            common[t] = 0;
+            let mut paths = 0;
+            flow.neighbors(t).any(|w| {
+                scans += 1;
+                if w == q {
+                    paths += 1;
+                } else if common[w] == q + 1 {
+                    common[w] = 0;
+                    paths += 1;
+                }
+                paths >= k
+            })
+        });
     flow.count_arc_scans(scans);
     found
 }
