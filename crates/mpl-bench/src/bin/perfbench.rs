@@ -2,7 +2,7 @@
 //!
 //! Runs the suite of [`mpl_bench::perf`] on deterministic generated
 //! layouts (no input files); its module doc lists the cases.  The report
-//! is emitted as `BENCH_perf.json` (schema `mpl-bench/perf-v8`).
+//! is emitted as `BENCH_perf.json` (schema `mpl-bench/perf-v9`).
 //! Wall-clock numbers are informative only, while the work counters are
 //! deterministic and are what `--check` pins
 //! ([`mpl_bench::perf::PerfReport::check_ceilings`]); under `--check` the

@@ -22,7 +22,7 @@
 //!   schema `mpl-bench/serve-v2`).  Both reports' rows carry each layout's
 //!   record, [`mpl_serve::ResultPayload`].
 //! * `perfbench` — the hot-path microbenchmark ([`perf::run_perf_suite`],
-//!   schema `mpl-bench/perf-v8`): per-stage timings plus deterministic
+//!   schema `mpl-bench/perf-v9`): per-stage timings plus deterministic
 //!   work counters (branch-and-bound nodes, division augmenting paths vs
 //!   the `n · K` ceiling, scratch allocations) on generated layouts and
 //!   dense-clique instances; `--check` pins counter ceilings in CI.

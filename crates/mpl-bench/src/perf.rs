@@ -62,7 +62,7 @@
 //! cold hit/miss counts, a warm run served entirely from the cache (so a
 //! warm hit rate of at least 90 %) and zero coloring diffs.
 //!
-//! The report is schema `mpl-bench/perf-v8` ([`PerfReport::to_json`]);
+//! The report is schema `mpl-bench/perf-v9` ([`PerfReport::to_json`]);
 //! each case also prints its report object compactly on stderr as it
 //! finishes.
 
@@ -540,11 +540,16 @@ impl HierPerfCase {
     }
 }
 
-/// The full perf report (schema `mpl-bench/perf-v8`).
+/// The full perf report (schema `mpl-bench/perf-v9`).
 #[derive(Debug, Clone)]
 pub struct PerfReport {
     /// The label the run was taken under.
     pub label: String,
+    /// The host's `std::thread::available_parallelism` during the run:
+    /// planning a large layout (`plan_seconds`, and the memo cases'
+    /// `cold_seconds`) uses that many threads, and every pool speedup is
+    /// read against it.
+    pub available_parallelism: usize,
     /// Layout cases, in suite order.
     pub layouts: Vec<LayoutPerfCase>,
     /// GDSII round-trip cases, in suite order.
@@ -1236,6 +1241,7 @@ pub fn run_perf_suite(options: &PerfOptions) -> Result<PerfReport, String> {
 
     Ok(PerfReport {
         label: options.label.clone(),
+        available_parallelism: std::thread::available_parallelism().map_or(1, |n| n.get()),
         layouts,
         gds,
         memo,
@@ -1247,20 +1253,22 @@ pub fn run_perf_suite(options: &PerfOptions) -> Result<PerfReport, String> {
 }
 
 impl PerfReport {
-    /// The machine-readable report (schema `mpl-bench/perf-v8`; v2 added
+    /// The machine-readable report (schema `mpl-bench/perf-v9`; v2 added
     /// the `memo_cases` array to v1, v3 the `tile_cases` array, v4 the
     /// `hier_cases` array, v5 the `kernel_cases` array, v6 the per-layout
     /// `arc_scans` counter, v7 the `gds_cases` array, v8 the whole
     /// [`TileStats`], [`HierStats`] and [`LayoutCounters`] records in the
-    /// tile, hier and kernel cases).  `BENCH_perf.json` is its `{:#}`
+    /// tile, hier and kernel cases, v9 the header's
+    /// `available_parallelism`).  `BENCH_perf.json` is its `{:#}`
     /// document layout plus a trailing newline; each case is one line.
     pub fn to_json(&self) -> Json {
         fn cases<T>(cases: &[T], to_json: fn(&T) -> Json) -> Json {
             Json::Array(cases.iter().map(to_json).collect())
         }
         Json::object(vec![
-            ("schema", "mpl-bench/perf-v8".into()),
+            ("schema", "mpl-bench/perf-v9".into()),
             ("label", self.label.as_str().into()),
+            ("available_parallelism", self.available_parallelism.into()),
             ("layouts", cases(&self.layouts, LayoutPerfCase::to_json)),
             ("gds_cases", cases(&self.gds, GdsPerfCase::to_json)),
             ("memo_cases", cases(&self.memo, MemoPerfCase::to_json)),
@@ -1593,6 +1601,7 @@ mod tests {
     fn report_json_has_the_schema_header() {
         let report = PerfReport {
             label: "test".to_string(),
+            available_parallelism: 2,
             layouts: Vec::new(),
             gds: Vec::new(),
             memo: Vec::new(),
@@ -1602,7 +1611,8 @@ mod tests {
             bnb: Vec::new(),
         };
         let json = format!("{:#}", report.to_json());
-        assert!(json.contains("\"schema\": \"mpl-bench/perf-v8\""));
+        assert!(json.contains("\"schema\": \"mpl-bench/perf-v9\""));
+        assert!(json.contains("\"available_parallelism\": 2"));
         assert!(json.contains("\"gds_cases\""));
         assert!(json.contains("\"label\": \"test\""));
         assert!(json.contains("\"memo_cases\""));
@@ -1654,6 +1664,7 @@ mod tests {
     fn layout_report(layouts: Vec<LayoutPerfCase>) -> PerfReport {
         PerfReport {
             label: "test".to_string(),
+            available_parallelism: 2,
             layouts,
             gds: Vec::new(),
             memo: Vec::new(),
@@ -1746,6 +1757,7 @@ mod tests {
         };
         let mut report = PerfReport {
             label: "test".to_string(),
+            available_parallelism: 2,
             layouts: Vec::new(),
             gds: Vec::new(),
             memo: vec![case.clone()],
@@ -1824,6 +1836,7 @@ mod tests {
         };
         let mut report = PerfReport {
             label: "test".to_string(),
+            available_parallelism: 2,
             layouts: Vec::new(),
             gds: vec![pinned.clone()],
             memo: Vec::new(),
@@ -1872,6 +1885,7 @@ mod tests {
         };
         let mut report = PerfReport {
             label: "test".to_string(),
+            available_parallelism: 2,
             layouts: Vec::new(),
             gds: Vec::new(),
             memo: Vec::new(),
@@ -1960,6 +1974,7 @@ mod tests {
         };
         let mut report = PerfReport {
             label: "test".to_string(),
+            available_parallelism: 2,
             layouts: Vec::new(),
             gds: Vec::new(),
             memo: Vec::new(),
@@ -2035,6 +2050,7 @@ mod tests {
         };
         let mut report = PerfReport {
             label: "test".to_string(),
+            available_parallelism: 2,
             layouts: Vec::new(),
             gds: Vec::new(),
             memo: Vec::new(),

@@ -1,7 +1,7 @@
 //! Decomposition-graph construction (Definition 1 of the paper).
 
 use crate::stitch::{can_split, split_at_stitches, StitchConfig};
-use mpl_geometry::{GridIndex, Nm, Polygon, Rect};
+use mpl_geometry::{map_ranges, range_count, GridIndex, Nm, Polygon, QueryStamps, Rect};
 use mpl_graph::Csr;
 use mpl_layout::{Layout, ShapeId, Technology};
 use std::fmt;
@@ -62,18 +62,37 @@ impl DecompositionGraph {
     /// The minimum coloring distance and the color-friendly band are derived
     /// from `technology` (see [`Technology::coloring_distance`]); stitch
     /// candidates are generated according to `stitch`.
+    ///
+    /// Both passes over a large layout run on every available CPU
+    /// ([`mpl_geometry::range_count`]), each thread over a contiguous range
+    /// of shapes or segments; the graph is the same as one thread's.
     pub fn build(
         layout: &Layout,
         technology: &Technology,
         k: usize,
         stitch: &StitchConfig,
     ) -> Self {
+        Self::build_in(layout, technology, k, stitch, range_count)
+    }
+
+    /// [`DecompositionGraph::build`] with each pass over `n` items walked
+    /// in `ranges(n)` contiguous ranges, one thread each. Each range lists
+    /// its vertices and edges in walk order, and the ranges' lists are
+    /// concatenated in range order, so every range count gives the graph
+    /// one range gives.
+    fn build_in(
+        layout: &Layout,
+        technology: &Technology,
+        k: usize,
+        stitch: &StitchConfig,
+        ranges: impl Fn(usize) -> usize,
+    ) -> Self {
         let min_s = technology.coloring_distance(k);
         let friendly = technology.color_friendly_distance(k);
 
         // Spatial index over whole shapes, for stitch-candidate shadowing.
         // Without stitches no shape is ever split, so nothing queries it.
-        let mut shape_index = stitch.enabled.then(|| {
+        let shape_index = stitch.enabled.then(|| {
             GridIndex::new(
                 friendly.max(Nm(1)),
                 layout.iter().flat_map(|shape| {
@@ -85,63 +104,111 @@ impl DecompositionGraph {
 
         // Pass 1: split every shape that can be split at its legal stitch
         // positions; every other shape keeps its rectangles as they are.
-        // Each segment is one vertex and one rectangle.
-        let mut shape_of: Vec<ShapeId> = Vec::new();
-        let mut rects: Vec<Rect> = Vec::new();
-        let mut stitch_edges: Vec<(usize, usize)> = Vec::new();
-        let mut neighbor_polys: Vec<&Polygon> = Vec::new();
-        for shape in layout.iter() {
-            let polygon = shape.polygon();
-            let split;
-            let segments = match shape_index.as_mut() {
-                // A shape that can be split is one rectangle, so a shape
-                // with a rectangle closer than `min_s` to it is itself closer.
-                Some(index) if can_split(polygon, stitch) => {
-                    neighbor_polys.clear();
-                    let id = shape.id().index();
-                    index.for_each_within(
-                        &polygon.rects()[0],
-                        min_s,
-                        |other| other != id,
-                        |other, _| neighbor_polys.push(layout.shape(ShapeId(other)).polygon()),
-                    );
-                    split = split_at_stitches(polygon, &neighbor_polys, min_s, stitch);
-                    split.as_slice()
+        // Each segment is one vertex and one rectangle. A range numbers its
+        // vertices from 0; its stitch edges move up by the vertices of the
+        // ranges before it.
+        let shapes = layout.shapes();
+        let parts = map_ranges(
+            ranges(shapes.len()),
+            shapes.len(),
+            |_| 1,
+            |range| {
+                let mut stamps = QueryStamps::default();
+                let mut shape_of: Vec<ShapeId> = Vec::new();
+                let mut rects: Vec<Rect> = Vec::new();
+                let mut stitch_edges: Vec<(usize, usize)> = Vec::new();
+                let mut neighbor_polys: Vec<&Polygon> = Vec::new();
+                for shape in &shapes[range] {
+                    let polygon = shape.polygon();
+                    let split;
+                    let segments = match &shape_index {
+                        // A shape that can be split is one rectangle, so a
+                        // shape with a rectangle closer than `min_s` to it is
+                        // itself closer.
+                        Some(index) if can_split(polygon, stitch) => {
+                            neighbor_polys.clear();
+                            let id = shape.id().index();
+                            index.for_each_within(
+                                &mut stamps,
+                                &polygon.rects()[0],
+                                min_s,
+                                |other| other != id,
+                                |other, _| {
+                                    neighbor_polys.push(layout.shape(ShapeId(other)).polygon())
+                                },
+                            );
+                            split = split_at_stitches(polygon, &neighbor_polys, min_s, stitch);
+                            split.as_slice()
+                        }
+                        _ => polygon.rects(),
+                    };
+                    let first_vertex = rects.len();
+                    for (offset, rect) in segments.iter().enumerate() {
+                        shape_of.push(shape.id());
+                        rects.push(*rect);
+                        if offset > 0 {
+                            stitch_edges.push((first_vertex + offset - 1, first_vertex + offset));
+                        }
+                    }
                 }
-                _ => polygon.rects(),
-            };
+                (shape_of, rects, stitch_edges)
+            },
+        );
+        // Pass 2 needs only the segment index: the two are never held at
+        // once, which keeps the peak memory of a large build down.
+        drop(shape_index);
+        let mut parts = parts.into_iter();
+        let (mut shape_of, mut rects, mut stitch_edges) = parts.next().expect("one range at least");
+        for (part_shape_of, part_rects, part_stitch_edges) in parts {
             let first_vertex = rects.len();
-            for (offset, rect) in segments.iter().enumerate() {
-                shape_of.push(shape.id());
-                rects.push(*rect);
-                if offset > 0 {
-                    stitch_edges.push((first_vertex + offset - 1, first_vertex + offset));
-                }
-            }
+            stitch_edges.extend(
+                part_stitch_edges
+                    .into_iter()
+                    .map(|(u, v)| (first_vertex + u, first_vertex + v)),
+            );
+            shape_of.extend(part_shape_of);
+            rects.extend(part_rects);
         }
 
         // Pass 2: conflict edges and color-friendly pairs between segments of
         // different shapes. Each pair is met from its lower vertex only and
         // classified by the squared distance the walk measured.
-        let mut segment_index =
-            GridIndex::new(friendly.max(Nm(1)), rects.iter().copied().enumerate());
+        let segment_index = GridIndex::new(friendly.max(Nm(1)), rects.iter().copied().enumerate());
         let conflict_limit = min_s.squared();
-        let mut conflict_edges: Vec<(usize, usize)> = Vec::new();
-        let mut color_friendly_pairs: Vec<(usize, usize)> = Vec::new();
-        for (vertex, rect) in rects.iter().enumerate() {
-            let shape = shape_of[vertex];
-            segment_index.for_each_within(
-                rect,
-                friendly,
-                |other| other > vertex && shape_of[other] != shape,
-                |other, gap| {
-                    if gap < conflict_limit {
-                        conflict_edges.push((vertex, other));
-                    } else {
-                        color_friendly_pairs.push((vertex, other));
-                    }
-                },
-            );
+        let parts = map_ranges(
+            ranges(rects.len()),
+            rects.len(),
+            |_| 1,
+            |range| {
+                let mut stamps = QueryStamps::default();
+                let mut conflict_edges: Vec<(usize, usize)> = Vec::new();
+                let mut color_friendly_pairs: Vec<(usize, usize)> = Vec::new();
+                for vertex in range {
+                    let shape = shape_of[vertex];
+                    segment_index.for_each_within(
+                        &mut stamps,
+                        &rects[vertex],
+                        friendly,
+                        |other| other > vertex && shape_of[other] != shape,
+                        |other, gap| {
+                            if gap < conflict_limit {
+                                conflict_edges.push((vertex, other));
+                            } else {
+                                color_friendly_pairs.push((vertex, other));
+                            }
+                        },
+                    );
+                }
+                (conflict_edges, color_friendly_pairs)
+            },
+        );
+        drop(segment_index);
+        let mut parts = parts.into_iter();
+        let (mut conflict_edges, mut color_friendly_pairs) =
+            parts.next().expect("one range at least");
+        for (part_conflicts, part_friendly) in parts {
+            conflict_edges.extend(part_conflicts);
+            color_friendly_pairs.extend(part_friendly);
         }
         let polygons: Vec<Polygon> = rects.into_iter().map(Polygon::rect).collect();
 
@@ -548,35 +615,50 @@ mod tests {
         // Conflicts, stitch edges and friendly pairs seen: the layouts must
         // exercise every list the oracle compares.
         let mut seen = [0usize; 3];
-        for seed in 0..24 {
-            let layout = random_layout(seed, 40 + 5 * seed as usize);
+        // The chunked build at forced range counts too: seven ranges leave
+        // the small layouts (the last seeds' 0 to 5 shapes) empty ranges.
+        let layouts = (0..24)
+            .map(|seed| (seed, random_layout(seed, 40 + 5 * seed as usize)))
+            .chain(
+                (0..6).map(|shapes| (100 + shapes as u64, random_layout(shapes as u64, shapes))),
+            );
+        for (seed, layout) in layouts {
             for stitch in [StitchConfig::default(), StitchConfig::disabled(), many] {
                 for k in [3, 4, 5] {
-                    let graph = DecompositionGraph::build(&layout, &tech(), k, &stitch);
                     let (shape_of, polygons, conflicts, stitches, friendly) =
                         reference_build(&layout, &tech(), k, &stitch);
-                    let context = format!("seed {seed}, k {k}, {stitch:?}");
-                    let n = graph.vertex_count();
-                    assert_eq!(n, polygons.len(), "{context}");
-                    for vertex in 0..n {
+                    for ranges in [None, Some(1), Some(2), Some(3), Some(7)] {
+                        let graph = match ranges {
+                            None => DecompositionGraph::build(&layout, &tech(), k, &stitch),
+                            Some(ranges) => {
+                                DecompositionGraph::build_in(&layout, &tech(), k, &stitch, |_| {
+                                    ranges
+                                })
+                            }
+                        };
+                        let context = format!("seed {seed}, k {k}, {stitch:?}, {ranges:?} ranges");
+                        let n = graph.vertex_count();
+                        assert_eq!(n, polygons.len(), "{context}");
+                        for vertex in 0..n {
+                            assert_eq!(
+                                graph.shape_of(VertexId(vertex)),
+                                shape_of[vertex],
+                                "{context}"
+                            );
+                            assert_eq!(
+                                graph.polygon(VertexId(vertex)),
+                                &polygons[vertex],
+                                "{context}"
+                            );
+                        }
+                        assert_eq!(graph.conflict_edges(), conflicts.as_slice(), "{context}");
+                        assert_eq!(graph.stitch_edges(), stitches.as_slice(), "{context}");
                         assert_eq!(
-                            graph.shape_of(VertexId(vertex)),
-                            shape_of[vertex],
-                            "{context}"
-                        );
-                        assert_eq!(
-                            graph.polygon(VertexId(vertex)),
-                            &polygons[vertex],
+                            graph.color_friendly_pairs(),
+                            friendly.as_slice(),
                             "{context}"
                         );
                     }
-                    assert_eq!(graph.conflict_edges(), conflicts.as_slice(), "{context}");
-                    assert_eq!(graph.stitch_edges(), stitches.as_slice(), "{context}");
-                    assert_eq!(
-                        graph.color_friendly_pairs(),
-                        friendly.as_slice(),
-                        "{context}"
-                    );
                     seen[0] += conflicts.len();
                     seen[1] += stitches.len();
                     seen[2] += friendly.len();

@@ -102,11 +102,10 @@ impl ThreadPoolExecutor {
     /// (falling back to one thread when it cannot be determined).
     ///
     /// Note that the *available* parallelism is a property of the machine
-    /// (and its cgroup limits), not of the workload: on a single-CPU
-    /// container — like the dev container whose measurements are recorded
-    /// in `benchlogs/parallel_speedup.log` — this returns a one-thread
-    /// pool, which schedules exactly like [`SerialExecutor`].  Wall-clock
-    /// speedups must be measured on multi-core hardware.
+    /// (and its CPU affinity and cgroup limits), not of the workload: a
+    /// process pinned to one CPU (`taskset -c 0`) gets a one-thread pool,
+    /// which schedules exactly like [`SerialExecutor`].  Report any
+    /// wall-clock speedup together with this figure.
     pub fn available() -> Self {
         let threads = std::thread::available_parallelism()
             .map(|n| n.get())

@@ -12,6 +12,7 @@
 //! pure function of the signature.
 
 use crate::{ComponentProblem, ComponentTask, DecomposerConfig, DecompositionPlan, VertexId};
+use mpl_geometry::{map_ranges, range_count};
 use mpl_memo::{canonicalize, CanonicalComponent, ComponentView, MemoStats, Signature};
 
 // The cache snapshot's one key list, written by the CLI's `memo_cache`,
@@ -91,6 +92,37 @@ pub(crate) fn canonicalize_task(
     })
 }
 
+/// Canonicalizes every component task of `plan`, in task order: the memo
+/// prepass of a batch, and [`component_signatures`].
+///
+/// The tasks are walked in `ranges(total task vertices)` contiguous ranges
+/// of about equal vertex count, one thread each, and their components are
+/// concatenated in range order, so the list is the same at any range
+/// count.
+pub(crate) fn canonicalize_tasks(
+    plan: &DecompositionPlan,
+    fingerprint: &str,
+    ranges: impl Fn(usize) -> usize,
+) -> Vec<CanonicalComponent> {
+    let tasks = plan.tasks();
+    let vertices = |task: usize| tasks[task].problem().vertex_count();
+    let parts = map_ranges(
+        ranges((0..tasks.len()).map(vertices).sum()),
+        tasks.len(),
+        vertices,
+        |range| {
+            tasks[range]
+                .iter()
+                .map(|task| canonicalize_task(plan, task, fingerprint))
+                .collect::<Vec<_>>()
+        },
+    );
+    let mut parts = parts.into_iter();
+    let mut canonical = parts.next().expect("one range at least");
+    parts.for_each(|part| canonical.extend(part));
+    canonical
+}
+
 /// Builds the canonical [`ComponentProblem`] a cache miss colors: the same
 /// component as the live task, relabeled into canonical vertex order.
 pub(crate) fn canonical_problem(signature: &Signature) -> ComponentProblem {
@@ -109,16 +141,17 @@ pub(crate) fn canonical_problem(signature: &Signature) -> ComponentProblem {
 }
 
 /// The canonical signature of every component task of `plan`, in task
-/// order — the keys an attached cache would be probed with.
+/// order — the keys an attached cache would be probed with, computed by
+/// the batch prepass's own walk (on every available CPU for a large plan).
 ///
 /// Exposed for tests and inspection: translated copies of a component
 /// produce equal signatures, so a layout shifted as a whole yields the
 /// same signature list.
 pub fn component_signatures(plan: &DecompositionPlan) -> Vec<Signature> {
     let fingerprint = config_fingerprint(plan.config());
-    plan.tasks()
-        .iter()
-        .map(|task| canonicalize_task(plan, task, &fingerprint).signature)
+    canonicalize_tasks(plan, &fingerprint, range_count)
+        .into_iter()
+        .map(|canonical| canonical.signature)
         .collect()
 }
 

@@ -16,11 +16,12 @@
 //! degenerate one-plan batch and shares this module's engine.
 
 use crate::assign::assigner_for;
-use crate::memo::{canonical_problem, canonicalize_task, config_fingerprint};
+use crate::memo::{canonical_problem, canonicalize_tasks, config_fingerprint};
 use crate::pipeline::{
     ComponentOutcome, ComponentStats, ComponentTask, DecompositionPlan, Progress,
 };
 use crate::{coloring_cost, DecomposeError, Decomposer, DecompositionResult, Executor, TileConfig};
+use mpl_geometry::range_count;
 use mpl_layout::{Layout, LayoutHierarchy};
 use mpl_memo::{CanonicalComponent, MemoCache, Signature};
 use std::collections::hash_map::Entry;
@@ -438,6 +439,7 @@ impl DecompositionSession {
 }
 
 /// How one component task of a memoized batch gets its colors.
+#[derive(Debug, PartialEq)]
 enum Disposition {
     /// The cache already held the signature: live colors stamped from the
     /// stored canonical coloring, ready at collection time.
@@ -481,10 +483,69 @@ fn skipped_stats(
     }
 }
 
+/// Each lead's signature keyed by its (slot, task), in that order.
+type LeadSignatures = Vec<((usize, usize), Signature)>;
+
 /// A lead component's canonical coloring plus its `(cancelled,
 /// deadline_exceeded, skipped)` flags — what an in-batch follower inherits
 /// when it stamps from that lead.
 type LeadColoring = (Arc<Vec<u8>>, (bool, bool, bool));
+
+/// The memo prepass of a batch: every task's disposition, per entry and in
+/// task order, and each lead's signature keyed by its (slot, task), in that
+/// order.
+///
+/// Each plan's tasks are canonicalized in `ranges(task vertices)`
+/// contiguous ranges ([`canonicalize_tasks`]); the cache is then probed and
+/// the leads chosen
+/// in the fixed (slot, task) order, so lead/follow choices — and therefore
+/// the whole run — depend neither on the range count nor on the executor's
+/// schedule. The prepass only canonicalizes: each lead's canonical problem
+/// is built by the worker that colors it and freed after the engine
+/// returns, so a batch never holds them all at once.
+fn memo_prepass(
+    entries: &[(LayoutId, &DecompositionPlan)],
+    cache: &MemoCache,
+    ranges: fn(usize) -> usize,
+) -> (Vec<Vec<Disposition>>, LeadSignatures) {
+    let mut leads: HashMap<Signature, (usize, usize)> = HashMap::new();
+    let dispositions = entries
+        .iter()
+        .enumerate()
+        .map(|(slot, &(_, plan))| {
+            let fingerprint = config_fingerprint(plan.config());
+            canonicalize_tasks(plan, &fingerprint, ranges)
+                .into_iter()
+                .zip(plan.tasks())
+                .map(|(CanonicalComponent { signature, perm }, task)| {
+                    if let Some(stored) = cache.lookup(&signature) {
+                        return Disposition::Hit {
+                            colors: mpl_memo::stamp(&stored, &perm),
+                        };
+                    }
+                    match leads.entry(signature) {
+                        Entry::Occupied(lead) => Disposition::Follow {
+                            leader: *lead.get(),
+                            perm,
+                        },
+                        Entry::Vacant(lead) => {
+                            lead.insert((slot, task.index()));
+                            Disposition::Lead { perm }
+                        }
+                    }
+                })
+                .collect()
+        })
+        .collect();
+    // A worker finds its lead's signature here by binary search, and the
+    // collection step moves each into the cache, so none is cloned.
+    let mut lead_signatures: LeadSignatures = leads
+        .into_iter()
+        .map(|(signature, lead)| (lead, signature))
+        .collect();
+    lead_signatures.sort_unstable_by_key(|&(lead, _)| lead);
+    (dispositions, lead_signatures)
+}
 
 /// The shared batch engine behind [`DecompositionSession::run_observed`]
 /// and [`DecompositionPlan::execute`] (a one-entry batch).
@@ -492,12 +553,27 @@ type LeadColoring = (Arc<Vec<u8>>, (bool, bool, bool));
 /// Builds the largest-first global queue of tagged tasks, drains it through
 /// `executor`, and assembles one [`DecompositionResult`] per entry, in
 /// entry order.  Each entry's `LayoutId` must be unique within the batch.
+/// A large plan's memo prepass runs on every available CPU
+/// ([`range_count`]).
 pub(crate) fn execute_batch(
     entries: &[(LayoutId, &DecompositionPlan)],
     executor: &dyn Executor,
     progress: &dyn Progress,
     memo: Option<&MemoCache>,
     cancels: Option<&HashMap<usize, crate::CancelToken>>,
+) -> Vec<(LayoutId, DecompositionResult)> {
+    execute_batch_in(entries, executor, progress, memo, cancels, range_count)
+}
+
+/// [`execute_batch`] with a plan of `n` task vertices canonicalized in
+/// `ranges(n)` contiguous ranges.
+fn execute_batch_in(
+    entries: &[(LayoutId, &DecompositionPlan)],
+    executor: &dyn Executor,
+    progress: &dyn Progress,
+    memo: Option<&MemoCache>,
+    cancels: Option<&HashMap<usize, crate::CancelToken>>,
+    ranges: fn(usize) -> usize,
 ) -> Vec<(LayoutId, DecompositionResult)> {
     let batch_start = Instant::now();
     let mut slots: HashMap<LayoutId, usize> = HashMap::with_capacity(entries.len());
@@ -507,51 +583,12 @@ pub(crate) fn execute_batch(
     }
 
     // Memo prepass: canonicalize every task and consult the cache *before*
-    // anything is enqueued.  The (slot, task) iteration order is fixed, so
-    // lead/follow choices — and therefore the whole run — do not depend on
-    // the executor's schedule.  The prepass only canonicalizes: each lead's
-    // canonical problem is built by the worker that colors it and freed
-    // after the engine returns, so a batch never holds them all at once.
-    let mut leads: HashMap<Signature, (usize, usize)> = HashMap::new();
-    let mut dispositions: Option<Vec<Vec<Disposition>>> = memo.map(|cache| {
-        entries
-            .iter()
-            .enumerate()
-            .map(|(slot, &(_, plan))| {
-                let fingerprint = config_fingerprint(plan.config());
-                plan.tasks()
-                    .iter()
-                    .map(|task| {
-                        let CanonicalComponent { signature, perm } =
-                            canonicalize_task(plan, task, &fingerprint);
-                        if let Some(stored) = cache.lookup(&signature) {
-                            return Disposition::Hit {
-                                colors: mpl_memo::stamp(&stored, &perm),
-                            };
-                        }
-                        match leads.entry(signature) {
-                            Entry::Occupied(lead) => Disposition::Follow {
-                                leader: *lead.get(),
-                                perm,
-                            },
-                            Entry::Vacant(lead) => {
-                                lead.insert((slot, task.index()));
-                                Disposition::Lead { perm }
-                            }
-                        }
-                    })
-                    .collect()
-            })
-            .collect()
-    });
-    // Each lead's signature keyed by its (slot, task), in that order: a
-    // worker finds its lead's signature here by binary search, and the
-    // collection step moves each into the cache, so none is cloned.
-    let mut lead_signatures: Vec<((usize, usize), Signature)> = leads
-        .into_iter()
-        .map(|(signature, lead)| (lead, signature))
-        .collect();
-    lead_signatures.sort_unstable_by_key(|&(lead, _)| lead);
+    // anything is enqueued.
+    let (mut dispositions, lead_signatures) =
+        match memo.map(|cache| memo_prepass(entries, cache, ranges)) {
+            Some((dispositions, lead_signatures)) => (Some(dispositions), lead_signatures),
+            None => (None, Vec::new()),
+        };
 
     // The shared global queue: every task of every plan, largest first.
     // Ties keep (submission, task) order so the schedule is deterministic;
@@ -1357,6 +1394,68 @@ mod tests {
 
         // Stamped components still tick.
         progress.assert_in_order(&session);
+    }
+
+    #[test]
+    fn prepass_ranges_leave_dispositions_and_results_unchanged() {
+        // Layout 0 is a row layout plus a translated copy listed after it,
+        // so at three ranges the copy's tasks follow leads in an earlier
+        // range; layout 1 repeats the row layout once more.
+        let decomposer = decomposer(ColorAlgorithm::Linear);
+        let base = row_layout("base", 5);
+        let mut builder = Layout::builder("doubled");
+        for shape in base.shapes() {
+            builder.add_polygon(shape.polygon().clone());
+        }
+        for shape in base.shapes() {
+            let moved = shape
+                .polygon()
+                .translated(mpl_geometry::Nm(1_000_000), mpl_geometry::Nm(0));
+            builder.add_polygon(moved);
+        }
+        let doubled = builder.build();
+        let mut session = DecompositionSession::new();
+        for layout in [&doubled, &base] {
+            session
+                .submit_layout(&decomposer, layout)
+                .expect("valid config");
+        }
+        let entries: Vec<(LayoutId, &DecompositionPlan)> = session.plans().collect();
+        let tasks = entries[0].1.tasks().len();
+        assert!(tasks >= 6, "{tasks} tasks");
+        // Cold then warm, on a fresh cache: the prepass, then the run.
+        let run = |ranges: fn(usize) -> usize| {
+            let cache = MemoCache::new(4096);
+            let mut runs = Vec::new();
+            for _ in 0..2 {
+                let prepass = memo_prepass(&entries, &cache, ranges);
+                let results: Vec<_> =
+                    execute_batch_in(&entries, &SerialExecutor, &(), Some(&cache), None, ranges)
+                        .into_iter()
+                        .map(|(id, result)| {
+                            let counts = (result.memo_hits(), result.memo_misses());
+                            (id, result.colors().to_vec(), counts, result.conflicts())
+                        })
+                        .collect();
+                runs.push((prepass, results));
+            }
+            runs
+        };
+        let (one, three) = (run(|_| 1), run(|_| 3));
+        assert_eq!(one, three);
+        let (dispositions, _) = &one[0].0;
+        let followers_of_the_first_half = dispositions[0][tasks / 2..]
+            .iter()
+            .filter(|disposition| {
+                matches!(disposition, Disposition::Follow { leader: (0, lead), .. } if *lead < tasks / 3)
+            })
+            .count();
+        assert!(followers_of_the_first_half > 0);
+        // Cold, layout 1 follows layout 0 throughout; warm, all are hits.
+        let (cold, warm) = (&one[0].1, &one[1].1);
+        assert!(cold[0].2 .0 > Some(0));
+        assert_eq!(cold[1].2, (Some(entries[1].1.tasks().len()), Some(0)));
+        assert_eq!(warm[0].2, (Some(tasks), Some(0)));
     }
 
     #[test]

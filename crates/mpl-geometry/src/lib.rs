@@ -22,7 +22,13 @@
 //!   cells that hold entries, so white space costs nothing. Results come in
 //!   a fixed order (grid column, then row, then entry order), and the index
 //!   holds at most `4·n + 1024` cell slots for `n` entries, coarsening its
-//!   cells only when very long wires would need more.
+//!   cells only when very long wires would need more. Queries take
+//!   caller-owned [`QueryStamps`], so threads can walk one shared index.
+//! * [`map_ranges`] — splits a serial walk into contiguous ranges run on
+//!   scoped threads, outputs in range order; [`range_count`] gives a walk
+//!   one range per available CPU once it has [`MIN_RANGE_ITEMS`] items per
+//!   range, so graph build, the GDS touching merge and the memo prepass
+//!   plan large inputs on every CPU and small ones on the calling thread.
 //!
 //! # Example
 //!
@@ -43,6 +49,7 @@ mod coord;
 mod interval;
 mod point;
 mod polygon;
+mod ranges;
 mod rect;
 mod spatial;
 mod union;
@@ -51,6 +58,7 @@ pub use coord::Nm;
 pub use interval::Interval;
 pub use point::Point;
 pub use polygon::{EmptyPolygonError, Polygon};
+pub use ranges::{map_ranges, range_count, MIN_RANGE_ITEMS};
 pub use rect::Rect;
-pub use spatial::GridIndex;
+pub use spatial::{GridIndex, QueryStamps};
 pub use union::union_rects;

@@ -44,7 +44,15 @@ type Slot = (i64, i64, u32);
 /// the same ids in the order of the coarser grid. A column also stores its
 /// empty cells when they are no more than its occupied ones, so there are
 /// at most two cells per slot. Deduplication keeps one stamp per id up
-/// to the largest id, so ids should be dense indices.
+/// to the largest id ([`QueryStamps`]), so ids should be dense indices.
+///
+/// # Threads
+///
+/// [`GridIndex::for_each_within`] reads the index through `&self` and
+/// marks the ids it has reported in stamps the caller owns, so threads
+/// share one index and each walks it with its own [`QueryStamps`].
+/// [`GridIndex::query_within`] is the same walk with the index's own
+/// stamps and result buffer.
 ///
 /// # Example
 ///
@@ -78,10 +86,38 @@ pub struct GridIndex {
     /// Entry indices, grouped by cell, in entry order within a cell.
     slots: Vec<u32>,
     entries: Vec<(usize, Rect)>,
-    /// `stamps[id] == epoch` iff the current query has reported `id`.
-    stamps: Vec<u32>,
-    epoch: u32,
+    /// One more than the largest id.
+    ids: usize,
+    /// The stamps and result buffer of [`GridIndex::query_within`].
+    stamps: QueryStamps,
     result: Vec<usize>,
+}
+
+/// The ids one query of a [`GridIndex`] has reported, for one caller: a
+/// stamp per id, equal to the current query's epoch once the id is
+/// reported. Each thread that walks a shared index owns one.
+///
+/// Stamps start empty and grow to the index's largest id on first use, so
+/// one set serves any index; each query starts a new epoch, and the stamps
+/// are cleared when the epoch wraps.
+#[derive(Debug, Clone, Default)]
+pub struct QueryStamps {
+    marks: Vec<u32>,
+    epoch: u32,
+}
+
+impl QueryStamps {
+    /// Starts a query over ids below `ids`: nothing is reported yet.
+    fn start(&mut self, ids: usize) {
+        if self.marks.len() < ids {
+            self.marks.resize(ids, 0);
+        }
+        self.epoch = self.epoch.wrapping_add(1);
+        if self.epoch == 0 {
+            self.marks.fill(0);
+            self.epoch = 1;
+        }
+    }
 }
 
 impl GridIndex {
@@ -149,8 +185,8 @@ impl GridIndex {
             cell_slots: Vec::new(),
             slots: Vec::with_capacity(keyed.len()),
             entries,
-            stamps: vec![0; ids],
-            epoch: 0,
+            ids,
+            stamps: QueryStamps::default(),
             result: Vec::new(),
         };
         for column in keyed.chunk_by(|a, b| a.0 == b.0) {
@@ -184,19 +220,26 @@ impl GridIndex {
     /// is strictly less than `limit`, each once, in the documented result
     /// order: [`GridIndex::for_each_within`] with every id kept.
     ///
-    /// The result lives in a buffer the index reuses for every query, so
-    /// repeated queries allocate nothing once it has grown.
+    /// The result lives in a buffer the index reuses for every query, and
+    /// the walk marks ids in the index's own stamps, so repeated queries
+    /// allocate nothing once both have grown.
     pub fn query_within(&mut self, rect: &Rect, limit: Nm) -> &[usize] {
-        let mut result = std::mem::take(&mut self.result);
+        let (mut stamps, mut result) = (
+            std::mem::take(&mut self.stamps),
+            std::mem::take(&mut self.result),
+        );
         result.clear();
-        self.for_each_within(rect, limit, |_| true, |id, _| result.push(id));
-        self.result = result;
+        self.for_each_within(&mut stamps, rect, limit, |_| true, |id, _| result.push(id));
+        (self.stamps, self.result) = (stamps, result);
         &self.result
     }
 
     /// Calls `visit(id, squared distance)` for every id that `keep`
     /// accepts and that has a rectangle strictly closer than `limit` to
     /// `rect`, each id once, in the documented result order.
+    ///
+    /// `stamps` mark the ids this query has reported; they belong to the
+    /// caller, so threads that share the index each pass their own.
     ///
     /// `keep` is asked before any geometry, for every entry the walk meets
     /// until its id is reported, so it should be a cheap test of the id
@@ -207,17 +250,16 @@ impl GridIndex {
     /// id's first matching entry: for an id given with several rectangles
     /// that need not be the smallest over them.
     pub fn for_each_within(
-        &mut self,
+        &self,
+        stamps: &mut QueryStamps,
         rect: &Rect,
         limit: Nm,
         mut keep: impl FnMut(usize) -> bool,
         mut visit: impl FnMut(usize, i64),
     ) {
-        self.epoch = self.epoch.wrapping_add(1);
-        if self.epoch == 0 {
-            self.stamps.fill(0);
-            self.epoch = 1;
-        }
+        stamps.start(self.ids);
+        let QueryStamps { marks, epoch } = stamps;
+        let epoch = *epoch;
         let window = rect.expanded(limit);
         let bound = limit.squared();
         let (wx0, wy0, wx1, wy1) = cell_span(self.cell, &window);
@@ -237,12 +279,12 @@ impl GridIndex {
                 let (id, candidate) = self.entries[slot as usize];
                 // The window test keeps far entries of a coarse cell away
                 // from the squared distance, which could overflow for them.
-                if self.stamps[id] == self.epoch || !keep(id) || !window.intersects(&candidate) {
+                if marks[id] == epoch || !keep(id) || !window.intersects(&candidate) {
                     continue;
                 }
                 let distance = rect.distance_squared(&candidate);
                 if distance < bound {
-                    self.stamps[id] = self.epoch;
+                    marks[id] = epoch;
                     visit(id, distance);
                 }
             }
@@ -387,11 +429,60 @@ mod tests {
         let (near_0, near_1) = (r(0, 0, 70, 10), r(1000, 0, 1010, 10));
         // Epoch 1 stamps id 1, and epoch 1 comes round again after the wrap.
         assert_eq!(index.query_within(&near_1, Nm(1)), [1]);
-        index.epoch = u32::MAX - 1;
+        index.stamps.epoch = u32::MAX - 1;
         assert_eq!(index.query_within(&near_0, Nm(1)), [0]);
         assert_eq!(index.query_within(&near_1, Nm(1)), [1]);
         assert_eq!(index.query_within(&near_0, Nm(1)), [0]);
-        assert_eq!(index.epoch, 2);
+        assert_eq!(index.stamps.epoch, 2);
+    }
+
+    #[test]
+    fn two_stamp_sets_walk_one_index_alternately_across_the_wrap() {
+        // Ids 0, 1 and 2 each have two rectangles, so every query must
+        // deduplicate; one stamp set is a query behind the other.
+        let mut rects = Vec::new();
+        for i in 0..12 {
+            for j in 0..9 {
+                rects.push(r(i * 55, j * 85, i * 55 + 20, j * 85 + 30));
+            }
+        }
+        let entries: Vec<(usize, Rect)> = rects
+            .iter()
+            .enumerate()
+            .map(|(at, rect)| (at % 40, *rect))
+            .collect();
+        let mut index = GridIndex::new(Nm(70), entries.iter().copied());
+        let queries: Vec<(Rect, Nm)> = rects
+            .iter()
+            .step_by(7)
+            .zip([Nm(1), Nm(40), Nm(90), Nm(200)].into_iter().cycle())
+            .map(|(rect, limit)| (*rect, limit))
+            .collect();
+        let expected: Vec<Vec<usize>> = queries
+            .iter()
+            .map(|(rect, limit)| index.query_within(rect, *limit).to_vec())
+            .collect();
+        assert!(expected.iter().any(|ids| ids.len() > 1));
+        let walk = |stamps: &mut QueryStamps, (rect, limit): &(Rect, Nm)| {
+            let mut ids = Vec::new();
+            index.for_each_within(stamps, rect, *limit, |_| true, |id, _| ids.push(id));
+            ids
+        };
+        let (mut a, mut b) = (QueryStamps::default(), QueryStamps::default());
+        for start in [0, u32::MAX - 5] {
+            a.epoch = start;
+            b.epoch = start.wrapping_add(3);
+            for (at, query) in queries.iter().enumerate() {
+                let ahead = (at + 1) % queries.len();
+                assert_eq!(walk(&mut a, query), expected[at], "query {at}");
+                assert_eq!(
+                    walk(&mut b, &queries[ahead]),
+                    expected[ahead],
+                    "query {ahead}"
+                );
+            }
+        }
+        assert!(a.epoch < 50 && b.epoch < 50, "{} {}", a.epoch, b.epoch);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Property-based tests for the geometry substrate.
 
-use mpl_geometry::{GridIndex, Interval, Nm, Point, Polygon, Rect};
+use mpl_geometry::{GridIndex, Interval, Nm, Point, Polygon, QueryStamps, Rect};
 use proptest::prelude::*;
 
 fn arb_rect() -> impl Strategy<Value = Rect> {
@@ -286,7 +286,8 @@ proptest! {
         // order, each with its first matching entry's squared distance.
         let keep = |id: usize| mask >> id & 1 == 1;
         let mut walked = Vec::new();
-        index.for_each_within(&query, limit, keep, |id, distance| walked.push((id, distance)));
+        let mut stamps = QueryStamps::default();
+        index.for_each_within(&mut stamps, &query, limit, keep, |id, distance| walked.push((id, distance)));
         prop_assert_eq!(walked, reference_scan(cell, &entries, &query, limit, keep));
     }
 }

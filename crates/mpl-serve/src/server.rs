@@ -107,7 +107,9 @@ pub struct ServerConfig {
     /// Address to bind (`"127.0.0.1:0"` picks an ephemeral port).
     pub addr: String,
     /// Worker threads of the persistent pool executor (≥ 1; serial-choice
-    /// submissions use the serial executor regardless).
+    /// submissions use the serial executor regardless).  They color
+    /// components; planning a large submission runs on every available
+    /// CPU ([`mpl_geometry::range_count`]) whatever this says.
     pub pool_threads: usize,
     /// Maximum accepted frame length in bytes.
     pub max_frame_len: usize,

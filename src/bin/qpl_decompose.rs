@@ -9,7 +9,11 @@
 //! All inputs are decomposed as **one batch** through a
 //! [`DecompositionSession`]: every layout's independent components enter a
 //! single largest-first queue, so `--threads N` keeps one shared pool busy
-//! across layouts instead of parallelising each layout alone.  `--progress`
+//! across layouts instead of parallelising each layout alone.  `--threads`
+//! sizes that coloring pool only: planning a large input (its GDS touching
+//! merge, graph build and memo prepass) runs on every available CPU
+//! ([`mpl_geometry::range_count`]), and a small one on the calling thread.
+//! `--progress`
 //! streams per-layout progress lines to stderr, and `--json` replaces the
 //! human-readable summary with a machine-readable one.  Invalid
 //! configurations are reported as typed errors, not panics.
