@@ -497,16 +497,15 @@ type LeadColoring = (Arc<Vec<u8>>, (bool, bool, bool));
 ///
 /// Each plan's tasks are canonicalized in `ranges(task vertices)`
 /// contiguous ranges ([`canonicalize_tasks`]); the cache is then probed and
-/// the leads chosen
-/// in the fixed (slot, task) order, so lead/follow choices — and therefore
-/// the whole run — depend neither on the range count nor on the executor's
-/// schedule. The prepass only canonicalizes: each lead's canonical problem
-/// is built by the worker that colors it and freed after the engine
-/// returns, so a batch never holds them all at once.
+/// the leads chosen in the fixed (slot, task) order, so lead/follow
+/// choices — and therefore the whole run — depend neither on the range
+/// count nor on the executor's schedule. The prepass only canonicalizes:
+/// each lead's canonical problem is built by the worker that colors it and
+/// freed after the engine returns, so a batch never holds them all at once.
 fn memo_prepass(
     entries: &[(LayoutId, &DecompositionPlan)],
     cache: &MemoCache,
-    ranges: fn(usize) -> usize,
+    ranges: impl Fn(usize) -> usize,
 ) -> (Vec<Vec<Disposition>>, LeadSignatures) {
     let mut leads: HashMap<Signature, (usize, usize)> = HashMap::new();
     let dispositions = entries
@@ -514,7 +513,7 @@ fn memo_prepass(
         .enumerate()
         .map(|(slot, &(_, plan))| {
             let fingerprint = config_fingerprint(plan.config());
-            canonicalize_tasks(plan, &fingerprint, ranges)
+            canonicalize_tasks(plan, &fingerprint, &ranges)
                 .into_iter()
                 .zip(plan.tasks())
                 .map(|(CanonicalComponent { signature, perm }, task)| {
@@ -573,7 +572,7 @@ fn execute_batch_in(
     progress: &dyn Progress,
     memo: Option<&MemoCache>,
     cancels: Option<&HashMap<usize, crate::CancelToken>>,
-    ranges: fn(usize) -> usize,
+    ranges: impl Fn(usize) -> usize,
 ) -> Vec<(LayoutId, DecompositionResult)> {
     let batch_start = Instant::now();
     let mut slots: HashMap<LayoutId, usize> = HashMap::with_capacity(entries.len());

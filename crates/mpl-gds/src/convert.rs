@@ -15,7 +15,7 @@
 use crate::flatten::flatten_from;
 use crate::model::{GdsElement, GdsLibrary, GdsStruct};
 use crate::GdsError;
-use mpl_geometry::{map_ranges, range_count, GridIndex, Nm, Polygon, QueryStamps, Rect};
+use mpl_geometry::{GridIndex, Nm, Polygon, QueryStamps, Rect};
 use mpl_layout::{CellInstance, Layout, LayoutHierarchy};
 
 /// Selection of GDS `layer:datatype` pairs to import.
@@ -239,41 +239,6 @@ impl RectLists {
 /// overlaps, directly or through others (union-find; a merged set keeps
 /// its smaller root).
 fn touching_roots(lists: &RectLists) -> Vec<usize> {
-    touching_roots_in(lists, range_count(lists.len()))
-}
-
-/// [`touching_roots`] with the lists walked in `ranges` contiguous ranges,
-/// one thread each. The roots are the sets' minima, so unioning the pairs
-/// every range collects, in any order, gives the same roots.
-fn touching_roots_in(lists: &RectLists, ranges: usize) -> Vec<usize> {
-    // Spatial index over component rectangles keeps this near-linear. A
-    // rectangle closer than 1 nm touches, and each touching pair is met
-    // from its lower list.
-    let index = GridIndex::new(
-        Nm(256),
-        (0..lists.len()).flat_map(|list| lists.get(list).iter().map(move |rect| (list, *rect))),
-    );
-    let pairs = map_ranges(
-        ranges,
-        lists.len(),
-        |_| 1,
-        |range| {
-            let (mut stamps, mut pairs) = (QueryStamps::default(), Vec::new());
-            for list in range {
-                for rect in lists.get(list) {
-                    index.for_each_within(
-                        &mut stamps,
-                        rect,
-                        Nm(1),
-                        |other| other > list,
-                        |other, _| pairs.push((list, other)),
-                    );
-                }
-            }
-            pairs
-        },
-    );
-
     let mut parent: Vec<usize> = (0..lists.len()).collect();
     fn find(parent: &mut [usize], mut i: usize) -> usize {
         while parent[i] != i {
@@ -282,11 +247,30 @@ fn touching_roots_in(lists: &RectLists, ranges: usize) -> Vec<usize> {
         }
         i
     }
-    for &(list, other) in pairs.iter().flatten() {
-        let (ra, rb) = (find(&mut parent, list), find(&mut parent, other));
-        if ra != rb {
-            let (lo, hi) = (ra.min(rb), ra.max(rb));
-            parent[hi] = lo;
+
+    // Spatial index over component rectangles keeps this near-linear. A
+    // rectangle closer than 1 nm touches, and each touching pair is met
+    // from its lower list.
+    let index = GridIndex::new(
+        Nm(256),
+        (0..lists.len()).flat_map(|list| lists.get(list).iter().map(move |rect| (list, *rect))),
+    );
+    let mut stamps = QueryStamps::default();
+    for list in 0..lists.len() {
+        for rect in lists.get(list) {
+            index.for_each_within(
+                &mut stamps,
+                rect,
+                Nm(1),
+                |other| other > list,
+                |other, _| {
+                    let (ra, rb) = (find(&mut parent, list), find(&mut parent, other));
+                    if ra != rb {
+                        let (lo, hi) = (ra.min(rb), ra.max(rb));
+                        parent[hi] = lo;
+                    }
+                },
+            );
         }
     }
     (0..lists.len())
@@ -594,42 +578,6 @@ mod tests {
                 limit: MAX_EXPANDED + levels + 1
             })
         );
-    }
-
-    #[test]
-    fn touching_polygons_merge_alike_across_range_boundaries() {
-        // Four chains of touching multi-rectangle polygons, interleaved in
-        // list order so every chain straddles the range boundaries: chain
-        // c's polygon i is list 4·i + c, an L of two rectangles whose foot
-        // touches polygon i + 1 of the same chain. Lists 32 and 33 stand
-        // alone, and list 34 overlaps chain 3's last polygon.
-        let mut lists = RectLists::default();
-        for i in 0..8i64 {
-            for chain in 0..4i64 {
-                let (x, y) = (100 * i, 1000 * chain);
-                lists.rects.push(r(x, y, x + 100, y + 20));
-                lists.rects.push(r(x, y, x + 20, y + 60));
-                lists.ends.push(lists.rects.len());
-            }
-        }
-        for rect in [
-            r(0, 5000, 20, 5020),
-            r(0, 6000, 20, 6020),
-            r(710, 3000, 730, 3020),
-        ] {
-            lists.rects.push(rect);
-            lists.ends.push(lists.rects.len());
-        }
-        let mut expected: Vec<usize> = (0..32).map(|list| list % 4).collect();
-        expected.extend([32, 33, 3]);
-        for ranges in [1, 2, 3, 7, 40] {
-            assert_eq!(
-                touching_roots_in(&lists, ranges),
-                expected,
-                "{ranges} ranges"
-            );
-        }
-        assert_eq!(touching_roots(&lists), expected);
     }
 
     #[test]

@@ -27,8 +27,8 @@
 //! * [`map_ranges`] — splits a serial walk into contiguous ranges run on
 //!   scoped threads, outputs in range order; [`range_count`] gives a walk
 //!   one range per available CPU once it has [`MIN_RANGE_ITEMS`] items per
-//!   range, so graph build, the GDS touching merge and the memo prepass
-//!   plan large inputs on every CPU and small ones on the calling thread.
+//!   range, so graph build and the memo prepass plan large inputs on
+//!   every CPU and small ones on the calling thread.
 //!
 //! # Example
 //!

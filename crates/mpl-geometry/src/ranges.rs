@@ -7,6 +7,7 @@
 //! pay for a thread is one range, run on the calling thread.
 
 use std::ops::Range;
+use std::thread::Builder;
 
 /// The fewest items a range is given. On a 2-vCPU host a scoped thread
 /// took 27–33 µs to spawn and join, and asking the host for its
@@ -39,7 +40,8 @@ pub fn range_count(items: usize) -> usize {
 /// `weight` and returns `work`'s output for each range, in range order.
 ///
 /// The first range runs on the calling thread and every other on a scoped
-/// thread of its own; a `count` of one or less runs `work(0..len)` on the
+/// thread of its own, or on the calling thread too when the host refuses
+/// that thread; a `count` of one or less runs `work(0..len)` on the
 /// calling thread alone and never asks for a weight. A range ends at the
 /// first item whose running weight reaches its share, so an item heavier
 /// than a share leaves the ranges after it empty; `work` is still called
@@ -64,25 +66,44 @@ pub fn map_ranges<T: Send>(
     weight: impl Fn(usize) -> usize,
     work: impl Fn(Range<usize>) -> T + Sync,
 ) -> Vec<T> {
+    map_ranges_on(Builder::new, count, len, weight, work)
+}
+
+/// [`map_ranges`] with the thread of each range after the first built by
+/// `builder`.
+fn map_ranges_on<T: Send>(
+    builder: impl Fn() -> Builder,
+    count: usize,
+    len: usize,
+    weight: impl Fn(usize) -> usize,
+    work: impl Fn(Range<usize>) -> T + Sync,
+) -> Vec<T> {
     if count <= 1 {
         return vec![work(0..len)];
     }
     let ranges = split(count, len, weight);
     let work = &work;
     std::thread::scope(|scope| {
-        let handles: Vec<_> = ranges[1..]
+        // A range whose thread the host refuses comes back as `Err(range)`
+        // and runs on this thread, after the first range.
+        let spawned: Vec<_> = ranges[1..]
             .iter()
             .map(|range| {
-                let range = range.clone();
-                scope.spawn(move || work(range))
+                let moved = range.clone();
+                builder()
+                    .spawn_scoped(scope, move || work(moved))
+                    .map_err(|_| range.clone())
             })
             .collect();
         let mut outputs = Vec::with_capacity(ranges.len());
         outputs.push(work(ranges[0].clone()));
-        outputs.extend(handles.into_iter().map(|handle| {
-            handle
-                .join()
-                .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+        outputs.extend(spawned.into_iter().map(|spawned| {
+            match spawned {
+                Ok(handle) => handle
+                    .join()
+                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic)),
+                Err(range) => work(range),
+            }
         }));
         outputs
     })
@@ -145,6 +166,35 @@ mod tests {
         let weights = [0, 0, 0];
         let ranges = map_ranges(2, weights.len(), |item| weights[item], |range| range);
         assert_eq!(ranges, [0..0, 0..3]);
+    }
+
+    #[test]
+    fn refused_threads_run_their_ranges_on_the_calling_thread() {
+        // No host maps a 2^60-byte stack, so every spawn is refused and
+        // no thread starts.
+        let here = std::thread::current().id();
+        let refused = || Builder::new().stack_size(1 << 60);
+        let outputs = map_ranges_on(
+            refused,
+            4,
+            12,
+            |_| 1,
+            |range| (range, std::thread::current().id()),
+        );
+        let ranges: Vec<Range<usize>> = outputs.iter().map(|(range, _)| range.clone()).collect();
+        assert_eq!(ranges, [0..3, 3..6, 6..9, 9..12]);
+        assert!(outputs.iter().all(|&(_, thread)| thread == here));
+        // Granted threads give the same ranges, each off the calling thread
+        // but the first.
+        let granted = map_ranges(4, 12, |_| 1, |range| (range, std::thread::current().id()));
+        assert_eq!(
+            granted
+                .iter()
+                .map(|(range, _)| range.clone())
+                .collect::<Vec<_>>(),
+            ranges
+        );
+        assert!(granted[1..].iter().all(|&(_, thread)| thread != here));
     }
 
     #[test]

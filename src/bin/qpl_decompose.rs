@@ -10,13 +10,12 @@
 //! [`DecompositionSession`]: every layout's independent components enter a
 //! single largest-first queue, so `--threads N` keeps one shared pool busy
 //! across layouts instead of parallelising each layout alone.  `--threads`
-//! sizes that coloring pool only: planning a large input (its GDS touching
-//! merge, graph build and memo prepass) runs on every available CPU
+//! sizes that coloring pool only: planning a large input (its graph build
+//! and memo prepass) runs on every available CPU
 //! ([`mpl_geometry::range_count`]), and a small one on the calling thread.
-//! `--progress`
-//! streams per-layout progress lines to stderr, and `--json` replaces the
-//! human-readable summary with a machine-readable one.  Invalid
-//! configurations are reported as typed errors, not panics.
+//! `--progress` streams per-layout progress lines to stderr, and `--json`
+//! replaces the human-readable summary with a machine-readable one.
+//! Invalid configurations are reported as typed errors, not panics.
 //!
 //! The CLI shares its request-to-run path with `qpl-serve` and
 //! `workload --batch`: each input file is read once and converted by
