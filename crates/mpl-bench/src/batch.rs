@@ -1,5 +1,5 @@
 //! Batch benchmarking: many layouts through one [`DecompositionSession`]
-//! on a shared executor, with machine-readable `BENCH_*.json` reports.
+//! on a shared thread pool, with machine-readable `BENCH_*.json` reports.
 //!
 //! The table harness measures one (circuit, algorithm) cell at a time; this
 //! module measures *fleets* of layouts the way a production decomposer is
@@ -15,8 +15,8 @@
 
 use crate::workload::TimedLayout;
 use mpl_core::{
-    ColorAlgorithm, ConfigError, DecomposeError, Decomposer, DecompositionSession, Executor, Json,
-    JsonRecord, MemoCache, MemoStats, TileConfig,
+    ColorAlgorithm, ConfigError, DecomposeError, Decomposer, DecompositionSession, Json,
+    JsonRecord, MemoCache, MemoStats, ThreadPoolExecutor, TileConfig,
 };
 use mpl_serve::{run_layouts, ResultPayload};
 use std::sync::Arc;
@@ -47,7 +47,7 @@ pub struct BatchBenchReport {
     pub k: usize,
     /// The color-assignment engine used for every layout.
     pub algorithm: String,
-    /// The executor that drained the batch (e.g. `threads:2`).
+    /// The pool that drained the batch (`serial` or e.g. `threads:2`).
     pub executor: String,
     /// Wall-clock seconds spent draining the whole batch.
     pub batch_wall_seconds: f64,
@@ -157,7 +157,7 @@ impl BatchBenchReport {
     }
 }
 
-/// Runs `layouts` as one batch through `executor` and measures everything.
+/// Runs `layouts` as one batch on `pool` and measures everything.
 ///
 /// With `memo`, the session stamps translation-identical components from
 /// the given cache instead of re-coloring them; pass a pre-warmed cache to
@@ -187,7 +187,7 @@ pub fn run_batch_bench(
     layouts: &[TimedLayout],
     k: usize,
     algorithm: ColorAlgorithm,
-    executor: &dyn Executor,
+    pool: &ThreadPoolExecutor,
     memo: Option<Arc<MemoCache>>,
     tiling: Option<TileConfig>,
     hier: bool,
@@ -208,7 +208,7 @@ pub fn run_batch_bench(
         }
     }
     let batch_start = Instant::now();
-    let runs = run_layouts(&session, executor, hier, &()).map_err(DecomposeError::Config)?;
+    let runs = run_layouts(&session, pool, hier, &()).map_err(DecomposeError::Config)?;
     let batch_wall_seconds = batch_start.elapsed().as_secs_f64();
 
     let rows = runs
@@ -225,7 +225,7 @@ pub fn run_batch_bench(
     Ok(BatchBenchReport {
         k,
         algorithm: algorithm.name().to_string(),
-        executor: executor.name().to_string(),
+        executor: pool.name().to_string(),
         batch_wall_seconds,
         memo: memo.map(|cache| cache.stats()),
         tiling,
@@ -237,7 +237,6 @@ pub fn run_batch_bench(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mpl_core::SerialExecutor;
     use mpl_layout::{gen, io, Technology};
 
     fn timed(name: &str, seed: u64) -> TimedLayout {
@@ -259,7 +258,7 @@ mod tests {
             &layouts,
             4,
             ColorAlgorithm::Linear,
-            &SerialExecutor,
+            &ThreadPoolExecutor::default(),
             None,
             None,
             false,
@@ -290,7 +289,7 @@ mod tests {
             &layouts,
             4,
             ColorAlgorithm::Linear,
-            &SerialExecutor,
+            &ThreadPoolExecutor::default(),
             None,
             None,
             false,
@@ -312,7 +311,7 @@ mod tests {
             &layouts,
             4,
             ColorAlgorithm::Linear,
-            &SerialExecutor,
+            &ThreadPoolExecutor::default(),
             None,
             None,
             false,
@@ -340,7 +339,7 @@ mod tests {
             &[timed("bb-zero", 13)],
             4,
             ColorAlgorithm::Linear,
-            &SerialExecutor,
+            &ThreadPoolExecutor::default(),
             None,
             None,
             false,
@@ -362,7 +361,7 @@ mod tests {
             &layouts,
             4,
             ColorAlgorithm::Linear,
-            &SerialExecutor,
+            &ThreadPoolExecutor::default(),
             Some(Arc::clone(&cache)),
             None,
             false,
@@ -393,7 +392,7 @@ mod tests {
             &layouts,
             4,
             ColorAlgorithm::Linear,
-            &SerialExecutor,
+            &ThreadPoolExecutor::default(),
             None,
             None,
             false,
@@ -419,7 +418,7 @@ mod tests {
             &[timed],
             4,
             ColorAlgorithm::Linear,
-            &SerialExecutor,
+            &ThreadPoolExecutor::default(),
             None,
             None,
             false,
@@ -450,7 +449,7 @@ mod tests {
             report,
             4,
             ColorAlgorithm::Linear,
-            &SerialExecutor,
+            &ThreadPoolExecutor::default(),
             None,
             Some(tiling),
             false,
@@ -471,7 +470,7 @@ mod tests {
             report,
             4,
             ColorAlgorithm::Linear,
-            &SerialExecutor,
+            &ThreadPoolExecutor::default(),
             None,
             None,
             false,
@@ -497,7 +496,7 @@ mod tests {
             std::slice::from_ref(&timed),
             4,
             ColorAlgorithm::Linear,
-            &SerialExecutor,
+            &ThreadPoolExecutor::default(),
             None,
             None,
             true,
@@ -523,7 +522,7 @@ mod tests {
             std::slice::from_ref(&timed),
             4,
             ColorAlgorithm::Linear,
-            &SerialExecutor,
+            &ThreadPoolExecutor::default(),
             None,
             Some(TileConfig::new(Nm(300))),
             true,
@@ -536,7 +535,7 @@ mod tests {
             std::slice::from_ref(&timed),
             4,
             ColorAlgorithm::Linear,
-            &SerialExecutor,
+            &ThreadPoolExecutor::default(),
             None,
             None,
             false,

@@ -1,19 +1,19 @@
 //! Benchmarks arbitrary layout files (text format or GDSII) with the same
 //! row structure as the paper's tables, or — with `--batch` — as one
-//! cross-layout batch on a shared executor, or — with `--serve ADDR` — as
+//! cross-layout batch on a shared thread pool, or — with `--serve ADDR` — as
 //! a client-driven request stream against a running `qpl-serve`.
 //!
 //! Usage: `cargo run -p mpl-bench --release --bin workload -- \
 //!     [--k N] [--threads N] [--layer L[:D] ...] \
 //!     [--batch [--memo | --no-memo] \
 //!      [--tile-size NM [--halo NM]] [--hier] \
-//!      | --serve ADDR [--executor serial|pool]] \
+//!      | --serve ADDR [--deadline-ms MS]] \
 //!     [--algorithm NAME] [--bench-json PATH] FILE [FILE ...]`
 //!
 //! Table mode (the default) decomposes each file with every Table 1
 //! algorithm.  Batch mode (`--batch`) submits every file to one
 //! [`mpl_core::DecompositionSession`] and drains all component tasks
-//! through one shared executor, reporting per-layout rows plus aggregate
+//! on one shared thread pool, reporting per-layout rows plus aggregate
 //! throughput (layouts/sec, components/sec) with parse time separated from
 //! decompose time.  Batch mode can attach a translation-canonical memo
 //! cache (`--memo`, off by default so timings measure the engines) and then
@@ -32,7 +32,7 @@
 //! pipelined, so latency includes queueing behind earlier submits) — the
 //! socket round trips and scheduler coalescing included.  In both modes
 //! `--bench-json PATH` writes the machine-readable `BENCH_*.json` report
-//! (schemas `mpl-bench/batch-v2` / `mpl-bench/serve-v2`, whose rows carry
+//! (schemas `mpl-bench/batch-v2` / `mpl-bench/serve-v3`, whose rows carry
 //! each layout's record — the keys `qpl-decompose --json` and a served
 //! `result` frame report) for tracking the performance trajectory across
 //! changes.  GDSII inputs can be restricted
@@ -42,15 +42,14 @@
 use mpl_bench::batch::run_batch_bench;
 use mpl_bench::serve::run_serve_bench;
 use mpl_bench::workload::{load_layout_timed, run_layout_table_on, TimedLayout};
-use mpl_bench::{executor_for_threads, table_config, threads_from_args, TABLE1_ALGORITHMS};
+use mpl_bench::{table_config, threads_from_args, TABLE1_ALGORITHMS};
 use mpl_core::{ColorAlgorithm, MemoCache, TileConfig};
-use mpl_serve::ExecutorChoice;
 use std::process::ExitCode;
 use std::sync::Arc;
 
 fn main() -> ExitCode {
     let raw_args: Vec<String> = std::env::args().skip(1).collect();
-    let (rest, threads) = match threads_from_args(&raw_args) {
+    let (rest, pool) = match threads_from_args(&raw_args) {
         Ok(parsed) => parsed,
         Err(message) => {
             eprintln!("{message}");
@@ -61,14 +60,13 @@ fn main() -> ExitCode {
     let usage = "usage: workload [--k N] [--threads N] [--layer L[:D] ...] \
                  [--batch [--memo | --no-memo] \
                  [--tile-size NM [--halo NM]] [--hier] \
-                 | --serve ADDR [--executor serial|pool] [--deadline-ms MS]] \
+                 | --serve ADDR [--deadline-ms MS]] \
                  [--algorithm NAME] [--bench-json PATH] FILE [FILE ...]";
     let mut k = 4usize;
     let mut layer_specs: Vec<String> = Vec::new();
     let mut paths: Vec<String> = Vec::new();
     let mut batch = false;
     let mut serve: Option<String> = None;
-    let mut executor_choice: Option<ExecutorChoice> = None;
     let mut algorithm: Option<ColorAlgorithm> = None;
     let mut bench_json: Option<String> = None;
     let mut memo: Option<bool> = None;
@@ -83,14 +81,6 @@ fn main() -> ExitCode {
                 Some(addr) => serve = Some(addr),
                 None => {
                     eprintln!("--serve requires a HOST:PORT value");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--executor" => match args.next().as_deref() {
-                Some("serial") => executor_choice = Some(ExecutorChoice::Serial),
-                Some("pool") => executor_choice = Some(ExecutorChoice::Pool),
-                other => {
-                    eprintln!("--executor requires \"serial\" or \"pool\", got {other:?}");
                     return ExitCode::FAILURE;
                 }
             },
@@ -166,15 +156,10 @@ fn main() -> ExitCode {
         eprintln!("--batch and --serve are mutually exclusive");
         return ExitCode::FAILURE;
     }
-    if serve.is_none() && executor_choice.is_some() {
-        eprintln!("--executor only applies to --serve mode (use --threads locally)");
-        return ExitCode::FAILURE;
-    }
     if serve.is_none() && deadline_ms.is_some() {
         eprintln!("--deadline-ms only applies to --serve mode");
         return ExitCode::FAILURE;
     }
-    let executor_choice = executor_choice.unwrap_or(ExecutorChoice::Pool);
     if !batch && serve.is_none() && bench_json.is_some() {
         eprintln!("--bench-json only applies to --batch or --serve mode");
         return ExitCode::FAILURE;
@@ -241,19 +226,17 @@ fn main() -> ExitCode {
 
     if let Some(addr) = serve {
         eprintln!(
-            "Serve workload: K = {k}, {} on {} layout(s) against {addr} ({} executor)",
+            "Serve workload: K = {k}, {} on {} layout(s) against {addr}",
             algorithm.name(),
-            layouts.len(),
-            executor_choice.as_str()
+            layouts.len()
         );
-        let report =
-            match run_serve_bench(&addr, &layouts, k, algorithm, executor_choice, deadline_ms) {
-                Ok(report) => report,
-                Err(message) => {
-                    eprintln!("{message}");
-                    return ExitCode::FAILURE;
-                }
-            };
+        let report = match run_serve_bench(&addr, &layouts, k, algorithm, deadline_ms) {
+            Ok(report) => report,
+            Err(message) => {
+                eprintln!("{message}");
+                return ExitCode::FAILURE;
+            }
+        };
         println!("\nServe workload (K = {k}, {})", report.algorithm);
         println!(
             "{:<24} {:>8} {:>9} {:>6} {:>6} {:>9}",
@@ -312,23 +295,15 @@ fn main() -> ExitCode {
         return ExitCode::SUCCESS;
     }
 
-    let executor = executor_for_threads(threads);
     if batch {
         eprintln!(
             "Batch workload: K = {k}, {} on {} layout(s) ({} executor, one shared queue)",
             algorithm.name(),
             layouts.len(),
-            executor.name()
+            pool.name()
         );
-        let report = match run_batch_bench(
-            &layouts,
-            k,
-            algorithm,
-            executor.as_ref(),
-            memo_cache,
-            tiling,
-            hier,
-        ) {
+        let report = match run_batch_bench(&layouts, k, algorithm, &pool, memo_cache, tiling, hier)
+        {
             Ok(report) => report,
             Err(error) => {
                 eprintln!("{error}");
@@ -481,10 +456,10 @@ fn main() -> ExitCode {
     eprintln!(
         "Workload table: K = {k} on {} layout(s) ({} executor)",
         layouts.len(),
-        executor.name()
+        pool.name()
     );
     let table_inputs: Vec<_> = layouts.into_iter().map(|timed| timed.layout).collect();
-    match run_layout_table_on(&table_inputs, &TABLE1_ALGORITHMS, k, executor.as_ref()) {
+    match run_layout_table_on(&table_inputs, &TABLE1_ALGORITHMS, k, &pool) {
         Ok(report) => {
             println!("\nWorkload table (K = {k})");
             println!("{report}");

@@ -13,13 +13,13 @@
 //! * `workload` — the same row structure over arbitrary layout files
 //!   (text format or GDSII), via [`workload::load_layout_timed`].  Its `--batch`
 //!   mode instead drives all files as **one** [`mpl_core::DecompositionSession`]
-//!   on a shared executor and reports aggregate throughput (layouts/sec,
+//!   on a shared thread pool and reports aggregate throughput (layouts/sec,
 //!   components/sec) plus a machine-readable `BENCH_*.json` via
 //!   [`batch::BatchBenchReport`] (schema `mpl-bench/batch-v2`), with parse
 //!   time tracked separately from decompose time.  Its `--serve ADDR` mode
 //!   streams the files as `submit` requests to a running `qpl-serve` and
 //!   measures client-observed requests/sec ([`serve::ServeBenchReport`],
-//!   schema `mpl-bench/serve-v2`).  Both reports' rows carry each layout's
+//!   schema `mpl-bench/serve-v3`).  Both reports' rows carry each layout's
 //!   record, [`mpl_serve::ResultPayload`].
 //! * `perfbench` — the hot-path microbenchmark ([`perf::run_perf_suite`],
 //!   schema `mpl-bench/perf-v9`): per-stage timings plus deterministic
@@ -39,8 +39,8 @@ pub mod serve;
 pub mod workload;
 
 use mpl_core::{
-    ColorAlgorithm, DecomposeError, Decomposer, DecomposerConfig, Executor, ResultRow,
-    SerialExecutor, TableReport, ThreadPoolExecutor,
+    ColorAlgorithm, DecomposeError, Decomposer, DecomposerConfig, ResultRow, TableReport,
+    ThreadPoolExecutor,
 };
 use mpl_layout::{gen::IscasCircuit, Layout, Technology};
 use std::time::Duration;
@@ -77,19 +77,10 @@ pub fn circuit_layout(circuit: IscasCircuit) -> Layout {
     circuit.generate(&Technology::nm20())
 }
 
-/// Picks the executor for a `--threads` knob: `0` or `1` selects the serial
-/// executor, anything larger a thread pool of that size.
-pub fn executor_for_threads(threads: usize) -> Box<dyn Executor> {
-    if threads <= 1 {
-        Box::new(SerialExecutor)
-    } else {
-        Box::new(ThreadPoolExecutor::new(threads).expect("non-zero thread count"))
-    }
-}
-
 /// Parses an optional `--threads N` flag out of `args`, returning the
-/// remaining arguments and the thread count (default 1 = serial).
-pub fn threads_from_args(args: &[String]) -> Result<(Vec<String>, usize), String> {
+/// remaining arguments and a pool of that many threads (default 1: every
+/// task colors on the calling thread).
+pub fn threads_from_args(args: &[String]) -> Result<(Vec<String>, ThreadPoolExecutor), String> {
     let mut rest = Vec::new();
     let mut threads = 1usize;
     let mut iter = args.iter();
@@ -100,18 +91,16 @@ pub fn threads_from_args(args: &[String]) -> Result<(Vec<String>, usize), String
                 .ok_or_else(|| "--threads requires a value".to_string())?
                 .parse()
                 .map_err(|e| format!("invalid --threads value: {e}"))?;
-            if threads == 0 {
-                return Err(mpl_core::ConfigError::ThreadCount.to_string());
-            }
         } else {
             rest.push(arg.clone());
         }
     }
-    Ok((rest, threads))
+    let pool = ThreadPoolExecutor::new(threads).map_err(|error| error.to_string())?;
+    Ok((rest, pool))
 }
 
-/// Runs one (circuit, algorithm, K) cell on the given executor and returns
-/// the table row.
+/// Runs one (circuit, algorithm, K) cell on `pool` and returns the table
+/// row.
 ///
 /// # Errors
 ///
@@ -121,15 +110,15 @@ pub fn run_cell_on(
     layout: &Layout,
     k: usize,
     algorithm: ColorAlgorithm,
-    executor: &dyn Executor,
+    pool: &ThreadPoolExecutor,
 ) -> Result<ResultRow, DecomposeError> {
     let decomposer = Decomposer::new(table_config(k, algorithm));
     let plan = decomposer.plan(layout)?;
-    Ok(ResultRow::from_result(&plan.execute(executor)))
+    Ok(ResultRow::from_result(&plan.execute(pool)))
 }
 
-/// Runs a full table on the given executor: every circuit against every
-/// algorithm for the given K.
+/// Runs a full table on `pool`: every circuit against every algorithm for
+/// the given K.
 ///
 /// # Errors
 ///
@@ -138,10 +127,10 @@ pub fn run_table_on(
     circuits: &[IscasCircuit],
     algorithms: &[ColorAlgorithm],
     k: usize,
-    executor: &dyn Executor,
+    pool: &ThreadPoolExecutor,
 ) -> Result<TableReport, DecomposeError> {
     let layouts: Vec<Layout> = circuits.iter().map(|&c| circuit_layout(c)).collect();
-    workload::run_layout_table_on(&layouts, algorithms, k, executor)
+    workload::run_layout_table_on(&layouts, algorithms, k, pool)
 }
 
 /// Parses circuit names from command-line arguments; an empty argument list
@@ -166,8 +155,13 @@ mod tests {
     #[test]
     fn run_cell_produces_a_row_for_a_small_circuit() {
         let layout = circuit_layout(IscasCircuit::C432);
-        let row =
-            run_cell_on(&layout, 4, ColorAlgorithm::Linear, &SerialExecutor).expect("valid config");
+        let row = run_cell_on(
+            &layout,
+            4,
+            ColorAlgorithm::Linear,
+            &ThreadPoolExecutor::default(),
+        )
+        .expect("valid config");
         assert_eq!(row.circuit, "C432");
         assert_eq!(row.algorithm, "Linear");
         assert!(row.cpu_seconds >= 0.0);
@@ -194,13 +188,18 @@ mod tests {
     #[test]
     fn threaded_cells_match_serial_cells() {
         let layout = circuit_layout(IscasCircuit::C432);
-        let serial =
-            run_cell_on(&layout, 4, ColorAlgorithm::Linear, &SerialExecutor).expect("valid config");
+        let serial = run_cell_on(
+            &layout,
+            4,
+            ColorAlgorithm::Linear,
+            &ThreadPoolExecutor::default(),
+        )
+        .expect("valid config");
         let threaded = run_cell_on(
             &layout,
             4,
             ColorAlgorithm::Linear,
-            executor_for_threads(4).as_ref(),
+            &ThreadPoolExecutor::new(4).expect("threads"),
         )
         .expect("valid config");
         assert_eq!(serial.conflicts, threaded.conflicts);
@@ -215,9 +214,10 @@ mod tests {
             "4".to_string(),
             "C499".to_string(),
         ];
-        let (rest, threads) = threads_from_args(&args).expect("valid");
+        let (rest, pool) = threads_from_args(&args).expect("valid");
         assert_eq!(rest, vec!["C432".to_string(), "C499".to_string()]);
-        assert_eq!(threads, 4);
+        assert_eq!(pool.threads(), 4);
+        assert_eq!(threads_from_args(&[]).expect("valid").1.name(), "serial");
         assert!(threads_from_args(&["--threads".to_string()]).is_err());
         assert!(threads_from_args(&["--threads".to_string(), "0".to_string()]).is_err());
         assert!(threads_from_args(&["--threads".to_string(), "x".to_string()]).is_err());

@@ -4,7 +4,7 @@
 //! The suite behind the `perfbench` binary.  Every layout, memo, kernel,
 //! tile and hier case plans its layout and runs it through
 //! [`mpl_serve::run_layouts`], the dispatch `qpl-decompose`, `qpl-serve`
-//! and `workload --batch` share, on the serial executor, and reports the
+//! and `workload --batch` share, on a one-thread pool, and reports the
 //! records that run returns ([`TileStats`], [`HierStats`],
 //! [`LayoutCounters`]) through their [`JsonRecord::fields`].  Seven kinds
 //! of cases:
@@ -69,7 +69,7 @@
 use mpl_core::{
     extract_masks, verify_spacing, ColorAlgorithm, ComponentProblem, Decomposer, DecomposerConfig,
     DecompositionGraph, DecompositionSession, Json, JsonRecord, LayoutCounters, MemoCache,
-    SerialExecutor, StitchConfig, TileConfig,
+    StitchConfig, ThreadPoolExecutor, TileConfig,
 };
 use mpl_gds::{LayerMap, ReadOptions};
 use mpl_geometry::{Nm, Polygon};
@@ -846,7 +846,7 @@ impl CaseRun {
 
 /// Plans `layout` with `config`, submits the plan to a fresh session with
 /// `memo`, `tiling` and `hierarchy` attached, and runs it through
-/// [`run_layouts`] on the serial executor — hierarchically exactly when a
+/// [`run_layouts`] on a one-thread pool — hierarchically exactly when a
 /// hierarchy is given — timing the plan and the run separately.
 fn run_case(
     layout: &Layout,
@@ -868,7 +868,7 @@ fn run_case(
     let hier = hierarchy.is_some();
     session.set_hierarchy(id, hierarchy.map(Arc::new));
     let start = Instant::now();
-    let run = run_layouts(&session, &SerialExecutor, hier, &())
+    let run = run_layouts(&session, &ThreadPoolExecutor::default(), hier, &())
         .map_err(|error| format!("{}: {error}", layout.name()))?
         .pop()
         .expect("one layout submitted");

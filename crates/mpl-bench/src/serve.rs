@@ -6,7 +6,7 @@
 //! request, and wait for all results — so the wire protocol, the scheduler
 //! coalescing and the socket round trips are all inside the measured
 //! window.  [`ServeBenchReport::to_json`] renders the machine-readable
-//! `mpl-bench/serve-v2` schema (requests/sec and client-observed latency
+//! `mpl-bench/serve-v3` schema (requests/sec and client-observed latency
 //! percentiles alongside the per-request rows, each the record its
 //! `result` frame carried) for `BENCH_*.json` archiving, like the batch
 //! schema.
@@ -17,9 +17,7 @@
 use crate::workload::TimedLayout;
 use mpl_core::{ColorAlgorithm, Json};
 use mpl_layout::io;
-use mpl_serve::{
-    Client, ExecutorChoice, LayoutSource, Request, Response, ResultPayload, SubmitRequest,
-};
+use mpl_serve::{Client, LayoutSource, Request, Response, ResultPayload, SubmitRequest};
 use std::time::Instant;
 
 /// One request's row of a serve benchmark run: the record the server
@@ -49,8 +47,6 @@ pub struct ServeBenchReport {
     pub k: usize,
     /// The color-assignment engine requested for every submission.
     pub algorithm: String,
-    /// The executor choice requested for every submission.
-    pub executor: String,
     /// The soft deadline (milliseconds) carried on every submission, when
     /// one was requested.
     pub deadline_ms: Option<u64>,
@@ -114,17 +110,17 @@ impl ServeBenchReport {
         nearest_rank(&latencies, percent)
     }
 
-    /// The machine-readable report (schema `mpl-bench/serve-v2`); `{:#}`
+    /// The machine-readable report (schema `mpl-bench/serve-v3`); `{:#}`
     /// renders the `BENCH_*.json` document layout.  Each request row is
-    /// `path`, the received record ([`ResultPayload::fields`]),
-    /// `terminal_seconds` and `latency_seconds`.
+    /// `path`, the received record ([`ResultPayload::fields`], which names
+    /// the pool that colored it under `executor`), `terminal_seconds` and
+    /// `latency_seconds`.
     pub fn to_json(&self) -> Json {
         let mut pairs = vec![
-            ("schema", "mpl-bench/serve-v2".into()),
+            ("schema", "mpl-bench/serve-v3".into()),
             ("addr", self.addr.as_str().into()),
             ("k", self.k.into()),
             ("algorithm", self.algorithm.as_str().into()),
-            ("executor", self.executor.as_str().into()),
         ];
         if let Some(deadline_ms) = self.deadline_ms {
             pairs.push(("deadline_ms", deadline_ms.into()));
@@ -193,7 +189,6 @@ pub fn run_serve_bench(
     layouts: &[TimedLayout],
     k: usize,
     algorithm: ColorAlgorithm,
-    executor: ExecutorChoice,
     deadline_ms: Option<u64>,
 ) -> Result<ServeBenchReport, String> {
     let mut client =
@@ -207,7 +202,6 @@ pub fn run_serve_bench(
         );
         submit.k = k;
         submit.algorithm = algorithm;
-        submit.executor = executor;
         submit.deadline_ms = deadline_ms;
         sent.push(Instant::now());
         client
@@ -257,7 +251,6 @@ pub fn run_serve_bench(
         addr: addr.to_string(),
         k,
         algorithm: algorithm.name().to_string(),
-        executor: executor.as_str().to_string(),
         deadline_ms,
         wall_seconds,
         requests: rows
@@ -294,14 +287,12 @@ mod tests {
             &layouts,
             4,
             ColorAlgorithm::Linear,
-            ExecutorChoice::Pool,
             None,
         )
         .expect("bench succeeds");
         assert_eq!(report.requests.len(), 2);
         assert_eq!(report.k, 4);
         assert_eq!(report.algorithm, "Linear");
-        assert_eq!(report.executor, "pool");
         assert!(report.wall_seconds > 0.0);
         assert!(report.requests_per_sec() > 0.0);
         assert!(report.components_per_sec() >= report.requests_per_sec());
@@ -329,7 +320,7 @@ mod tests {
             session
                 .submit_layout(&decomposer, &timed.layout)
                 .expect("valid config");
-            let direct = &session.run(&mpl_core::SerialExecutor)[0].1;
+            let direct = &session.run(&mpl_core::ThreadPoolExecutor::default())[0].1;
             assert_eq!(row.record.conflicts, direct.conflicts());
             assert_eq!(row.record.stitches, direct.stitches());
             assert_eq!(row.record.vertices, direct.vertex_count());
@@ -337,7 +328,9 @@ mod tests {
         }
 
         let json = format!("{:#}", report.to_json());
-        assert!(json.contains("\"schema\": \"mpl-bench/serve-v2\""));
+        assert!(json.contains("\"schema\": \"mpl-bench/serve-v3\""));
+        // Only the rows name the pool: the report has no top-level key.
+        assert_eq!(json.matches("\"executor\"").count(), report.requests.len());
         assert!(json.contains("\"requests_per_sec\""));
         for key in [
             "latency_p50_seconds",
@@ -384,7 +377,6 @@ mod tests {
             &layouts,
             0, // invalid mask count → typed config error frame
             ColorAlgorithm::Linear,
-            ExecutorChoice::Serial,
             None,
         )
         .expect_err("K=0 must fail");
@@ -402,7 +394,6 @@ mod tests {
             &layouts,
             4,
             ColorAlgorithm::Linear,
-            ExecutorChoice::Serial,
             Some(0), // expired on acceptance: every component is skipped
         )
         .expect("partial results are still results");

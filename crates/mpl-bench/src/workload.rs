@@ -7,7 +7,7 @@
 //! [`mpl_gds::layout_from_bytes`]; this module only adds the `--layer`
 //! specification plumbing, the parse timer and the table loop.
 
-use mpl_core::{ColorAlgorithm, DecomposeError, Executor, TableReport};
+use mpl_core::{ColorAlgorithm, DecomposeError, TableReport, ThreadPoolExecutor};
 use mpl_gds::{LayerMap, ReadOptions};
 use mpl_layout::{Layout, LayoutHierarchy};
 use std::sync::Arc;
@@ -60,7 +60,7 @@ pub fn load_layout_timed(path: &str, layer_specs: &[String]) -> Result<TimedLayo
     })
 }
 
-/// Runs the table cells for a list of pre-loaded layouts on an executor,
+/// Runs the table cells for a list of pre-loaded layouts on `pool`,
 /// printing each row as it finishes.
 ///
 /// # Errors
@@ -71,12 +71,12 @@ pub fn run_layout_table_on(
     layouts: &[Layout],
     algorithms: &[ColorAlgorithm],
     k: usize,
-    executor: &dyn Executor,
+    pool: &ThreadPoolExecutor,
 ) -> Result<TableReport, DecomposeError> {
     let mut report = TableReport::new();
     for layout in layouts {
         for &algorithm in algorithms {
-            let row = crate::run_cell_on(layout, k, algorithm, executor)?;
+            let row = crate::run_cell_on(layout, k, algorithm, pool)?;
             eprintln!(
                 "  {:<8} {:<14} cn#={:<4} st#={:<5} cpu={:.3}s",
                 row.circuit, row.algorithm, row.conflicts, row.stitches, row.cpu_seconds
@@ -90,7 +90,6 @@ pub fn run_layout_table_on(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mpl_core::SerialExecutor;
     use mpl_layout::{gen, io, Technology};
 
     fn temp_path(name: &str) -> String {
@@ -134,8 +133,13 @@ mod tests {
         let gds_path = temp_path("table.gds");
         mpl_gds::write_layout_file(&gds_path, &layout, 1, 0).expect("write gds");
         let loaded = load_layout_timed(&gds_path, &[]).expect("load").layout;
-        let report = run_layout_table_on(&[loaded], &[ColorAlgorithm::Linear], 4, &SerialExecutor)
-            .expect("clean layout");
+        let report = run_layout_table_on(
+            &[loaded],
+            &[ColorAlgorithm::Linear],
+            4,
+            &ThreadPoolExecutor::default(),
+        )
+        .expect("clean layout");
         assert_eq!(report.rows().len(), 1);
         assert_eq!(report.rows()[0].conflicts, 0);
         std::fs::remove_file(&gds_path).ok();

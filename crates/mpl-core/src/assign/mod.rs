@@ -60,7 +60,7 @@ impl AssignOutcome {
 ///
 /// Implementations must return exactly one color per vertex, each in
 /// `0..problem.k()`.  Engines are `Sync` so one boxed instance can serve
-/// every executor worker thread of a batch.
+/// every pool worker thread of a batch.
 pub trait ColorAssigner: Sync {
     /// Assigns a color to every vertex of `problem`.
     fn assign(&self, problem: &ComponentProblem) -> Vec<u8>;

@@ -2,9 +2,9 @@
 //!
 //! A [`CancelToken`] is the one object that threads a caller's "stop now"
 //! (or "stop at this wall-clock instant") through every layer of a
-//! decomposition: the session attaches it to each of the layout's
-//! [`BatchTask`](crate::BatchTask)s, the executors poll it before starting
-//! a task, and the exact/SDP engines poll its shared flag on their existing
+//! decomposition: the session attaches it to each of the layout's component
+//! tasks, the batch polls it before starting a task on the pool, and the
+//! exact/SDP engines poll its shared flag on their existing
 //! amortised clock checks — so cancellation latency is bounded by the
 //! engines' poll interval, not by component size.
 
@@ -21,7 +21,7 @@ use std::time::{Duration, Instant};
 /// ([`is_cancelled`] / [`deadline_exceeded`]) so partial results can report
 /// the reason.  Both fold into one [`stop_requested`] flag that costs a
 /// single relaxed atomic load, cheap enough for per-task polling; deadline
-/// expiry is detected by [`poll`], which the executors call on every task
+/// expiry is detected by [`poll`], which the batch calls on every task
 /// boundary, and by the engines' own clock checks (the crate-private probe
 /// they share carries the deadline too, and an engine that observes expiry
 /// promotes it into the shared flag).

@@ -2,11 +2,11 @@
 //!
 //! The flow is staged: [`Decomposer::plan`] builds the decomposition graph
 //! and materialises the independent components as [`ComponentTask`]s, which
-//! then color through a pluggable [`Executor`](crate::Executor) — either
-//! alone ([`DecompositionPlan::execute`]) or batched with other layouts'
-//! tasks in a [`DecompositionSession`](crate::DecompositionSession).
+//! then color on a [`ThreadPoolExecutor`] — either alone
+//! ([`DecompositionPlan::execute`]) or batched with other layouts' tasks in
+//! a [`DecompositionSession`](crate::DecompositionSession).
 //! [`Decomposer::decompose`] is the one-call convenience wrapper that plans
-//! and executes serially.
+//! and executes on the calling thread.
 
 use crate::assign::ColorAssigner;
 use crate::coloring_cost;
@@ -17,7 +17,7 @@ use crate::division::{
 use crate::pipeline::{ComponentStats, ComponentTask, DecompositionPlan};
 use crate::{
     ColoringCost, ComponentProblem, DecomposeError, DecomposerConfig, DecompositionGraph,
-    SerialExecutor, VertexId,
+    ThreadPoolExecutor, VertexId,
 };
 use mpl_geometry::Nm;
 use mpl_layout::Layout;
@@ -136,8 +136,8 @@ impl DecompositionResult {
         self.algorithm
     }
 
-    /// The executor that ran the component tasks (e.g. `"serial"` or
-    /// `"threads:4"`).
+    /// The pool that ran the component tasks ([`ThreadPoolExecutor::name`]:
+    /// `"serial"` or `"threads:4"`).
     pub fn executor(&self) -> &str {
         &self.executor
     }
@@ -316,7 +316,7 @@ impl Decomposer {
     /// and materialises one [`ComponentTask`] per independent component.
     /// The plan can be executed directly or submitted to a
     /// [`DecompositionSession`](crate::DecompositionSession) to run batched
-    /// with other layouts on one shared executor.
+    /// with other layouts on one shared pool.
     ///
     /// # Errors
     ///
@@ -364,13 +364,13 @@ impl Decomposer {
     }
 
     /// Decomposes a layout into K masks: a thin convenience wrapper that
-    /// plans and executes on the [`SerialExecutor`].
+    /// plans and executes on a one-thread pool, the calling thread.
     ///
     /// # Errors
     ///
     /// Propagates the planning errors of [`Decomposer::plan`].
     pub fn decompose(&self, layout: &Layout) -> Result<DecompositionResult, DecomposeError> {
-        Ok(self.plan(layout)?.execute(&SerialExecutor))
+        Ok(self.plan(layout)?.execute(&ThreadPoolExecutor::default()))
     }
 
     /// Colors a [`ComponentProblem`] with division applied, returning local
@@ -379,8 +379,8 @@ impl Decomposer {
     /// stops, the remaining engine work degrades to fast incumbents and
     /// `cancelled` is set (the session classifies the stop through the
     /// token).  Scratch buffers live in a per-thread [`DivisionScratch`], so
-    /// each executor worker re-uses the same allocations for every component
-    /// it colors.
+    /// each pool worker re-uses the same allocations for every component it
+    /// colors.
     pub(crate) fn color_problem(
         &self,
         problem: &ComponentProblem,
@@ -693,7 +693,7 @@ fn component_problems(
 mod tests {
     use super::*;
     use crate::assign::assigner_for;
-    use crate::{ColorAlgorithm, ConfigError, DivisionConfig, ThreadPoolExecutor};
+    use crate::{ColorAlgorithm, ConfigError, DivisionConfig};
     use mpl_layout::{gen, Technology};
 
     fn quad_config(algorithm: ColorAlgorithm) -> DecomposerConfig {
@@ -899,7 +899,7 @@ mod tests {
         );
         let decomposer = Decomposer::new(quad_config(ColorAlgorithm::Linear));
         let plan = decomposer.plan(&layout).expect("valid config");
-        let serial = plan.execute(&SerialExecutor);
+        let serial = plan.execute(&ThreadPoolExecutor::default());
         let pooled = plan.execute(&ThreadPoolExecutor::new(4).expect("non-zero threads"));
         let wrapper = decomposer.decompose(&layout).expect("valid config");
         assert_eq!(serial.colors(), wrapper.colors());

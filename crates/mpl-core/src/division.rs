@@ -38,7 +38,7 @@ pub struct Peeling {
 /// call of one component, so a batch of components performs O(1) heap
 /// allocations per component instead of O(n).
 ///
-/// One scratch lives per executor worker thread (see the crate-internal
+/// One scratch lives per pool worker thread (see the crate-internal
 /// `with_division_scratch`); the public division functions allocate a
 /// fresh one per call for API compatibility.
 #[derive(Debug, Default)]
@@ -87,7 +87,7 @@ thread_local! {
     static DIVISION_SCRATCH: RefCell<DivisionScratch> = RefCell::new(DivisionScratch::default());
 }
 
-/// Runs `f` with this thread's shared [`DivisionScratch`] (executor worker
+/// Runs `f` with this thread's shared [`DivisionScratch`] (pool worker
 /// threads keep one alive across every component they color).
 pub(crate) fn with_division_scratch<R>(f: impl FnOnce(&mut DivisionScratch) -> R) -> R {
     DIVISION_SCRATCH.with(|scratch| f(&mut scratch.borrow_mut()))

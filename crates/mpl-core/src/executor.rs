@@ -1,101 +1,59 @@
-//! Pluggable execution strategies for batches of component tasks.
+//! The thread pool that colors a batch's component tasks.
 //!
 //! Independent components share no conflict or stitch edges, so their
 //! color-assignment tasks commute: any schedule produces bit-identical
-//! colors.  An [`Executor`] therefore only decides *where and in which
-//! order* the per-task work function runs.  Since the batch-first redesign
-//! an executor drains a whole **batch** of [`BatchTask`]s — component tasks
-//! tagged with the [`LayoutId`] of the layout they belong to — so one
-//! shared pool can interleave work from many layouts (see
-//! [`DecompositionSession`]):
-//!
-//! * [`SerialExecutor`] — runs tasks one after another on the calling
-//!   thread (the behaviour of the classic `decompose` call).
-//! * [`ThreadPoolExecutor`] — fans tasks out to a scoped thread pool
-//!   (`std::thread::scope`, no external dependencies) with a
-//!   largest-component-first work queue, so the big components that
-//!   dominate wall-clock time start first no matter which layout they
-//!   came from.
+//! colors, and the pool decides only where each task runs, and so the wall
+//! time.  A [`DecompositionSession`] batch (or a single plan's, through
+//! [`DecompositionPlan::execute`]) sorts its tasks largest first across
+//! every layout it holds; the pool's workers then drain that order, so the
+//! big components that dominate wall time start first no matter which
+//! layout they came from.
 //!
 //! [`DecompositionSession`]: crate::DecompositionSession
-//! [`LayoutId`]: crate::LayoutId
+//! [`DecompositionPlan::execute`]: crate::DecompositionPlan::execute
 
-use crate::pipeline::ComponentOutcome;
-use crate::session::BatchTask;
 use crate::ConfigError;
+use mpl_geometry::map_ranges;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-/// The per-task work function handed to an executor by
-/// [`crate::DecompositionSession::run`] (and by
-/// [`crate::DecompositionPlan::execute`], the one-plan batch).  It is pure
-/// (identical outcomes for identical tasks) and `Sync`, so executors may
-/// call it from any number of threads concurrently.
-pub type BatchWork<'a> = dyn Fn(&BatchTask<'_>) -> ComponentOutcome + Sync + 'a;
-
-/// A strategy for running the tagged component tasks of a batch.
+/// Colors a batch's tasks on a pool of worker threads, in batch order.
 ///
-/// The batch may mix tasks from many layouts (a [`DecompositionSession`]
-/// run) or come from a single plan ([`DecompositionPlan::execute`], which
-/// tags every task with the same [`LayoutId`]).  The executor must return
-/// the outcomes **in batch order** (outcome `i` belongs to `tasks[i]`,
-/// regardless of the schedule it chose internally).
-///
-/// [`DecompositionSession`]: crate::DecompositionSession
-/// [`DecompositionPlan::execute`]: crate::DecompositionPlan::execute
-/// [`LayoutId`]: crate::LayoutId
-pub trait Executor {
-    /// Short human-readable name recorded on results (e.g. `"serial"`).
-    fn name(&self) -> &str;
-
-    /// Runs `work` on every tagged task, returning the outcomes **in batch
-    /// order**.
-    fn run(&self, tasks: &[BatchTask<'_>], work: &BatchWork<'_>) -> Vec<ComponentOutcome>;
-}
-
-/// Runs every task sequentially on the calling thread, in batch order.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct SerialExecutor;
-
-impl Executor for SerialExecutor {
-    fn name(&self) -> &str {
-        "serial"
-    }
-
-    fn run(&self, tasks: &[BatchTask<'_>], work: &BatchWork<'_>) -> Vec<ComponentOutcome> {
-        tasks.iter().map(work).collect()
-    }
-}
-
-/// Runs tasks on a scoped pool of worker threads, largest component first.
-///
-/// Workers pull batch positions from a shared queue ordered by descending
-/// vertex count **across the whole batch** — a small layout's components
-/// fill the gaps while another layout's giant component is still coloring,
-/// so pool workers never idle as long as any layout has work left.
-/// Results are re-assembled in batch order, so the outcome is
-/// bit-identical to [`SerialExecutor`] — only faster on multi-component
-/// batches (given actual hardware parallelism; on a single-CPU machine the
-/// pool degenerates to serial throughput).
+/// Workers pull batch positions from one shared cursor, so a small
+/// layout's components fill the gaps while another layout's giant
+/// component is still coloring.  The calling thread is worker 0, each
+/// other worker a scoped thread ([`map_ranges`] starts them, and a worker
+/// whose thread the host refuses runs on the calling thread); a one-thread
+/// pool, the [`Default`], colors every task on the calling thread and
+/// reports itself as `"serial"`.  Outcomes come back in batch order, so
+/// every pool size gives bit-identical results; only the wall time
+/// depends on the threads and on the host's parallelism.
 #[derive(Debug, Clone)]
 pub struct ThreadPoolExecutor {
     threads: usize,
     name: String,
 }
 
+impl Default for ThreadPoolExecutor {
+    /// A one-thread pool: every task runs on the calling thread.
+    fn default() -> Self {
+        ThreadPoolExecutor::new(1).expect("one thread is a valid pool")
+    }
+}
+
 impl ThreadPoolExecutor {
-    /// Creates a pool with `threads` worker threads.
+    /// Creates a pool with `threads` worker threads, the calling thread
+    /// included.
     ///
     /// # Errors
     ///
     /// Returns [`ConfigError::ThreadCount`] when `threads` is zero.
     pub fn new(threads: usize) -> Result<Self, ConfigError> {
-        if threads == 0 {
-            return Err(ConfigError::ThreadCount);
-        }
-        Ok(ThreadPoolExecutor {
-            threads,
-            name: format!("threads:{threads}"),
-        })
+        let name = match threads {
+            0 => return Err(ConfigError::ThreadCount),
+            1 => "serial".to_string(),
+            _ => format!("threads:{threads}"),
+        };
+        Ok(ThreadPoolExecutor { threads, name })
     }
 
     /// Creates a pool sized to [`std::thread::available_parallelism`]
@@ -103,9 +61,8 @@ impl ThreadPoolExecutor {
     ///
     /// Note that the *available* parallelism is a property of the machine
     /// (and its CPU affinity and cgroup limits), not of the workload: a
-    /// process pinned to one CPU (`taskset -c 0`) gets a one-thread pool,
-    /// which schedules exactly like [`SerialExecutor`].  Report any
-    /// wall-clock speedup together with this figure.
+    /// process pinned to one CPU (`taskset -c 0`) gets a one-thread pool.
+    /// Report any wall-clock speedup together with this figure.
     pub fn available() -> Self {
         let threads = std::thread::available_parallelism()
             .map(|n| n.get())
@@ -117,53 +74,48 @@ impl ThreadPoolExecutor {
     pub fn threads(&self) -> usize {
         self.threads
     }
-}
 
-impl Executor for ThreadPoolExecutor {
-    fn name(&self) -> &str {
+    /// The name recorded on results: `"serial"` for one thread, else
+    /// `"threads:N"`.
+    pub fn name(&self) -> &str {
         &self.name
     }
 
-    fn run(&self, tasks: &[BatchTask<'_>], work: &BatchWork<'_>) -> Vec<ComponentOutcome> {
-        let workers = self.threads.min(tasks.len());
-        if workers <= 1 {
-            return SerialExecutor.run(tasks, work);
-        }
-        // Largest-component-first queue over the whole batch: big
-        // components dominate coloring time, so starting them first
-        // minimises the tail where most workers idle.  Ties keep batch
-        // order for determinism of the *schedule*; the outcomes are
-        // order-independent anyway.
-        let mut order: Vec<usize> = (0..tasks.len()).collect();
-        order.sort_by_key(|&index| (std::cmp::Reverse(tasks[index].vertex_count()), index));
+    /// Runs `work` on every item, in position order across the workers, and
+    /// returns the outputs in item order.
+    pub(crate) fn run<T: Sync, R: Send>(
+        &self,
+        items: &[T],
+        work: impl Fn(&T) -> R + Sync,
+    ) -> Vec<R> {
+        let workers = self.threads.min(items.len());
         let cursor = AtomicUsize::new(0);
-        let mut slots: Vec<Option<ComponentOutcome>> = Vec::new();
-        slots.resize_with(tasks.len(), || None);
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    scope.spawn(|| {
-                        let mut completed = Vec::new();
-                        loop {
-                            let slot = cursor.fetch_add(1, Ordering::Relaxed);
-                            let Some(&index) = order.get(slot) else {
-                                return completed;
-                            };
-                            completed.push((index, work(&tasks[index])));
-                        }
-                    })
-                })
-                .collect();
-            for handle in handles {
-                let completed = handle.join().expect("executor worker panicked");
-                for (index, outcome) in completed {
-                    slots[index] = Some(outcome);
+        // One single-item range per worker: `map_ranges` runs the first on
+        // the calling thread and each other on a scoped thread of its own,
+        // or on the calling thread when the host refuses that thread.
+        let drained = map_ranges(
+            workers,
+            workers,
+            |_| 1,
+            |_| {
+                let mut completed = Vec::new();
+                loop {
+                    let position = cursor.fetch_add(1, Ordering::Relaxed);
+                    let Some(item) = items.get(position) else {
+                        return completed;
+                    };
+                    completed.push((position, work(item)));
                 }
-            }
-        });
+            },
+        );
+        let mut slots: Vec<Option<R>> = Vec::new();
+        slots.resize_with(items.len(), || None);
+        for (position, output) in drained.into_iter().flatten() {
+            slots[position] = Some(output);
+        }
         slots
             .into_iter()
-            .map(|slot| slot.expect("every task was scheduled exactly once"))
+            .map(|slot| slot.expect("every item was run exactly once"))
             .collect()
     }
 }
@@ -171,7 +123,9 @@ impl Executor for ThreadPoolExecutor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{ComponentProblem, ComponentTask, LayoutId};
+    use crate::pipeline::ComponentOutcome;
+    use crate::session::{BatchTask, LayoutId};
+    use crate::{ComponentProblem, ComponentTask};
     use std::collections::HashSet;
     use std::sync::Mutex;
 
@@ -225,18 +179,30 @@ mod tests {
 
     #[test]
     fn executors_report_their_names() {
-        assert_eq!(SerialExecutor.name(), "serial");
+        assert_eq!(ThreadPoolExecutor::default().name(), "serial");
+        assert_eq!(ThreadPoolExecutor::new(1).unwrap().name(), "serial");
         assert_eq!(ThreadPoolExecutor::new(3).unwrap().name(), "threads:3");
+    }
+
+    #[test]
+    fn a_one_thread_pool_colors_every_task_on_the_calling_thread() {
+        let tasks = tasks(&[3, 1, 4, 1, 5]);
+        let batch = tagged(&tasks);
+        let here = std::thread::current().id();
+        let pool = ThreadPoolExecutor::new(1).unwrap();
+        let threads = pool.run(&batch, |_| std::thread::current().id());
+        assert_eq!(threads, [here; 5]);
+        assert_eq!(pool.name(), "serial");
     }
 
     #[test]
     fn outcomes_come_back_in_batch_order_for_every_executor() {
         let tasks = tasks(&[3, 1, 4, 1, 5, 9, 2, 6]);
         let batch = tagged(&tasks);
-        let serial = SerialExecutor.run(&batch, &echo_work);
+        let serial = ThreadPoolExecutor::default().run(&batch, echo_work);
         for threads in [1, 2, 4, 8, 32] {
             let pool = ThreadPoolExecutor::new(threads).unwrap();
-            let parallel = pool.run(&batch, &echo_work);
+            let parallel = pool.run(&batch, echo_work);
             assert_eq!(parallel.len(), batch.len());
             for (index, (a, b)) in serial.iter().zip(&parallel).enumerate() {
                 assert_eq!(a.colors, b.colors, "task {index}, {threads} threads");
@@ -256,7 +222,7 @@ mod tests {
             echo_work(tagged)
         };
         let pool = ThreadPoolExecutor::new(4).unwrap();
-        let outcomes = pool.run(&batch, &work);
+        let outcomes = pool.run(&batch, work);
         assert_eq!(outcomes.len(), 100);
         let seen = seen.into_inner().unwrap();
         assert_eq!(seen.len(), 100);
@@ -265,8 +231,9 @@ mod tests {
 
     #[test]
     fn empty_task_lists_are_fine() {
-        let pool = ThreadPoolExecutor::new(4).unwrap();
-        assert!(pool.run(&[], &echo_work).is_empty());
-        assert!(SerialExecutor.run(&[], &echo_work).is_empty());
+        for threads in [1, 4] {
+            let pool = ThreadPoolExecutor::new(threads).unwrap();
+            assert!(pool.run(&[], echo_work).is_empty());
+        }
     }
 }

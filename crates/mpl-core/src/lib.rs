@@ -32,7 +32,7 @@
 //! The flow above is staged behind a batch-first API.  Production
 //! decomposers are driven as services over *streams* of layouts, so the
 //! execution layer schedules the component tasks of **many** layouts on
-//! one shared executor; a single layout is just the degenerate batch.
+//! one shared thread pool; a single layout is just the degenerate batch.
 //!
 //! 1. **Plan.** [`Decomposer::plan`] validates the configuration and the
 //!    layout (typed [`DecomposeError`]s instead of panics), builds the
@@ -45,20 +45,18 @@
 //!    ([`submit_layout`](DecompositionSession::submit_layout) plans
 //!    internally).  Batches may mix configurations: every task carries its
 //!    own plan's engine, K and α.
-//! 3. **Run.** [`DecompositionSession::run`] drains the whole batch
-//!    through a pluggable [`Executor`] — [`SerialExecutor`] for the
-//!    classic single-threaded run, or [`ThreadPoolExecutor`] to color
-//!    components on a scoped thread pool, largest component first *across
-//!    layouts*, so small layouts never leave pool workers idle — and
-//!    returns one [`DecompositionResult`] per layout, in submission order.
-//!    Components share no edges, so every executor and every batching
-//!    produces bit-identical colors per layout (provided no engine
-//!    wall-clock cut-off fires mid-component; see
-//!    [`DecompositionPlan::execute`]).
+//! 3. **Run.** [`DecompositionSession::run`] drains the whole batch on a
+//!    [`ThreadPoolExecutor`], largest component first *across layouts*, so
+//!    small layouts never leave pool workers idle (a one-thread pool colors
+//!    everything on the calling thread), and returns one
+//!    [`DecompositionResult`] per layout, in submission order.  Components
+//!    share no edges, so every pool size and every batching produces
+//!    bit-identical colors per layout (provided no engine wall-clock
+//!    cut-off fires mid-component; see [`DecompositionPlan::execute`]).
 //!
 //! [`DecompositionPlan::execute`] is the one-plan session (same engine,
 //! layout id `0`), and [`Decomposer::decompose`] remains as the one-call
-//! serial convenience wrapper.  Progress is one [`Progress`] tick, "`done`
+//! convenience wrapper on the calling thread.  Progress is one [`Progress`] tick, "`done`
 //! of `total` units of this [`LayoutId`] are finished", delivered in order
 //! per layout as each component finishes.
 //!
@@ -82,7 +80,7 @@
 //!
 //! ```
 //! use mpl_core::{ColorAlgorithm, Decomposer, DecomposerConfig, DecompositionSession,
-//!                SerialExecutor, ThreadPoolExecutor};
+//!                ThreadPoolExecutor};
 //! use mpl_layout::{gen, Technology};
 //!
 //! let tech = Technology::nm20();
@@ -94,10 +92,10 @@
 //! let clique = session.submit_layout(&decomposer, &gen::fig1_contact_clique(&tech))?;
 //! let cluster = session.submit_layout(&decomposer, &gen::k5_cluster_layout(&tech))?;
 //!
-//! // Stage 3: run the whole batch on one executor; results come back in
-//! // submission order, and every schedule agrees bit for bit.
+//! // Stage 3: run the whole batch on one pool; results come back in
+//! // submission order, and every pool size agrees bit for bit.
 //! let pooled = session.run(&ThreadPoolExecutor::new(2)?);
-//! let serial = session.run(&SerialExecutor);
+//! let serial = session.run(&ThreadPoolExecutor::new(1)?);
 //! assert_eq!(pooled.len(), 2);
 //! for ((id_a, a), (id_b, b)) in pooled.iter().zip(&serial) {
 //!     assert_eq!(id_a, id_b);
@@ -112,7 +110,7 @@
 //!
 //! // The degenerate batch: execute one plan directly.
 //! let plan = decomposer.plan(&gen::fig1_contact_clique(&tech))?;
-//! assert_eq!(plan.execute(&SerialExecutor).conflicts(), 0);
+//! assert_eq!(plan.execute(&ThreadPoolExecutor::default()).conflicts(), 0);
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
@@ -147,12 +145,12 @@ pub use cost::{coloring_cost, ColoringCost};
 pub use decomp_graph::{DecompositionGraph, VertexId};
 pub use decomposer::{Decomposer, DecompositionResult, LayoutCounters};
 pub use error::{ConfigError, DecomposeError};
-pub use executor::{BatchWork, Executor, SerialExecutor, ThreadPoolExecutor};
+pub use executor::ThreadPoolExecutor;
 pub use json::{FieldError, Json, JsonParseError, JsonRecord};
 pub use memo::component_signatures;
 pub use mpl_memo::{MemoCache, MemoStats, Signature};
-pub use pipeline::{ComponentOutcome, ComponentStats, ComponentTask, DecompositionPlan, Progress};
+pub use pipeline::{ComponentStats, ComponentTask, DecompositionPlan, Progress};
 pub use report::{ResultRow, TableReport};
-pub use session::{BatchTask, DecompositionSession, LayoutId};
+pub use session::{DecompositionSession, LayoutId};
 pub use stitch::StitchConfig;
 pub use verify::{density_imbalance, extract_masks, verify_spacing, Mask, SpacingViolation};

@@ -31,7 +31,7 @@
 use crate::division::{best_color_permutation, permute_to_match_anchors};
 use crate::{
     ComponentProblem, ComponentStats, Decomposer, DecompositionPlan, DecompositionResult,
-    DecompositionSession, Executor, LayoutId, MemoCache, Progress,
+    DecompositionSession, LayoutId, MemoCache, Progress, ThreadPoolExecutor,
 };
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
@@ -115,7 +115,7 @@ pub struct ReconcileStats {
 /// Panics if `partitions` does not hold one entry per submitted plan.
 pub fn run_partitioned(
     session: &DecompositionSession,
-    executor: &dyn Executor,
+    pool: &ThreadPoolExecutor,
     partitions: &[Partition],
     alignment: Alignment,
     memo: Option<Arc<MemoCache>>,
@@ -177,7 +177,7 @@ pub fn run_partitioned(
     // Inner results come back in submission order, which the loop below
     // consumes in the same layout → resident → split → piece order.
     let mut inner_results = inner
-        .run_observed(executor, &pieces)
+        .run_observed(pool, &pieces)
         .into_iter()
         .map(|(_, result)| result);
     let mut next_inner = || inner_results.next().expect("one result per inner plan");
@@ -239,7 +239,7 @@ pub fn run_partitioned(
             .map(|stats| stats.expect("every task is resident or split"))
             .collect();
         let result =
-            DecompositionResult::assemble(plan, executor.name(), colors, components, color_time);
+            DecompositionResult::assemble(plan, pool.name(), colors, components, color_time);
         results.push((id, result, reconciled));
     }
     results

@@ -3,8 +3,8 @@
 //!
 //! [`crate::Decomposer::plan`] builds the decomposition graph and
 //! materialises every independent component as a self-contained
-//! [`ComponentTask`]; the tasks then execute through a pluggable
-//! [`Executor`](crate::Executor), either alone
+//! [`ComponentTask`]; the tasks then color on a
+//! [`ThreadPoolExecutor`], either alone
 //! ([`DecompositionPlan::execute`]) or batched with other layouts' tasks
 //! in a [`DecompositionSession`](crate::DecompositionSession).  Because
 //! components are independent by construction (no conflict or stitch edge
@@ -17,8 +17,9 @@
 //! [`DecompositionResult`](crate::DecompositionResult).
 
 use crate::session::{execute_batch, LayoutId};
-use crate::Executor;
-use crate::{ComponentProblem, Decomposer, DecompositionGraph, DecompositionResult};
+use crate::{
+    ComponentProblem, Decomposer, DecompositionGraph, DecompositionResult, ThreadPoolExecutor,
+};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -161,10 +162,10 @@ impl ComponentStats {
     }
 }
 
-/// The colored outcome of one [`ComponentTask`], produced by the per-task
-/// work function an [`Executor`] drives.
+/// The colored outcome of one [`ComponentTask`], produced by the batch's
+/// per-task work function.
 #[derive(Debug, Clone)]
-pub struct ComponentOutcome {
+pub(crate) struct ComponentOutcome {
     /// One color per local vertex of the task's problem.
     pub colors: Vec<u8>,
     /// The task's statistics.
@@ -178,12 +179,12 @@ pub struct ComponentOutcome {
 /// ticks once per component task; the [`partition`](crate::partition)
 /// driver ticks once per inner decomposition (a piece, or a layout's batch
 /// of resident components) as each one finishes.  Per layout, `done` runs
-/// 1, 2, …, `total` in order on every executor: the batch engine counts
+/// 1, 2, …, `total` in order on every pool size: the batch engine counts
 /// and calls under the layout's own lock.  A layout with no units never
 /// ticks.
 ///
-/// Parallel executors call it from worker threads, so implementations must
-/// be `Sync`.  `()` ignores every tick.
+/// Pool workers call it from their threads, so implementations must be
+/// `Sync`.  `()` ignores every tick.
 pub trait Progress: Sync {
     /// `done` of `total` units of `layout` are finished.
     fn done(&self, layout: LayoutId, done: usize, total: usize);
@@ -198,7 +199,7 @@ impl Progress for () {
 ///
 /// The plan is immutable and self-contained; executing it does not mutate
 /// it, so the same plan can be executed several times (e.g. once per
-/// executor when comparing schedules) or submitted to a
+/// pool size when comparing schedules) or submitted to a
 /// [`DecompositionSession`](crate::DecompositionSession) to run batched
 /// with other layouts.
 #[derive(Debug, Clone)]
@@ -303,12 +304,12 @@ impl DecompositionPlan {
         self.graph_time
     }
 
-    /// Executes every task through `executor` and assembles the result —
-    /// the degenerate one-plan batch (layout id `0`) through the same engine
+    /// Executes every task on `pool` and assembles the result — the
+    /// degenerate one-plan batch (layout id `0`) through the same engine
     /// that drives [`DecompositionSession::run`](crate::DecompositionSession::run).
     ///
     /// The coloring work itself is a function of each task alone, so the
-    /// assembled colors are identical for every executor (and for every
+    /// assembled colors are identical for every pool size (and for every
     /// batch the plan is submitted to); only the scheduling (and the
     /// wall-clock `color_time`) differs.  One caveat: engines with
     /// *wall-clock* cut-offs (the exact engine's
@@ -316,10 +317,10 @@ impl DecompositionPlan {
     /// solve budget) stop at whatever incumbent they reached when the
     /// deadline fires, so on components large enough to hit a deadline the
     /// result can depend on machine load.  Raise the limits when exact
-    /// reproducibility across executors matters.
-    pub fn execute(&self, executor: &dyn Executor) -> DecompositionResult {
+    /// reproducibility across pool sizes matters.
+    pub fn execute(&self, pool: &ThreadPoolExecutor) -> DecompositionResult {
         let entries = [(LayoutId::new(0), self)];
-        let mut results = execute_batch(&entries, executor, &(), None, None);
+        let mut results = execute_batch(&entries, pool, &(), None, None);
         results
             .pop()
             .expect("a one-plan batch produces exactly one result")

@@ -1,5 +1,5 @@
-//! Batch-first execution: a [`DecompositionSession`] schedules the
-//! component tasks of **many** layouts on one shared executor.
+//! Batch-first execution: a [`DecompositionSession`] colors the component
+//! tasks of **many** layouts on one shared thread pool.
 //!
 //! The paper's graph-division stage deliberately shatters a layout into
 //! many small independent coloring problems.  Scheduling those problems
@@ -7,10 +7,10 @@
 //! session instead collects every submitted plan's [`ComponentTask`]s into
 //! one shared, largest-first global queue — each task tagged with the
 //! [`LayoutId`] of the layout it belongs to — and drains the whole batch
-//! through a single [`Executor`].  Because components are independent by
-//! construction, the per-layout results are bit-identical to running each
-//! layout alone on the [`SerialExecutor`](crate::SerialExecutor); only the
-//! schedule (and the wall clock) changes.
+//! through one [`ThreadPoolExecutor`].  Because components are independent
+//! by construction, the per-layout results are bit-identical to running
+//! each layout alone on a one-thread pool; only the schedule (and the wall
+//! clock) changes.
 //!
 //! [`DecompositionPlan::execute`](crate::DecompositionPlan::execute) is the
 //! degenerate one-plan batch and shares this module's engine.
@@ -20,7 +20,9 @@ use crate::memo::{canonical_problem, canonicalize_tasks, config_fingerprint};
 use crate::pipeline::{
     ComponentOutcome, ComponentStats, ComponentTask, DecompositionPlan, Progress,
 };
-use crate::{coloring_cost, DecomposeError, Decomposer, DecompositionResult, Executor, TileConfig};
+use crate::{
+    coloring_cost, DecomposeError, Decomposer, DecompositionResult, ThreadPoolExecutor, TileConfig,
+};
 use mpl_geometry::range_count;
 use mpl_layout::{Layout, LayoutHierarchy};
 use mpl_memo::{CanonicalComponent, MemoCache, Signature};
@@ -33,7 +35,7 @@ use std::time::{Duration, Instant};
 /// Identifies one layout within a [`DecompositionSession`] batch.
 ///
 /// Ids are assigned by [`DecompositionSession::submit`] in submission order
-/// (`0, 1, 2, …`) and tag every [`BatchTask`], [`Progress`] tick and result
+/// (`0, 1, 2, …`) and tag every component task, [`Progress`] tick and result
 /// of the batch, so cross-layout consumers can tell whose component just
 /// finished.  A plan executed on its own ([`DecompositionPlan::execute`])
 /// is the degenerate batch and uses id `0`.
@@ -43,9 +45,8 @@ use std::time::{Duration, Instant};
 pub struct LayoutId(usize);
 
 impl LayoutId {
-    /// Creates an id with the given index (useful when hand-building
-    /// batches for custom executors; sessions assign ids themselves).
-    pub fn new(index: usize) -> Self {
+    /// Creates an id with the given index (sessions assign ids themselves).
+    pub(crate) fn new(index: usize) -> Self {
         LayoutId(index)
     }
 
@@ -62,9 +63,9 @@ impl fmt::Display for LayoutId {
 }
 
 /// A [`ComponentTask`] tagged with the layout it belongs to — the unit of
-/// work an [`Executor`] schedules within a batch.
+/// work the pool runs within a batch.
 #[derive(Debug, Clone, Copy)]
-pub struct BatchTask<'a> {
+pub(crate) struct BatchTask<'a> {
     layout: LayoutId,
     task: &'a ComponentTask,
     cancel: Option<&'a crate::CancelToken>,
@@ -107,7 +108,7 @@ impl<'a> BatchTask<'a> {
     /// its sticky flags).  `true` means the task should be skipped if it has
     /// not started yet; the batch work function checks this before invoking
     /// an engine, so not-yet-started tasks of a cancelled request degrade to
-    /// cheap placeholder outcomes on every executor.
+    /// cheap placeholder outcomes.
     pub fn poll_cancel(&self) -> bool {
         self.cancel.is_some_and(crate::CancelToken::poll)
     }
@@ -118,25 +119,25 @@ impl<'a> BatchTask<'a> {
     }
 }
 
-/// A batch of decomposition plans executed on one shared executor.
+/// A batch of decomposition plans executed on one shared thread pool.
 ///
 /// Plans are added with [`submit`](DecompositionSession::submit) (or
 /// [`submit_layout`](DecompositionSession::submit_layout), which plans
 /// internally) and executed together by
 /// [`run`](DecompositionSession::run): every plan's component tasks enter
-/// one largest-first global queue, so a pool executor keeps all workers
-/// busy as long as *any* layout still has components left — small layouts
-/// no longer serialise behind each other.
+/// one largest-first global queue, so the pool keeps all workers busy as
+/// long as *any* layout still has components left — small layouts no
+/// longer serialise behind each other.
 ///
 /// Running does not consume the session; like a single plan, the same
-/// batch can be executed several times (e.g. once per executor when
+/// batch can be executed several times (e.g. once per pool size when
 /// comparing schedules) and yields bit-identical colors every time.
 ///
 /// # Example
 ///
 /// ```
 /// use mpl_core::{ColorAlgorithm, Decomposer, DecomposerConfig, DecompositionSession,
-///                SerialExecutor, ThreadPoolExecutor};
+///                ThreadPoolExecutor};
 /// use mpl_layout::{gen, Technology};
 ///
 /// let tech = Technology::nm20();
@@ -151,10 +152,10 @@ impl<'a> BatchTask<'a> {
 /// // One shared pool drains both layouts' components...
 /// let results = session.run(&ThreadPoolExecutor::new(2)?);
 /// assert_eq!(results.len(), 2);
-/// // ...and every layout's colors match its standalone serial run.
+/// // ...and every layout's colors match its standalone one-thread run.
 /// for (id, result) in &results {
 ///     let plan = session.plan(*id).unwrap();
-///     assert_eq!(result.colors(), plan.execute(&SerialExecutor).colors());
+///     assert_eq!(result.colors(), plan.execute(&ThreadPoolExecutor::default()).colors());
 /// }
 /// assert_eq!(results[0].0, a);
 /// assert_eq!(results[1].0, b);
@@ -169,7 +170,7 @@ pub struct DecompositionSession {
     /// share a [`LayoutId`].
     base: usize,
     /// The translation-canonical memo cache consulted before any component
-    /// task reaches the executor; `None` (the default) disables
+    /// task reaches the pool; `None` (the default) disables
     /// memoization.  Shared caches outlive batches and sessions.
     memo: Option<Arc<MemoCache>>,
     /// Spatial tiling requested for this session's layouts; `None` (the
@@ -206,11 +207,11 @@ impl DecompositionSession {
     ///
     /// With a cache attached, every component is canonicalized before it is
     /// scheduled: cache hits — and repeats of a component already scheduled
-    /// in the same batch — bypass the executor entirely and are stamped
+    /// in the same batch — bypass the pool entirely and are stamped
     /// from the stored canonical coloring at collection time.  Cache misses
     /// color the **canonical** form of the component, so the colors a
     /// component receives are a pure function of its signature: identical
-    /// for every translated copy, every executor, every batch shape, and
+    /// for every translated copy, every pool size, every batch shape, and
     /// every cache state (warm results are bit-identical to cold ones).
     /// They may, however, differ from the colors the same plan produces
     /// *without* a cache, where the engine sees the live vertex order.
@@ -238,7 +239,7 @@ impl DecompositionSession {
     /// front ends and the `mpl-tile` crate, whose `run_tiled` entry point
     /// reads it back via [`tiling`](DecompositionSession::tiling), shards
     /// oversized components into halo-expanded windows, drives them through
-    /// this session's executor machinery (including any attached memo
+    /// this session's batch machinery (including any attached memo
     /// cache), and reconciles the per-tile colorings deterministically.
     pub fn set_tiling(&mut self, tiling: Option<TileConfig>) {
         self.tiling = tiling;
@@ -257,7 +258,7 @@ impl DecompositionSession {
     /// The attachment stored here is the contract between the front ends
     /// and the `mpl-hier` crate, whose `run_hier` entry point reads it back
     /// via [`hierarchy`](DecompositionSession::hierarchy), colors each
-    /// distinct cell body once through this session's executor machinery
+    /// distinct cell body once through this session's batch machinery
     /// (including any attached memo cache), and reconciles only the
     /// inter-instance boundary geometry.
     ///
@@ -328,7 +329,7 @@ impl DecompositionSession {
     ///
     /// ```
     /// use mpl_core::{ColorAlgorithm, Decomposer, DecomposerConfig, DecompositionSession,
-    ///                SerialExecutor};
+    ///                ThreadPoolExecutor};
     /// use mpl_layout::{gen, Technology};
     ///
     /// let tech = Technology::nm20();
@@ -337,7 +338,7 @@ impl DecompositionSession {
     ///
     /// let mut session = DecompositionSession::new();
     /// let first = session.submit_layout(&decomposer, &layout)?;
-    /// session.run(&SerialExecutor);
+    /// session.run(&ThreadPoolExecutor::default());
     /// session.clear();
     /// let second = session.submit_layout(&decomposer, &layout)?;
     /// assert_ne!(first, second);
@@ -409,28 +410,28 @@ impl DecompositionSession {
         self.plans.get(id.index().checked_sub(self.base)?)
     }
 
-    /// Executes the whole batch through `executor` and returns one result
-    /// per layout, in submission order.
+    /// Executes the whole batch on `pool` and returns one result per
+    /// layout, in submission order.
     ///
     /// Every layout's colors/conflicts/stitches are bit-identical to that
-    /// layout's standalone [`SerialExecutor`](crate::SerialExecutor) run
-    /// (see [`DecompositionPlan::execute`] for the wall-clock cut-off
-    /// caveat shared by all schedules).
-    pub fn run(&self, executor: &dyn Executor) -> Vec<(LayoutId, DecompositionResult)> {
-        self.run_observed(executor, &())
+    /// layout's standalone one-thread run (see
+    /// [`DecompositionPlan::execute`] for the wall-clock cut-off caveat
+    /// shared by all schedules).
+    pub fn run(&self, pool: &ThreadPoolExecutor) -> Vec<(LayoutId, DecompositionResult)> {
+        self.run_observed(pool, &())
     }
 
-    /// Executes the whole batch through `executor`, ticking `progress` once
-    /// per finished component of each layout.
+    /// Executes the whole batch on `pool`, ticking `progress` once per
+    /// finished component of each layout.
     pub fn run_observed(
         &self,
-        executor: &dyn Executor,
+        pool: &ThreadPoolExecutor,
         progress: &dyn Progress,
     ) -> Vec<(LayoutId, DecompositionResult)> {
         let entries: Vec<(LayoutId, &DecompositionPlan)> = self.plans().collect();
         execute_batch(
             &entries,
-            executor,
+            pool,
             progress,
             self.memo.as_deref(),
             Some(&self.cancels),
@@ -499,7 +500,7 @@ type LeadColoring = (Arc<Vec<u8>>, (bool, bool, bool));
 /// contiguous ranges ([`canonicalize_tasks`]); the cache is then probed and
 /// the leads chosen in the fixed (slot, task) order, so lead/follow
 /// choices — and therefore the whole run — depend neither on the range
-/// count nor on the executor's schedule. The prepass only canonicalizes:
+/// count nor on the pool's schedule. The prepass only canonicalizes:
 /// each lead's canonical problem is built by the worker that colors it and
 /// freed after the engine returns, so a batch never holds them all at once.
 fn memo_prepass(
@@ -549,26 +550,27 @@ fn memo_prepass(
 /// The shared batch engine behind [`DecompositionSession::run_observed`]
 /// and [`DecompositionPlan::execute`] (a one-entry batch).
 ///
-/// Builds the largest-first global queue of tagged tasks, drains it through
-/// `executor`, and assembles one [`DecompositionResult`] per entry, in
-/// entry order.  Each entry's `LayoutId` must be unique within the batch.
-/// A large plan's memo prepass runs on every available CPU
-/// ([`range_count`]).
+/// Builds the largest-first global queue of tagged tasks, drains it on
+/// `pool`, and assembles one [`DecompositionResult`] per entry, in entry
+/// order.  The queue's sort is the one place the schedule is decided: the
+/// pool drains batch positions in order.  Each entry's `LayoutId` must be
+/// unique within the batch.  A large plan's memo prepass runs on every
+/// available CPU ([`range_count`]).
 pub(crate) fn execute_batch(
     entries: &[(LayoutId, &DecompositionPlan)],
-    executor: &dyn Executor,
+    pool: &ThreadPoolExecutor,
     progress: &dyn Progress,
     memo: Option<&MemoCache>,
     cancels: Option<&HashMap<usize, crate::CancelToken>>,
 ) -> Vec<(LayoutId, DecompositionResult)> {
-    execute_batch_in(entries, executor, progress, memo, cancels, range_count)
+    execute_batch_in(entries, pool, progress, memo, cancels, range_count)
 }
 
 /// [`execute_batch`] with a plan of `n` task vertices canonicalized in
 /// `ranges(n)` contiguous ranges.
 fn execute_batch_in(
     entries: &[(LayoutId, &DecompositionPlan)],
-    executor: &dyn Executor,
+    pool: &ThreadPoolExecutor,
     progress: &dyn Progress,
     memo: Option<&MemoCache>,
     cancels: Option<&HashMap<usize, crate::CancelToken>>,
@@ -592,7 +594,7 @@ fn execute_batch_in(
     // The shared global queue: every task of every plan, largest first.
     // Ties keep (submission, task) order so the schedule is deterministic;
     // the outcomes are schedule-independent anyway.  With a memo attached,
-    // only lead tasks reach the executor: hits and followers are stamped at
+    // only lead tasks reach the pool: hits and followers are stamped at
     // collection time.
     let mut batch: Vec<BatchTask<'_>> = entries
         .iter()
@@ -646,8 +648,8 @@ fn execute_batch_in(
         let task_start = Instant::now();
         // A request already stopped (cancelled or past deadline) skips the
         // engine entirely: the task yields an all-zero placeholder coloring
-        // with honest conflict counts, preserving the executor contract of
-        // one outcome per batch task.
+        // with honest conflict counts, preserving one outcome per batch
+        // task.
         if tagged.poll_cancel() {
             let token = tagged.cancel().expect("poll_cancel implies a token");
             let colors = vec![0u8; task.problem().vertex_count()];
@@ -681,7 +683,7 @@ fn execute_batch_in(
                     );
                     (mpl_memo::stamp(&canonical_colors, perm), work, Some(false))
                 }
-                _ => unreachable!("only lead tasks enter the executor batch"),
+                _ => unreachable!("only lead tasks enter the pool's batch"),
             },
         };
         // Classify an engine-observed stop through the token so the stats
@@ -706,29 +708,13 @@ fn execute_batch_in(
         ComponentOutcome { colors, stats }
     };
 
-    let outcomes = executor.run(&batch, &work);
-    // The Executor contract requires one outcome per batch task, in batch
-    // order; a broken custom executor must fail loudly here rather than
-    // silently producing a truncated (wrong) coloring.
-    assert_eq!(
-        outcomes.len(),
-        batch.len(),
-        "executor {:?} returned {} outcomes for {} tasks",
-        executor.name(),
-        outcomes.len(),
-        batch.len()
-    );
+    // One outcome per batch task, in batch order.
+    let outcomes = pool.run(&batch, work);
 
     // Scatter the outcomes back to their layouts.
     let mut per_layout: Vec<Vec<(usize, ComponentOutcome)>> =
         (0..entries.len()).map(|_| Vec::new()).collect();
     for (tagged, outcome) in batch.iter().zip(outcomes) {
-        assert_eq!(
-            outcome.stats.index,
-            tagged.task().index(),
-            "executor {:?} returned outcomes out of batch order",
-            executor.name()
-        );
         per_layout[slots[&tagged.layout()]].push((tagged.task().index(), outcome));
     }
     for outcomes in &mut per_layout {
@@ -737,7 +723,7 @@ fn execute_batch_in(
 
     // Memo collection, step 1: store every lead's canonical coloring.  The
     // insertion order is (slot, task) order — deterministic whatever the
-    // executor did — and followers always sit after their lead in that
+    // pool did — and followers always sit after their lead in that
     // order, so step 2 below finds every canonical coloring it needs.
     // Leads a cancel token touched (truncated mid-search or skipped) are
     // NOT inserted into the shared cache — a cache entry must always be the
@@ -746,17 +732,17 @@ fn execute_batch_in(
     let mut lead_canonical: HashMap<(usize, usize), LeadColoring> = HashMap::new();
     if let Some(dispositions) = &dispositions {
         let cache = memo.expect("dispositions imply an attached cache");
-        // The executor outcomes are exactly the leads, in (slot, task)
-        // order, the order of `lead_signatures`.
+        // The pool's outcomes are exactly the leads, in (slot, task) order,
+        // the order of `lead_signatures`.
         let outcomes = per_layout.iter().enumerate().flat_map(|(slot, outcomes)| {
             outcomes
                 .iter()
                 .map(move |(index, outcome)| ((slot, *index), outcome))
         });
         for ((lead, signature), (at, outcome)) in lead_signatures.into_iter().zip(outcomes) {
-            assert_eq!(lead, at, "executor outcomes pair with their leads");
+            assert_eq!(lead, at, "pool outcomes pair with their leads");
             let Disposition::Lead { perm } = &dispositions[lead.0][lead.1] else {
-                unreachable!("only lead tasks have executor outcomes");
+                unreachable!("only lead tasks have pool outcomes");
             };
             let canonical = mpl_memo::unstamp(&outcome.colors, perm);
             let stats = &outcome.stats;
@@ -772,21 +758,20 @@ fn execute_batch_in(
     for ((slot, &(id, plan)), tally) in entries.iter().enumerate().zip(tallies) {
         let (mut done, finished_at) = tally.into_inner().expect("no panics while counting");
         let total = plan.tasks().len();
-        let executor_outcomes = std::mem::take(&mut per_layout[slot]);
-        // Memo collection, step 2: interleave the executor's lead outcomes
+        let pool_outcomes = std::mem::take(&mut per_layout[slot]);
+        // Memo collection, step 2: interleave the pool's lead outcomes
         // with stamped hit/follower outcomes, in task order, ticking the
         // stamped components after every lead of the layout.
         let outcomes: Vec<(usize, ComponentOutcome)> = match &mut dispositions {
-            None => executor_outcomes,
+            None => pool_outcomes,
             Some(dispositions) => {
                 let mut merged = Vec::with_capacity(total);
-                let mut from_executor = executor_outcomes.into_iter();
+                let mut from_pool = pool_outcomes.into_iter();
                 for task in plan.tasks() {
                     match &mut dispositions[slot][task.index()] {
                         Disposition::Lead { .. } => {
-                            let (index, outcome) = from_executor.next().unwrap_or_else(|| {
-                                panic!("executor {:?} dropped tasks of {id}", executor.name())
-                            });
+                            let (index, outcome) =
+                                from_pool.next().expect("every lead has a pool outcome");
                             assert_eq!(index, task.index());
                             merged.push((index, outcome));
                         }
@@ -814,12 +799,7 @@ fn execute_batch_in(
                 merged
             }
         };
-        assert_eq!(
-            outcomes.len(),
-            total,
-            "executor {:?} dropped tasks of {id}",
-            executor.name()
-        );
+        assert_eq!(outcomes.len(), total, "every task of {id} has an outcome");
         let mut colors = vec![0u8; plan.graph().vertex_count()];
         for ((_, outcome), task) in outcomes.iter().zip(plan.tasks()) {
             for (local, &global) in task.to_global().iter().enumerate() {
@@ -836,7 +816,7 @@ fn execute_batch_in(
             .collect();
         let result = DecompositionResult::from_execution(
             plan,
-            executor.name(),
+            pool.name(),
             colors,
             cost,
             components,
@@ -850,7 +830,7 @@ fn execute_batch_in(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{ColorAlgorithm, DecomposerConfig, SerialExecutor, ThreadPoolExecutor};
+    use crate::{ColorAlgorithm, DecomposerConfig};
     use mpl_layout::{gen, Technology};
 
     fn decomposer(algorithm: ColorAlgorithm) -> Decomposer {
@@ -879,7 +859,7 @@ mod tests {
         assert_eq!(a.to_string(), "layout#0");
         assert_eq!(session.layout_count(), 2);
         assert!(session.task_count() >= 2);
-        let results = session.run(&SerialExecutor);
+        let results = session.run(&ThreadPoolExecutor::default());
         assert_eq!(results.len(), 2);
         assert_eq!(results[0].0, a);
         assert_eq!(results[1].0, b);
@@ -968,14 +948,14 @@ mod tests {
     fn empty_sessions_and_empty_layouts_run_trivially() {
         let session = DecompositionSession::new();
         assert!(session.is_empty());
-        assert!(session.run(&SerialExecutor).is_empty());
+        assert!(session.run(&ThreadPoolExecutor::default()).is_empty());
 
         let decomposer = decomposer(ColorAlgorithm::Linear);
         let mut session = DecompositionSession::default();
         let id = session
             .submit_layout(&decomposer, &Layout::builder("empty").build())
             .expect("an empty layout is not an error");
-        let results = session.run(&SerialExecutor);
+        let results = session.run(&ThreadPoolExecutor::default());
         assert_eq!(results.len(), 1);
         assert_eq!(results[0].0, id);
         assert_eq!(results[0].1.vertex_count(), 0);
@@ -1054,7 +1034,7 @@ mod tests {
         let b = session
             .submit_layout(&decomposer, &row_layout("wave1-b", 5))
             .expect("valid config");
-        let first_wave = session.run(&SerialExecutor);
+        let first_wave = session.run(&ThreadPoolExecutor::default());
         assert_eq!(first_wave.len(), 2);
 
         session.clear();
@@ -1063,7 +1043,7 @@ mod tests {
         assert_eq!(session.submitted_count(), 2);
         assert!(session.plan(a).is_none());
         assert!(session.plan(b).is_none());
-        assert!(session.run(&SerialExecutor).is_empty());
+        assert!(session.run(&ThreadPoolExecutor::default()).is_empty());
 
         let c = session
             .submit_layout(&decomposer, &row_layout("wave2-c", 7))
@@ -1094,7 +1074,7 @@ mod tests {
         session
             .submit_layout(&decomposer, &row_layout("rerun", 9))
             .expect("valid config");
-        let first = session.run(&SerialExecutor);
+        let first = session.run(&ThreadPoolExecutor::default());
         let second = session.run(&ThreadPoolExecutor::new(3).expect("threads"));
         assert_eq!(first[0].1.colors(), second[0].1.colors());
     }
@@ -1112,7 +1092,7 @@ mod tests {
             assert!(session.memo().is_some());
             let tasks = session.task_count();
 
-            let cold = session.run(&SerialExecutor);
+            let cold = session.run(&ThreadPoolExecutor::default());
             let warm = session.run(&ThreadPoolExecutor::new(3).expect("threads"));
             assert_eq!(cold[0].1.colors(), warm[0].1.colors(), "{algorithm}");
             assert_eq!(cold[0].1.conflicts(), warm[0].1.conflicts());
@@ -1151,7 +1131,7 @@ mod tests {
         token.cancel();
         session.set_cancel(id, Some(token));
 
-        let results = session.run(&SerialExecutor);
+        let results = session.run(&ThreadPoolExecutor::default());
         let result = &results[0].1;
         assert!(result.cancelled());
         assert!(!result.deadline_exceeded());
@@ -1168,7 +1148,7 @@ mod tests {
         // Detaching the token restores the full run, bit-identical to a
         // never-cancelled session.
         session.set_cancel(id, None);
-        let full = session.run(&SerialExecutor);
+        let full = session.run(&ThreadPoolExecutor::default());
         let standalone = decomposer
             .decompose(&row_layout("cancelled", 3))
             .expect("valid config");
@@ -1209,12 +1189,12 @@ mod tests {
             let id = session
                 .submit_layout(&decomposer, &row_layout("quiet", 7))
                 .expect("valid config");
-            let bare = session.run(&SerialExecutor);
+            let bare = session.run(&ThreadPoolExecutor::default());
             session.set_cancel(
                 id,
                 Some(crate::CancelToken::after(Duration::from_secs(3600))),
             );
-            let tokened = session.run(&SerialExecutor);
+            let tokened = session.run(&ThreadPoolExecutor::default());
             assert_eq!(bare[0].1.colors(), tokened[0].1.colors(), "{algorithm}");
             // Wall-clock (and scratch-warmth) fields vary run to run;
             // every deterministic counter must be untouched by the token.
@@ -1255,7 +1235,7 @@ mod tests {
         token.cancel();
         session.set_cancel(id, Some(token));
 
-        let skipped = session.run(&SerialExecutor);
+        let skipped = session.run(&ThreadPoolExecutor::default());
         assert_eq!(
             skipped[0].1.components_skipped(),
             skipped[0].1.component_count()
@@ -1265,13 +1245,13 @@ mod tests {
 
         // ...so the subsequent uncancelled run colors everything for real.
         session.set_cancel(id, None);
-        let real = session.run(&SerialExecutor);
+        let real = session.run(&ThreadPoolExecutor::default());
         let standalone = {
             let mut other = DecompositionSession::new().with_memo(Arc::new(MemoCache::new(1024)));
             other
                 .submit_layout(&decomposer, &layout)
                 .expect("valid config");
-            other.run(&SerialExecutor)
+            other.run(&ThreadPoolExecutor::default())
         };
         assert_eq!(real[0].1.colors(), standalone[0].1.colors());
         assert!(!real[0].1.cancelled());
@@ -1298,7 +1278,7 @@ mod tests {
         session
             .submit_layout(&decomposer, &row_layout("plain", 3))
             .expect("valid config");
-        let results = session.run(&SerialExecutor);
+        let results = session.run(&ThreadPoolExecutor::default());
         assert_eq!(results[0].1.memo_hits(), None);
         assert_eq!(results[0].1.memo_misses(), None);
         assert!(results[0]
@@ -1338,7 +1318,7 @@ mod tests {
             session
                 .submit_layout(decomposer, &layout)
                 .expect("valid config");
-            session.run(&SerialExecutor).remove(0).1
+            session.run(&ThreadPoolExecutor::default()).remove(0).1
         };
         let cold: Vec<Vec<u8>> = decomposers
             .iter()
@@ -1378,7 +1358,7 @@ mod tests {
             .submit_layout(&decomposer, &translated)
             .expect("valid config");
         let progress = RecordingProgress::default();
-        let results = session.run_observed(&SerialExecutor, &progress);
+        let results = session.run_observed(&ThreadPoolExecutor::default(), &progress);
 
         // Every component of the translated copy shares a signature with a
         // layout-0 lead, so the whole second layout is stamped — and the
@@ -1428,14 +1408,20 @@ mod tests {
             let mut runs = Vec::new();
             for _ in 0..2 {
                 let prepass = memo_prepass(&entries, &cache, ranges);
-                let results: Vec<_> =
-                    execute_batch_in(&entries, &SerialExecutor, &(), Some(&cache), None, ranges)
-                        .into_iter()
-                        .map(|(id, result)| {
-                            let counts = (result.memo_hits(), result.memo_misses());
-                            (id, result.colors().to_vec(), counts, result.conflicts())
-                        })
-                        .collect();
+                let results: Vec<_> = execute_batch_in(
+                    &entries,
+                    &ThreadPoolExecutor::default(),
+                    &(),
+                    Some(&cache),
+                    None,
+                    ranges,
+                )
+                .into_iter()
+                .map(|(id, result)| {
+                    let counts = (result.memo_hits(), result.memo_misses());
+                    (id, result.colors().to_vec(), counts, result.conflicts())
+                })
+                .collect();
                 runs.push((prepass, results));
             }
             runs
@@ -1465,7 +1451,7 @@ mod tests {
             .submit_layout(&decomposer, &row_layout("memo-prog", 3))
             .expect("valid config");
         session.set_memo(Some(Arc::new(MemoCache::new(1024))));
-        session.run(&SerialExecutor); // warm the cache
+        session.run(&ThreadPoolExecutor::default()); // warm the cache
 
         let progress = RecordingProgress::default();
         session.run_observed(&ThreadPoolExecutor::new(4).expect("threads"), &progress);

@@ -5,7 +5,8 @@
 use crate::split::classify;
 use mpl_core::partition::{run_partitioned, Alignment};
 use mpl_core::{
-    ConfigError, DecompositionResult, DecompositionSession, Executor, LayoutId, MemoCache, Progress,
+    ConfigError, DecompositionResult, DecompositionSession, LayoutId, MemoCache, Progress,
+    ThreadPoolExecutor,
 };
 use std::sync::Arc;
 
@@ -85,9 +86,9 @@ pub struct HierLayoutResult {
 /// Propagates the [`ConfigError`]s of [`run_hier_observed`].
 pub fn run_hier(
     session: &DecompositionSession,
-    executor: &dyn Executor,
+    pool: &ThreadPoolExecutor,
 ) -> Result<Vec<(LayoutId, HierLayoutResult)>, ConfigError> {
-    run_hier_observed(session, executor, &())
+    run_hier_observed(session, pool, &())
 }
 
 /// Executes the session's batch hierarchically, ticking `progress` as each
@@ -99,7 +100,7 @@ pub fn run_hier(
 /// Single-provenance components flow through the ordinary batch engine
 /// untouched; mixed-provenance components are split into per-instance
 /// pieces plus a residual boundary piece, decomposed as independent
-/// sub-problems on the same executor, and reconciled deterministically
+/// sub-problems on the same pool, and reconciled deterministically
 /// (mismatch-minimising color permutations first, bounded greedy boundary
 /// repair second).  The merged coloring's conflict count is recomputed
 /// over the full graph, so it always agrees with
@@ -113,7 +114,7 @@ pub fn run_hier(
 /// signature.  In particular a layout whose components are all
 /// single-provenance (isolated instances, no hierarchy attachment, text
 /// fixtures) gets colors **bit-identical** to the flat memoized path
-/// `session.run(executor)` with a cache attached.
+/// `session.run(pool)` with a cache attached.
 ///
 /// # Errors
 ///
@@ -122,7 +123,7 @@ pub fn run_hier(
 /// cannot be composed in one run.
 pub fn run_hier_observed(
     session: &DecompositionSession,
-    executor: &dyn Executor,
+    pool: &ThreadPoolExecutor,
     progress: &dyn Progress,
 ) -> Result<Vec<(LayoutId, HierLayoutResult)>, ConfigError> {
     if session.tiling().is_some() {
@@ -141,7 +142,7 @@ pub fn run_hier_observed(
         .unwrap_or_else(|| Arc::new(MemoCache::new(MemoCache::DEFAULT_CAPACITY)));
     let results = run_partitioned(
         session,
-        executor,
+        pool,
         &partitions,
         Alignment::CrossEdges,
         Some(memo),

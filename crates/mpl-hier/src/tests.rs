@@ -6,7 +6,7 @@ use crate::{run_hier, run_hier_observed};
 use mpl_core::verify::verify_spacing;
 use mpl_core::{
     ColorAlgorithm, ConfigError, Decomposer, DecomposerConfig, DecompositionSession, LayoutId,
-    MemoCache, Progress, SerialExecutor, ThreadPoolExecutor, TileConfig,
+    MemoCache, Progress, ThreadPoolExecutor, TileConfig,
 };
 use mpl_geometry::Nm;
 use mpl_layout::{gen, LayoutHierarchy, Technology};
@@ -55,9 +55,9 @@ fn isolated_instances_are_bit_identical_to_the_flat_memoized_path() {
         let mut flat = DecompositionSession::new().with_memo(Arc::new(MemoCache::new(1024)));
         flat.submit_layout(&decomposer, &fixture.0)
             .expect("valid config");
-        let reference = flat.run(&SerialExecutor);
+        let reference = flat.run(&ThreadPoolExecutor::default());
 
-        let hier = run_hier(&session, &SerialExecutor).expect("no tiling");
+        let hier = run_hier(&session, &ThreadPoolExecutor::default()).expect("no tiling");
         let (_, hier) = &hier[0];
         assert_eq!(hier.result.colors(), reference[0].1.colors(), "{algorithm}");
         assert_eq!(hier.result.conflicts(), reference[0].1.conflicts());
@@ -79,7 +79,7 @@ fn merged_arrays_split_reconcile_and_verify_spacing_clean() {
         let decomposer = decomposer(algorithm);
         let mut session = DecompositionSession::new();
         let id = submit(&mut session, &decomposer, &fixture);
-        let hier = run_hier(&session, &SerialExecutor).expect("no tiling");
+        let hier = run_hier(&session, &ThreadPoolExecutor::default()).expect("no tiling");
         let (_, hier) = &hier[0];
         assert_eq!(hier.stats.split_components, 1, "{algorithm}");
         assert!(hier.stats.instance_pieces > 0);
@@ -103,7 +103,7 @@ fn coupled_arrays_without_merges_split_into_identical_full_cells() {
     let decomposer = decomposer(ColorAlgorithm::SdpBacktrack);
     let mut session = DecompositionSession::new();
     let id = submit(&mut session, &decomposer, &fixture);
-    let hier = run_hier(&session, &SerialExecutor).expect("no tiling");
+    let hier = run_hier(&session, &ThreadPoolExecutor::default()).expect("no tiling");
     let (_, hier) = &hier[0];
     assert_eq!(hier.stats.split_components, 1);
     assert_eq!(hier.stats.instance_pieces, 16);
@@ -123,7 +123,7 @@ fn hier_runs_are_schedule_independent() {
     let decomposer = decomposer(ColorAlgorithm::SdpBacktrack);
     let mut session = DecompositionSession::new();
     submit(&mut session, &decomposer, &fixture);
-    let serial = run_hier(&session, &SerialExecutor).expect("no tiling");
+    let serial = run_hier(&session, &ThreadPoolExecutor::default()).expect("no tiling");
     let pooled = run_hier(
         &session,
         &ThreadPoolExecutor::new(4).expect("non-zero threads"),
@@ -141,7 +141,7 @@ fn translation_identical_instances_are_stamped_from_one_master() {
     let mut session = DecompositionSession::new();
     session.set_memo(Some(Arc::new(MemoCache::new(1024))));
     submit(&mut session, &decomposer, &fixture);
-    run_hier(&session, &SerialExecutor).expect("no tiling");
+    run_hier(&session, &ThreadPoolExecutor::default()).expect("no tiling");
     // All 24 cell bodies share one translation-canonical signature: every
     // piece consulted the cache, but only one master coloring was ever
     // stored — one engine solve, 23 stamps.
@@ -157,7 +157,7 @@ fn warm_hier_runs_are_bit_identical_and_all_hits() {
     let mut session = DecompositionSession::new();
     session.set_memo(Some(Arc::new(MemoCache::new(4096))));
     submit(&mut session, &decomposer, &fixture);
-    let cold = run_hier(&session, &SerialExecutor).expect("no tiling");
+    let cold = run_hier(&session, &ThreadPoolExecutor::default()).expect("no tiling");
     let warm = run_hier(
         &session,
         &ThreadPoolExecutor::new(3).expect("non-zero threads"),
@@ -186,8 +186,8 @@ fn sessions_without_hierarchies_degenerate_to_the_memoized_flat_run() {
     let mut flat = DecompositionSession::new().with_memo(Arc::new(MemoCache::new(1024)));
     flat.submit_layout(&decomposer, &layout)
         .expect("valid config");
-    let reference = flat.run(&SerialExecutor);
-    let hier = run_hier(&session, &SerialExecutor).expect("no tiling");
+    let reference = flat.run(&ThreadPoolExecutor::default());
+    let hier = run_hier(&session, &ThreadPoolExecutor::default()).expect("no tiling");
     assert_eq!(hier[0].1.result.colors(), reference[0].1.colors());
     assert_eq!(hier[0].1.stats.instances, 0);
     assert_eq!(hier[0].1.stats.split_components, 0);
@@ -205,7 +205,7 @@ fn hier_and_tiling_cannot_be_combined() {
     session.set_tiling(Some(TileConfig::new(Nm(400))));
     submit(&mut session, &decomposer, &fixture);
     assert_eq!(
-        run_hier(&session, &SerialExecutor).unwrap_err(),
+        run_hier(&session, &ThreadPoolExecutor::default()).unwrap_err(),
         ConfigError::HierWithTiling
     );
 }
@@ -235,7 +235,8 @@ fn progress_reports_one_tick_per_inner_decomposition() {
         last: AtomicUsize::new(0),
         total: AtomicUsize::new(0),
     };
-    let hier = run_hier_observed(&session, &SerialExecutor, &progress).expect("no tiling");
+    let hier =
+        run_hier_observed(&session, &ThreadPoolExecutor::default(), &progress).expect("no tiling");
     let stats = &hier[0].1.stats;
     let expected = stats.instance_pieces
         + stats.split_components.min(1) * usize::from(stats.boundary_vertices > 0)

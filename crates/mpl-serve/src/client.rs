@@ -158,7 +158,7 @@ mod tests {
     use crate::server::{Server, ServerConfig};
     use mpl_core::{
         ColorAlgorithm, Decomposer, DecomposerConfig, DecompositionSession, MemoCache,
-        SerialExecutor,
+        ThreadPoolExecutor,
     };
     use mpl_layout::{gen, io, Technology};
     use std::sync::Arc;
@@ -216,7 +216,7 @@ mod tests {
         session
             .submit_layout(&decomposer, &layout)
             .expect("valid config");
-        let direct = &session.run(&SerialExecutor)[0].1;
+        let direct = &session.run(&ThreadPoolExecutor::default())[0].1;
         assert_eq!(payload.colors, direct.colors());
         assert_eq!(payload.conflicts, direct.conflicts());
 

@@ -3,9 +3,9 @@
 //!
 //! The decomposition pipeline is batch-first: a session coalesces the
 //! component tasks of many layouts into one largest-first queue and drains
-//! it on a shared executor.  This crate puts a long-running TCP front end
-//! on top: clients stream `submit` requests, the server coalesces whatever
-//! is pending into shared batches on its persistent executors, and each
+//! it on a shared thread pool.  This crate puts a long-running TCP front
+//! end on top: clients stream `submit` requests, the server coalesces
+//! whatever is pending into shared batches on its persistent pool, and each
 //! layout's progress and final coloring stream back to the connection that
 //! submitted it.  Everything is plain `std` — no crates.io dependencies —
 //! like the rest of the workspace.
@@ -31,7 +31,7 @@
 //!
 //! ```text
 //! {"type":"submit","id":"j1","layout_text":"# layout a\n0 0 0 20 20\n",
-//!  "k":4,"algorithm":"linear","alpha":0.1,"executor":"pool",
+//!  "k":4,"algorithm":"linear","alpha":0.1,
 //!  "progress":true,"verify":true,"deadline_ms":5000}
 //! {"type":"cancel","id":"j1"}
 //! {"type":"ping"}
@@ -42,12 +42,12 @@
 //! workspace's text format), `gds_base64` (a base64 GDSII stream) or
 //! `path` (a file on the server) — plus optional per-request parameters:
 //! `k` (default 4), `algorithm` (`ilp` | `sdp-backtrack` | `sdp-greedy` |
-//! `linear`, default `sdp-backtrack`), `alpha` (default 0.1), `executor`
-//! (`pool` | `serial`, default `pool`), `progress` (stream per-component
-//! ticks, default false), `verify` (server-side spacing re-check,
-//! default false) and `deadline_ms` (soft compute budget, measured from
-//! acceptance; omitted = none).  The `id` is an arbitrary client-chosen
-//! string echoed on every frame about that submission.
+//! `linear`, default `sdp-backtrack`), `alpha` (default 0.1), `progress`
+//! (stream per-component ticks, default false), `verify` (server-side
+//! spacing re-check, default false) and `deadline_ms` (soft compute budget,
+//! measured from acceptance; omitted = none).  The `id` is an arbitrary
+//! client-chosen string echoed on every frame about that submission.  Keys
+//! the server does not know are ignored.
 //!
 //! # Deadlines and cancellation
 //!
@@ -166,7 +166,7 @@
 //! Components are independent by construction, so a layout's coloring is a
 //! function of the layout and its parameters alone: whatever batch the
 //! scheduler coalesces a submission into, however submissions interleave
-//! across connections, and whichever executor drains them, the served
+//! across connections, and however many pool threads color them, the served
 //! result is bit-identical to a direct
 //! [`DecompositionSession`](mpl_core::DecompositionSession) run
 //! (`tests/serve_integration.rs` at the workspace root pins this for all
@@ -220,8 +220,7 @@ pub use codec::{encode_frame, FrameDecoder, FrameError};
 pub use mpl_core::{Json, JsonParseError};
 pub use protocol::{
     algorithm_wire_name, decode_request, decode_response, encode_request, encode_response,
-    ErrorCode, ExecutorChoice, LayoutSource, Request, Response, ResultPayload, ServeError,
-    SubmitRequest,
+    ErrorCode, LayoutSource, Request, Response, ResultPayload, ServeError, SubmitRequest,
 };
 pub use run::{run_layouts, LayoutRun};
 pub use server::{Server, ServerConfig, ServerHandle};

@@ -34,37 +34,6 @@ pub enum LayoutSource {
     Path(String),
 }
 
-/// Which persistent executor the server should drain this layout on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ExecutorChoice {
-    /// The server's shared thread pool (the default).
-    #[default]
-    Pool,
-    /// The serial executor.
-    Serial,
-}
-
-impl ExecutorChoice {
-    /// The wire name (`"pool"` / `"serial"`).
-    pub fn as_str(self) -> &'static str {
-        match self {
-            ExecutorChoice::Pool => "pool",
-            ExecutorChoice::Serial => "serial",
-        }
-    }
-
-    /// Parses a wire name.
-    pub fn from_wire(name: &str) -> Result<Self, ServeError> {
-        match name {
-            "pool" => Ok(ExecutorChoice::Pool),
-            "serial" => Ok(ExecutorChoice::Serial),
-            other => Err(ServeError::Protocol(format!(
-                "unknown executor {other:?} (expected \"serial\" or \"pool\")"
-            ))),
-        }
-    }
-}
-
 /// One `submit` request: a layout plus its per-request decomposition
 /// parameters.
 #[derive(Debug, Clone, PartialEq)]
@@ -80,8 +49,6 @@ pub struct SubmitRequest {
     pub algorithm: ColorAlgorithm,
     /// Stitch weight α.
     pub alpha: f64,
-    /// Which persistent executor drains this layout.
-    pub executor: ExecutorChoice,
     /// Stream per-component `progress` frames while the layout colors.
     pub progress: bool,
     /// Re-verify same-mask spacing server-side and report the violation
@@ -110,7 +77,7 @@ pub struct SubmitRequest {
 
 impl SubmitRequest {
     /// A submission with the protocol defaults (K=4, SDP+Backtrack,
-    /// α=0.1, pool executor, no progress streaming, no verification).
+    /// α=0.1, no progress streaming, no verification).
     pub fn new(id: impl Into<String>, source: LayoutSource) -> Self {
         SubmitRequest {
             id: id.into(),
@@ -118,7 +85,6 @@ impl SubmitRequest {
             k: 4,
             algorithm: ColorAlgorithm::SdpBacktrack,
             alpha: 0.1,
-            executor: ExecutorChoice::default(),
             progress: false,
             verify: false,
             tile_size: None,
@@ -169,7 +135,8 @@ pub struct ResultPayload {
     pub k: usize,
     /// Engine name (the paper's column header, e.g. `"Linear"`).
     pub algorithm: String,
-    /// Executor that drained the layout (e.g. `"serial"`, `"threads:4"`).
+    /// The pool that colored the layout (`"serial"` for one thread, else
+    /// `"threads:N"`).
     pub executor: String,
     /// Decomposition-graph vertices.
     pub vertices: usize,
@@ -705,12 +672,6 @@ pub fn decode_request(json: &Json) -> Result<Request, ServeError> {
             if json.get("alpha").is_some() {
                 submit.alpha = f64_field(json, "alpha")?;
             }
-            if let Some(value) = json.get("executor") {
-                let name = value.as_str().ok_or_else(|| {
-                    ServeError::Protocol("field \"executor\" must be a string".to_string())
-                })?;
-                submit.executor = ExecutorChoice::from_wire(name)?;
-            }
             if let Some(value) = json.get("progress") {
                 submit.progress = value.as_bool().ok_or_else(|| {
                     ServeError::Protocol("field \"progress\" must be a boolean".to_string())
@@ -770,7 +731,6 @@ pub fn encode_request(request: &Request) -> Json {
                 Json::string(algorithm_wire_name(submit.algorithm)),
             ));
             pairs.push(("alpha", Json::Number(submit.alpha)));
-            pairs.push(("executor", Json::string(submit.executor.as_str())));
             pairs.push(("progress", Json::Bool(submit.progress)));
             pairs.push(("verify", Json::Bool(submit.verify)));
             if let Some(tile_size) = submit.tile_size {
@@ -991,7 +951,6 @@ mod tests {
         submit.k = 5;
         submit.algorithm = ColorAlgorithm::Linear;
         submit.alpha = 0.25;
-        submit.executor = ExecutorChoice::Serial;
         submit.progress = true;
         submit.verify = true;
         submit.tile_size = Some(2_000);
@@ -1354,12 +1313,24 @@ mod tests {
         assert_eq!(submit.k, 4);
         assert_eq!(submit.algorithm, ColorAlgorithm::SdpBacktrack);
         assert_eq!(submit.alpha, 0.1);
-        assert_eq!(submit.executor, ExecutorChoice::Pool);
         assert!(!submit.progress);
         assert!(!submit.verify);
         assert_eq!(submit.tile_size, None);
         assert_eq!(submit.halo, None);
         assert!(!submit.hier);
+    }
+
+    #[test]
+    fn an_executor_key_decodes_like_a_submit_without_it() {
+        let decode = |frame: &str| decode_request(&Json::parse(frame).expect("valid JSON"));
+        let bare = decode(r##"{"type":"submit","id":"e","layout_text":"# layout e\n","k":5}"##)
+            .expect("decodes");
+        for executor in ["serial", "pool"] {
+            let frame = format!(
+                r##"{{"type":"submit","id":"e","layout_text":"# layout e\n","k":5,"executor":"{executor}"}}"##
+            );
+            assert_eq!(decode(&frame).expect("decodes"), bare, "{executor}");
+        }
     }
 
     #[test]
@@ -1398,10 +1369,6 @@ mod tests {
             (
                 r#"{"type":"submit","id":"x","layout_text":"a","algorithm":"magic"}"#,
                 "unknown algorithm",
-            ),
-            (
-                r#"{"type":"submit","id":"x","layout_text":"a","executor":"gpu"}"#,
-                "unknown executor",
             ),
             (
                 r#"{"type":"submit","id":"x","layout_text":"a","progress":"yes"}"#,

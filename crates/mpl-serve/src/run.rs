@@ -10,7 +10,7 @@
 
 use crate::protocol::ResultPayload;
 use mpl_core::{
-    ConfigError, DecompositionResult, DecompositionSession, Executor, LayoutId, Progress,
+    ConfigError, DecompositionResult, DecompositionSession, LayoutId, Progress, ThreadPoolExecutor,
 };
 use mpl_hier::HierStats;
 use mpl_tile::TileStats;
@@ -88,12 +88,12 @@ impl ResultPayload {
 /// [`ConfigError::HierWithTiling`] for `hier` on a tiled session.
 pub fn run_layouts(
     session: &DecompositionSession,
-    executor: &dyn Executor,
+    pool: &ThreadPoolExecutor,
     hier: bool,
     progress: &dyn Progress,
 ) -> Result<Vec<LayoutRun>, ConfigError> {
     if hier {
-        return Ok(mpl_hier::run_hier_observed(session, executor, progress)?
+        return Ok(mpl_hier::run_hier_observed(session, pool, progress)?
             .into_iter()
             .map(|(id, run)| LayoutRun {
                 id,
@@ -104,7 +104,7 @@ pub fn run_layouts(
             .collect());
     }
     let tiled = session.tiling().is_some();
-    Ok(mpl_tile::run_tiled_observed(session, executor, progress)?
+    Ok(mpl_tile::run_tiled_observed(session, pool, progress)?
         .into_iter()
         .map(|(id, run)| LayoutRun {
             id,
@@ -118,7 +118,7 @@ pub fn run_layouts(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mpl_core::{Decomposer, DecomposerConfig, SerialExecutor, TileConfig};
+    use mpl_core::{Decomposer, DecomposerConfig, TileConfig};
     use mpl_geometry::Nm;
     use mpl_hier::fixtures::{bit_cell_array, BitArrayStyle};
     use mpl_layout::{gen, Technology};
@@ -136,8 +136,9 @@ mod tests {
         let cells = session.submit_layout(&decomposer, &array).expect("plans");
         session.set_hierarchy(cells, Some(Arc::new(hierarchy)));
 
-        let plain = run_layouts(&session, &SerialExecutor, false, &()).expect("runs");
-        let direct = session.run(&SerialExecutor);
+        let plain =
+            run_layouts(&session, &ThreadPoolExecutor::default(), false, &()).expect("runs");
+        let direct = session.run(&ThreadPoolExecutor::default());
         assert_eq!(plain.len(), 2);
         for (run, (id, result)) in plain.iter().zip(&direct) {
             assert_eq!(run.id, *id);
@@ -145,17 +146,18 @@ mod tests {
             assert!(run.tiles.is_none() && run.hierarchy.is_none());
         }
 
-        let hier = run_layouts(&session, &SerialExecutor, true, &()).expect("runs");
+        let hier = run_layouts(&session, &ThreadPoolExecutor::default(), true, &()).expect("runs");
         assert_eq!(hier[1].hierarchy.map(|stats| stats.instances), Some(6));
         assert!(hier.iter().all(|run| run.tiles.is_none()));
 
         session.set_tiling(Some(TileConfig::new(Nm(300))));
-        let tiled = run_layouts(&session, &SerialExecutor, false, &()).expect("runs");
+        let tiled =
+            run_layouts(&session, &ThreadPoolExecutor::default(), false, &()).expect("runs");
         assert_eq!(tiled[0].id, lattice);
         assert!(tiled[0].tiles.is_some_and(|stats| stats.tiles > 1));
         assert!(tiled.iter().all(|run| run.hierarchy.is_none()));
         assert_eq!(
-            run_layouts(&session, &SerialExecutor, true, &()).unwrap_err(),
+            run_layouts(&session, &ThreadPoolExecutor::default(), true, &()).unwrap_err(),
             ConfigError::HierWithTiling
         );
     }

@@ -5,8 +5,9 @@
 //! protocol errors immediately.  Accepted `submit` requests are planned on
 //! the connection thread (so parse/config errors surface before anything
 //! queues) and handed to the single **scheduler** thread, which coalesces
-//! everything pending into one [`DecompositionSession`] batch per executor
-//! choice and drains it on the server's persistent executors.  While a
+//! everything pending into one [`DecompositionSession`] batch per (tiling,
+//! hierarchy) request and drains it on the server's persistent thread pool,
+//! the scheduler thread coloring as one of its workers.  While a
 //! batch runs, each finished component streams a `progress` frame back to
 //! its submission's connection through one [`Progress`] sink; the final
 //! `result` frame carries the full coloring.
@@ -66,15 +67,14 @@
 
 use crate::codec::{encode_frame, FrameDecoder, FrameError, DEFAULT_MAX_FRAME_LEN};
 use crate::protocol::{
-    decode_request, encode_response, ErrorCode, ExecutorChoice, LayoutSource, Request, Response,
-    ResultPayload, ServeError, SubmitRequest,
+    decode_request, encode_response, ErrorCode, LayoutSource, Request, Response, ResultPayload,
+    ServeError, SubmitRequest,
 };
 use crate::run::run_layouts;
 use mpl_core::Json;
 use mpl_core::{
     verify_spacing, CancelToken, ConfigError, Decomposer, DecomposerConfig, DecompositionPlan,
-    DecompositionSession, Executor, LayoutId, MemoCache, Progress, SerialExecutor,
-    ThreadPoolExecutor, TileConfig,
+    DecompositionSession, LayoutId, MemoCache, Progress, ThreadPoolExecutor, TileConfig,
 };
 use mpl_gds::{layout_from_bytes, layout_with_hierarchy, GdsLibrary, LayerMap, ReadOptions};
 use mpl_layout::{io, Layout, LayoutHierarchy, Technology};
@@ -106,10 +106,11 @@ type CancelRegistry = Arc<Mutex<HashMap<String, CancelToken>>>;
 pub struct ServerConfig {
     /// Address to bind (`"127.0.0.1:0"` picks an ephemeral port).
     pub addr: String,
-    /// Worker threads of the persistent pool executor (≥ 1; serial-choice
-    /// submissions use the serial executor regardless).  They color
-    /// components; planning a large submission runs on every available
-    /// CPU ([`mpl_geometry::range_count`]) whatever this says.
+    /// Worker threads of the persistent pool, the scheduler thread
+    /// included (≥ 1; one thread colors every submission on the scheduler
+    /// thread).  They color components; planning a large submission runs
+    /// on every available CPU ([`mpl_geometry::range_count`]) whatever this
+    /// says.
     pub pool_threads: usize,
     /// Maximum accepted frame length in bytes.
     pub max_frame_len: usize,
@@ -858,7 +859,7 @@ fn load_source(source: &LayoutSource) -> Result<(Layout, Option<LayoutHierarchy>
 fn scheduler_loop(shared: Arc<Shared>) {
     // One reusable session for every batch: ids stay unique across all the
     // batches this server ever runs, and every batch shares the server's
-    // one memo cache, whichever executor drains it.
+    // one memo cache.
     let mut session = DecompositionSession::new().with_memo(Arc::clone(&shared.memo));
     loop {
         let drained = {
@@ -878,38 +879,27 @@ fn scheduler_loop(shared: Arc<Shared>) {
     }
 }
 
-/// Runs one drained wave of submissions: one session batch per (executor
-/// choice, tiling request, hierarchy flag) triple that has work, in
-/// first-seen order — a batch drains through one executor, a session can
-/// only apply one [`TileConfig`] per batch, and hierarchical batches drain
-/// through a different driver with different progress frames, so mixed
-/// groups never share one.
+/// Runs one drained wave of submissions: one session batch per (tiling
+/// request, hierarchy flag) pair that has work, in first-seen order — a
+/// session can only apply one [`TileConfig`] per batch, and hierarchical
+/// batches drain through a different driver with different progress
+/// frames, so mixed groups never share one.
 fn run_wave(shared: &Shared, session: &mut DecompositionSession, drained: Vec<Pending>) {
     let mut groups: Vec<(_, Vec<Pending>)> = Vec::new();
     for pending in drained {
-        let key = (pending.submit.executor, pending.tiling, pending.submit.hier);
+        let key = (pending.tiling, pending.submit.hier);
         match groups.iter_mut().find(|(group_key, _)| *group_key == key) {
             Some((_, group)) => group.push(pending),
             None => groups.push((key, vec![pending])),
         }
     }
-    for ((choice, tiling, hier), group) in groups {
-        let executor: &dyn Executor = match choice {
-            ExecutorChoice::Serial => &SerialExecutor,
-            ExecutorChoice::Pool => &shared.pool,
-        };
+    for ((tiling, hier), group) in groups {
         session.set_tiling(tiling);
-        run_batch(shared, session, executor, group, hier);
+        run_batch(shared, session, group, hier);
     }
 }
 
-fn run_batch(
-    shared: &Shared,
-    session: &mut DecompositionSession,
-    executor: &dyn Executor,
-    group: Vec<Pending>,
-    hier: bool,
-) {
+fn run_batch(shared: &Shared, session: &mut DecompositionSession, group: Vec<Pending>, hier: bool) {
     let mut submissions: HashMap<LayoutId, Active> = HashMap::with_capacity(group.len());
     for pending in group {
         let id = session.submit(pending.plan);
@@ -945,7 +935,7 @@ fn run_batch(
         submissions: &submissions,
         frame,
     };
-    let runs = match run_layouts(session, executor, hier, &sink) {
+    let runs = match run_layouts(session, &shared.pool, hier, &sink) {
         Ok(runs) => runs,
         Err(error) => {
             // Submission-time validation makes this unreachable in

@@ -9,8 +9,7 @@
 
 use mpl_serve::{
     decode_request, decode_response, encode_frame, encode_request, encode_response, ErrorCode,
-    ExecutorChoice, FrameDecoder, Json, LayoutSource, Request, Response, ResultPayload,
-    SubmitRequest,
+    FrameDecoder, Json, LayoutSource, Request, Response, ResultPayload, SubmitRequest,
 };
 use proptest::prelude::*;
 
@@ -53,11 +52,6 @@ fn arb_request() -> impl Strategy<Value = Request> {
                         // Dyadic steps survive the f64 → JSON → f64 round trip
                         // bit-exactly.
                         submit.alpha = alpha_step as f64 * 0.125;
-                        submit.executor = if flags & 1 == 0 {
-                            ExecutorChoice::Pool
-                        } else {
-                            ExecutorChoice::Serial
-                        };
                         submit.progress = flags & 2 != 0;
                         submit.verify = flags & 4 != 0;
                         if flags & 8 != 0 {

@@ -4,7 +4,7 @@
 use crate::shard::shard_layout;
 use mpl_core::partition::{run_partitioned, Alignment};
 use mpl_core::{
-    ConfigError, DecompositionResult, DecompositionSession, Executor, LayoutId, Progress,
+    ConfigError, DecompositionResult, DecompositionSession, LayoutId, Progress, ThreadPoolExecutor,
 };
 use mpl_geometry::Nm;
 
@@ -72,9 +72,9 @@ pub struct TiledLayoutResult {
 /// Propagates the [`ConfigError`]s of [`run_tiled_observed`].
 pub fn run_tiled(
     session: &DecompositionSession,
-    executor: &dyn Executor,
+    pool: &ThreadPoolExecutor,
 ) -> Result<Vec<(LayoutId, TiledLayoutResult)>, ConfigError> {
-    run_tiled_observed(session, executor, &())
+    run_tiled_observed(session, pool, &())
 }
 
 /// Executes the session's batch tiled, ticking `progress` as each tile
@@ -83,17 +83,17 @@ pub fn run_tiled(
 ///
 /// Components resident in one tile window flow through the ordinary batch
 /// engine untouched, so a layout whose components all fit one window gets
-/// colors **bit-identical** to `session.run(executor)` (with or without a
+/// colors **bit-identical** to `session.run(pool)` (with or without a
 /// memo cache attached).  Components spanning several windows are sharded
 /// into halo-expanded tile pieces, decomposed as independent sub-problems
-/// on the same executor (sharing the session's memo cache, if any), and
+/// on the same pool (sharing the session's memo cache, if any), and
 /// reconciled deterministically; the merged coloring's conflict count is
 /// recomputed over the full graph, so it always agrees with
 /// [`verify_spacing`](mpl_core::verify_spacing).  Results are returned in
 /// submission order, like [`DecompositionSession::run`].
 ///
 /// When the session requests no tiling, this is
-/// `session.run_observed(executor, progress)`, ticking once per component,
+/// `session.run_observed(pool, progress)`, ticking once per component,
 /// with degenerate (all-resident) statistics.
 ///
 /// # Errors
@@ -104,12 +104,12 @@ pub fn run_tiled(
 /// crossing window boundaries).
 pub fn run_tiled_observed(
     session: &DecompositionSession,
-    executor: &dyn Executor,
+    pool: &ThreadPoolExecutor,
     progress: &dyn Progress,
 ) -> Result<Vec<(LayoutId, TiledLayoutResult)>, ConfigError> {
     let Some(tiling) = session.tiling() else {
         return Ok(session
-            .run_observed(executor, progress)
+            .run_observed(pool, progress)
             .into_iter()
             .map(|(id, result)| {
                 let stats = TileStats {
@@ -160,7 +160,7 @@ pub fn run_tiled_observed(
         .unzip();
     let results = run_partitioned(
         session,
-        executor,
+        pool,
         &partitions,
         Alignment::Anchors,
         session.memo().cloned(),

@@ -4,7 +4,7 @@ use crate::{run_tiled, run_tiled_observed};
 use mpl_core::verify::verify_spacing;
 use mpl_core::{
     ColorAlgorithm, ConfigError, Decomposer, DecomposerConfig, DecompositionSession, LayoutId,
-    MemoCache, Progress, SerialExecutor, ThreadPoolExecutor, TileConfig,
+    MemoCache, Progress, ThreadPoolExecutor, TileConfig,
 };
 use mpl_geometry::Nm;
 use mpl_layout::{gen, Technology};
@@ -31,10 +31,10 @@ fn one_window_layouts_are_bit_identical_to_untiled_for_every_engine() {
         session
             .submit_layout(&decomposer, &layout)
             .expect("valid config");
-        let untiled = session.run(&SerialExecutor);
+        let untiled = session.run(&ThreadPoolExecutor::default());
         // A tile far larger than the layout: every component is resident.
         session.set_tiling(Some(TileConfig::new(Nm(1_000_000))));
-        let tiled = run_tiled(&session, &SerialExecutor).expect("valid tiling");
+        let tiled = run_tiled(&session, &ThreadPoolExecutor::default()).expect("valid tiling");
         assert_eq!(
             tiled[0].1.result.colors(),
             untiled[0].1.colors(),
@@ -60,7 +60,7 @@ fn sharded_components_verify_spacing_clean_and_report_consistent_conflicts() {
         session
             .submit_layout(&decomposer, &layout)
             .expect("valid config");
-        let tiled = run_tiled(&session, &SerialExecutor).expect("valid tiling");
+        let tiled = run_tiled(&session, &ThreadPoolExecutor::default()).expect("valid tiling");
         let (id, tiled) = &tiled[0];
         let result = &tiled.result;
         let stats = &tiled.stats;
@@ -87,7 +87,7 @@ fn tiled_runs_are_schedule_independent() {
     session
         .submit_layout(&decomposer, &layout)
         .expect("valid config");
-    let serial = run_tiled(&session, &SerialExecutor).expect("valid tiling");
+    let serial = run_tiled(&session, &ThreadPoolExecutor::default()).expect("valid tiling");
     let pooled = run_tiled(
         &session,
         &ThreadPoolExecutor::new(4).expect("non-zero threads"),
@@ -108,7 +108,7 @@ fn warm_memo_tiled_runs_are_bit_identical_and_all_hits() {
         .submit_layout(&decomposer, &layout)
         .expect("valid config");
     session.set_memo(Some(Arc::new(MemoCache::new(4096))));
-    let cold = run_tiled(&session, &SerialExecutor).expect("valid tiling");
+    let cold = run_tiled(&session, &ThreadPoolExecutor::default()).expect("valid tiling");
     let warm = run_tiled(
         &session,
         &ThreadPoolExecutor::new(3).expect("non-zero threads"),
@@ -133,8 +133,8 @@ fn sessions_without_tiling_fall_back_to_the_untiled_run() {
     session
         .submit_layout(&decomposer, &layout)
         .expect("valid config");
-    let untiled = session.run(&SerialExecutor);
-    let tiled = run_tiled(&session, &SerialExecutor).expect("no tiling requested");
+    let untiled = session.run(&ThreadPoolExecutor::default());
+    let tiled = run_tiled(&session, &ThreadPoolExecutor::default()).expect("no tiling requested");
     assert_eq!(tiled[0].1.result.colors(), untiled[0].1.colors());
     assert_eq!(tiled[0].1.stats.tiles, 0);
     assert_eq!(
@@ -153,20 +153,20 @@ fn invalid_tiling_is_rejected_with_typed_errors() {
         .submit_layout(&decomposer, &layout)
         .expect("valid config");
     assert_eq!(
-        run_tiled(&session, &SerialExecutor).unwrap_err(),
+        run_tiled(&session, &ThreadPoolExecutor::default()).unwrap_err(),
         ConfigError::TileSize { size: 0 }
     );
 
     // A halo below the coloring distance would hide cross-window conflicts.
     session.set_tiling(Some(TileConfig::new(Nm(300)).with_halo(Nm(40))));
     assert_eq!(
-        run_tiled(&session, &SerialExecutor).unwrap_err(),
+        run_tiled(&session, &ThreadPoolExecutor::default()).unwrap_err(),
         ConfigError::TileHalo { halo: 40 }
     );
 
     // The coloring distance itself is an acceptable explicit halo.
     session.set_tiling(Some(TileConfig::new(Nm(300)).with_halo(Nm(80))));
-    assert!(run_tiled(&session, &SerialExecutor).is_ok());
+    assert!(run_tiled(&session, &ThreadPoolExecutor::default()).is_ok());
 }
 
 #[test]
@@ -198,7 +198,8 @@ fn progress_reports_one_tick_per_inner_decomposition() {
         total: AtomicUsize::new(0),
     };
     let progress = counting();
-    let tiled = run_tiled_observed(&session, &SerialExecutor, &progress).expect("valid tiling");
+    let tiled = run_tiled_observed(&session, &ThreadPoolExecutor::default(), &progress)
+        .expect("valid tiling");
     let expected = tiled[0].1.stats.tiles + usize::from(tiled[0].1.stats.resident_components > 0);
     assert_eq!(progress.ticks.load(Ordering::Relaxed), expected);
     assert_eq!(progress.last.load(Ordering::Relaxed), expected);
@@ -208,7 +209,7 @@ fn progress_reports_one_tick_per_inner_decomposition() {
     // component.
     session.set_tiling(None);
     let progress = counting();
-    run_tiled_observed(&session, &SerialExecutor, &progress).expect("no tiling");
+    run_tiled_observed(&session, &ThreadPoolExecutor::default(), &progress).expect("no tiling");
     let expected = session.task_count();
     assert_eq!(progress.ticks.load(Ordering::Relaxed), expected);
     assert_eq!(progress.last.load(Ordering::Relaxed), expected);
@@ -241,6 +242,6 @@ fn mixed_batches_keep_per_layout_results_in_submission_order() {
         .expect("valid config");
     assert_eq!(
         results[1].1.result.colors(),
-        alone.run(&SerialExecutor)[0].1.colors()
+        alone.run(&ThreadPoolExecutor::default())[0].1.colors()
     );
 }

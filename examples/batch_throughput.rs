@@ -1,20 +1,19 @@
 //! Batch-first execution: decompose a fleet of layouts through one
-//! [`DecompositionSession`] on a shared executor and report aggregate
+//! [`DecompositionSession`] on a shared thread pool and report aggregate
 //! throughput (layouts/sec, components/sec).
 //!
 //! Submitting many small layouts to one session keeps pool workers busy
 //! across layout boundaries: every layout's independent components enter a
 //! single largest-first queue, so a worker that finishes one chip's last
 //! component immediately picks up the next chip's work.  On a single-CPU
-//! machine (like the dev container; see `ThreadPoolExecutor::available`)
-//! the pool schedules like the serial executor — the point of this example
+//! machine (see `ThreadPoolExecutor::available`) the pool has one thread
+//! and colors everything on the calling thread — the point of this example
 //! is the *API shape* and the per-layout equality, not a speedup number.
 //!
 //! Run with: `cargo run --release --example batch_throughput [COUNT]`
 
 use mpl_core::{
-    ColorAlgorithm, Decomposer, DecomposerConfig, DecompositionSession, SerialExecutor,
-    ThreadPoolExecutor,
+    ColorAlgorithm, Decomposer, DecomposerConfig, DecompositionSession, ThreadPoolExecutor,
 };
 use mpl_layout::{gen, Technology};
 use std::time::Instant;
@@ -53,10 +52,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         session.task_count()
     );
 
-    // Drain the batch once serially and once on a pool sized to the
+    // Drain the batch once on one thread and once on a pool sized to the
     // machine; the per-layout results are bit-identical either way.
     let serial_start = Instant::now();
-    let serial = session.run(&SerialExecutor);
+    let serial = session.run(&ThreadPoolExecutor::default());
     let serial_wall = serial_start.elapsed();
 
     let pool = ThreadPoolExecutor::available();
@@ -72,7 +71,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         assert_eq!(
             result.colors(),
             check.colors(),
-            "{id} diverged across executors"
+            "{id} diverged across pool sizes"
         );
         println!(
             "{:<10} {:>9} {:>7} {:>5} {:>5} {:>10.4}",

@@ -1,14 +1,14 @@
 //! Full-flow walkthrough on one benchmark circuit: generate the synthetic
 //! layout, plan the decomposition (graph construction + component tasks),
-//! execute the plan with both the serial and the thread-pool executor, and
+//! execute the plan on a one-thread and on a four-thread pool, and
 //! compare all four color-assignment engines — a single-circuit slice of
 //! the paper's Table 1, staged through the plan → execute API.
 //!
 //! Run with: `cargo run --release --example full_flow_benchmark [CIRCUIT]`
 
 use mpl_core::{
-    ColorAlgorithm, Decomposer, DecomposerConfig, DecompositionSession, ResultRow, SerialExecutor,
-    TableReport, ThreadPoolExecutor,
+    ColorAlgorithm, Decomposer, DecomposerConfig, DecompositionSession, ResultRow, TableReport,
+    ThreadPoolExecutor,
 };
 use mpl_layout::{gen::IscasCircuit, io, Technology};
 use std::time::Duration;
@@ -50,13 +50,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         largest
     );
 
-    // Stage 2: serial and thread-pool executors agree bit for bit.
-    let serial = plan.execute(&SerialExecutor);
+    // Stage 2: one thread and four threads agree bit for bit.
+    let serial = plan.execute(&ThreadPoolExecutor::default());
     let pool = ThreadPoolExecutor::new(4)?;
     let parallel = plan.execute(&pool);
     assert_eq!(serial.colors(), parallel.colors());
     println!(
-        "executors agree: {} conflicts each (serial {:.3}s vs {} {:.3}s)",
+        "pool sizes agree: {} conflicts each (serial {:.3}s vs {} {:.3}s)",
         serial.conflicts(),
         serial.color_time().as_secs_f64(),
         parallel.executor(),

@@ -4,7 +4,7 @@
 //!
 //! Run with: `cargo run --release --example quickstart`
 
-use mpl_core::{ColorAlgorithm, Decomposer, DecomposerConfig, SerialExecutor};
+use mpl_core::{ColorAlgorithm, Decomposer, DecomposerConfig, ThreadPoolExecutor};
 use mpl_geometry::{Nm, Rect};
 use mpl_layout::{Layout, Technology};
 
@@ -44,11 +44,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
     }
 
-    // Stage 2: execute — the degenerate one-plan batch (see
-    // full_flow_benchmark for the thread-pool executor and
+    // Stage 2: execute — the degenerate one-plan batch, here on a
+    // one-thread pool (see full_flow_benchmark for a larger pool and
     // batch_throughput for batching many layouts through one
     // DecompositionSession).
-    let result = plan.execute(&SerialExecutor);
+    let result = plan.execute(&ThreadPoolExecutor::default());
 
     println!(
         "{}: {} conflicts, {} stitches (K = {})",

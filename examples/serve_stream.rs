@@ -1,6 +1,6 @@
 //! The streaming decomposition service, end to end in one process: spawn a
 //! [`Server`] on an ephemeral port, stream several `submit` requests over
-//! TCP with different engines and executors, watch per-component progress
+//! TCP with different engines, watch per-component progress
 //! frames arrive, and verify every served coloring against a direct
 //! in-process run.
 //!
@@ -13,9 +13,7 @@
 
 use mpl_core::{ColorAlgorithm, Decomposer, DecomposerConfig};
 use mpl_layout::{gen, io, Technology};
-use mpl_serve::{
-    Client, ExecutorChoice, LayoutSource, Request, Response, Server, ServerConfig, SubmitRequest,
-};
+use mpl_serve::{Client, LayoutSource, Request, Response, Server, ServerConfig, SubmitRequest};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let count: usize = std::env::args()
@@ -29,7 +27,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("server listening on {}", handle.addr());
 
     // A mixed workload: row layouts plus the paper's contact clique, with
-    // per-request engine and executor choices.
+    // per-request engine choices.
     let engines = [ColorAlgorithm::Linear, ColorAlgorithm::SdpBacktrack];
     let layouts: Vec<_> = (0..count)
         .map(|index| {
@@ -49,11 +47,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let mut submit =
             SubmitRequest::new(index.to_string(), LayoutSource::Text(io::to_text(layout)));
         submit.algorithm = engines[index % engines.len()];
-        submit.executor = if index % 2 == 0 {
-            ExecutorChoice::Pool
-        } else {
-            ExecutorChoice::Serial
-        };
         submit.progress = true;
         submit.verify = true;
         client.send(&Request::Submit(submit))?;

@@ -42,7 +42,9 @@
 //!   --k <N>              number of masks (default 4)
 //!   --algorithm <NAME>   ilp | sdp-backtrack | sdp-greedy | linear (default sdp-backtrack)
 //!   --alpha <F>          stitch weight (default 0.1)
-//!   --threads <N>        color the batch on N shared worker threads
+//!   --threads <N>        color the batch on N shared worker threads, the
+//!                        calling thread included (default 1: every
+//!                        component colors on the calling thread)
 //!   --progress           print `[k/N] NAME` on stderr as component k of
 //!                        layout NAME's N finishes (`[tile k/N]` per
 //!                        tile piece with --tile-size, `[hier k/N]` per
@@ -75,8 +77,6 @@
 //! instead of being decomposed in-process — text layouts and circuits
 //! inline, GDSII files as base64 — and results stream back per layout.
 //!   --connect <ADDR>     submit to the server at ADDR (HOST:PORT)
-//!   --executor <NAME>    serial | pool: which server executor drains the
-//!                        submissions (default pool)
 //!   --shutdown           after the results (or alone: immediately), ask
 //!                        the server to shut down
 //!   --deadline-ms <MS>   soft per-submission deadline: the server stops
@@ -106,17 +106,13 @@
 
 use mpl_core::{
     extract_masks, rebalance_masks, verify_spacing, BalanceReport, ColorAlgorithm, ComponentStats,
-    ComponentTask, Decomposer, DecomposerConfig, DecompositionSession, Executor, Json, JsonRecord,
-    LayoutId, Mask, MemoCache, MemoStats, Progress, SerialExecutor, StitchConfig,
-    ThreadPoolExecutor, TileConfig, VertexId,
+    ComponentTask, Decomposer, DecomposerConfig, DecompositionSession, Json, JsonRecord, LayoutId,
+    Mask, MemoCache, MemoStats, Progress, StitchConfig, ThreadPoolExecutor, TileConfig, VertexId,
 };
 use mpl_gds::{LayerMap, ReadOptions};
 use mpl_geometry::{Nm, Polygon};
 use mpl_layout::{gen::IscasCircuit, io::LayoutFormat, Layout, LayoutHierarchy, Technology};
-use mpl_serve::{
-    Client, ExecutorChoice, LayoutRun, LayoutSource, Request, Response, ResultPayload,
-    SubmitRequest,
-};
+use mpl_serve::{Client, LayoutRun, LayoutSource, Request, Response, ResultPayload, SubmitRequest};
 use std::io::Write;
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -147,7 +143,6 @@ struct Options {
     output: Option<String>,
     output_gds: Option<String>,
     connect: Option<String>,
-    executor_choice: ExecutorChoice,
     shutdown: bool,
     /// `--deadline-ms`: soft per-submission deadline forwarded on the
     /// submit frame (connect-mode only).
@@ -212,7 +207,6 @@ fn parse_options() -> Result<Options, String> {
     let mut output = None;
     let mut output_gds = None;
     let mut connect: Option<String> = None;
-    let mut executor_choice: Option<ExecutorChoice> = None;
     let mut shutdown = false;
     let mut deadline_ms: Option<u64> = None;
 
@@ -283,13 +277,6 @@ fn parse_options() -> Result<Options, String> {
             "--output" => output = Some(value("--output")?),
             "--output-gds" => output_gds = Some(value("--output-gds")?),
             "--connect" => connect = Some(value("--connect")?),
-            "--executor" => {
-                executor_choice = Some(match value("--executor")?.as_str() {
-                    "serial" => ExecutorChoice::Serial,
-                    "pool" => ExecutorChoice::Pool,
-                    other => return Err(format!("unknown executor {other:?}")),
-                })
-            }
             "--shutdown" => shutdown = true,
             "--deadline-ms" => {
                 deadline_ms = Some(
@@ -308,8 +295,7 @@ fn parse_options() -> Result<Options, String> {
                             [--no-stitches] [--balance] [--verify] [--no-memo] \
                             [--tile-size NM [--halo NM] | --hier] \
                             [--output FILE] [--output-gds FILE] \
-                            | --connect HOST:PORT [--executor serial|pool] \
-                            [--deadline-ms MS] [--shutdown]"
+                            | --connect HOST:PORT [--deadline-ms MS] [--shutdown]"
                         .to_string(),
                 )
             }
@@ -324,11 +310,6 @@ fn parse_options() -> Result<Options, String> {
         // Serve-only flags make no sense locally.
         if shutdown {
             return Err("--shutdown only applies to --connect mode".to_string());
-        }
-        if executor_choice.is_some() {
-            return Err(
-                "--executor only applies to --connect mode (use --threads locally)".to_string(),
-            );
         }
         if deadline_ms.is_some() {
             return Err("--deadline-ms only applies to --connect mode".to_string());
@@ -377,7 +358,6 @@ fn parse_options() -> Result<Options, String> {
         output,
         output_gds,
         connect,
-        executor_choice: executor_choice.unwrap_or_default(),
         shutdown,
         deadline_ms,
     })
@@ -898,7 +878,6 @@ fn run_connect(addr: &str, options: &Options, tech: &Technology) -> ExitCode {
         submit.k = options.k;
         submit.algorithm = options.algorithm;
         submit.alpha = options.alpha;
-        submit.executor = options.executor_choice;
         submit.progress = options.progress;
         submit.verify = options.verify;
         submit.tile_size = options.tiling.map(|tiling| tiling.tile_size.value());
@@ -1051,6 +1030,16 @@ fn main() -> ExitCode {
         return run_connect(&addr, &options, &tech);
     }
 
+    // The pool is part of the typed-error surface: `--threads 0` is a
+    // ConfigError, not a panic, reported before any input is read.
+    let pool = match ThreadPoolExecutor::new(options.threads.unwrap_or(1)) {
+        Ok(pool) => pool,
+        Err(error) => {
+            eprintln!("{error}");
+            return ExitCode::FAILURE;
+        }
+    };
+
     let layouts = match load_local_layouts(&options, &tech) {
         Ok(layouts) => layouts,
         Err(message) => {
@@ -1065,19 +1054,6 @@ fn main() -> ExitCode {
     if !options.stitches {
         config.stitch = StitchConfig::disabled();
     }
-
-    // The executor is part of the typed-error surface: `--threads 0` is a
-    // ConfigError, not a panic.
-    let executor: Box<dyn Executor> = match options.threads {
-        None => Box::new(SerialExecutor),
-        Some(threads) => match ThreadPoolExecutor::new(threads) {
-            Ok(pool) => Box::new(pool),
-            Err(error) => {
-                eprintln!("{error}");
-                return ExitCode::FAILURE;
-            }
-        },
-    };
 
     // Stage 1: plan every input and submit it to one shared session.
     // Invalid configurations (e.g. `--k 1`, negative `--alpha`) and
@@ -1100,7 +1076,7 @@ fn main() -> ExitCode {
         }
     }
 
-    // Stage 2: drain the whole batch through the executor and the driver
+    // Stage 2: drain the whole batch on the pool through the driver
     // the flags chose: the halo-aware tiler with --tile-size, the
     // cell-level hierarchical driver with --hier, the plain batch engine
     // otherwise.
@@ -1122,7 +1098,7 @@ fn main() -> ExitCode {
     } else {
         &()
     };
-    let runs = match mpl_serve::run_layouts(&session, executor.as_ref(), options.hier, progress) {
+    let runs = match mpl_serve::run_layouts(&session, &pool, options.hier, progress) {
         Ok(runs) => runs,
         Err(error) => {
             eprintln!("{error}");
@@ -1167,7 +1143,7 @@ fn main() -> ExitCode {
             let batch = Json::object(vec![
                 ("layouts", batch_size.into()),
                 ("components", components.into()),
-                ("executor", executor.name().into()),
+                ("executor", pool.name().into()),
                 ("wall_seconds", wall.into()),
                 (
                     "layouts_per_sec",
@@ -1193,7 +1169,7 @@ fn main() -> ExitCode {
             batch_size,
             session.task_count(),
             batch_wall.as_secs_f64(),
-            executor.name(),
+            pool.name(),
             batch_size as f64 / batch_wall.as_secs_f64().max(1e-12),
             session.task_count() as f64 / batch_wall.as_secs_f64().max(1e-12)
         ));

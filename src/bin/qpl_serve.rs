@@ -10,9 +10,9 @@
 //!
 //!   --addr <HOST:PORT>   address to bind (default 127.0.0.1:7878; port 0
 //!                        picks an ephemeral port)
-//!   --threads <N>        worker threads of the persistent pool executor
-//!                        (default 2; "pool" submissions run here, "serial"
-//!                        submissions on the serial executor)
+//!   --threads <N>        worker threads of the persistent coloring pool,
+//!                        the scheduler thread included (default 2; 1
+//!                        colors every submission on the scheduler thread)
 //!   --addr-file <PATH>   write the bound address to PATH once listening —
 //!                        lets scripts using port 0 discover the port
 //!   --output-queue-frames <N>
@@ -24,6 +24,7 @@
 //!
 //! The bound address is announced on stderr as `listening on <ADDR>`.
 
+use mpl_core::ConfigError;
 use mpl_serve::{Server, ServerConfig};
 use std::process::ExitCode;
 
@@ -50,6 +51,9 @@ fn parse_options() -> Result<Options, String> {
                 config.pool_threads = value("--threads")?
                     .parse()
                     .map_err(|e| format!("invalid --threads value: {e}"))?;
+                if config.pool_threads == 0 {
+                    return Err(ConfigError::ThreadCount.to_string());
+                }
             }
             "--addr-file" => addr_file = Some(value("--addr-file")?),
             "--output-queue-frames" => {

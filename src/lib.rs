@@ -36,12 +36,11 @@
 //!    largest-first global queue, tagged with the
 //!    [`mpl_core::LayoutId`] the submission returned.
 //! 3. **Run.** [`mpl_core::DecompositionSession::run`] drains the whole
-//!    batch through a pluggable [`mpl_core::Executor`]:
-//!    [`mpl_core::SerialExecutor`] colors tasks one by one,
-//!    [`mpl_core::ThreadPoolExecutor`] fans them out to a scoped thread
-//!    pool, largest component first *across layouts*, so small layouts
-//!    never leave pool workers idle.  Components are independent by
-//!    construction, so every executor and every batching yields
+//!    batch on a [`mpl_core::ThreadPoolExecutor`], largest component first
+//!    *across layouts*, so small layouts never leave pool workers idle (a
+//!    one-thread pool colors the tasks one by one on the calling thread).
+//!    Components are independent by construction, so every pool size and
+//!    every batching yields
 //!    **byte-identical** per-layout colors (assuming no engine wall-clock
 //!    cut-off — e.g. the exact engine's time limit — fires mid-component);
 //!    only wall-clock time changes.  A [`mpl_core::Progress`] receives
@@ -56,7 +55,7 @@
 //!
 //! ```
 //! use qpl_mpl::mpl_core::{ColorAlgorithm, Decomposer, DecomposerConfig,
-//!                         DecompositionSession, SerialExecutor, ThreadPoolExecutor};
+//!                         DecompositionSession, ThreadPoolExecutor};
 //! use qpl_mpl::mpl_layout::{gen, Technology};
 //!
 //! let tech = Technology::nm20();
@@ -68,7 +67,7 @@
 //! session.submit_layout(&decomposer, &gen::k5_cluster_layout(&tech))?;
 //!
 //! let pooled = session.run(&ThreadPoolExecutor::new(2)?);         // stage 3
-//! let serial = session.run(&SerialExecutor);
+//! let serial = session.run(&ThreadPoolExecutor::new(1)?);
 //! for ((_, a), (_, b)) in pooled.iter().zip(&serial) {
 //!     assert_eq!(a.colors(), b.colors());      // schedules never change colors
 //! }

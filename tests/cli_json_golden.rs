@@ -288,6 +288,32 @@ fn contradictory_request_flags_are_rejected_with_typed_errors() {
 }
 
 #[test]
+fn zero_threads_is_the_thread_count_error_alone_in_both_binaries() {
+    // `qpl-serve` checks the count before it binds, so the message names
+    // no address; `qpl-decompose` checks it before reading any input.
+    let layout = fixture("fixtures/golden_a.txt");
+    for (binary, args) in [
+        (
+            env!("CARGO_BIN_EXE_qpl-decompose"),
+            vec!["--threads", "0", "--layout", layout.as_str()],
+        ),
+        (
+            env!("CARGO_BIN_EXE_qpl-serve"),
+            vec!["--threads", "0", "--addr", "127.0.0.1:0"],
+        ),
+    ] {
+        let output = Command::new(binary).args(&args).output().expect("run");
+        assert_eq!(output.status.code(), Some(1), "{binary}");
+        assert!(output.stdout.is_empty(), "{binary}");
+        assert_eq!(
+            String::from_utf8_lossy(&output.stderr),
+            "a thread-pool executor needs at least one worker thread\n",
+            "{binary}"
+        );
+    }
+}
+
+#[test]
 fn single_and_batch_schemas_stay_consistent_per_layout() {
     // The per-layout objects of the batch schema must carry exactly the
     // same keys as the single-layout schema — consumers share one reader.
@@ -327,23 +353,24 @@ fn single_and_batch_schemas_stay_consistent_per_layout() {
 
 #[test]
 fn a_closed_stdout_is_a_write_error_not_a_panic() {
-    // The read end of stdout closes before the binary writes anything, so
-    // its first summary line meets a broken pipe: the human summary must
-    // stop with one message and exit 1, as the JSON summary does.
+    // The read end of stdout closes before the binary starts, so its first
+    // summary line meets a broken pipe: the human summary must stop with one
+    // message and exit 1, as the JSON summary does.  (Closing the read end
+    // after the spawn raced the child, which could finish writing first.)
     for (format, message) in [
         (None, "cannot write the summary: "),
         (Some("--json"), "cannot write the JSON summary: "),
     ] {
-        let mut child = Command::new(env!("CARGO_BIN_EXE_qpl-decompose"))
+        let (reader, writer) = std::io::pipe().expect("create a pipe");
+        drop(reader);
+        let output = Command::new(env!("CARGO_BIN_EXE_qpl-decompose"))
             .args(["--layout", &fixture("fixtures/golden_a.txt")])
             .args(["--algorithm", "linear"])
             .args(format)
-            .stdout(Stdio::piped())
+            .stdout(writer)
             .stderr(Stdio::piped())
-            .spawn()
+            .output()
             .expect("run qpl-decompose");
-        drop(child.stdout.take());
-        let output = child.wait_with_output().expect("wait for qpl-decompose");
         let stderr = String::from_utf8_lossy(&output.stderr);
         assert_eq!(output.status.code(), Some(1), "{format:?}: {stderr}");
         assert!(!stderr.contains("panicked"), "{format:?}: {stderr}");

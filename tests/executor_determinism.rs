@@ -1,16 +1,16 @@
 //! Executor determinism and parallel speedup.
 //!
 //! Independent components share no conflict or stitch edges, so the
-//! per-component coloring is a pure function of each task: every executor
+//! per-component coloring is a pure function of each task: every pool size
 //! must produce **byte-identical** color vectors, regardless of thread
 //! count or schedule.  These tests pin that property across all four
 //! color-assignment engines, on generated row layouts and on a layout that
 //! went through a GDSII round trip, and demonstrate the wall-clock speedup
 //! on a many-component benchmark.  The cross-layout counterpart — batches
-//! of many layouts on one shared executor — is pinned in
+//! of many layouts on one shared pool — is pinned in
 //! `tests/session_determinism.rs`.
 
-use mpl_core::{ColorAlgorithm, Decomposer, DecomposerConfig, SerialExecutor, ThreadPoolExecutor};
+use mpl_core::{ColorAlgorithm, Decomposer, DecomposerConfig, ThreadPoolExecutor};
 use mpl_layout::{gen, Layout, Technology};
 use std::time::Duration;
 
@@ -23,13 +23,13 @@ fn config(k: usize, algorithm: ColorAlgorithm) -> DecomposerConfig {
         .with_ilp_time_limit(Duration::from_secs(120))
 }
 
-/// Asserts that 2-, 4- and 8-thread pools color `layout` exactly like the
-/// serial executor, for every engine.
+/// Asserts that 2-, 4- and 8-thread pools color `layout` exactly like a
+/// one-thread pool, for every engine.
 fn assert_executors_agree(layout: &Layout, k: usize) {
     for algorithm in ColorAlgorithm::ALL {
         let decomposer = Decomposer::new(config(k, algorithm));
         let plan = decomposer.plan(layout).expect("valid config");
-        let serial = plan.execute(&SerialExecutor);
+        let serial = plan.execute(&ThreadPoolExecutor::default());
         for threads in [2usize, 4, 8] {
             let pool = ThreadPoolExecutor::new(threads).expect("non-zero threads");
             let parallel = plan.execute(&pool);
@@ -110,7 +110,7 @@ fn many_component_layout(clusters: usize, side: i64) -> Layout {
 fn parallel_speedup_on_many_components() {
     // ≥ 32 independent components, each a dense cluster that keeps the
     // SDP+Backtrack engine busy; 4 worker threads should finish the same
-    // work well ahead of the serial executor.  The colors must still be
+    // work well ahead of a one-thread pool.  The colors must still be
     // byte-identical.  Run with `--nocapture` to see the timings (recorded
     // in benchlogs/parallel_speedup.log).
     let layout = many_component_layout(48, 5);
@@ -123,7 +123,7 @@ fn parallel_speedup_on_many_components() {
     );
 
     let serial_start = std::time::Instant::now();
-    let serial = plan.execute(&SerialExecutor);
+    let serial = plan.execute(&ThreadPoolExecutor::default());
     let serial_elapsed = serial_start.elapsed();
 
     let pool = ThreadPoolExecutor::new(4).expect("non-zero threads");

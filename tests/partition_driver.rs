@@ -17,8 +17,7 @@
 
 use mpl_core::{
     CancelToken, ColorAlgorithm, Decomposer, DecomposerConfig, DecompositionResult,
-    DecompositionSession, Executor, LayoutId, Progress, SerialExecutor, ThreadPoolExecutor,
-    TileConfig,
+    DecompositionSession, LayoutId, Progress, ThreadPoolExecutor, TileConfig,
 };
 use mpl_geometry::Nm;
 use mpl_hier::fixtures::{bit_cell_array, BitArrayStyle};
@@ -62,7 +61,7 @@ fn digest(colors: &[u8]) -> u64 {
 fn tiled(
     layout: &Layout,
     algorithm: ColorAlgorithm,
-    executor: &dyn Executor,
+    executor: &ThreadPoolExecutor,
     deadline: Option<CancelToken>,
 ) -> (DecompositionSession, DecompositionResult, TileStats) {
     let mut session = DecompositionSession::new();
@@ -79,7 +78,7 @@ fn tiled(
 fn hier(
     fixture: &(Layout, LayoutHierarchy),
     algorithm: ColorAlgorithm,
-    executor: &dyn Executor,
+    executor: &ThreadPoolExecutor,
     deadline: Option<CancelToken>,
 ) -> (DecompositionSession, DecompositionResult, HierStats) {
     let mut session = DecompositionSession::new();
@@ -95,7 +94,12 @@ fn hier(
 
 #[test]
 fn merged_colorings_and_stats_are_pinned() {
-    let (_, result, stats) = tiled(&lattice(), ColorAlgorithm::Linear, &SerialExecutor, None);
+    let (_, result, stats) = tiled(
+        &lattice(),
+        ColorAlgorithm::Linear,
+        &ThreadPoolExecutor::default(),
+        None,
+    );
     assert_eq!(
         (result.colors().len(), digest(result.colors())),
         (576, 376_290_688_314_658_101),
@@ -121,7 +125,7 @@ fn merged_colorings_and_stats_are_pinned() {
     let (_, result, stats) = hier(
         &hier_array_fixture(),
         ColorAlgorithm::Linear,
-        &SerialExecutor,
+        &ThreadPoolExecutor::default(),
         None,
     );
     assert_eq!(
@@ -150,7 +154,7 @@ fn merged_colorings_and_stats_are_pinned() {
     let (_, result, stats) = hier(
         &bit_cell_array(12, 12, BitArrayStyle::Merged),
         ColorAlgorithm::Linear,
-        &SerialExecutor,
+        &ThreadPoolExecutor::default(),
         None,
     );
     assert_eq!(
@@ -244,7 +248,7 @@ fn derived_stats_equal_a_recount_of_the_returned_colors() {
     let lattice = gen::contact_array(&Technology::nm20(), 12, 12, Nm(70));
     let array = bit_cell_array(4, 4, BitArrayStyle::Merged);
     let pool = ThreadPoolExecutor::new(2).expect("non-zero threads");
-    let executors: [&dyn Executor; 2] = [&SerialExecutor, &pool];
+    let executors: [&ThreadPoolExecutor; 2] = [&ThreadPoolExecutor::default(), &pool];
     for algorithm in ColorAlgorithm::ALL {
         for executor in executors {
             for expired in [false, true] {
@@ -274,7 +278,7 @@ impl Progress for CancelOnFirstTick {
 
 #[test]
 fn piece_ticks_stream_while_later_pieces_wait() {
-    // On the serial executor the first piece tick cancels the layout's
+    // On a one-thread pool the first piece tick cancels the layout's
     // token before the next piece starts, so every later piece is skipped
     // and the one split component reports itself cancelled and skipped.
     // Ticks sent only after the last piece finished would cancel nothing.
@@ -288,7 +292,7 @@ fn piece_ticks_stream_while_later_pieces_wait() {
         .expect("valid config");
     session.set_cancel(id, Some(token.clone()));
     let progress = CancelOnFirstTick(token);
-    let (_, tiled) = run_tiled_observed(&session, &SerialExecutor, &progress)
+    let (_, tiled) = run_tiled_observed(&session, &ThreadPoolExecutor::default(), &progress)
         .expect("valid tiling")
         .pop()
         .expect("one layout");
@@ -305,7 +309,7 @@ fn piece_ticks_stream_while_later_pieces_wait() {
     session.set_hierarchy(id, Some(Arc::new(hierarchy)));
     session.set_cancel(id, Some(token.clone()));
     let progress = CancelOnFirstTick(token);
-    let (_, hier) = run_hier_observed(&session, &SerialExecutor, &progress)
+    let (_, hier) = run_hier_observed(&session, &ThreadPoolExecutor::default(), &progress)
         .expect("no tiling")
         .pop()
         .expect("one layout");

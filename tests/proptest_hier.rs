@@ -5,7 +5,7 @@
 //! 1. **Isolated-instance identity** — when no component crosses an
 //!    instance boundary, every component is resident or a whole-instance
 //!    stamp and the hierarchical coloring is bit-identical to the flat
-//!    *memoized* session's, for every engine and both executors.  This is
+//!    *memoized* session's, for every engine and both pool sizes.  This is
 //!    the contract that lets the driver skip reconciliation entirely for
 //!    well-separated standard-cell rows.
 //! 2. **Spacing consistency** — for arrays whose cell geometry merges
@@ -16,8 +16,8 @@
 //!    cross-instance conflicts.
 
 use mpl_core::{
-    verify_spacing, ColorAlgorithm, Decomposer, DecomposerConfig, DecompositionSession, Executor,
-    MemoCache, SerialExecutor, ThreadPoolExecutor,
+    verify_spacing, ColorAlgorithm, Decomposer, DecomposerConfig, DecompositionSession, MemoCache,
+    ThreadPoolExecutor,
 };
 use mpl_hier::fixtures::{bit_cell_array, BitArrayStyle};
 use mpl_hier::{run_hier, HierStats};
@@ -39,7 +39,7 @@ const ENGINES: [ColorAlgorithm; 4] = [
 fn flat_memo_colors(
     layout: &Layout,
     algorithm: ColorAlgorithm,
-    executor: &dyn Executor,
+    executor: &ThreadPoolExecutor,
 ) -> Vec<u8> {
     let config = DecomposerConfig::quadruple(Technology::nm20()).with_algorithm(algorithm);
     let decomposer = Decomposer::new(config);
@@ -65,7 +65,7 @@ fn hier_outcome(
     layout: &Layout,
     hierarchy: LayoutHierarchy,
     algorithm: ColorAlgorithm,
-    executor: &dyn Executor,
+    executor: &ThreadPoolExecutor,
 ) -> (Vec<u8>, usize, HierStats, usize) {
     let config = DecomposerConfig::quadruple(Technology::nm20()).with_algorithm(algorithm);
     let decomposer = Decomposer::new(config);
@@ -101,7 +101,7 @@ proptest! {
     ) {
         let pool = ThreadPoolExecutor::new(2).expect("two threads");
         for algorithm in ENGINES {
-            let executors: [&dyn Executor; 2] = [&SerialExecutor, &pool];
+            let executors: [&ThreadPoolExecutor; 2] = [&ThreadPoolExecutor::default(), &pool];
             for executor in executors {
                 let (layout, hierarchy) = bit_cell_array(nx, ny, BitArrayStyle::Isolated);
                 let flat = flat_memo_colors(&layout, algorithm, executor);
@@ -130,7 +130,7 @@ proptest! {
     ) {
         let pool = ThreadPoolExecutor::new(2).expect("two threads");
         for algorithm in ENGINES {
-            let executors: [&dyn Executor; 2] = [&SerialExecutor, &pool];
+            let executors: [&ThreadPoolExecutor; 2] = [&ThreadPoolExecutor::default(), &pool];
             for executor in executors {
                 let (layout, hierarchy) = bit_cell_array(nx, ny, BitArrayStyle::Merged);
                 let (_, conflicts, stats, violations) =

@@ -6,7 +6,7 @@
 //!    translated copy of a layout produces the identical signature list.
 //! 2. **Determinism** — a coloring stamped from a warm cache is
 //!    bit-identical to the coloring a cold (fresh) cache produces for the
-//!    same layout, for every engine and both executors.  This is the
+//!    same layout, for every engine and both pool sizes.  This is the
 //!    property that makes the cache safe to share across batches,
 //!    sessions, and serve connections.
 //!
@@ -15,7 +15,7 @@
 
 use mpl_core::{
     component_signatures, ColorAlgorithm, Decomposer, DecomposerConfig, DecompositionSession,
-    Executor, MemoCache, SerialExecutor, Signature, ThreadPoolExecutor,
+    MemoCache, Signature, ThreadPoolExecutor,
 };
 use mpl_geometry::Nm;
 use mpl_layout::{Layout, Technology};
@@ -48,7 +48,7 @@ fn arb_features() -> impl Strategy<Value = Vec<(i64, i64, bool)>> {
 fn memoized_colors(
     layout: &Layout,
     algorithm: ColorAlgorithm,
-    executor: &dyn Executor,
+    executor: &ThreadPoolExecutor,
     cache: Arc<MemoCache>,
 ) -> Vec<u8> {
     let config = DecomposerConfig::quadruple(Technology::nm20()).with_algorithm(algorithm);
@@ -333,7 +333,7 @@ proptest! {
             ColorAlgorithm::SdpGreedy,
             ColorAlgorithm::Linear,
         ] {
-            let executors: [&dyn Executor; 2] = [&SerialExecutor, &pool];
+            let executors: [&ThreadPoolExecutor; 2] = [&ThreadPoolExecutor::default(), &pool];
             for executor in executors {
                 // Cold: a fresh cache colors every component and fills
                 // itself.  Warm: the same cache serves every component by

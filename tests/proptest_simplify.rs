@@ -8,7 +8,7 @@
 //!    counted conflict, and greedy reinsertion never hides one.
 //! 2. **No palette waste** — the simplified path never uses more distinct
 //!    colors than the hide-only path on the same layout, for every
-//!    engine and both executors.
+//!    engine and both pool sizes.
 //! 3. **Trivial fixed point identity** — when simplification finds
 //!    nothing to hide and nothing to cut, the coloring is bit-identical
 //!    to the hide-only run (which hides nothing either, so both color the
@@ -16,7 +16,7 @@
 
 use mpl_core::{
     verify_spacing, ColorAlgorithm, Decomposer, DecomposerConfig, DecompositionResult,
-    DecompositionSession, DivisionConfig, Executor, SerialExecutor, ThreadPoolExecutor,
+    DecompositionSession, DivisionConfig, ThreadPoolExecutor,
 };
 use mpl_geometry::Nm;
 use mpl_layout::{Layout, Technology};
@@ -56,7 +56,7 @@ const ENGINES: [ColorAlgorithm; 4] = [
 fn outcome(
     layout: &Layout,
     algorithm: ColorAlgorithm,
-    executor: &dyn Executor,
+    executor: &ThreadPoolExecutor,
     simplify: bool,
 ) -> (DecompositionResult, usize) {
     let division = DivisionConfig {
@@ -99,7 +99,7 @@ proptest! {
         let layout = layout_from(&features, "simplify-prop");
         let pool = ThreadPoolExecutor::new(2).expect("two threads");
         for algorithm in ENGINES {
-            let executors: [&dyn Executor; 2] = [&SerialExecutor, &pool];
+            let executors: [&ThreadPoolExecutor; 2] = [&ThreadPoolExecutor::default(), &pool];
             for executor in executors {
                 let (simplified, violations) = outcome(&layout, algorithm, executor, true);
                 let (hide_only, _) = outcome(&layout, algorithm, executor, false);

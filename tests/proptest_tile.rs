@@ -9,11 +9,11 @@
 //! 2. **One-window identity** — when every component fits inside a single
 //!    tile window, the tiled driver takes the resident path and the
 //!    coloring is bit-identical to the untiled session's, for every
-//!    engine and both executors.
+//!    engine and both pool sizes.
 
 use mpl_core::{
-    verify_spacing, ColorAlgorithm, Decomposer, DecomposerConfig, DecompositionSession, Executor,
-    MemoCache, SerialExecutor, ThreadPoolExecutor, TileConfig,
+    verify_spacing, ColorAlgorithm, Decomposer, DecomposerConfig, DecompositionSession, MemoCache,
+    ThreadPoolExecutor, TileConfig,
 };
 use mpl_geometry::Nm;
 use mpl_layout::{Layout, Technology};
@@ -49,7 +49,11 @@ const ENGINES: [ColorAlgorithm; 4] = [
 ];
 
 /// Runs `layout` untiled and returns its coloring.
-fn untiled_colors(layout: &Layout, algorithm: ColorAlgorithm, executor: &dyn Executor) -> Vec<u8> {
+fn untiled_colors(
+    layout: &Layout,
+    algorithm: ColorAlgorithm,
+    executor: &ThreadPoolExecutor,
+) -> Vec<u8> {
     let config = DecomposerConfig::quadruple(Technology::nm20()).with_algorithm(algorithm);
     let decomposer = Decomposer::new(config);
     let mut session = DecompositionSession::new();
@@ -72,7 +76,7 @@ fn untiled_colors(layout: &Layout, algorithm: ColorAlgorithm, executor: &dyn Exe
 fn tiled_outcome(
     layout: &Layout,
     algorithm: ColorAlgorithm,
-    executor: &dyn Executor,
+    executor: &ThreadPoolExecutor,
     tiling: TileConfig,
 ) -> (Vec<u8>, usize, TileStats, usize) {
     let config = DecomposerConfig::quadruple(Technology::nm20()).with_algorithm(algorithm);
@@ -111,7 +115,7 @@ proptest! {
         let tile_size = Nm([200, 300, 450][tile_step]);
         let pool = ThreadPoolExecutor::new(2).expect("two threads");
         for algorithm in ENGINES {
-            let executors: [&dyn Executor; 2] = [&SerialExecutor, &pool];
+            let executors: [&ThreadPoolExecutor; 2] = [&ThreadPoolExecutor::default(), &pool];
             for executor in executors {
                 let (_, conflicts, stats, violations) =
                     tiled_outcome(&layout, algorithm, executor, TileConfig::new(tile_size));
@@ -138,7 +142,7 @@ proptest! {
         // The feature grid spans < 1 µm, so every component fits one window.
         let tiling = TileConfig::new(Nm(1_000_000));
         for algorithm in ENGINES {
-            let executors: [&dyn Executor; 2] = [&SerialExecutor, &pool];
+            let executors: [&ThreadPoolExecutor; 2] = [&ThreadPoolExecutor::default(), &pool];
             for executor in executors {
                 let untiled = untiled_colors(&layout, algorithm, executor);
                 let (tiled, conflicts, stats, violations) =
@@ -182,7 +186,7 @@ fn tiled_repeated_arrays_hit_the_shared_memo_across_tiles() {
         session
             .submit_layout(&decomposer, &layout)
             .expect("valid config");
-        let results = run_tiled(&session, &SerialExecutor).expect("valid tiling");
+        let results = run_tiled(&session, &ThreadPoolExecutor::default()).expect("valid tiling");
         results.into_iter().next().expect("one layout").1
     };
 
@@ -216,7 +220,7 @@ fn tiled_repeated_arrays_hit_the_shared_memo_across_tiles() {
         .submit_layout(&decomposer, &layout)
         .expect("valid config");
     let flat = flat_session
-        .run(&SerialExecutor)
+        .run(&ThreadPoolExecutor::default())
         .into_iter()
         .next()
         .expect("one layout")

@@ -11,7 +11,7 @@
 
 use mpl_core::{
     verify_spacing, ColorAlgorithm, Decomposer, DecomposerConfig, DecompositionSession, JsonRecord,
-    LayoutCounters, MemoCache, SerialExecutor, TileConfig,
+    LayoutCounters, MemoCache, ThreadPoolExecutor, TileConfig,
 };
 use mpl_geometry::Nm;
 use mpl_layout::{gen, io, Layout, LayoutHierarchy, Technology};
@@ -31,8 +31,7 @@ struct RawClient {
     decoder: FrameDecoder,
     /// Terminal frames received while waiting for a different submission:
     /// per-submission ordering is guaranteed by the protocol, cross-
-    /// submission ordering (e.g. serial-choice vs pool-choice results of
-    /// one wave) is not.
+    /// submission ordering (e.g. the results of one wave) is not.
     stashed: Vec<Json>,
 }
 
@@ -98,19 +97,12 @@ fn spawn_server() -> mpl_serve::ServerHandle {
 
 /// Builds a `submit` frame through the JSON writer so escaping is always
 /// correct, whatever the layout text contains.
-fn submit_frame(
-    id: &str,
-    source_key: &str,
-    source_value: &str,
-    engine: ColorAlgorithm,
-    executor: &str,
-) -> String {
+fn submit_frame(id: &str, source_key: &str, source_value: &str, engine: ColorAlgorithm) -> String {
     Json::object(vec![
         ("type", Json::string("submit")),
         ("id", Json::string(id)),
         (source_key, Json::string(source_value)),
         ("algorithm", Json::string(algorithm_wire_name(engine))),
-        ("executor", Json::string(executor)),
     ])
     .to_string()
 }
@@ -145,9 +137,10 @@ enum Cache {
 }
 
 /// Asserts that `frame` is the `result` frame of `baseline`, key for key
-/// and in key order — except the submission id, the executor the request
-/// chose, the wall-clock seconds and, on a [`Cache::Warm`] server, the memo
-/// counts and the [`LayoutCounters`].
+/// and in key order — except the submission id, the pool that colored it
+/// (the server's two threads against the baseline's one), the wall-clock
+/// seconds and, on a [`Cache::Warm`] server, the memo counts and the
+/// [`LayoutCounters`].
 fn assert_result_matches(frame: &Json, baseline: &ResultPayload, cache: Cache, context: &str) {
     assert_eq!(
         frame.get("type").and_then(Json::as_str),
@@ -197,7 +190,7 @@ fn test_layouts() -> Vec<Layout> {
 /// reports.
 fn local_records(session: &DecompositionSession, hier: bool, verify: bool) -> Vec<ResultPayload> {
     let technology = Technology::nm20();
-    run_layouts(session, &SerialExecutor, hier, &())
+    run_layouts(session, &ThreadPoolExecutor::default(), hier, &())
         .expect("valid run")
         .iter()
         .map(|run| {
@@ -229,8 +222,8 @@ fn server_like_session(engine: ColorAlgorithm, layouts: &[Layout]) -> Decomposit
     session
 }
 
-/// Direct baseline: the same layouts through one session on the serial
-/// executor.
+/// Direct baseline: the same layouts through one session on a one-thread
+/// pool.
 fn direct_session_results(engine: ColorAlgorithm, layouts: &[Layout]) -> Vec<ResultPayload> {
     local_records(&server_like_session(engine, layouts), false, false)
 }
@@ -284,24 +277,12 @@ fn streamed_results_are_bit_identical_to_direct_session_runs_for_all_engines() {
                 "layout_text",
                 &io::to_text(layout),
                 engine,
-                if index % 2 == 0 { "pool" } else { "serial" },
             ));
         }
         for (index, baseline) in baselines.iter().enumerate() {
             let id = format!("{}-{index}", algorithm_wire_name(engine));
             let frame = client.await_terminal(&id);
             assert_result_matches(&frame, baseline, Cache::Warm, &id);
-            // The executor that served the layout is reported and honours
-            // the per-request choice.
-            let executor = frame
-                .get("executor")
-                .and_then(Json::as_str)
-                .expect("executor");
-            if index % 2 == 0 {
-                assert!(executor.starts_with("threads:"), "pool choice: {executor}");
-            } else {
-                assert_eq!(executor, "serial");
-            }
         }
     }
     handle.shutdown().expect("clean shutdown");
@@ -324,7 +305,6 @@ fn interleaved_concurrent_submissions_do_not_change_any_layout_output() {
             "layout_text",
             &io::to_text(layout),
             engine,
-            "pool",
         ));
     }
     for (index, layout) in layouts.iter().enumerate().rev() {
@@ -333,7 +313,6 @@ fn interleaved_concurrent_submissions_do_not_change_any_layout_output() {
             "layout_text",
             &io::to_text(layout),
             engine,
-            "pool",
         ));
     }
     for (index, baseline) in baselines.iter().enumerate() {
@@ -366,7 +345,6 @@ fn interleaved_concurrent_submissions_do_not_change_any_layout_output() {
                         "layout_text",
                         &io::to_text(&layouts[index]),
                         engine,
-                        if worker % 2 == 0 { "pool" } else { "serial" },
                     ));
                 }
                 for &index in &order {
@@ -414,7 +392,6 @@ fn gds_base64_submissions_match_local_decomposition_of_the_same_bytes() {
         "gds_base64",
         &base64::encode(&bytes),
         engine,
-        "pool",
     ));
     let frame = client.await_terminal("gds");
     assert_result_matches(&frame, &baseline, Cache::Cold, "gds round trip");
@@ -515,7 +492,6 @@ fn errors_are_typed_and_leave_the_connection_usable() {
         "layout_text",
         &io::to_text(&layout),
         engine,
-        "serial",
     ));
     let frame = client.await_terminal("t8");
     assert_result_matches(&frame, &baseline, Cache::Cold, "post-error submission");
@@ -585,7 +561,6 @@ fn empty_layouts_and_session_reuse_across_waves() {
         "layout_text",
         "# layout empty\n",
         ColorAlgorithm::Linear,
-        "pool",
     ));
     let frame = client.await_terminal("e0");
     assert_eq!(frame.get("type").and_then(Json::as_str), Some("result"));
@@ -604,7 +579,6 @@ fn empty_layouts_and_session_reuse_across_waves() {
             "layout_text",
             &io::to_text(&layout),
             ColorAlgorithm::Linear,
-            "pool",
         ));
         let frame = client.await_terminal(&id);
         // Wave 0 colors into the cache; later waves are stamped from it.
@@ -646,19 +620,18 @@ fn ping_reports_cache_statistics_and_resubmissions_are_served_warm() {
         &Technology::nm20(),
     );
     let baseline = direct_memoized_result(engine, &layout);
-    let submit = |client: &mut RawClient, id: &str, executor: &str| {
+    let submit = |client: &mut RawClient, id: &str| {
         client.send_line(&submit_frame(
             id,
             "layout_text",
             &io::to_text(&layout),
             engine,
-            executor,
         ));
     };
 
     // Cold submission: everything is engine-colored and the result frame
     // says so through its memo counters.
-    submit(&mut client, "m-cold", "pool");
+    submit(&mut client, "m-cold");
     let frame = client.await_terminal("m-cold");
     assert_result_matches(&frame, &baseline, Cache::Cold, "cold submission");
     let components = frame
@@ -690,9 +663,9 @@ fn ping_reports_cache_statistics_and_resubmissions_are_served_warm() {
             > 0
     );
 
-    // Warm resubmission — on the *other* executor: the sessions share one
-    // cache, every component is stamped, and the bits do not move.
-    submit(&mut client, "m-warm", "serial");
+    // Warm resubmission: the batches share one cache, every component is
+    // stamped, and the bits do not move.
+    submit(&mut client, "m-warm");
     let frame = client.await_terminal("m-warm");
     assert_result_matches(&frame, &baseline, Cache::Warm, "warm resubmission");
     assert_eq!(
@@ -728,7 +701,7 @@ fn tiled_submissions_stream_tile_progress_and_match_local_tiled_runs() {
     let lattice = gen::contact_array(&tech, 12, 12, Nm(70));
 
     // Local baseline through the same tiler (tiled runs are schedule
-    // independent, so the server's pool executor reproduces these bits).
+    // independent, so the server's pool reproduces these bits).
     let baseline = tiled_record(engine, &lattice, 300, true);
     let stats = baseline.tiles.expect("a tiled run reports its tiles");
 
@@ -1085,7 +1058,6 @@ fn a_client_that_stops_reading_cannot_wedge_other_submissions() {
         "layout_text",
         &io::to_text(&layout),
         engine,
-        "pool",
     ));
     let frame = healthy.await_terminal("healthy");
     assert_result_matches(

@@ -10,7 +10,7 @@
 
 use mpl_core::{
     ColorAlgorithm, Decomposer, DecomposerConfig, DecompositionResult, DecompositionSession,
-    LayoutId, SerialExecutor, ThreadPoolExecutor,
+    LayoutId, ThreadPoolExecutor,
 };
 use mpl_layout::{gen, Layout, Technology};
 use std::time::Duration;
@@ -51,8 +51,8 @@ fn mixed_layouts() -> Vec<Layout> {
     layouts
 }
 
-/// Standalone baseline: each layout planned and executed alone on the
-/// serial executor.
+/// Standalone baseline: each layout planned and executed alone on a
+/// one-thread pool.
 fn serial_baselines(decomposer: &Decomposer, layouts: &[Layout]) -> Vec<DecompositionResult> {
     layouts
         .iter()
@@ -60,7 +60,7 @@ fn serial_baselines(decomposer: &Decomposer, layouts: &[Layout]) -> Vec<Decompos
             decomposer
                 .plan(layout)
                 .expect("valid config")
-                .execute(&SerialExecutor)
+                .execute(&ThreadPoolExecutor::default())
         })
         .collect()
 }
@@ -112,9 +112,9 @@ fn mixed_batches_match_standalone_serial_runs_for_every_engine_and_pool() {
                 .expect("valid config");
         }
 
-        // The serial executor drains the batch queue in largest-first
+        // A one-thread pool drains the batch queue in largest-first
         // order — already a different schedule than per-layout execution.
-        let serial_batch = session.run(&SerialExecutor);
+        let serial_batch = session.run(&ThreadPoolExecutor::default());
         for ((id, result), baseline) in serial_batch.iter().zip(&baselines) {
             assert_matches_baseline(&format!("{algorithm}/serial"), *id, result, baseline);
         }
